@@ -1492,8 +1492,8 @@ pub fn cluster_bench_to_json(r: &ClusterBench) -> String {
 }
 
 /// One driver of the bootstrap benchmark: the same workload through the
-/// serial reference, the banded in-process threaded runner, or a 2-daemon
-/// gene-sharded roster over localhost TCP.
+/// serial reference, the in-process run with gene tiles spread over worker
+/// threads, or a 2-daemon gene-sharded roster over localhost TCP.
 #[derive(Debug, Clone)]
 pub struct BootModeRow {
     /// `"serial"`, `"threaded"`, or `"sharded"`.
@@ -1554,14 +1554,14 @@ pub struct BootBench {
 }
 
 /// Run the bootstrap benchmark: time `boot_run` serially (`threads = 1`),
-/// through the banded rayon runner (`threads = threads`), and as one job
+/// with its gene tiles spread over `threads` worker threads, and as one job
 /// sharded by gene band across a coordinator plus one real TCP peer daemon;
 /// then sweep `ci_grid` replicate counts for the CI-width curve.
 ///
 /// The three timed runs use the same seed and must produce bitwise-identical
-/// estimates — the replicate-major banding and the gene-band shard merge are
-/// both partition-invariant by construction, so any difference is a bug, and
-/// the caller is expected to fail on `!bitwise_identical`.
+/// estimates — the gene tiling and the gene-band shard merge are both
+/// partition-invariant by construction, so any difference is a bug, and the
+/// caller is expected to fail on `!bitwise_identical`.
 pub fn boot_bench(
     genes: usize,
     samples: usize,
@@ -1721,9 +1721,10 @@ pub fn boot_bench_to_json(r: &BootBench) -> String {
     let _ = writeln!(
         s,
         "  \"note\": \"bootstrap workload through three drivers on the same \
-         seed: serial = boot_run with one thread; threaded = the banded rayon \
-         runner; sharded = one job split by gene band across a coordinator \
-         plus one real TCP peer daemon. All three must agree bitwise \
+         seed: serial = boot_run with one thread; threaded = boot_run with its \
+         gene tiles spread over the worker threads; sharded = one job split by \
+         gene band across a coordinator plus one real TCP peer daemon. All \
+         three must agree bitwise \
          (bitwise_identical). The ci rows sweep replicate counts and report \
          percentile and BCa interval widths over genes with finite bounds — \
          widths shrink roughly as 1/sqrt(B).\","

@@ -1,5 +1,5 @@
 //! Generalized-Pareto tail approximation of the smallest p-values, after
-//! permApprox (Winkler et al.) and Knijnenburg et al. (2009): the upper tail
+//! permApprox (Peschel et al.) and Knijnenburg et al. (2009): the upper tail
 //! of a gene's permutation score distribution is approximately GPD by the
 //! Pickands–Balkema–de Haan theorem, so a modest sample of permutation
 //! scores yields a *continuous* tail estimate far below the `1/B` resolution

@@ -8,9 +8,19 @@
 //! class labels (case resampling). Replicate `j ∈ [1, B)` of gene `g` is the
 //! group-mean difference over the drawn columns; the identity draw at index
 //! 0 is the observed statistic θ̂. Per-replicate values depend only on
-//! `(seed, j, data)` — never on how the replicate span was partitioned — so
-//! serial, multi-threaded and gene-sharded runs are bitwise identical by
-//! construction, the same contract the permutation engine offers.
+//! `(seed, j, data)` — never on how the genes were tiled, threaded or
+//! sliced — so serial, multi-threaded and gene-sharded runs are bitwise
+//! identical by construction, the same contract the permutation engine
+//! offers.
+//!
+//! The driver draws the `B − 1` index vectors once, then splits the genes,
+//! not the replicates: workers take [`SOA_TILE`]-gene tiles, score every draw
+//! on the tile's column lanes with the SoA lane kernels, and finalize the
+//! tile's genes from their replicates before moving on. The working set is
+//! one tile of replicates per worker plus the draws,
+//! `workers × SOA_TILE × (B − 1) × 8 + (B − 1) × n` bytes, never a
+//! genes × B matrix; [`validate_boot`] refuses runs whose working set would
+//! exceed the 512 MiB budget.
 //!
 //! Two interval families per gene:
 //!
@@ -28,10 +38,12 @@ use std::ops::Range;
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
-use crate::maxt::engine::{split_chunk, EngineConfig};
+use crate::maxt::engine::{run_jobs, split_chunk, EngineConfig};
+use crate::maxt::minp::DEFAULT_MINP_BUDGET_BYTES;
 use crate::options::{Mode, PmaxtOptions, Precision, TestMethod, Workload};
 use crate::perm::arrangement::{build_stream, resolve_draw_count};
 use crate::perm::bootstrap::MAX_BOOTSTRAP_COLS;
+use crate::stats::soa::{lane_add, MissMask, SoaColumns, LANE, SOA_TILE};
 use normal::{inv_phi, phi};
 
 /// Two-sided confidence level of the reported intervals.
@@ -62,6 +74,31 @@ pub struct BootstrapResult {
 }
 
 impl BootstrapResult {
+    /// An empty result starting at gene row `offset`.
+    fn empty(offset: usize, replicates: u64) -> Self {
+        BootstrapResult {
+            offset,
+            theta: Vec::new(),
+            se: Vec::new(),
+            pct_lo: Vec::new(),
+            pct_hi: Vec::new(),
+            bca_lo: Vec::new(),
+            bca_hi: Vec::new(),
+            replicates,
+            level: CI_LEVEL,
+        }
+    }
+
+    /// Append one gene's θ̂ and its [`gene_estimates`].
+    fn push_gene(&mut self, theta: f64, [se, pct_lo, pct_hi, bca_lo, bca_hi]: [f64; 5]) {
+        self.theta.push(theta);
+        self.se.push(se);
+        self.pct_lo.push(pct_lo);
+        self.pct_hi.push(pct_hi);
+        self.bca_lo.push(bca_lo);
+        self.bca_hi.push(bca_hi);
+    }
+
     /// Number of genes covered.
     pub fn genes(&self) -> usize {
         self.theta.len()
@@ -97,7 +134,8 @@ impl BootstrapResult {
 /// Validate a bootstrap run and canonicalize the NA code. Refusals mirror
 /// the permutation front half (`prepare_run`), plus the bootstrap-specific
 /// constraints: two-group `t` design only, explicit `B ≥ 2`, exact mode,
-/// `f64` accumulation, at most [`MAX_BOOTSTRAP_COLS`] sample columns.
+/// `f64` accumulation, at most [`MAX_BOOTSTRAP_COLS`] sample columns, and a
+/// working set within [`DEFAULT_MINP_BUDGET_BYTES`].
 pub fn validate_boot(
     data: &Matrix,
     classlabel: &[u8],
@@ -149,6 +187,7 @@ pub fn validate_boot(
         )));
     }
     let b = resolve_draw_count(&labels, opts)?;
+    check_working_set(data.rows(), labels.len(), b, opts)?;
     let owned = match opts.na {
         Some(code) => {
             Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)?
@@ -158,9 +197,37 @@ pub fn validate_boot(
     Ok((labels, b, owned))
 }
 
+/// Refuse a run whose working set exceeds [`DEFAULT_MINP_BUDGET_BYTES`]:
+/// each worker's gene-by-gene replicate tile plus the shared draws,
+/// `workers × SOA_TILE × (B − 1) × 8 + (B − 1) × n` bytes. The refusal names
+/// the largest `B` that fits.
+fn check_working_set(genes: usize, n: usize, b: u64, opts: &PmaxtOptions) -> Result<()> {
+    let workers = EngineConfig::resolve(opts)
+        .threads
+        .min(genes.div_ceil(SOA_TILE))
+        .max(1);
+    let per_replicate = (workers * SOA_TILE * std::mem::size_of::<f64>() + n) as u128;
+    let budget = DEFAULT_MINP_BUDGET_BYTES as u128;
+    let need = u128::from(b - 1) * per_replicate;
+    if need <= budget {
+        return Ok(());
+    }
+    Err(Error::BadOption {
+        param: "b",
+        value: format!(
+            "{b} (the bootstrap working set, {workers} worker(s) x {SOA_TILE} genes x \
+             (B-1) replicates x 8 bytes plus (B-1) draws x {n} bytes, needs {need} bytes, \
+             over the {} MiB budget; the largest B accepted is {})",
+            budget >> 20,
+            budget / per_replicate + 1
+        ),
+    })
+}
+
 /// Group-mean difference of one gene row under an index draw: drawn columns
-/// keep their labels; NaN cells drop out; an empty group yields NaN.
-#[inline]
+/// keep their labels; NaN cells drop out; an empty group yields NaN. Computes
+/// θ̂ (the identity draw) and is the scalar reference the tiled replicate
+/// kernel is tested against.
 fn mean_diff_drawn(row: &[f64], labels: &[u8], draw: &[u8]) -> f64 {
     let (mut s0, mut s1) = (0.0f64, 0.0f64);
     let (mut n0, mut n1) = (0u32, 0u32);
@@ -208,6 +275,12 @@ pub fn boot_run(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result
 /// of the job service. Every peer computes the full replicate span for its
 /// rows, and per-gene finalization is independent, so a slice result is
 /// bitwise-equal to the same rows of a full run.
+///
+/// The `B − 1` draws are made once and shared. Workers take contiguous runs
+/// of [`SOA_TILE`]-gene tiles ([`split_chunk`] over tiles), score every draw
+/// on their tile's column lanes, finalize the tile's genes from their
+/// replicates, and hand back a partial result; the partials join in worker
+/// order through [`BootstrapResult::extend`].
 pub fn boot_run_slice(
     data: &Matrix,
     classlabel: &[u8],
@@ -218,112 +291,202 @@ pub fn boot_run_slice(
     assert!(genes.end <= data.rows(), "gene slice out of range");
     let cfg = EngineConfig::resolve(opts);
     let n = labels.len();
-    let gene_count = genes.len();
-    let reps = (b - 1) as usize;
 
-    // Replicate matrix, replicate-major: row j−1 holds every covered gene's
-    // statistic under draw j. Workers own disjoint contiguous row bands, so
-    // the values (and everything derived from them) are partition-invariant.
-    let jobs = split_chunk(1, b - 1, cfg.threads);
-    let run_band = |start: u64, take: u64| -> Result<Vec<f64>> {
-        let mut band = vec![f64::NAN; take as usize * gene_count];
-        let mut stream = build_stream(&labels, opts, b)?.stream;
-        stream.skip(start);
-        let mut draw = vec![0u8; n];
-        for row in band.chunks_exact_mut(gene_count) {
-            if !stream.next_into(&mut draw) {
-                return Err(Error::Comm("bootstrap stream ended early".into()));
-            }
-            for (slot, g) in row.iter_mut().zip(genes.clone()) {
-                *slot = mean_diff_drawn(data.row(g), labels.as_slice(), &draw);
-            }
+    // Draws 1 to B − 1, each stored with its class-1 slots first and its
+    // class-0 slots after, both in draw order: the order in which each class
+    // accumulator receives its adds.
+    let mut draws = vec![0u8; (b - 1) as usize * n];
+    let mut stream = build_stream(&labels, opts, b)?.stream;
+    stream.skip(1);
+    let mut raw = vec![0u8; n];
+    let label = labels.as_slice();
+    for draw in draws.chunks_exact_mut(n) {
+        if !stream.next_into(&mut raw) {
+            return Err(Error::Comm("bootstrap stream ended early".into()));
         }
-        Ok(band)
-    };
-    let bands: Vec<Result<Vec<f64>>> = if jobs.len() <= 1 {
-        jobs.iter().map(|&(s, t)| run_band(s, t)).collect()
-    } else {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs.len())
-            .build()
-            .map_err(|e| Error::Comm(format!("thread pool: {e}")))?;
-        use rayon::prelude::*;
-        pool.install(|| jobs.par_iter().map(|&(s, t)| run_band(s, t)).collect())
-    };
-    let mut stats = Vec::with_capacity(reps * gene_count);
-    for band in bands {
-        stats.extend(band?);
+        let class = |want: bool| {
+            raw.iter()
+                .filter(move |&&c| (label[c as usize] == 1) == want)
+        };
+        for (slot, &c) in draw.iter_mut().zip(class(true).chain(class(false))) {
+            *slot = c;
+        }
     }
 
-    // Per-gene finalization.
-    let z_lo = inv_phi((1.0 - CI_LEVEL) / 2.0);
-    let z_hi = inv_phi(1.0 - (1.0 - CI_LEVEL) / 2.0);
-    let mut out = BootstrapResult {
-        offset: genes.start,
-        theta: Vec::with_capacity(gene_count),
-        se: Vec::with_capacity(gene_count),
-        pct_lo: Vec::with_capacity(gene_count),
-        pct_hi: Vec::with_capacity(gene_count),
-        bca_lo: Vec::with_capacity(gene_count),
-        bca_hi: Vec::with_capacity(gene_count),
-        replicates: b - 1,
-        level: CI_LEVEL,
-    };
-    let identity: Vec<u8> = (0..n as u8).collect();
-    for (gi, g) in genes.clone().enumerate() {
-        let row = data.row(g);
-        let theta = mean_diff_drawn(row, labels.as_slice(), &identity);
-        out.theta.push(theta);
-        if theta.is_nan() {
-            out.se.push(f64::NAN);
-            out.pct_lo.push(f64::NAN);
-            out.pct_hi.push(f64::NAN);
-            out.bca_lo.push(f64::NAN);
-            out.bca_hi.push(f64::NAN);
-            continue;
-        }
-        // Valid replicates, ascending (degenerate draws — an empty group
-        // after resampling — drop out, as `boot` drops failed statistics).
-        let mut v: Vec<f64> = (0..reps)
-            .map(|j| stats[j * gene_count + gi])
-            .filter(|x| !x.is_nan())
-            .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after filter"));
-        if v.len() < 2 {
-            out.se.push(f64::NAN);
-            out.pct_lo.push(f64::NAN);
-            out.pct_hi.push(f64::NAN);
-            out.bca_lo.push(f64::NAN);
-            out.bca_hi.push(f64::NAN);
-            continue;
-        }
-        let m = v.len() as f64;
-        let mean = v.iter().sum::<f64>() / m;
-        let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (m - 1.0);
-        out.se.push(var.sqrt());
-        out.pct_lo.push(quantile_sorted(&v, (1.0 - CI_LEVEL) / 2.0));
-        out.pct_hi
-            .push(quantile_sorted(&v, 1.0 - (1.0 - CI_LEVEL) / 2.0));
-
-        // BCa: bias correction from the replicate distribution, acceleration
-        // from the leave-one-column-out jackknife.
-        let below = v.iter().filter(|&&x| x < theta).count() as f64;
-        let prop = below / m;
-        if prop <= 0.0 || prop >= 1.0 {
-            out.bca_lo.push(f64::NAN);
-            out.bca_hi.push(f64::NAN);
-            continue;
-        }
-        let z0 = inv_phi(prop);
-        let a = jackknife_acceleration(row, labels.as_slice());
-        let level = |z: f64| -> f64 {
-            let num = z0 + z;
-            phi(z0 + num / (1.0 - a * num))
-        };
-        out.bca_lo.push(quantile_sorted(&v, level(z_lo)));
-        out.bca_hi.push(quantile_sorted(&v, level(z_hi)));
+    let tiles = genes.len().div_ceil(SOA_TILE) as u64;
+    let jobs = split_chunk(0, tiles, cfg.threads);
+    let parts = run_jobs(&jobs, |_, first, count| {
+        let lo = genes.start + first as usize * SOA_TILE;
+        let hi = (lo + count as usize * SOA_TILE).min(genes.end);
+        boot_genes(&data, label, &draws, lo..hi)
+    });
+    let mut out = BootstrapResult::empty(genes.start, b - 1);
+    for part in &parts {
+        out.extend(part)?;
     }
     Ok(out)
+}
+
+/// Genes per register block of the replicate kernel: one block's class
+/// accumulators stay in registers for a whole draw.
+const BLOCK: usize = 2 * LANE;
+
+/// One worker's share of [`boot_run_slice`]: every gene of `genes`, tile by
+/// tile. Each tile is copied into column lanes (NA cells as `+0.0`, their
+/// columns recorded in a [`MissMask`]). Each draw then walks its class-1
+/// slots and then its class-0 slots, both in draw order, and [`lane_add`]s
+/// the slot's column into that class's accumulators, one [`BLOCK`] of genes
+/// at a time. Per gene that is the add sequence of [`mean_diff_drawn`] with
+/// a `+0.0` wherever a NaN cell was skipped, which leaves the sum's bits
+/// unchanged (DESIGN.md §4.10), so every replicate is bitwise the scalar
+/// one. Group counts start from the draw's class totals; a gene with NA
+/// cells subtracts each missing column's multiplicity in the draw.
+///
+/// `draws` holds the `B − 1` draws back to back, each with its class-1 slots
+/// first (see [`boot_run_slice`]).
+fn boot_genes(data: &Matrix, labels: &[u8], draws: &[u8], genes: Range<usize>) -> BootstrapResult {
+    let n = labels.len();
+    let reps = draws.len() / n;
+    let width = genes.len().min(SOA_TILE);
+    let mut out = BootstrapResult::empty(genes.start, reps as u64);
+    let mut soa = SoaColumns::<f64>::new(width.next_multiple_of(BLOCK), n);
+    // The tile's replicates gene by gene: `stats[g * reps + j]` is draw j + 1.
+    let mut stats = vec![0.0f64; width * reps];
+    let mut mult = vec![0u32; n];
+    let mut sorted = Vec::with_capacity(reps);
+    let identity: Vec<u8> = (0..n).map(|c| c as u8).collect();
+    for lo in genes.clone().step_by(SOA_TILE) {
+        let tile = lo..(lo + SOA_TILE).min(genes.end);
+        let mut miss = MissMask::new(tile.len(), n);
+        let mut dirty = false;
+        for (gl, g) in tile.clone().enumerate() {
+            for (c, &v) in data.row(g).iter().enumerate() {
+                if v.is_nan() {
+                    miss.set(gl, c);
+                    dirty = true;
+                }
+                soa.set(c, gl, if v.is_nan() { 0.0 } else { v });
+            }
+        }
+        for (j, draw) in draws.chunks_exact(n).enumerate() {
+            let split = draw.partition_point(|&c| labels[c as usize] == 1);
+            let (cols1, cols0) = draw.split_at(split);
+            let counts = ((n - split) as u32, split as u32);
+            if dirty {
+                mult.fill(0);
+                for &c in draw {
+                    mult[c as usize] += 1;
+                }
+            }
+            for base in (0..tile.len()).step_by(BLOCK) {
+                let block = base..base + BLOCK;
+                let (mut s0, mut s1) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
+                for &c in cols1 {
+                    lane_add(&mut s1, soa.col(c as usize, &block));
+                }
+                for &c in cols0 {
+                    lane_add(&mut s0, soa.col(c as usize, &block));
+                }
+                for gl in base..(base + BLOCK).min(tile.len()) {
+                    let (n0, n1) = if dirty {
+                        present_counts(miss.gene(gl), labels, &mult, counts)
+                    } else {
+                        counts
+                    };
+                    stats[gl * reps + j] = if n0 == 0 || n1 == 0 {
+                        f64::NAN
+                    } else {
+                        s1[gl - base] / n1 as f64 - s0[gl - base] / n0 as f64
+                    };
+                }
+            }
+        }
+        for (gl, g) in tile.enumerate() {
+            let row = data.row(g);
+            let theta = mean_diff_drawn(row, labels, &identity);
+            let est = gene_estimates(
+                theta,
+                row,
+                labels,
+                &stats[gl * reps..(gl + 1) * reps],
+                &mut sorted,
+            );
+            out.push_gene(theta, est);
+        }
+    }
+    out
+}
+
+/// Group counts `(n0, n1)` of one gene under a draw: the draw's class totals
+/// less the multiplicity `mult[c]` of every column `c` the gene is missing.
+fn present_counts(miss: &[u64], labels: &[u8], mult: &[u32], counts: (u32, u32)) -> (u32, u32) {
+    let (mut n0, mut n1) = counts;
+    for (w, &word) in miss.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let c = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if labels[c] == 1 {
+                n1 -= mult[c];
+            } else {
+                n0 -= mult[c];
+            }
+        }
+    }
+    (n0, n1)
+}
+
+/// Per-gene finalization from the gene's replicates: bootstrap SE, the
+/// percentile bounds and the BCa bounds, as `[se, pct_lo, pct_hi, bca_lo,
+/// bca_hi]` (NaN where undefined). `sorted` is scratch space.
+fn gene_estimates(
+    theta: f64,
+    row: &[f64],
+    labels: &[u8],
+    reps: &[f64],
+    sorted: &mut Vec<f64>,
+) -> [f64; 5] {
+    if theta.is_nan() {
+        return [f64::NAN; 5];
+    }
+    // Valid replicates, ascending (degenerate draws — an empty group after
+    // resampling — drop out, as `boot` drops failed statistics).
+    sorted.clear();
+    sorted.extend(reps.iter().copied().filter(|x| !x.is_nan()));
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after filter"));
+    let v = &sorted[..];
+    if v.len() < 2 {
+        return [f64::NAN; 5];
+    }
+    let m = v.len() as f64;
+    let mean = v.iter().sum::<f64>() / m;
+    let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (m - 1.0);
+    let se = var.sqrt();
+    let pct_lo = quantile_sorted(v, (1.0 - CI_LEVEL) / 2.0);
+    let pct_hi = quantile_sorted(v, 1.0 - (1.0 - CI_LEVEL) / 2.0);
+
+    // BCa: bias correction from the replicate distribution, acceleration
+    // from the leave-one-column-out jackknife.
+    let below = v.iter().filter(|&&x| x < theta).count() as f64;
+    let prop = below / m;
+    if prop <= 0.0 || prop >= 1.0 {
+        return [se, pct_lo, pct_hi, f64::NAN, f64::NAN];
+    }
+    let z0 = inv_phi(prop);
+    let a = jackknife_acceleration(row, labels);
+    let level = |z: f64| -> f64 {
+        let num = z0 + z;
+        phi(z0 + num / (1.0 - a * num))
+    };
+    let z_lo = inv_phi((1.0 - CI_LEVEL) / 2.0);
+    let z_hi = inv_phi(1.0 - (1.0 - CI_LEVEL) / 2.0);
+    [
+        se,
+        pct_lo,
+        pct_hi,
+        quantile_sorted(v, level(z_lo)),
+        quantile_sorted(v, level(z_hi)),
+    ]
 }
 
 /// Jackknife acceleration constant for one gene: leave each non-missing
@@ -383,6 +546,7 @@ fn jackknife_acceleration(row: &[f64], labels: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn opts(b: u64) -> PmaxtOptions {
         PmaxtOptions::default()
@@ -502,6 +666,163 @@ mod tests {
         // Multi-class labels are not a two-group design.
         let e = boot_run(&data, &[0, 0, 0, 1, 1, 1, 2, 2], &opts(100)).unwrap_err();
         assert!(matches!(e, Error::BadLabels(_)));
+    }
+
+    /// The scalar replicate oracle: every replicate of every gene by
+    /// [`mean_diff_drawn`] over the stream's draws in their original slot
+    /// order, then the same per-gene finalization.
+    fn oracle(
+        data: &Matrix,
+        classlabel: &[u8],
+        opts: &PmaxtOptions,
+        genes: Range<usize>,
+    ) -> BootstrapResult {
+        let (class_labels, b, data) = validate_boot(data, classlabel, opts).unwrap();
+        let mut stream = build_stream(&class_labels, opts, b).unwrap().stream;
+        let labels = class_labels.as_slice();
+        let mut draws = vec![vec![0u8; labels.len()]; b as usize];
+        for draw in &mut draws {
+            assert!(stream.next_into(draw));
+        }
+        let mut out = BootstrapResult::empty(genes.start, b - 1);
+        let mut sorted = Vec::new();
+        for g in genes {
+            let row = data.row(g);
+            let theta = mean_diff_drawn(row, labels, &draws[0]);
+            let reps: Vec<f64> = draws[1..]
+                .iter()
+                .map(|d| mean_diff_drawn(row, labels, d))
+                .collect();
+            out.push_gene(
+                theta,
+                gene_estimates(theta, row, labels, &reps, &mut sorted),
+            );
+        }
+        out
+    }
+
+    /// Every bit of a result, NaN payloads included (`PartialEq` on the
+    /// struct cannot compare NaN cells).
+    fn bits(r: &BootstrapResult) -> Vec<u64> {
+        let mut v = vec![r.offset as u64, r.replicates, r.level.to_bits()];
+        for col in [&r.theta, &r.se, &r.pct_lo, &r.pct_hi, &r.bca_lo, &r.bca_hi] {
+            v.push(col.len() as u64);
+            v.extend(col.iter().map(|x| x.to_bits()));
+        }
+        v
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn oracle_case(
+    ) -> impl Strategy<Value = (usize, Vec<u8>, Vec<f64>, Vec<bool>, u64, usize, usize, bool)> {
+        // Gene counts straddle LANE, BLOCK and SOA_TILE; split points are
+        // almost never on a tile boundary.
+        (1usize..300, 4usize..15).prop_flat_map(|(genes, cols)| {
+            (
+                Just(genes),
+                proptest::collection::vec(0u8..2, cols),
+                proptest::collection::vec(-40.0f64..120.0, genes * cols),
+                proptest::collection::vec(proptest::bool::weighted(0.15), genes * cols),
+                2u64..40,
+                1usize..5,
+                0usize..genes,
+                any::<bool>(),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The tiled driver reproduces the scalar oracle bit for bit at any
+        /// thread count, and gene slices cut anywhere merge back into the
+        /// full run through `extend`.
+        #[test]
+        fn tiled_driver_matches_scalar_oracle_bitwise(
+            (genes, mut labels, mut values, na, b, threads, split, stored) in oracle_case()
+        ) {
+            // At least two samples per group; gene 0 loses its whole
+            // class-1 group when the split point is even.
+            labels[..4].copy_from_slice(&[0, 1, 0, 1]);
+            let cols = labels.len();
+            for (v, &missing) in values.iter_mut().zip(&na) {
+                if missing {
+                    *v = f64::NAN;
+                }
+            }
+            if split.is_multiple_of(2) {
+                for (c, &l) in labels.iter().enumerate() {
+                    if l == 1 {
+                        values[c] = f64::NAN;
+                    }
+                }
+            }
+            let data = Matrix::from_vec(genes, cols, values).unwrap();
+            let mut o = opts(b).threads(threads).seed(split as u64);
+            if stored {
+                o = o.fixed_seed_sampling("n").unwrap();
+            }
+            let want = bits(&oracle(&data, &labels, &o, 0..genes));
+            prop_assert_eq!(bits(&boot_run(&data, &labels, &o).unwrap()), want.clone());
+            let mut merged = boot_run_slice(&data, &labels, &o, 0..split).unwrap();
+            merged
+                .extend(&boot_run_slice(&data, &labels, &o, split..genes).unwrap())
+                .unwrap();
+            prop_assert_eq!(bits(&merged), want);
+        }
+    }
+
+    #[test]
+    fn working_set_beyond_budget_is_refused_with_the_largest_b() {
+        let (data, labels) = dataset();
+        // 3 genes fit one tile, so one worker whatever the thread count:
+        // each replicate costs SOA_TILE × 8 bytes plus one 8-byte draw.
+        let per_replicate = (SOA_TILE * 8 + 8) as u64;
+        let largest = DEFAULT_MINP_BUDGET_BYTES as u64 / per_replicate + 1;
+        let e = boot_run(&data, &labels, &opts(largest + 1).threads(4)).unwrap_err();
+        match e {
+            Error::BadOption { param: "b", value } => {
+                assert!(
+                    value.contains(&format!("the largest B accepted is {largest}")),
+                    "{value}"
+                );
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+        // A huge request is refused before anything is allocated.
+        assert!(matches!(
+            validate_boot(&data, &labels, &opts(1_000_000_000)),
+            Err(Error::BadOption { param: "b", .. })
+        ));
+        // 300 genes span three tiles, so up to three workers share the
+        // budget (the resolved count honours SPRINT_THREADS).
+        let wide = Matrix::from_vec(300, 8, vec![1.0; 2400]).unwrap();
+        let o = opts(2).threads(3);
+        let workers = EngineConfig::resolve(&o).threads.min(3) as u64;
+        let per_replicate = workers * SOA_TILE as u64 * 8 + 8;
+        let largest_wide = DEFAULT_MINP_BUDGET_BYTES as u64 / per_replicate + 1;
+        assert!(workers == 1 || largest_wide < largest);
+        assert!(validate_boot(&wide, &labels, &o.clone().permutations(largest_wide)).is_ok());
+        assert!(matches!(
+            validate_boot(&wide, &labels, &o.permutations(largest_wide + 1)),
+            Err(Error::BadOption { param: "b", .. })
+        ));
+    }
+
+    #[test]
+    fn largest_accepted_b_runs() {
+        // One gene, one worker: the largest B the budget admits still runs,
+        // and matches the scalar oracle.
+        let data = Matrix::from_vec(1, 4, vec![1.0, 2.5, 4.0, 7.5]).unwrap();
+        let labels = [0u8, 0, 1, 1];
+        let per_replicate = (SOA_TILE * 8 + 4) as u64;
+        let largest = DEFAULT_MINP_BUDGET_BYTES as u64 / per_replicate + 1;
+        let o = opts(largest).threads(1);
+        let r = boot_run(&data, &labels, &o).unwrap();
+        assert_eq!(r.replicates, largest - 1);
+        assert!(r.se[0] > 0.0);
+        assert_eq!(bits(&r), bits(&oracle(&data, &labels, &o, 0..1)));
+        assert!(boot_run(&data, &labels, &opts(largest + 1).threads(1)).is_err());
     }
 
     #[test]

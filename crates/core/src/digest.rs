@@ -308,6 +308,111 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every reported bit of a bootstrap result.
+    fn boot_result_digest(r: &crate::boot::BootstrapResult) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_u64(r.offset as u64);
+        h.write_u64(r.replicates);
+        h.write_u64(r.level.to_bits());
+        for col in [&r.theta, &r.se, &r.pct_lo, &r.pct_hi, &r.bca_lo, &r.bca_hi] {
+            h.write_u64(col.len() as u64);
+            for v in col.iter() {
+                h.write_u64(v.to_bits());
+            }
+        }
+        h.finish()
+    }
+
+    /// Seeded `genes × 11` bootstrap dataset (5 + 6 interleaved samples).
+    /// With `na`, about 1 cell in 9 carries the NA code `-99`, gene 4 (when
+    /// present) loses its whole class-1 group, and gene 7 keeps a single
+    /// class-1 cell, so many of its resamples have an empty group.
+    fn boot_dataset(genes: usize, na: bool) -> (Matrix, Vec<u8>) {
+        let labels = vec![0u8, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1];
+        let cols = labels.len();
+        let mut rng = crate::rng::SplitMix64::new(0x5eed_b007 ^ genes as u64);
+        let mut cells = Vec::with_capacity(genes * cols);
+        for g in 0..genes {
+            let shift = (g % 5) as f64 * 0.75;
+            for &l in &labels {
+                let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                let mut v = 12.0 * u - 5.0 + if l == 1 { shift } else { 0.0 };
+                if na && rng.next_u64().is_multiple_of(9) {
+                    v = -99.0;
+                }
+                cells.push(v);
+            }
+        }
+        if na {
+            for (c, &l) in labels.iter().enumerate() {
+                if genes > 4 && l == 1 {
+                    cells[4 * cols + c] = -99.0;
+                }
+                if genes > 7 && l == 1 {
+                    cells[7 * cols + c] = if c == 2 { 1.5 } else { -99.0 };
+                }
+            }
+        }
+        (Matrix::from_vec(genes, cols, cells).unwrap(), labels)
+    }
+
+    #[test]
+    fn bootstrap_results_are_pinned_across_refactors() {
+        // Literal digests of whole bootstrap results (θ̂, SE, all four
+        // interval bounds, replicate count, offset) recorded before the
+        // bootstrap driver moved from replicate bands to gene tiles. `.boot`
+        // cache entries are addressed by the unchanged options digest, so
+        // any drift here would serve stale intervals from disk. If this test
+        // fails, the driver changed the replicate bits — fix the driver, do
+        // not update the constants.
+        use crate::boot::{boot_run, boot_run_slice};
+        use crate::options::Workload;
+        let base = PmaxtOptions::default()
+            .workload(Workload::Bootstrap)
+            .seed(11);
+        let stored = base.clone().fixed_seed_sampling("n").unwrap();
+        // (genes, B, NA cells, stored sampling, gene slice, digest)
+        #[allow(clippy::type_complexity)]
+        let cases: [(usize, u64, bool, bool, Option<std::ops::Range<usize>>, u64); 11] = [
+            (1, 257, false, false, None, 0xf55cb200c75bbd),
+            (1, 2, false, false, None, 0xef22a3654d401fd4),
+            (9, 257, true, false, None, 0x9195f68357a09d43),
+            (9, 2, true, false, None, 0x24a33e708194a127),
+            (129, 257, true, false, None, 0x24bb15e4e399f2b1),
+            (129, 257, true, true, None, 0x6645490a2f5f9bab),
+            (129, 2, false, false, None, 0x3057c5ca7d546b2c),
+            (300, 257, false, false, None, 0x1e803231c3b15f09),
+            (300, 2, true, false, None, 0xec74c65697fbbf3),
+            (300, 257, true, true, None, 0x6f81de10aa404e83),
+            (300, 257, true, false, Some(70..250), 0x315f05eff7bbf29a),
+        ];
+        let mut got = Vec::new();
+        for (genes, b, na, stored_mode, slice, _) in &cases {
+            let (m, labels) = boot_dataset(*genes, *na);
+            let mut o = if *stored_mode {
+                stored.clone()
+            } else {
+                base.clone()
+            };
+            o = o.permutations(*b);
+            if *na {
+                o = o.na_code(-99.0);
+            }
+            let r = match slice {
+                Some(range) => boot_run_slice(&m, &labels, &o, range.clone()).unwrap(),
+                None => boot_run(&m, &labels, &o).unwrap(),
+            };
+            if *na && slice.is_none() && *genes > 7 {
+                // The planted cases do what the doc comment says.
+                assert!(r.theta[4].is_nan());
+                assert!(r.theta[7].is_finite());
+            }
+            got.push(boot_result_digest(&r));
+        }
+        let want: Vec<u64> = cases.iter().map(|c| c.5).collect();
+        assert_eq!(got, want, "{:#x?}", got);
+    }
+
     #[test]
     fn stream_digest_collapses_b_but_separates_complete() {
         let o = PmaxtOptions::default();

@@ -3,12 +3,12 @@
 //!
 //! The paper parallelizes `mt.maxT` across MPI processes only; this module
 //! extends the same Figure-2 chunking one level down the hardware hierarchy.
-//! A chunk is split contiguously over a thread pool ([`split_chunk`]), each
-//! worker forwards its own generator with `skip` (exactly like a rank does),
-//! and evaluates its sub-chunk in **batches of K permutations** with
-//! **gene-tiled** inner loops ([`MaxTContext::accumulate_batched`]) so each
-//! matrix row streams through L1 once per batch instead of once per
-//! permutation.
+//! A chunk is split contiguously over scoped worker threads ([`split_chunk`],
+//! `run_jobs`); each worker forwards its own generator with `skip` (exactly
+//! like a rank does), and evaluates its sub-chunk in **batches of K
+//! permutations** with **gene-tiled** inner loops
+//! ([`MaxTContext::accumulate_batched`]) so each matrix row streams through
+//! L1 once per batch instead of once per permutation.
 //!
 //! ## Determinism
 //!
@@ -32,8 +32,6 @@
 //! `SPRINT_KERNEL` escape hatch.
 
 use std::time::{Duration, Instant};
-
-use rayon::prelude::*;
 
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
@@ -144,6 +142,34 @@ pub fn split_chunk(start: u64, take: u64, threads: usize) -> Vec<(u64, u64)> {
             (start + off, count)
         })
         .collect()
+}
+
+/// Run `work(worker, start, count)` for every job of a [`split_chunk`] plan,
+/// one scoped thread per job (inline when there is only one), and return the
+/// results in worker order. A worker's panic resumes on the caller once
+/// every worker has finished.
+pub(crate) fn run_jobs<T: Send>(
+    jobs: &[(u64, u64)],
+    work: impl Fn(usize, u64, u64) -> T + Sync,
+) -> Vec<T> {
+    if jobs.len() <= 1 {
+        return jobs.iter().map(|&(s, t)| work(0, s, t)).collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .iter()
+            .enumerate()
+            .map(|(w, &(s, t))| scope.spawn(move || work(w, s, t)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 /// Deterministic pairwise reduction of per-worker partial counts, in worker
@@ -307,10 +333,10 @@ pub fn accumulate_chunk_hooked(
             done += did;
             if let Some(progress) = hooks.progress {
                 // The hook is caller code running inside every engine worker.
-                // A panic there must not unwind through the thread-pool scope
-                // (which would tear down sibling workers and poison the pool);
-                // contain it at the boundary and surface a typed error — the
-                // chunk's counts are discarded either way.
+                // A panic there must not unwind out of the worker (which would
+                // re-raise it on the caller once the siblings finish); contain
+                // it at the boundary and surface a typed error — the chunk's
+                // counts are discarded either way.
                 let guarded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     progress(did);
                 }));
@@ -329,26 +355,7 @@ pub fn accumulate_chunk_hooked(
             },
         ))
     };
-    let parts: Vec<Result<(CountAccumulator, WorkerStat)>> = if jobs.len() == 1 {
-        let (s, t) = jobs[0];
-        vec![run_worker(0, s, t)]
-    } else {
-        let indexed: Vec<(usize, u64, u64)> = jobs
-            .iter()
-            .enumerate()
-            .map(|(w, &(s, t))| (w, s, t))
-            .collect();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs.len())
-            .build()
-            .map_err(|e| Error::Comm(format!("thread pool: {e}")))?;
-        pool.install(|| {
-            indexed
-                .par_iter()
-                .map(|&(w, s, t)| run_worker(w, s, t))
-                .collect()
-        })
-    };
+    let parts = run_jobs(&jobs, run_worker);
     let mut workers = Vec::with_capacity(parts.len());
     let mut counts = Vec::with_capacity(parts.len());
     for part in parts {

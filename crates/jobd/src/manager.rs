@@ -1492,6 +1492,11 @@ impl JobManager {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        // Pass through the queue lock before notifying: a worker holds it
+        // from its shutdown check until `wait` releases it, so once we have
+        // held it every worker either saw the flag or is already waiting,
+        // and the notification cannot fall between the two.
+        drop(plock(&self.inner.queue));
         self.inner.queue_cv.notify_all();
         self.bump_change();
         for handle in plock(&self.workers).drain(..) {
@@ -2890,6 +2895,26 @@ mod tests {
             })
         ));
         assert!(mgr.is_boot(info.id).unwrap());
+    }
+
+    #[test]
+    fn bootstrap_beyond_memory_budget_is_refused_at_submit() {
+        let (data, labels) = small_dataset();
+        let opts = PmaxtOptions::default()
+            .workload(Workload::Bootstrap)
+            .permutations(1_000_000_000);
+        let err = manager(16)
+            .submit(JobSpec {
+                data,
+                classlabel: labels,
+                opts,
+                source_path: None,
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            JobError::Invalid(CoreError::BadOption { param: "b", .. })
+        ));
     }
 
     #[test]

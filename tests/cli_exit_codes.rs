@@ -229,3 +229,24 @@ fn bootstrap_workload_runs_and_minp_combo_is_usage_error() {
     assert_eq!(out.status.code(), Some(2), "out: {out:?}");
     std::fs::remove_file(&data).ok();
 }
+
+#[test]
+fn bootstrap_beyond_memory_budget_is_usage_error() {
+    // A billion replicates cannot fit the 512 MiB bootstrap working set at
+    // any thread count; the refusal comes before any draw is made and names
+    // the largest B that would be accepted.
+    let data = tmp("bootbudget.tsv");
+    generate(&data, "12");
+    let out = pmaxt(&[
+        "run",
+        data.to_str().unwrap(),
+        "--workload",
+        "bootstrap",
+        "-B",
+        "1000000000",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "out: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("largest B accepted"), "stderr: {stderr}");
+    std::fs::remove_file(&data).ok();
+}
