@@ -2,6 +2,8 @@
 //! `mt.maxT` function that `pmaxT` parallelizes. The parallel driver is
 //! tested for bit-identical agreement with this function.
 
+use std::borrow::Cow;
+
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
@@ -56,6 +58,19 @@ pub fn prepare_run(
     classlabel: &[u8],
     opts: &PmaxtOptions,
 ) -> Result<(ClassLabels, u64, Matrix)> {
+    let (labels, b, data) = validate_run(data, classlabel, opts)?;
+    let prepared = prepare_matrix(&data, opts.test, opts.nonpara).into_owned();
+    Ok((labels, b, prepared))
+}
+
+/// [`prepare_run`] up to the rank transform: the validated labels, the
+/// resolved permutation count and the NA-canonical matrix (borrowed when no
+/// NA code rewrote it). The job service keys its cache on that matrix.
+pub fn validate_run<'a>(
+    data: &'a Matrix,
+    classlabel: &[u8],
+    opts: &PmaxtOptions,
+) -> Result<(ClassLabels, u64, Cow<'a, Matrix>)> {
     // The maxT pipeline interprets draws as label vectors; bootstrap draws
     // are index vectors and run through `crate::boot` instead. Refusing here
     // covers every consumer that funnels through this front half: the serial
@@ -77,18 +92,17 @@ pub fn prepare_run(
         )));
     }
     // Canonicalize the NA code if one was supplied.
-    let owned_na;
     let data = match opts.na {
-        Some(code) => {
-            owned_na =
-                Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)?;
-            &owned_na
-        }
-        None => data,
+        Some(code) => Cow::Owned(Matrix::from_vec_with_na(
+            data.rows(),
+            data.cols(),
+            data.as_slice().to_vec(),
+            code,
+        )?),
+        None => Cow::Borrowed(data),
     };
     let b = resolve_permutation_count(&labels, opts)?;
-    let prepared = prepare_matrix(data, opts.test, opts.nonpara).into_owned();
-    Ok((labels, b, prepared))
+    Ok((labels, b, data))
 }
 
 #[cfg(test)]

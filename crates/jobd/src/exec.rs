@@ -1,0 +1,1867 @@
+//! The job executor: one plan → run → merge → finalize cycle for every job
+//! the daemon runs.
+//!
+//! The paper's `pmaxT` is this cycle run once: the master splits the
+//! permutation index range into contiguous chunks, workers compute them with
+//! skip-ahead, and the master merges exact counts into p-values. jobd runs
+//! it for three kinds of job, each a [`JobKind`]:
+//!
+//! - **maxT counts** ([`Counts`]): units are permutation spans of
+//!   `ManagerConfig::span`, a part is one span's exceedance counts, every
+//!   merge stores the merged prefix as a checkpoint, and finalizing turns
+//!   the counts into p-values.
+//! - **bootstrap** ([`Bands`]): units are gene bands, one per roster
+//!   participant (the whole gene range on a lone daemon), a part is one
+//!   band's interval estimates, and the merge that completes the range
+//!   stores them as a `.boot` cache entry.
+//! - **adaptive** ([`Adaptive`]): one unit, the whole run from the cached
+//!   exact prefix, always on this daemon — the live gene set shrinks between
+//!   engine chunks, which a unit range cannot express. Its exact-prefix
+//!   watermark is stored as an ordinary checkpoint.
+//!
+//! ## Scheduling
+//!
+//! Every runnable job waits in the manager's one bounded queue. A worker
+//! that pops a local job runs **one unit** of it and requeues the job at the
+//! back while units remain, so jobs interleave round-robin and a short job
+//! never starves behind a long one. A worker that pops a sharded job drives
+//! the whole roster: one dispatcher thread per peer sends `span_exec`
+//! requests, a local participant runs this daemon's share, a dead peer's
+//! units go to one orphan queue that every survivor drains, and the popping
+//! worker merges.
+//!
+//! ## Determinism
+//!
+//! Parts merge strictly at the frontier, in unit order, and a duplicate (a
+//! unit re-run after its peer was declared dead) is dropped by its start
+//! index. Units are fixed slices of skip-ahead streams and counts are
+//! integers, so a served result is bitwise-identical to a serial run
+//! whatever the span size, roster, interleaving or failure history.
+//!
+//! ## Failure domains
+//!
+//! A panic in a unit — real, or the injected `worker_panic` — is caught at
+//! the unit boundary and fails the *job*, never the daemon; the injected
+//! `span_io` error takes the ordinary engine-error path. Either way the
+//! unit's part is discarded, so the job's durable state stays its last
+//! merged checkpoint and resubmitting the identical request resumes there,
+//! bitwise-identically. Cancellation is polled between engine batches, and
+//! an interrupted unit is discarded the same way.
+
+use std::borrow::Cow;
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
+
+use sprint::checkpoint::CheckpointState;
+use sprint_core::adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptiveReport, AdaptiveRunner};
+use sprint_core::boot::{self, BootstrapResult};
+use sprint_core::error::Error as CoreError;
+use sprint_core::labels::ClassLabels;
+use sprint_core::matrix::Matrix;
+use sprint_core::maxt::engine::{accumulate_chunk_hooked, ChunkHooks, EngineConfig};
+use sprint_core::maxt::serial::validate_run;
+use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
+use sprint_core::options::{Mode, PmaxtOptions, Precision, Workload};
+use sprint_core::pmaxt::span_plan;
+use sprint_core::stats::prepare_matrix;
+
+use crate::cache::{CacheKey, CacheProbe, ResultCache};
+use crate::client::RetryPolicy;
+use crate::faults::{crash_point, FaultKind};
+use crate::journal::{JournalRecord, RecordKind};
+use crate::json::Json;
+use crate::manager::{
+    plock, AdaptiveBrief, CacheDisposition, Inner, JobError, JobEvent, JobState, JobStatus,
+};
+use crate::protocol;
+use crate::shard::{self, slice_spans, PeerError, PeerLink, ShardStats, SpanQueue};
+
+/// Everything a unit needs of its job. Immutable after admission.
+pub(crate) struct JobWork {
+    /// The matrix units run on: scorer-prepared for the maxT kinds, the
+    /// NA-canonical data for bootstrap.
+    pub(crate) prepared: Matrix,
+    pub(crate) labels: ClassLabels,
+    pub(crate) opts: PmaxtOptions,
+    pub(crate) b: u64,
+    pub(crate) cfg: EngineConfig,
+    pub(crate) check_digest: u64,
+    pub(crate) cached: bool,
+    /// Resolved run mode (env override folded in at admission).
+    pub(crate) mode: Mode,
+    /// Dataset path for sharded dispatch (peers read it themselves).
+    pub(crate) source: Option<PathBuf>,
+}
+
+/// Mutable per-job state, guarded by one mutex.
+pub(crate) struct JobProgress {
+    pub(crate) state: JobState,
+    /// Permutations merged (maxT), or `b` once a bootstrap or adaptive run
+    /// is complete.
+    pub(crate) cursor: u64,
+    pub(crate) counts: CountAccumulator,
+    pub(crate) computed: u64,
+    pub(crate) cache: CacheDisposition,
+    pub(crate) secs_per_perm: Option<f64>,
+    pub(crate) result: Option<MaxTResult>,
+    /// Merged bootstrap bands; the whole gene range once a bootstrap-workload
+    /// job finishes (such jobs never set `result`).
+    pub(crate) boot: Option<BootstrapResult>,
+    /// Per-gene adaptive report, set when a Mode::Adaptive job finishes.
+    pub(crate) adaptive: Option<AdaptiveReport>,
+    pub(crate) error: Option<String>,
+}
+
+impl JobProgress {
+    /// A queued job with nothing computed yet.
+    pub(crate) fn new(genes: usize) -> JobProgress {
+        JobProgress {
+            state: JobState::Queued,
+            cursor: 0,
+            counts: CountAccumulator::new(genes),
+            computed: 0,
+            cache: CacheDisposition::Uncached,
+            secs_per_perm: None,
+            result: None,
+            boot: None,
+            adaptive: None,
+            error: None,
+        }
+    }
+}
+
+pub(crate) struct Job {
+    pub(crate) id: u64,
+    pub(crate) key: CacheKey,
+    pub(crate) work: JobWork,
+    pub(crate) cancel: AtomicBool,
+    /// Cursor plus live intra-unit progress, updated lock-free by engine
+    /// workers for cheap status/ETA reads.
+    pub(crate) live_done: AtomicU64,
+    /// Wire counters when this job is sharded across peer daemons.
+    pub(crate) shard: Option<ShardStats>,
+    /// Recovery provenance: re-enqueued from the journal after a restart.
+    pub(crate) recovered: bool,
+    /// Journal bookkeeping: set once the accept record is appended (only
+    /// then do lifecycle records make sense), and once-guards for the
+    /// started/terminal records so retries and races stay idempotent.
+    pub(crate) jrn_accepted: AtomicBool,
+    jrn_started: AtomicBool,
+    jrn_closed: AtomicBool,
+    pub(crate) prog: Mutex<JobProgress>,
+    pub(crate) subs: Mutex<Vec<mpsc::Sender<JobEvent>>>,
+}
+
+impl Job {
+    pub(crate) fn new(
+        id: u64,
+        key: CacheKey,
+        work: JobWork,
+        prog: JobProgress,
+        sharded: bool,
+        recovered: bool,
+    ) -> Job {
+        Job {
+            id,
+            key,
+            work,
+            cancel: AtomicBool::new(false),
+            live_done: AtomicU64::new(prog.cursor),
+            shard: sharded.then(ShardStats::default),
+            recovered,
+            jrn_accepted: AtomicBool::new(false),
+            jrn_started: AtomicBool::new(false),
+            jrn_closed: AtomicBool::new(false),
+            prog: Mutex::new(prog),
+            subs: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Point-in-time status.
+    pub(crate) fn status(&self) -> JobStatus {
+        let prog = plock(&self.prog);
+        let done = self.live_done.load(Ordering::Relaxed).max(prog.cursor);
+        let eta_secs = match prog.state {
+            JobState::Queued | JobState::Running => prog
+                .secs_per_perm
+                .map(|per| (self.work.b.saturating_sub(done)) as f64 * per),
+            _ => None,
+        };
+        JobStatus {
+            id: self.id,
+            state: prog.state,
+            done,
+            total: self.work.b,
+            computed: prog.computed,
+            cache: prog.cache,
+            eta_secs,
+            error: prog.error.clone(),
+            comm: self.shard.as_ref().map(|s| s.snapshot()),
+            adaptive: prog.adaptive.as_ref().map(|r| AdaptiveBrief {
+                genes_stopped: r.genes_stopped() as u64,
+                budget_fraction: r.budget_fraction(),
+                watermark: r.watermark,
+                mass_deactivation: r.mass_deactivation,
+            }),
+            recovered: self.recovered,
+        }
+    }
+
+    /// The current status as a progress event.
+    pub(crate) fn event(&self) -> JobEvent {
+        let st = self.status();
+        JobEvent {
+            job: st.id,
+            state: st.state,
+            done: st.done,
+            total: st.total,
+            eta_secs: st.eta_secs,
+            comm: st.comm,
+        }
+    }
+
+    fn emit(&self) {
+        let event = self.event();
+        plock(&self.subs).retain(|tx| tx.send(event.clone()).is_ok());
+    }
+}
+
+/// Where a request enters the executor.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Entry {
+    /// A client submission.
+    Submit,
+    /// A unit of a peer coordinator's job, with the coordinator's resolved
+    /// B, which this daemon must reproduce from its own dataset copy.
+    Peer(u64, Unit),
+}
+
+/// An admitted request: validated inputs, and where it runs.
+pub(crate) struct Admission {
+    /// The NA-canonical matrix (also the cache-key input).
+    pub(crate) data: Matrix,
+    pub(crate) labels: ClassLabels,
+    pub(crate) b: u64,
+    pub(crate) mode: Mode,
+    /// Split across the peer roster instead of run on this daemon alone.
+    pub(crate) sharded: bool,
+}
+
+/// The one admission table: every refusal jobd itself makes, for client
+/// submissions and peer units alike. Core's own tables stay where they are
+/// and run first — `validate_boot` for bootstrap (which refuses adaptive
+/// mode before f32), `prepare_run`'s label, NA and B checks
+/// ([`validate_run`]) for maxT.
+pub(crate) fn admit(
+    inner: &Inner,
+    data: Matrix,
+    classlabel: &[u8],
+    opts: &PmaxtOptions,
+    has_source: bool,
+    entry: Entry,
+) -> Result<Admission, JobError> {
+    if inner.shutdown.load(Ordering::Relaxed) || inner.draining.load(Ordering::Relaxed) {
+        return Err(JobError::ShuttingDown);
+    }
+    let refuse = |param: &'static str, value: String| {
+        Err(JobError::Invalid(CoreError::BadOption { param, value }))
+    };
+    let boot = opts.workload == Workload::Bootstrap;
+    let (labels, b, data) = if boot {
+        boot::validate_boot(&data, classlabel, opts).map_err(JobError::Invalid)?
+    } else {
+        let (labels, b, canonical) =
+            validate_run(&data, classlabel, opts).map_err(JobError::Invalid)?;
+        // Keep the submitted matrix unless the NA code rewrote it.
+        let canonical = match canonical {
+            Cow::Owned(m) => Some(m),
+            Cow::Borrowed(_) => None,
+        };
+        (labels, b, canonical.unwrap_or(data))
+    };
+    // The cache extends a B-permutation result to B′ > B by reusing its
+    // counts verbatim, and a sharded run merges counts from several daemons:
+    // both are only sound when counts are bitwise reproducible, so the f32
+    // accumulation mode is refused at the door (env override included, so
+    // SPRINT_PRECISION can't smuggle it in).
+    if opts.precision.env_override() == Precision::F32 {
+        return refuse(
+            "precision",
+            "f32 (the job service requires bitwise-reproducible f64)".into(),
+        );
+    }
+    // Resolved once (SPRINT_MODE folded in) so dedup, the job kind and the
+    // cache story all agree for the job's life.
+    let mode = if boot {
+        Mode::Exact
+    } else {
+        opts.mode.env_override()
+    };
+    let sharded = match entry {
+        // Adaptive runs stay on this daemon (see the module docs).
+        Entry::Submit => has_source && mode == Mode::Exact && !inner.cfg.peers.is_empty(),
+        Entry::Peer(b_resolved, (start, take)) => {
+            if mode == Mode::Adaptive {
+                return refuse(
+                    "mode",
+                    "adaptive (span execution serves bitwise-exact sharded runs only)".into(),
+                );
+            }
+            // A peer with a stale or divergent file must never contribute.
+            if b_resolved != b {
+                return refuse(
+                    "b",
+                    format!(
+                        "coordinator resolved B={b_resolved} but this daemon resolves B={b} \
+                         (dataset or option drift between peers)"
+                    ),
+                );
+            }
+            let (end, what) = if boot {
+                (data.rows() as u64, "gene rows")
+            } else {
+                (b, "permutations")
+            };
+            if start.checked_add(take).is_none_or(|e| e > end) {
+                return refuse(
+                    "span",
+                    format!("[{start}, {start}+{take}) exceeds {end} {what}"),
+                );
+            }
+            false
+        }
+    };
+    Ok(Admission {
+        data,
+        labels,
+        b,
+        mode,
+        sharded,
+    })
+}
+
+impl JobWork {
+    /// Ready an admitted request for its units: the scorer-prepared matrix
+    /// for the maxT kinds, and this daemon's per-job engine thread budget
+    /// where the options leave it to auto.
+    pub(crate) fn new(
+        adm: Admission,
+        mut opts: PmaxtOptions,
+        job_threads: usize,
+        source: Option<PathBuf>,
+        check_digest: u64,
+    ) -> JobWork {
+        let threads = if opts.threads == 0 {
+            job_threads
+        } else {
+            opts.threads
+        };
+        let prepared = if opts.workload == Workload::Bootstrap {
+            // `boot_run_slice` resolves its own engine config from the
+            // options, so the budget is folded into them.
+            opts.threads = threads;
+            adm.data
+        } else {
+            prepare_matrix(&adm.data, opts.test, opts.nonpara).into_owned()
+        };
+        JobWork {
+            prepared,
+            labels: adm.labels,
+            cfg: EngineConfig::explicit(threads, opts.batch),
+            opts,
+            b: adm.b,
+            check_digest,
+            cached: false,
+            mode: adm.mode,
+            source,
+        }
+    }
+
+    fn context(&self) -> MaxTContext<'_> {
+        MaxTContext::with_scorer(
+            &self.prepared,
+            &self.labels,
+            self.opts.test,
+            self.opts.side,
+            self.opts.kernel,
+            self.opts.precision,
+        )
+    }
+}
+
+/// Unit `[start, start + take)` in its kind's own coordinates: permutation
+/// indices for maxT spans, gene rows for bootstrap bands.
+pub(crate) type Unit = (u64, u64);
+
+/// One kind of job, as the executor drives it: a range of units that run
+/// independently — on this daemon or on a peer — and merge in order. Every
+/// kind asks a peer for a unit with the same `span_exec` request, whose
+/// options (`workload` included) tell the peer which kind it serves.
+trait JobKind: Sync {
+    /// What running one unit produces.
+    type Part: Send;
+
+    /// `(frontier, end)`: where the next unit starts, and where the job is
+    /// complete — by default the permutation cursor and `B`.
+    fn extent(&self, work: &JobWork, prog: &JobProgress) -> (u64, u64) {
+        (prog.cursor, work.b)
+    }
+
+    /// Largest unit one participant takes at a time, given the configured
+    /// span — by default everything that remains.
+    fn granule(&self, _span: u64) -> u64 {
+        u64::MAX
+    }
+
+    /// Run one unit on this daemon: its part, and the seconds it spent in
+    /// the kernel (for the shard telemetry).
+    fn run(
+        &self,
+        work: &JobWork,
+        unit: Unit,
+        hooks: ChunkHooks<'_>,
+    ) -> Result<(Self::Part, f64), CoreError>;
+
+    /// Merge the part of the unit at the frontier into `prog`, storing the
+    /// checkpoint (or the `.boot` entry) it completes.
+    fn merge(
+        &self,
+        cache: Option<&ResultCache>,
+        job: &Job,
+        prog: &mut JobProgress,
+        unit: Unit,
+        part: Self::Part,
+    ) -> Result<(), CoreError>;
+
+    /// Fill in the final result once the frontier has reached the end, when
+    /// the merges have not already.
+    fn finalize(&self, _work: &JobWork, _prog: &mut JobProgress) {}
+
+    /// A peer's `span_exec` reply carrying one unit's part. Kinds that never
+    /// leave their coordinator keep this default and [`JobKind::decode`]'s,
+    /// which refuse.
+    fn reply(&self, _unit: Unit, _part: &Self::Part, _kernel_secs: f64) -> Json {
+        protocol::err_response("this job kind runs on its coordinator only", "usage")
+    }
+
+    /// Decode a peer's reply, checking that it answers `unit`.
+    fn decode(&self, _work: &JobWork, _unit: Unit, _resp: &Json) -> Result<Self::Part, String> {
+        Err("this job kind runs on its coordinator only".into())
+    }
+}
+
+/// maxT counts: units are permutation spans, parts their exceedance counts.
+struct Counts;
+
+impl JobKind for Counts {
+    type Part = CountAccumulator;
+
+    fn granule(&self, span: u64) -> u64 {
+        span
+    }
+
+    fn run(
+        &self,
+        work: &JobWork,
+        (start, take): Unit,
+        hooks: ChunkHooks<'_>,
+    ) -> Result<(CountAccumulator, f64), CoreError> {
+        let ctx = work.context();
+        let cpu0 = shard::thread_cpu_secs();
+        let run = accumulate_chunk_hooked(
+            &ctx,
+            &work.labels,
+            &work.opts,
+            work.b,
+            start,
+            take,
+            work.cfg,
+            hooks,
+        )?;
+        let busy = run.workers.iter().map(|w| w.busy.as_secs_f64()).sum();
+        let secs = kernel_secs(cpu0, run.workers.len() <= 1, busy);
+        Ok((run.counts, secs))
+    }
+
+    fn merge(
+        &self,
+        cache: Option<&ResultCache>,
+        job: &Job,
+        prog: &mut JobProgress,
+        (_, take): Unit,
+        counts: CountAccumulator,
+    ) -> Result<(), CoreError> {
+        prog.counts.merge(&counts);
+        prog.cursor += take;
+        prog.computed += take;
+        store_checkpoint(cache, job, prog.cursor, &prog.counts);
+        Ok(())
+    }
+
+    fn finalize(&self, work: &JobWork, prog: &mut JobProgress) {
+        prog.result = Some(work.context().finalize(&prog.counts));
+    }
+
+    fn reply(&self, (start, take): Unit, counts: &CountAccumulator, kernel_secs: f64) -> Json {
+        protocol::span_counts_to_json(start, take, &counts.to_flat(), kernel_secs)
+    }
+
+    fn decode(&self, work: &JobWork, unit: Unit, resp: &Json) -> Result<CountAccumulator, String> {
+        let (start, take, flat) = protocol::span_counts_from_json(resp)?;
+        let genes = work.prepared.rows();
+        if (start, take) != unit || flat.len() != CountAccumulator::new(genes).to_flat().len() {
+            return Err("span/shape mismatch in response".into());
+        }
+        Ok(CountAccumulator::from_flat(&flat, genes))
+    }
+}
+
+/// Bootstrap: units are gene bands, parts their interval estimates. A band
+/// computes the *full* replicate set for its rows, and per-gene
+/// finalization is independent, so a band is bitwise-equal to the same rows
+/// of a whole run. Interval estimates are order statistics over every
+/// replicate, so a band has no checkpointable prefix: a participant's whole
+/// band is one unit, whatever the span.
+struct Bands;
+
+impl JobKind for Bands {
+    type Part = BootstrapResult;
+
+    fn extent(&self, work: &JobWork, prog: &JobProgress) -> (u64, u64) {
+        let merged = prog.boot.as_ref().map_or(0, BootstrapResult::genes);
+        (merged as u64, work.prepared.rows() as u64)
+    }
+
+    fn run(
+        &self,
+        work: &JobWork,
+        (start, take): Unit,
+        _hooks: ChunkHooks<'_>,
+    ) -> Result<(BootstrapResult, f64), CoreError> {
+        let cpu0 = shard::thread_cpu_secs();
+        let t0 = Instant::now();
+        let band = boot::boot_run_slice(
+            &work.prepared,
+            work.labels.as_slice(),
+            &work.opts,
+            start as usize..(start + take) as usize,
+        )?;
+        let secs = kernel_secs(cpu0, work.cfg.threads <= 1, t0.elapsed().as_secs_f64());
+        Ok((band, secs))
+    }
+
+    fn merge(
+        &self,
+        cache: Option<&ResultCache>,
+        job: &Job,
+        prog: &mut JobProgress,
+        _unit: Unit,
+        band: BootstrapResult,
+    ) -> Result<(), CoreError> {
+        match &mut prog.boot {
+            Some(merged) => merged.extend(&band)?,
+            None => prog.boot = Some(band),
+        }
+        let work = &job.work;
+        let (merged, genes) = self.extent(work, prog);
+        if merged == genes {
+            prog.cursor = work.b;
+            prog.computed = work.b;
+            if let (Some(cache), Some(result)) = (cache.filter(|_| work.cached), &prog.boot) {
+                if let Err(e) = cache.store_boot(&job.key, work.b, result) {
+                    warn_store(job, &e);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn reply(&self, _unit: Unit, band: &BootstrapResult, kernel_secs: f64) -> Json {
+        protocol::boot_slice_to_json(band, kernel_secs)
+    }
+
+    fn decode(&self, work: &JobWork, unit: Unit, resp: &Json) -> Result<BootstrapResult, String> {
+        let band = protocol::boot_from_json(resp)?;
+        if (band.offset as u64, band.genes() as u64) != unit || band.replicates != work.b - 1 {
+            return Err("band shape mismatch in response".into());
+        }
+        Ok(band)
+    }
+}
+
+/// Adaptive maxT: one unit — the whole run, resumed from the cached exact
+/// prefix — on this daemon only.
+#[derive(Default)]
+struct Adaptive {
+    /// Exact-prefix counts the run resumes from (`None` for a cold start).
+    seed: Option<CountAccumulator>,
+}
+
+impl JobKind for Adaptive {
+    type Part = AdaptiveOutcome;
+
+    fn run(
+        &self,
+        work: &JobWork,
+        _unit: Unit,
+        hooks: ChunkHooks<'_>,
+    ) -> Result<(AdaptiveOutcome, f64), CoreError> {
+        let ctx = work.context();
+        let mut runner = AdaptiveRunner::new(
+            &ctx,
+            &work.prepared,
+            &work.labels,
+            &work.opts,
+            work.b,
+            work.cfg,
+            AdaptiveConfig::default(),
+        );
+        if let Some(seed) = &self.seed {
+            runner.resume_from(seed);
+        }
+        Ok((runner.run(hooks)?, 0.0))
+    }
+
+    /// The watermark is stored as an ordinary exact checkpoint — but only
+    /// when it improves on the stored cursor, so an adaptive run never
+    /// clobbers a longer exact prefix some other job already paid for. A
+    /// later exact submission of the same stream then probes `Partial` at the
+    /// watermark and extends it, reproducing a fresh exact run bit for bit.
+    fn merge(
+        &self,
+        cache: Option<&ResultCache>,
+        job: &Job,
+        prog: &mut JobProgress,
+        _unit: Unit,
+        out: AdaptiveOutcome,
+    ) -> Result<(), CoreError> {
+        let work = &job.work;
+        if let Some(c) = cache.filter(|_| work.cached) {
+            let improves = match c.probe(&job.key, work.b) {
+                CacheProbe::Miss => true,
+                CacheProbe::Partial(s) => s.cursor < out.watermark.n_perm,
+                CacheProbe::Hit(_) | CacheProbe::Beyond => false,
+            };
+            if improves && out.watermark.n_perm > 0 {
+                store_checkpoint(cache, job, out.watermark.n_perm, &out.watermark);
+            }
+        }
+        // Stream cursor the runner reached: genes live at the end were
+        // scored through it (all-stopped runs halt earlier).
+        let reached = out.report.scored.iter().copied().max().unwrap_or(0);
+        prog.computed = reached.saturating_sub(prog.cursor);
+        prog.cursor = work.b;
+        prog.counts = out.watermark;
+        prog.result = Some(out.result);
+        prog.adaptive = Some(out.report);
+        Ok(())
+    }
+
+    /// Reached without a run only when the cache already held the whole
+    /// exact stream: every gene was scored over all of it, so the envelope
+    /// collapses to the exact p-value and nothing was spent.
+    fn finalize(&self, work: &JobWork, prog: &mut JobProgress) {
+        if prog.adaptive.is_some() {
+            return;
+        }
+        let result = work.context().finalize(&prog.counts);
+        let (genes, b) = (result.rawp.len(), work.b);
+        prog.adaptive = Some(AdaptiveReport {
+            b,
+            scored: vec![b; genes],
+            counts: prog.counts.count_raw.clone(),
+            stopped_at: vec![None; genes],
+            p_lower: result.rawp.clone(),
+            p_upper: result.rawp.clone(),
+            p_point: result.rawp.clone(),
+            tail: vec![None; genes],
+            gene_perms_scored: 0,
+            gene_perms_exact: genes as u64 * b,
+            watermark: b,
+            mass_deactivation: false,
+        });
+        prog.result = Some(result);
+    }
+}
+
+/// Store `counts`, the exact prefix `[0, cursor)` of `job`'s stream, as its
+/// checkpoint — when the job caches at all.
+fn store_checkpoint(
+    cache: Option<&ResultCache>,
+    job: &Job,
+    cursor: u64,
+    counts: &CountAccumulator,
+) {
+    let Some(cache) = cache.filter(|_| job.work.cached) else {
+        return;
+    };
+    let state = CheckpointState {
+        digest: job.work.check_digest,
+        cursor,
+        b: job.work.b,
+        counts: counts.clone(),
+    };
+    if let Err(e) = cache.store(&job.key, &state) {
+        warn_store(job, &e);
+    }
+}
+
+fn warn_store(job: &Job, e: &std::io::Error) {
+    eprintln!(
+        "jobd: warning: failed to write cache entry {}: {e}",
+        job.key.hex()
+    );
+}
+
+/// Seconds of kernel work in one unit, for the shard telemetry counters:
+/// the caller's thread-CPU delta since `cpu0` when the unit ran `inline` on
+/// it (one worker — immune to CPU oversubscription across roster daemons),
+/// `elsewhere` (the engine workers' busy sum, or wall time) otherwise.
+fn kernel_secs(cpu0: Option<f64>, inline: bool, elsewhere: f64) -> f64 {
+    match (cpu0, shard::thread_cpu_secs()) {
+        (Some(a), Some(z)) if inline => (z - a).max(0.0),
+        _ => elsewhere,
+    }
+}
+
+/// Finalize when the frontier has reached the end; returns whether it had.
+fn finish<K: JobKind>(kind: &K, work: &JobWork, prog: &mut JobProgress) -> bool {
+    let (from, end) = kind.extent(work, prog);
+    if from < end {
+        return false;
+    }
+    kind.finalize(work, prog);
+    prog.state = JobState::Finished;
+    true
+}
+
+/// Seed a submitted job's progress from the cache (when there is one), and
+/// [`finish`] it on the spot when the cache already completes it — a hit.
+pub(crate) fn seed(
+    cache: Option<&ResultCache>,
+    key: &CacheKey,
+    work: &mut JobWork,
+    prog: &mut JobProgress,
+) -> bool {
+    if let Some(cache) = cache {
+        work.cached = true;
+        prog.cache = probe(cache, key, work, prog);
+    }
+    match (work.opts.workload, work.mode) {
+        (Workload::Bootstrap, _) => finish(&Bands, work, prog),
+        (_, Mode::Adaptive) => finish(&Adaptive::default(), work, prog),
+        _ => finish(&Counts, work, prog),
+    }
+}
+
+/// What the cache already holds of a new job, and how it served it.
+fn probe(
+    cache: &ResultCache,
+    key: &CacheKey,
+    work: &mut JobWork,
+    prog: &mut JobProgress,
+) -> CacheDisposition {
+    if work.opts.workload == Workload::Bootstrap {
+        // Interval estimates are order statistics: there is no prefix state
+        // to resume, only a finished `.boot` entry of exactly this B.
+        return match cache.probe_boot(key, work.b) {
+            Some(r) if r.offset == 0 && r.genes() == work.prepared.rows() => {
+                prog.boot = Some(r);
+                prog.cursor = work.b;
+                CacheDisposition::Hit
+            }
+            _ => CacheDisposition::Miss,
+        };
+    }
+    match cache.probe(key, work.b) {
+        CacheProbe::Hit(state) | CacheProbe::Partial(state) => {
+            let from = state.cursor;
+            prog.cursor = from;
+            prog.counts = state.counts;
+            if from == work.b {
+                CacheDisposition::Hit
+            } else if state.b == work.b {
+                CacheDisposition::Resume { from }
+            } else {
+                CacheDisposition::Extend { from }
+            }
+        }
+        // The entry covers more than requested: computing fresh must not
+        // clobber it.
+        CacheProbe::Beyond => {
+            work.cached = false;
+            CacheDisposition::Uncached
+        }
+        CacheProbe::Miss => CacheDisposition::Miss,
+    }
+}
+
+/// Run one unit of a peer coordinator's job and encode the reply — the
+/// `span_exec` verb. Admission has refused adaptive units already.
+pub(crate) fn serve_unit(work: &JobWork, unit: Unit) -> Result<Json, CoreError> {
+    fn go<K: JobKind>(kind: &K, work: &JobWork, unit: Unit) -> Result<Json, CoreError> {
+        let (part, secs) = kind.run(work, unit, ChunkHooks::default())?;
+        Ok(kind.reply(unit, &part, secs))
+    }
+    match work.opts.workload {
+        Workload::Bootstrap => go(&Bands, work, unit),
+        Workload::Pmaxt => go(&Counts, work, unit),
+    }
+}
+
+/// Pop jobs until shutdown, running one step of each.
+pub(crate) fn worker_loop(inner: &Arc<Inner>) {
+    loop {
+        let job = {
+            let mut queue = plock(&inner.queue);
+            loop {
+                if inner.shutdown.load(Ordering::Relaxed) {
+                    return;
+                }
+                if let Some(job) = queue.pop_front() {
+                    break job;
+                }
+                queue = inner
+                    .queue_cv
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        // Units catch their own panics; this catches the rest (claim, merge
+        // and finalize code), so job-processing code never reaches the
+        // daemon's failure domain and this worker moves on.
+        let requeue = catch_unwind(AssertUnwindSafe(|| step(inner, &job))).unwrap_or_else(|p| {
+            fail_job(
+                inner,
+                &job,
+                format!("worker panicked: {}", panic_message(p.as_ref())),
+            );
+            false
+        });
+        if requeue {
+            plock(&inner.queue).push_back(job);
+            inner.queue_cv.notify_one();
+        }
+    }
+}
+
+/// Claim a popped job and run one step of it: one unit of a local job, the
+/// whole roster of a sharded one. Returns whether to requeue it.
+fn step(inner: &Inner, job: &Job) -> bool {
+    {
+        let mut prog = plock(&job.prog);
+        if prog.state != JobState::Queued {
+            return false;
+        }
+        if job.cancel.load(Ordering::Relaxed) {
+            drop(prog);
+            terminate(inner, job, JobState::Cancelled, None);
+            return false;
+        }
+        prog.state = JobState::Running;
+    }
+    journal_transition(inner, job);
+    match (job.work.opts.workload, job.work.mode) {
+        (Workload::Bootstrap, _) => drive(&Bands, inner, job),
+        (_, Mode::Adaptive) => {
+            let counts = plock(&job.prog).counts.clone();
+            let seed = (counts.n_perm > 0).then_some(counts);
+            drive(&Adaptive { seed }, inner, job)
+        }
+        _ => drive(&Counts, inner, job),
+    }
+}
+
+fn drive<K: JobKind>(kind: &K, inner: &Inner, job: &Job) -> bool {
+    let (from, end) = kind.extent(&job.work, &plock(&job.prog));
+    if from >= end {
+        // Complete at claim (e.g. a resumed entry that already covers B).
+        return settle(kind, inner, job);
+    }
+    match &job.shard {
+        Some(stats) => {
+            shard(kind, inner, job, stats, from, end);
+            false
+        }
+        None => {
+            let unit = (from, kind.granule(inner.cfg.span).min(end - from));
+            run_local(kind, inner, job, unit)
+        }
+    }
+}
+
+/// How a unit stopped short of a part.
+enum Stop {
+    Cancelled,
+    Failed(String),
+}
+
+/// Run one unit on this daemon behind the two in-unit fault injection points
+/// and the panic boundary. The injected panic unwinds exactly as a real
+/// engine panic would; the injected I/O error takes the ordinary
+/// engine-error path.
+fn run_unit<K: JobKind>(
+    kind: &K,
+    inner: &Inner,
+    work: &JobWork,
+    unit: Unit,
+    hooks: ChunkHooks<'_>,
+) -> Result<(K::Part, f64), Stop> {
+    let faults = &inner.cfg.faults;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if faults.fire(FaultKind::WorkerPanic) {
+            panic!("injected worker panic (SPRINT_FAULTS worker_panic)");
+        }
+        if faults.fire(FaultKind::SpanIo) {
+            return Err(CoreError::Comm("injected span I/O error".to_string()));
+        }
+        kind.run(work, unit, hooks)
+    }));
+    match outcome {
+        Ok(Ok(done)) => Ok(done),
+        Ok(Err(CoreError::Cancelled)) => Err(Stop::Cancelled),
+        Ok(Err(e)) => Err(Stop::Failed(e.to_string())),
+        Err(p) => Err(Stop::Failed(format!(
+            "worker panicked: {}",
+            panic_message(p.as_ref())
+        ))),
+    }
+}
+
+/// Run `unit` of a local job and merge it. Returns whether units remain.
+fn run_local<K: JobKind>(kind: &K, inner: &Inner, job: &Job, unit: Unit) -> bool {
+    let progress = |n: u64| {
+        job.live_done.fetch_add(n, Ordering::Relaxed);
+    };
+    let hooks = ChunkHooks {
+        cancel: Some(&job.cancel),
+        progress: Some(&progress),
+    };
+    let t0 = Instant::now();
+    let part = match run_unit(kind, inner, &job.work, unit, hooks) {
+        Ok((part, _)) => part,
+        Err(Stop::Cancelled) => {
+            terminate(inner, job, JobState::Cancelled, None);
+            return false;
+        }
+        Err(Stop::Failed(msg)) => {
+            fail_job(inner, job, msg);
+            return false;
+        }
+    };
+    let secs = t0.elapsed().as_secs_f64();
+    let mut prog = plock(&job.prog);
+    let before = prog.cursor;
+    if let Err(e) = kind.merge(inner.cache.as_ref(), job, &mut prog, unit, part) {
+        drop(prog);
+        fail_job(inner, job, e.to_string());
+        return false;
+    }
+    // ETA model: a unit's wall time is its slowest engine worker (the
+    // critical path), smoothed across units.
+    if prog.cursor > before {
+        let per_perm = secs / (prog.cursor - before) as f64;
+        prog.secs_per_perm = Some(
+            prog.secs_per_perm
+                .map_or(per_perm, |old| 0.6 * old + 0.4 * per_perm),
+        );
+    }
+    drop(prog);
+    settle(kind, inner, job)
+}
+
+/// After a merge: finalize when the frontier reached the end, otherwise
+/// park the job for its next unit. Returns whether units remain.
+fn settle<K: JobKind>(kind: &K, inner: &Inner, job: &Job) -> bool {
+    let mut prog = plock(&job.prog);
+    let more = !finish(kind, &job.work, &mut prog);
+    if more {
+        prog.state = JobState::Queued;
+    }
+    job.live_done.store(prog.cursor, Ordering::Relaxed);
+    drop(prog);
+    publish(inner, job);
+    more
+}
+
+/// Per-attempt socket deadline for peer dispatch: long enough for a busy
+/// peer to grind a unit, short enough that a hung peer is declared dead and
+/// its units reassigned within one retry budget.
+const PEER_TIMEOUT: Duration = Duration::from_secs(30);
+
+fn micros(secs: f64) -> u64 {
+    (secs.max(0.0) * 1e6) as u64
+}
+
+/// Drive a sharded job over `[from, end)` to its end: deal the range across
+/// the roster (this daemon plus every peer) with the same [`span_plan`]
+/// arithmetic the SPMD ranks use, slice each share into units, dispatch
+/// remote units as `span_exec` requests, run the local share on a scoped
+/// thread, and merge on this one, in frontier order, so every checkpoint is
+/// an exact prefix and every unit is counted once.
+fn shard<K: JobKind>(kind: &K, inner: &Inner, job: &Job, stats: &ShardStats, from: u64, end: u64) {
+    let work = &job.work;
+    let peers = &inner.cfg.peers;
+    let faults = &inner.cfg.faults;
+    // Participant 0 is this daemon, so the identity permutation (index 0)
+    // is always computed where the coordinator lives.
+    let granule = kind.granule(inner.cfg.span);
+    let mut queues: Vec<VecDeque<Unit>> = match span_plan(end - from, 1 + peers.len()) {
+        Ok(plan) => plan
+            .iter()
+            .map(|&(s, t)| slice_spans(from + s, t, granule).into())
+            .collect(),
+        Err(e) => return fail_job(inner, job, e.to_string()),
+    };
+    stats.peers.store(queues.len() as u64, Ordering::Relaxed);
+    let units = queues.iter().map(|q| q.len() as u64).sum();
+    stats.spans_total.store(units, Ordering::Relaxed);
+    let path = work
+        .source
+        .as_ref()
+        .expect("sharded job has a source path")
+        .display()
+        .to_string();
+    let orphans = SpanQueue::new();
+    let done = AtomicBool::new(false);
+    // Blocking next unit for one participant: its own share first, then
+    // orphans of dead peers. Polls the orphan queue until the job is done so
+    // a late peer death never strands a unit — the merger flips `done` when
+    // the frontier reaches the end (or on failure).
+    let next = |own: &mut VecDeque<Unit>| loop {
+        let stop = [&done, &job.cancel, &inner.shutdown];
+        if stop.iter().any(|flag| flag.load(Ordering::Relaxed)) {
+            return None;
+        }
+        if let Some(unit) = own.pop_front().or_else(|| orphans.pop()) {
+            return Some(unit);
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    // Participants report a unit's part, or a failure that makes the work
+    // invalid everywhere (engine error, rejected request): the job fails,
+    // reassignment cannot help.
+    let (tx, rx) = mpsc::channel::<Result<(Unit, K::Part), String>>();
+    let mut failure: Option<String> = None;
+
+    std::thread::scope(|scope| {
+        // Peer dispatchers: participants 1..roster, one thread per peer.
+        for (idx, addr) in peers.iter().enumerate() {
+            let mut own = std::mem::take(&mut queues[idx + 1]);
+            let (tx, next, orphans, path) = (tx.clone(), &next, &orphans, &path);
+            scope.spawn(move || {
+                let link = PeerLink {
+                    addr,
+                    policy: RetryPolicy {
+                        attempts: 3,
+                        base: Duration::from_millis(50),
+                        max: Duration::from_secs(2),
+                        seed: 0x7065_6572 ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    },
+                    timeout: Some(PEER_TIMEOUT),
+                    stats,
+                    faults,
+                };
+                // Declare this peer dead: its unfinished units, the in-flight
+                // one included, go to the orphan queue for the survivors.
+                let die = |own: &mut VecDeque<Unit>, unit: Unit, why: &str| {
+                    let n = orphans.reassign(std::iter::once(unit).chain(own.drain(..)));
+                    stats.peers_failed.fetch_add(1, Ordering::Relaxed);
+                    stats.spans_reassigned.fetch_add(n, Ordering::Relaxed);
+                    eprintln!("jobd: shard: peer {addr} lost ({why}); {n} unit(s) reassigned");
+                };
+                while let Some(unit) = next(&mut own) {
+                    if faults.fire(FaultKind::PeerDrop) {
+                        return die(&mut own, unit, "injected peer_drop");
+                    }
+                    let req = protocol::span_exec_request(path, &work.opts, work.b, unit.0, unit.1);
+                    let resp = match link.exec(&req) {
+                        Ok(resp) => resp,
+                        Err(PeerError::Dead(why)) => return die(&mut own, unit, &why),
+                        Err(PeerError::Rejected(why)) => {
+                            let (s, t) = unit;
+                            let msg = format!("peer {addr} rejected unit [{s}, {}): {why}", s + t);
+                            let _ = tx.send(Err(msg));
+                            return;
+                        }
+                    };
+                    match kind.decode(work, unit, &resp) {
+                        Ok(part) => {
+                            let secs = resp.get("kernel_secs").and_then(Json::as_f64);
+                            let secs = micros(secs.unwrap_or(0.0));
+                            stats
+                                .kernel_remote_micros
+                                .fetch_add(secs, Ordering::Relaxed);
+                            stats.spans_remote.fetch_add(1, Ordering::Relaxed);
+                            let _ = tx.send(Ok((unit, part)));
+                        }
+                        Err(e) => return die(&mut own, unit, &format!("malformed reply: {e}")),
+                    }
+                }
+            });
+        }
+
+        // Local participant: participant 0, plus whatever dead peers leave
+        // behind.
+        let mut own = std::mem::take(&mut queues[0]);
+        let (local_tx, next) = (tx, &next);
+        scope.spawn(move || {
+            while let Some(unit) = next(&mut own) {
+                let hooks = ChunkHooks {
+                    cancel: Some(&job.cancel),
+                    progress: None,
+                };
+                match run_unit(kind, inner, work, unit, hooks) {
+                    Ok((part, secs)) => {
+                        stats
+                            .kernel_local_micros
+                            .fetch_add(micros(secs), Ordering::Relaxed);
+                        stats.spans_local.fetch_add(1, Ordering::Relaxed);
+                        let _ = local_tx.send(Ok((unit, part)));
+                    }
+                    Err(Stop::Cancelled) => return,
+                    Err(Stop::Failed(msg)) => {
+                        let _ = local_tx.send(Err(msg));
+                        return;
+                    }
+                }
+            }
+        });
+
+        // Merger: this thread. Units complete in any order; parts merge
+        // strictly at the frontier, so the merged state is always the exact
+        // accumulation of `[from, frontier)`.
+        let mut pending: BTreeMap<u64, (Unit, K::Part)> = BTreeMap::new();
+        let mut frontier = from;
+        let cursor0 = plock(&job.prog).cursor;
+        let t0 = Instant::now();
+        for report in rx {
+            let (unit, part) = match report {
+                Ok(done) => done,
+                Err(msg) => {
+                    failure.get_or_insert(msg);
+                    done.store(true, Ordering::Relaxed);
+                    continue;
+                }
+            };
+            // A start behind the frontier or already pending is a duplicate
+            // under at-least-once dispatch (a peer was declared dead after
+            // actually finishing the unit).
+            if failure.is_some() || unit.0 < frontier || pending.contains_key(&unit.0) {
+                continue;
+            }
+            pending.insert(unit.0, (unit, part));
+            let mut advanced = false;
+            while let Some((unit, part)) = pending.remove(&frontier) {
+                let mut prog = plock(&job.prog);
+                if let Err(e) = kind.merge(inner.cache.as_ref(), job, &mut prog, unit, part) {
+                    failure = Some(e.to_string());
+                    done.store(true, Ordering::Relaxed);
+                    break;
+                }
+                frontier += unit.1;
+                job.live_done.store(prog.cursor, Ordering::Relaxed);
+                let merged = prog.cursor - cursor0;
+                if merged > 0 {
+                    prog.secs_per_perm = Some(t0.elapsed().as_secs_f64() / merged as f64);
+                }
+                advanced = true;
+            }
+            if advanced {
+                job.emit();
+                inner.bump_change();
+                if frontier >= end {
+                    done.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+    });
+
+    if let Some(msg) = failure {
+        return fail_job(inner, job, msg);
+    }
+    let (frontier, end) = kind.extent(work, &plock(&job.prog));
+    if frontier >= end {
+        settle(kind, inner, job);
+    } else if job.cancel.load(Ordering::Relaxed) {
+        terminate(inner, job, JobState::Cancelled, None);
+    } else if inner.shutdown.load(Ordering::Relaxed) {
+        // Resumable on restart: the checkpoint holds the merged frontier.
+        plock(&job.prog).state = JobState::Queued;
+        inner.bump_change();
+    } else {
+        fail_job(
+            inner,
+            job,
+            "sharded run stalled with units unaccounted".to_string(),
+        );
+    }
+}
+
+/// Best-effort text of a panic payload, for [`JobStatus::error`].
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Tell everyone about `job`'s new state: subscribers, waiters, the journal.
+pub(crate) fn publish(inner: &Inner, job: &Job) {
+    job.emit();
+    inner.bump_change();
+    journal_transition(inner, job);
+}
+
+/// Move `job` to a terminal `state` unless it already is terminal. The live
+/// counter rolls back to the merged cursor: an interrupted unit's partial
+/// progress is discarded with its part.
+fn terminate(inner: &Inner, job: &Job, state: JobState, error: Option<String>) {
+    {
+        let mut prog = plock(&job.prog);
+        if prog.state.is_terminal() {
+            return;
+        }
+        job.live_done.store(prog.cursor, Ordering::Relaxed);
+        prog.state = state;
+        prog.error = error;
+    }
+    publish(inner, job);
+}
+
+/// Force `job` into `Failed` with `reason` (unless already terminal).
+fn fail_job(inner: &Inner, job: &Job, reason: String) {
+    terminate(inner, job, JobState::Failed, Some(reason));
+}
+
+/// Append the journal record for `job`'s current state, if its accept record
+/// made it in. The started and terminal records are once-guarded so claim
+/// races and driver retries stay idempotent; append errors only warn — the
+/// in-memory outcome is already decided, and a missing lifecycle record
+/// costs at most a redundant (cache-served) replay after a crash.
+fn journal_transition(inner: &Inner, job: &Job) {
+    let Some(journal) = &inner.journal else {
+        return;
+    };
+    if !job.jrn_accepted.load(Ordering::SeqCst) {
+        return;
+    }
+    let (state, error) = {
+        let prog = plock(&job.prog);
+        (prog.state, prog.error.clone())
+    };
+    let kind = match state {
+        // Shutdown parks sharded jobs back to Queued; the accept record
+        // already covers that state.
+        JobState::Queued => return,
+        JobState::Running => {
+            if job.jrn_started.swap(true, Ordering::SeqCst) {
+                return;
+            }
+            RecordKind::Started
+        }
+        JobState::Finished => RecordKind::Finished,
+        JobState::Cancelled => RecordKind::Cancelled,
+        JobState::Failed => RecordKind::Failed,
+    };
+    if kind.is_terminal() {
+        if job.jrn_closed.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // The widest crash window the harness drills: outcome decided and
+        // (for finishes) the cache entry stored, terminal record not yet on
+        // disk. Replay must re-serve the job from the cache, not recompute.
+        crash_point("manager.finish");
+    }
+    let mut rec =
+        JournalRecord::transition(kind, &job.key.hex(), job.work.b, job.work.mode.as_str());
+    if kind == RecordKind::Failed {
+        rec.error = error;
+    }
+    if let Err(e) = journal.append(&rec) {
+        eprintln!(
+            "jobd: journal {} record for job {} failed: {e}",
+            kind.as_str(),
+            job.id
+        );
+    }
+    if kind == RecordKind::Started {
+        crash_point("manager.start");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use super::*;
+    use crate::faults::Faults;
+    use crate::manager::tests::{manager, null_heavy_dataset, small_dataset};
+    use crate::manager::{JobManager, JobSpec, ManagerConfig};
+    use sprint_core::maxt::serial::mt_maxt;
+
+    #[test]
+    fn single_job_matches_mt_maxt_bitwise() {
+        let (data, labels) = small_dataset();
+        let opts = PmaxtOptions::default().permutations(97);
+        let mgr = manager(16);
+        let info = mgr
+            .submit(JobSpec {
+                data: data.clone(),
+                classlabel: labels.clone(),
+                opts: opts.clone(),
+                source_path: None,
+            })
+            .unwrap();
+        assert_eq!(info.total, 97);
+        assert_eq!(info.cache, CacheDisposition::Uncached);
+        let served = mgr
+            .wait_result(info.id, Some(Duration::from_secs(30)))
+            .unwrap();
+        let direct = mt_maxt(&data, &labels, &opts).unwrap();
+        assert_eq!(served, direct);
+        let status = mgr.status(info.id).unwrap();
+        assert_eq!(status.state, JobState::Finished);
+        assert_eq!(status.done, 97);
+        assert_eq!(status.computed, 97);
+    }
+
+    #[test]
+    fn bootstrap_job_matches_boot_run_bitwise() {
+        let (data, labels) = small_dataset();
+        let opts = PmaxtOptions::default()
+            .workload(Workload::Bootstrap)
+            .permutations(150);
+        let mgr = manager(16);
+        let info = mgr
+            .submit(JobSpec {
+                data: data.clone(),
+                classlabel: labels.clone(),
+                opts: opts.clone(),
+                source_path: None,
+            })
+            .unwrap();
+        assert_eq!(info.total, 150);
+        let served = mgr
+            .wait_boot_result(info.id, Some(Duration::from_secs(30)))
+            .unwrap();
+        let direct = boot::boot_run(&data, &labels, &opts).unwrap();
+        assert_eq!(served, direct);
+        let status = mgr.status(info.id).unwrap();
+        assert_eq!(status.state, JobState::Finished);
+        assert_eq!(status.done, 150);
+        // The maxT accessor refuses a bootstrap job with a usage error, and
+        // vice versa.
+        assert!(matches!(
+            mgr.result(info.id).unwrap_err(),
+            JobError::Invalid(CoreError::BadOption {
+                param: "workload",
+                ..
+            })
+        ));
+        assert!(mgr.is_boot(info.id).unwrap());
+    }
+
+    #[test]
+    fn round_robin_interleaves_two_jobs_on_one_worker() {
+        let (data, labels) = small_dataset();
+        let mgr = JobManager::new(ManagerConfig {
+            workers: 1,
+            span: 32,
+            cache_dir: None,
+            ..ManagerConfig::default()
+        })
+        .unwrap();
+        let submit = |seed: u64| {
+            mgr.submit(JobSpec {
+                data: data.clone(),
+                classlabel: labels.clone(),
+                opts: PmaxtOptions::default().permutations(256).seed(seed),
+                source_path: None,
+            })
+            .unwrap()
+        };
+        let a = submit(1);
+        let b = submit(2);
+        let rx_a = mgr.subscribe(a.id).unwrap();
+        mgr.wait_result(a.id, Some(Duration::from_secs(30)))
+            .unwrap();
+        mgr.wait_result(b.id, Some(Duration::from_secs(30)))
+            .unwrap();
+        // Fairness: job B must have made progress before job A finished —
+        // with span-sliced round-robin on one worker, A's progress events
+        // cannot all precede B's first span.
+        let b_status = mgr.status(b.id).unwrap();
+        assert_eq!(b_status.state, JobState::Finished);
+        let events: Vec<JobEvent> = rx_a.try_iter().collect();
+        assert!(
+            events.iter().any(|e| e.state == JobState::Finished),
+            "subscriber must observe the terminal event"
+        );
+        let mut last = 0u64;
+        for e in &events {
+            assert!(e.done >= last, "progress must be monotone");
+            last = e.done;
+        }
+    }
+
+    #[test]
+    fn worker_panic_fails_the_job_not_the_daemon() {
+        let (data, labels) = small_dataset();
+        let mgr = JobManager::new(ManagerConfig {
+            workers: 1,
+            span: 16,
+            cache_dir: None,
+            faults: Faults::builder().prob(FaultKind::WorkerPanic, 1.0).build(),
+            ..ManagerConfig::default()
+        })
+        .unwrap();
+        let info = mgr
+            .submit(JobSpec {
+                data: data.clone(),
+                classlabel: labels.clone(),
+                opts: PmaxtOptions::default().permutations(97),
+                source_path: None,
+            })
+            .unwrap();
+        let err = mgr
+            .wait_result(info.id, Some(Duration::from_secs(30)))
+            .unwrap_err();
+        let JobError::Failed(msg) = &err else {
+            panic!("expected Failed, got {err:?}");
+        };
+        assert!(
+            msg.contains("panic"),
+            "reason should mention the panic: {msg}"
+        );
+        let status = mgr.status(info.id).unwrap();
+        assert_eq!(status.state, JobState::Failed);
+        assert!(status.error.is_some());
+        // The daemon survived: the worker is alive and the API responsive.
+        assert_eq!(mgr.list().len(), 1);
+        let second = mgr
+            .submit(JobSpec {
+                data,
+                classlabel: labels,
+                opts: PmaxtOptions::default().permutations(97).seed(9),
+                source_path: None,
+            })
+            .unwrap();
+        assert!(matches!(
+            mgr.wait_result(second.id, Some(Duration::from_secs(30))),
+            Err(JobError::Failed(_))
+        ));
+    }
+
+    #[test]
+    fn injected_span_io_error_fails_job_and_resubmit_recovers() {
+        let (data, labels) = small_dataset();
+        let opts = PmaxtOptions::default().permutations(97);
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("sprint-jobd-mgr-{}-spanio", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        // First manager: every span errors, but completed spans checkpoint.
+        // (With probability 1 the very first span fails, so cursor stays 0 —
+        // the point is the terminal state and the recovery, not the prefix.)
+        let mgr = JobManager::new(ManagerConfig {
+            workers: 1,
+            span: 16,
+            cache_dir: Some(dir.clone()),
+            faults: Faults::builder().prob(FaultKind::SpanIo, 1.0).build(),
+            ..ManagerConfig::default()
+        })
+        .unwrap();
+        let spec = JobSpec {
+            data: data.clone(),
+            classlabel: labels.clone(),
+            opts: opts.clone(),
+            source_path: None,
+        };
+        let info = mgr.submit(spec.clone()).unwrap();
+        let err = mgr
+            .wait_result(info.id, Some(Duration::from_secs(30)))
+            .unwrap_err();
+        assert!(
+            matches!(&err, JobError::Failed(m) if m.contains("injected span I/O error")),
+            "got {err:?}"
+        );
+        drop(mgr);
+        // Fault-free manager over the same cache: resubmit must recover and
+        // match a direct serial run bitwise.
+        let mgr = JobManager::new(ManagerConfig {
+            workers: 1,
+            span: 16,
+            cache_dir: Some(dir.clone()),
+            faults: Faults::disabled(),
+            ..ManagerConfig::default()
+        })
+        .unwrap();
+        let info = mgr.submit(spec).unwrap();
+        let served = mgr
+            .wait_result(info.id, Some(Duration::from_secs(30)))
+            .unwrap();
+        let direct = mt_maxt(&data, &labels, &opts).unwrap();
+        assert_eq!(served, direct);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn eta_appears_after_first_span() {
+        let (data, labels) = small_dataset();
+        let mgr = JobManager::new(ManagerConfig {
+            workers: 1,
+            span: 64,
+            cache_dir: None,
+            ..ManagerConfig::default()
+        })
+        .unwrap();
+        let info = mgr
+            .submit(JobSpec {
+                data,
+                classlabel: labels,
+                opts: PmaxtOptions::default().permutations(100_000),
+                source_path: None,
+            })
+            .unwrap();
+        let rx = mgr.subscribe(info.id).unwrap();
+        // Wait for a post-first-span event; it must carry an ETA.
+        let mut saw_eta = false;
+        for _ in 0..200 {
+            match rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(e) if e.done > 0 && !e.state.is_terminal() => {
+                    assert!(e.eta_secs.is_some(), "running event after a span has ETA");
+                    assert!(e.eta_secs.unwrap() >= 0.0);
+                    saw_eta = true;
+                    break;
+                }
+                Ok(_) => {}
+                Err(_) => break,
+            }
+        }
+        assert!(saw_eta, "never observed a progress event with an ETA");
+        mgr.cancel(info.id).unwrap();
+    }
+
+    #[test]
+    fn adaptive_job_reports_bounds_that_contain_the_exact_p_values() {
+        let (data, labels) = null_heavy_dataset();
+        let opts = PmaxtOptions::default().permutations(4000);
+        let mgr = manager(64);
+        let info = mgr
+            .submit(JobSpec {
+                data: data.clone(),
+                classlabel: labels.clone(),
+                opts: opts.clone().mode(Mode::Adaptive),
+                source_path: None,
+            })
+            .unwrap();
+        mgr.wait_result(info.id, Some(Duration::from_secs(60)))
+            .unwrap();
+        let report = mgr
+            .adaptive_report(info.id)
+            .unwrap()
+            .expect("adaptive job carries a report");
+        assert!(report.genes_stopped() > 0, "null genes should stop");
+        assert!(
+            report.gene_perms_scored < report.gene_perms_exact,
+            "adaptive must score fewer gene-permutations than exact"
+        );
+        let exact = mt_maxt(&data, &labels, &opts).unwrap();
+        for g in 0..16 {
+            if !exact.rawp[g].is_nan() {
+                assert!(report.p_lower[g] <= exact.rawp[g] + 1e-12);
+                assert!(exact.rawp[g] <= report.p_upper[g] + 1e-12);
+            }
+        }
+        let status = mgr.status(info.id).unwrap();
+        let brief = status.adaptive.expect("status carries adaptive summary");
+        assert_eq!(brief.genes_stopped, report.genes_stopped() as u64);
+        assert!(brief.budget_fraction < 1.0);
+    }
+
+    #[test]
+    fn adaptive_then_exact_upgrade_reproduces_a_fresh_exact_run_bitwise() {
+        let (data, labels) = null_heavy_dataset();
+        let opts = PmaxtOptions::default().permutations(4000);
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("sprint-jobd-mgr-{}-upgrade", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mgr = JobManager::new(ManagerConfig {
+            workers: 1,
+            span: 64,
+            cache_dir: Some(dir.clone()),
+            ..ManagerConfig::default()
+        })
+        .unwrap();
+        let adaptive = mgr
+            .submit(JobSpec {
+                data: data.clone(),
+                classlabel: labels.clone(),
+                opts: opts.clone().mode(Mode::Adaptive),
+                source_path: None,
+            })
+            .unwrap();
+        mgr.wait_result(adaptive.id, Some(Duration::from_secs(60)))
+            .unwrap();
+        let report = mgr.adaptive_report(adaptive.id).unwrap().unwrap();
+        assert!(
+            report.watermark > 0 && report.watermark < 4000,
+            "watermark {} should be a strict prefix",
+            report.watermark
+        );
+        // Upgrade: an exact submission of the same stream resumes from the
+        // adaptive run's cached watermark and extends it to the full B.
+        let exact = mgr
+            .submit(JobSpec {
+                data: data.clone(),
+                classlabel: labels.clone(),
+                opts: opts.clone(),
+                source_path: None,
+            })
+            .unwrap();
+        assert_eq!(
+            exact.cache,
+            CacheDisposition::Resume {
+                from: report.watermark
+            },
+            "exact upgrade must start from the adaptive watermark"
+        );
+        let served = mgr
+            .wait_result(exact.id, Some(Duration::from_secs(60)))
+            .unwrap();
+        let direct = mt_maxt(&data, &labels, &opts).unwrap();
+        assert_eq!(served, direct, "upgrade must be bitwise-exact");
+        assert!(
+            mgr.adaptive_report(exact.id).unwrap().is_none(),
+            "exact job carries no adaptive report"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bootstrap_beyond_memory_budget_is_refused_at_submit() {
+        let (data, labels) = small_dataset();
+        let opts = PmaxtOptions::default()
+            .workload(Workload::Bootstrap)
+            .permutations(1_000_000_000);
+        let err = manager(16)
+            .submit(JobSpec {
+                data,
+                classlabel: labels,
+                opts,
+                source_path: None,
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            JobError::Invalid(CoreError::BadOption { param: "b", .. })
+        ));
+    }
+
+    #[test]
+    fn bootstrap_rejects_env_smuggled_f32_and_wrong_designs() {
+        let (data, labels) = small_dataset();
+        let mgr = manager(16);
+        let err = mgr
+            .submit(JobSpec {
+                data: data.clone(),
+                classlabel: labels.clone(),
+                opts: PmaxtOptions::default()
+                    .workload(Workload::Bootstrap)
+                    .permutations(100)
+                    .precision(Precision::F32),
+                source_path: None,
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            JobError::Invalid(CoreError::BadOption {
+                param: "precision",
+                ..
+            })
+        ));
+        // B below the bootstrap floor is refused at the door.
+        let err = mgr
+            .submit(JobSpec {
+                data,
+                classlabel: labels,
+                opts: PmaxtOptions::default()
+                    .workload(Workload::Bootstrap)
+                    .permutations(1),
+                source_path: None,
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            JobError::Invalid(CoreError::BadOption { param: "b", .. })
+        ));
+        assert!(mgr.list().is_empty(), "no job must be created");
+    }
+
+    #[test]
+    fn f32_precision_is_rejected_before_touching_queue_or_cache() {
+        let (data, labels) = small_dataset();
+        let mgr = manager(16);
+        let err = mgr
+            .submit(JobSpec {
+                data,
+                classlabel: labels,
+                opts: PmaxtOptions::default().precision(Precision::F32),
+                source_path: None,
+            })
+            .unwrap_err();
+        match err {
+            JobError::Invalid(CoreError::BadOption { param, .. }) => {
+                assert_eq!(param, "precision");
+            }
+            other => panic!("expected Invalid(BadOption), got {other:?}"),
+        }
+        assert!(mgr.list().is_empty(), "no job must be created");
+    }
+
+    #[test]
+    fn invalid_submissions_are_rejected_up_front() {
+        let (data, _) = small_dataset();
+        let mgr = manager(16);
+        let err = mgr
+            .submit(JobSpec {
+                data,
+                classlabel: vec![0, 1], // wrong length
+                opts: PmaxtOptions::default(),
+                source_path: None,
+            })
+            .unwrap_err();
+        assert!(matches!(err, JobError::Invalid(_)));
+        assert_eq!(err.code(), "usage");
+        assert!(matches!(
+            mgr.status(999).unwrap_err(),
+            JobError::UnknownJob(999)
+        ));
+    }
+
+    #[test]
+    fn exec_span_refuses_adaptive_mode() {
+        let (data, labels) = small_dataset();
+        let mgr = manager(16);
+        let err = mgr
+            .exec_span(
+                data,
+                labels,
+                PmaxtOptions::default()
+                    .permutations(97)
+                    .mode(Mode::Adaptive),
+                97,
+                0,
+                16,
+            )
+            .unwrap_err();
+        match err {
+            JobError::Invalid(CoreError::BadOption { param, .. }) => assert_eq!(param, "mode"),
+            other => panic!("expected Invalid(BadOption), got {other:?}"),
+        }
+    }
+
+    /// Where a request enters, for the admission table.
+    #[derive(Debug, Clone, Copy)]
+    enum Via {
+        Submit,
+        /// A submission with a dataset path to a daemon with a peer roster.
+        Roster,
+        /// A peer coordinator's `span_exec` unit.
+        Peer,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Decision {
+        Local,
+        Sharded,
+        Unit,
+        Refused(&'static str),
+    }
+
+    #[test]
+    fn admission_table_decides_every_cell() {
+        use Decision::*;
+        use Via::*;
+        use Workload::{Bootstrap as Boot, Pmaxt};
+        let (data, labels) = small_dataset();
+        let mgr = JobManager::new(ManagerConfig {
+            workers: 1,
+            cache_dir: None,
+            peers: vec!["127.0.0.1:9".into()],
+            faults: Faults::disabled(),
+            ..ManagerConfig::default()
+        })
+        .unwrap();
+        let opts_for = |workload: Workload, mode: Mode, precision: Precision| {
+            PmaxtOptions::default()
+                .workload(workload)
+                .permutations(16)
+                .mode(mode)
+                .precision(precision)
+        };
+        let admit_via = |opts: &PmaxtOptions, via: Via| {
+            let resolved = admit(
+                &mgr.inner,
+                data.clone(),
+                &labels,
+                &opts.clone().mode(Mode::Exact).precision(Precision::F64),
+                false,
+                Entry::Submit,
+            )
+            .unwrap()
+            .b;
+            let (source, entry) = match via {
+                Submit => (false, Entry::Submit),
+                Roster => (true, Entry::Submit),
+                Peer => (false, Entry::Peer(resolved, (0, 1))),
+            };
+            match admit(&mgr.inner, data.clone(), &labels, opts, source, entry) {
+                Ok(_) if matches!(via, Peer) => Unit,
+                Ok(adm) if adm.sharded => Sharded,
+                Ok(_) => Local,
+                Err(JobError::Invalid(CoreError::BadOption { param, .. })) => Refused(param),
+                Err(other) => panic!("unexpected refusal {other:?}"),
+            }
+        };
+        let (exact, adaptive) = (Mode::Exact, Mode::Adaptive);
+        let (f64_, f32_) = (Precision::F64, Precision::F32);
+        let table = [
+            (Pmaxt, exact, f64_, Submit, Local),
+            (Pmaxt, exact, f64_, Roster, Sharded),
+            (Pmaxt, exact, f64_, Peer, Unit),
+            (Pmaxt, exact, f32_, Submit, Refused("precision")),
+            (Pmaxt, exact, f32_, Roster, Refused("precision")),
+            (Pmaxt, exact, f32_, Peer, Refused("precision")),
+            (Pmaxt, adaptive, f64_, Submit, Local),
+            (Pmaxt, adaptive, f64_, Roster, Local),
+            (Pmaxt, adaptive, f64_, Peer, Refused("mode")),
+            (Pmaxt, adaptive, f32_, Submit, Refused("precision")),
+            (Pmaxt, adaptive, f32_, Roster, Refused("precision")),
+            (Pmaxt, adaptive, f32_, Peer, Refused("precision")),
+            (Boot, exact, f64_, Submit, Local),
+            (Boot, exact, f64_, Roster, Sharded),
+            (Boot, exact, f64_, Peer, Unit),
+            (Boot, exact, f32_, Submit, Refused("precision")),
+            (Boot, exact, f32_, Roster, Refused("precision")),
+            (Boot, exact, f32_, Peer, Refused("precision")),
+            (Boot, adaptive, f64_, Submit, Refused("mode")),
+            (Boot, adaptive, f64_, Roster, Refused("mode")),
+            (Boot, adaptive, f64_, Peer, Refused("mode")),
+            (Boot, adaptive, f32_, Submit, Refused("mode")),
+            (Boot, adaptive, f32_, Roster, Refused("mode")),
+            (Boot, adaptive, f32_, Peer, Refused("mode")),
+        ];
+        for (workload, mode, precision, via, want) in table {
+            let got = admit_via(&opts_for(workload, mode, precision), via);
+            assert_eq!(got, want, "{workload:?} {mode:?} {precision:?} via {via:?}");
+        }
+    }
+}

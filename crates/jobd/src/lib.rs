@@ -4,10 +4,11 @@
 //! blocking call. This crate wraps the same deterministic engine in a
 //! long-lived service, which changes what repeated use costs:
 //!
-//! - **Job orchestration** ([`manager`]): a bounded queue and worker pool
-//!   drive the batched engine span by span — round-robin across jobs for
-//!   fairness, per-job thread budgets, cooperative cancellation at batch
-//!   granularity, and progress events with a critical-path ETA.
+//! - **Job orchestration** ([`manager`], and the executor in `exec`): one
+//!   bounded queue and worker pool drive every job — exact, adaptive or
+//!   bootstrap — through one plan → run → merge → finalize cycle, unit by
+//!   unit, round-robin across jobs, with per-job thread budgets, cooperative
+//!   cancellation at batch granularity, and progress events with an ETA.
 //! - **Content-addressed result cache** ([`cache`]): entries are checkpoint
 //!   files keyed by (dataset digest, permutation-stream digest). A repeated
 //!   request finalizes from stored counts without computing; a crashed or
@@ -19,12 +20,12 @@
 //! - **Wire protocol** ([`json`], [`protocol`], [`server`], [`client`]):
 //!   line-delimited JSON over a Unix-domain socket or TCP, exposed by the
 //!   `pmaxt serve` / `submit` / `status` / `result` / `cancel` subcommands.
-//! - **Cross-daemon sharding** ([`shard`], [`manager`]): a daemon started
-//!   with `--peer` addresses coordinates one job across the roster — the
-//!   remaining permutation range is split with the same `span_plan`
-//!   arithmetic the SPMD ranks use, peers execute spans via `span_exec`
-//!   requests against their own copy of the dataset, and a dead peer's
-//!   spans are reassigned to survivors from the last merged frontier.
+//! - **Cross-daemon sharding** ([`shard`]): a daemon started with `--peer`
+//!   addresses deals one job's units across the roster — permutation spans
+//!   by the SPMD ranks' `span_plan` arithmetic, or one bootstrap gene band
+//!   per daemon — peers run them via `span_exec` requests against their own
+//!   copy of the dataset, and a dead peer's units are reassigned to
+//!   survivors from the last merged frontier.
 //! - **Fault injection and recovery** ([`faults`]): a seeded registry
 //!   (`SPRINT_FAULTS=worker_panic:0.01,...`) injects worker panics, span I/O
 //!   errors, cache corruption, torn frames, slow peers and disk faults; the
@@ -46,6 +47,7 @@
 
 pub mod cache;
 pub mod client;
+mod exec;
 pub mod faults;
 pub mod journal;
 pub mod json;

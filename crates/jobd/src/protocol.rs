@@ -10,7 +10,7 @@
 //! - non-finite floats (NaN p-values of non-computable genes) ride as
 //!   `null` and decode back to NaN.
 
-use sprint_core::adaptive::AdaptiveReport;
+use sprint_core::adaptive::{AdaptiveReport, TailFit};
 use sprint_core::boot::BootstrapResult;
 use sprint_core::maxt::MaxTResult;
 use sprint_core::options::{
@@ -109,12 +109,14 @@ pub fn opts_from_request(req: &Json) -> Result<PmaxtOptions, String> {
     Ok(opts)
 }
 
-/// Build a `span_exec` request: run permutations `[start, start + take)` of
-/// the dataset at `path` (a path on the *peer's* filesystem) and return the
-/// raw exceedance counts. `b` is the coordinator's resolved permutation
-/// total; the executor re-resolves it from the options and refuses on
-/// mismatch, so two daemons can never silently shard different permutation
-/// streams.
+/// Build a `span_exec` request: run unit `[start, start + take)` of a
+/// sharded job over the dataset at `path` (a path on the *peer's*
+/// filesystem) and return its part. The options' `workload` field names the
+/// unit: permutation indices and raw exceedance counts for `pmaxt`, gene
+/// rows and interval estimates for `bootstrap`. `b` is the coordinator's
+/// resolved permutation (or draw) total; the executor re-resolves it from
+/// the options and refuses on mismatch, so two daemons can never silently
+/// shard different streams.
 pub fn span_exec_request(path: &str, opts: &PmaxtOptions, b: u64, start: u64, take: u64) -> Json {
     let mut pairs = vec![
         ("cmd".to_string(), Json::str("span_exec")),
@@ -145,9 +147,9 @@ pub fn span_counts_to_json(start: u64, take: u64, counts: &[u64], kernel_secs: f
     ])
 }
 
-/// Response fields → `(start, take, counts, kernel_secs)`. The kernel time
-/// is advisory (0 when absent): counts are the contract, timing is telemetry.
-pub fn span_counts_from_json(resp: &Json) -> Result<(u64, u64, Vec<u64>, f64), String> {
+/// Response fields → `(start, take, counts)`. The reply's `kernel_secs` is
+/// telemetry, read by the coordinator for every kind of unit alike.
+pub fn span_counts_from_json(resp: &Json) -> Result<(u64, u64, Vec<u64>), String> {
     let start = resp
         .get("start")
         .and_then(Json::as_u64)
@@ -163,34 +165,7 @@ pub fn span_counts_from_json(resp: &Json) -> Result<(u64, u64, Vec<u64>, f64), S
         .iter()
         .map(|v| v.as_u64().ok_or("non-integer count"))
         .collect::<Result<Vec<u64>, _>>()?;
-    let kernel_secs = resp
-        .get("kernel_secs")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    Ok((start, take, counts, kernel_secs))
-}
-
-/// Build a `boot_exec` request: compute the bootstrap estimates of gene rows
-/// `[row_start, row_start + row_take)` of the dataset at `path` (a path on
-/// the *peer's* filesystem). `b` is the coordinator's resolved draw count;
-/// the executor re-resolves it and refuses on drift, exactly like
-/// [`span_exec_request`].
-pub fn boot_exec_request(
-    path: &str,
-    opts: &PmaxtOptions,
-    b: u64,
-    row_start: u64,
-    row_take: u64,
-) -> Json {
-    let mut pairs = vec![
-        ("cmd".to_string(), Json::str("boot_exec")),
-        ("path".to_string(), Json::str(path)),
-        ("b_resolved".to_string(), Json::u64_str(b)),
-        ("row_start".to_string(), Json::u64_str(row_start)),
-        ("row_take".to_string(), Json::u64_str(row_take)),
-    ];
-    pairs.extend(opts_to_pairs(opts));
-    Json::Obj(pairs)
+    Ok((start, take, counts))
 }
 
 /// f64 slice → array of IEEE-754 bit patterns as decimal strings. Interval
@@ -215,7 +190,7 @@ fn f64_bits_from(resp: &Json, field: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-/// Bootstrap estimates → response fields, shared by `boot_exec` responses
+/// Bootstrap estimates → response fields, shared by `span_exec` replies
 /// and `result` responses of bootstrap jobs. All float arrays ride as bit
 /// patterns (see [`f64_bits_arr`]).
 pub fn boot_to_json(r: &BootstrapResult) -> Vec<(&'static str, Json)> {
@@ -273,7 +248,7 @@ pub fn boot_result_to_json(job: u64, r: &BootstrapResult) -> Json {
     ok_response(fields)
 }
 
-/// Boot-exec outcome → response fields (one gene slice plus kernel time).
+/// A bootstrap `span_exec` reply: one gene band plus kernel time.
 pub fn boot_slice_to_json(r: &BootstrapResult, kernel_secs: f64) -> Json {
     let mut fields = vec![("kernel_secs", Json::Num(kernel_secs))];
     fields.extend(boot_to_json(r));
@@ -473,6 +448,105 @@ pub fn adaptive_to_json(r: &AdaptiveReport) -> Json {
     ])
 }
 
+/// A float array field; `null` entries (non-finite values) decode to NaN.
+fn floats(obj: &Json, field: &str) -> Result<Vec<f64>, String> {
+    obj.get(field)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing array {field}"))?
+        .iter()
+        .map(|v| float(v).ok_or_else(|| format!("non-numeric entry in {field}")))
+        .collect()
+}
+
+fn float(v: &Json) -> Option<f64> {
+    match v {
+        Json::Null => Some(f64::NAN),
+        Json::Num(n) => Some(*n),
+        _ => None,
+    }
+}
+
+/// The `adaptive` object of a result response → report (inverse of
+/// [`adaptive_to_json`]). `null` bounds decode to NaN.
+pub fn adaptive_from_json(a: &Json) -> Result<AdaptiveReport, String> {
+    let arr = |field: &str| {
+        a.get(field)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("missing array {field}"))
+    };
+    let int = |v: &Json, field: &str| {
+        v.get(field)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing integer {field}"))
+    };
+    let u64s = |field: &str| -> Result<Vec<u64>, String> {
+        let ints = arr(field)?.iter().map(Json::as_u64);
+        ints.collect::<Option<_>>()
+            .ok_or_else(|| format!("non-integer entry in {field}"))
+    };
+    let scored = u64s("scored")?;
+    let genes = scored.len();
+    let stopped_at = arr("stopped_at")?
+        .iter()
+        .map(|v| match v {
+            Json::Null => Ok(None),
+            v => v.as_u64().map(Some).ok_or("bad stopped_at entry"),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut tail = vec![None; genes];
+    for row in arr("tail")? {
+        let f = |field: &str| {
+            row.get(field)
+                .and_then(float)
+                .ok_or_else(|| format!("tail row missing number {field}"))
+        };
+        let slot = tail
+            .get_mut(int(row, "gene")? as usize)
+            .ok_or("tail row gene out of range")?;
+        *slot = Some(TailFit {
+            threshold: f("threshold")?,
+            shape: f("shape")?,
+            scale: f("scale")?,
+            exceedances: int(row, "exceedances")? as usize,
+            p_tail: f("p_tail")?,
+            ad_stat: f("ad_stat")?,
+            good: row
+                .get("good")
+                .and_then(Json::as_bool)
+                .ok_or("tail row missing boolean good")?,
+        });
+    }
+    let report = AdaptiveReport {
+        b: int(a, "b")?,
+        scored,
+        counts: u64s("counts")?,
+        stopped_at,
+        p_lower: floats(a, "p_lower")?,
+        p_upper: floats(a, "p_upper")?,
+        p_point: floats(a, "p_point")?,
+        tail,
+        gene_perms_scored: int(a, "gene_perms_scored")?,
+        gene_perms_exact: int(a, "gene_perms_exact")?,
+        watermark: int(a, "watermark")?,
+        mass_deactivation: a
+            .get("mass_deactivation")
+            .and_then(Json::as_bool)
+            .ok_or("missing boolean mass_deactivation")?,
+    };
+    for (name, len) in [
+        ("counts", report.counts.len()),
+        ("stopped_at", report.stopped_at.len()),
+        ("p_lower", report.p_lower.len()),
+        ("p_upper", report.p_upper.len()),
+        ("p_point", report.p_point.len()),
+    ] {
+        if len != genes {
+            return Err(format!("array {name} has {len} entries, expected {genes}"));
+        }
+    }
+    Ok(report)
+}
+
 /// Result → response fields. NaNs serialize as `null` (see module docs).
 /// Adaptive jobs additionally carry their per-gene report (`adaptive`).
 pub fn result_to_json(job: u64, r: &MaxTResult, adaptive: Option<&AdaptiveReport>) -> Json {
@@ -496,18 +570,6 @@ pub fn result_to_json(job: u64, r: &MaxTResult, adaptive: Option<&AdaptiveReport
 
 /// Response fields → result. `null` entries decode to NaN.
 pub fn result_from_json(resp: &Json) -> Result<MaxTResult, String> {
-    let floats = |field: &str| -> Result<Vec<f64>, String> {
-        resp.get(field)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("missing array {field}"))?
-            .iter()
-            .map(|v| match v {
-                Json::Null => Ok(f64::NAN),
-                Json::Num(n) => Ok(*n),
-                _ => Err(format!("non-numeric entry in {field}")),
-            })
-            .collect()
-    };
     let order = resp
         .get("order")
         .and_then(Json::as_arr)
@@ -516,9 +578,9 @@ pub fn result_from_json(resp: &Json) -> Result<MaxTResult, String> {
         .map(|v| v.as_u64().map(|n| n as usize).ok_or("bad order entry"))
         .collect::<Result<Vec<usize>, _>>()?;
     Ok(MaxTResult {
-        teststat: floats("teststat")?,
-        rawp: floats("rawp")?,
-        adjp: floats("adjp")?,
+        teststat: floats(resp, "teststat")?,
+        rawp: floats(resp, "rawp")?,
+        adjp: floats(resp, "adjp")?,
         order,
         b_used: resp
             .get("b_used")
@@ -642,6 +704,8 @@ mod tests {
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].get("gene").unwrap().as_u64(), Some(0));
         assert_eq!(tail[0].get("good").unwrap().as_bool(), Some(true));
+        // The client decodes the object back to the report the daemon held.
+        assert_eq!(adaptive_from_json(a).unwrap(), rep);
         // An exact result carries no adaptive object.
         let plain = Json::parse(&result_to_json(9, &r, None).to_json()).unwrap();
         assert!(plain.get("adaptive").is_none());
@@ -682,17 +746,17 @@ mod tests {
     }
 
     #[test]
-    fn boot_exec_request_carries_slice_and_options() {
+    fn span_exec_request_carries_bootstrap_bands_and_options() {
         let opts = PmaxtOptions::default()
             .workload(Workload::Bootstrap)
             .permutations(500)
             .seed(11);
-        let req = boot_exec_request("/data/set.tsv", &opts, 500, 100, 50);
+        let req = span_exec_request("/data/set.tsv", &opts, 500, 100, 50);
         let wire = Json::parse(&req.to_json()).unwrap();
-        assert_eq!(wire.get("cmd").unwrap().as_str(), Some("boot_exec"));
+        assert_eq!(wire.get("cmd").unwrap().as_str(), Some("span_exec"));
         assert_eq!(wire.get("b_resolved").unwrap().as_u64(), Some(500));
-        assert_eq!(wire.get("row_start").unwrap().as_u64(), Some(100));
-        assert_eq!(wire.get("row_take").unwrap().as_u64(), Some(50));
+        assert_eq!(wire.get("start").unwrap().as_u64(), Some(100));
+        assert_eq!(wire.get("take").unwrap().as_u64(), Some(50));
         let decoded = opts_from_request(&wire).unwrap();
         assert_eq!(decoded, opts);
     }

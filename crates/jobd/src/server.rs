@@ -30,11 +30,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use microarray::io::read_dataset;
+use sprint_core::matrix::Matrix;
 use sprint_core::options::PmaxtOptions;
 
 use crate::faults::{FaultKind, Faults};
 use crate::json::Json;
-use crate::manager::{JobManager, JobSpec};
+use crate::manager::{JobError, JobManager, JobSpec, JobStatus};
 use crate::protocol;
 
 /// Upper bound on one request line. A well-formed request is well under 1 KiB
@@ -348,16 +349,10 @@ fn handle_connection(
                 let resp = handle_span_exec(&request, manager);
                 respond(&mut conn, &resp, faults)?;
             }
-            "boot_exec" => {
-                let resp = handle_boot_exec(&request, manager);
-                respond(&mut conn, &resp, faults)?;
-            }
-            "status" => {
+            "status" | "cancel" => {
                 let resp = match job_id(&request) {
-                    Ok(id) => match manager.status(id) {
-                        Ok(st) => protocol::status_to_json(&st),
-                        Err(e) => protocol::err_from(&e),
-                    },
+                    Ok(id) if cmd == "status" => status_response(manager.status(id)),
+                    Ok(id) => status_response(manager.cancel(id)),
                     Err(resp) => resp,
                 };
                 respond(&mut conn, &resp, faults)?;
@@ -370,44 +365,27 @@ fn handle_connection(
                         // job's workload (not a request field) decides the
                         // response shape, so a generic client just gets the
                         // right thing.
-                        if manager.is_boot(id).unwrap_or(false) {
-                            let outcome = if wait {
+                        let outcome = if manager.is_boot(id).unwrap_or(false) {
+                            let result = if wait {
                                 manager.wait_boot_result(id, None)
                             } else {
                                 manager.boot_result(id)
                             };
-                            match outcome {
-                                Ok(result) => protocol::boot_result_to_json(id, &result),
-                                Err(e) => protocol::err_from(&e),
-                            }
+                            result.map(|r| protocol::boot_result_to_json(id, &r))
                         } else {
-                            let outcome = if wait {
+                            let result = if wait {
                                 manager.wait_result(id, None)
                             } else {
                                 manager.result(id)
                             };
-                            match outcome {
-                                Ok(result) => {
-                                    // Adaptive jobs carry their per-gene report
-                                    // (bounds, stop cursors, tail diagnostics)
-                                    // alongside the finalized result.
-                                    let report = manager.adaptive_report(id).ok().flatten();
-                                    protocol::result_to_json(id, &result, report.as_ref())
-                                }
-                                Err(e) => protocol::err_from(&e),
-                            }
-                        }
+                            // Adaptive jobs carry their per-gene report (bounds,
+                            // stop cursors, tail diagnostics) alongside the
+                            // finalized result.
+                            let report = manager.adaptive_report(id).ok().flatten();
+                            result.map(|r| protocol::result_to_json(id, &r, report.as_ref()))
+                        };
+                        outcome.unwrap_or_else(|e| protocol::err_from(&e))
                     }
-                    Err(resp) => resp,
-                };
-                respond(&mut conn, &resp, faults)?;
-            }
-            "cancel" => {
-                let resp = match job_id(&request) {
-                    Ok(id) => match manager.cancel(id) {
-                        Ok(st) => protocol::status_to_json(&st),
-                        Err(e) => protocol::err_from(&e),
-                    },
                     Err(resp) => resp,
                 };
                 respond(&mut conn, &resp, faults)?;
@@ -457,25 +435,31 @@ fn handle_connection(
     }
 }
 
+/// The dataset a `submit` or `span_exec` request names, read from this
+/// daemon's filesystem, with the request's options and the path itself.
+fn dataset_request(
+    request: &Json,
+    cmd: &str,
+) -> Result<(PmaxtOptions, Matrix, Vec<u8>, PathBuf), Json> {
+    let usage = |msg: &str| protocol::err_response(msg, "usage");
+    let path = request.get("path").and_then(Json::as_str);
+    let path = PathBuf::from(path.ok_or_else(|| usage(&format!("{cmd} requires a path field")))?);
+    let opts = protocol::opts_from_request(request).map_err(|e| usage(&e))?;
+    let (data, classlabel) = read_dataset(&path).map_err(|e| {
+        protocol::err_response(&format!("cannot read dataset {path:?}: {e}"), "runtime")
+    })?;
+    Ok((opts, data, classlabel, path))
+}
+
 fn handle_submit(request: &Json, manager: &JobManager) -> Json {
-    let path = match request.get("path").and_then(Json::as_str) {
-        Some(p) => p,
-        None => return protocol::err_response("submit requires a path field", "usage"),
-    };
-    let opts: PmaxtOptions = match protocol::opts_from_request(request) {
-        Ok(o) => o,
-        Err(e) => return protocol::err_response(&e, "usage"),
-    };
-    let (data, classlabel) = match read_dataset(std::path::Path::new(path)) {
-        Ok(pair) => pair,
-        Err(e) => {
-            return protocol::err_response(&format!("cannot read dataset {path:?}: {e}"), "runtime")
-        }
+    let (opts, data, classlabel, path) = match dataset_request(request, "submit") {
+        Ok(parts) => parts,
+        Err(resp) => return resp,
     };
     // Record the canonical dataset path: if this daemon has peers, the
     // coordinator sends it in `span_exec` requests so each peer re-reads
     // its own copy instead of shipping the matrix inline.
-    let source_path = std::fs::canonicalize(path).unwrap_or_else(|_| PathBuf::from(path));
+    let source_path = std::fs::canonicalize(&path).unwrap_or(path);
     match manager.submit(JobSpec {
         data,
         classlabel,
@@ -487,20 +471,14 @@ fn handle_submit(request: &Json, manager: &JobManager) -> Json {
     }
 }
 
-/// Execute one span of a sharded job for a peer coordinator: re-read the
-/// dataset from this daemon's own filesystem, recompute the span's exact
-/// exceedance counts with the same skip-ahead stream the coordinator uses,
-/// and return them flat. Stateless by design — no job is registered, so a
-/// coordinator retry (or a second coordinator) is harmless.
+/// Run one unit of a sharded job for a peer coordinator — a permutation
+/// span, or a gene band when the request's `workload` is `bootstrap`:
+/// re-read the dataset from this daemon's own filesystem, recompute the unit
+/// over the same skip-ahead stream the coordinator uses, and return its
+/// part (exceedance counts, or interval estimates as bit patterns).
+/// Stateless by design — no job is registered, so a coordinator retry (or a
+/// second coordinator) is harmless.
 fn handle_span_exec(request: &Json, manager: &JobManager) -> Json {
-    let path = match request.get("path").and_then(Json::as_str) {
-        Some(p) => p,
-        None => return protocol::err_response("span_exec requires a path field", "usage"),
-    };
-    let opts: PmaxtOptions = match protocol::opts_from_request(request) {
-        Ok(o) => o,
-        Err(e) => return protocol::err_response(&e, "usage"),
-    };
     let (b, start, take) = match (
         request.get("b_resolved").and_then(Json::as_u64),
         request.get("start").and_then(Json::as_u64),
@@ -514,54 +492,20 @@ fn handle_span_exec(request: &Json, manager: &JobManager) -> Json {
             )
         }
     };
-    let (data, classlabel) = match read_dataset(std::path::Path::new(path)) {
-        Ok(pair) => pair,
-        Err(e) => {
-            return protocol::err_response(&format!("cannot read dataset {path:?}: {e}"), "runtime")
-        }
+    let (opts, data, classlabel, _) = match dataset_request(request, "span_exec") {
+        Ok(parts) => parts,
+        Err(resp) => return resp,
     };
-    match manager.exec_span(data, classlabel, opts, b, start, take) {
-        Ok((flat, kernel_secs)) => protocol::span_counts_to_json(start, take, &flat, kernel_secs),
-        Err(e) => protocol::err_from(&e),
-    }
+    manager
+        .exec_span(data, classlabel, opts, b, start, take)
+        .unwrap_or_else(|e| protocol::err_from(&e))
 }
 
-/// Execute one gene slice of a sharded bootstrap run for a peer coordinator:
-/// re-read the dataset from this daemon's own filesystem, recompute the
-/// slice's interval estimates over the same deterministic draw stream, and
-/// return them as bit-pattern arrays. Stateless, like `span_exec`.
-fn handle_boot_exec(request: &Json, manager: &JobManager) -> Json {
-    let path = match request.get("path").and_then(Json::as_str) {
-        Some(p) => p,
-        None => return protocol::err_response("boot_exec requires a path field", "usage"),
-    };
-    let opts: PmaxtOptions = match protocol::opts_from_request(request) {
-        Ok(o) => o,
-        Err(e) => return protocol::err_response(&e, "usage"),
-    };
-    let (b, row_start, row_take) = match (
-        request.get("b_resolved").and_then(Json::as_u64),
-        request.get("row_start").and_then(Json::as_u64),
-        request.get("row_take").and_then(Json::as_u64),
-    ) {
-        (Some(b), Some(s), Some(t)) => (b, s, t),
-        _ => {
-            return protocol::err_response(
-                "boot_exec requires b_resolved, row_start and row_take fields",
-                "usage",
-            )
-        }
-    };
-    let (data, classlabel) = match read_dataset(std::path::Path::new(path)) {
-        Ok(pair) => pair,
-        Err(e) => {
-            return protocol::err_response(&format!("cannot read dataset {path:?}: {e}"), "runtime")
-        }
-    };
-    match manager.exec_boot(data, classlabel, opts, b, row_start, row_take) {
-        Ok((result, kernel_secs)) => protocol::boot_slice_to_json(&result, kernel_secs),
-        Err(e) => protocol::err_from(&e),
-    }
+fn status_response(status: Result<JobStatus, JobError>) -> Json {
+    status.map_or_else(
+        |e| protocol::err_from(&e),
+        |st| protocol::status_to_json(&st),
+    )
 }
 
 fn job_id(request: &Json) -> Result<u64, Json> {

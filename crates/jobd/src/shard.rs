@@ -1,5 +1,5 @@
 //! Cross-daemon permutation sharding: peer links, span queues and comm
-//! statistics for the coordinator in [`crate::manager`].
+//! statistics for the roster dispatcher in `crate::exec`.
 //!
 //! A daemon started with `pmaxt serve --peer <addr>` turns a submitted job
 //! into a *sharded* run: the permutation range `0..B` is split across the

@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use microarray::io::{read_dataset, write_dataset};
 use microarray::prelude::*;
-use sprint_core::adaptive::{adaptive_maxt, AdaptiveConfig, AdaptiveOutcome};
+use sprint_core::adaptive::{adaptive_maxt, AdaptiveConfig, AdaptiveReport};
 use sprint_core::boot::{boot_run, BootstrapResult};
 use sprint_core::error::Error as CoreError;
 use sprint_core::labels::ClassLabels;
@@ -603,7 +603,7 @@ fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
             100.0 * out.report.budget_fraction(),
             t0.elapsed()
         );
-        return print_adaptive(&out, cfg.top, cfg.out.as_ref());
+        return print_adaptive(&out.result, &out.report, cfg.top, cfg.out.as_ref());
     }
     let t0 = std::time::Instant::now();
     let result = if cfg.minp {
@@ -624,8 +624,7 @@ fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
 /// Render one gene's adaptive row: deterministic p-value bounds, the scored
 /// prefix, where (if anywhere) the gene deactivated, and the GPD tail
 /// p-value when one was fitted.
-fn adaptive_row(out: &AdaptiveOutcome, g: usize) -> String {
-    let r = &out.report;
+fn adaptive_row(result: &MaxTResult, r: &AdaptiveReport, g: usize) -> String {
     let stopped = r.stopped_at[g]
         .map(|c| c.to_string())
         .unwrap_or_else(|| "-".into());
@@ -641,23 +640,18 @@ fn adaptive_row(out: &AdaptiveOutcome, g: usize) -> String {
         .unwrap_or_else(|| "-".into());
     format!(
         "{:>6} {:>12.4} {:>9.5} {:>9.5} {:>9.5} {:>8} {:>8} {:>12}",
-        g,
-        out.result.teststat[g],
-        r.p_point[g],
-        r.p_lower[g],
-        r.p_upper[g],
-        r.scored[g],
-        stopped,
-        tail
+        g, result.teststat[g], r.p_point[g], r.p_lower[g], r.p_upper[g], r.scored[g], stopped, tail
     )
 }
 
+/// Print an adaptive run's bounds table — for `pmaxt run` and for results
+/// served by the daemon alike — and write the full 9-column table to `path`.
 fn print_adaptive(
-    out: &AdaptiveOutcome,
+    result: &MaxTResult,
+    r: &AdaptiveReport,
     top: usize,
     path: Option<&PathBuf>,
 ) -> Result<(), CliError> {
-    let r = &out.report;
     eprintln!(
         "adaptive: {}/{} genes stopped early; exact-prefix watermark {} of B={}",
         r.genes_stopped(),
@@ -676,8 +670,8 @@ fn print_adaptive(
         "{:>6} {:>12} {:>9} {:>9} {:>9} {:>8} {:>8} {:>12}",
         "index", "teststat", "p", "p_lower", "p_upper", "scored", "stopped", "tail_p"
     );
-    for row in out.result.by_significance().take(top) {
-        println!("{}", adaptive_row(out, row.index));
+    for row in result.by_significance().take(top) {
+        println!("{}", adaptive_row(result, r, row.index));
     }
     if let Some(path) = path {
         use std::io::Write as _;
@@ -687,7 +681,7 @@ fn print_adaptive(
                 w,
                 "index\tteststat\tp_point\tp_lower\tp_upper\tscored\tstopped_at\ttail_p\ttail_good"
             )?;
-            for row in out.result.by_significance() {
+            for row in result.by_significance() {
                 let g = row.index;
                 let stopped = r.stopped_at[g]
                     .map(|c| c.to_string())
@@ -700,7 +694,7 @@ fn print_adaptive(
                     w,
                     "{}\t{:.6}\t{:.6}\t{:.6}\t{:.6}\t{}\t{}\t{}\t{}",
                     g,
-                    out.result.teststat[g],
+                    result.teststat[g],
                     r.p_point[g],
                     r.p_lower[g],
                     r.p_upper[g],
@@ -1024,6 +1018,16 @@ fn fetch_and_print_result(cfg: &ClientConfig, job: u64, wait: bool) -> Result<()
         return print_boot(&result, cfg.top, cfg.out.as_ref());
     }
     let result = protocol::result_from_json(&resp).map_err(usage)?;
+    if let Some(adaptive) = resp.get("adaptive") {
+        let report = protocol::adaptive_from_json(adaptive).map_err(usage)?;
+        eprintln!(
+            "job {job}: scored {} of {} gene-permutations ({:.1}%)",
+            report.gene_perms_scored,
+            report.gene_perms_exact,
+            100.0 * report.budget_fraction()
+        );
+        return print_adaptive(&result, &report, cfg.top, cfg.out.as_ref());
+    }
     eprintln!("job {job}: B = {} permutations", result.b_used);
     print_result(&result, cfg.top, cfg.out.as_ref())
 }
