@@ -43,7 +43,7 @@ use crate::maxt::minp::DEFAULT_MINP_BUDGET_BYTES;
 use crate::options::{Mode, PmaxtOptions, Precision, TestMethod, Workload};
 use crate::perm::arrangement::{build_stream, resolve_draw_count};
 use crate::perm::bootstrap::MAX_BOOTSTRAP_COLS;
-use crate::stats::soa::{lane_add, MissMask, SoaColumns, LANE, SOA_TILE};
+use crate::stats::soa::{lane_add, Isa, Kernel, MissMask, SoaColumns, BLOCK, SOA_TILE};
 use normal::{inv_phi, phi};
 
 /// Two-sided confidence level of the reported intervals.
@@ -290,13 +290,35 @@ pub fn boot_run_slice(
     let (labels, b, data) = validate_boot(data, classlabel, opts)?;
     assert!(genes.end <= data.rows(), "gene slice out of range");
     let cfg = EngineConfig::resolve(opts);
-    let n = labels.len();
+    let draws = class_sorted_draws(&labels, opts, b)?;
+    let label = labels.as_slice();
+    let tiles = genes.len().div_ceil(SOA_TILE) as u64;
+    let jobs = split_chunk(0, tiles, cfg.threads);
+    let isa = Isa::host();
+    let parts = run_jobs(&jobs, |_, first, count| {
+        let lo = genes.start + first as usize * SOA_TILE;
+        let hi = (lo + count as usize * SOA_TILE).min(genes.end);
+        isa.run(BootGenes {
+            data: &data,
+            labels: label,
+            draws: &draws,
+            genes: lo..hi,
+        })
+    });
+    let mut out = BootstrapResult::empty(genes.start, b - 1);
+    for part in &parts {
+        out.extend(part)?;
+    }
+    Ok(out)
+}
 
-    // Draws 1 to B − 1, each stored with its class-1 slots first and its
-    // class-0 slots after, both in draw order: the order in which each class
-    // accumulator receives its adds.
+/// Draws 1 to B − 1 of the run's stream, back to back, each stored with its
+/// class-1 slots first and its class-0 slots after, both in draw order: the
+/// order in which each class accumulator receives its adds.
+fn class_sorted_draws(labels: &ClassLabels, opts: &PmaxtOptions, b: u64) -> Result<Vec<u8>> {
+    let n = labels.len();
     let mut draws = vec![0u8; (b - 1) as usize * n];
-    let mut stream = build_stream(&labels, opts, b)?.stream;
+    let mut stream = build_stream(labels, opts, b)?.stream;
     stream.skip(1);
     let mut raw = vec![0u8; n];
     let label = labels.as_slice();
@@ -312,44 +334,51 @@ pub fn boot_run_slice(
             *slot = c;
         }
     }
-
-    let tiles = genes.len().div_ceil(SOA_TILE) as u64;
-    let jobs = split_chunk(0, tiles, cfg.threads);
-    let parts = run_jobs(&jobs, |_, first, count| {
-        let lo = genes.start + first as usize * SOA_TILE;
-        let hi = (lo + count as usize * SOA_TILE).min(genes.end);
-        boot_genes(&data, label, &draws, lo..hi)
-    });
-    let mut out = BootstrapResult::empty(genes.start, b - 1);
-    for part in &parts {
-        out.extend(part)?;
-    }
-    Ok(out)
+    Ok(draws)
 }
 
-/// Genes per register block of the replicate kernel: one block's class
-/// accumulators stay in registers for a whole draw.
-const BLOCK: usize = 2 * LANE;
-
-/// One worker's share of [`boot_run_slice`]: every gene of `genes`, tile by
-/// tile. Each tile is copied into column lanes (NA cells as `+0.0`, their
-/// columns recorded in a [`MissMask`]). Each draw then walks its class-1
-/// slots and then its class-0 slots, both in draw order, and [`lane_add`]s
-/// the slot's column into that class's accumulators, one [`BLOCK`] of genes
-/// at a time. Per gene that is the add sequence of [`mean_diff_drawn`] with
-/// a `+0.0` wherever a NaN cell was skipped, which leaves the sum's bits
-/// unchanged (DESIGN.md §4.10), so every replicate is bitwise the scalar
-/// one. Group counts start from the draw's class totals; a gene with NA
-/// cells subtracts each missing column's multiplicity in the draw.
+/// One worker's share of [`boot_run_slice`], as a lane [`Kernel`]: every
+/// gene of `genes`, tile by tile. Each tile is copied into column lanes (NA
+/// cells as `+0.0`, their columns recorded in a [`MissMask`]). Each draw
+/// then walks its class-1 slots and then its class-0 slots, both in draw
+/// order, and [`lane_add`]s the slot's column into that class's
+/// accumulators, one [`BLOCK`] of genes at a time. Per gene that is the add
+/// sequence of [`mean_diff_drawn`] with a `+0.0` wherever a NaN cell was
+/// skipped, which leaves the sum's bits unchanged (DESIGN.md §4.10), so
+/// every replicate is bitwise the scalar one. Group counts start from the
+/// draw's class totals; a gene with NA cells subtracts each missing
+/// column's multiplicity in the draw.
 ///
 /// `draws` holds the `B − 1` draws back to back, each with its class-1 slots
 /// first (see [`boot_run_slice`]).
+struct BootGenes<'a> {
+    data: &'a Matrix,
+    labels: &'a [u8],
+    draws: &'a [u8],
+    genes: Range<usize>,
+}
+
+impl Kernel for BootGenes<'_> {
+    type Out = BootstrapResult;
+    #[inline(always)]
+    fn run(self) -> BootstrapResult {
+        let BootGenes {
+            data,
+            labels,
+            draws,
+            genes,
+        } = self;
+        boot_genes(data, labels, draws, genes)
+    }
+}
+
+#[inline(always)]
 fn boot_genes(data: &Matrix, labels: &[u8], draws: &[u8], genes: Range<usize>) -> BootstrapResult {
     let n = labels.len();
     let reps = draws.len() / n;
     let width = genes.len().min(SOA_TILE);
     let mut out = BootstrapResult::empty(genes.start, reps as u64);
-    let mut soa = SoaColumns::<f64>::new(width.next_multiple_of(BLOCK), n);
+    let mut soa = SoaColumns::<f64>::new(width, n);
     // The tile's replicates gene by gene: `stats[g * reps + j]` is draw j + 1.
     let mut stats = vec![0.0f64; width * reps];
     let mut mult = vec![0u32; n];
@@ -379,13 +408,12 @@ fn boot_genes(data: &Matrix, labels: &[u8], draws: &[u8], genes: Range<usize>) -
                 }
             }
             for base in (0..tile.len()).step_by(BLOCK) {
-                let block = base..base + BLOCK;
                 let (mut s0, mut s1) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
                 for &c in cols1 {
-                    lane_add(&mut s1, soa.col(c as usize, &block));
+                    lane_add(&mut s1, soa.block(c as usize, base));
                 }
                 for &c in cols0 {
-                    lane_add(&mut s0, soa.col(c as usize, &block));
+                    lane_add(&mut s0, soa.block(c as usize, base));
                 }
                 for gl in base..(base + BLOCK).min(tile.len()) {
                     let (n0, n1) = if dirty {
@@ -764,6 +792,21 @@ mod tests {
             }
             let want = bits(&oracle(&data, &labels, &o, 0..genes));
             prop_assert_eq!(bits(&boot_run(&data, &labels, &o).unwrap()), want.clone());
+            // Both compilations of the replicate kernel, whichever the host
+            // would pick.
+            let (class_labels, b, data) = validate_boot(&data, &labels, &o).unwrap();
+            let draws = class_sorted_draws(&class_labels, &o, b).unwrap();
+            for isa in [Isa::Baseline, Isa::Avx2] {
+                if isa.supported() {
+                    let kernel = BootGenes {
+                        data: &data,
+                        labels: &labels,
+                        draws: &draws,
+                        genes: 0..genes,
+                    };
+                    prop_assert_eq!(bits(&isa.run(kernel)), want.clone(), "{:?}", isa);
+                }
+            }
             let mut merged = boot_run_slice(&data, &labels, &o, 0..split).unwrap();
             merged
                 .extend(&boot_run_slice(&data, &labels, &o, split..genes).unwrap())

@@ -413,6 +413,130 @@ mod tests {
         assert_eq!(got, want, "{:#x?}", got);
     }
 
+    /// FNV-1a over every reported bit of a maxT result.
+    fn maxt_result_digest(r: &crate::maxt::MaxTResult) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_u64(r.b_used);
+        for col in [&r.teststat, &r.rawp, &r.adjp] {
+            h.write_u64(col.len() as u64);
+            for v in col.iter() {
+                h.write_u64(v.to_bits());
+            }
+        }
+        for &g in &r.order {
+            h.write_u64(g as u64);
+        }
+        h.finish()
+    }
+
+    /// Seeded `genes × 14|15` dataset in the design `method` needs. Values
+    /// sit on a 0.25 grid, so rows carry ties (midranks, equal statistics)
+    /// and class-1 cells of every other gene are shifted. With `na`, about
+    /// 1 cell in 9 is NaN, gene 4 (when present) loses every class-1 cell
+    /// and gene 7 keeps a single one.
+    fn maxt_dataset(method: TestMethod, genes: usize, na: bool) -> (Matrix, Vec<u8>) {
+        let labels: Vec<u8> = match method {
+            TestMethod::F | TestMethod::Corr => vec![0, 2, 1, 1, 0, 2, 2, 0, 1, 0, 1, 2, 2, 1, 0],
+            TestMethod::PairT => vec![0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0],
+            TestMethod::BlockF => vec![0, 1, 2, 2, 0, 1, 1, 2, 0, 0, 2, 1, 2, 1, 0],
+            _ => vec![0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1],
+        };
+        let cols = labels.len();
+        let mut rng = crate::rng::SplitMix64::new(0x3a17_d16e ^ genes as u64);
+        let mut cells = Vec::with_capacity(genes * cols);
+        for g in 0..genes {
+            let shift = (g % 4) as f64 * 0.5;
+            for &l in &labels {
+                let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                let mut v = (40.0 * u).round() / 4.0 + if l == 1 { shift } else { 0.0 };
+                if na && rng.next_u64().is_multiple_of(9) {
+                    v = f64::NAN;
+                }
+                cells.push(v);
+            }
+        }
+        if na {
+            for (c, &l) in labels.iter().enumerate() {
+                if genes > 4 && l == 1 {
+                    cells[4 * cols + c] = f64::NAN;
+                }
+                if genes > 7 && l == 1 {
+                    cells[7 * cols + c] = if c == 2 { 1.5 } else { f64::NAN };
+                }
+            }
+        }
+        (Matrix::from_vec(genes, cols, cells).unwrap(), labels)
+    }
+
+    #[test]
+    fn maxt_results_are_pinned_across_refactors() {
+        // Literal digests of whole maxT results (teststat, rawp and adjp
+        // bits, the order, b_used) recorded before the maxT kernel moved to
+        // register blocks. Each digest folds every side of one statistic on
+        // one data flavour over gene counts on both sides of BLOCK, SOA_TILE
+        // and GENE_TILE. Both engine geometries must reproduce it. If this
+        // test fails, the kernel changed the output bits — fix the kernel,
+        // do not update the constants.
+        use crate::maxt::{maxt_with_config, EngineConfig};
+        use crate::side::Side;
+        let geometries = [
+            EngineConfig {
+                threads: 1,
+                batch: 32,
+            },
+            EngineConfig {
+                threads: 3,
+                batch: 5,
+            },
+        ];
+        // (statistic, NA cells, digest)
+        let cases: [(TestMethod, bool, u64); 16] = [
+            (TestMethod::T, false, 0x77ef3b8a635c9b62),
+            (TestMethod::T, true, 0xf2196219f42a2223),
+            (TestMethod::TEqualVar, false, 0x73beb770bb4556fa),
+            (TestMethod::TEqualVar, true, 0x5cb2c4a187a49b10),
+            (TestMethod::Wilcoxon, false, 0xb22809500ea5ac61),
+            (TestMethod::Wilcoxon, true, 0xcd1f75c90a39efba),
+            (TestMethod::F, false, 0x1c041e720ec3b63),
+            (TestMethod::F, true, 0x498ffbf1dc413c7d),
+            (TestMethod::PairT, false, 0x3d6e6e056d0d9519),
+            (TestMethod::PairT, true, 0x1e8fcede356463ea),
+            (TestMethod::BlockF, false, 0x6ad7e67c5b8485c5),
+            (TestMethod::BlockF, true, 0x50720351eed3dddc),
+            (TestMethod::Corr, false, 0x13a683bbae4bad9a),
+            (TestMethod::Corr, true, 0xe80856276bf61f62),
+            (TestMethod::TMax, false, 0x7aa576ac11988082),
+            (TestMethod::TMax, true, 0xd5c6b8d6beec8b8d),
+        ];
+        let mut got = Vec::new();
+        for &(method, na, _) in &cases {
+            let mut per_geometry = Vec::new();
+            for cfg in geometries {
+                let mut h = Fnv1a::new();
+                for genes in [1usize, 15, 17, 129, 300] {
+                    let (m, labels) = maxt_dataset(method, genes, na);
+                    for side in [Side::Abs, Side::Upper, Side::Lower] {
+                        let opts = PmaxtOptions::default()
+                            .test(method)
+                            .side(side)
+                            .permutations(120)
+                            .seed(23);
+                        let r = maxt_with_config(&m, &labels, &opts, cfg).unwrap();
+                        h.write_u64(maxt_result_digest(&r));
+                    }
+                }
+                per_geometry.push(h.finish());
+            }
+            assert_eq!(
+                per_geometry[0], per_geometry[1],
+                "{method:?} na={na}: engine geometries disagree"
+            );
+            got.push(per_geometry[0]);
+        }
+        let want: Vec<u64> = cases.iter().map(|c| c.2).collect();
+        assert_eq!(got, want, "{:#x?}", got);
+    }
+
     #[test]
     fn stream_digest_collapses_b_but_separates_complete() {
         let o = PmaxtOptions::default();

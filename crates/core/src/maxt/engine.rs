@@ -398,13 +398,15 @@ pub fn maxt_threaded(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> R
 }
 
 /// Reusable per-worker buffers for the batched accumulation loop: the label
-/// arrangements, the gene-major score buffer and the scorer's scratch.
-/// Allocated once per worker (via [`MaxTContext::batch_buffers`]) and reused
-/// across every batch, so the hot loop performs no allocation.
+/// arrangements, the gene-major score buffer, the running-maximum row of
+/// the count pass and the scorer's scratch. Allocated once per worker (via
+/// [`MaxTContext::batch_buffers`]) and reused across every batch, so the hot
+/// loop performs no allocation.
 #[derive(Debug)]
 pub struct BatchBuffers {
     labels_bufs: Vec<Vec<u8>>,
     scores: Vec<f64>,
+    run_max: Vec<f64>,
     scratch: ScorerScratch,
 }
 
@@ -419,6 +421,7 @@ impl MaxTContext<'_> {
         BatchBuffers {
             labels_bufs: vec![vec![0u8; self.cols]; batch],
             scores: vec![0.0f64; self.genes * batch],
+            run_max: vec![0.0f64; batch],
             scratch,
         }
     }
@@ -477,7 +480,7 @@ impl MaxTContext<'_> {
                 &mut bufs.scores,
                 batch,
             );
-            self.count_batch(&bufs.scores, batch, k, acc);
+            self.count_batch(&bufs.scores, batch, &mut bufs.run_max[..k], acc);
             done += k as u64;
         }
         done
@@ -513,48 +516,51 @@ impl MaxTContext<'_> {
     }
 
     /// Raw and step-down (successive-maxima) exceedance counts over a scored
-    /// batch of `k` arrangements.
-    fn count_batch(&self, scores: &[f64], stride: usize, k: usize, acc: &mut CountAccumulator) {
-        let genes = self.genes();
-        for g in 0..genes {
-            let observed = self.obs_scores[g] - EPSILON;
-            for &score in &scores[g * stride..g * stride + k] {
-                if score >= observed {
-                    acc.count_raw[g] += 1;
+    /// batch of `run_max.len()` arrangements. Both passes walk genes in the
+    /// outer loop and a gene's contiguous row of arrangement scores in the
+    /// inner one, counting into a local, so the compare loops vectorize.
+    /// `run_max` holds one running maximum per arrangement; each
+    /// arrangement's maxima and comparisons are the ones the
+    /// one-permutation-at-a-time loop makes, in the same gene order.
+    fn count_batch(
+        &self,
+        scores: &[f64],
+        stride: usize,
+        run_max: &mut [f64],
+        acc: &mut CountAccumulator,
+    ) {
+        let k = run_max.len();
+        let row = |g: usize| &scores[g * stride..g * stride + k];
+        let exceeding = |vals: &[f64], observed: f64| {
+            let observed = observed - EPSILON;
+            vals.iter().filter(|&&s| s >= observed).count() as u64
+        };
+        let fold_max = |run_max: &mut [f64], row: &[f64]| {
+            for (m, &s) in run_max.iter_mut().zip(row) {
+                if s > *m {
+                    *m = s;
                 }
             }
+        };
+        for g in 0..self.genes {
+            acc.count_raw[g] += exceeding(row(g), self.obs_scores[g]);
         }
+        run_max.fill(f64::NEG_INFINITY);
         if self.single_step() {
             // Single-step (`tmax`): one global max per arrangement, compared
             // against every ordered observed score — the batched twin of the
             // branch in `MaxTContext::accumulate`.
-            for j in 0..k {
-                let mut gmax = f64::NEG_INFINITY;
-                for g in 0..genes {
-                    let s = scores[g * stride + j];
-                    if s > gmax {
-                        gmax = s;
-                    }
-                }
-                for i in 0..genes {
-                    if gmax >= self.obs_scores_ordered[i] - EPSILON {
-                        acc.count_adj[i] += 1;
-                    }
-                }
+            for g in 0..self.genes {
+                fold_max(run_max, row(g));
             }
-            acc.n_perm += k as u64;
-            return;
-        }
-        for j in 0..k {
-            let mut running_max = f64::NEG_INFINITY;
-            for i in (0..genes).rev() {
-                let s = scores[self.order[i] * stride + j];
-                if s > running_max {
-                    running_max = s;
-                }
-                if running_max >= self.obs_scores_ordered[i] - EPSILON {
-                    acc.count_adj[i] += 1;
-                }
+            for (i, &observed) in self.obs_scores_ordered.iter().enumerate() {
+                acc.count_adj[i] += exceeding(run_max, observed);
+            }
+        } else {
+            // Successive maxima from the least extreme ordered gene upwards.
+            for i in (0..self.genes).rev() {
+                fold_max(run_max, row(self.order[i]));
+                acc.count_adj[i] += exceeding(run_max, self.obs_scores_ordered[i]);
             }
         }
         acc.n_perm += k as u64;

@@ -5,11 +5,12 @@
 use std::borrow::Cow;
 
 use crate::error::{Error, Result};
-use crate::labels::ClassLabels;
+use crate::labels::{ClassLabels, Design};
 use crate::matrix::Matrix;
 use crate::maxt::engine::{self, EngineConfig};
+use crate::maxt::minp::DEFAULT_MINP_BUDGET_BYTES;
 use crate::maxt::{MaxTContext, MaxTResult};
-use crate::options::PmaxtOptions;
+use crate::options::{PmaxtOptions, SamplingMode};
 use crate::perm::resolve_permutation_count;
 use crate::stats::prepare_matrix;
 
@@ -102,7 +103,38 @@ pub fn validate_run<'a>(
         None => Cow::Borrowed(data),
     };
     let b = resolve_permutation_count(&labels, opts)?;
+    check_stored_budget(&labels, b, opts)?;
     Ok((labels, b, data))
+}
+
+/// Refuse a stored-sampling run (`fixed.seed.sampling = "n"`) whose
+/// arrangements cannot fit [`DEFAULT_MINP_BUDGET_BYTES`]: every engine
+/// worker materializes all `B × n` label bytes in its own generator, so the
+/// run holds `workers × B × n` bytes. Complete enumeration and block designs
+/// never materialize. The refusal names the largest `B` that fits.
+fn check_stored_budget(labels: &ClassLabels, b: u64, opts: &PmaxtOptions) -> Result<()> {
+    let block = matches!(labels.design(), Design::Block { .. });
+    if opts.sampling != SamplingMode::Stored || opts.b == 0 || block {
+        return Ok(());
+    }
+    let workers = EngineConfig::resolve(opts).threads;
+    let per_arrangement = (workers * labels.len()) as u128;
+    let budget = DEFAULT_MINP_BUDGET_BYTES as u128;
+    let need = u128::from(b) * per_arrangement;
+    if need <= budget {
+        return Ok(());
+    }
+    Err(Error::BadOption {
+        param: "b",
+        value: format!(
+            "{b} (stored sampling keeps every arrangement in memory, {workers} worker(s) x \
+             B arrangements x {} label bytes, needs {need} bytes, over the {} MiB budget; \
+             the largest B accepted is {}; --fixed-seed y samples on the fly)",
+            labels.len(),
+            budget >> 20,
+            budget / per_arrangement
+        ),
+    })
 }
 
 #[cfg(test)]

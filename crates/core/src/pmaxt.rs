@@ -27,6 +27,7 @@ use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::maxt::engine::{self, EngineConfig};
+use crate::maxt::serial::validate_run;
 use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult};
 use crate::options::PmaxtOptions;
 use crate::perm::resolve_permutation_count;
@@ -200,15 +201,7 @@ pub fn pmaxt(
     }
     // Validate up front so common errors surface as typed errors rather than
     // rank panics.
-    let labels = ClassLabels::new(classlabel.to_vec(), opts.test)?;
-    if labels.len() != data.cols() {
-        return Err(Error::BadLabels(format!(
-            "classlabel length {} does not match {} data columns",
-            labels.len(),
-            data.cols()
-        )));
-    }
-    resolve_permutation_count(&labels, opts)?;
+    validate_run(data, classlabel, opts)?;
 
     let master_input = Arc::new((data.clone(), classlabel.to_vec(), opts.clone()));
     let outputs = Universe::run(n_ranks, move |comm| pmaxt_rank(comm, Some(&master_input)))

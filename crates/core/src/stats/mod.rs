@@ -9,8 +9,6 @@ pub mod moments;
 pub mod pair_t;
 pub mod ranks;
 pub mod scorer;
-#[cfg(feature = "explicit-simd")]
-pub(crate) mod simd;
 pub mod soa;
 pub mod two_sample;
 pub mod wilcoxon;

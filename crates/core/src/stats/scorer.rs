@@ -17,6 +17,11 @@
 //!    columns in the outer loop and a contiguous lane of genes in the inner
 //!    loop** — an independent-accumulator form the compiler autovectorizes
 //!    (see `stats::soa` for the kernels and DESIGN.md §4.10 for the layout).
+//!    The two-sample family and Wilcoxon keep a [`BLOCK`] of genes'
+//!    accumulators in registers per arrangement and finish each block in a
+//!    branch-free lane loop. Every fast scorer's tile body is compiled for
+//!    the baseline ISA and for AVX2, and the scorer runs the one [`Isa`]
+//!    named when it was built.
 //!
 //! All six `mt.maxT` statistics have fast implementations here:
 //!
@@ -86,6 +91,8 @@
 //! SIMD lane width at a documented relative-error cost (DESIGN.md §4.10).
 //! The scalar reference scorer is always `f64`.
 
+use std::ops::Range;
+
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::options::{KernelChoice, Precision, TestMethod};
@@ -94,7 +101,8 @@ use crate::stats::f_stat::f_from_sums;
 use crate::stats::moments::pivot_of;
 use crate::stats::pair_t::pairt_from_moments;
 use crate::stats::soa::{
-    lane_add, lane_add_scaled, lane_add_sq, push_sel_mask, MissMask, Real, SoaColumns, SOA_TILE,
+    lane_add, lane_add_scaled, lane_add_sq, push_sel_mask, Isa, Kernel, MissMask, Real, SoaColumns,
+    BLOCK, SOA_TILE,
 };
 use crate::stats::two_sample::{equalvar_from_moments, welch_from_moments};
 use crate::stats::wilcoxon::wilcoxon_from_counts;
@@ -190,7 +198,7 @@ pub trait Scorer: std::fmt::Debug + Send + Sync {
     fn score_tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
+        genes: Range<usize>,
         scratch: &mut ScorerScratch,
         out: &mut [f64],
         stride: usize,
@@ -211,9 +219,10 @@ pub trait Scorer: std::fmt::Debug + Send + Sync {
 /// implementation under `Auto`/`Fast`, the reference scalar scorer under
 /// `Scalar` (the `SPRINT_KERNEL` and `SPRINT_PRECISION` debug overrides are
 /// applied first). `precision` selects the accumulation element of the fast
-/// path; the scalar scorer is always `f64`. Emits a once-per-process stderr
-/// note naming the chosen path per method, so a forced scalar or `f32` run
-/// is never silent.
+/// path; the scalar scorer is always `f64`. The fast path's lane kernels run
+/// under [`Isa::host`]. Emits a once-per-process stderr note naming the
+/// chosen path (and ISA) per method, so a forced scalar or `f32` run is
+/// never silent.
 pub fn build_scorer<'a>(
     data: &'a Matrix,
     labels: &ClassLabels,
@@ -221,59 +230,267 @@ pub fn build_scorer<'a>(
     choice: KernelChoice,
     precision: Precision,
 ) -> Box<dyn Scorer + 'a> {
-    let computer = StatComputer::new(method, labels);
-    let scorer: Box<dyn Scorer + 'a> = match choice.env_override() {
-        KernelChoice::Scalar => Box::new(ScalarScorer { data, computer }),
-        KernelChoice::Auto | KernelChoice::Fast => match precision.env_override() {
-            Precision::F64 => fast_scorer::<f64>(data, method, computer.classes()),
-            Precision::F32 => fast_scorer::<f32>(data, method, computer.classes()),
-        },
+    let (scorer, isa): (Box<dyn Scorer + 'a>, _) = match choice.env_override() {
+        KernelChoice::Scalar => (
+            Box::new(ScalarScorer::new(data, StatComputer::new(method, labels))),
+            None,
+        ),
+        KernelChoice::Auto | KernelChoice::Fast => {
+            let isa = Isa::host();
+            let fast = fast_scorer_on(isa, data, labels, method, precision.env_override());
+            (fast.expect("the host runs its own ISA"), Some(isa))
+        }
     };
-    note_scorer_path(method, scorer.path());
+    note_scorer_path(method, scorer.path(), isa);
     scorer
 }
 
+/// Build the method's fast scorer with its lane kernels compiled for `isa`,
+/// or `None` when this host cannot run `isa`. No environment override
+/// applies. [`build_scorer`] passes [`Isa::host`]; the other ISAs exist so
+/// tests can hold both kernel bodies to the same bits on one host.
+pub fn fast_scorer_on(
+    isa: Isa,
+    data: &Matrix,
+    labels: &ClassLabels,
+    method: TestMethod,
+    precision: Precision,
+) -> Option<Box<dyn Scorer>> {
+    if !isa.supported() {
+        return None;
+    }
+    let k = StatComputer::new(method, labels).classes();
+    Some(match precision {
+        Precision::F64 => fast_scorer::<f64>(isa, data, method, k),
+        Precision::F32 => fast_scorer::<f32>(isa, data, method, k),
+    })
+}
+
 /// Construct the method's fast scorer at one accumulation precision.
-fn fast_scorer<R: Real>(data: &Matrix, method: TestMethod, k: usize) -> Box<dyn Scorer> {
+fn fast_scorer<R: Real>(isa: Isa, data: &Matrix, method: TestMethod, k: usize) -> Box<dyn Scorer> {
+    fn on<S: LaneScorer + 'static>(isa: Isa, lanes: S) -> Box<dyn Scorer> {
+        Box::new(OnIsa { isa, lanes })
+    }
     match method {
-        TestMethod::T => Box::new(TwoSampleScorer::<R>::new(data, true)),
-        TestMethod::TEqualVar => Box::new(TwoSampleScorer::<R>::new(data, false)),
-        TestMethod::Wilcoxon => Box::new(WilcoxonScorer::<R>::new(data)),
-        TestMethod::F => Box::new(FScorer::<R>::new(data, k)),
-        TestMethod::PairT => Box::new(PairTScorer::<R>::new(data)),
-        TestMethod::BlockF => Box::new(BlockFScorer::<R>::new(data, k)),
-        TestMethod::Corr => Box::new(CorrScorer::<R>::new(data, k)),
+        TestMethod::T => on(isa, TwoSampleScorer::<R>::new(data, true)),
+        TestMethod::TEqualVar => on(isa, TwoSampleScorer::<R>::new(data, false)),
+        TestMethod::Wilcoxon => on(isa, WilcoxonScorer::<R>::new(data)),
+        TestMethod::F => on(isa, FScorer::<R>::new(data, k)),
+        TestMethod::PairT => on(isa, PairTScorer::<R>::new(data)),
+        TestMethod::BlockF => on(isa, BlockFScorer::<R>::new(data, k)),
+        TestMethod::Corr => on(isa, CorrScorer::<R>::new(data, k)),
         // tmax scores per-gene Welch t; only the maxT counting layer differs
         // (single-step global max), which is not the scorer's concern.
-        TestMethod::TMax => Box::new(TwoSampleScorer::<R>::new(data, true)),
+        TestMethod::TMax => on(isa, TwoSampleScorer::<R>::new(data, true)),
     }
 }
 
-/// Note (once per method/path pair per process) which scorer a run uses.
-/// Mirrors the once-per-var `SPRINT_*` env warnings: a debug override or an
-/// unexpected path is visible on stderr instead of silently changing the
-/// performance profile.
-fn note_scorer_path(method: TestMethod, path: &'static str) {
+/// Note (once per method/path pair per process) which scorer a run uses,
+/// and for a fast path which ISA its kernels run under (the host's, the
+/// same for every fast scorer of the process). Mirrors the once-per-var
+/// `SPRINT_*` env warnings: a debug override or an unexpected path is
+/// visible on stderr instead of silently changing the performance profile.
+fn note_scorer_path(method: TestMethod, path: &'static str, isa: Option<Isa>) {
     use std::collections::HashSet;
     use std::sync::{Mutex, OnceLock};
     static NOTED: OnceLock<Mutex<HashSet<(&'static str, &'static str)>>> = OnceLock::new();
     let noted = NOTED.get_or_init(|| Mutex::new(HashSet::new()));
     if noted.lock().unwrap().insert((method.as_str(), path)) {
+        let kernels = isa.map_or(String::new(), |isa| format!(" ({} kernels)", isa.as_str()));
         eprintln!(
-            "note: scoring test \"{}\" via the {} scorer",
+            "note: scoring test \"{}\" via the {} scorer{kernels}",
             method.as_str(),
             path
         );
     }
 }
 
+/// The ISA-independent half of a fast scorer. [`OnIsa`] turns it into a
+/// [`Scorer`] whose `score_tile` runs `tile` compiled for one [`Isa`].
+trait LaneScorer: std::fmt::Debug + Send + Sync {
+    fn path(&self) -> &'static str;
+    fn warm_scratch(&self, _scratch: &mut ScorerScratch, _max_tile: usize) {}
+    fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch);
+    /// [`Scorer::score_tile`]'s body. Implementations are
+    /// `#[inline(always)]`, so each ISA's entry point compiles its own copy.
+    fn tile(
+        &self,
+        labels_bufs: &[Vec<u8>],
+        genes: Range<usize>,
+        scratch: &mut ScorerScratch,
+        out: &mut [f64],
+        stride: usize,
+    );
+}
+
+/// A fast scorer bound to the ISA its tile body runs under, chosen once when
+/// the scorer is built.
+#[derive(Debug)]
+struct OnIsa<S> {
+    isa: Isa,
+    lanes: S,
+}
+
+/// One `score_tile` call, as a [`Kernel`] for [`Isa::run`].
+struct TileCall<'a, S> {
+    lanes: &'a S,
+    labels_bufs: &'a [Vec<u8>],
+    genes: Range<usize>,
+    scratch: &'a mut ScorerScratch,
+    out: &'a mut [f64],
+    stride: usize,
+}
+
+impl<S: LaneScorer> Kernel for TileCall<'_, S> {
+    type Out = ();
+    #[inline(always)]
+    fn run(self) {
+        let TileCall {
+            lanes,
+            labels_bufs,
+            genes,
+            scratch,
+            out,
+            stride,
+        } = self;
+        lanes.tile(labels_bufs, genes, scratch, out, stride);
+    }
+}
+
+impl<S: LaneScorer> Scorer for OnIsa<S> {
+    fn path(&self) -> &'static str {
+        self.lanes.path()
+    }
+
+    fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
+        self.lanes.warm_scratch(scratch, max_tile);
+    }
+
+    fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
+        self.lanes.begin_batch(labels_bufs, scratch);
+    }
+
+    fn score_tile(
+        &self,
+        labels_bufs: &[Vec<u8>],
+        genes: Range<usize>,
+        scratch: &mut ScorerScratch,
+        out: &mut [f64],
+        stride: usize,
+    ) {
+        debug_assert!(labels_bufs.len() <= stride);
+        self.isa.run(TileCall {
+            lanes: &self.lanes,
+            labels_bufs,
+            genes,
+            scratch,
+            out,
+            stride,
+        });
+    }
+}
+
+/// Missing-cell bookkeeping of the scorers whose group counts depend on the
+/// arrangement (two-sample family, Wilcoxon, F, corr).
+#[derive(Debug)]
+struct Presence {
+    cols: usize,
+    /// Per gene: non-missing cell count.
+    row_n: Vec<usize>,
+    /// Per gene: no missing cells (skips the popcount correction).
+    clean: Vec<bool>,
+    /// Per [`BLOCK`] of genes: every gene clean.
+    clean_blocks: Vec<bool>,
+    /// Any gene dirty (enables the per-arrangement selection bitsets).
+    any_dirty: bool,
+    /// Per-gene missing-column bitsets.
+    miss: MissMask,
+}
+
+impl Presence {
+    fn of(data: &Matrix) -> Self {
+        let (rows, cols) = (data.rows(), data.cols());
+        let mut miss = MissMask::new(rows, cols);
+        let mut row_n = Vec::with_capacity(rows);
+        for g in 0..rows {
+            let mut n = cols;
+            for (c, v) in data.row(g).iter().enumerate() {
+                if v.is_nan() {
+                    miss.set(g, c);
+                    n -= 1;
+                }
+            }
+            row_n.push(n);
+        }
+        let clean: Vec<bool> = row_n.iter().map(|&n| n == cols).collect();
+        Presence {
+            cols,
+            clean_blocks: clean.chunks(BLOCK).map(|b| b.iter().all(|&c| c)).collect(),
+            any_dirty: clean.iter().any(|&c| !c),
+            row_n,
+            clean,
+            miss,
+        }
+    }
+
+    /// Selection bitset `i` of the batch (empty when every gene is clean).
+    fn sel<'s>(&self, sel: &'s [u64], i: usize) -> &'s [u64] {
+        let words = self.miss.words();
+        if self.any_dirty {
+            &sel[i * words..(i + 1) * words]
+        } else {
+            &[]
+        }
+    }
+
+    /// How many of the `picked` columns selected by `sel` gene `g` has.
+    #[inline]
+    fn present(&self, g: usize, picked: usize, sel: &[u64]) -> usize {
+        if self.clean[g] {
+            picked
+        } else {
+            picked - MissMask::overlap(sel, self.miss.gene(g))
+        }
+    }
+
+    /// Group sizes `(n0, n1)` of the block at `base` when the arrangement
+    /// puts the `picked` columns of `sel` in group 1; only the genes of
+    /// `live` are corrected for missing cells.
+    #[inline(always)]
+    fn block_counts<R: Real>(
+        &self,
+        base: usize,
+        live: Range<usize>,
+        picked: usize,
+        sel: &[u64],
+    ) -> ([R; BLOCK], [R; BLOCK]) {
+        let mut n0 = [R::from_usize(self.cols - picked); BLOCK];
+        let mut n1 = [R::from_usize(picked); BLOCK];
+        if !self.clean_blocks[base / BLOCK] {
+            for g in live {
+                let m1 = self.present(g, picked, sel);
+                n0[g - base] = R::from_usize(self.row_n[g] - m1);
+                n1[g - base] = R::from_usize(m1);
+            }
+        }
+        (n0, n1)
+    }
+}
+
+/// Starts of the [`BLOCK`]-aligned gene blocks that cover `genes`.
+fn blocks(genes: &Range<usize>) -> impl Iterator<Item = usize> {
+    (genes.start / BLOCK * BLOCK..genes.end).step_by(BLOCK)
+}
+
 /// Collect the group-1 column lists of each arrangement into
-/// `scratch.idx`/`scratch.offsets`, ascending — the once-per-batch O(n)
-/// step shared by the two-sample family.
-fn group1_lists(labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
+/// `scratch.idx`/`scratch.offsets`, ascending, plus their selection bitsets
+/// when any gene is dirty — the once-per-batch O(n) step shared by the
+/// two-sample family and Wilcoxon.
+fn group1_lists(labels_bufs: &[Vec<u8>], present: &Presence, scratch: &mut ScorerScratch) {
     scratch.idx.clear();
     scratch.offsets.clear();
     scratch.offsets.push(0);
+    scratch.sel.clear();
     for labels in labels_bufs {
         for (j, &l) in labels.iter().enumerate() {
             if l == 1 {
@@ -281,6 +498,33 @@ fn group1_lists(labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
             }
         }
         scratch.offsets.push(scratch.idx.len());
+        if present.any_dirty {
+            push_sel_mask(&mut scratch.sel, present.miss.words(), labels, 1);
+        }
+    }
+}
+
+/// Class-major column lists for k classes: for arrangement j and class c the
+/// list is `idx[offsets[j·k + c]..offsets[j·k + c + 1]]`, ascending — the
+/// order the scalar path pushes class-c values — plus one selection bitset
+/// per list when any gene is dirty. Shared by F and corr.
+fn class_lists(labels_bufs: &[Vec<u8>], k: usize, present: &Presence, scratch: &mut ScorerScratch) {
+    scratch.idx.clear();
+    scratch.offsets.clear();
+    scratch.offsets.push(0);
+    scratch.sel.clear();
+    for labels in labels_bufs {
+        for c in 0..k {
+            for (j, &l) in labels.iter().enumerate() {
+                if l as usize == c {
+                    scratch.idx.push(j);
+                }
+            }
+            scratch.offsets.push(scratch.idx.len());
+            if present.any_dirty {
+                push_sel_mask(&mut scratch.sel, present.miss.words(), labels, c as u8);
+            }
+        }
     }
 }
 
@@ -310,7 +554,7 @@ impl Scorer for ScalarScorer<'_> {
     fn score_tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
+        genes: Range<usize>,
         _scratch: &mut ScorerScratch,
         out: &mut [f64],
         stride: usize,
@@ -333,77 +577,57 @@ impl Scorer for ScalarScorer<'_> {
 }
 
 /// Fast scorer for `t` (Welch) and `t.equalvar`: pivot-shifted values in
-/// column-major lanes with per-gene totals S, Q; each arrangement needs one
-/// fused sum/square-sum lane accumulation over its group-1 columns.
+/// column-major lanes with per-gene totals S, Q. Per arrangement, each
+/// [`BLOCK`] of genes sums its group-1 columns into register accumulators
+/// s₁, q₁, and a branch-free lane loop turns the four moments into the
+/// statistic.
 #[derive(Debug)]
 pub struct TwoSampleScorer<R: Real> {
     welch: bool,
-    cols: usize,
     /// Pivot-shifted values, column-major; missing cells hold `+0.0`.
     vals: SoaColumns<R>,
-    /// Per gene: S = Σ shifted non-missing values (ascending column order).
+    /// Per gene, padded like a column: S = Σ shifted non-missing values
+    /// (ascending column order).
     total_sum: Vec<R>,
-    /// Per gene: Q = Σ shifted² non-missing values.
+    /// Per gene, padded like a column: Q = Σ shifted² non-missing values.
     total_sumsq: Vec<R>,
-    /// Per gene: non-missing cell count.
-    row_n: Vec<usize>,
-    /// Per gene: no missing cells (skips the popcount correction).
-    clean: Vec<bool>,
-    /// Any gene dirty (enables the per-arrangement selection bitsets).
-    any_dirty: bool,
-    /// Per-gene missing-column bitsets.
-    miss: MissMask,
+    present: Presence,
 }
 
 impl<R: Real> TwoSampleScorer<R> {
     /// Cache sufficient statistics for a prepared matrix.
     pub fn new(data: &Matrix, welch: bool) -> Self {
-        let cols = data.cols();
         let rows = data.rows();
-        let mut vals = SoaColumns::new(rows, cols);
-        let mut total_sum = Vec::with_capacity(rows);
-        let mut total_sumsq = Vec::with_capacity(rows);
-        let mut row_n = Vec::with_capacity(rows);
-        let mut clean = Vec::with_capacity(rows);
-        let mut miss = MissMask::new(rows, cols);
+        let mut vals = SoaColumns::new(rows, data.cols());
+        let mut total_sum = vec![R::ZERO; vals.lanes()];
+        let mut total_sumsq = vec![R::ZERO; vals.lanes()];
         for g in 0..rows {
             let row = data.row(g);
             let pivot = pivot_of(row);
-            let mut s = R::ZERO;
-            let mut q = R::ZERO;
-            let mut n = 0usize;
+            let (mut s, mut q) = (R::ZERO, R::ZERO);
             for (c, &v) in row.iter().enumerate() {
-                if v.is_nan() {
-                    miss.set(g, c); // cell stays +0.0 in the lane
-                } else {
+                // Missing cells stay +0.0 in the lane.
+                if !v.is_nan() {
                     let x = R::from_f64(v - pivot);
                     vals.set(c, g, x);
                     s += x;
                     q += x * x;
-                    n += 1;
                 }
             }
-            total_sum.push(s);
-            total_sumsq.push(q);
-            row_n.push(n);
-            clean.push(n == cols);
+            total_sum[g] = s;
+            total_sumsq[g] = q;
         }
-        let any_dirty = clean.iter().any(|&c| !c);
         TwoSampleScorer {
             welch,
-            cols,
             vals,
             total_sum,
             total_sumsq,
-            row_n,
-            clean,
-            any_dirty,
-            miss,
+            present: Presence::of(data),
         }
     }
 }
 
-impl<R: Real> Scorer for TwoSampleScorer<R> {
+impl<R: Real> LaneScorer for TwoSampleScorer<R> {
     fn path(&self) -> &'static str {
         if R::IS_F32 {
             "two-sample-f32"
@@ -412,139 +636,99 @@ impl<R: Real> Scorer for TwoSampleScorer<R> {
         }
     }
 
-    fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
-        R::parts(scratch)
-            .lanes
-            .resize(2 * max_tile.min(SOA_TILE), R::ZERO);
-    }
-
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
-        group1_lists(labels_bufs, scratch);
-        scratch.sel.clear();
-        if self.any_dirty {
-            for labels in labels_bufs {
-                push_sel_mask(&mut scratch.sel, self.miss.words(), labels, 1);
-            }
-        }
+        group1_lists(labels_bufs, &self.present, scratch);
     }
 
-    fn score_tile(
+    #[inline(always)]
+    fn tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
+        genes: Range<usize>,
         scratch: &mut ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
-        debug_assert!(labels_bufs.len() <= stride);
         let parts = R::parts(scratch);
-        let words = self.miss.words();
-        let mut start = genes.start;
-        while start < genes.end {
-            let chunk = start..(start + SOA_TILE).min(genes.end);
-            let width = chunk.len();
-            parts.lanes.resize(2 * width, R::ZERO);
-            let (s1l, q1l) = parts.lanes.split_at_mut(width);
+        let two = R::from_f64(2.0);
+        for base in blocks(&genes) {
+            let live = base.max(genes.start)..(base + BLOCK).min(genes.end);
+            let tot_s = &self.total_sum[base..base + BLOCK];
+            let tot_q = &self.total_sumsq[base..base + BLOCK];
             for j in 0..labels_bufs.len() {
                 let idx = &parts.idx[parts.offsets[j]..parts.offsets[j + 1]];
-                s1l.fill(R::ZERO);
-                q1l.fill(R::ZERO);
-                // Group-1 columns ascending (the scalar push order), genes
-                // inner: the autovectorized hot loop.
-                for &jc in idx {
-                    lane_add_sq(s1l, q1l, self.vals.col(jc, &chunk));
+                // Group-1 columns ascending (the scalar push order), one
+                // register block of genes inner.
+                let (mut s1, mut q1) = ([R::ZERO; BLOCK], [R::ZERO; BLOCK]);
+                for &c in idx {
+                    lane_add_sq(&mut s1, &mut q1, self.vals.block(c, base));
                 }
-                let sel: &[u64] = if self.any_dirty {
-                    &parts.sel[j * words..(j + 1) * words]
-                } else {
-                    &[]
-                };
-                for (lane, g) in chunk.clone().enumerate() {
-                    let slot = &mut out[g * stride + j];
-                    let (n1, n0) = if self.clean[g] {
-                        (idx.len(), self.cols - idx.len())
-                    } else {
-                        let n1 = idx.len() - MissMask::overlap(sel, self.miss.gene(g));
-                        (n1, self.row_n[g] - n1)
-                    };
-                    // Mirrors the scalar guard `g0.n < 2 || g1.n < 2` on the
-                    // post-NA-exclusion counts.
-                    if n0 < 2 || n1 < 2 {
-                        *slot = f64::NAN;
-                        continue;
+                let sel = self.present.sel(parts.sel, j);
+                let (n0, n1) = self
+                    .present
+                    .block_counts::<R>(base, live.clone(), idx.len(), sel);
+                // The scalar guard `g0.n < 2 || g1.n < 2` on the post-NA
+                // counts, as a select: every lane computes its statistic.
+                let mut t = [R::ZERO; BLOCK];
+                if self.welch {
+                    for i in 0..BLOCK {
+                        let (s0, q0) = (tot_s[i] - s1[i], tot_q[i] - q1[i]);
+                        let v = welch_from_moments(n0[i], s0, q0, n1[i], s1[i], q1[i]);
+                        t[i] = if n0[i] < two || n1[i] < two {
+                            R::nan()
+                        } else {
+                            v
+                        };
                     }
-                    let s1 = s1l[lane];
-                    let q1 = q1l[lane];
-                    let s0 = self.total_sum[g] - s1;
-                    let q0 = self.total_sumsq[g] - q1;
-                    *slot = if self.welch {
-                        welch_from_moments(R::from_usize(n0), s0, q0, R::from_usize(n1), s1, q1)
-                            .to_f64()
-                    } else {
-                        equalvar_from_moments(R::from_usize(n0), s0, q0, R::from_usize(n1), s1, q1)
-                            .to_f64()
-                    };
+                } else {
+                    for i in 0..BLOCK {
+                        let (s0, q0) = (tot_s[i] - s1[i], tot_q[i] - q1[i]);
+                        let v = equalvar_from_moments(n0[i], s0, q0, n1[i], s1[i], q1[i]);
+                        t[i] = if n0[i] < two || n1[i] < two {
+                            R::nan()
+                        } else {
+                            v
+                        };
+                    }
+                }
+                for g in live.clone() {
+                    out[g * stride + j] = t[g - base].to_f64();
                 }
             }
-            start = chunk.end;
         }
     }
 }
 
-/// Fast scorer for `wilcoxon`: lanes hold cached midranks, the group-1 lane
-/// sum is the rank sum W, and the statistic is a pure function of W and the
-/// group sizes — bitwise identical to the scalar path end to end.
+/// Fast scorer for `wilcoxon`: lanes hold cached midranks, the group-1 sum
+/// over a register block is the rank sum W, and the statistic is a pure
+/// function of W and the group sizes — bitwise identical to the scalar path
+/// end to end.
 #[derive(Debug)]
 pub struct WilcoxonScorer<R: Real> {
-    cols: usize,
     /// Midranks, column-major; missing cells hold `+0.0`.
     vals: SoaColumns<R>,
-    /// Per gene: non-missing cell count.
-    row_n: Vec<usize>,
-    /// Per gene: no missing cells.
-    clean: Vec<bool>,
-    /// Any gene dirty.
-    any_dirty: bool,
-    /// Per-gene missing-column bitsets.
-    miss: MissMask,
+    present: Presence,
 }
 
 impl<R: Real> WilcoxonScorer<R> {
     /// Cache the (already rank-transformed) rows.
     pub fn new(data: &Matrix) -> Self {
-        let cols = data.cols();
-        let rows = data.rows();
-        let mut vals = SoaColumns::new(rows, cols);
-        let mut row_n = Vec::with_capacity(rows);
-        let mut clean = Vec::with_capacity(rows);
-        let mut miss = MissMask::new(rows, cols);
-        for g in 0..rows {
-            let row = data.row(g);
-            let mut n = 0usize;
-            for (c, &v) in row.iter().enumerate() {
-                if v.is_nan() {
-                    miss.set(g, c);
-                } else {
+        let mut vals = SoaColumns::new(data.rows(), data.cols());
+        for g in 0..data.rows() {
+            for (c, &v) in data.row(g).iter().enumerate() {
+                if !v.is_nan() {
                     vals.set(c, g, R::from_f64(v));
-                    n += 1;
                 }
             }
-            row_n.push(n);
-            clean.push(n == cols);
         }
-        let any_dirty = clean.iter().any(|&c| !c);
         WilcoxonScorer {
-            cols,
             vals,
-            row_n,
-            clean,
-            any_dirty,
-            miss,
+            present: Presence::of(data),
         }
     }
 }
 
-impl<R: Real> Scorer for WilcoxonScorer<R> {
+impl<R: Real> LaneScorer for WilcoxonScorer<R> {
     fn path(&self) -> &'static str {
         if R::IS_F32 {
             "wilcoxon-f32"
@@ -553,66 +737,45 @@ impl<R: Real> Scorer for WilcoxonScorer<R> {
         }
     }
 
-    fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
-        R::parts(scratch)
-            .lanes
-            .resize(max_tile.min(SOA_TILE), R::ZERO);
-    }
-
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
-        group1_lists(labels_bufs, scratch);
-        scratch.sel.clear();
-        if self.any_dirty {
-            for labels in labels_bufs {
-                push_sel_mask(&mut scratch.sel, self.miss.words(), labels, 1);
-            }
-        }
+        group1_lists(labels_bufs, &self.present, scratch);
     }
 
-    fn score_tile(
+    #[inline(always)]
+    fn tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
+        genes: Range<usize>,
         scratch: &mut ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
-        debug_assert!(labels_bufs.len() <= stride);
         let parts = R::parts(scratch);
-        let words = self.miss.words();
-        let mut start = genes.start;
-        while start < genes.end {
-            let chunk = start..(start + SOA_TILE).min(genes.end);
-            let width = chunk.len();
-            parts.lanes.resize(width, R::ZERO);
-            let wl = &mut parts.lanes[..width];
+        for base in blocks(&genes) {
+            let live = base.max(genes.start)..(base + BLOCK).min(genes.end);
             for j in 0..labels_bufs.len() {
                 let idx = &parts.idx[parts.offsets[j]..parts.offsets[j + 1]];
-                wl.fill(R::ZERO);
-                for &jc in idx {
-                    lane_add(wl, self.vals.col(jc, &chunk));
+                let mut w = [R::ZERO; BLOCK];
+                for &c in idx {
+                    lane_add(&mut w, self.vals.block(c, base));
                 }
-                let sel: &[u64] = if self.any_dirty {
-                    &parts.sel[j * words..(j + 1) * words]
-                } else {
-                    &[]
-                };
-                for (lane, g) in chunk.clone().enumerate() {
-                    let slot = &mut out[g * stride + j];
-                    let (n1, n0) = if self.clean[g] {
-                        (idx.len(), self.cols - idx.len())
+                let sel = self.present.sel(parts.sel, j);
+                let (n0, n1) = self
+                    .present
+                    .block_counts::<R>(base, live.clone(), idx.len(), sel);
+                let mut z = [R::ZERO; BLOCK];
+                for i in 0..BLOCK {
+                    let v = wilcoxon_from_counts(n0[i], n1[i], w[i]);
+                    z[i] = if n0[i] == R::ZERO || n1[i] == R::ZERO {
+                        R::nan()
                     } else {
-                        let n1 = idx.len() - MissMask::overlap(sel, self.miss.gene(g));
-                        (n1, self.row_n[g] - n1)
+                        v
                     };
-                    *slot = if n0 == 0 || n1 == 0 {
-                        f64::NAN
-                    } else {
-                        wilcoxon_from_counts(n0, n1, wl[lane]).to_f64()
-                    };
+                }
+                for g in live.clone() {
+                    out[g * stride + j] = z[g - base].to_f64();
                 }
             }
-            start = chunk.end;
         }
     }
 }
@@ -630,59 +793,39 @@ pub struct FScorer<R: Real> {
     /// (permutation-invariant; garbage when `row_n == 0`, guarded by
     /// `n <= k`).
     grand_mean: Vec<R>,
-    /// Per gene: non-missing cell count.
-    row_n: Vec<usize>,
-    /// Per gene: no missing cells.
-    clean: Vec<bool>,
-    /// Any gene dirty.
-    any_dirty: bool,
-    /// Per-gene missing-column bitsets.
-    miss: MissMask,
+    present: Presence,
 }
 
 impl<R: Real> FScorer<R> {
     /// Cache sufficient statistics; `k` is the class count of the design.
     pub fn new(data: &Matrix, k: usize) -> Self {
-        let cols = data.cols();
         let rows = data.rows();
-        let mut vals = SoaColumns::new(rows, cols);
+        let present = Presence::of(data);
+        let mut vals = SoaColumns::new(rows, data.cols());
         let mut grand_mean = Vec::with_capacity(rows);
-        let mut row_n = Vec::with_capacity(rows);
-        let mut clean = Vec::with_capacity(rows);
-        let mut miss = MissMask::new(rows, cols);
         for g in 0..rows {
             let row = data.row(g);
             let pivot = pivot_of(row);
             let mut s = R::ZERO;
-            let mut n = 0usize;
             for (c, &v) in row.iter().enumerate() {
-                if v.is_nan() {
-                    miss.set(g, c);
-                } else {
+                if !v.is_nan() {
                     let x = R::from_f64(v - pivot);
                     vals.set(c, g, x);
                     s += x;
-                    n += 1;
                 }
             }
-            grand_mean.push(s / R::from_usize(n));
-            row_n.push(n);
-            clean.push(n == cols);
+            grand_mean.push(s / R::from_usize(present.row_n[g]));
         }
-        let any_dirty = clean.iter().any(|&c| !c);
         FScorer {
             k,
             vals,
             grand_mean,
-            row_n,
-            clean,
-            any_dirty,
-            miss,
+            present,
         }
     }
 }
 
-impl<R: Real> Scorer for FScorer<R> {
+impl<R: Real> LaneScorer for FScorer<R> {
     fn path(&self) -> &'static str {
         if R::IS_F32 {
             "f-f32"
@@ -698,40 +841,20 @@ impl<R: Real> Scorer for FScorer<R> {
     }
 
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
-        // Class-major column lists: for arrangement j and class c the list is
-        // `idx[offsets[j·k + c]..offsets[j·k + c + 1]]`, ascending — the
-        // order the scalar path pushes class-c values.
-        scratch.idx.clear();
-        scratch.offsets.clear();
-        scratch.offsets.push(0);
-        scratch.sel.clear();
-        for labels in labels_bufs {
-            for c in 0..self.k {
-                for (j, &l) in labels.iter().enumerate() {
-                    if l as usize == c {
-                        scratch.idx.push(j);
-                    }
-                }
-                scratch.offsets.push(scratch.idx.len());
-                if self.any_dirty {
-                    push_sel_mask(&mut scratch.sel, self.miss.words(), labels, c as u8);
-                }
-            }
-        }
+        class_lists(labels_bufs, self.k, &self.present, scratch);
     }
 
-    fn score_tile(
+    #[inline(always)]
+    fn tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
+        genes: Range<usize>,
         scratch: &mut ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
-        debug_assert!(labels_bufs.len() <= stride);
         let k = self.k;
         let parts = R::parts(scratch);
-        let words = self.miss.words();
         // Class sizes are permutation-invariant, so arrangement 0 tells all:
         // an empty class plants NaN markers in every lane of every tile and
         // the branch-free output sweep must stand down.
@@ -745,7 +868,8 @@ impl<R: Real> Scorer for FScorer<R> {
             // class sizes), so the finalization sweeps autovectorize. The
             // arithmetic sequence per lane is the same either way — the
             // split is a control-flow specialization, not a formula change.
-            let all_clean = !self.any_dirty || self.clean[chunk.clone()].iter().all(|&c| c);
+            let all_clean =
+                !self.present.any_dirty || self.present.clean[chunk.clone()].iter().all(|&c| c);
             let gm = &self.grand_mean[chunk.clone()];
             parts.lanes.resize(4 * width, R::ZERO);
             let (scl, rest) = parts.lanes.split_at_mut(width);
@@ -774,17 +898,9 @@ impl<R: Real> Scorer for FScorer<R> {
                         }
                         continue;
                     }
-                    let sel: &[u64] = if self.any_dirty {
-                        &parts.sel[(j * k + c) * words..(j * k + c + 1) * words]
-                    } else {
-                        &[]
-                    };
+                    let sel = self.present.sel(parts.sel, j * k + c);
                     for (lane, g) in chunk.clone().enumerate() {
-                        let nc = if self.clean[g] {
-                            cls.len()
-                        } else {
-                            cls.len() - MissMask::overlap(sel, self.miss.gene(g))
-                        };
+                        let nc = self.present.present(g, cls.len(), sel);
                         if nc == 0 {
                             // Empty class ⇒ NaN; the marker survives later
                             // classes because NaN + x = NaN.
@@ -799,18 +915,18 @@ impl<R: Real> Scorer for FScorer<R> {
                         ssw[lane] += (qcl[lane] - scl[lane] * scl[lane] / ncf).max(R::ZERO);
                     }
                 }
-                if all_clean && !has_empty_class && self.row_n[chunk.start] > k {
+                if all_clean && !has_empty_class && self.present.row_n[chunk.start] > k {
                     // Clean tile: n is tile-uniform, no NaN markers can have
                     // been set (class sizes are permutation-invariant and
                     // non-zero), so the output sweep is branch-free too.
-                    let n = self.row_n[chunk.start];
+                    let n = self.present.row_n[chunk.start];
                     for (lane, g) in chunk.clone().enumerate() {
                         out[g * stride + j] = f_from_sums(k, n, ssb[lane], ssw[lane]).to_f64();
                     }
                     continue;
                 }
                 for (lane, g) in chunk.clone().enumerate() {
-                    let n = self.row_n[g];
+                    let n = self.present.row_n[g];
                     // Mirrors the scalar `n <= k` degrees-of-freedom guard;
                     // the non-missing count is permutation-invariant.
                     out[g * stride + j] = if n <= k || ssw[lane].is_nan() {
@@ -842,63 +958,40 @@ pub struct CorrScorer<R: Real> {
     total_sum: Vec<R>,
     /// Per gene: Σx² over non-missing values.
     total_sumsq: Vec<R>,
-    /// Per gene: non-missing cell count.
-    row_n: Vec<usize>,
-    /// Per gene: no missing cells.
-    clean: Vec<bool>,
-    /// Any gene dirty.
-    any_dirty: bool,
-    /// Per-gene missing-column bitsets.
-    miss: MissMask,
+    present: Presence,
 }
 
 impl<R: Real> CorrScorer<R> {
     /// Cache the x-side sufficient statistics; `k` is the class count.
     pub fn new(data: &Matrix, k: usize) -> Self {
-        let cols = data.cols();
         let rows = data.rows();
-        let mut vals = SoaColumns::new(rows, cols);
+        let mut vals = SoaColumns::new(rows, data.cols());
         let mut total_sum = Vec::with_capacity(rows);
         let mut total_sumsq = Vec::with_capacity(rows);
-        let mut row_n = Vec::with_capacity(rows);
-        let mut clean = Vec::with_capacity(rows);
-        let mut miss = MissMask::new(rows, cols);
         for g in 0..rows {
-            let row = data.row(g);
-            let mut s = R::ZERO;
-            let mut q = R::ZERO;
-            let mut n = 0usize;
-            for (c, &v) in row.iter().enumerate() {
-                if v.is_nan() {
-                    miss.set(g, c);
-                } else {
+            let (mut s, mut q) = (R::ZERO, R::ZERO);
+            for (c, &v) in data.row(g).iter().enumerate() {
+                if !v.is_nan() {
                     let x = R::from_f64(v);
                     vals.set(c, g, x);
                     s += x;
                     q += x * x;
-                    n += 1;
                 }
             }
             total_sum.push(s);
             total_sumsq.push(q);
-            row_n.push(n);
-            clean.push(n == cols);
         }
-        let any_dirty = clean.iter().any(|&c| !c);
         CorrScorer {
             k,
             vals,
             total_sum,
             total_sumsq,
-            row_n,
-            clean,
-            any_dirty,
-            miss,
+            present: Presence::of(data),
         }
     }
 }
 
-impl<R: Real> Scorer for CorrScorer<R> {
+impl<R: Real> LaneScorer for CorrScorer<R> {
     fn path(&self) -> &'static str {
         if R::IS_F32 {
             "corr-f32"
@@ -915,42 +1008,26 @@ impl<R: Real> Scorer for CorrScorer<R> {
 
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
         // Class-major column lists exactly as FScorer builds them.
-        scratch.idx.clear();
-        scratch.offsets.clear();
-        scratch.offsets.push(0);
-        scratch.sel.clear();
-        for labels in labels_bufs {
-            for c in 0..self.k {
-                for (j, &l) in labels.iter().enumerate() {
-                    if l as usize == c {
-                        scratch.idx.push(j);
-                    }
-                }
-                scratch.offsets.push(scratch.idx.len());
-                if self.any_dirty {
-                    push_sel_mask(&mut scratch.sel, self.miss.words(), labels, c as u8);
-                }
-            }
-        }
+        class_lists(labels_bufs, self.k, &self.present, scratch);
     }
 
-    fn score_tile(
+    #[inline(always)]
+    fn tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
+        genes: Range<usize>,
         scratch: &mut ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
-        debug_assert!(labels_bufs.len() <= stride);
         let k = self.k;
         let parts = R::parts(scratch);
-        let words = self.miss.words();
         let mut start = genes.start;
         while start < genes.end {
             let chunk = start..(start + SOA_TILE).min(genes.end);
             let width = chunk.len();
-            let all_clean = !self.any_dirty || self.clean[chunk.clone()].iter().all(|&c| c);
+            let all_clean =
+                !self.present.any_dirty || self.present.clean[chunk.clone()].iter().all(|&c| c);
             parts.lanes.resize(4 * width, R::ZERO);
             let (scl, rest) = parts.lanes.split_at_mut(width);
             let (sxyl, rest) = rest.split_at_mut(width);
@@ -980,21 +1057,16 @@ impl<R: Real> Scorer for CorrScorer<R> {
                         syy_const += cf * cf * ncf;
                         continue;
                     }
-                    let sel = &parts.sel[(j * k + c) * words..(j * k + c + 1) * words];
+                    let sel = self.present.sel(parts.sel, j * k + c);
                     for (lane, g) in chunk.clone().enumerate() {
-                        let nc = if self.clean[g] {
-                            cls.len()
-                        } else {
-                            cls.len() - MissMask::overlap(sel, self.miss.gene(g))
-                        };
-                        let ncf = R::from_usize(nc);
+                        let ncf = R::from_usize(self.present.present(g, cls.len(), sel));
                         syl[lane] += cf * ncf;
                         syyl[lane] += cf * cf * ncf;
                     }
                 }
                 for (lane, g) in chunk.clone().enumerate() {
                     let slot = &mut out[g * stride + j];
-                    let n = self.row_n[g];
+                    let n = self.present.row_n[g];
                     // Mirrors the scalar guard: < 3 complete samples ⇒ NaN.
                     if n < 3 {
                         *slot = f64::NAN;
@@ -1075,7 +1147,7 @@ impl<R: Real> PairTScorer<R> {
     }
 }
 
-impl<R: Real> Scorer for PairTScorer<R> {
+impl<R: Real> LaneScorer for PairTScorer<R> {
     fn path(&self) -> &'static str {
         if R::IS_F32 {
             "pairt-f32"
@@ -1104,15 +1176,15 @@ impl<R: Real> Scorer for PairTScorer<R> {
         }
     }
 
-    fn score_tile(
+    #[inline(always)]
+    fn tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
+        genes: Range<usize>,
         scratch: &mut ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
-        debug_assert!(labels_bufs.len() <= stride);
         let pairs = self.pairs;
         let parts = R::parts(scratch);
         let mut start = genes.start;
@@ -1220,7 +1292,7 @@ impl<R: Real> BlockFScorer<R> {
     }
 }
 
-impl<R: Real> Scorer for BlockFScorer<R> {
+impl<R: Real> LaneScorer for BlockFScorer<R> {
     fn path(&self) -> &'static str {
         if R::IS_F32 {
             "blockf-f32"
@@ -1237,15 +1309,15 @@ impl<R: Real> Scorer for BlockFScorer<R> {
 
     fn begin_batch(&self, _labels_bufs: &[Vec<u8>], _scratch: &mut ScorerScratch) {}
 
-    fn score_tile(
+    #[inline(always)]
+    fn tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
+        genes: Range<usize>,
         scratch: &mut ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
-        debug_assert!(labels_bufs.len() <= stride);
         let k = self.k;
         let parts = R::parts(scratch);
         let mut start = genes.start;
@@ -1295,6 +1367,14 @@ mod tests {
     use crate::stats::ranks::midranks;
     use crate::stats::two_sample::{equalvar_t, welch_t};
     use crate::stats::wilcoxon::wilcoxon_from_ranks;
+
+    /// A fast scorer on this host's ISA, as `build_scorer` makes it.
+    fn fast<S: LaneScorer>(lanes: S) -> OnIsa<S> {
+        OnIsa {
+            isa: Isa::host(),
+            lanes,
+        }
+    }
 
     fn labels_of(method: TestMethod, raw: Vec<u8>) -> ClassLabels {
         ClassLabels::new(raw, method).unwrap()
@@ -1376,7 +1456,7 @@ mod tests {
         let row = vec![3.5, -1.25, 7.0, 0.5, 2.25, -4.0, 9.5, 1.0];
         let m = Matrix::from_vec(1, 8, row.clone()).unwrap();
         for welch in [true, false] {
-            let scorer = TwoSampleScorer::<f64>::new(&m, welch);
+            let scorer = fast(TwoSampleScorer::<f64>::new(&m, welch));
             for labels in [
                 [0u8, 0, 0, 0, 1, 1, 1, 1],
                 [1, 0, 1, 0, 1, 0, 1, 0],
@@ -1398,7 +1478,7 @@ mod tests {
         let row = vec![3.5, f64::NAN, 7.0, 0.5, f64::NAN, -4.0, 9.5, 1.0];
         let m = Matrix::from_vec(1, 8, row.clone()).unwrap();
         for welch in [true, false] {
-            let scorer = TwoSampleScorer::<f64>::new(&m, welch);
+            let scorer = fast(TwoSampleScorer::<f64>::new(&m, welch));
             for labels in [
                 [0u8, 0, 0, 0, 1, 1, 1, 1],
                 [1, 0, 1, 0, 1, 0, 1, 0],
@@ -1421,7 +1501,7 @@ mod tests {
         let mut ranks = midranks(&data);
         ranks[3] = f64::NAN; // a missing cell after ranking exercises the dirty path
         let m = Matrix::from_vec(1, 8, ranks.clone()).unwrap();
-        let scorer = WilcoxonScorer::<f64>::new(&m);
+        let scorer = fast(WilcoxonScorer::<f64>::new(&m));
         for labels in [
             [0u8, 0, 0, 0, 1, 1, 1, 1],
             [1, 0, 1, 0, 1, 0, 1, 0],
@@ -1443,7 +1523,7 @@ mod tests {
         ];
         for row in &rows {
             let m = Matrix::from_vec(1, 6, row.clone()).unwrap();
-            let scorer = FScorer::<f64>::new(&m, 3);
+            let scorer = fast(FScorer::<f64>::new(&m, 3));
             for labels in [[0u8, 0, 1, 1, 2, 2], [2, 1, 0, 2, 1, 0], [0, 1, 2, 0, 1, 2]] {
                 let fast = stats_for(&scorer, &labels, 1)[0];
                 let scalar = oneway_f(row, &labels, 3);
@@ -1466,7 +1546,7 @@ mod tests {
         ];
         for row in &rows {
             let m = Matrix::from_vec(1, 8, row.clone()).unwrap();
-            let scorer = PairTScorer::<f64>::new(&m);
+            let scorer = fast(PairTScorer::<f64>::new(&m));
             for labels in [
                 [0u8, 1, 0, 1, 0, 1, 0, 1],
                 [1, 0, 1, 0, 1, 0, 1, 0],
@@ -1493,7 +1573,7 @@ mod tests {
         ];
         for row in &rows {
             let m = Matrix::from_vec(1, 6, row.clone()).unwrap();
-            let scorer = BlockFScorer::<f64>::new(&m, 2);
+            let scorer = fast(BlockFScorer::<f64>::new(&m, 2));
             for labels in [[0u8, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0], [0, 1, 1, 0, 0, 1]] {
                 let fast = stats_for(&scorer, &labels, 1)[0];
                 let scalar = block_f(row, &labels, 2);
@@ -1542,12 +1622,12 @@ mod tests {
             [0, 1, 1, 0, 1, 0, 0, 1],
         ];
         let scorers: Vec<Box<dyn Scorer>> = vec![
-            Box::new(TwoSampleScorer::<f64>::new(&m, true)),
-            Box::new(TwoSampleScorer::<f64>::new(&m, false)),
-            Box::new(WilcoxonScorer::<f64>::new(&m)),
-            Box::new(FScorer::<f64>::new(&m, 2)),
-            Box::new(PairTScorer::<f64>::new(&m)),
-            Box::new(BlockFScorer::<f64>::new(&m, 2)),
+            Box::new(fast(TwoSampleScorer::<f64>::new(&m, true))),
+            Box::new(fast(TwoSampleScorer::<f64>::new(&m, false))),
+            Box::new(fast(WilcoxonScorer::<f64>::new(&m))),
+            Box::new(fast(FScorer::<f64>::new(&m, 2))),
+            Box::new(fast(PairTScorer::<f64>::new(&m))),
+            Box::new(fast(BlockFScorer::<f64>::new(&m, 2))),
         ];
         let bufs: Vec<Vec<u8>> = arrangements.iter().map(|a| a.to_vec()).collect();
         for scorer in &scorers {
@@ -1577,7 +1657,7 @@ mod tests {
     fn constant_row_gives_nan_like_scalar() {
         let row = vec![5.0; 6];
         let m = Matrix::from_vec(1, 6, row.clone()).unwrap();
-        let scorer = TwoSampleScorer::<f64>::new(&m, true);
+        let scorer = fast(TwoSampleScorer::<f64>::new(&m, true));
         let labels = [0u8, 0, 0, 1, 1, 1];
         assert!(stats_for(&scorer, &labels, 1)[0].is_nan());
         assert!(welch_t(&row, &labels).is_nan());
@@ -1586,11 +1666,11 @@ mod tests {
     #[test]
     fn degenerate_group_sizes_give_nan() {
         let m = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let t = TwoSampleScorer::<f64>::new(&m, true);
+        let t = fast(TwoSampleScorer::<f64>::new(&m, true));
         // One group-1 column: t undefined.
         assert!(stats_for(&t, &[0, 0, 0, 1], 1)[0].is_nan());
         // Wilcoxon allows 1 but not 0.
-        let w = WilcoxonScorer::<f64>::new(&m);
+        let w = fast(WilcoxonScorer::<f64>::new(&m));
         assert!(stats_for(&w, &[0, 0, 0, 0], 1)[0].is_nan());
         assert!(stats_for(&w, &[0, 0, 0, 1], 1)[0].is_finite());
     }
@@ -1600,11 +1680,11 @@ mod tests {
         let m = Matrix::from_vec(1, 4, vec![f64::NAN; 4]).unwrap();
         let labels = [0u8, 0, 1, 1];
         for scorer in [
-            Box::new(TwoSampleScorer::<f64>::new(&m, true)) as Box<dyn Scorer>,
-            Box::new(WilcoxonScorer::<f64>::new(&m)),
-            Box::new(FScorer::<f64>::new(&m, 2)),
-            Box::new(PairTScorer::<f64>::new(&m)),
-            Box::new(BlockFScorer::<f64>::new(&m, 2)),
+            Box::new(fast(TwoSampleScorer::<f64>::new(&m, true))) as Box<dyn Scorer>,
+            Box::new(fast(WilcoxonScorer::<f64>::new(&m))),
+            Box::new(fast(FScorer::<f64>::new(&m, 2))),
+            Box::new(fast(PairTScorer::<f64>::new(&m))),
+            Box::new(fast(BlockFScorer::<f64>::new(&m, 2))),
         ] {
             assert!(
                 stats_for(scorer.as_ref(), &labels, 1)[0].is_nan(),
@@ -1623,7 +1703,7 @@ mod tests {
             .collect();
         let centered: Vec<f64> = row.iter().map(|v| v - base).collect();
         let m = Matrix::from_vec(1, 6, row).unwrap();
-        let scorer = TwoSampleScorer::<f64>::new(&m, true);
+        let scorer = fast(TwoSampleScorer::<f64>::new(&m, true));
         let labels = [0u8, 0, 0, 1, 1, 1];
         let fast = stats_for(&scorer, &labels, 1)[0];
         let reference = welch_t(&centered, &labels);
@@ -1645,7 +1725,7 @@ mod tests {
         }
         let m = Matrix::from_vec(genes, cols, data).unwrap();
         let labels = vec![0u8, 1, 0, 1, 0, 1];
-        let scorer = TwoSampleScorer::<f64>::new(&m, true);
+        let scorer = fast(TwoSampleScorer::<f64>::new(&m, true));
         let bufs = [labels.clone()];
         let mut scratch = scorer.make_scratch();
         scorer.begin_batch(&bufs, &mut scratch);

@@ -20,6 +20,12 @@
 //!
 //! Everything is generic over [`Real`] (`f64`/`f32`): the same kernels serve
 //! the bitwise-exact default and the opt-in `SPRINT_PRECISION=f32` mode.
+//!
+//! Every kernel body is compiled twice, for the target's baseline ISA and,
+//! on x86-64, with AVX2 enabled; `Isa::run` picks the body. AVX2 only
+//! widens the vectors: each lane still performs the same IEEE operations in
+//! the same order (no FMA is enabled, and Rust never contracts `a * b + c`),
+//! so both bodies produce the same bits.
 
 use crate::stats::scorer::{ScorerScratch, ScratchParts};
 
@@ -28,11 +34,83 @@ use crate::stats::scorer::{ScorerScratch, ScratchParts};
 /// that the remainder loop is negligible for any tile shape.
 pub const LANE: usize = 8;
 
+/// Genes per register block: a kernel that keeps one accumulator per gene
+/// for a whole arrangement (or bootstrap draw) holds a block's accumulators
+/// in vector registers instead of loading and storing them per column.
+/// `SoaColumns` pads every column to whole blocks, so a block never reads
+/// past its column.
+pub const BLOCK: usize = 2 * LANE;
+
 /// Gene-lane sub-tile width of the SoA scorers: each `score_tile` call is cut
 /// into chunks of this many genes so the lane accumulators (a few KB) stay in
 /// L1 across the whole arrangement batch. Per-gene arithmetic is independent
 /// of the chunk geometry, so results are bitwise identical for any value.
 pub const SOA_TILE: usize = 128;
+
+/// The instruction set a lane kernel body is compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isa {
+    /// The compilation target's baseline (SSE2 on x86-64).
+    Baseline,
+    /// x86-64 with AVX2 (and without FMA).
+    Avx2,
+}
+
+impl Isa {
+    /// The widest ISA this host runs. The AVX2 probe is the standard
+    /// library's `is_x86_feature_detected!`, which caches its answer.
+    pub(crate) fn host() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Baseline
+    }
+
+    /// Whether this host can run kernels compiled for `self`.
+    pub(crate) fn supported(self) -> bool {
+        self == Isa::Baseline || Isa::host() == Isa::Avx2
+    }
+
+    /// Lower-case name, as the scorer note prints it.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            Isa::Baseline => "baseline",
+            Isa::Avx2 => "avx2",
+        }
+    }
+
+    /// Run `kernel` in the body compiled for this ISA (the baseline body when
+    /// the host cannot run it).
+    #[inline]
+    pub(crate) fn run<K: Kernel>(self, kernel: K) -> K::Out {
+        #[cfg(target_arch = "x86_64")]
+        if self == Isa::Avx2 && self.supported() {
+            // SAFETY: the host supports AVX2, checked just above.
+            return unsafe { run_avx2(kernel) };
+        }
+        kernel.run()
+    }
+}
+
+/// One call of a lane kernel. Implementations mark `run`
+/// `#[inline(always)]`, so [`Isa::run`] inlines the body into each ISA's
+/// entry point and the compiler generates it once per ISA.
+pub(crate) trait Kernel {
+    type Out;
+    fn run(self) -> Self::Out;
+}
+
+/// `kernel`'s body compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
+    kernel.run()
+}
 
 /// An accumulation element type of the SoA kernels: `f64` (reference,
 /// bitwise-reproducible) or `f32` (opt-in, bounded error). The trait carries
@@ -77,33 +155,6 @@ pub trait Real:
     fn parts(scratch: &mut ScorerScratch) -> ScratchParts<'_, Self>
     where
         Self: Sized;
-
-    /// Explicit-SIMD hook for [`lane_add`]; returns true when handled.
-    #[inline]
-    fn simd_add(_acc: &mut [Self], _src: &[Self]) -> bool
-    where
-        Self: Sized,
-    {
-        false
-    }
-
-    /// Explicit-SIMD hook for [`lane_add_sq`]; returns true when handled.
-    #[inline]
-    fn simd_add_sq(_sums: &mut [Self], _sqs: &mut [Self], _src: &[Self]) -> bool
-    where
-        Self: Sized,
-    {
-        false
-    }
-
-    /// Explicit-SIMD hook for [`lane_add_scaled`]; returns true when handled.
-    #[inline]
-    fn simd_add_scaled(_acc: &mut [Self], _src: &[Self], _w: Self) -> bool
-    where
-        Self: Sized,
-    {
-        false
-    }
 }
 
 impl Real for f64 {
@@ -142,22 +193,6 @@ impl Real for f64 {
     fn parts(scratch: &mut ScorerScratch) -> ScratchParts<'_, Self> {
         scratch.parts_f64()
     }
-
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add(acc: &mut [Self], src: &[Self]) -> bool {
-        super::simd::add_f64(acc, src)
-    }
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add_sq(sums: &mut [Self], sqs: &mut [Self], src: &[Self]) -> bool {
-        super::simd::add_sq_f64(sums, sqs, src)
-    }
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add_scaled(acc: &mut [Self], src: &[Self], w: Self) -> bool {
-        super::simd::add_scaled_f64(acc, src, w)
-    }
 }
 
 impl Real for f32 {
@@ -195,22 +230,6 @@ impl Real for f32 {
 
     fn parts(scratch: &mut ScorerScratch) -> ScratchParts<'_, Self> {
         scratch.parts_f32()
-    }
-
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add(acc: &mut [Self], src: &[Self]) -> bool {
-        super::simd::add_f32(acc, src)
-    }
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add_sq(sums: &mut [Self], sqs: &mut [Self], src: &[Self]) -> bool {
-        super::simd::add_sq_f32(sums, sqs, src)
-    }
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add_scaled(acc: &mut [Self], src: &[Self], w: Self) -> bool {
-        super::simd::add_scaled_f32(acc, src, w)
     }
 }
 
@@ -251,9 +270,10 @@ impl<R: Real> std::fmt::Debug for AlignedBuf<R> {
 }
 
 /// Column-major gene lanes: `cols` columns of `genes` values each, every
-/// column padded to a whole number of cache lines so `col(c, ..)` slices
-/// start aligned. Cells default to `+0.0` — the bitwise-neutral encoding of
-/// "missing" (see the module docs).
+/// column padded to whole [`BLOCK`]s (whole cache lines at either precision)
+/// so `col(c, ..)` slices start aligned and a block starting at any multiple
+/// of `BLOCK` below `genes` stays inside its column. Cells default to `+0.0`
+/// — the bitwise-neutral encoding of "missing" (see the module docs).
 #[derive(Debug)]
 pub(crate) struct SoaColumns<R: Real> {
     lanes: usize,
@@ -263,12 +283,16 @@ pub(crate) struct SoaColumns<R: Real> {
 impl<R: Real> SoaColumns<R> {
     /// Allocate zeroed lanes for `genes × cols` cells.
     pub fn new(genes: usize, cols: usize) -> Self {
-        let pad = 64 / std::mem::size_of::<R>();
-        let lanes = genes.div_ceil(pad).max(1) * pad;
+        let lanes = genes.div_ceil(BLOCK).max(1) * BLOCK;
         SoaColumns {
             lanes,
             buf: AlignedBuf::zeroed(lanes * cols),
         }
+    }
+
+    /// Padded length of every column (a multiple of [`BLOCK`]).
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 
     /// Store one cell.
@@ -281,6 +305,16 @@ impl<R: Real> SoaColumns<R> {
     pub fn col(&self, col: usize, genes: &std::ops::Range<usize>) -> &[R] {
         let base = col * self.lanes;
         &self.buf.as_slice()[base + genes.start..base + genes.end]
+    }
+
+    /// The [`BLOCK`] genes of one column starting at `start`, a multiple of
+    /// `BLOCK` (padding cells read as `+0.0`).
+    #[inline(always)]
+    pub fn block(&self, col: usize, start: usize) -> &[R; BLOCK] {
+        let base = col * self.lanes + start;
+        self.buf.as_slice()[base..base + BLOCK]
+            .try_into()
+            .expect("block inside its column")
     }
 }
 
@@ -348,10 +382,6 @@ pub(crate) fn push_sel_mask(out: &mut Vec<u64>, words: usize, labels: &[u8], cla
 #[inline]
 pub(crate) fn lane_add<R: Real>(acc: &mut [R], src: &[R]) {
     debug_assert_eq!(acc.len(), src.len());
-    #[cfg(feature = "explicit-simd")]
-    if R::simd_add(acc, src) {
-        return;
-    }
     let mut a = acc.chunks_exact_mut(LANE);
     let mut s = src.chunks_exact(LANE);
     for (a, s) in (&mut a).zip(&mut s) {
@@ -370,10 +400,6 @@ pub(crate) fn lane_add<R: Real>(acc: &mut [R], src: &[R]) {
 pub(crate) fn lane_add_sq<R: Real>(sums: &mut [R], sqs: &mut [R], src: &[R]) {
     debug_assert_eq!(sums.len(), src.len());
     debug_assert_eq!(sqs.len(), src.len());
-    #[cfg(feature = "explicit-simd")]
-    if R::simd_add_sq(sums, sqs, src) {
-        return;
-    }
     let mut su = sums.chunks_exact_mut(LANE);
     let mut sq = sqs.chunks_exact_mut(LANE);
     let mut s = src.chunks_exact(LANE);
@@ -401,10 +427,6 @@ pub(crate) fn lane_add_sq<R: Real>(sums: &mut [R], sqs: &mut [R], src: &[R]) {
 #[inline]
 pub(crate) fn lane_add_scaled<R: Real>(acc: &mut [R], src: &[R], w: R) {
     debug_assert_eq!(acc.len(), src.len());
-    #[cfg(feature = "explicit-simd")]
-    if R::simd_add_scaled(acc, src, w) {
-        return;
-    }
     let mut a = acc.chunks_exact_mut(LANE);
     let mut s = src.chunks_exact(LANE);
     for (a, s) in (&mut a).zip(&mut s) {

@@ -56,32 +56,39 @@ pub fn equalvar_t(row: &[f64], labels: &[u8]) -> f64 {
 /// Welch t from group moments (n, Σx, Σx²), mirroring [`welch_t`] +
 /// `GroupSums::variance` operation for operation (same clamps and guards).
 /// Generic over the accumulation precision; at `f64` the sequence is
-/// bit-for-bit the scalar one.
-#[inline]
+/// bit-for-bit the scalar one. The `se2 <= 0` guard is a select, not a
+/// branch, so lane loops over it vectorize; the caller applies the
+/// group-size guard the same way.
+#[inline(always)]
 pub(crate) fn welch_from_moments<R: Real>(n0: R, s0: R, q0: R, n1: R, s1: R, q1: R) -> R {
     let one = R::from_f64(1.0);
     let v1 = ((q1 - s1 * s1 / n1) / (n1 - one)).max(R::ZERO);
     let v0 = ((q0 - s0 * s0 / n0) / (n0 - one)).max(R::ZERO);
     let se2 = v1 / n1 + v0 / n0;
+    let t = (s1 / n1 - s0 / n0) / se2.sqrt();
     if se2 <= R::ZERO {
-        return R::nan();
+        R::nan()
+    } else {
+        t
     }
-    (s1 / n1 - s0 / n0) / se2.sqrt()
 }
 
 /// Pooled-variance t from group moments, mirroring [`equalvar_t`] +
-/// `GroupSums::ss` operation for operation.
-#[inline]
+/// `GroupSums::ss` operation for operation, with the same select-guard as
+/// [`welch_from_moments`].
+#[inline(always)]
 pub(crate) fn equalvar_from_moments<R: Real>(n0: R, s0: R, q0: R, n1: R, s1: R, q1: R) -> R {
     let one = R::from_f64(1.0);
     let ss0 = (q0 - s0 * s0 / n0).max(R::ZERO);
     let ss1 = (q1 - s1 * s1 / n1).max(R::ZERO);
     let pooled = (ss0 + ss1) / (n0 + n1 - R::from_f64(2.0));
     let se2 = pooled * (one / n0 + one / n1);
+    let t = (s1 / n1 - s0 / n0) / se2.sqrt();
     if se2 <= R::ZERO {
-        return R::nan();
+        R::nan()
+    } else {
+        t
     }
-    (s1 / n1 - s0 / n0) / se2.sqrt()
 }
 
 #[cfg(test)]

@@ -13,18 +13,22 @@
 use super::soa::Real;
 
 /// Standardized rank sum from the group counts and the group-1 rank sum,
-/// mirroring the combine of [`wilcoxon_from_ranks`] operation for operation.
-/// The caller handles the `n0 == 0 || n1 == 0` guard.
-#[inline]
-pub(crate) fn wilcoxon_from_counts<R: Real>(n0: usize, n1: usize, w: R) -> R {
+/// mirroring the combine of [`wilcoxon_from_ranks`] operation for operation
+/// (the counts are whole numbers, so `n0 + n1` is exact in either
+/// precision). The `var <= 0` guard is a select, so lane loops vectorize;
+/// the caller handles the `n0 == 0 || n1 == 0` guard the same way.
+#[inline(always)]
+pub(crate) fn wilcoxon_from_counts<R: Real>(n0: R, n1: R, w: R) -> R {
     let one = R::from_f64(1.0);
-    let n = R::from_usize(n0 + n1);
-    let expect = R::from_usize(n1) * (n + one) / R::from_f64(2.0);
-    let var = R::from_usize(n0) * R::from_usize(n1) * (n + one) / R::from_f64(12.0);
+    let n = n0 + n1;
+    let expect = n1 * (n + one) / R::from_f64(2.0);
+    let var = n0 * n1 * (n + one) / R::from_f64(12.0);
+    let z = (w - expect) / var.sqrt();
     if var <= R::ZERO {
-        return R::nan();
+        R::nan()
+    } else {
+        z
     }
-    (w - expect) / var.sqrt()
 }
 
 /// Compute the standardized rank sum from a rank-transformed row.

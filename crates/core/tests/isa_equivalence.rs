@@ -1,0 +1,162 @@
+//! Both compilations of every fast scorer's tile body produce the same bits.
+//!
+//! Each SoA lane kernel is compiled for the target's baseline ISA and, on
+//! x86-64, once more with AVX2; a scorer picks one when it is built. This
+//! suite builds every fast scorer on each ISA the host runs, scores an
+//! arbitrary gene range (often starting mid-block and ending at the last
+//! gene, where a block reaches into the column padding) for a batch of 1–64
+//! arrangements, at both precisions and with NA cells, and asserts:
+//!
+//! - the AVX2 body's output is bitwise the baseline body's;
+//! - the range's output is bitwise the same genes' output from one
+//!   full-width call;
+//! - no slot outside the range is written.
+
+use proptest::prelude::*;
+
+use sprint_core::labels::ClassLabels;
+use sprint_core::matrix::Matrix;
+use sprint_core::options::{PmaxtOptions, Precision, TestMethod};
+use sprint_core::perm::build_generator;
+use sprint_core::stats::prepare_matrix;
+use sprint_core::stats::scorer::{fast_scorer_on, Scorer};
+use sprint_core::stats::soa::Isa;
+
+/// Valid labels per method with at least five samples per group, so every
+/// design has more than 64 distinct arrangements; two-sample designs reach
+/// past 64 columns (two-word missing-cell masks).
+fn labels_for(method: TestMethod, a: usize, b: usize) -> Vec<u8> {
+    match method {
+        TestMethod::F => [0u8, 1, 2]
+            .iter()
+            .flat_map(|&c| std::iter::repeat_n(c, if c == 1 { b } else { a }))
+            .collect(),
+        TestMethod::PairT => (0..a)
+            .flat_map(|p| [(p % 2) as u8, 1 - (p % 2) as u8])
+            .collect(),
+        TestMethod::BlockF => (0..a).flat_map(|_| [0u8, 1, 2]).collect(),
+        _ => {
+            let mut v = vec![0u8; a];
+            v.extend(std::iter::repeat_n(1u8, b));
+            v
+        }
+    }
+}
+
+#[allow(clippy::type_complexity)]
+fn case() -> impl Strategy<
+    Value = (
+        usize,
+        usize,
+        (usize, usize),
+        Vec<f64>,
+        Vec<bool>,
+        Vec<u8>,
+        usize,
+        bool,
+    ),
+> {
+    (0usize..8, 5usize..40, 5usize..40, 1usize..300, 0usize..2).prop_flat_map(
+        |(method_sel, a, b, genes, to_end)| {
+            let labels = labels_for(TestMethod::ALL[method_sel], a, b);
+            let cells = genes * labels.len();
+            (
+                Just(method_sel),
+                Just(genes),
+                // A gene range; half of them end at the last gene.
+                (0usize..genes).prop_flat_map(move |lo| {
+                    let first_hi = if to_end == 1 { genes } else { lo + 1 };
+                    (Just(lo), first_hi..genes + 1)
+                }),
+                proptest::collection::vec(-40.0f64..120.0, cells),
+                proptest::collection::vec(proptest::bool::weighted(0.1), cells),
+                Just(labels),
+                1usize..65, // batch of arrangements
+                any::<bool>(),
+            )
+        },
+    )
+}
+
+/// Score `genes` for every arrangement of `bufs` into a NaN-sentinel buffer
+/// whose sentinel has a payload no statistic produces.
+fn score(
+    scorer: &dyn Scorer,
+    bufs: &[Vec<u8>],
+    rows: usize,
+    genes: std::ops::Range<usize>,
+) -> Vec<u64> {
+    let stride = bufs.len();
+    let mut scratch = scorer.make_scratch();
+    scorer.begin_batch(bufs, &mut scratch);
+    let mut out = vec![f64::from_bits(SENTINEL); rows * stride];
+    scorer.score_tile(bufs, genes, &mut scratch, &mut out, stride);
+    out.iter().map(|v| v.to_bits()).collect()
+}
+
+const SENTINEL: u64 = 0x7ff4_dead_beef_0001;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn baseline_and_avx2_tile_bodies_are_bitwise_identical(
+        (method_sel, rows, (lo, hi), mut values, na_mask, raw_labels, batch, f32_mode) in case()
+    ) {
+        for (v, &is_na) in values.iter_mut().zip(&na_mask) {
+            if is_na {
+                *v = f64::NAN;
+            }
+        }
+        let method = TestMethod::ALL[method_sel];
+        let cols = raw_labels.len();
+        let m = Matrix::from_vec(rows, cols, values).unwrap();
+        let labels = ClassLabels::new(raw_labels, method).unwrap();
+        let precision = if f32_mode { Precision::F32 } else { Precision::F64 };
+        let prepared = prepare_matrix(&m, method, false);
+
+        let opts = PmaxtOptions::default().test(method).permutations(batch as u64);
+        let mut gen = build_generator(&labels, &opts, batch as u64).unwrap();
+        let mut bufs = Vec::new();
+        let mut buf = vec![0u8; cols];
+        while gen.next_into(&mut buf) {
+            bufs.push(buf.clone());
+        }
+        prop_assert_eq!(bufs.len(), batch);
+        let stride = bufs.len();
+
+        let baseline = fast_scorer_on(Isa::Baseline, &prepared, &labels, method, precision)
+            .expect("every host runs the baseline ISA");
+        let full = score(baseline.as_ref(), &bufs, rows, 0..rows);
+        let ranged = score(baseline.as_ref(), &bufs, rows, lo..hi);
+        for (slot, (&f, &r)) in full.iter().zip(&ranged).enumerate() {
+            let g = slot / stride;
+            if (lo..hi).contains(&g) {
+                prop_assert_eq!(
+                    f, r,
+                    "{:?} {:?}: range {}..{} of {} diverges at gene {}",
+                    method, precision, lo, hi, rows, g
+                );
+            } else {
+                prop_assert_eq!(
+                    r, SENTINEL,
+                    "{:?}: gene {} outside {}..{} written", method, g, lo, hi
+                );
+            }
+        }
+
+        if let Some(avx2) = fast_scorer_on(Isa::Avx2, &prepared, &labels, method, precision) {
+            for genes in [0..rows, lo..hi] {
+                let wide = score(avx2.as_ref(), &bufs, rows, genes.clone());
+                let base = if genes == (0..rows) { &full } else { &ranged };
+                for (slot, (&w, &b)) in wide.iter().zip(base).enumerate() {
+                    prop_assert_eq!(
+                        w, b,
+                        "{:?} {:?}: avx2 vs baseline at gene {} arrangement {} (range {:?})",
+                        method, precision, slot / stride, slot % stride, genes
+                    );
+                }
+            }
+        }
+    }
+}

@@ -1074,33 +1074,46 @@ fn shard<K: JobKind>(kind: &K, inner: &Inner, job: &Job, stats: &ShardStats, fro
                     stats.spans_reassigned.fetch_add(n, Ordering::Relaxed);
                     eprintln!("jobd: shard: peer {addr} lost ({why}); {n} unit(s) reassigned");
                 };
-                while let Some(unit) = next(&mut own) {
-                    if faults.fire(FaultKind::PeerDrop) {
-                        return die(&mut own, unit, "injected peer_drop");
-                    }
-                    let req = protocol::span_exec_request(path, &work.opts, work.b, unit.0, unit.1);
-                    let resp = match link.exec(&req) {
-                        Ok(resp) => resp,
-                        Err(PeerError::Dead(why)) => return die(&mut own, unit, &why),
-                        Err(PeerError::Rejected(why)) => {
-                            let (s, t) = unit;
-                            let msg = format!("peer {addr} rejected unit [{s}, {}): {why}", s + t);
-                            let _ = tx.send(Err(msg));
-                            return;
+                // A panic here would lose this peer's in-flight unit and
+                // queue, and the job would wait for them forever: catch it at
+                // this boundary, as units do, and fail the job instead.
+                let dispatched = catch_unwind(AssertUnwindSafe(|| {
+                    while let Some(unit) = next(&mut own) {
+                        if faults.fire(FaultKind::PeerDrop) {
+                            return die(&mut own, unit, "injected peer_drop");
                         }
-                    };
-                    match kind.decode(work, unit, &resp) {
-                        Ok(part) => {
-                            let secs = resp.get("kernel_secs").and_then(Json::as_f64);
-                            let secs = micros(secs.unwrap_or(0.0));
-                            stats
-                                .kernel_remote_micros
-                                .fetch_add(secs, Ordering::Relaxed);
-                            stats.spans_remote.fetch_add(1, Ordering::Relaxed);
-                            let _ = tx.send(Ok((unit, part)));
+                        if faults.fire(FaultKind::PeerPanic) {
+                            panic!("injected peer dispatcher panic (SPRINT_FAULTS peer_panic)");
                         }
-                        Err(e) => return die(&mut own, unit, &format!("malformed reply: {e}")),
+                        let (s, t) = unit;
+                        let req = protocol::span_exec_request(path, &work.opts, work.b, s, t);
+                        let resp = match link.exec(&req) {
+                            Ok(resp) => resp,
+                            Err(PeerError::Dead(why)) => return die(&mut own, unit, &why),
+                            Err(PeerError::Rejected(why)) => {
+                                let msg =
+                                    format!("peer {addr} rejected unit [{s}, {}): {why}", s + t);
+                                let _ = tx.send(Err(msg));
+                                return;
+                            }
+                        };
+                        match kind.decode(work, unit, &resp) {
+                            Ok(part) => {
+                                let secs = resp.get("kernel_secs").and_then(Json::as_f64);
+                                let secs = micros(secs.unwrap_or(0.0));
+                                stats
+                                    .kernel_remote_micros
+                                    .fetch_add(secs, Ordering::Relaxed);
+                                stats.spans_remote.fetch_add(1, Ordering::Relaxed);
+                                let _ = tx.send(Ok((unit, part)));
+                            }
+                            Err(e) => return die(&mut own, unit, &format!("malformed reply: {e}")),
+                        }
                     }
+                }));
+                if let Err(p) = dispatched {
+                    let why = panic_message(p.as_ref());
+                    let _ = tx.send(Err(format!("peer {addr} dispatcher panicked: {why}")));
                 }
             });
         }
@@ -1663,6 +1676,28 @@ mod tests {
             err,
             JobError::Invalid(CoreError::BadOption { param: "b", .. })
         ));
+    }
+
+    #[test]
+    fn stored_sampling_beyond_memory_budget_is_refused_at_submit() {
+        let (data, labels) = small_dataset();
+        let opts = PmaxtOptions::default()
+            .fixed_seed_sampling("n")
+            .unwrap()
+            .permutations(1_000_000_000);
+        let err = manager(16)
+            .submit(JobSpec {
+                data,
+                classlabel: labels,
+                opts,
+                source_path: None,
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, JobError::Invalid(CoreError::BadOption { param: "b", value })
+                if value.contains("largest B accepted")),
+            "got {err:?}"
+        );
     }
 
     #[test]

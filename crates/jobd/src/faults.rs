@@ -32,6 +32,7 @@
 //! | `peer_drop`      | shard coordinator dispatch      | a peer daemon dying mid-span |
 //! | `peer_stall`     | shard coordinator dispatch      | a slow/overloaded peer daemon|
 //! | `peer_torn`      | shard coordinator dispatch      | a request torn mid-frame     |
+//! | `peer_panic`     | shard coordinator dispatch      | a panic in a peer dispatcher |
 //! | `journal_torn`   | journal record append           | a record torn mid-write      |
 //! | `fsync_fail`     | journal / atomic-write fsync    | EIO from a dying disk        |
 //! | `disk_full`      | journal / atomic-write payload  | ENOSPC                       |
@@ -42,7 +43,8 @@
 //! and per-connection deadlines, and the three `peer_*` classes exercise the
 //! cross-daemon sharding path ([`crate::shard`]): a dropped peer's spans are
 //! reassigned to the survivors, a stalled peer only delays its own spans,
-//! and a torn request resyncs on a fresh connection. The three disk classes
+//! a torn request resyncs on a fresh connection, and a dispatcher panic
+//! fails its job, naming the peer, and frees the worker. The three disk classes
 //! exercise the durability layer ([`crate::journal`], [`crate::storage`]): a
 //! torn journal record is skipped by the replay resync scan, a failed fsync
 //! fails only the write it was guarding (the caller degrades or retries),
@@ -91,6 +93,9 @@ pub enum FaultKind {
     /// A span-exec request torn mid-frame (half the line, then the socket
     /// drops); the coordinator resends on a fresh connection.
     PeerTorn,
+    /// A panic inside a coordinator's peer dispatcher thread; the job fails
+    /// with a message naming the peer.
+    PeerPanic,
     /// A journal record torn mid-append (half the frame reaches the disk,
     /// then the write "stops"); replay must skip exactly that record.
     JournalTorn,
@@ -104,7 +109,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every class, in index order.
-    pub const ALL: [FaultKind; 11] = [
+    pub const ALL: [FaultKind; 12] = [
         FaultKind::WorkerPanic,
         FaultKind::SpanIo,
         FaultKind::CacheCorrupt,
@@ -113,6 +118,7 @@ impl FaultKind {
         FaultKind::PeerDrop,
         FaultKind::PeerStall,
         FaultKind::PeerTorn,
+        FaultKind::PeerPanic,
         FaultKind::JournalTorn,
         FaultKind::FsyncFail,
         FaultKind::DiskFull,
@@ -132,6 +138,7 @@ impl FaultKind {
             FaultKind::PeerDrop => "peer_drop",
             FaultKind::PeerStall => "peer_stall",
             FaultKind::PeerTorn => "peer_torn",
+            FaultKind::PeerPanic => "peer_panic",
             FaultKind::JournalTorn => "journal_torn",
             FaultKind::FsyncFail => "fsync_fail",
             FaultKind::DiskFull => "disk_full",

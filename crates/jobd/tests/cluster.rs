@@ -15,7 +15,9 @@ use sprint_core::maxt::serial::mt_maxt;
 use sprint_core::options::{PmaxtOptions, TestMethod, Workload};
 use sprint_jobd::client::{expect_ok, Client};
 use sprint_jobd::json::Json;
-use sprint_jobd::{protocol, JobManager, ManagerConfig, Server};
+use sprint_jobd::{
+    protocol, FaultKind, Faults, JobError, JobManager, JobSpec, JobState, ManagerConfig, Server,
+};
 
 fn ok(resp: Json) -> Json {
     expect_ok(resp).expect("server error response")
@@ -365,6 +367,61 @@ fn sharded_run_checkpoints_and_caches() {
     assert_eq!(first, second);
 
     shutdown(&coord);
+    shutdown(&peer);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A panic inside the peer dispatcher thread fails the sharded job with a
+/// message naming the peer, instead of stranding the peer's units and the
+/// job with them, and the coordinator's only worker goes on to the next job.
+#[test]
+fn panicking_peer_dispatcher_fails_its_job_and_frees_the_worker() {
+    let dir = std::env::temp_dir().join(format!("jobd-cluster-panic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let peer = spawn_peer(16);
+    let coord = JobManager::new(ManagerConfig {
+        workers: 1,
+        span: 16,
+        cache_dir: None,
+        peers: vec![peer.clone()],
+        faults: Faults::builder().prob(FaultKind::PeerPanic, 1.0).build(),
+        ..ManagerConfig::default()
+    })
+    .unwrap();
+    let ds = dataset_for(TestMethod::T, 40, 6_100);
+    let dataset = dir.join("data.tsv");
+    write_dataset(&dataset, &ds.matrix, &ds.labels).unwrap();
+    let spec = |seed: u64, source_path| JobSpec {
+        data: ds.matrix.clone(),
+        classlabel: ds.labels.clone(),
+        opts: PmaxtOptions::default().permutations(400).seed(seed),
+        source_path,
+    };
+    let wait = Some(Duration::from_secs(60));
+
+    let sharded = coord.submit(spec(3, Some(dataset))).unwrap();
+    let outcome = coord.wait_result(sharded.id, wait);
+    assert!(
+        !matches!(outcome, Ok(_) | Err(JobError::Timeout(_))),
+        "the sharded job must fail, not finish or hang: {outcome:?}"
+    );
+    let status = coord.status(sharded.id).unwrap();
+    assert_eq!(status.state, JobState::Failed);
+    let error = status.error.unwrap_or_default();
+    assert!(
+        error.contains(&peer) && error.contains("dispatcher panicked"),
+        "the failure names the peer: {error}"
+    );
+
+    // Without a source path the next job runs locally, on the same worker.
+    let next = coord.submit(spec(4, None)).unwrap();
+    let served = coord
+        .wait_result(next.id, wait)
+        .expect("the worker is free");
+    let opts = PmaxtOptions::default().permutations(400).seed(4);
+    assert_eq!(served, mt_maxt(&ds.matrix, &ds.labels, &opts).unwrap());
+
+    coord.shutdown();
     shutdown(&peer);
     std::fs::remove_dir_all(&dir).ok();
 }

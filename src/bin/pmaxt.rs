@@ -37,13 +37,12 @@ use microarray::prelude::*;
 use sprint_core::adaptive::{adaptive_maxt, AdaptiveConfig, AdaptiveReport};
 use sprint_core::boot::{boot_run, BootstrapResult};
 use sprint_core::error::Error as CoreError;
-use sprint_core::labels::ClassLabels;
 use sprint_core::maxt::minp::pminp;
+use sprint_core::maxt::serial::validate_run;
 use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
 use sprint_core::options::{
     KernelChoice, Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload,
 };
-use sprint_core::perm::resolve_permutation_count;
 use sprint_core::perm::stored::StoredMatrix;
 use sprint_core::pmaxt::{chunk_for_rank, pmaxt};
 use sprint_core::side::Side;
@@ -563,8 +562,7 @@ fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
     // Validate the rank allocation up front: handing a rank zero permutations
     // is a resource-allocation mistake with its own exit code (3), distinct
     // from usage and runtime failures.
-    let class = ClassLabels::new(labels.clone(), cfg.opts.test).map_err(CliError::from_core)?;
-    let b = resolve_permutation_count(&class, &cfg.opts).map_err(CliError::from_core)?;
+    let (_, b, _) = validate_run(&data, &labels, &cfg.opts).map_err(CliError::from_core)?;
     chunk_for_rank(b, cfg.ranks as u64, 0).map_err(CliError::from_core)?;
     let mode = cfg.opts.mode.env_override();
     eprintln!(
