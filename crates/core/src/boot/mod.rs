@@ -40,9 +40,10 @@ use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::maxt::engine::{run_jobs, split_chunk, EngineConfig};
 use crate::maxt::minp::DEFAULT_MINP_BUDGET_BYTES;
-use crate::options::{Mode, PmaxtOptions, Precision, TestMethod, Workload};
+use crate::options::{Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload};
 use crate::perm::arrangement::{build_stream, resolve_draw_count};
-use crate::perm::bootstrap::MAX_BOOTSTRAP_COLS;
+use crate::perm::bootstrap::{BootstrapSequential, MAX_BOOTSTRAP_COLS};
+use crate::perm::ResamplingStream;
 use crate::stats::soa::{lane_add, Isa, Kernel, MissMask, SoaColumns, BLOCK, SOA_TILE};
 use normal::{inv_phi, phi};
 
@@ -315,10 +316,17 @@ pub fn boot_run_slice(
 /// Draws 1 to B − 1 of the run's stream, back to back, each stored with its
 /// class-1 slots first and its class-0 slots after, both in draw order: the
 /// order in which each class accumulator receives its adds.
+///
+/// Stored sampling reads the sequential stream that `build_stream` would
+/// materialize whole. Every run and band reads it once, in order, from the
+/// start, so the draws are drawn straight into this buffer and held once.
 fn class_sorted_draws(labels: &ClassLabels, opts: &PmaxtOptions, b: u64) -> Result<Vec<u8>> {
     let n = labels.len();
     let mut draws = vec![0u8; (b - 1) as usize * n];
-    let mut stream = build_stream(labels, opts, b)?.stream;
+    let mut stream: Box<dyn ResamplingStream> = match opts.sampling {
+        SamplingMode::Stored => Box::new(BootstrapSequential::new(n, b, opts.seed)),
+        SamplingMode::FixedSeedOnTheFly => build_stream(labels, opts, b)?.stream,
+    };
     stream.skip(1);
     let mut raw = vec![0u8; n];
     let label = labels.as_slice();

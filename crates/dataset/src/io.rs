@@ -42,10 +42,18 @@ pub fn write_dataset(path: &Path, data: &Matrix, labels: &[u8]) -> io::Result<()
     w.flush()
 }
 
-/// Read a dataset written by [`write_dataset`].
+/// Read a dataset written by [`write_dataset`], streaming the file through
+/// a buffered reader.
 pub fn read_dataset(path: &Path) -> io::Result<(Matrix, Vec<u8>)> {
     let file = std::fs::File::open(path)?;
-    let mut lines = io::BufReader::new(file).lines();
+    parse_dataset(io::BufReader::new(file))
+}
+
+/// Parse the [`write_dataset`] format from any buffered reader: a file
+/// stream, or bytes already in memory (`&[u8]`). Malformed input is an
+/// [`io::ErrorKind::InvalidData`] error.
+pub fn parse_dataset<R: BufRead>(reader: R) -> io::Result<(Matrix, Vec<u8>)> {
+    let mut lines = reader.lines();
     let header = lines
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty file"))??;

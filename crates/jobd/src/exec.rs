@@ -80,11 +80,11 @@ use crate::manager::{
 use crate::protocol;
 use crate::shard::{self, slice_spans, PeerError, PeerLink, ShardStats, SpanQueue};
 
-/// Everything a unit needs of its job. Immutable after admission.
+/// Everything a unit needs of its job but its matrix, which the job's
+/// progress holds until the job is terminal. Immutable after admission.
 pub(crate) struct JobWork {
-    /// The matrix units run on: scorer-prepared for the maxT kinds, the
-    /// NA-canonical data for bootstrap.
-    pub(crate) prepared: Matrix,
+    /// Gene rows of the job's matrix.
+    pub(crate) genes: usize,
     pub(crate) labels: ClassLabels,
     pub(crate) opts: PmaxtOptions,
     pub(crate) b: u64,
@@ -100,6 +100,10 @@ pub(crate) struct JobWork {
 /// Mutable per-job state, guarded by one mutex.
 pub(crate) struct JobProgress {
     pub(crate) state: JobState,
+    /// The matrix units run on: scorer-prepared for the maxT kinds, the
+    /// NA-canonical data for bootstrap. Released when the job turns
+    /// terminal; a running unit holds its own reference.
+    pub(crate) data: Option<Arc<Matrix>>,
     /// Permutations merged (maxT), or `b` once a bootstrap or adaptive run
     /// is complete.
     pub(crate) cursor: u64,
@@ -117,12 +121,13 @@ pub(crate) struct JobProgress {
 }
 
 impl JobProgress {
-    /// A queued job with nothing computed yet.
-    pub(crate) fn new(genes: usize) -> JobProgress {
+    /// A queued job over `data` with nothing computed yet.
+    pub(crate) fn new(data: Matrix) -> JobProgress {
         JobProgress {
             state: JobState::Queued,
             cursor: 0,
-            counts: CountAccumulator::new(genes),
+            counts: CountAccumulator::new(data.rows()),
+            data: Some(Arc::new(data)),
             computed: 0,
             cache: CacheDisposition::Uncached,
             secs_per_perm: None,
@@ -345,16 +350,16 @@ pub(crate) fn admit(
 }
 
 impl JobWork {
-    /// Ready an admitted request for its units: the scorer-prepared matrix
-    /// for the maxT kinds, and this daemon's per-job engine thread budget
-    /// where the options leave it to auto.
+    /// Ready an admitted request for its units: this daemon's per-job engine
+    /// thread budget where the options leave it to auto, and the matrix the
+    /// units run on — scorer-prepared for the maxT kinds.
     pub(crate) fn new(
         adm: Admission,
         mut opts: PmaxtOptions,
         job_threads: usize,
         source: Option<PathBuf>,
         check_digest: u64,
-    ) -> JobWork {
+    ) -> (JobWork, Matrix) {
         let threads = if opts.threads == 0 {
             job_threads
         } else {
@@ -368,8 +373,8 @@ impl JobWork {
         } else {
             prepare_matrix(&adm.data, opts.test, opts.nonpara).into_owned()
         };
-        JobWork {
-            prepared,
+        let work = JobWork {
+            genes: prepared.rows(),
             labels: adm.labels,
             cfg: EngineConfig::explicit(threads, opts.batch),
             opts,
@@ -378,12 +383,13 @@ impl JobWork {
             cached: false,
             mode: adm.mode,
             source,
-        }
+        };
+        (work, prepared)
     }
 
-    fn context(&self) -> MaxTContext<'_> {
+    fn context<'a>(&self, data: &'a Matrix) -> MaxTContext<'a> {
         MaxTContext::with_scorer(
-            &self.prepared,
+            data,
             &self.labels,
             self.opts.test,
             self.opts.side,
@@ -417,11 +423,12 @@ trait JobKind: Sync {
         u64::MAX
     }
 
-    /// Run one unit on this daemon: its part, and the seconds it spent in
-    /// the kernel (for the shard telemetry).
+    /// Run one unit on this daemon over the job's matrix `data`: its part,
+    /// and the seconds it spent in the kernel (for the shard telemetry).
     fn run(
         &self,
         work: &JobWork,
+        data: &Matrix,
         unit: Unit,
         hooks: ChunkHooks<'_>,
     ) -> Result<(Self::Part, f64), CoreError>;
@@ -439,7 +446,7 @@ trait JobKind: Sync {
 
     /// Fill in the final result once the frontier has reached the end, when
     /// the merges have not already.
-    fn finalize(&self, _work: &JobWork, _prog: &mut JobProgress) {}
+    fn finalize(&self, _work: &JobWork, _data: &Matrix, _prog: &mut JobProgress) {}
 
     /// A peer's `span_exec` reply carrying one unit's part. Kinds that never
     /// leave their coordinator keep this default and [`JobKind::decode`]'s,
@@ -467,10 +474,11 @@ impl JobKind for Counts {
     fn run(
         &self,
         work: &JobWork,
+        data: &Matrix,
         (start, take): Unit,
         hooks: ChunkHooks<'_>,
     ) -> Result<(CountAccumulator, f64), CoreError> {
-        let ctx = work.context();
+        let ctx = work.context(data);
         let cpu0 = shard::thread_cpu_secs();
         let run = accumulate_chunk_hooked(
             &ctx,
@@ -502,8 +510,8 @@ impl JobKind for Counts {
         Ok(())
     }
 
-    fn finalize(&self, work: &JobWork, prog: &mut JobProgress) {
-        prog.result = Some(work.context().finalize(&prog.counts));
+    fn finalize(&self, work: &JobWork, data: &Matrix, prog: &mut JobProgress) {
+        prog.result = Some(work.context(data).finalize(&prog.counts));
     }
 
     fn reply(&self, (start, take): Unit, counts: &CountAccumulator, kernel_secs: f64) -> Json {
@@ -512,7 +520,7 @@ impl JobKind for Counts {
 
     fn decode(&self, work: &JobWork, unit: Unit, resp: &Json) -> Result<CountAccumulator, String> {
         let (start, take, flat) = protocol::span_counts_from_json(resp)?;
-        let genes = work.prepared.rows();
+        let genes = work.genes;
         if (start, take) != unit || flat.len() != CountAccumulator::new(genes).to_flat().len() {
             return Err("span/shape mismatch in response".into());
         }
@@ -533,19 +541,20 @@ impl JobKind for Bands {
 
     fn extent(&self, work: &JobWork, prog: &JobProgress) -> (u64, u64) {
         let merged = prog.boot.as_ref().map_or(0, BootstrapResult::genes);
-        (merged as u64, work.prepared.rows() as u64)
+        (merged as u64, work.genes as u64)
     }
 
     fn run(
         &self,
         work: &JobWork,
+        data: &Matrix,
         (start, take): Unit,
         _hooks: ChunkHooks<'_>,
     ) -> Result<(BootstrapResult, f64), CoreError> {
         let cpu0 = shard::thread_cpu_secs();
         let t0 = Instant::now();
         let band = boot::boot_run_slice(
-            &work.prepared,
+            data,
             work.labels.as_slice(),
             &work.opts,
             start as usize..(start + take) as usize,
@@ -607,13 +616,14 @@ impl JobKind for Adaptive {
     fn run(
         &self,
         work: &JobWork,
+        data: &Matrix,
         _unit: Unit,
         hooks: ChunkHooks<'_>,
     ) -> Result<(AdaptiveOutcome, f64), CoreError> {
-        let ctx = work.context();
+        let ctx = work.context(data);
         let mut runner = AdaptiveRunner::new(
             &ctx,
-            &work.prepared,
+            data,
             &work.labels,
             &work.opts,
             work.b,
@@ -664,11 +674,11 @@ impl JobKind for Adaptive {
     /// Reached without a run only when the cache already held the whole
     /// exact stream: every gene was scored over all of it, so the envelope
     /// collapses to the exact p-value and nothing was spent.
-    fn finalize(&self, work: &JobWork, prog: &mut JobProgress) {
+    fn finalize(&self, work: &JobWork, data: &Matrix, prog: &mut JobProgress) {
         if prog.adaptive.is_some() {
             return;
         }
-        let result = work.context().finalize(&prog.counts);
+        let result = work.context(data).finalize(&prog.counts);
         let (genes, b) = (result.rawp.len(), work.b);
         prog.adaptive = Some(AdaptiveReport {
             b,
@@ -728,13 +738,16 @@ fn kernel_secs(cpu0: Option<f64>, inline: bool, elsewhere: f64) -> f64 {
     }
 }
 
-/// Finalize when the frontier has reached the end; returns whether it had.
+/// Finalize when the frontier has reached the end, releasing the job's
+/// matrix; returns whether it had.
 fn finish<K: JobKind>(kind: &K, work: &JobWork, prog: &mut JobProgress) -> bool {
     let (from, end) = kind.extent(work, prog);
     if from < end {
         return false;
     }
-    kind.finalize(work, prog);
+    if let Some(data) = prog.data.take() {
+        kind.finalize(work, &data, prog);
+    }
     prog.state = JobState::Finished;
     true
 }
@@ -769,7 +782,7 @@ fn probe(
         // Interval estimates are order statistics: there is no prefix state
         // to resume, only a finished `.boot` entry of exactly this B.
         return match cache.probe_boot(key, work.b) {
-            Some(r) if r.offset == 0 && r.genes() == work.prepared.rows() => {
+            Some(r) if r.offset == 0 && r.genes() == work.genes => {
                 prog.boot = Some(r);
                 prog.cursor = work.b;
                 CacheDisposition::Hit
@@ -800,16 +813,22 @@ fn probe(
     }
 }
 
-/// Run one unit of a peer coordinator's job and encode the reply — the
-/// `span_exec` verb. Admission has refused adaptive units already.
-pub(crate) fn serve_unit(work: &JobWork, unit: Unit) -> Result<Json, CoreError> {
-    fn go<K: JobKind>(kind: &K, work: &JobWork, unit: Unit) -> Result<Json, CoreError> {
-        let (part, secs) = kind.run(work, unit, ChunkHooks::default())?;
+/// Run one unit of a peer coordinator's job over `data` and encode the
+/// reply — the `span_exec` verb. Admission has refused adaptive units
+/// already.
+pub(crate) fn serve_unit(work: &JobWork, data: &Matrix, unit: Unit) -> Result<Json, CoreError> {
+    fn go<K: JobKind>(
+        kind: &K,
+        work: &JobWork,
+        data: &Matrix,
+        unit: Unit,
+    ) -> Result<Json, CoreError> {
+        let (part, secs) = kind.run(work, data, unit, ChunkHooks::default())?;
         Ok(kind.reply(unit, &part, secs))
     }
     match work.opts.workload {
-        Workload::Bootstrap => go(&Bands, work, unit),
-        Workload::Pmaxt => go(&Counts, work, unit),
+        Workload::Bootstrap => go(&Bands, work, data, unit),
+        Workload::Pmaxt => go(&Counts, work, data, unit),
     }
 }
 
@@ -852,7 +871,7 @@ pub(crate) fn worker_loop(inner: &Arc<Inner>) {
 /// Claim a popped job and run one step of it: one unit of a local job, the
 /// whole roster of a sharded one. Returns whether to requeue it.
 fn step(inner: &Inner, job: &Job) -> bool {
-    {
+    let data = {
         let mut prog = plock(&job.prog);
         if prog.state != JobState::Queued {
             return false;
@@ -863,20 +882,23 @@ fn step(inner: &Inner, job: &Job) -> bool {
             return false;
         }
         prog.state = JobState::Running;
-    }
+        // The step's own reference: the job may turn terminal, and release
+        // its matrix, while a unit still runs on it.
+        prog.data.clone().expect("a queued job holds its matrix")
+    };
     journal_transition(inner, job);
     match (job.work.opts.workload, job.work.mode) {
-        (Workload::Bootstrap, _) => drive(&Bands, inner, job),
+        (Workload::Bootstrap, _) => drive(&Bands, inner, job, &data),
         (_, Mode::Adaptive) => {
             let counts = plock(&job.prog).counts.clone();
             let seed = (counts.n_perm > 0).then_some(counts);
-            drive(&Adaptive { seed }, inner, job)
+            drive(&Adaptive { seed }, inner, job, &data)
         }
-        _ => drive(&Counts, inner, job),
+        _ => drive(&Counts, inner, job, &data),
     }
 }
 
-fn drive<K: JobKind>(kind: &K, inner: &Inner, job: &Job) -> bool {
+fn drive<K: JobKind>(kind: &K, inner: &Inner, job: &Job, data: &Matrix) -> bool {
     let (from, end) = kind.extent(&job.work, &plock(&job.prog));
     if from >= end {
         // Complete at claim (e.g. a resumed entry that already covers B).
@@ -884,12 +906,12 @@ fn drive<K: JobKind>(kind: &K, inner: &Inner, job: &Job) -> bool {
     }
     match &job.shard {
         Some(stats) => {
-            shard(kind, inner, job, stats, from, end);
+            shard(kind, inner, job, data, stats, from, end);
             false
         }
         None => {
             let unit = (from, kind.granule(inner.cfg.span).min(end - from));
-            run_local(kind, inner, job, unit)
+            run_local(kind, inner, job, data, unit)
         }
     }
 }
@@ -908,6 +930,7 @@ fn run_unit<K: JobKind>(
     kind: &K,
     inner: &Inner,
     work: &JobWork,
+    data: &Matrix,
     unit: Unit,
     hooks: ChunkHooks<'_>,
 ) -> Result<(K::Part, f64), Stop> {
@@ -919,7 +942,7 @@ fn run_unit<K: JobKind>(
         if faults.fire(FaultKind::SpanIo) {
             return Err(CoreError::Comm("injected span I/O error".to_string()));
         }
-        kind.run(work, unit, hooks)
+        kind.run(work, data, unit, hooks)
     }));
     match outcome {
         Ok(Ok(done)) => Ok(done),
@@ -932,8 +955,9 @@ fn run_unit<K: JobKind>(
     }
 }
 
-/// Run `unit` of a local job and merge it. Returns whether units remain.
-fn run_local<K: JobKind>(kind: &K, inner: &Inner, job: &Job, unit: Unit) -> bool {
+/// Run `unit` of a local job over its matrix `data` and merge it. Returns
+/// whether units remain.
+fn run_local<K: JobKind>(kind: &K, inner: &Inner, job: &Job, data: &Matrix, unit: Unit) -> bool {
     let progress = |n: u64| {
         job.live_done.fetch_add(n, Ordering::Relaxed);
     };
@@ -942,7 +966,7 @@ fn run_local<K: JobKind>(kind: &K, inner: &Inner, job: &Job, unit: Unit) -> bool
         progress: Some(&progress),
     };
     let t0 = Instant::now();
-    let part = match run_unit(kind, inner, &job.work, unit, hooks) {
+    let part = match run_unit(kind, inner, &job.work, data, unit, hooks) {
         Ok((part, _)) => part,
         Err(Stop::Cancelled) => {
             terminate(inner, job, JobState::Cancelled, None);
@@ -1003,7 +1027,15 @@ fn micros(secs: f64) -> u64 {
 /// remote units as `span_exec` requests, run the local share on a scoped
 /// thread, and merge on this one, in frontier order, so every checkpoint is
 /// an exact prefix and every unit is counted once.
-fn shard<K: JobKind>(kind: &K, inner: &Inner, job: &Job, stats: &ShardStats, from: u64, end: u64) {
+fn shard<K: JobKind>(
+    kind: &K,
+    inner: &Inner,
+    job: &Job,
+    data: &Matrix,
+    stats: &ShardStats,
+    from: u64,
+    end: u64,
+) {
     let work = &job.work;
     let peers = &inner.cfg.peers;
     let faults = &inner.cfg.faults;
@@ -1128,7 +1160,7 @@ fn shard<K: JobKind>(kind: &K, inner: &Inner, job: &Job, stats: &ShardStats, fro
                     cancel: Some(&job.cancel),
                     progress: None,
                 };
-                match run_unit(kind, inner, work, unit, hooks) {
+                match run_unit(kind, inner, work, data, unit, hooks) {
                     Ok((part, secs)) => {
                         stats
                             .kernel_local_micros
@@ -1245,6 +1277,7 @@ fn terminate(inner: &Inner, job: &Job, state: JobState, error: Option<String>) {
         job.live_done.store(prog.cursor, Ordering::Relaxed);
         prog.state = state;
         prog.error = error;
+        prog.data = None;
     }
     publish(inner, job);
 }

@@ -20,6 +20,8 @@
 //! - **Wire protocol** ([`json`], [`protocol`], [`server`], [`client`]):
 //!   line-delimited JSON over a Unix-domain socket or TCP, exposed by the
 //!   `pmaxt serve` / `submit` / `status` / `result` / `cancel` subcommands.
+//!   Requests name datasets by path; the [`datasets`] table parses each file
+//!   once per content and compares the bytes on every later load.
 //! - **Cross-daemon sharding** ([`shard`]): a daemon started with `--peer`
 //!   addresses deals one job's units across the roster — permutation spans
 //!   by the SPMD ranks' `span_plan` arithmetic, or one bootstrap gene band
@@ -47,6 +49,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod datasets;
 mod exec;
 pub mod faults;
 pub mod journal;
@@ -59,6 +62,7 @@ pub mod storage;
 
 pub use cache::{CacheKey, CacheProbe, ResultCache};
 pub use client::{request_retried, Client, RetryPolicy};
+pub use datasets::{Dataset, DatasetTable};
 pub use faults::{crash_point, FaultKind, Faults, CRASH_POINTS};
 pub use journal::{Durability, Journal, JournalRecord, RecordKind, Replay};
 pub use manager::{

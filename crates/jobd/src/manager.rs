@@ -32,6 +32,7 @@ use sprint_core::maxt::MaxTResult;
 use sprint_core::options::{Mode, PmaxtOptions, Workload};
 
 use crate::cache::{CacheKey, ResultCache};
+use crate::datasets::DatasetTable;
 use crate::exec::{self, Entry, Job, JobProgress, JobWork};
 use crate::faults::{crash_point, FaultKind, Faults};
 use crate::journal::{self, Durability, Journal, JournalRecord, RecordKind};
@@ -384,9 +385,13 @@ pub struct RecoveryReport {
     pub unrecoverable: usize,
 }
 
-/// The job service: owns the queue, the worker pool and the cache.
+/// The job service: owns the queue, the worker pool, the cache and the
+/// dataset table.
 pub struct JobManager {
     pub(crate) inner: Arc<Inner>,
+    /// Every dataset this daemon loads by path — for `submit`, `span_exec`
+    /// and journal replay — goes through this table.
+    datasets: DatasetTable,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Set once at startup when a journal was replayed.
     recovery: Mutex<Option<RecoveryReport>>,
@@ -471,6 +476,7 @@ impl JobManager {
             .collect();
         let mgr = JobManager {
             inner,
+            datasets: DatasetTable::new(),
             workers: Mutex::new(workers),
             recovery: Mutex::new(None),
         };
@@ -483,6 +489,11 @@ impl JobManager {
     /// The startup journal-replay report, when this manager keeps a journal.
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
         plock(&self.recovery).clone()
+    }
+
+    /// The table every dataset this daemon reads by path is loaded through.
+    pub(crate) fn datasets(&self) -> &DatasetTable {
+        &self.datasets
     }
 
     /// Submit a run. Validates like `mt_maxt` (or `boot_run`), dedups
@@ -521,14 +532,14 @@ impl JobManager {
             return Ok(twin);
         }
         let sharded = adm.sharded;
-        let mut work = JobWork::new(
+        let (mut work, data) = JobWork::new(
             adm,
             opts,
             self.inner.cfg.job_threads,
             source_path,
             key.check_digest(),
         );
-        let mut prog = JobProgress::new(work.prepared.rows());
+        let mut prog = JobProgress::new(data);
         let finished = exec::seed(self.inner.cache.as_ref(), &key, &mut work, &mut prog);
         let (state, cache) = (prog.state, prog.cache);
         let job = {
@@ -608,8 +619,8 @@ impl JobManager {
     ) -> Result<Json, JobError> {
         let entry = Entry::Peer(b, (start, take));
         let adm = exec::admit(&self.inner, data, &classlabel, &opts, false, entry)?;
-        let work = JobWork::new(adm, opts, self.inner.cfg.job_threads, None, 0);
-        exec::serve_unit(&work, (start, take)).map_err(JobError::Invalid)
+        let (work, data) = JobWork::new(adm, opts, self.inner.cfg.job_threads, None, 0);
+        exec::serve_unit(&work, &data, (start, take)).map_err(JobError::Invalid)
     }
 
     fn get(&self, id: u64) -> Result<Arc<Job>, JobError> {
@@ -776,6 +787,7 @@ impl JobManager {
             let queued = prog.state == JobState::Queued;
             if queued {
                 prog.state = JobState::Cancelled;
+                prog.data = None;
             }
             queued
         };
@@ -946,12 +958,12 @@ impl JobManager {
                 continue;
             };
             let opts = rec.opts.clone().unwrap_or_default();
-            let spec = match microarray::io::read_dataset(std::path::Path::new(source)) {
-                Ok((data, classlabel)) => JobSpec {
-                    data,
-                    classlabel,
+            let spec = match self.datasets.load(std::path::Path::new(source)) {
+                Ok(dataset) => JobSpec {
+                    data: dataset.data,
+                    classlabel: dataset.classlabel,
                     opts,
-                    source_path: Some(std::path::PathBuf::from(source)),
+                    source_path: Some(dataset.path),
                 },
                 Err(e) => {
                     eprintln!("jobd: recovery: cannot re-read {source}: {e}");
@@ -1302,6 +1314,78 @@ pub(crate) mod tests {
             );
             mgr.shutdown();
         }
+    }
+
+    #[test]
+    fn terminal_jobs_release_their_matrices() {
+        let (data, labels) = wide_dataset();
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("sprint-jobd-release-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let open = || {
+            JobManager::new(ManagerConfig {
+                workers: 1,
+                span: 16,
+                cache_dir: Some(dir.clone()),
+                faults: Faults::disabled(),
+                ..ManagerConfig::default()
+            })
+            .unwrap()
+        };
+        let spec = |b: u64, seed: u64| JobSpec {
+            data: data.clone(),
+            classlabel: labels.clone(),
+            opts: PmaxtOptions::default().permutations(b).seed(seed),
+            source_path: None,
+        };
+        let released = |mgr: &JobManager, id: u64| plock(&mgr.get(id).unwrap().prog).data.is_none();
+        let wait = Some(Duration::from_secs(60));
+        let mgr = open();
+
+        // A computed job.
+        let computed = mgr.submit(spec(200, 1)).unwrap();
+        let first = mgr.wait_result(computed.id, wait).unwrap();
+        assert!(released(&mgr, computed.id));
+
+        // A cancelled job, cancelled once it has made progress.
+        let long = mgr.submit(spec(5_000_000, 2)).unwrap();
+        while mgr.status(long.id).unwrap().done == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        mgr.cancel(long.id).unwrap();
+        assert!(matches!(
+            mgr.wait_result(long.id, wait),
+            Err(JobError::Cancelled(_))
+        ));
+        assert!(released(&mgr, long.id));
+
+        // The finished job still answers, and still takes resubmissions.
+        assert_eq!(mgr.result(computed.id).unwrap(), first);
+        let status = mgr.status(computed.id).unwrap();
+        assert_eq!((status.state, status.done), (JobState::Finished, 200));
+        let twin = mgr.submit(spec(200, 1)).unwrap();
+        assert_eq!((twin.id, twin.deduped), (computed.id, true));
+        assert_eq!(mgr.result(twin.id).unwrap(), first);
+        let extend = mgr.submit(spec(300, 1)).unwrap();
+        assert_eq!(extend.cache, CacheDisposition::Extend { from: 200 });
+        let longer = mgr.wait_result(extend.id, wait).unwrap();
+        let fresh = sprint_core::maxt::serial::mt_maxt(&data, &labels, &spec(300, 1).opts);
+        assert_eq!(longer, fresh.unwrap());
+        assert!(released(&mgr, extend.id));
+        mgr.shutdown();
+
+        // A job finished from the cache at submit, in a restarted manager
+        // (the extension now holds the stream's entry).
+        let mgr = open();
+        let hit = mgr.submit(spec(300, 1)).unwrap();
+        assert_eq!(
+            (hit.state, hit.cache),
+            (JobState::Finished, CacheDisposition::Hit)
+        );
+        assert!(released(&mgr, hit.id));
+        assert_eq!(mgr.result(hit.id).unwrap(), longer);
+        mgr.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

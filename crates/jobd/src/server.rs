@@ -29,10 +29,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use microarray::io::read_dataset;
-use sprint_core::matrix::Matrix;
 use sprint_core::options::PmaxtOptions;
 
+use crate::datasets::Dataset;
 use crate::faults::{FaultKind, Faults};
 use crate::json::Json;
 use crate::manager::{JobError, JobManager, JobSpec, JobStatus};
@@ -435,36 +434,36 @@ fn handle_connection(
     }
 }
 
-/// The dataset a `submit` or `span_exec` request names, read from this
-/// daemon's filesystem, with the request's options and the path itself.
+/// The request's options and the dataset a `submit` or `span_exec` request
+/// names, loaded from this daemon's filesystem through its dataset table.
 fn dataset_request(
     request: &Json,
     cmd: &str,
-) -> Result<(PmaxtOptions, Matrix, Vec<u8>, PathBuf), Json> {
+    manager: &JobManager,
+) -> Result<(PmaxtOptions, Dataset), Json> {
     let usage = |msg: &str| protocol::err_response(msg, "usage");
     let path = request.get("path").and_then(Json::as_str);
     let path = PathBuf::from(path.ok_or_else(|| usage(&format!("{cmd} requires a path field")))?);
     let opts = protocol::opts_from_request(request).map_err(|e| usage(&e))?;
-    let (data, classlabel) = read_dataset(&path).map_err(|e| {
+    let dataset = manager.datasets().load(&path).map_err(|e| {
         protocol::err_response(&format!("cannot read dataset {path:?}: {e}"), "runtime")
     })?;
-    Ok((opts, data, classlabel, path))
+    Ok((opts, dataset))
 }
 
 fn handle_submit(request: &Json, manager: &JobManager) -> Json {
-    let (opts, data, classlabel, path) = match dataset_request(request, "submit") {
+    let (opts, dataset) = match dataset_request(request, "submit", manager) {
         Ok(parts) => parts,
         Err(resp) => return resp,
     };
-    // Record the canonical dataset path: if this daemon has peers, the
-    // coordinator sends it in `span_exec` requests so each peer re-reads
-    // its own copy instead of shipping the matrix inline.
-    let source_path = std::fs::canonicalize(&path).unwrap_or(path);
+    // Record the canonical dataset path the table loaded: if this daemon has
+    // peers, the coordinator sends it in `span_exec` requests so each peer
+    // loads its own copy instead of receiving the matrix inline.
     match manager.submit(JobSpec {
-        data,
-        classlabel,
+        data: dataset.data,
+        classlabel: dataset.classlabel,
         opts,
-        source_path: Some(source_path),
+        source_path: Some(dataset.path),
     }) {
         Ok(info) => protocol::submit_to_json(&info),
         Err(e) => protocol::err_from(&e),
@@ -473,7 +472,7 @@ fn handle_submit(request: &Json, manager: &JobManager) -> Json {
 
 /// Run one unit of a sharded job for a peer coordinator — a permutation
 /// span, or a gene band when the request's `workload` is `bootstrap`:
-/// re-read the dataset from this daemon's own filesystem, recompute the unit
+/// load the dataset from this daemon's own filesystem, recompute the unit
 /// over the same skip-ahead stream the coordinator uses, and return its
 /// part (exceedance counts, or interval estimates as bit patterns).
 /// Stateless by design — no job is registered, so a coordinator retry (or a
@@ -492,12 +491,12 @@ fn handle_span_exec(request: &Json, manager: &JobManager) -> Json {
             )
         }
     };
-    let (opts, data, classlabel, _) = match dataset_request(request, "span_exec") {
+    let (opts, dataset) = match dataset_request(request, "span_exec", manager) {
         Ok(parts) => parts,
         Err(resp) => return resp,
     };
     manager
-        .exec_span(data, classlabel, opts, b, start, take)
+        .exec_span(dataset.data, dataset.classlabel, opts, b, start, take)
         .unwrap_or_else(|e| protocol::err_from(&e))
 }
 
