@@ -117,26 +117,6 @@ fn run_whatif() {
         );
     }
     println!();
-    println!("model calibration vs measured localhost-TCP collectives (6102x76 payload):");
-    for procs in [2usize, 4] {
-        let m = sprint_bench::measure_collectives(procs, 6_102, 76, 5);
-        let model = simulate(&quad, REFERENCE, procs as u32).bcast;
-        let delta = 100.0 * (m.bcast_secs - model) / model;
-        println!(
-            "  p={procs}: bcast {:>6.1} KiB measured {:>8.4} s, quad-core model {:>7.4} s \
-             ({delta:+.0}%); count reduce measured {:>8.4} s",
-            m.payload_bytes as f64 / 1024.0,
-            m.bcast_secs,
-            model,
-            m.reduce_secs,
-        );
-    }
-    println!(
-        "  (the model's bcast section also folds in the paper platform's MPI \
-         stack and interconnect constants; localhost loopback TCP is the \
-         floor, so a measured value at or below the model is expected)"
-    );
-    println!();
 }
 
 fn run_local(genes: usize, b: u64, max_procs: usize) {

@@ -1354,74 +1354,6 @@ pub fn adaptive_bench_to_json(r: &AdaptiveBench) -> String {
     s
 }
 
-/// Measured timings of the two collectives the SPMD path actually performs,
-/// over real localhost TCP ([`mpi_sim::TcpFleet`]): the root's broadcast of
-/// the dataset payload and the count reduction back to the root.
-#[derive(Debug, Clone, Copy)]
-pub struct CollectiveTiming {
-    /// Fleet size.
-    pub procs: usize,
-    /// Broadcast payload size in bytes (`genes * samples * 8`).
-    pub payload_bytes: usize,
-    /// Timed repetitions (after one warm-up round).
-    pub reps: usize,
-    /// Mean seconds per broadcast, timed at the root.
-    pub bcast_secs: f64,
-    /// Mean seconds per `genes`-element `u64` sum-reduction, timed at the
-    /// root.
-    pub reduce_secs: f64,
-}
-
-/// Measure the dataset broadcast and the count reduction over a real
-/// localhost-TCP fleet, for calibrating the `cluster-sim` communication
-/// model against something physically measured. Each repetition is fenced
-/// with a barrier so the root's clock spans one collective, not stragglers
-/// from the previous one.
-pub fn measure_collectives(
-    procs: usize,
-    genes: usize,
-    samples: usize,
-    reps: usize,
-) -> CollectiveTiming {
-    use mpi_sim::{encode_f64s, Comm, TcpFleet};
-    use std::time::Instant;
-    let payload: Vec<f64> = (0..genes * samples).map(|i| i as f64 * 0.5).collect();
-    let fleet = TcpFleet::localhost(procs).expect("localhost fleet");
-    let timings = fleet
-        .run(move |comm| {
-            let counts: Vec<u64> = (0..genes as u64).collect();
-            let mut bcast_total = 0.0;
-            let mut reduce_total = 0.0;
-            for rep in 0..reps + 1 {
-                comm.barrier().expect("barrier");
-                let t0 = Instant::now();
-                let bytes = comm.is_master().then(|| encode_f64s(&payload));
-                comm.bcast_bytes(0, bytes).expect("bcast");
-                let bcast = t0.elapsed().as_secs_f64();
-                comm.barrier().expect("barrier");
-                let t0 = Instant::now();
-                comm.reduce_sum_u64(0, counts.clone()).expect("reduce");
-                let reduce = t0.elapsed().as_secs_f64();
-                // The first round pays connection and allocator warm-up;
-                // discard it.
-                if rep > 0 && comm.is_master() {
-                    bcast_total += bcast;
-                    reduce_total += reduce;
-                }
-            }
-            (bcast_total / reps as f64, reduce_total / reps as f64)
-        })
-        .expect("fleet run");
-    let (bcast_secs, reduce_secs) = timings[0];
-    CollectiveTiming {
-        procs,
-        payload_bytes: genes * samples * 8,
-        reps,
-        bcast_secs,
-        reduce_secs,
-    }
-}
-
 /// Serialize the cluster benchmark as JSON.
 pub fn cluster_bench_to_json(r: &ClusterBench) -> String {
     use std::fmt::Write as _;

@@ -60,7 +60,6 @@ pub mod pmaxt;
 pub mod rng;
 pub mod side;
 pub mod stats;
-pub mod wire;
 
 /// The most common imports in one place.
 pub mod prelude {

@@ -39,7 +39,7 @@ use crate::matrix::Matrix;
 use crate::maxt::serial::prepare_run;
 use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult, EPSILON};
 use crate::options::PmaxtOptions;
-use crate::perm::{build_generator, PermutationGenerator};
+use crate::perm::{build_generator, ResamplingStream};
 use crate::stats::scorer::ScorerScratch;
 
 /// Default permutations per batch when `batch = 0` (auto). Large enough to
@@ -433,7 +433,7 @@ impl MaxTContext<'_> {
     /// [`MaxTContext::accumulate_batched_with`].
     pub fn accumulate_batched(
         &self,
-        gen: &mut dyn PermutationGenerator,
+        gen: &mut dyn ResamplingStream,
         take: u64,
         batch: usize,
         acc: &mut CountAccumulator,
@@ -456,7 +456,7 @@ impl MaxTContext<'_> {
     /// every batch size — see the module docs.
     pub fn accumulate_batched_with(
         &self,
-        gen: &mut dyn PermutationGenerator,
+        gen: &mut dyn ResamplingStream,
         take: u64,
         acc: &mut CountAccumulator,
         bufs: &mut BatchBuffers,

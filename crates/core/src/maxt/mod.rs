@@ -14,7 +14,6 @@ pub mod engine;
 pub mod minp;
 pub mod result;
 pub mod sample;
-pub mod sequential;
 pub mod serial;
 
 pub use counts::CountAccumulator;
@@ -24,7 +23,7 @@ pub use result::{MaxTResult, MaxTRow};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::options::{KernelChoice, Precision, TestMethod};
-use crate::perm::PermutationGenerator;
+use crate::perm::ResamplingStream;
 use crate::side::Side;
 use crate::stats::scorer::{build_scorer, Scorer};
 
@@ -165,7 +164,7 @@ impl<'a> MaxTContext<'a> {
     /// This is the paper's "main kernel" section.
     pub fn accumulate(
         &self,
-        gen: &mut dyn PermutationGenerator,
+        gen: &mut dyn ResamplingStream,
         take: u64,
         acc: &mut CountAccumulator,
     ) -> u64 {

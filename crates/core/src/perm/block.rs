@@ -3,7 +3,7 @@
 //! has `(k!)^m` arrangements — "a huge amount of permutations" (paper §3.1) —
 //! which is why this method is never stored in memory.
 
-use super::PermutationGenerator;
+use super::ResamplingStream;
 use crate::rng::{mix_seed, Xoshiro256};
 
 /// Write the permutation of `0..k` with Lehmer (factoradic) index `idx` into
@@ -49,7 +49,7 @@ impl BlockShuffleFixedSeed {
     }
 }
 
-impl PermutationGenerator for BlockShuffleFixedSeed {
+impl ResamplingStream for BlockShuffleFixedSeed {
     fn len(&self) -> u64 {
         self.len
     }
@@ -121,7 +121,7 @@ impl BlockShuffleSequential {
     }
 }
 
-impl PermutationGenerator for BlockShuffleSequential {
+impl ResamplingStream for BlockShuffleSequential {
     fn len(&self) -> u64 {
         self.len
     }
@@ -181,7 +181,7 @@ impl CompleteBlock {
     }
 }
 
-impl PermutationGenerator for CompleteBlock {
+impl ResamplingStream for CompleteBlock {
     fn len(&self) -> u64 {
         self.len
     }

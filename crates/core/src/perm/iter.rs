@@ -1,17 +1,17 @@
 //! Iterator adapter over permutation generators, for ergonomic downstream
 //! use (the generator trait itself is buffer-oriented for the hot kernel).
 
-use super::PermutationGenerator;
+use super::ResamplingStream;
 
 /// Owned iterator yielding each label arrangement as a fresh `Vec<u8>`.
 pub struct Permutations {
-    gen: Box<dyn PermutationGenerator>,
+    gen: Box<dyn ResamplingStream>,
     cols: usize,
 }
 
 impl Permutations {
     /// Wrap a generator producing arrangements of `cols` labels.
-    pub fn new(gen: Box<dyn PermutationGenerator>, cols: usize) -> Self {
+    pub fn new(gen: Box<dyn ResamplingStream>, cols: usize) -> Self {
         Permutations { gen, cols }
     }
 

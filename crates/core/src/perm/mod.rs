@@ -66,11 +66,6 @@ pub trait ResamplingStream: Send {
     }
 }
 
-/// Historical name of [`ResamplingStream`], kept so existing consumers and
-/// trait impls compile unchanged. The permutation families implement the
-/// same trait; only the name moved when the bootstrap workload landed.
-pub use ResamplingStream as PermutationGenerator;
-
 /// Resolve the effective permutation count for a run: `B` itself for random
 /// sampling, or the complete-arrangement count when `B = 0` (checked against
 /// `max_complete`).
@@ -99,10 +94,10 @@ pub fn build_generator(
     labels: &ClassLabels,
     opts: &PmaxtOptions,
     b_resolved: u64,
-) -> Result<Box<dyn PermutationGenerator>> {
+) -> Result<Box<dyn ResamplingStream>> {
     let base = labels.as_slice().to_vec();
     let complete = opts.b == 0;
-    let gen: Box<dyn PermutationGenerator> = match labels.design() {
+    let gen: Box<dyn ResamplingStream> = match labels.design() {
         Design::TwoSample { .. } | Design::MultiClass { .. } => {
             if complete {
                 Box::new(shuffle::CompleteShuffle::new(base, b_resolved))
@@ -156,10 +151,10 @@ pub fn build_generator(
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use super::PermutationGenerator;
+    use super::ResamplingStream;
 
     /// Drain a generator into a vector of label arrangements.
-    pub fn collect_all(gen: &mut dyn PermutationGenerator, cols: usize) -> Vec<Vec<u8>> {
+    pub fn collect_all(gen: &mut dyn ResamplingStream, cols: usize) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         let mut buf = vec![0u8; cols];
         while gen.next_into(&mut buf) {
@@ -170,7 +165,7 @@ pub(crate) mod test_support {
 
     /// Take up to `count` arrangements.
     pub fn collect_range(
-        gen: &mut dyn PermutationGenerator,
+        gen: &mut dyn ResamplingStream,
         cols: usize,
         count: usize,
     ) -> Vec<Vec<u8>> {

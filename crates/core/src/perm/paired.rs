@@ -1,7 +1,7 @@
 //! Generators for the paired design (`pairt`): a permutation is a pattern of
 //! within-pair label swaps (sign flips of the pair differences).
 
-use super::PermutationGenerator;
+use super::ResamplingStream;
 use crate::rng::{mix_seed, Xoshiro256};
 
 #[inline]
@@ -35,7 +35,7 @@ impl PairFlipFixedSeed {
     }
 }
 
-impl PermutationGenerator for PairFlipFixedSeed {
+impl ResamplingStream for PairFlipFixedSeed {
     fn len(&self) -> u64 {
         self.len
     }
@@ -110,7 +110,7 @@ impl PairFlipSequential {
     }
 }
 
-impl PermutationGenerator for PairFlipSequential {
+impl ResamplingStream for PairFlipSequential {
     fn len(&self) -> u64 {
         self.len
     }
@@ -167,7 +167,7 @@ impl CompletePaired {
     }
 }
 
-impl PermutationGenerator for CompletePaired {
+impl ResamplingStream for CompletePaired {
     fn len(&self) -> u64 {
         self.len
     }

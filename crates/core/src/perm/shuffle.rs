@@ -2,7 +2,7 @@
 //! label arrangements are permutations of the label multiset.
 
 use super::multiset;
-use super::PermutationGenerator;
+use super::ResamplingStream;
 use crate::rng::{mix_seed, Xoshiro256};
 
 /// Beyond this forward gap the complete generator jumps by unranking instead
@@ -34,7 +34,7 @@ impl ShuffleFixedSeed {
     }
 }
 
-impl PermutationGenerator for ShuffleFixedSeed {
+impl ResamplingStream for ShuffleFixedSeed {
     fn len(&self) -> u64 {
         self.len
     }
@@ -99,7 +99,7 @@ impl ShuffleSequential {
     }
 }
 
-impl PermutationGenerator for ShuffleSequential {
+impl ResamplingStream for ShuffleSequential {
     fn len(&self) -> u64 {
         self.len
     }
@@ -192,7 +192,7 @@ impl CompleteShuffle {
     }
 }
 
-impl PermutationGenerator for CompleteShuffle {
+impl ResamplingStream for CompleteShuffle {
     fn len(&self) -> u64 {
         self.len
     }

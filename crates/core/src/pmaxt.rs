@@ -6,8 +6,10 @@
 //!
 //! 1. the master pre-processes and validates the inputs;
 //! 2. parameters are broadcast (lengths first in the C code; here a single
-//!    typed broadcast);
-//! 3. a global reduction synchronizes all ranks after allocation;
+//!    typed broadcast of one parameter struct), then the dataset (one typed
+//!    broadcast of the NA-canonicalized `Matrix`);
+//! 3. a global synchronization after allocation (a barrier here, where the
+//!    C code uses a trivial allreduce);
 //! 4. each rank computes its share of the permutations through the batched
 //!    multi-threaded engine ([`crate::maxt::engine`]), whose workers forward
 //!    their generators with `skip` (Figure 2 — the first/identity permutation
@@ -21,7 +23,7 @@
 
 use std::sync::Arc;
 
-use mpi_sim::{Comm, SectionProfile, SectionTimer, Universe, MASTER};
+use mpi_sim::{Communicator, SectionProfile, SectionTimer, Universe, MASTER};
 
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
@@ -32,7 +34,6 @@ use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult};
 use crate::options::PmaxtOptions;
 use crate::perm::resolve_permutation_count;
 use crate::stats::prepare_matrix;
-use crate::wire;
 
 /// Section names as they appear in the paper's Tables I–V.
 pub mod sections {
@@ -135,41 +136,9 @@ pub fn span_plan(b: u64, participants: usize) -> Result<Vec<(u64, u64)>> {
 #[derive(Debug, Clone)]
 struct Params {
     rows: usize,
-    cols: usize,
     labels: Vec<u8>,
     opts: PmaxtOptions,
     b: u64,
-}
-
-impl Params {
-    /// Wire form for the parameter broadcast (any [`Comm`] backend).
-    fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        wire::put_u64(&mut buf, self.rows as u64);
-        wire::put_u64(&mut buf, self.cols as u64);
-        wire::put_u64(&mut buf, self.labels.len() as u64);
-        buf.extend_from_slice(&self.labels);
-        wire::encode_options(&self.opts, &mut buf);
-        wire::put_u64(&mut buf, self.b);
-        buf
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Params> {
-        let mut r = wire::Reader::new(bytes);
-        let rows = r.u64()? as usize;
-        let cols = r.u64()? as usize;
-        let labels = r.bytes()?;
-        let opts = wire::decode_options(&mut r)?;
-        let b = r.u64()?;
-        r.finish()?;
-        Ok(Params {
-            rows,
-            cols,
-            labels,
-            opts,
-            b,
-        })
-    }
 }
 
 /// Run the parallel permutation test on `n_ranks` SPMD ranks.
@@ -227,16 +196,16 @@ pub fn pmaxt(
 /// `sprint` framework layer) can dispatch the same body over their own
 /// communicator.
 ///
-/// Generic over the transport: the body speaks only [`Comm`], so the same
-/// code runs over in-process channels (`Universe`) or real TCP
-/// (`mpi_sim::TcpFleet`) — broadcast payloads travel as explicit byte
-/// encodings (see [`crate::wire`]) whose float fields are bit patterns, so
-/// results stay bitwise-identical across backends.
+/// The body uses five typed collectives of [`Communicator`]: it broadcasts
+/// the parameter struct and the NA-canonicalized [`Matrix`] as values (every
+/// rank receives the master's exact bits, with no byte codec in between),
+/// passes a barrier, sum-reduces the `u64` counts and gathers the section
+/// profiles. On `p` ranks that is `4(p − 1) + p⌈log₂ p⌉` messages.
 ///
 /// Returns `Some((result, master profile, all rank profiles))` on the
 /// master, `None` on workers.
-pub fn pmaxt_rank<C: Comm>(
-    comm: &C,
+pub fn pmaxt_rank(
+    comm: &Communicator,
     master_input: Option<&Arc<(Matrix, Vec<u8>, PmaxtOptions)>>,
 ) -> Option<(MaxTResult, SectionProfile, Vec<SectionProfile>)> {
     let mut timer = SectionTimer::new();
@@ -253,7 +222,6 @@ pub fn pmaxt_rank<C: Comm>(
         let b = resolve_permutation_count(&labels, opts).expect("validated by caller");
         Some(Params {
             rows: data.rows(),
-            cols: data.cols(),
             labels: classlabel.clone(),
             opts: opts.clone(),
             b,
@@ -262,19 +230,16 @@ pub fn pmaxt_rank<C: Comm>(
 
     // Step 2 — broadcast parameters.
     let params = timer.time(sections::BROADCAST_PARAMETERS, || {
-        let payload = comm
-            .bcast_bytes(MASTER, master_params.as_ref().map(Params::encode))
-            .expect("param broadcast");
-        Params::decode(&payload).expect("param decode")
+        comm.bcast(MASTER, master_params).expect("param broadcast")
     });
 
     // Step 2/3 — create data: broadcast the (NA-canonicalized) matrix and
     // build the local prepared copy.
     let (prepared, labels) = timer.time(sections::CREATE_DATA, || {
-        let payload = if comm.is_master() {
+        let canonical = if comm.is_master() {
             let (data, _, opts) =
                 &**master_input.expect("master rank must receive the input triple");
-            let canonical = match opts.na {
+            Some(match opts.na {
                 Some(code) => Matrix::from_vec_with_na(
                     data.rows(),
                     data.cols(),
@@ -283,24 +248,20 @@ pub fn pmaxt_rank<C: Comm>(
                 )
                 .expect("validated dimensions"),
                 None => data.clone(),
-            };
-            let mut buf = Vec::new();
-            wire::encode_f64_vec(&canonical.into_vec(), &mut buf);
-            Some(buf)
+            })
         } else {
             None
         };
-        let bytes = comm.bcast_bytes(MASTER, payload).expect("data broadcast");
-        let raw = wire::decode_f64_vec(&mut wire::Reader::new(&bytes)).expect("data decode");
-        let local = Matrix::from_vec(params.rows, params.cols, raw).expect("validated dims");
+        let local = comm.bcast(MASTER, canonical).expect("data broadcast");
         let labels =
             ClassLabels::new(params.labels.clone(), params.opts.test).expect("validated by master");
         let prepared = prepare_matrix(&local, params.opts.test, params.opts.nonpara).into_owned();
         (prepared, labels)
     });
 
-    // Step 3 — global synchronization after allocation (the paper uses a
-    // trivial allreduce; a barrier is the transport-generic equivalent).
+    // Step 3 — global synchronization after allocation. The C code uses a
+    // trivial allreduce; a dissemination barrier gives the same guarantee
+    // (no rank leaves before every rank has its data) without a payload.
     comm.barrier().expect("sync barrier");
 
     // Step 4 — main kernel: each rank processes its chunk of permutations
@@ -345,17 +306,13 @@ pub fn pmaxt_rank<C: Comm>(
     // profile so the master can report load balance.
     let profile = timer.finish();
     let all_profiles = comm
-        .gather_bytes(MASTER, wire::encode_profile(&profile))
+        .gather(MASTER, profile.clone())
         .expect("profile gather");
     result.map(|r| {
         (
             r,
             profile,
-            all_profiles
-                .expect("master holds the gathered profiles")
-                .iter()
-                .map(|bytes| wire::decode_profile(bytes).expect("profile decode"))
-                .collect(),
+            all_profiles.expect("master holds the gathered profiles"),
         )
     })
 }
@@ -527,6 +484,30 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn spmd_body_traffic_matches_the_collective_trees() {
+        // Paper §4.4: the parameter and data broadcasts, the count reduction
+        // and the profile gather each cost p − 1 messages over their trees;
+        // the dissemination barrier costs p⌈log₂ p⌉.
+        let (data, labels) = test_data();
+        let input = Arc::new((data, labels, PmaxtOptions::default().permutations(40)));
+        for p in 1..=8usize {
+            let input = Arc::clone(&input);
+            let stats = Universe::run(p, move |comm| {
+                pmaxt_rank(comm, Some(&input));
+                comm.message_stats()
+            })
+            .unwrap();
+            let sent: u64 = stats.iter().map(|s| s.sent).sum();
+            let received: u64 = stats.iter().map(|s| s.received).sum();
+            let ceil_log2 = u64::from(usize::BITS - (p - 1).leading_zeros());
+            let p = p as u64;
+            assert_eq!(sent, received, "p={p}: every message consumed");
+            assert_eq!(sent, 4 * (p - 1) + p * ceil_log2, "p={p}");
+            assert!(stats.iter().all(|s| s.collectives == 5), "p={p}: {stats:?}");
         }
     }
 

@@ -407,6 +407,35 @@ mod tests {
     }
 
     #[test]
+    fn flipped_cursor_digit_degrades_to_miss_and_is_quarantined() {
+        let cache = tmp_cache("flipped-cursor");
+        let key = sample_key();
+        cache.store(&key, &state_at(&key, 25, 60)).unwrap();
+        // One bit: "cursor 25" -> "cursor 24" ('5' 0x35 -> '4' 0x34). The
+        // entry still parses and its digest still matches the key, but
+        // extending it would resume from the wrong permutation index.
+        let path = cache.entry_path(&key);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let line = b"cursor 25\n";
+        let at = bytes
+            .windows(line.len())
+            .position(|w| w == line)
+            .expect("entry at cursor 25");
+        bytes[at + line.len() - 2] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(cache.probe(&key, 60), CacheProbe::Miss);
+        let dir = cache.dir().to_path_buf();
+        drop(cache);
+        let cache = ResultCache::open(&dir).unwrap();
+        assert!(!cache.entry_path(&key).exists());
+        assert_eq!(
+            std::fs::read_dir(dir.join(QUARANTINE_DIR)).unwrap().count(),
+            1
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corrupt_or_mismatched_entries_degrade_to_miss() {
         let cache = tmp_cache("corrupt");
         let key = sample_key();

@@ -42,7 +42,7 @@ use crate::server::BindAddr;
 
 /// Wire counters of one sharded job, shared between the coordinator, its
 /// peer dispatchers and status readers. The analogue of `mpi-sim`'s
-/// `MessageStats`/`TcpStats` for the daemon-to-daemon transport, surfaced in
+/// `MessageStats` for the daemon-to-daemon transport, surfaced in
 /// `pmaxt status` and progress events.
 #[derive(Debug, Default)]
 pub struct ShardStats {

@@ -28,9 +28,6 @@ enum CollKind {
     Bcast = 1,
     Gather = 2,
     Reduce = 3,
-    Scatter = 4,
-    Allgather = 5,
-    Alltoall = 6,
 }
 
 /// Snapshot of a rank's message traffic, for communication-complexity
@@ -306,98 +303,6 @@ impl Communicator {
         self.bcast(crate::MASTER, reduced)
     }
 
-    /// Flat scatter from `root`: the root supplies one `T` per rank (in rank
-    /// order); every rank returns its element.
-    pub fn scatter<T: Send + 'static>(&self, root: usize, values: Option<Vec<T>>) -> CommResult<T> {
-        self.check_rank(root)?;
-        let tag = self.next_coll_tag(CollKind::Scatter);
-        if self.rank == root {
-            let values = values.expect("scatter root must supply values");
-            assert_eq!(
-                values.len(),
-                self.size,
-                "scatter requires one value per rank"
-            );
-            let mut own = None;
-            for (dst, v) in values.into_iter().enumerate() {
-                if dst == root {
-                    own = Some(v);
-                } else {
-                    self.send_tagged(dst, tag, v)?;
-                }
-            }
-            Ok(own.expect("root element present"))
-        } else {
-            self.recv_tagged::<T>(root, tag)
-        }
-    }
-
-    /// Allgather: every rank contributes `value`; every rank returns the
-    /// vector of all contributions in rank order. Implemented as a ring
-    /// (p−1 rounds), the classic bandwidth-optimal algorithm.
-    pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> CommResult<Vec<T>> {
-        let tag = self.next_coll_tag(CollKind::Allgather);
-        let mut out: Vec<Option<T>> = (0..self.size).map(|_| None).collect();
-        out[self.rank] = Some(value);
-        if self.size > 1 {
-            let next = (self.rank + 1) % self.size;
-            let prev = (self.rank + self.size - 1) % self.size;
-            // In round r, forward the piece that originated r hops back.
-            for r in 0..self.size - 1 {
-                let send_origin = (self.rank + self.size - r) % self.size;
-                let piece = out[send_origin].clone().expect("piece present");
-                self.send_tagged(next, tag | ((r as u64) << 32), piece)?;
-                let recv_origin = (self.rank + self.size - r - 1) % self.size;
-                let received = self.recv_tagged::<T>(prev, tag | ((r as u64) << 32))?;
-                out[recv_origin] = Some(received);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("all pieces gathered"))
-            .collect())
-    }
-
-    /// All-to-all personalized exchange: rank `i` supplies one `T` per rank;
-    /// every rank returns the vector whose `j`-th element came from rank `j`.
-    pub fn alltoall<T: Send + 'static>(&self, values: Vec<T>) -> CommResult<Vec<T>> {
-        assert_eq!(values.len(), self.size, "alltoall needs one value per rank");
-        let tag = self.next_coll_tag(CollKind::Alltoall);
-        let mut out: Vec<Option<T>> = (0..self.size).map(|_| None).collect();
-        // Send each piece to its destination (self-piece moves directly),
-        // then receive one piece from every peer.
-        for (dst, v) in values.into_iter().enumerate() {
-            if dst == self.rank {
-                out[dst] = Some(v);
-            } else {
-                self.send_tagged(dst, tag, v)?;
-            }
-        }
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src != self.rank {
-                *slot = Some(self.recv_tagged::<T>(src, tag)?);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("piece received"))
-            .collect())
-    }
-
-    /// Combined send-to-`dst` / receive-from-`src` with the same tag, as
-    /// `MPI_Sendrecv` — deadlock-free for ring exchanges because sends never
-    /// block in this substrate.
-    pub fn sendrecv<T: Send + 'static>(
-        &self,
-        dst: usize,
-        src: usize,
-        tag: u64,
-        value: T,
-    ) -> CommResult<T> {
-        self.send(dst, tag, value)?;
-        self.recv(src, tag)
-    }
-
     /// Element-wise sum-reduce of equal-length `u64` vectors to `root`.
     /// This is the collective `pmaxT` uses to combine per-rank permutation
     /// counts (paper §3.2 Step 5); integer summation makes it exact.
@@ -409,64 +314,6 @@ impl Communicator {
             }
             a
         })
-    }
-
-    /// Element-wise sum-reduce of equal-length `f64` vectors to `root`.
-    pub fn reduce_sum_f64(&self, root: usize, value: Vec<f64>) -> CommResult<Option<Vec<f64>>> {
-        self.reduce(root, value, |mut a, b| {
-            assert_eq!(a.len(), b.len(), "vectors must have equal length");
-            for (x, y) in a.iter_mut().zip(&b) {
-                *x += *y;
-            }
-            a
-        })
-    }
-}
-
-/// The in-process channel substrate as one backend of the transport-generic
-/// [`Comm`](crate::Comm) trait. Only the byte-level primitives are provided;
-/// the trait's default collectives reuse the exact binomial/dissemination
-/// topologies above, so generic rank bodies produce the same message counts
-/// as code written against the concrete type.
-impl crate::comm_trait::Comm for Communicator {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn send_bytes(&self, dst: usize, tag: u64, payload: Vec<u8>) -> CommResult<()> {
-        debug_assert_eq!(
-            tag & COLL_BIT,
-            0,
-            "trait-level tags must not enter the inherent collective space"
-        );
-        self.send_tagged(dst, tag, payload)
-    }
-
-    fn recv_bytes(&self, src: usize, tag: u64) -> CommResult<Vec<u8>> {
-        debug_assert_eq!(
-            tag & COLL_BIT,
-            0,
-            "trait-level tags must not enter the inherent collective space"
-        );
-        self.recv_tagged::<Vec<u8>>(src, tag)
-    }
-
-    fn next_collective(&self, kind: crate::comm_trait::CollectiveKind) -> u64 {
-        // Shares the sequence counter with the inherent collectives (SPMD
-        // discipline covers both), but stamps bit 62 instead of bit 63 so the
-        // two tag spaces stay disjoint.
-        self.collectives.set(self.collectives.get() + 1);
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq + 1);
-        crate::comm_trait::TRAIT_COLL_BIT | (seq << 3) | kind as u64
-    }
-
-    fn message_stats(&self) -> MessageStats {
-        Communicator::message_stats(self)
     }
 }
 
@@ -570,20 +417,6 @@ mod tests {
     fn allreduce_delivers_everywhere() {
         let out = Universe::run(6, |c| c.allreduce(1u64, |a, b| a + b).unwrap()).unwrap();
         assert!(out.iter().all(|&v| v == 6));
-    }
-
-    #[test]
-    fn scatter_distributes_by_rank() {
-        let out = Universe::run(4, |c| {
-            let vals = if c.rank() == 0 {
-                Some(vec![10u32, 11, 12, 13])
-            } else {
-                None
-            };
-            c.scatter(0, vals).unwrap()
-        })
-        .unwrap();
-        assert_eq!(out, vec![10, 11, 12, 13]);
     }
 
     #[test]
@@ -735,90 +568,5 @@ mod stats_tests {
         for s in stats {
             assert_eq!(s, crate::comm::MessageStats::default());
         }
-    }
-}
-
-#[cfg(test)]
-mod extended_coll_tests {
-    use crate::Universe;
-
-    #[test]
-    fn allgather_delivers_everything_everywhere() {
-        for size in [1usize, 2, 3, 5, 8] {
-            let out = Universe::run(size, |c| c.allgather(c.rank() as u32 * 10).unwrap()).unwrap();
-            let expect: Vec<u32> = (0..size as u32).map(|r| r * 10).collect();
-            for v in out {
-                assert_eq!(v, expect, "size={size}");
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_of_vectors() {
-        let out = Universe::run(4, |c| {
-            c.allgather(vec![c.rank() as u8; c.rank() + 1]).unwrap()
-        })
-        .unwrap();
-        for v in out {
-            assert_eq!(v[0], vec![0]);
-            assert_eq!(v[3], vec![3, 3, 3, 3]);
-        }
-    }
-
-    #[test]
-    fn alltoall_transposes_the_exchange_matrix() {
-        for size in [1usize, 2, 4, 6] {
-            let out = Universe::run(size, |c| {
-                // Rank i sends (i, j) to rank j.
-                let values: Vec<(usize, usize)> = (0..c.size()).map(|j| (c.rank(), j)).collect();
-                c.alltoall(values).unwrap()
-            })
-            .unwrap();
-            for (j, received) in out.into_iter().enumerate() {
-                // Rank j must hold (i, j) at position i.
-                for (i, v) in received.into_iter().enumerate() {
-                    assert_eq!(v, (i, j), "size={size}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sendrecv_ring_rotation() {
-        let out = Universe::run(5, |c| {
-            let next = (c.rank() + 1) % c.size();
-            let prev = (c.rank() + c.size() - 1) % c.size();
-            c.sendrecv(next, prev, 9, c.rank()).unwrap()
-        })
-        .unwrap();
-        assert_eq!(out, vec![4, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn allgather_message_count_is_ring() {
-        // Ring allgather: every rank sends p−1 pieces.
-        let size = 6usize;
-        let stats = Universe::run(size, |c| {
-            c.allgather(1u8).unwrap();
-            c.message_stats()
-        })
-        .unwrap();
-        for s in stats {
-            assert_eq!(s.sent, size as u64 - 1);
-            assert_eq!(s.received, size as u64 - 1);
-        }
-    }
-
-    #[test]
-    fn mixed_collectives_in_sequence() {
-        let out = Universe::run(3, |c| {
-            let ag = c.allgather(c.rank() as u64).unwrap();
-            let sum: u64 = ag.iter().sum();
-            let a2a = c.alltoall(vec![sum; 3]).unwrap();
-            c.allreduce(a2a.iter().sum::<u64>(), |a, b| a + b).unwrap()
-        })
-        .unwrap();
-        // Each rank: ag = [0,1,2] sum 3; a2a all 3s sum 9; allreduce 27.
-        assert!(out.iter().all(|&v| v == 27));
     }
 }

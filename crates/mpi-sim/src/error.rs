@@ -27,24 +27,6 @@ pub enum CommError {
         /// The communicator size.
         size: usize,
     },
-    /// A blocking receive exceeded its deadline. On a network backend this is
-    /// how a dead or wedged peer is detected (the read deadline doubles as a
-    /// failure detector).
-    Timeout {
-        /// Rank of the unresponsive peer.
-        peer: usize,
-    },
-    /// A frame arrived malformed: bad magic, an oversized length prefix, or a
-    /// payload that does not decode as the expected shape.
-    Protocol {
-        /// Rank of the peer that sent the offending frame.
-        peer: usize,
-        /// Human-readable description of the violation.
-        detail: String,
-    },
-    /// A transport-level I/O failure outside any single peer conversation
-    /// (bind, accept, connect exhausting its retry budget).
-    Io(String),
 }
 
 impl fmt::Display for CommError {
@@ -65,13 +47,6 @@ impl fmt::Display for CommError {
                     "rank {rank} out of range for communicator of size {size}"
                 )
             }
-            CommError::Timeout { peer } => {
-                write!(f, "timed out waiting for peer rank {peer}")
-            }
-            CommError::Protocol { peer, detail } => {
-                write!(f, "protocol violation from peer rank {peer}: {detail}")
-            }
-            CommError::Io(detail) => write!(f, "transport I/O error: {detail}"),
         }
     }
 }

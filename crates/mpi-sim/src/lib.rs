@@ -3,8 +3,13 @@
 //! The SPRINT paper parallelizes `mt.maxT` with MPI. This crate provides the
 //! subset of MPI semantics that `pmaxT` actually uses — ranks, point-to-point
 //! send/receive with tags, and the collectives broadcast, barrier, gather and
-//! reduce — with ranks running as OS threads inside one process and messages
-//! travelling over channels.
+//! reduce (plus `allreduce`, the paper's Step-3 synchronization) — with ranks
+//! running as OS threads inside one process and messages travelling over
+//! channels.
+//!
+//! [`Communicator`] is the only communicator. Its collectives are typed:
+//! a broadcast moves the value itself (a parameter struct, a whole
+//! `Matrix`), cloned once per tree edge, so no rank body needs a byte codec.
 //!
 //! The substitution is documented in `DESIGN.md`: the algorithmic structure of
 //! the parallel permutation test (who talks to whom, in which order, with
@@ -29,20 +34,14 @@
 //! ```
 
 mod comm;
-mod comm_trait;
 mod envelope;
 mod error;
 mod mesh;
-mod tcp;
 mod timer;
 mod universe;
 
 pub use comm::{Communicator, MessageStats};
-pub use comm_trait::{
-    decode_f64s, decode_u64s, encode_f64s, encode_u64s, CollectiveKind, Comm, TRAIT_COLL_BIT,
-};
 pub use error::{CommError, CommResult};
-pub use tcp::{TcpComm, TcpConfig, TcpFleet, TcpStats};
 pub use timer::{SectionProfile, SectionTimer};
 pub use universe::{Universe, UniverseError};
 

@@ -78,14 +78,6 @@ pub struct SectionProfile {
 }
 
 impl SectionProfile {
-    /// Reassemble a profile from `(name, duration)` pairs, preserving order.
-    /// This is the decode half of sending a profile over a byte transport
-    /// (the rank-profile gather in `pmaxt` works on any [`Comm`](crate::Comm)
-    /// backend, so profiles must survive serialization).
-    pub fn from_sections(sections: Vec<(String, Duration)>) -> Self {
-        SectionProfile { sections }
-    }
-
     /// Duration of `name`, or zero if the section never ran.
     pub fn get(&self, name: &str) -> Duration {
         self.sections

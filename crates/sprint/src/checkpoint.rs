@@ -111,6 +111,11 @@ fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// Load a checkpoint; `Ok(None)` when the file does not exist.
+///
+/// Every writer keeps `cursor == n_perm <= b` and no count above `n_perm`,
+/// so a file that breaks one of these is corrupt (`InvalidData`), even when
+/// it parses and its digest matches: a resume from a wrong cursor would
+/// silently count some permutations twice or skip them.
 pub fn load(path: &Path) -> io::Result<Option<CheckpointState>> {
     let file = match std::fs::File::open(path) {
         Ok(f) => f,
@@ -152,6 +157,15 @@ pub fn load(path: &Path) -> io::Result<Option<CheckpointState>> {
     };
     let count_raw = parse_counts(next_line()?, "count_raw")?;
     let count_adj = parse_counts(next_line()?, "count_adj")?;
+    if cursor != n_perm {
+        return Err(bad("cursor disagrees with n_perm"));
+    }
+    if cursor > b {
+        return Err(bad("cursor beyond b"));
+    }
+    if count_raw.iter().chain(&count_adj).any(|&c| c > n_perm) {
+        return Err(bad("count exceeds n_perm"));
+    }
     Ok(Some(CheckpointState {
         digest,
         cursor,
@@ -443,6 +457,60 @@ mod tests {
         let loaded = load(&path).unwrap().unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded, state);
+    }
+
+    #[test]
+    fn flipped_cursor_digit_is_a_typed_error_not_a_wrong_result() {
+        let (data, labels) = data_and_labels();
+        let opts = PmaxtOptions::default().permutations(60);
+        let path = tmp("flipped-cursor");
+        let (partial, _) =
+            run_with_checkpoints(&data, &labels, &opts, &path, 10, Some(25)).unwrap();
+        assert!(partial.is_none());
+        // One bit: "cursor 25" -> "cursor 24" ('5' 0x35 -> '4' 0x34). The
+        // file still parses and its input digest still matches the run.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let line = b"cursor 25\n";
+        let at = bytes
+            .windows(line.len())
+            .position(|w| w == line)
+            .expect("mid-run checkpoint at cursor 25");
+        bytes[at + line.len() - 2] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        match run_with_checkpoints(&data, &labels, &opts, &path, 10, None) {
+            Err(Error::Comm(msg)) => assert!(msg.contains("cursor"), "{msg}"),
+            other => panic!("expected a typed load error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn inconsistent_cursor_b_or_counts_are_invalid_data() {
+        let good = CheckpointState {
+            digest: 7,
+            cursor: 20,
+            b: 50,
+            counts: CountAccumulator {
+                count_raw: vec![20, 3],
+                count_adj: vec![5, 20],
+                n_perm: 20,
+            },
+        };
+        let mut beyond_b = good.clone();
+        beyond_b.b = 10;
+        let mut count_above = good.clone();
+        count_above.counts.count_adj[0] = 21;
+        let mut cursor_off = good.clone();
+        cursor_off.cursor = 19;
+        let path = tmp("inconsistent");
+        save(&path, &good).unwrap();
+        assert_eq!(load(&path).unwrap(), Some(good));
+        for bad in [beyond_b, count_above, cursor_off] {
+            save(&path, &bad).unwrap();
+            let err = load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

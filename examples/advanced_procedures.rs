@@ -1,14 +1,13 @@
 //! The extension procedures beyond the paper: step-down **minP** (the
-//! companion `multtest` adjustment) and **sequential early stopping**
-//! (Besag–Clifford style), compared against maxT on the same data — plus
-//! `pcor`, the SPRINT library's original parallel correlation function.
+//! companion `multtest` adjustment) and **adaptive early stopping**
+//! (anytime-valid per-gene bounds), compared against maxT on the same data —
+//! plus `pcor`, the SPRINT library's original parallel correlation function.
 
 use microarray::prelude::*;
 use sprint::driver::standard_registry;
 use sprint::framework::Sprint;
 use sprint::pcor::call_pcor;
 use sprint_core::maxt::minp::mt_minp;
-use sprint_core::maxt::sequential::sequential_rawp;
 use sprint_core::prelude::*;
 
 fn main() {
@@ -54,21 +53,25 @@ fn main() {
         ds.matrix.rows()
     );
 
-    // Sequential early stopping: same answer for the boring genes at a
-    // fraction of the permutations.
-    let seq = sequential_rawp(&ds.matrix, &ds.labels, &opts, 15, opts.b).expect("sequential");
+    // Adaptive early stopping: same answer for the boring genes at a
+    // fraction of the gene-permutations.
+    let adaptive =
+        adaptive_maxt(&ds.matrix, &ds.labels, &opts, &AdaptiveConfig::default()).expect("adaptive");
+    let report = &adaptive.report;
     println!(
-        "sequential stopping (h = 15): consumed {} of {} permutations (stopped early: {})",
-        seq.b_done, opts.b, seq.stopped_early
+        "adaptive stopping: scored {:.1}% of the exact budget ({} of {} genes stopped early)",
+        100.0 * report.budget_fraction(),
+        report.genes_stopped(),
+        ds.matrix.rows()
     );
-    let max_dev = seq
-        .rawp
+    let max_dev = report
+        .p_point
         .iter()
         .zip(&maxt.rawp)
         .filter(|(a, b)| !a.is_nan() && !b.is_nan() && **b > 0.05)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
-    println!("max |sequential − fixed-B| over non-significant genes: {max_dev:.4}\n");
+    println!("max |adaptive p_point − fixed-B rawp| over non-significant genes: {max_dev:.4}\n");
 
     // pcor through the framework: correlation of the top differential genes.
     let top: Vec<usize> = maxt.by_significance().take(6).map(|r| r.index).collect();

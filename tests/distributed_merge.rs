@@ -2,8 +2,8 @@
 //! is split across a roster — any participant count, any span size, surplus
 //! idle peers included — accumulating the spans independently and merging
 //! their exceedance counts in any order reproduces the serial `mt.maxT`
-//! result bit for bit, for every statistic and sidedness, over both the
-//! in-process and the TCP communicator backends.
+//! result bit for bit, for every statistic and sidedness, and so does the
+//! SPMD body on the in-process communicator.
 //!
 //! This is the correctness core of jobd's cross-daemon sharding: the
 //! coordinator only ever executes `span_plan` + `slice_spans` spans (locally
@@ -218,11 +218,10 @@ proptest! {
     }
 }
 
-/// The same SPMD body over both communicator backends: in-process channels
-/// (`Universe`) and real localhost TCP (`TcpFleet`) produce results
+/// The SPMD body on three in-process ranks (`Universe`) produces results
 /// bitwise-identical to serial for every statistic and sidedness.
 #[test]
-fn both_comm_backends_bitwise_identical_to_serial() {
+fn spmd_body_bitwise_identical_to_serial() {
     for method in TestMethod::ALL {
         for side in [Side::Abs, Side::Upper, Side::Lower] {
             let classlabel = labels_for(method);
@@ -237,36 +236,16 @@ fn both_comm_backends_bitwise_identical_to_serial() {
             let serial = mt_maxt(&matrix, &classlabel, &opts).unwrap();
             let input = Arc::new((matrix, classlabel, opts));
 
-            let in_proc = {
-                let input = Arc::clone(&input);
-                mpi_sim::Universe::run(3, move |comm| pmaxt_rank(comm, Some(&input)))
-                    .unwrap()
-                    .into_iter()
-                    .next()
-                    .flatten()
-                    .expect("master rank produces the result")
-                    .0
-            };
+            let spmd = mpi_sim::Universe::run(3, move |comm| pmaxt_rank(comm, Some(&input)))
+                .unwrap()
+                .into_iter()
+                .next()
+                .flatten()
+                .expect("master rank produces the result")
+                .0;
             assert_eq!(
-                in_proc, serial,
-                "{method:?}/{side:?}: in-process backend must match serial"
-            );
-
-            let over_tcp = {
-                let input = Arc::clone(&input);
-                let fleet = mpi_sim::TcpFleet::localhost(3).unwrap();
-                fleet
-                    .run(move |comm| pmaxt_rank(comm, Some(&input)))
-                    .unwrap()
-                    .into_iter()
-                    .next()
-                    .flatten()
-                    .expect("master rank produces the result")
-                    .0
-            };
-            assert_eq!(
-                over_tcp, serial,
-                "{method:?}/{side:?}: TCP backend must match serial"
+                spmd, serial,
+                "{method:?}/{side:?}: SPMD body must match serial"
             );
         }
     }
