@@ -33,6 +33,7 @@
 
 pub mod normal;
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::error::{Error, Result};
@@ -132,16 +133,17 @@ impl BootstrapResult {
     }
 }
 
-/// Validate a bootstrap run and canonicalize the NA code. Refusals mirror
+/// Validate a bootstrap run and canonicalize the NA code; the matrix is
+/// borrowed unless an NA code rewrites it. Refusals mirror
 /// the permutation front half (`prepare_run`), plus the bootstrap-specific
 /// constraints: two-group `t` design only, explicit `B ≥ 2`, exact mode,
 /// `f64` accumulation, at most [`MAX_BOOTSTRAP_COLS`] sample columns, and a
 /// working set within [`DEFAULT_MINP_BUDGET_BYTES`].
-pub fn validate_boot(
-    data: &Matrix,
+pub fn validate_boot<'a>(
+    data: &'a Matrix,
     classlabel: &[u8],
     opts: &PmaxtOptions,
-) -> Result<(ClassLabels, u64, Matrix)> {
+) -> Result<(ClassLabels, u64, Cow<'a, Matrix>)> {
     if opts.workload != Workload::Bootstrap {
         return Err(Error::BadOption {
             param: "workload",
@@ -189,13 +191,16 @@ pub fn validate_boot(
     }
     let b = resolve_draw_count(&labels, opts)?;
     check_working_set(data.rows(), labels.len(), b, opts)?;
-    let owned = match opts.na {
-        Some(code) => {
-            Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)?
-        }
-        None => data.clone(),
+    let data = match opts.na {
+        Some(code) => Cow::Owned(Matrix::from_vec_with_na(
+            data.rows(),
+            data.cols(),
+            data.as_slice().to_vec(),
+            code,
+        )?),
+        None => Cow::Borrowed(data),
     };
-    Ok((labels, b, owned))
+    Ok((labels, b, data))
 }
 
 /// Refuse a run whose working set exceeds [`DEFAULT_MINP_BUDGET_BYTES`]:

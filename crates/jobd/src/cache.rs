@@ -54,8 +54,15 @@ impl CacheKey {
     /// canonicalizes before digesting, so differently-encoded but identical
     /// datasets share entries).
     pub fn new(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> CacheKey {
+        Self::from_digest(digest::dataset_digest(data, classlabel), opts)
+    }
+
+    /// Key for a run whose dataset digest is already known: `dataset` must
+    /// be [`digest::dataset_digest`] of the matrix [`CacheKey::new`] would
+    /// be given.
+    pub fn from_digest(dataset: u64, opts: &PmaxtOptions) -> CacheKey {
         CacheKey {
-            dataset: digest::dataset_digest(data, classlabel),
+            dataset,
             stream: digest::stream_digest(opts),
         }
     }

@@ -1,46 +1,50 @@
-//! The daemon's dataset table: each dataset file is parsed once per content,
-//! however often `submit`, `span_exec` and journal replay name it.
+//! The daemon's dataset table: each dataset file is parsed, and its digest
+//! computed, once per content, however often `submit`, `span_exec` and
+//! journal replay name it.
 //!
 //! Requests name their dataset by path, and the daemon reads it from its own
 //! filesystem. Parsing the TSV — splitting about half a million cells and
 //! converting each to `f64` on the paper's 6102 × 76 matrix — costs tens of
-//! milliseconds, more than everything else a cache hit does. The table keeps,
-//! per canonical path, the file's exact bytes and their parse, and answers a
-//! load in one of two ways:
+//! milliseconds, and digesting the parse for the cache key several more,
+//! more than everything else a cache hit does. The table keeps, per
+//! canonical path, the file's exact bytes, their parse and the parse's
+//! [`dataset_digest`], and answers a load in one of two ways:
 //!
 //! - **Same bytes.** The file is opened, its length checked against the
 //!   stored bytes, and its content compared with them through one fixed
-//!   64 KiB buffer. When every byte matches, the load returns clones of the
-//!   stored matrix and labels.
+//!   64 KiB buffer. When every byte matches, the load hands out `Arc`
+//!   handles to the stored matrix and labels, and the stored digest.
 //! - **Anything else** — a path never loaded, a different length, one byte
 //!   that differs: the file is read and parsed with [`read_dataset`]'s
-//!   parser, and the parse replaces the entry.
+//!   parser, the parse is digested, and the entry is replaced.
 //!
 //! Nothing but the content is trusted. A modification time, an inode number
 //! or a matching size says nothing about the bytes (a same-length rewrite
 //! with its mtime restored keeps all three), and a digest would have to read
 //! every byte anyway, so every load compares the content itself: the table
-//! never serves the parse of bytes the file no longer holds.
+//! never serves the parse of bytes the file no longer holds. The kept digest
+//! is a function of the parse alone, so the compare that re-proves the parse
+//! re-proves the digest with it.
 //!
 //! Memory is bounded by [`TABLE_BYTES`], counted over every entry's file
 //! bytes, cells and labels, with least-recently-used eviction. A file longer
 //! than the bound streams through the parser and is not kept, and a parse
 //! too large to keep is served and dropped. The table's lock covers lookup
-//! and insert only, never file I/O or parsing, so a slow disk or a large
-//! parse never stalls another request's load.
+//! and insert only, never file I/O, parsing or digesting, so a slow disk or
+//! a large parse never stalls another request's load.
 //!
 //! [`read_dataset`]: microarray::io::read_dataset
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use microarray::io::parse_dataset;
+use sprint_core::digest::dataset_digest;
 use sprint_core::matrix::Matrix;
 
-use crate::manager::plock;
+use crate::lru::Lru;
 
 /// Most bytes the table retains: every entry's file bytes plus its parsed
 /// cells (8 bytes each) and labels.
@@ -49,7 +53,7 @@ pub const TABLE_BYTES: usize = 64 << 20;
 /// Size of the one buffer a load compares a file's content through.
 const COMPARE_CHUNK: usize = 64 << 10;
 
-/// A loaded dataset.
+/// A loaded dataset, owned by the caller.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// Expression matrix (genes × samples).
@@ -61,48 +65,70 @@ pub struct Dataset {
     pub path: PathBuf,
 }
 
-/// A file's exact bytes and their parse.
+/// A loaded dataset as the table hands it out: handles to its entry's
+/// parse, shared with every other load of the same content.
+#[derive(Debug, Clone)]
+pub struct SharedDataset {
+    /// Expression matrix (genes × samples).
+    pub data: Arc<Matrix>,
+    /// Class labels, one per sample column.
+    pub classlabel: Arc<[u8]>,
+    /// [`dataset_digest`] of `data` and `classlabel`, computed once per parse.
+    pub digest: u64,
+    /// The canonical path it was read from: the table's key, and the path a
+    /// coordinator sends its peers.
+    pub path: PathBuf,
+}
+
+impl SharedDataset {
+    /// The dataset as owned values, copied out of the entry unless this is
+    /// its last handle.
+    pub fn into_owned(self) -> Dataset {
+        Dataset {
+            data: Arc::unwrap_or_clone(self.data),
+            classlabel: self.classlabel.to_vec(),
+            path: self.path,
+        }
+    }
+}
+
+/// A file's exact bytes, their parse and its digest.
 struct Parsed {
     bytes: Vec<u8>,
-    data: Matrix,
-    classlabel: Vec<u8>,
+    data: Arc<Matrix>,
+    classlabel: Arc<[u8]>,
+    digest: u64,
 }
 
 impl Parsed {
+    fn new(bytes: Vec<u8>, data: Matrix, classlabel: Vec<u8>) -> Parsed {
+        Parsed {
+            digest: dataset_digest(&data, &classlabel),
+            bytes,
+            data: Arc::new(data),
+            classlabel: classlabel.into(),
+        }
+    }
+
     /// What the entry counts against [`TABLE_BYTES`].
     fn cost(&self) -> usize {
         self.bytes.len() + std::mem::size_of_val(self.data.as_slice()) + self.classlabel.len()
     }
 
-    fn dataset(&self, path: PathBuf) -> Dataset {
-        Dataset {
-            data: self.data.clone(),
-            classlabel: self.classlabel.clone(),
+    fn dataset(&self, path: PathBuf) -> SharedDataset {
+        SharedDataset {
+            data: Arc::clone(&self.data),
+            classlabel: Arc::clone(&self.classlabel),
+            digest: self.digest,
             path,
         }
     }
 }
 
-#[derive(Default)]
-struct Entries {
-    /// Canonical path → (entry, tick of its last lookup or insert).
-    by_path: HashMap<PathBuf, (Arc<Parsed>, u64)>,
-    /// Sum of the entries' costs; never above the table's bound.
-    retained: usize,
-    clock: u64,
-}
-
-impl Entries {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-}
-
 /// See the module docs.
 pub struct DatasetTable {
-    bound: usize,
-    entries: Mutex<Entries>,
+    /// Canonical path → the file's bytes and their parse.
+    entries: Lru<PathBuf, Arc<Parsed>>,
 }
 
 impl Default for DatasetTable {
@@ -119,28 +145,30 @@ impl DatasetTable {
 
     fn with_bound(bound: usize) -> DatasetTable {
         DatasetTable {
-            bound,
-            entries: Mutex::new(Entries::default()),
+            entries: Lru::new(bound),
         }
+    }
+
+    /// Load the dataset at `path` as owned values:
+    /// [`DatasetTable::load_shared`], copied out of the table.
+    pub fn load(&self, path: &Path) -> io::Result<Dataset> {
+        self.load_shared(path).map(SharedDataset::into_owned)
     }
 
     /// Load the dataset at `path`: from the table when the file holds
     /// exactly the bytes of its entry, otherwise by reading and parsing it.
     /// Errors are the streaming reader's: an unreadable file's I/O error,
     /// or [`io::ErrorKind::InvalidData`] for malformed content.
-    pub fn load(&self, path: &Path) -> io::Result<Dataset> {
+    pub fn load_shared(&self, path: &Path) -> io::Result<SharedDataset> {
         let path = std::fs::canonicalize(path)?;
         let mut file = File::open(&path)?;
         let len = file.metadata()?.len();
-        if len > self.bound as u64 {
+        if len > self.entries.bound() as u64 {
             let (data, classlabel) = parse_dataset(BufReader::new(file))?;
-            return Ok(Dataset {
-                data,
-                classlabel,
-                path,
-            });
+            // Never kept, so its bytes are not needed.
+            return Ok(Parsed::new(Vec::new(), data, classlabel).dataset(path));
         }
-        if let Some(entry) = self.lookup(&path) {
+        if let Some(entry) = self.entries.get(&path) {
             if entry.bytes.len() as u64 == len && holds(&mut file, &entry.bytes)? {
                 return Ok(entry.dataset(path));
             }
@@ -149,55 +177,11 @@ impl DatasetTable {
         let mut bytes = Vec::with_capacity(len as usize);
         file.read_to_end(&mut bytes)?;
         let (data, classlabel) = parse_dataset(bytes.as_slice())?;
-        let parsed = Parsed {
-            bytes,
-            data,
-            classlabel,
-        };
-        if parsed.cost() > self.bound {
-            return Ok(Dataset {
-                data: parsed.data,
-                classlabel: parsed.classlabel,
-                path,
-            });
-        }
-        let parsed = Arc::new(parsed);
+        let parsed = Arc::new(Parsed::new(bytes, data, classlabel));
         let dataset = parsed.dataset(path.clone());
-        self.insert(path, parsed);
-        Ok(dataset)
-    }
-
-    fn lookup(&self, path: &Path) -> Option<Arc<Parsed>> {
-        let mut entries = plock(&self.entries);
-        let now = entries.tick();
-        let (parsed, used) = entries.by_path.get_mut(path)?;
-        *used = now;
-        Some(Arc::clone(parsed))
-    }
-
-    /// Keep `parsed` under `path`, replacing the path's old entry and
-    /// evicting the least recently used others until the table is back
-    /// within its bound. `parsed` fits the bound on its own and is the
-    /// newest entry, so it is never the one evicted.
-    fn insert(&self, path: PathBuf, parsed: Arc<Parsed>) {
         let cost = parsed.cost();
-        let mut entries = plock(&self.entries);
-        let now = entries.tick();
-        if let Some((old, _)) = entries.by_path.insert(path, (parsed, now)) {
-            entries.retained -= old.cost();
-        }
-        entries.retained += cost;
-        while entries.retained > self.bound {
-            let oldest = entries
-                .by_path
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(path, _)| path.clone());
-            let Some((old, _)) = oldest.and_then(|path| entries.by_path.remove(&path)) else {
-                break;
-            };
-            entries.retained -= old.cost();
-        }
+        self.entries.insert(path, parsed, cost);
+        Ok(dataset)
     }
 }
 
@@ -227,13 +211,11 @@ mod tests {
 
     impl DatasetTable {
         fn retained(&self) -> usize {
-            plock(&self.entries).retained
+            self.entries.retained()
         }
 
         fn paths(&self) -> Vec<PathBuf> {
-            let mut paths: Vec<PathBuf> = plock(&self.entries).by_path.keys().cloned().collect();
-            paths.sort();
-            paths
+            self.entries.keys()
         }
     }
 
@@ -362,6 +344,31 @@ mod tests {
             assert_eq!(table.paths(), vec![paths[0].clone()]);
             assert_eq!(table.retained(), each);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn kept_digest_is_the_parse_digest_and_a_same_length_rewrite_changes_it() {
+        let dir = dir("digest");
+        let path = dir.join("a.tsv");
+        let (data, labels) = write(&path, 20, 1);
+        let table = DatasetTable::new();
+        let first = table.load_shared(&path).unwrap();
+        assert_eq!(first.digest, dataset_digest(&data, &labels));
+        // Served from the entry: the same parse, shared, and its digest.
+        let again = table.load_shared(&path).unwrap();
+        assert!(Arc::ptr_eq(&first.data, &again.data));
+        assert_eq!(again.digest, first.digest);
+        // Rewrite the last cell's last digit in place, keeping the length.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 2;
+        bytes[at] = if bytes[at] == b'7' { b'8' } else { b'7' };
+        std::fs::write(&path, &bytes).unwrap();
+        let rewritten = table.load_shared(&path).unwrap();
+        let (data, labels) = read_dataset(&path).unwrap();
+        assert_eq!(*rewritten.data, data);
+        assert_eq!(rewritten.digest, dataset_digest(&data, &labels));
+        assert_ne!(rewritten.digest, first.digest);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -122,12 +122,12 @@ pub(crate) struct JobProgress {
 
 impl JobProgress {
     /// A queued job over `data` with nothing computed yet.
-    pub(crate) fn new(data: Matrix) -> JobProgress {
+    pub(crate) fn new(data: Arc<Matrix>) -> JobProgress {
         JobProgress {
             state: JobState::Queued,
             cursor: 0,
             counts: CountAccumulator::new(data.rows()),
-            data: Some(Arc::new(data)),
+            data: Some(data),
             computed: 0,
             cache: CacheDisposition::Uncached,
             secs_per_perm: None,
@@ -247,8 +247,9 @@ pub(crate) enum Entry {
 
 /// An admitted request: validated inputs, and where it runs.
 pub(crate) struct Admission {
-    /// The NA-canonical matrix (also the cache-key input).
-    pub(crate) data: Matrix,
+    /// The NA-canonical matrix (also the cache-key input): the submitted
+    /// one, shared, unless an NA code rewrote it.
+    pub(crate) data: Arc<Matrix>,
     pub(crate) labels: ClassLabels,
     pub(crate) b: u64,
     pub(crate) mode: Mode,
@@ -263,7 +264,7 @@ pub(crate) struct Admission {
 /// ([`validate_run`]) for maxT.
 pub(crate) fn admit(
     inner: &Inner,
-    data: Matrix,
+    data: Arc<Matrix>,
     classlabel: &[u8],
     opts: &PmaxtOptions,
     has_source: bool,
@@ -276,18 +277,14 @@ pub(crate) fn admit(
         Err(JobError::Invalid(CoreError::BadOption { param, value }))
     };
     let boot = opts.workload == Workload::Bootstrap;
-    let (labels, b, data) = if boot {
-        boot::validate_boot(&data, classlabel, opts).map_err(JobError::Invalid)?
+    let (labels, b, canonical) = if boot {
+        boot::validate_boot(&data, classlabel, opts)
     } else {
-        let (labels, b, canonical) =
-            validate_run(&data, classlabel, opts).map_err(JobError::Invalid)?;
-        // Keep the submitted matrix unless the NA code rewrote it.
-        let canonical = match canonical {
-            Cow::Owned(m) => Some(m),
-            Cow::Borrowed(_) => None,
-        };
-        (labels, b, canonical.unwrap_or(data))
-    };
+        validate_run(&data, classlabel, opts)
+    }
+    .map_err(JobError::Invalid)?;
+    // Keep the submitted matrix unless the NA code rewrote it.
+    let data = owned(canonical).map_or(data, Arc::new);
     // The cache extends a B-permutation result to B′ > B by reusing its
     // counts verbatim, and a sharded run merges counts from several daemons:
     // both are only sound when counts are bitwise reproducible, so the f32
@@ -349,6 +346,15 @@ pub(crate) fn admit(
     })
 }
 
+/// The matrix a validation or preparation step made, when it made one
+/// rather than borrowing its input.
+fn owned(m: Cow<'_, Matrix>) -> Option<Matrix> {
+    match m {
+        Cow::Owned(m) => Some(m),
+        Cow::Borrowed(_) => None,
+    }
+}
+
 impl JobWork {
     /// Ready an admitted request for its units: this daemon's per-job engine
     /// thread budget where the options leave it to auto, and the matrix the
@@ -359,7 +365,7 @@ impl JobWork {
         job_threads: usize,
         source: Option<PathBuf>,
         check_digest: u64,
-    ) -> (JobWork, Matrix) {
+    ) -> (JobWork, Arc<Matrix>) {
         let threads = if opts.threads == 0 {
             job_threads
         } else {
@@ -371,7 +377,8 @@ impl JobWork {
             opts.threads = threads;
             adm.data
         } else {
-            prepare_matrix(&adm.data, opts.test, opts.nonpara).into_owned()
+            // Shared unless the scorer ranks it.
+            owned(prepare_matrix(&adm.data, opts.test, opts.nonpara)).map_or(adm.data, Arc::new)
         };
         let work = JobWork {
             genes: prepared.rows(),
@@ -1820,8 +1827,8 @@ mod tests {
         let mgr = manager(16);
         let err = mgr
             .exec_span(
-                data,
-                labels,
+                Arc::new(data),
+                &labels,
                 PmaxtOptions::default()
                     .permutations(97)
                     .mode(Mode::Adaptive),
@@ -1860,6 +1867,7 @@ mod tests {
         use Via::*;
         use Workload::{Bootstrap as Boot, Pmaxt};
         let (data, labels) = small_dataset();
+        let data = Arc::new(data);
         let mgr = JobManager::new(ManagerConfig {
             workers: 1,
             cache_dir: None,
@@ -1878,7 +1886,7 @@ mod tests {
         let admit_via = |opts: &PmaxtOptions, via: Via| {
             let resolved = admit(
                 &mgr.inner,
-                data.clone(),
+                Arc::clone(&data),
                 &labels,
                 &opts.clone().mode(Mode::Exact).precision(Precision::F64),
                 false,
@@ -1891,7 +1899,7 @@ mod tests {
                 Roster => (true, Entry::Submit),
                 Peer => (false, Entry::Peer(resolved, (0, 1))),
             };
-            match admit(&mgr.inner, data.clone(), &labels, opts, source, entry) {
+            match admit(&mgr.inner, Arc::clone(&data), &labels, opts, source, entry) {
                 Ok(_) if matches!(via, Peer) => Unit,
                 Ok(adm) if adm.sharded => Sharded,
                 Ok(_) => Local,

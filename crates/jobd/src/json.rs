@@ -12,8 +12,17 @@
 //! - **`u64` values ride as strings** when they may exceed 2⁵³ (seeds,
 //!   digests): a JSON number is an f64 on both ends, which silently rounds
 //!   large integers. [`Json::as_u64`] accepts both forms.
+//!
+//! The parser recurses once per array or object, so it refuses documents
+//! nested deeper than [`MAX_DEPTH`]: a request line of a few hundred
+//! thousand `[` would otherwise overflow a connection thread's stack.
 
 use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// deepest protocol document, an adaptive `result` (response object,
+/// `adaptive` object, `tail` array, tail row object), nests 4 levels.
+pub const MAX_DEPTH: usize = 32;
 
 /// A JSON value. Object keys keep insertion order (a `Vec`, not a map): the
 /// protocol never has enough keys for lookup cost to matter, and stable order
@@ -150,11 +159,13 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document. Errors carry a byte offset and a short reason.
+    /// Parse a JSON document. Errors carry a byte offset and a short reason;
+    /// nesting deeper than [`MAX_DEPTH`] is one.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -187,6 +198,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -228,12 +241,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(&format!("unexpected byte {:?}", other as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -452,5 +476,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_accepted_to_the_bound_and_refused_past_it() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at = Json::parse(&nest(MAX_DEPTH, open, close)).unwrap();
+            assert_eq!(at.to_json(), nest(MAX_DEPTH, open, close));
+            let err = Json::parse(&nest(MAX_DEPTH + 1, open, close)).unwrap_err();
+            assert!(err.contains("nested deeper than"), "{err}");
+        }
+        // Far past the bound, as one hostile line: refused without
+        // recursing into it.
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nested deeper than"), "{err}");
     }
 }

@@ -20,8 +20,10 @@
 //! - **Wire protocol** ([`json`], [`protocol`], [`server`], [`client`]):
 //!   line-delimited JSON over a Unix-domain socket or TCP, exposed by the
 //!   `pmaxt serve` / `submit` / `status` / `result` / `cancel` subcommands.
-//!   Requests name datasets by path; the [`datasets`] table parses each file
-//!   once per content and compares the bytes on every later load.
+//!   Requests name datasets by path; the [`datasets`] table parses and
+//!   digests each file once per content and compares the bytes on every
+//!   later load, and the server encodes a finished job's `result` line once
+//!   it is fetched again.
 //! - **Cross-daemon sharding** ([`shard`]): a daemon started with `--peer`
 //!   addresses deals one job's units across the roster — permutation spans
 //!   by the SPMD ranks' `span_plan` arithmetic, or one bootstrap gene band
@@ -54,6 +56,7 @@ mod exec;
 pub mod faults;
 pub mod journal;
 pub mod json;
+mod lru;
 pub mod manager;
 pub mod protocol;
 pub mod server;
@@ -62,7 +65,7 @@ pub mod storage;
 
 pub use cache::{CacheKey, CacheProbe, ResultCache};
 pub use client::{request_retried, Client, RetryPolicy};
-pub use datasets::{Dataset, DatasetTable};
+pub use datasets::{Dataset, DatasetTable, SharedDataset};
 pub use faults::{crash_point, FaultKind, Faults, CRASH_POINTS};
 pub use journal::{Durability, Journal, JournalRecord, RecordKind, Replay};
 pub use manager::{

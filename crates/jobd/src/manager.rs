@@ -19,6 +19,7 @@
 //! last merged checkpoint, which a later submit resumes from.
 
 use std::collections::{HashMap, VecDeque};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -32,7 +33,7 @@ use sprint_core::maxt::MaxTResult;
 use sprint_core::options::{Mode, PmaxtOptions, Workload};
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::datasets::DatasetTable;
+use crate::datasets::{DatasetTable, SharedDataset};
 use crate::exec::{self, Entry, Job, JobProgress, JobWork};
 use crate::faults::{crash_point, FaultKind, Faults};
 use crate::journal::{self, Durability, Journal, JournalRecord, RecordKind};
@@ -68,7 +69,7 @@ pub struct ManagerConfig {
     /// fully busy pool does not oversubscribe the machine.
     pub job_threads: usize,
     /// Cache directory; `None` disables caching (every submit computes).
-    pub cache_dir: Option<std::path::PathBuf>,
+    pub cache_dir: Option<PathBuf>,
     /// Peer daemon addresses (`pmaxt serve --peer`). When non-empty, an
     /// exact job submitted with a dataset path is *sharded*: its permutation
     /// range (or its genes, for bootstrap) is split across this daemon and
@@ -114,7 +115,46 @@ pub struct JobSpec {
     /// for cross-daemon sharding: peers re-read the dataset from this path on
     /// their own filesystem instead of shipping the matrix inline. Jobs
     /// submitted without a path always run locally.
-    pub source_path: Option<std::path::PathBuf>,
+    pub source_path: Option<PathBuf>,
+}
+
+/// A submission as [`JobManager::submit_as`] takes it: [`JobSpec`] with the
+/// matrix and labels behind `Arc`s, so a dataset-table load is shared rather
+/// than copied, and the digest the table keeps for them.
+struct Submission {
+    data: Arc<Matrix>,
+    classlabel: Arc<[u8]>,
+    /// [`sprint_core::digest::dataset_digest`] of `data` and `classlabel`,
+    /// when the caller already knows it.
+    digest: Option<u64>,
+    opts: PmaxtOptions,
+    source_path: Option<PathBuf>,
+}
+
+impl From<JobSpec> for Submission {
+    fn from(spec: JobSpec) -> Submission {
+        Submission {
+            data: Arc::new(spec.data),
+            classlabel: spec.classlabel.into(),
+            digest: None,
+            opts: spec.opts,
+            source_path: spec.source_path,
+        }
+    }
+}
+
+impl Submission {
+    /// A run over a dataset loaded through the dataset table, from its
+    /// canonical path.
+    fn loaded(dataset: SharedDataset, opts: PmaxtOptions) -> Submission {
+        Submission {
+            data: dataset.data,
+            classlabel: dataset.classlabel,
+            digest: Some(dataset.digest),
+            opts,
+            source_path: Some(dataset.path),
+        }
+    }
 }
 
 /// Lifecycle of a job.
@@ -500,18 +540,29 @@ impl JobManager {
     /// against identical live jobs, consults the cache, and enqueues
     /// whatever remains to compute.
     pub fn submit(&self, spec: JobSpec) -> Result<SubmitInfo, JobError> {
-        self.submit_as(spec, false)
+        self.submit_as(spec.into(), false)
+    }
+
+    /// [`JobManager::submit`] a run over a dataset loaded through this
+    /// daemon's table, sharing the table's parse and digest.
+    pub(crate) fn submit_loaded(
+        &self,
+        dataset: SharedDataset,
+        opts: PmaxtOptions,
+    ) -> Result<SubmitInfo, JobError> {
+        self.submit_as(Submission::loaded(dataset, opts), false)
     }
 
     /// [`JobManager::submit`] body, with recovery provenance threaded
     /// through: journal replay re-enters here with `recovered = true`.
-    fn submit_as(&self, spec: JobSpec, recovered: bool) -> Result<SubmitInfo, JobError> {
-        let JobSpec {
+    fn submit_as(&self, sub: Submission, recovered: bool) -> Result<SubmitInfo, JobError> {
+        let Submission {
             data,
             classlabel,
+            digest,
             opts,
             source_path,
-        } = spec;
+        } = sub;
         let sourced = source_path.is_some();
         let adm = exec::admit(
             &self.inner,
@@ -522,8 +573,13 @@ impl JobManager {
             Entry::Submit,
         )?;
         // The options digest carries the workload marker, so a permutation
-        // job and a bootstrap job of the same dataset never share a key.
-        let key = CacheKey::new(&adm.data, &classlabel, &opts);
+        // job and a bootstrap job of the same dataset never share a key. A
+        // known digest is of the submitted matrix, which an NA code
+        // rewrites: the key then digests the canonical one.
+        let key = match digest {
+            Some(dataset) if opts.na.is_none() => CacheKey::from_digest(dataset, &opts),
+            _ => CacheKey::new(&adm.data, &classlabel, &opts),
+        };
         let slot: Slot = (key.hex(), adm.b, adm.mode);
         // Dedup: an identical live submission is the same job. This early
         // look only saves the work below; the check that counts is repeated
@@ -610,15 +666,15 @@ impl JobManager {
     /// divergent file must never contribute.
     pub fn exec_span(
         &self,
-        data: Matrix,
-        classlabel: Vec<u8>,
+        data: Arc<Matrix>,
+        classlabel: &[u8],
         opts: PmaxtOptions,
         b: u64,
         start: u64,
         take: u64,
     ) -> Result<Json, JobError> {
         let entry = Entry::Peer(b, (start, take));
-        let adm = exec::admit(&self.inner, data, &classlabel, &opts, false, entry)?;
+        let adm = exec::admit(&self.inner, data, classlabel, &opts, false, entry)?;
         let (work, data) = JobWork::new(adm, opts, self.inner.cfg.job_threads, None, 0);
         exec::serve_unit(&work, &data, (start, take)).map_err(JobError::Invalid)
     }
@@ -958,20 +1014,15 @@ impl JobManager {
                 continue;
             };
             let opts = rec.opts.clone().unwrap_or_default();
-            let spec = match self.datasets.load(std::path::Path::new(source)) {
-                Ok(dataset) => JobSpec {
-                    data: dataset.data,
-                    classlabel: dataset.classlabel,
-                    opts,
-                    source_path: Some(dataset.path),
-                },
+            let dataset = match self.datasets.load_shared(Path::new(source)) {
+                Ok(dataset) => dataset,
                 Err(e) => {
                     eprintln!("jobd: recovery: cannot re-read {source}: {e}");
                     report.unrecoverable += 1;
                     continue;
                 }
             };
-            match self.submit_as(spec, true) {
+            match self.submit_as(Submission::loaded(dataset, opts), true) {
                 Ok(info) if info.state == JobState::Finished => report.from_cache += 1,
                 Ok(_) => report.requeued += 1,
                 Err(e) => {

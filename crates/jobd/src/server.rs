@@ -18,29 +18,49 @@
 //! malformed JSON and unknown commands get `usage` error responses, and
 //! per-connection read/write deadlines ([`ServerConfig`]) bound how long a
 //! stalled peer can pin a handler thread. The [`crate::faults`] registry
-//! injects torn frames and slow-peer stalls in [`respond`] to prove the
-//! client-side retry story out.
+//! injects torn frames and slow-peer stalls in [`respond_line`] to prove
+//! the client-side retry story out.
+//!
+//! ## Kept result lines
+//!
+//! A finished job's answer never changes, and clients fetch it again: every
+//! resubmission of a finished request dedups onto the same job, and its
+//! `result` line on the paper's matrix is about 200 KB that take
+//! milliseconds to encode. From a job's second successful fetch on, the
+//! server keeps the encoded line as an exact-size `Arc<str>` and writes it
+//! without fetching or encoding the result again. A job fetched only once —
+//! most computed jobs — is remembered by its id alone. Kept lines are
+//! bounded by [`RESULT_LINE_BYTES`] with least-recently-used eviction; a
+//! line evicted is encoded again on its next fetch, byte-identical. Every
+//! line goes out through the same framing as any other response, so the
+//! injected framing faults still fire on it.
 
+use std::collections::HashSet;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sprint_core::options::PmaxtOptions;
 
-use crate::datasets::Dataset;
+use crate::datasets::SharedDataset;
 use crate::faults::{FaultKind, Faults};
 use crate::json::Json;
-use crate::manager::{JobError, JobManager, JobSpec, JobStatus};
+use crate::lru::Lru;
+use crate::manager::{plock, JobError, JobManager, JobStatus};
 use crate::protocol;
 
 /// Upper bound on one request line. A well-formed request is well under 1 KiB
 /// (datasets travel by path, not inline), so 1 MiB is generous headroom while
 /// keeping a garbage-spewing peer from ballooning the handler's buffer.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Most bytes of finished jobs' `result` lines the server keeps (see the
+/// module docs): about twenty answers on the paper's 6102-gene matrix.
+pub const RESULT_LINE_BYTES: usize = 4 << 20;
 
 /// Tunables of a [`Server`] beyond its address.
 #[derive(Debug, Clone)]
@@ -109,6 +129,7 @@ pub struct Server {
     listener: Listener,
     addr: BindAddr,
     manager: Arc<JobManager>,
+    lines: Arc<ResultLines>,
     stop: Arc<AtomicBool>,
     cfg: ServerConfig,
 }
@@ -141,6 +162,7 @@ impl Server {
             listener,
             addr,
             manager: Arc::new(manager),
+            lines: Arc::new(ResultLines::new(RESULT_LINE_BYTES)),
             stop: Arc::new(AtomicBool::new(false)),
             cfg,
         })
@@ -174,11 +196,13 @@ impl Server {
                 continue;
             }
             let manager = Arc::clone(&self.manager);
+            let lines = Arc::clone(&self.lines);
             let stop = Arc::clone(&self.stop);
             let addr = self.addr.clone();
             let faults = self.cfg.faults.clone();
             std::thread::spawn(move || {
-                if let Err(e) = handle_connection(conn, &manager, &stop, &addr, &faults) {
+                let served = handle_connection(conn, &manager, &lines, &stop, &addr, &faults);
+                if let Err(e) = served {
                     // Peers vanishing mid-write and injected frame drops are
                     // expected connection-level noise, not daemon trouble.
                     let injected = faults.armed() && e.kind() == io::ErrorKind::ConnectionAborted;
@@ -307,6 +331,7 @@ fn read_bounded_line(reader: &mut impl BufRead) -> io::Result<ReadLine> {
 fn handle_connection(
     mut conn: Box<dyn Conn>,
     manager: &JobManager,
+    lines: &ResultLines,
     stop: &AtomicBool,
     addr: &BindAddr,
     faults: &Faults,
@@ -356,39 +381,13 @@ fn handle_connection(
                 };
                 respond(&mut conn, &resp, faults)?;
             }
-            "result" => {
-                let resp = match job_id(&request) {
-                    Ok(id) => {
-                        let wait = request.get("wait").and_then(Json::as_bool).unwrap_or(true);
-                        // Bootstrap jobs answer with interval estimates; the
-                        // job's workload (not a request field) decides the
-                        // response shape, so a generic client just gets the
-                        // right thing.
-                        let outcome = if manager.is_boot(id).unwrap_or(false) {
-                            let result = if wait {
-                                manager.wait_boot_result(id, None)
-                            } else {
-                                manager.boot_result(id)
-                            };
-                            result.map(|r| protocol::boot_result_to_json(id, &r))
-                        } else {
-                            let result = if wait {
-                                manager.wait_result(id, None)
-                            } else {
-                                manager.result(id)
-                            };
-                            // Adaptive jobs carry their per-gene report (bounds,
-                            // stop cursors, tail diagnostics) alongside the
-                            // finalized result.
-                            let report = manager.adaptive_report(id).ok().flatten();
-                            result.map(|r| protocol::result_to_json(id, &r, report.as_ref()))
-                        };
-                        outcome.unwrap_or_else(|e| protocol::err_from(&e))
-                    }
-                    Err(resp) => resp,
-                };
-                respond(&mut conn, &resp, faults)?;
-            }
+            "result" => match job_id(&request) {
+                Ok(id) => {
+                    let wait = request.get("wait").and_then(Json::as_bool).unwrap_or(true);
+                    send_result(&mut conn, manager, lines, id, wait, faults)?;
+                }
+                Err(resp) => respond(&mut conn, &resp, faults)?,
+            },
             "watch" => match job_id(&request) {
                 Ok(id) => match manager.subscribe(id) {
                     Ok(rx) => {
@@ -440,12 +439,12 @@ fn dataset_request(
     request: &Json,
     cmd: &str,
     manager: &JobManager,
-) -> Result<(PmaxtOptions, Dataset), Json> {
+) -> Result<(PmaxtOptions, SharedDataset), Json> {
     let usage = |msg: &str| protocol::err_response(msg, "usage");
     let path = request.get("path").and_then(Json::as_str);
     let path = PathBuf::from(path.ok_or_else(|| usage(&format!("{cmd} requires a path field")))?);
     let opts = protocol::opts_from_request(request).map_err(|e| usage(&e))?;
-    let dataset = manager.datasets().load(&path).map_err(|e| {
+    let dataset = manager.datasets().load_shared(&path).map_err(|e| {
         protocol::err_response(&format!("cannot read dataset {path:?}: {e}"), "runtime")
     })?;
     Ok((opts, dataset))
@@ -456,15 +455,10 @@ fn handle_submit(request: &Json, manager: &JobManager) -> Json {
         Ok(parts) => parts,
         Err(resp) => return resp,
     };
-    // Record the canonical dataset path the table loaded: if this daemon has
-    // peers, the coordinator sends it in `span_exec` requests so each peer
-    // loads its own copy instead of receiving the matrix inline.
-    match manager.submit(JobSpec {
-        data: dataset.data,
-        classlabel: dataset.classlabel,
-        opts,
-        source_path: Some(dataset.path),
-    }) {
+    // The job records the canonical dataset path the table loaded: if this
+    // daemon has peers, the coordinator sends it in `span_exec` requests so
+    // each peer loads its own copy instead of receiving the matrix inline.
+    match manager.submit_loaded(dataset, opts) {
         Ok(info) => protocol::submit_to_json(&info),
         Err(e) => protocol::err_from(&e),
     }
@@ -496,7 +490,7 @@ fn handle_span_exec(request: &Json, manager: &JobManager) -> Json {
         Err(resp) => return resp,
     };
     manager
-        .exec_span(dataset.data, dataset.classlabel, opts, b, start, take)
+        .exec_span(dataset.data, &dataset.classlabel, opts, b, start, take)
         .unwrap_or_else(|e| protocol::err_from(&e))
 }
 
@@ -514,15 +508,106 @@ fn job_id(request: &Json) -> Result<u64, Json> {
         .ok_or_else(|| protocol::err_response("request requires a job id", "usage"))
 }
 
-/// Write one response frame, with the two framing fault classes injected
-/// here: a `slow_peer` stall before the write, and a `frame_truncate` that
-/// sends only half the frame and then drops the connection (the injected
-/// error unwinds out of [`handle_connection`], closing the socket exactly as
-/// a mid-frame network drop would). Clients recover by retrying on a fresh
-/// connection; resubmits are idempotent through the content-digest dedup.
-fn respond(conn: &mut Box<dyn Conn>, resp: &Json, faults: &Faults) -> io::Result<()> {
+/// Finished jobs' encoded `result` lines (see the module docs).
+struct ResultLines {
+    /// Job id → its newline-terminated `result` line.
+    kept: Lru<u64, Arc<str>>,
+    /// Ids of the finished jobs fetched so far. Jobs stay registered for the
+    /// daemon's life, each with its result, so one id per job adds little.
+    fetched: Mutex<HashSet<u64>>,
+}
+
+impl ResultLines {
+    fn new(bound: usize) -> ResultLines {
+        ResultLines {
+            kept: Lru::new(bound),
+            fetched: Mutex::new(HashSet::new()),
+        }
+    }
+
+    /// Note a successful fetch of job `id`; true from its second on.
+    fn fetched_before(&self, id: u64) -> bool {
+        !plock(&self.fetched).insert(id)
+    }
+
+    /// Keep `line` as job `id`'s, if it fits the bound, and return it.
+    fn keep(&self, id: u64, line: String) -> Arc<str> {
+        let line: Arc<str> = line.into();
+        self.kept.insert(id, Arc::clone(&line), line.len());
+        line
+    }
+}
+
+/// Answer a `result` request for job `id`: with its kept line when there is
+/// one, otherwise by fetching (under `wait`, blocking until the job is
+/// terminal) and encoding the result, keeping the line from the job's second
+/// successful fetch on.
+fn send_result(
+    conn: &mut impl Write,
+    manager: &JobManager,
+    lines: &ResultLines,
+    id: u64,
+    wait: bool,
+    faults: &Faults,
+) -> io::Result<()> {
+    if let Some(line) = lines.kept.get(&id) {
+        return respond_line(conn, &line, faults);
+    }
+    let resp = match result_response(manager, id, wait) {
+        Ok(resp) => resp,
+        Err(e) => return respond(conn, &protocol::err_from(&e), faults),
+    };
+    let line = encode(&resp);
+    if lines.fetched_before(id) {
+        respond_line(conn, &lines.keep(id, line), faults)
+    } else {
+        respond_line(conn, &line, faults)
+    }
+}
+
+/// A finished job's `result` response. Bootstrap jobs answer with interval
+/// estimates; the job's workload (not a request field) decides the response
+/// shape, so a generic client just gets the right thing.
+fn result_response(manager: &JobManager, id: u64, wait: bool) -> Result<Json, JobError> {
+    if manager.is_boot(id)? {
+        let result = if wait {
+            manager.wait_boot_result(id, None)
+        } else {
+            manager.boot_result(id)
+        };
+        return result.map(|r| protocol::boot_result_to_json(id, &r));
+    }
+    let result = if wait {
+        manager.wait_result(id, None)
+    } else {
+        manager.result(id)
+    }?;
+    // Adaptive jobs carry their per-gene report (bounds, stop cursors, tail
+    // diagnostics) alongside the finalized result.
+    let report = manager.adaptive_report(id).ok().flatten();
+    Ok(protocol::result_to_json(id, &result, report.as_ref()))
+}
+
+/// `resp` as one newline-terminated response line.
+fn encode(resp: &Json) -> String {
     let mut line = resp.to_json();
     line.push('\n');
+    line
+}
+
+/// Write one response frame: [`respond_line`] of `resp` encoded.
+fn respond(conn: &mut impl Write, resp: &Json, faults: &Faults) -> io::Result<()> {
+    respond_line(conn, &encode(resp), faults)
+}
+
+/// Write one encoded response line, with the two framing fault classes
+/// injected here: a `slow_peer` stall before the write, and a
+/// `frame_truncate` that sends only half the frame and then drops the
+/// connection (the injected error unwinds out of [`handle_connection`],
+/// closing the socket exactly as a mid-frame network drop would). Clients
+/// recover by retrying on a fresh connection; resubmits are idempotent
+/// through the content-digest dedup.
+fn respond_line(conn: &mut impl Write, line: &str, faults: &Faults) -> io::Result<()> {
     if faults.fire(FaultKind::SlowPeer) {
         std::thread::sleep(faults.stall());
     }
@@ -541,6 +626,63 @@ fn respond(conn: &mut Box<dyn Conn>, resp: &Json, faults: &Faults) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::tests::{manager, small_dataset};
+    use crate::manager::JobSpec;
+
+    #[test]
+    fn lines_are_kept_from_the_second_fetch_and_an_evicted_one_is_encoded_again() {
+        let (data, labels) = small_dataset();
+        let mgr = manager(16);
+        let ids: Vec<u64> = (1..=3)
+            .map(|seed| {
+                let spec = JobSpec {
+                    data: data.clone(),
+                    classlabel: labels.clone(),
+                    opts: PmaxtOptions::default().permutations(200).seed(seed),
+                    source_path: None,
+                };
+                mgr.submit(spec).unwrap().id
+            })
+            .collect();
+        let fresh: Vec<String> = ids
+            .iter()
+            .map(|&id| encode(&result_response(&mgr, id, true).unwrap()))
+            .collect();
+        // Room for any two of the three lines, not all three.
+        let lines = ResultLines::new(fresh.iter().map(String::len).sum::<usize>() - 1);
+        let fetch = |at: usize| {
+            let mut out = Vec::new();
+            send_result(&mut out, &mgr, &lines, ids[at], true, &Faults::disabled()).unwrap();
+            assert_eq!(
+                String::from_utf8(out).unwrap(),
+                fresh[at],
+                "job {}",
+                ids[at]
+            );
+        };
+        fetch(0);
+        assert!(lines.kept.keys().is_empty(), "a first fetch keeps nothing");
+        fetch(0);
+        fetch(0);
+        fetch(1);
+        fetch(1);
+        assert_eq!(lines.kept.keys(), vec![ids[0], ids[1]]);
+        // Job 0 was used last before job 1: job 2's line evicts it.
+        fetch(2);
+        fetch(2);
+        assert_eq!(lines.kept.keys(), vec![ids[1], ids[2]]);
+        assert_eq!(lines.kept.retained(), fresh[1].len() + fresh[2].len());
+        // Fetched before, so encoded again and kept again, evicting job 1.
+        fetch(0);
+        assert_eq!(lines.kept.keys(), vec![ids[0], ids[2]]);
+        fetch(0);
+        // A failed fetch answers with an error and keeps nothing.
+        let mut out = Vec::new();
+        send_result(&mut out, &mgr, &lines, 999, false, &Faults::disabled()).unwrap();
+        let resp = Json::parse(std::str::from_utf8(&out).unwrap().trim_end()).unwrap();
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(lines.kept.keys(), vec![ids[0], ids[2]]);
+    }
 
     #[test]
     fn bind_addr_parsing() {

@@ -188,3 +188,20 @@ fn half_written_frame_then_hangup_is_a_clean_close() {
     }
     fx.assert_alive();
 }
+
+#[test]
+fn deeply_nested_line_gets_usage_error_not_a_stack_overflow() {
+    let fx = Fixture::start("nested");
+    let mut conn = fx.raw();
+    // Well under the line bound, and far deeper than any request: a parser
+    // that recursed into it would overflow the handler's stack and abort
+    // the daemon.
+    let mut deep = vec![b'['; 200_000];
+    deep.push(b'\n');
+    assert!(deep.len() < MAX_REQUEST_LINE);
+    let resp = fx.roundtrip(&mut conn, &deep);
+    assert_eq!(err_code(&resp), "usage");
+    let resp = fx.roundtrip(&mut conn, b"{\"cmd\":\"ping\"}\n");
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+    fx.assert_alive();
+}
