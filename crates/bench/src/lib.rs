@@ -247,12 +247,20 @@ pub fn kernel_grid(genes_list: &[usize], b_list: &[u64], test: TestMethod) -> Ve
     cells
 }
 
+/// The kernel ISA body (`baseline`, `avx2`, `avx512`) that produced a
+/// document's fast-scorer columns: the host's, as every fast scorer picks it.
+fn fast_isa() -> &'static str {
+    sprint_core::stats::soa::Isa::host().as_str()
+}
+
 /// Serialize per-method grid cells as one JSON document (hand-rolled — the
-/// workspace carries no serde): `{"tests": [{"test": "t", "cells": [...]},
-/// ...]}`.
+/// workspace carries no serde): `{"fast_isa": "avx2", "tests": [{"test":
+/// "t", "cells": [...]}, ...]}`.
 pub fn kernel_cells_to_json(results: &[(TestMethod, Vec<KernelCell>)]) -> String {
     use std::fmt::Write as _;
-    let mut s = String::from("{\n  \"tests\": [\n");
+    let mut s = String::from("{\n");
+    let _ = writeln!(s, "  \"fast_isa\": \"{}\",", fast_isa());
+    s.push_str("  \"tests\": [\n");
     for (t, (test, cells)) in results.iter().enumerate() {
         let _ = writeln!(s, "    {{\"test\": \"{}\", \"cells\": [", test.as_str());
         for (i, c) in cells.iter().enumerate() {
@@ -407,6 +415,7 @@ pub fn thread_cells_to_json(genes: usize, samples: usize, cells: &[ThreadCell]) 
          of the cell; measured_wall_secs is the serialized measurement on \
          this host\","
     );
+    let _ = writeln!(s, "  \"fast_isa\": \"{}\",", fast_isa());
     let _ = writeln!(s, "  \"genes\": {genes},");
     let _ = writeln!(s, "  \"samples\": {samples},");
     s.push_str("  \"cells\": [\n");
@@ -1738,6 +1747,7 @@ mod tests {
         }
         let json = kernel_cells_to_json(&results);
         assert!(json.contains("\"tests\""));
+        assert!(json.contains(&format!("\"fast_isa\": \"{}\"", fast_isa())));
         for test in TestMethod::ALL {
             assert!(json.contains(&format!("\"test\": \"{}\"", test.as_str())));
         }
@@ -1766,6 +1776,7 @@ mod tests {
         }
         let json = thread_cells_to_json(30, 10, &cells);
         assert!(json.contains("\"note\""));
+        assert!(json.contains(&format!("\"fast_isa\": \"{}\"", fast_isa())));
         assert!(json.contains("\"ranks\": 2"));
         assert!(json.contains("\"speedup\""));
         assert_eq!(json.matches("{\"ranks\"").count(), 4);

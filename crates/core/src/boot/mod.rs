@@ -45,7 +45,7 @@ use crate::options::{Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Wo
 use crate::perm::arrangement::{build_stream, resolve_draw_count};
 use crate::perm::bootstrap::{BootstrapSequential, MAX_BOOTSTRAP_COLS};
 use crate::perm::ResamplingStream;
-use crate::stats::soa::{lane_add, Isa, Kernel, MissMask, SoaColumns, BLOCK, SOA_TILE};
+use crate::stats::soa::{block_add, Isa, Kernel, MissMask, SoaColumns, BLOCK, SOA_TILE};
 use normal::{inv_phi, phi};
 
 /// Two-sided confidence level of the reported intervals.
@@ -354,7 +354,7 @@ fn class_sorted_draws(labels: &ClassLabels, opts: &PmaxtOptions, b: u64) -> Resu
 /// gene of `genes`, tile by tile. Each tile is copied into column lanes (NA
 /// cells as `+0.0`, their columns recorded in a [`MissMask`]). Each draw
 /// then walks its class-1 slots and then its class-0 slots, both in draw
-/// order, and [`lane_add`]s the slot's column into that class's
+/// order, and [`block_add`]s the slot's column into that class's
 /// accumulators, one [`BLOCK`] of genes at a time. Per gene that is the add
 /// sequence of [`mean_diff_drawn`] with a `+0.0` wherever a NaN cell was
 /// skipped, which leaves the sum's bits unchanged (DESIGN.md §4.10), so
@@ -423,10 +423,10 @@ fn boot_genes(data: &Matrix, labels: &[u8], draws: &[u8], genes: Range<usize>) -
             for base in (0..tile.len()).step_by(BLOCK) {
                 let (mut s0, mut s1) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
                 for &c in cols1 {
-                    lane_add(&mut s1, soa.block(c as usize, base));
+                    block_add(&mut s1, soa.block(c as usize, base));
                 }
                 for &c in cols0 {
-                    lane_add(&mut s0, soa.block(c as usize, base));
+                    block_add(&mut s0, soa.block(c as usize, base));
                 }
                 for gl in base..(base + BLOCK).min(tile.len()) {
                     let (n0, n1) = if dirty {
@@ -805,11 +805,11 @@ mod tests {
             }
             let want = bits(&oracle(&data, &labels, &o, 0..genes));
             prop_assert_eq!(bits(&boot_run(&data, &labels, &o).unwrap()), want.clone());
-            // Both compilations of the replicate kernel, whichever the host
-            // would pick.
+            // Every compilation of the replicate kernel the host runs,
+            // whichever it would pick.
             let (class_labels, b, data) = validate_boot(&data, &labels, &o).unwrap();
             let draws = class_sorted_draws(&class_labels, &o, b).unwrap();
-            for isa in [Isa::Baseline, Isa::Avx2] {
+            for isa in [Isa::Baseline, Isa::Avx2, Isa::Avx512] {
                 if isa.supported() {
                     let kernel = BootGenes {
                         data: &data,

@@ -36,11 +36,13 @@ use std::time::{Duration, Instant};
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
+use crate::maxt::minp::DEFAULT_MINP_BUDGET_BYTES;
 use crate::maxt::serial::prepare_run;
 use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult, EPSILON};
 use crate::options::PmaxtOptions;
 use crate::perm::{build_generator, ResamplingStream};
 use crate::stats::scorer::ScorerScratch;
+use crate::stats::soa::Kernel;
 
 /// Default permutations per batch when `batch = 0` (auto). Large enough to
 /// amortize the per-batch label/index setup and give the tiled loop a hot
@@ -82,6 +84,22 @@ impl EngineConfig {
         EngineConfig {
             threads: 1,
             batch: DEFAULT_BATCH,
+        }
+    }
+
+    /// This geometry clamped to what the host and the working-set budget
+    /// hold: `threads` to the available parallelism, and `batch` so that one
+    /// worker's label, score and running-maximum buffers for a
+    /// `genes × cols` matrix (`batch × (cols + 8·genes + 8)` bytes) fit
+    /// [`DEFAULT_MINP_BUDGET_BYTES`]. Results are bitwise identical for any
+    /// geometry, so clamping changes no output bit.
+    pub fn clamped(self, genes: usize, cols: usize) -> Self {
+        let per_arrangement = cols + 8 * genes + 8;
+        EngineConfig {
+            threads: self.threads.clamp(1, available_threads()),
+            batch: self
+                .batch
+                .clamp(1, (DEFAULT_MINP_BUDGET_BYTES / per_arrangement).max(1)),
         }
     }
 
@@ -302,9 +320,10 @@ pub fn accumulate_chunk_hooked(
         gen.skip(sub_start);
         let mut acc = CountAccumulator::new(genes);
         // Batch buffers (labels, gene-major scores, scorer scratch) are
-        // allocated once per worker and reused across every batch of the
-        // sub-chunk — the hooked path below included.
-        let mut bufs = ctx.batch_buffers(cfg.batch);
+        // allocated once per worker, for at most its own sub-chunk, and
+        // reused across every batch of the sub-chunk — the hooked path below
+        // included.
+        let mut bufs = ctx.batch_buffers(cfg.batch.min(sub_take.try_into().unwrap_or(usize::MAX)));
         if hooks.cancel.is_none() && hooks.progress.is_none() {
             // Hook-free fast path: one call over the whole sub-chunk.
             let done = ctx.accumulate_batched_with(&mut *gen, sub_take, &mut acc, &mut bufs);
@@ -480,7 +499,13 @@ impl MaxTContext<'_> {
                 &mut bufs.scores,
                 batch,
             );
-            self.count_batch(&bufs.scores, batch, &mut bufs.run_max[..k], acc);
+            self.count_isa.run(CountBatch {
+                ctx: self,
+                scores: &bufs.scores,
+                stride: batch,
+                run_max: &mut bufs.run_max[..k],
+                acc,
+            });
             done += k as u64;
         }
         done
@@ -522,6 +547,9 @@ impl MaxTContext<'_> {
     /// `run_max` holds one running maximum per arrangement; each
     /// arrangement's maxima and comparisons are the ones the
     /// one-permutation-at-a-time loop makes, in the same gene order.
+    /// `#[inline(always)]`, so each ISA's entry point compiles its own copy
+    /// (see [`CountBatch`]).
+    #[inline(always)]
     fn count_batch(
         &self,
         scores: &[f64],
@@ -564,6 +592,25 @@ impl MaxTContext<'_> {
             }
         }
         acc.n_perm += k as u64;
+    }
+}
+
+/// One batch's count pass ([`MaxTContext::count_batch`]), as a [`Kernel`]
+/// for [`crate::stats::soa::Isa::run`].
+struct CountBatch<'c, 'a> {
+    ctx: &'c MaxTContext<'a>,
+    scores: &'c [f64],
+    stride: usize,
+    run_max: &'c mut [f64],
+    acc: &'c mut CountAccumulator,
+}
+
+impl Kernel for CountBatch<'_, '_> {
+    type Out = ();
+    #[inline(always)]
+    fn run(self) {
+        self.ctx
+            .count_batch(self.scores, self.stride, self.run_max, self.acc);
     }
 }
 
@@ -683,6 +730,15 @@ mod tests {
             assert_eq!(tree_merge(parts).unwrap(), sequential, "n={n}");
         }
         assert!(tree_merge(Vec::new()).is_none());
+    }
+
+    #[test]
+    fn clamped_config_keeps_fitting_geometry_and_one_arrangement() {
+        // Oversized requests are checked through jobd's `JobWork::new`.
+        let small = EngineConfig::explicit(1, 32);
+        assert_eq!(small.clamped(6102, 76), small);
+        // A matrix too large for even one arrangement still gets one.
+        assert_eq!(small.clamped(usize::MAX / 16, 1).batch, 1);
     }
 
     #[test]

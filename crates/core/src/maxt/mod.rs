@@ -26,6 +26,7 @@ use crate::options::{KernelChoice, Precision, TestMethod};
 use crate::perm::ResamplingStream;
 use crate::side::Side;
 use crate::stats::scorer::{build_scorer, Scorer};
+use crate::stats::soa::Isa;
 
 /// Comparison slack absorbing floating-point noise between the observed and
 /// permuted statistics, as in the `multtest` C implementation.
@@ -67,6 +68,8 @@ pub struct MaxTContext<'a> {
     /// every gene's adjusted count compares against the *global* per-
     /// permutation maximum instead of the step-down successive maxima.
     single_step: bool,
+    /// The ISA the batched count pass runs under: the host's.
+    count_isa: Isa,
 }
 
 impl<'a> MaxTContext<'a> {
@@ -119,6 +122,7 @@ impl<'a> MaxTContext<'a> {
             order,
             obs_scores_ordered,
             single_step: method.single_step_max(),
+            count_isa: Isa::host(),
         }
     }
 

@@ -20,8 +20,8 @@
 //!    The two-sample family and Wilcoxon keep a [`BLOCK`] of genes'
 //!    accumulators in registers per arrangement and finish each block in a
 //!    branch-free lane loop. Every fast scorer's tile body is compiled for
-//!    the baseline ISA and for AVX2, and the scorer runs the one [`Isa`]
-//!    named when it was built.
+//!    the baseline ISA, for AVX2 and for AVX-512F, and the scorer runs the
+//!    one [`Isa`] named when it was built.
 //!
 //! All six `mt.maxT` statistics have fast implementations here:
 //!
@@ -101,8 +101,8 @@ use crate::stats::f_stat::f_from_sums;
 use crate::stats::moments::pivot_of;
 use crate::stats::pair_t::pairt_from_moments;
 use crate::stats::soa::{
-    lane_add, lane_add_scaled, lane_add_sq, push_sel_mask, Isa, Kernel, MissMask, Real, SoaColumns,
-    BLOCK, SOA_TILE,
+    block_add, block_add_sq, lane_add, lane_add_scaled, lane_add_sq, push_sel_mask, AlignedBuf,
+    Isa, Kernel, MissMask, Real, SoaColumns, BLOCK, SOA_TILE,
 };
 use crate::stats::two_sample::{equalvar_from_moments, welch_from_moments};
 use crate::stats::wilcoxon::wilcoxon_from_counts;
@@ -126,9 +126,9 @@ pub struct ScorerScratch {
     /// dirty genes.
     sel: Vec<u64>,
     /// `f64` lane accumulators (statistic sections × tile width).
-    lanes64: Vec<f64>,
+    lanes64: AlignedBuf<f64>,
     /// `f32` lane accumulators for the reduced-precision mode.
-    lanes32: Vec<f32>,
+    lanes32: AlignedBuf<f32>,
 }
 
 /// Borrow-split view of [`ScorerScratch`]: the per-arrangement structures
@@ -141,7 +141,7 @@ pub struct ScratchParts<'s, R> {
     pub(crate) offsets: &'s [usize],
     pub(crate) signs: &'s [f64],
     pub(crate) sel: &'s [u64],
-    pub(crate) lanes: &'s mut Vec<R>,
+    pub(crate) lanes: &'s mut AlignedBuf<R>,
 }
 
 impl ScorerScratch {
@@ -248,7 +248,7 @@ pub fn build_scorer<'a>(
 /// Build the method's fast scorer with its lane kernels compiled for `isa`,
 /// or `None` when this host cannot run `isa`. No environment override
 /// applies. [`build_scorer`] passes [`Isa::host`]; the other ISAs exist so
-/// tests can hold both kernel bodies to the same bits on one host.
+/// tests can hold every kernel body the host runs to the same bits.
 pub fn fast_scorer_on(
     isa: Isa,
     data: &Matrix,
@@ -661,7 +661,7 @@ impl<R: Real> LaneScorer for TwoSampleScorer<R> {
                 // register block of genes inner.
                 let (mut s1, mut q1) = ([R::ZERO; BLOCK], [R::ZERO; BLOCK]);
                 for &c in idx {
-                    lane_add_sq(&mut s1, &mut q1, self.vals.block(c, base));
+                    block_add_sq(&mut s1, &mut q1, self.vals.block(c, base));
                 }
                 let sel = self.present.sel(parts.sel, j);
                 let (n0, n1) = self
@@ -757,7 +757,7 @@ impl<R: Real> LaneScorer for WilcoxonScorer<R> {
                 let idx = &parts.idx[parts.offsets[j]..parts.offsets[j + 1]];
                 let mut w = [R::ZERO; BLOCK];
                 for &c in idx {
-                    lane_add(&mut w, self.vals.block(c, base));
+                    block_add(&mut w, self.vals.block(c, base));
                 }
                 let sel = self.present.sel(parts.sel, j);
                 let (n0, n1) = self
@@ -837,7 +837,7 @@ impl<R: Real> LaneScorer for FScorer<R> {
     fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
         R::parts(scratch)
             .lanes
-            .resize(4 * max_tile.min(SOA_TILE), R::ZERO);
+            .prefix_mut(4 * max_tile.min(SOA_TILE));
     }
 
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
@@ -871,8 +871,7 @@ impl<R: Real> LaneScorer for FScorer<R> {
             let all_clean =
                 !self.present.any_dirty || self.present.clean[chunk.clone()].iter().all(|&c| c);
             let gm = &self.grand_mean[chunk.clone()];
-            parts.lanes.resize(4 * width, R::ZERO);
-            let (scl, rest) = parts.lanes.split_at_mut(width);
+            let (scl, rest) = parts.lanes.prefix_mut(4 * width).split_at_mut(width);
             let (qcl, rest) = rest.split_at_mut(width);
             let (ssb, ssw) = rest.split_at_mut(width);
             for j in 0..labels_bufs.len() {
@@ -1003,7 +1002,7 @@ impl<R: Real> LaneScorer for CorrScorer<R> {
     fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
         R::parts(scratch)
             .lanes
-            .resize(4 * max_tile.min(SOA_TILE), R::ZERO);
+            .prefix_mut(4 * max_tile.min(SOA_TILE));
     }
 
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
@@ -1028,8 +1027,7 @@ impl<R: Real> LaneScorer for CorrScorer<R> {
             let width = chunk.len();
             let all_clean =
                 !self.present.any_dirty || self.present.clean[chunk.clone()].iter().all(|&c| c);
-            parts.lanes.resize(4 * width, R::ZERO);
-            let (scl, rest) = parts.lanes.split_at_mut(width);
+            let (scl, rest) = parts.lanes.prefix_mut(4 * width).split_at_mut(width);
             let (sxyl, rest) = rest.split_at_mut(width);
             let (syl, syyl) = rest.split_at_mut(width);
             for j in 0..labels_bufs.len() {
@@ -1157,9 +1155,7 @@ impl<R: Real> LaneScorer for PairTScorer<R> {
     }
 
     fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
-        R::parts(scratch)
-            .lanes
-            .resize(max_tile.min(SOA_TILE), R::ZERO);
+        R::parts(scratch).lanes.prefix_mut(max_tile.min(SOA_TILE));
     }
 
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
@@ -1191,8 +1187,7 @@ impl<R: Real> LaneScorer for PairTScorer<R> {
         while start < genes.end {
             let chunk = start..(start + SOA_TILE).min(genes.end);
             let width = chunk.len();
-            parts.lanes.resize(width, R::ZERO);
-            let sl = &mut parts.lanes[..width];
+            let sl = parts.lanes.prefix_mut(width);
             for j in 0..labels_bufs.len() {
                 let signs = &parts.signs[j * pairs..(j + 1) * pairs];
                 sl.fill(R::ZERO);
@@ -1304,7 +1299,7 @@ impl<R: Real> LaneScorer for BlockFScorer<R> {
     fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
         R::parts(scratch)
             .lanes
-            .resize(self.k * max_tile.min(SOA_TILE), R::ZERO);
+            .prefix_mut(self.k * max_tile.min(SOA_TILE));
     }
 
     fn begin_batch(&self, _labels_bufs: &[Vec<u8>], _scratch: &mut ScorerScratch) {}
@@ -1324,16 +1319,16 @@ impl<R: Real> LaneScorer for BlockFScorer<R> {
         while start < genes.end {
             let chunk = start..(start + SOA_TILE).min(genes.end);
             let width = chunk.len();
-            parts.lanes.resize(k * width, R::ZERO);
+            let lanes = parts.lanes.prefix_mut(k * width);
             for (j, labels) in labels_bufs.iter().enumerate() {
-                parts.lanes.fill(R::ZERO);
+                lanes.fill(R::ZERO);
                 // One lane add per column, in the scalar's exact ascending
                 // cell order; excluded cells contribute a bitwise-neutral
                 // +0.0 to whatever treatment their label names.
                 for (col, &l) in labels.iter().enumerate().take(self.cols) {
                     let t = l as usize;
                     lane_add(
-                        &mut parts.lanes[t * width..(t + 1) * width],
+                        &mut lanes[t * width..(t + 1) * width],
                         self.vals.col(col, &chunk),
                     );
                 }
@@ -1347,7 +1342,7 @@ impl<R: Real> LaneScorer for BlockFScorer<R> {
                     // scalar iterator-sum sequence.
                     let mut sq = R::ZERO;
                     for t in 0..k {
-                        let s = parts.lanes[t * width + lane];
+                        let s = lanes[t * width + lane];
                         sq += s * s;
                     }
                     let ss_treat = (sq / R::from_usize(m) - self.correction[g]).max(R::ZERO);

@@ -21,11 +21,11 @@
 //! Everything is generic over [`Real`] (`f64`/`f32`): the same kernels serve
 //! the bitwise-exact default and the opt-in `SPRINT_PRECISION=f32` mode.
 //!
-//! Every kernel body is compiled twice, for the target's baseline ISA and,
-//! on x86-64, with AVX2 enabled; `Isa::run` picks the body. AVX2 only
-//! widens the vectors: each lane still performs the same IEEE operations in
-//! the same order (no FMA is enabled, and Rust never contracts `a * b + c`),
-//! so both bodies produce the same bits.
+//! Every kernel body is compiled three times, for the target's baseline ISA
+//! and, on x86-64, with AVX2 and with AVX-512F enabled; `Isa::run` picks the
+//! body. The wider ISAs only widen the vectors: each lane still performs the
+//! same IEEE operations in the same order (FMA is never requested, and Rust
+//! never contracts `a * b + c`), so all three bodies produce the same bits.
 
 use crate::stats::scorer::{ScorerScratch, ScratchParts};
 
@@ -47,21 +47,29 @@ pub const BLOCK: usize = 2 * LANE;
 /// of the chunk geometry, so results are bitwise identical for any value.
 pub const SOA_TILE: usize = 128;
 
-/// The instruction set a lane kernel body is compiled for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The instruction set a lane kernel body is compiled for, narrowest first:
+/// a host that runs one ISA runs every ISA before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Isa {
     /// The compilation target's baseline (SSE2 on x86-64).
     Baseline,
     /// x86-64 with AVX2 (and without FMA).
     Avx2,
+    /// x86-64 with AVX2 and AVX-512F. rustc's feature table implies FMA
+    /// from AVX-512F, but Rust never contracts `a * b + c` and no kernel
+    /// calls `mul_add`, so this body contains no fused operation either.
+    Avx512,
 }
 
 impl Isa {
-    /// The widest ISA this host runs. The AVX2 probe is the standard
-    /// library's `is_x86_feature_detected!`, which caches its answer.
-    pub(crate) fn host() -> Isa {
+    /// The widest ISA this host runs. The probes are the standard library's
+    /// `is_x86_feature_detected!`, which caches its answers.
+    pub fn host() -> Isa {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Isa::Avx512;
+            }
             return Isa::Avx2;
         }
         Isa::Baseline
@@ -69,14 +77,15 @@ impl Isa {
 
     /// Whether this host can run kernels compiled for `self`.
     pub(crate) fn supported(self) -> bool {
-        self == Isa::Baseline || Isa::host() == Isa::Avx2
+        self <= Isa::host()
     }
 
     /// Lower-case name, as the scorer note prints it.
-    pub(crate) fn as_str(self) -> &'static str {
+    pub fn as_str(self) -> &'static str {
         match self {
             Isa::Baseline => "baseline",
             Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
         }
     }
 
@@ -85,9 +94,14 @@ impl Isa {
     #[inline]
     pub(crate) fn run<K: Kernel>(self, kernel: K) -> K::Out {
         #[cfg(target_arch = "x86_64")]
-        if self == Isa::Avx2 && self.supported() {
-            // SAFETY: the host supports AVX2, checked just above.
-            return unsafe { run_avx2(kernel) };
+        if self.supported() {
+            match self {
+                // SAFETY: the host supports AVX-512F and AVX2, checked above.
+                Isa::Avx512 => return unsafe { run_avx512(kernel) },
+                // SAFETY: the host supports AVX2, checked above.
+                Isa::Avx2 => return unsafe { run_avx2(kernel) },
+                Isa::Baseline => {}
+            }
         }
         kernel.run()
     }
@@ -109,6 +123,17 @@ pub(crate) trait Kernel {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
+    kernel.run()
+}
+
+/// `kernel`'s body compiled with AVX2 and AVX-512F enabled.
+///
+/// # Safety
+///
+/// The host must support AVX2 and AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+unsafe fn run_avx512<K: Kernel>(kernel: K) -> K::Out {
     kernel.run()
 }
 
@@ -236,6 +261,7 @@ impl Real for f32 {
 /// A zero-initialized buffer whose payload starts on a 64-byte (cache-line)
 /// boundary, without any `unsafe`: the allocation is over-sized by one cache
 /// line and the slice starts at the first aligned element.
+#[derive(Default)]
 pub(crate) struct AlignedBuf<R> {
     v: Vec<R>,
     off: usize,
@@ -260,6 +286,28 @@ impl<R: Real> AlignedBuf<R> {
 
     pub fn as_mut_slice(&mut self) -> &mut [R] {
         &mut self.v[self.off..self.off + self.len]
+    }
+
+    /// The first `len` elements, reallocated zeroed when the buffer is
+    /// shorter: the scratch accumulators of the in-memory lane scorers,
+    /// which zero what they read. Starting them on a cache line made `f`
+    /// and `corr` measurably faster in the AVX2 and AVX-512 bodies
+    /// (EXPERIMENTS.md, "AVX-512 kernel bodies").
+    pub fn prefix_mut(&mut self, len: usize) -> &mut [R] {
+        if len > self.len {
+            *self = AlignedBuf::zeroed(len);
+        }
+        &mut self.v[self.off..self.off + len]
+    }
+}
+
+impl<R: Real> Clone for AlignedBuf<R> {
+    /// A fresh aligned allocation: a cloned `Vec` may land at another
+    /// offset from a cache line than the original.
+    fn clone(&self) -> Self {
+        let mut buf = AlignedBuf::zeroed(self.len);
+        buf.as_mut_slice().copy_from_slice(self.as_slice());
+        buf
     }
 }
 
@@ -378,45 +426,56 @@ pub(crate) fn push_sel_mask(out: &mut Vec<u64>, words: usize, labels: &[u8], cla
     }
 }
 
-/// `acc[i] += src[i]` over a gene lane.
+/// `acc[i] += src[i]` over one register block of genes.
+///
+/// The block kernels are written as [`LANE`]-wide chunks: on a fixed-size
+/// block they unroll into whole-vector adds whose accumulators stay in
+/// registers across the columns of an arrangement.
 #[inline]
-pub(crate) fn lane_add<R: Real>(acc: &mut [R], src: &[R]) {
-    debug_assert_eq!(acc.len(), src.len());
-    let mut a = acc.chunks_exact_mut(LANE);
-    let mut s = src.chunks_exact(LANE);
-    for (a, s) in (&mut a).zip(&mut s) {
+pub(crate) fn block_add<R: Real>(acc: &mut [R; BLOCK], src: &[R; BLOCK]) {
+    for (a, s) in acc.chunks_exact_mut(LANE).zip(src.chunks_exact(LANE)) {
         for i in 0..LANE {
             a[i] += s[i];
         }
     }
-    for (a, s) in a.into_remainder().iter_mut().zip(s.remainder()) {
-        *a += *s;
-    }
 }
 
-/// `sums[i] += src[i]; sqs[i] += src[i]²` over a gene lane — the fused
-/// moment gather of the two-sample and F scorers.
+/// `sums[i] += src[i]; sqs[i] += src[i]²` over one register block — the
+/// fused moment gather of the two-sample scorers.
 #[inline]
-pub(crate) fn lane_add_sq<R: Real>(sums: &mut [R], sqs: &mut [R], src: &[R]) {
-    debug_assert_eq!(sums.len(), src.len());
-    debug_assert_eq!(sqs.len(), src.len());
-    let mut su = sums.chunks_exact_mut(LANE);
-    let mut sq = sqs.chunks_exact_mut(LANE);
-    let mut s = src.chunks_exact(LANE);
-    for ((su, sq), s) in (&mut su).zip(&mut sq).zip(&mut s) {
+pub(crate) fn block_add_sq<R: Real>(sums: &mut [R; BLOCK], sqs: &mut [R; BLOCK], src: &[R; BLOCK]) {
+    let chunks = sums.chunks_exact_mut(LANE).zip(sqs.chunks_exact_mut(LANE));
+    for ((su, sq), s) in chunks.zip(src.chunks_exact(LANE)) {
         for i in 0..LANE {
             let v = s[i];
             su[i] += v;
             sq[i] += v * v;
         }
     }
-    for ((su, sq), s) in su
-        .into_remainder()
-        .iter_mut()
-        .zip(sq.into_remainder())
-        .zip(s.remainder())
-    {
-        let v = *s;
+}
+
+/// `acc[i] += src[i]` over a gene lane held in memory.
+///
+/// The lane kernels are plain element loops, so the loop vectorizer sees
+/// unit-stride accesses at every vector width. Written as `LANE`-wide
+/// chunks over a long lane, the AVX-512 body vectorized across chunks with
+/// gathers and scatters and ran `f` and `pairt` 1.4–2.1× slower than the
+/// AVX2 body (EXPERIMENTS.md, "AVX-512 kernel bodies").
+#[inline]
+pub(crate) fn lane_add<R: Real>(acc: &mut [R], src: &[R]) {
+    debug_assert_eq!(acc.len(), src.len());
+    for (a, &s) in acc.iter_mut().zip(src) {
+        *a += s;
+    }
+}
+
+/// `sums[i] += src[i]; sqs[i] += src[i]²` over a gene lane — the fused
+/// moment gather of the F scorer.
+#[inline]
+pub(crate) fn lane_add_sq<R: Real>(sums: &mut [R], sqs: &mut [R], src: &[R]) {
+    debug_assert_eq!(sums.len(), src.len());
+    debug_assert_eq!(sqs.len(), src.len());
+    for ((su, sq), &v) in sums.iter_mut().zip(sqs.iter_mut()).zip(src) {
         *su += v;
         *sq += v * v;
     }
@@ -427,15 +486,8 @@ pub(crate) fn lane_add_sq<R: Real>(sums: &mut [R], sqs: &mut [R], src: &[R]) {
 #[inline]
 pub(crate) fn lane_add_scaled<R: Real>(acc: &mut [R], src: &[R], w: R) {
     debug_assert_eq!(acc.len(), src.len());
-    let mut a = acc.chunks_exact_mut(LANE);
-    let mut s = src.chunks_exact(LANE);
-    for (a, s) in (&mut a).zip(&mut s) {
-        for i in 0..LANE {
-            a[i] += w * s[i];
-        }
-    }
-    for (a, s) in a.into_remainder().iter_mut().zip(s.remainder()) {
-        *a += w * *s;
+    for (a, &s) in acc.iter_mut().zip(src) {
+        *a += w * s;
     }
 }
 
@@ -456,6 +508,17 @@ mod tests {
         }
         let buf = AlignedBuf::<f32>::zeroed(33);
         assert_eq!(buf.as_slice().as_ptr() as usize % 64, 0);
+        // Scratch lanes: a growing prefix stays aligned, and so does a clone.
+        let mut lanes = AlignedBuf::<f64>::default();
+        for len in [3usize, 512, 100] {
+            let prefix = lanes.prefix_mut(len);
+            assert_eq!(prefix.len(), len);
+            assert_eq!(prefix.as_ptr() as usize % 64, 0, "prefix {len}");
+            prefix.fill(1.5);
+        }
+        let copy = lanes.clone();
+        assert_eq!(copy.as_slice().as_ptr() as usize % 64, 0);
+        assert_eq!(copy.as_slice(), lanes.as_slice());
     }
 
     #[test]
@@ -497,7 +560,7 @@ mod tests {
 
     #[test]
     fn lane_kernels_match_scalar_loops_including_remainders() {
-        // Lengths straddling the chunks_exact boundary exercise remainders.
+        // Lengths straddling the vector widths exercise the remainders.
         for len in [1usize, 7, 8, 9, 16, 19] {
             let src: Vec<f64> = (0..len).map(|i| i as f64 * 0.5 - 3.0).collect();
             let mut acc = vec![1.0; len];
@@ -515,6 +578,16 @@ mod tests {
                 let want = 2.0 + -1.0 * src[i];
                 assert_eq!(scaled[i].to_bits(), want.to_bits());
             }
+        }
+        // The register-block kernels do the same per gene.
+        let src: [f64; BLOCK] = std::array::from_fn(|i| i as f64 * 0.5 - 3.0);
+        let (mut acc, mut sums, mut sqs) = ([1.0; BLOCK], [0.25; BLOCK], [0.5; BLOCK]);
+        block_add(&mut acc, &src);
+        block_add_sq(&mut sums, &mut sqs, &src);
+        for i in 0..BLOCK {
+            assert_eq!(acc[i].to_bits(), (1.0 + src[i]).to_bits());
+            assert_eq!(sums[i].to_bits(), (0.25 + src[i]).to_bits());
+            assert_eq!(sqs[i].to_bits(), (0.5 + src[i] * src[i]).to_bits());
         }
     }
 

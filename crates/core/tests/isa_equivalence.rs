@@ -1,13 +1,14 @@
-//! Both compilations of every fast scorer's tile body produce the same bits.
+//! Every compilation of every fast scorer's tile body produces the same bits.
 //!
 //! Each SoA lane kernel is compiled for the target's baseline ISA and, on
-//! x86-64, once more with AVX2; a scorer picks one when it is built. This
-//! suite builds every fast scorer on each ISA the host runs, scores an
-//! arbitrary gene range (often starting mid-block and ending at the last
-//! gene, where a block reaches into the column padding) for a batch of 1–64
-//! arrangements, at both precisions and with NA cells, and asserts:
+//! x86-64, once more with AVX2 and once with AVX-512F; a scorer picks one
+//! when it is built. This suite builds every fast scorer on each ISA the
+//! host runs, scores an arbitrary gene range (often starting mid-block and
+//! ending at the last gene, where a block reaches into the column padding)
+//! for a batch of 1–64 arrangements, at both precisions and with NA cells,
+//! and asserts:
 //!
-//! - the AVX2 body's output is bitwise the baseline body's;
+//! - each wider body's output is bitwise the baseline body's;
 //! - the range's output is bitwise the same genes' output from one
 //!   full-width call;
 //! - no slot outside the range is written.
@@ -100,7 +101,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn baseline_and_avx2_tile_bodies_are_bitwise_identical(
+    fn every_tile_body_is_bitwise_the_baseline_body(
         (method_sel, rows, (lo, hi), mut values, na_mask, raw_labels, batch, f32_mode) in case()
     ) {
         for (v, &is_na) in values.iter_mut().zip(&na_mask) {
@@ -145,15 +146,18 @@ proptest! {
             }
         }
 
-        if let Some(avx2) = fast_scorer_on(Isa::Avx2, &prepared, &labels, method, precision) {
+        for isa in [Isa::Avx2, Isa::Avx512] {
+            let Some(wider) = fast_scorer_on(isa, &prepared, &labels, method, precision) else {
+                continue;
+            };
             for genes in [0..rows, lo..hi] {
-                let wide = score(avx2.as_ref(), &bufs, rows, genes.clone());
+                let wide = score(wider.as_ref(), &bufs, rows, genes.clone());
                 let base = if genes == (0..rows) { &full } else { &ranged };
                 for (slot, (&w, &b)) in wide.iter().zip(base).enumerate() {
                     prop_assert_eq!(
                         w, b,
-                        "{:?} {:?}: avx2 vs baseline at gene {} arrangement {} (range {:?})",
-                        method, precision, slot / stride, slot % stride, genes
+                        "{:?} {:?}: {} vs baseline at gene {} arrangement {} (range {:?})",
+                        method, precision, isa.as_str(), slot / stride, slot % stride, genes
                     );
                 }
             }

@@ -359,6 +359,10 @@ impl JobWork {
     /// Ready an admitted request for its units: this daemon's per-job engine
     /// thread budget where the options leave it to auto, and the matrix the
     /// units run on — scorer-prepared for the maxT kinds.
+    ///
+    /// A request's `threads` and `batch` are engine geometry: results are
+    /// bitwise identical for any values and neither enters a digest, so they
+    /// are clamped ([`EngineConfig::clamped`]), never refused.
     pub(crate) fn new(
         adm: Admission,
         mut opts: PmaxtOptions,
@@ -371,10 +375,12 @@ impl JobWork {
         } else {
             opts.threads
         };
+        let cfg =
+            EngineConfig::explicit(threads, opts.batch).clamped(adm.data.rows(), adm.data.cols());
         let prepared = if opts.workload == Workload::Bootstrap {
             // `boot_run_slice` resolves its own engine config from the
             // options, so the budget is folded into them.
-            opts.threads = threads;
+            opts.threads = cfg.threads;
             adm.data
         } else {
             // Shared unless the scorer ranks it.
@@ -383,7 +389,7 @@ impl JobWork {
         let work = JobWork {
             genes: prepared.rows(),
             labels: adm.labels,
-            cfg: EngineConfig::explicit(threads, opts.batch),
+            cfg,
             opts,
             b: adm.b,
             check_digest,
@@ -1359,6 +1365,38 @@ mod tests {
     use crate::manager::tests::{manager, null_heavy_dataset, small_dataset};
     use crate::manager::{JobManager, JobSpec, ManagerConfig};
     use sprint_core::maxt::serial::mt_maxt;
+
+    #[test]
+    fn request_geometry_is_clamped_to_host_and_budget() {
+        // Resolves the engine config only; never runs these values.
+        let (data, raw) = small_dataset();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for workload in [Workload::Pmaxt, Workload::Bootstrap] {
+            let opts = PmaxtOptions::default()
+                .workload(workload)
+                .permutations(97)
+                .threads(1_000_000)
+                .batch(1 << 40);
+            let adm = Admission {
+                data: Arc::new(data.clone()),
+                labels: ClassLabels::new(raw.clone(), opts.test).unwrap(),
+                b: 97,
+                mode: Mode::Exact,
+                sharded: false,
+            };
+            let (work, _) = JobWork::new(adm, opts, 1, None, 0);
+            assert_eq!(work.cfg.threads, cores, "{workload:?}");
+            let per_arrangement = data.cols() + 8 * data.rows() + 8;
+            assert_eq!(
+                work.cfg.batch,
+                sprint_core::maxt::minp::DEFAULT_MINP_BUDGET_BYTES / per_arrangement
+            );
+            if workload == Workload::Bootstrap {
+                // `boot_run_slice` reads its thread count from the options.
+                assert_eq!(work.opts.threads, cores);
+            }
+        }
+    }
 
     #[test]
     fn single_job_matches_mt_maxt_bitwise() {
