@@ -38,12 +38,13 @@ pub use confseq::{cs_lower_bound, cs_upper_bound, envelope};
 pub use runner::AdaptiveRunner;
 pub use tail::TailFit;
 
+use crate::admit::{admit, Entry};
 use crate::error::Result;
 use crate::matrix::Matrix;
-use crate::maxt::engine::{ChunkHooks, EngineConfig};
-use crate::maxt::serial::prepare_run;
+use crate::maxt::engine::ChunkHooks;
 use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult};
 use crate::options::PmaxtOptions;
+use crate::stats::prepare_matrix;
 
 /// Tuning knobs of the adaptive runner. The defaults are conservative: stop
 /// a gene only when it is certifiably non-significant at any practical
@@ -171,10 +172,11 @@ pub fn adaptive_maxt(
     opts: &PmaxtOptions,
     config: &AdaptiveConfig,
 ) -> Result<AdaptiveOutcome> {
-    let (labels, b, prepared) = prepare_run(data, classlabel, opts)?;
+    let run = admit(data, classlabel, opts, Entry::Adaptive)?;
+    let prepared = prepare_matrix(&run.data, opts.test, opts.nonpara);
     let ctx = MaxTContext::with_scorer(
         &prepared,
-        &labels,
+        &run.labels,
         opts.test,
         opts.side,
         opts.kernel,
@@ -183,10 +185,10 @@ pub fn adaptive_maxt(
     let runner = AdaptiveRunner::new(
         &ctx,
         &prepared,
-        &labels,
+        &run.labels,
         opts,
-        b,
-        EngineConfig::resolve(opts),
+        run.b,
+        run.engine,
         config.clone(),
     );
     runner.run(ChunkHooks::default())
@@ -195,8 +197,8 @@ pub fn adaptive_maxt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maxt::engine;
-    use crate::maxt::serial::mt_maxt;
+    use crate::maxt::engine::{self, EngineConfig};
+    use crate::maxt::serial::{mt_maxt, prepare_run};
     use crate::options::TestMethod;
 
     fn null_data(genes: usize, cols: usize, shift: f64) -> (Matrix, Vec<u8>) {

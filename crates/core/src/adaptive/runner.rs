@@ -52,9 +52,9 @@ pub(crate) fn sub_matrix(prepared: &Matrix, genes: &[usize]) -> Matrix {
 
 /// Drives one adaptive run over borrowed, already-prepared inputs.
 ///
-/// Construction mirrors the exact drivers: callers run
-/// [`prepare_run`](crate::maxt::serial::prepare_run), build the full
-/// [`MaxTContext`], then hand both here. [`AdaptiveRunner::resume_from`]
+/// Construction mirrors the exact drivers: callers admit the run
+/// ([`crate::admit`]), rank-transform its matrix, build the full
+/// [`MaxTContext`], then hand both here with the admitted geometry. [`AdaptiveRunner::resume_from`]
 /// seeds the runner with a cached exact prefix (the jobd cache's
 /// `Partial` state) so an adaptive job re-uses whatever exact work any
 /// earlier job — adaptive or exact — already paid for.

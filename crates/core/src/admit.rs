@@ -1,0 +1,463 @@
+//! Admission: the one place a run is checked before it runs.
+//!
+//! The paper's Step 1 has the master validate and pre-process `pmaxT`'s
+//! parameters once, before anything is broadcast. Every entry point does
+//! that through [`admit`], in four steps: it builds the class labels and
+//! checks them against the columns, canonicalizes NA (borrowing the matrix
+//! when no code is given), resolves B, and decides the entry × workload ×
+//! mode × precision cell in one `match`, each refusal naming the contract it
+//! protects. It then resolves the engine geometry once and holds one
+//! working-set formula against one budget, [`BUDGET_BYTES`]. Every driver
+//! runs on the geometry admission returns, so the budget counts the workers
+//! the run uses. DESIGN.md §4.2.1 tabulates the cells.
+
+use std::borrow::Cow;
+
+use crate::error::{Error, Result};
+use crate::labels::{ClassLabels, Design};
+use crate::matrix::Matrix;
+use crate::maxt::engine::{available_threads, EngineConfig};
+use crate::options::{Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload};
+use crate::perm::arrangement::resolve_draw_count;
+use crate::perm::bootstrap::MAX_BOOTSTRAP_COLS;
+use crate::stats::soa::SOA_TILE;
+
+/// The memory a run may hold: 512 MiB.
+pub const BUDGET_BYTES: usize = 512 << 20;
+
+/// Where a run enters, with what the caller fixes beyond the options.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entry {
+    /// `mt_maxt`, `maxt_threaded`, `prepare_run` (`engine: None`, resolved
+    /// from the options and environment) and `maxt_with_config` (pinned).
+    MaxT { engine: Option<EngineConfig> },
+    /// `pmaxt()` and the framework's `call_pmaxt`: the engine on every rank.
+    Spmd { ranks: usize },
+    /// `adaptive_maxt`.
+    Adaptive,
+    /// `mt_minp` (one rank) and `pminp`.
+    MinP { ranks: usize },
+    /// `sample_teststats`.
+    Sample,
+    /// `boot_run` and `boot_run_slice`.
+    Bootstrap,
+    /// The checkpoint runner, `run_with_checkpoints`.
+    Checkpoint,
+    /// `pmaxt run`, with its `--ranks`, `--minp` and `--perm-file` flags.
+    Cli {
+        ranks: usize,
+        minp: bool,
+        replay: bool,
+    },
+    /// A job service `submit`; `threads = 0` takes the daemon's `job_threads`.
+    Submit { job_threads: usize },
+    /// A job service `span_exec`: one unit of a peer coordinator's job.
+    Span { job_threads: usize },
+}
+
+/// An admitted run: what its drivers run on.
+#[derive(Debug)]
+pub struct Admitted<'a> {
+    pub labels: ClassLabels,
+    /// B, or the complete count for `B = 0`.
+    pub b: u64,
+    /// The NA-canonical matrix, borrowed unless an NA code rewrote it.
+    pub data: Cow<'a, Matrix>,
+    /// The mode the run is dispatched on, with `SPRINT_MODE` folded in where
+    /// the entry reads it; `Exact` for bootstrap.
+    pub mode: Mode,
+    /// The engine geometry every driver of the run uses.
+    pub engine: EngineConfig,
+}
+
+/// Admit a run entering at `entry`, or refuse it with a typed error.
+pub fn admit<'a>(
+    data: &'a Matrix,
+    classlabel: &[u8],
+    opts: &PmaxtOptions,
+    entry: Entry,
+) -> Result<Admitted<'a>> {
+    let labels = ClassLabels::new(classlabel.to_vec(), opts.test)?;
+    if labels.len() != data.cols() {
+        return Err(Error::BadLabels(format!(
+            "classlabel length {} does not match {} data columns",
+            labels.len(),
+            data.cols()
+        )));
+    }
+    let data = match opts.na {
+        Some(code) => Cow::Owned(Matrix::from_vec_with_na(
+            data.rows(),
+            data.cols(),
+            data.as_slice().to_vec(),
+            code,
+        )?),
+        None => Cow::Borrowed(data),
+    };
+    let b = resolve_draw_count(&labels, opts)?;
+    let mode = decide(entry, opts, &labels, b)?;
+    let engine = fit(entry, opts, &labels, data.rows(), b)?;
+    Ok(Admitted {
+        labels,
+        b,
+        data,
+        mode,
+        engine,
+    })
+}
+
+/// Step 4: the cell. Returns the mode the run is dispatched on.
+fn decide(entry: Entry, opts: &PmaxtOptions, labels: &ClassLabels, b: u64) -> Result<Mode> {
+    use Entry::*;
+    use Workload::{Bootstrap as Boot, Pmaxt};
+    // The environment forms are read where the entry picks a driver by mode
+    // or contracts reproducible counts, so an override cannot carry a
+    // refused value past its gate. The bootstrap driver builds no scorer and
+    // has no adaptive mode, so its own gates read the request.
+    let (mode, precision) = match entry {
+        Checkpoint | Cli { .. } | Submit { .. } | Span { .. } => {
+            (opts.mode.env_override(), opts.precision.env_override())
+        }
+        _ => (opts.mode, opts.precision),
+    };
+    let (adaptive, f32) = (mode == Mode::Adaptive, precision == Precision::F32);
+    // `pmaxt run`'s flags: each picks a driver other than maxT on one rank.
+    let (ranks, picked) = match entry {
+        Cli {
+            ranks,
+            minp,
+            replay,
+        } => (ranks, minp || replay || ranks > 1),
+        _ => (1, false),
+    };
+    let bad = |param, why: &str| {
+        Err(Error::BadOption {
+            param,
+            value: why.into(),
+        })
+    };
+    // Bootstrap draws are column indices, not label arrangements.
+    let labels_only = "bootstrap (the permutation drivers score label arrangements)";
+    match (entry, opts.workload) {
+        (MaxT { .. } | Spmd { .. } | Adaptive | MinP { .. } | Sample, Boot) => {
+            bad("workload", labels_only)
+        }
+        (Cli { .. }, Boot) if picked => bad("workload", labels_only),
+        (Bootstrap, Pmaxt) => bad("workload", "pmaxt (the bootstrap driver runs bootstrap)"),
+        // A checkpoint resumes exact counts bit for bit.
+        (Checkpoint, _) if f32 => bad("precision", "f32 (checkpoints resume exact f64 counts)"),
+        (Checkpoint, _) if adaptive => bad("mode", "adaptive (checkpoints resume exact counts)"),
+        (Checkpoint, Boot) => bad(
+            "workload",
+            "bootstrap (checkpoints resume permutation counts)",
+        ),
+        // The bootstrap estimate: the two-group mean difference, in f64.
+        (_, Boot) if opts.test != TestMethod::T => {
+            let test = opts.test.as_str();
+            bad(
+                "test",
+                &format!("{test} (the bootstrap estimate requires test=\"t\")"),
+            )
+        }
+        (_, Boot) if opts.mode == Mode::Adaptive => bad(
+            "mode",
+            "adaptive (bootstrap replicates have no early-stopping bound)",
+        ),
+        (_, Boot) if opts.precision == Precision::F32 => bad(
+            "precision",
+            "f32 (bootstrap intervals are validated for f64 only)",
+        ),
+        (_, Boot) if labels.len() > MAX_BOOTSTRAP_COLS => Err(Error::BadLabels(format!(
+            "bootstrap supports at most {MAX_BOOTSTRAP_COLS} sample columns, got {}",
+            labels.len()
+        ))),
+        // The job service extends cached counts and merges sharded ones.
+        (Submit { .. } | Span { .. }, _) if f32 => bad(
+            "precision",
+            "f32 (the job service requires bitwise-reproducible f64)",
+        ),
+        (Span { .. }, Pmaxt) if adaptive => bad(
+            "mode",
+            "adaptive (span execution serves bitwise-exact sharded runs only)",
+        ),
+        (
+            Cli {
+                minp, replay: true, ..
+            },
+            _,
+        ) if minp || ranks > 1 => bad(
+            "perm-file",
+            "given (replay is maxT in one process; drop --minp, --ranks)",
+        ),
+        (Cli { .. }, _) if ranks as u64 > b => Err(Error::RanksExceedPermutations {
+            b,
+            ranks: ranks as u64,
+        }),
+        (Cli { .. }, _) if adaptive && picked => bad(
+            "mode",
+            "adaptive (maxT on one generated stream and one process only)",
+        ),
+        (_, Boot) => Ok(Mode::Exact),
+        (_, Pmaxt) => Ok(mode),
+    }
+}
+
+/// Step 5: the engine geometry, resolved once, and the one working-set
+/// formula held against [`BUDGET_BYTES`]. Per draw (B, or B − 1 bootstrap
+/// replicates) a run holds:
+///
+/// - stored arrangements (`--fixed-seed n`, Monte-Carlo, non-block): n
+///   bytes in every stream, one per engine worker on every rank, one per
+///   rank for minP and `sample_teststats`;
+/// - bootstrap: workers × `SOA_TILE` × 8 replicate bytes plus the n-byte
+///   draw, the workers capped at the gene tiles;
+/// - minP's score matrix: genes × 8 bytes.
+///
+/// A B whose draws exceed the budget is refused, naming the largest B
+/// accepted. Every engine worker also holds batch × (n + 8·genes + 8) bytes
+/// of batch buffers; the batch is clamped into the room the draws leave, at
+/// least one arrangement, because any batch gives the same bits.
+fn fit(
+    entry: Entry,
+    opts: &PmaxtOptions,
+    labels: &ClassLabels,
+    genes: usize,
+    b: u64,
+) -> Result<EngineConfig> {
+    let mut engine = match entry {
+        Entry::MaxT { engine: Some(cfg) } => EngineConfig::explicit(cfg.threads, cfg.batch),
+        // A remote request: never this daemon's environment, and no more
+        // threads than the host has.
+        Entry::Submit { job_threads } | Entry::Span { job_threads } => {
+            let threads = match opts.threads {
+                0 => job_threads,
+                t => t,
+            };
+            EngineConfig::explicit(threads.clamp(1, available_threads()), opts.batch)
+        }
+        _ => EngineConfig::resolve(opts),
+    };
+    let (n, g, threads) = (labels.len() as u128, genes as u128, engine.threads as u128);
+    // Ranks, engine workers per rank, minP score bytes per draw.
+    let (ranks, workers, scores) = match entry {
+        Entry::MinP { ranks }
+        | Entry::Cli {
+            ranks, minp: true, ..
+        } => (ranks as u128, 0, g * 8),
+        Entry::Spmd { ranks } | Entry::Cli { ranks, .. } => (ranks as u128, threads, 0),
+        Entry::Sample => (1, 0, 0),
+        _ => (1, threads, 0),
+    };
+    let boot = opts.workload == Workload::Bootstrap;
+    let boot_workers = threads.min(genes.div_ceil(SOA_TILE).max(1) as u128);
+    let stored = !boot
+        && opts.sampling == SamplingMode::Stored
+        && opts.b > 0
+        && !matches!(labels.design(), Design::Block { .. });
+    let streams = if stored { ranks * workers.max(1) } else { 0 };
+    let (draws, per_draw) = match boot {
+        true => (b - 1, boot_workers * SOA_TILE as u128 * 8 + n),
+        false => (b, streams * n + scores),
+    };
+    let budget = BUDGET_BYTES as u128;
+    let need = per_draw * u128::from(draws);
+    if need > budget {
+        let held = match (boot, stored, scores > 0) {
+            (true, ..) => format!("{boot_workers} worker(s) x {SOA_TILE} genes x 8 + {n} bytes"),
+            (_, true, false) => format!("{streams} stored stream(s) x {n} label bytes"),
+            (_, false, _) => format!("{genes} genes x 8 minP score bytes"),
+            _ => format!("{streams} stream(s) x {n} label + {genes} x 8 minP score bytes"),
+        };
+        let hint = if stored {
+            "; --fixed-seed y samples on the fly"
+        } else {
+            ""
+        };
+        return Err(Error::BadOption {
+            param: "b",
+            value: format!(
+                "{b} (each draw holds {held} = {per_draw} bytes, {need} bytes in all, over the \
+                 {} MiB budget; the largest B accepted is {}{hint})",
+                budget >> 20,
+                budget / per_draw + u128::from(boot)
+            ),
+        });
+    }
+    let per_arrangement = if boot {
+        0
+    } else {
+        ranks * workers * (n + 8 * g + 8)
+    };
+    if let Some(room) = (budget - need).checked_div(per_arrangement) {
+        let room = usize::try_from(room).unwrap_or(usize::MAX);
+        engine.batch = engine.batch.min(room).max(1);
+    }
+    Ok(engine)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn data(genes: usize, cols: usize) -> Matrix {
+        Matrix::from_vec(
+            genes,
+            cols,
+            (0..genes * cols).map(|i| (i % 7) as f64).collect(),
+        )
+        .unwrap()
+    }
+
+    fn largest(e: Error) -> u128 {
+        match e {
+            Error::BadOption { param: "b", value } => value
+                .split("the largest B accepted is ")
+                .nth(1)
+                .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
+                .and_then(|s| s.parse().ok())
+                .unwrap_or_else(|| panic!("no largest B in {value:?}")),
+            other => panic!("expected a b refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stored_budget_counts_every_stream_the_run_builds() {
+        let m = data(3, 8);
+        let labels = [0u8, 0, 0, 0, 1, 1, 1, 1];
+        let opts = PmaxtOptions::default()
+            .fixed_seed_sampling("n")
+            .unwrap()
+            .threads(2)
+            .batch(4)
+            .permutations(1 << 40);
+        let budget = BUDGET_BYTES as u128;
+        let pinned = Entry::MaxT {
+            engine: Some(EngineConfig::explicit(2, 4)),
+        };
+        // Two engine workers, each with all B arrangements of 8 labels.
+        let e = admit(&m, &labels, &opts, pinned).unwrap_err();
+        assert_eq!(largest(e), budget / 16);
+        let fits = opts.clone().permutations((budget / 16) as u64);
+        assert!(admit(&m, &labels, &fits, pinned).is_ok());
+        // SPMD: every rank runs its own engine workers.
+        let e = admit(&m, &labels, &opts, Entry::Submit { job_threads: 1 }).unwrap_err();
+        let threads = 2.min(available_threads()) as u128;
+        assert_eq!(largest(e), budget / (threads * 8));
+        let cores = available_threads();
+        let spmd = opts.clone().threads(cores);
+        let e = admit(&m, &labels, &spmd, Entry::Spmd { ranks: 3 }).unwrap_err();
+        let threads = EngineConfig::resolve(&spmd).threads as u128;
+        assert_eq!(largest(e), budget / (3 * threads * 8));
+        // minP builds one stream per rank, next to its score matrix.
+        let e = admit(&m, &labels, &opts, Entry::MinP { ranks: 3 }).unwrap_err();
+        assert_eq!(largest(e), budget / (3 * 8 + 3 * 8));
+        // Complete enumeration and on-the-fly sampling store nothing.
+        assert!(admit(&m, &labels, &opts.clone().permutations(0), pinned).is_ok());
+        let on_the_fly = opts.clone().fixed_seed_sampling("y").unwrap();
+        assert!(admit(&m, &labels, &on_the_fly, pinned).is_ok());
+    }
+
+    #[test]
+    fn block_designs_never_store() {
+        let m = data(2, 6);
+        let opts = PmaxtOptions::default()
+            .test(TestMethod::BlockF)
+            .fixed_seed_sampling("n")
+            .unwrap()
+            .permutations(1 << 40);
+        let entry = Entry::MaxT {
+            engine: Some(EngineConfig::explicit(1, 4)),
+        };
+        assert!(admit(&m, &[0, 1, 0, 1, 0, 1], &opts, entry).is_ok());
+    }
+
+    #[test]
+    fn batch_is_clamped_into_the_room_the_draws_leave() {
+        // 6102 genes x 76 columns, the paper's matrix shape.
+        let (genes, cols) = (6102usize, 76usize);
+        let m = Matrix::from_vec(genes, cols, vec![1.0; genes * cols]).unwrap();
+        let labels: Vec<u8> = (0..cols).map(|c| u8::from(c >= 27)).collect();
+        let per_arrangement = (cols + 8 * genes + 8) as u128;
+        let opts = PmaxtOptions::default().permutations(1_000_000);
+        let entry = Entry::MaxT {
+            engine: Some(EngineConfig::explicit(2, 1_000_000)),
+        };
+        let run = admit(&m, &labels, &opts, entry).unwrap();
+        assert_eq!(run.engine.threads, 2);
+        let room = BUDGET_BYTES as u128 / (2 * per_arrangement);
+        assert_eq!(run.engine.batch as u128, room);
+        // A fitting batch stays as requested.
+        let small = Entry::MaxT {
+            engine: Some(EngineConfig::explicit(2, 32)),
+        };
+        assert_eq!(admit(&m, &labels, &opts, small).unwrap().engine.batch, 32);
+        // Stored draws take their share first; the batch gets what is left,
+        // and never less than one arrangement.
+        let stored = opts.fixed_seed_sampling("n").unwrap();
+        let b = (BUDGET_BYTES as u128 / (2 * cols as u128)) as u64;
+        let run = admit(&m, &labels, &stored.clone().permutations(b), entry).unwrap();
+        assert_eq!(run.engine.batch, 1);
+        let half = admit(&m, &labels, &stored.permutations(b / 2), entry).unwrap();
+        let left = BUDGET_BYTES as u128 - u128::from(b / 2) * 2 * cols as u128;
+        assert_eq!(half.engine.batch as u128, left / (2 * per_arrangement));
+    }
+
+    #[test]
+    fn service_threads_take_the_daemon_share_and_the_host_cap() {
+        let m = data(3, 8);
+        let labels = [0u8, 0, 0, 0, 1, 1, 1, 1];
+        let cores = available_threads();
+        let auto = PmaxtOptions::default().permutations(20);
+        for entry in [
+            Entry::Submit { job_threads: 1 },
+            Entry::Span { job_threads: 1 },
+        ] {
+            assert_eq!(admit(&m, &labels, &auto, entry).unwrap().engine.threads, 1);
+            let greedy = auto.clone().threads(1_000_000).batch(1 << 40);
+            let run = admit(&m, &labels, &greedy, entry).unwrap();
+            assert_eq!(run.engine.threads, cores);
+            let per_arrangement = (8 + 8 * 3 + 8) as u128 * cores as u128;
+            assert_eq!(
+                run.engine.batch as u128,
+                BUDGET_BYTES as u128 / per_arrangement
+            );
+        }
+    }
+
+    #[test]
+    fn minp_score_matrix_is_refused_before_anything_is_allocated() {
+        let m = data(3, 8);
+        let labels = [0u8, 0, 0, 0, 1, 1, 1, 1];
+        let opts = PmaxtOptions::default().permutations(u64::MAX);
+        let e = admit(&m, &labels, &opts, Entry::MinP { ranks: 1 }).unwrap_err();
+        assert_eq!(largest(e), BUDGET_BYTES as u128 / 24);
+        // The maxT engine holds no score matrix.
+        let pinned = Entry::MaxT {
+            engine: Some(EngineConfig::explicit(1, 8)),
+        };
+        assert!(admit(&m, &labels, &opts, pinned).is_ok());
+    }
+
+    #[test]
+    fn na_code_is_canonicalized_and_no_code_borrows() {
+        let m = Matrix::from_vec(1, 4, vec![1.0, -9.0, 3.0, 4.0]).unwrap();
+        let opts = PmaxtOptions::default().permutations(5);
+        let run = admit(&m, &[0, 0, 1, 1], &opts, Entry::Sample).unwrap();
+        assert!(matches!(run.data, Cow::Borrowed(_)));
+        let run = admit(&m, &[0, 0, 1, 1], &opts.na_code(-9.0), Entry::Sample).unwrap();
+        assert!(matches!(run.data, Cow::Owned(_)));
+        assert!(run.data.as_slice()[1].is_nan());
+    }
+
+    #[test]
+    fn labels_are_checked_against_the_columns() {
+        let m = data(2, 6);
+        let opts = PmaxtOptions::default().permutations(5);
+        for entry in [Entry::Adaptive, Entry::Checkpoint, Entry::Bootstrap] {
+            assert!(matches!(
+                admit(&m, &[0, 0, 1, 1, 1], &opts, entry),
+                Err(Error::BadLabels(_))
+            ));
+        }
+    }
+}

@@ -19,8 +19,10 @@
 //! tile's genes from their replicates before moving on. The working set is
 //! one tile of replicates per worker plus the draws,
 //! `workers × SOA_TILE × (B − 1) × 8 + (B − 1) × n` bytes, never a
-//! genes × B matrix; [`validate_boot`] refuses runs whose working set would
-//! exceed the 512 MiB budget.
+//! genes × B matrix; admission ([`crate::admit`]) refuses runs whose working
+//! set would exceed the 512 MiB budget, and checks the bootstrap contract:
+//! two-group `t` design, explicit `B ≥ 2`, exact mode, `f64` accumulation
+//! and at most 256 sample columns.
 //!
 //! Two interval families per gene:
 //!
@@ -33,17 +35,16 @@
 
 pub mod normal;
 
-use std::borrow::Cow;
 use std::ops::Range;
 
+use crate::admit::{admit, Entry};
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::maxt::engine::{run_jobs, split_chunk, EngineConfig};
-use crate::maxt::minp::DEFAULT_MINP_BUDGET_BYTES;
-use crate::options::{Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload};
-use crate::perm::arrangement::{build_stream, resolve_draw_count};
-use crate::perm::bootstrap::{BootstrapSequential, MAX_BOOTSTRAP_COLS};
+use crate::options::{PmaxtOptions, SamplingMode};
+use crate::perm::arrangement::build_stream;
+use crate::perm::bootstrap::BootstrapSequential;
 use crate::perm::ResamplingStream;
 use crate::stats::soa::{block_add, Isa, Kernel, MissMask, SoaColumns, BLOCK, SOA_TILE};
 use normal::{inv_phi, phi};
@@ -133,103 +134,6 @@ impl BootstrapResult {
     }
 }
 
-/// Validate a bootstrap run and canonicalize the NA code; the matrix is
-/// borrowed unless an NA code rewrites it. Refusals mirror
-/// the permutation front half (`prepare_run`), plus the bootstrap-specific
-/// constraints: two-group `t` design only, explicit `B ≥ 2`, exact mode,
-/// `f64` accumulation, at most [`MAX_BOOTSTRAP_COLS`] sample columns, and a
-/// working set within [`DEFAULT_MINP_BUDGET_BYTES`].
-pub fn validate_boot<'a>(
-    data: &'a Matrix,
-    classlabel: &[u8],
-    opts: &PmaxtOptions,
-) -> Result<(ClassLabels, u64, Cow<'a, Matrix>)> {
-    if opts.workload != Workload::Bootstrap {
-        return Err(Error::BadOption {
-            param: "workload",
-            value: format!(
-                "{} (the bootstrap driver only runs workload=bootstrap)",
-                opts.workload.as_str()
-            ),
-        });
-    }
-    if opts.test != TestMethod::T {
-        return Err(Error::BadOption {
-            param: "test",
-            value: format!(
-                "{} (the bootstrap workload estimates the two-group mean \
-                 difference and requires test=\"t\")",
-                opts.test.as_str()
-            ),
-        });
-    }
-    if opts.mode != Mode::Exact {
-        return Err(Error::BadOption {
-            param: "mode",
-            value: "adaptive (bootstrap replicates have no early-stopping bound theory wired up; use mode=exact)".into(),
-        });
-    }
-    if opts.precision != Precision::F64 {
-        return Err(Error::BadOption {
-            param: "precision",
-            value: "f32 (bootstrap intervals are only validated for f64 accumulation)".into(),
-        });
-    }
-    let labels = ClassLabels::new(classlabel.to_vec(), TestMethod::T)?;
-    if labels.len() != data.cols() {
-        return Err(Error::BadLabels(format!(
-            "classlabel length {} does not match {} data columns",
-            labels.len(),
-            data.cols()
-        )));
-    }
-    if labels.len() > MAX_BOOTSTRAP_COLS {
-        return Err(Error::BadLabels(format!(
-            "bootstrap supports at most {MAX_BOOTSTRAP_COLS} sample columns, got {}",
-            labels.len()
-        )));
-    }
-    let b = resolve_draw_count(&labels, opts)?;
-    check_working_set(data.rows(), labels.len(), b, opts)?;
-    let data = match opts.na {
-        Some(code) => Cow::Owned(Matrix::from_vec_with_na(
-            data.rows(),
-            data.cols(),
-            data.as_slice().to_vec(),
-            code,
-        )?),
-        None => Cow::Borrowed(data),
-    };
-    Ok((labels, b, data))
-}
-
-/// Refuse a run whose working set exceeds [`DEFAULT_MINP_BUDGET_BYTES`]:
-/// each worker's gene-by-gene replicate tile plus the shared draws,
-/// `workers × SOA_TILE × (B − 1) × 8 + (B − 1) × n` bytes. The refusal names
-/// the largest `B` that fits.
-fn check_working_set(genes: usize, n: usize, b: u64, opts: &PmaxtOptions) -> Result<()> {
-    let workers = EngineConfig::resolve(opts)
-        .threads
-        .min(genes.div_ceil(SOA_TILE))
-        .max(1);
-    let per_replicate = (workers * SOA_TILE * std::mem::size_of::<f64>() + n) as u128;
-    let budget = DEFAULT_MINP_BUDGET_BYTES as u128;
-    let need = u128::from(b - 1) * per_replicate;
-    if need <= budget {
-        return Ok(());
-    }
-    Err(Error::BadOption {
-        param: "b",
-        value: format!(
-            "{b} (the bootstrap working set, {workers} worker(s) x {SOA_TILE} genes x \
-             (B-1) replicates x 8 bytes plus (B-1) draws x {n} bytes, needs {need} bytes, \
-             over the {} MiB budget; the largest B accepted is {})",
-            budget >> 20,
-            budget / per_replicate + 1
-        ),
-    })
-}
-
 /// Group-mean difference of one gene row under an index draw: drawn columns
 /// keep their labels; NaN cells drop out; an empty group yields NaN. Computes
 /// θ̂ (the identity draw) and is the scalar reference the tiled replicate
@@ -270,9 +174,9 @@ fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + (h - lo as f64) * (sorted[lo + 1] - sorted[lo])
 }
 
-/// Run the bootstrap workload over every gene. Threading follows
-/// [`EngineConfig::resolve`] (`opts.threads` / `SPRINT_THREADS`); any thread
-/// count produces bitwise-identical results.
+/// Run the bootstrap workload over every gene. Threading follows the
+/// admitted geometry (`opts.threads` / `SPRINT_THREADS`); any thread count
+/// produces bitwise-identical results.
 pub fn boot_run(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result<BootstrapResult> {
     boot_run_slice(data, classlabel, opts, 0..data.rows())
 }
@@ -281,31 +185,43 @@ pub fn boot_run(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result
 /// of the job service. Every peer computes the full replicate span for its
 /// rows, and per-gene finalization is independent, so a slice result is
 /// bitwise-equal to the same rows of a full run.
-///
-/// The `B − 1` draws are made once and shared. Workers take contiguous runs
-/// of [`SOA_TILE`]-gene tiles ([`split_chunk`] over tiles), score every draw
-/// on their tile's column lanes, finalize the tile's genes from their
-/// replicates, and hand back a partial result; the partials join in worker
-/// order through [`BootstrapResult::extend`].
 pub fn boot_run_slice(
     data: &Matrix,
     classlabel: &[u8],
     opts: &PmaxtOptions,
     genes: Range<usize>,
 ) -> Result<BootstrapResult> {
-    let (labels, b, data) = validate_boot(data, classlabel, opts)?;
+    let run = admit(data, classlabel, opts, Entry::Bootstrap)?;
+    boot_run_on(&run.data, &run.labels, opts, run.b, run.engine, genes)
+}
+
+/// [`boot_run_slice`] for an admitted run: its NA-canonical matrix, labels
+/// and draw count, on its engine geometry.
+///
+/// The `B − 1` draws are made once and shared. Workers take contiguous runs
+/// of [`SOA_TILE`]-gene tiles ([`split_chunk`] over tiles), score every draw
+/// on their tile's column lanes, finalize the tile's genes from their
+/// replicates, and hand back a partial result; the partials join in worker
+/// order through [`BootstrapResult::extend`].
+pub fn boot_run_on(
+    data: &Matrix,
+    labels: &ClassLabels,
+    opts: &PmaxtOptions,
+    b: u64,
+    engine: EngineConfig,
+    genes: Range<usize>,
+) -> Result<BootstrapResult> {
     assert!(genes.end <= data.rows(), "gene slice out of range");
-    let cfg = EngineConfig::resolve(opts);
-    let draws = class_sorted_draws(&labels, opts, b)?;
+    let draws = class_sorted_draws(labels, opts, b)?;
     let label = labels.as_slice();
     let tiles = genes.len().div_ceil(SOA_TILE) as u64;
-    let jobs = split_chunk(0, tiles, cfg.threads);
+    let jobs = split_chunk(0, tiles, engine.threads);
     let isa = Isa::host();
     let parts = run_jobs(&jobs, |_, first, count| {
         let lo = genes.start + first as usize * SOA_TILE;
         let hi = (lo + count as usize * SOA_TILE).min(genes.end);
         isa.run(BootGenes {
-            data: &data,
+            data,
             labels: label,
             draws: &draws,
             genes: lo..hi,
@@ -587,7 +503,19 @@ fn jackknife_acceleration(row: &[f64], labels: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admit::BUDGET_BYTES;
+    use crate::options::{Mode, Precision, TestMethod, Workload};
     use proptest::prelude::*;
+    use std::borrow::Cow;
+
+    /// Bootstrap admission as parts: labels, draw count, NA-canonical matrix.
+    fn admit_boot<'a>(
+        data: &'a Matrix,
+        classlabel: &[u8],
+        opts: &PmaxtOptions,
+    ) -> Result<(ClassLabels, u64, Cow<'a, Matrix>)> {
+        admit(data, classlabel, opts, Entry::Bootstrap).map(|run| (run.labels, run.b, run.data))
+    }
 
     fn opts(b: u64) -> PmaxtOptions {
         PmaxtOptions::default()
@@ -718,7 +646,7 @@ mod tests {
         opts: &PmaxtOptions,
         genes: Range<usize>,
     ) -> BootstrapResult {
-        let (class_labels, b, data) = validate_boot(data, classlabel, opts).unwrap();
+        let (class_labels, b, data) = admit_boot(data, classlabel, opts).unwrap();
         let mut stream = build_stream(&class_labels, opts, b).unwrap().stream;
         let labels = class_labels.as_slice();
         let mut draws = vec![vec![0u8; labels.len()]; b as usize];
@@ -807,7 +735,7 @@ mod tests {
             prop_assert_eq!(bits(&boot_run(&data, &labels, &o).unwrap()), want.clone());
             // Every compilation of the replicate kernel the host runs,
             // whichever it would pick.
-            let (class_labels, b, data) = validate_boot(&data, &labels, &o).unwrap();
+            let (class_labels, b, data) = admit_boot(&data, &labels, &o).unwrap();
             let draws = class_sorted_draws(&class_labels, &o, b).unwrap();
             for isa in [Isa::Baseline, Isa::Avx2, Isa::Avx512] {
                 if isa.supported() {
@@ -834,7 +762,7 @@ mod tests {
         // 3 genes fit one tile, so one worker whatever the thread count:
         // each replicate costs SOA_TILE × 8 bytes plus one 8-byte draw.
         let per_replicate = (SOA_TILE * 8 + 8) as u64;
-        let largest = DEFAULT_MINP_BUDGET_BYTES as u64 / per_replicate + 1;
+        let largest = BUDGET_BYTES as u64 / per_replicate + 1;
         let e = boot_run(&data, &labels, &opts(largest + 1).threads(4)).unwrap_err();
         match e {
             Error::BadOption { param: "b", value } => {
@@ -847,7 +775,7 @@ mod tests {
         }
         // A huge request is refused before anything is allocated.
         assert!(matches!(
-            validate_boot(&data, &labels, &opts(1_000_000_000)),
+            admit_boot(&data, &labels, &opts(1_000_000_000)),
             Err(Error::BadOption { param: "b", .. })
         ));
         // 300 genes span three tiles, so up to three workers share the
@@ -856,11 +784,11 @@ mod tests {
         let o = opts(2).threads(3);
         let workers = EngineConfig::resolve(&o).threads.min(3) as u64;
         let per_replicate = workers * SOA_TILE as u64 * 8 + 8;
-        let largest_wide = DEFAULT_MINP_BUDGET_BYTES as u64 / per_replicate + 1;
+        let largest_wide = BUDGET_BYTES as u64 / per_replicate + 1;
         assert!(workers == 1 || largest_wide < largest);
-        assert!(validate_boot(&wide, &labels, &o.clone().permutations(largest_wide)).is_ok());
+        assert!(admit_boot(&wide, &labels, &o.clone().permutations(largest_wide)).is_ok());
         assert!(matches!(
-            validate_boot(&wide, &labels, &o.permutations(largest_wide + 1)),
+            admit_boot(&wide, &labels, &o.permutations(largest_wide + 1)),
             Err(Error::BadOption { param: "b", .. })
         ));
     }
@@ -872,7 +800,7 @@ mod tests {
         let data = Matrix::from_vec(1, 4, vec![1.0, 2.5, 4.0, 7.5]).unwrap();
         let labels = [0u8, 0, 1, 1];
         let per_replicate = (SOA_TILE * 8 + 4) as u64;
-        let largest = DEFAULT_MINP_BUDGET_BYTES as u64 / per_replicate + 1;
+        let largest = BUDGET_BYTES as u64 / per_replicate + 1;
         let o = opts(largest).threads(1);
         let r = boot_run(&data, &labels, &o).unwrap();
         assert_eq!(r.replicates, largest - 1);

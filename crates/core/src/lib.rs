@@ -11,6 +11,9 @@
 //!
 //! ## What's here
 //!
+//! - [`admit`] — admission: the one place every entry point checks a run
+//!   (labels, NA, B, option combinations) and fixes its engine geometry and
+//!   memory budget before it runs;
 //! - [`stats`] — the six test statistics (`t`, `t.equalvar`, `wilcoxon`,
 //!   `f`, `pairt`, `blockf`) with NA exclusion and the non-parametric rank
 //!   transform;
@@ -48,6 +51,7 @@
 //! ```
 
 pub mod adaptive;
+pub mod admit;
 pub mod boot;
 pub mod digest;
 pub mod error;

@@ -33,14 +33,14 @@
 
 use std::time::{Duration, Instant};
 
+use crate::admit::{admit, Entry};
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
-use crate::maxt::minp::DEFAULT_MINP_BUDGET_BYTES;
-use crate::maxt::serial::prepare_run;
 use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult, EPSILON};
 use crate::options::PmaxtOptions;
 use crate::perm::{build_generator, ResamplingStream};
+use crate::stats::prepare_matrix;
 use crate::stats::scorer::ScorerScratch;
 use crate::stats::soa::Kernel;
 
@@ -87,27 +87,11 @@ impl EngineConfig {
         }
     }
 
-    /// This geometry clamped to what the host and the working-set budget
-    /// hold: `threads` to the available parallelism, and `batch` so that one
-    /// worker's label, score and running-maximum buffers for a
-    /// `genes × cols` matrix (`batch × (cols + 8·genes + 8)` bytes) fit
-    /// [`DEFAULT_MINP_BUDGET_BYTES`]. Results are bitwise identical for any
-    /// geometry, so clamping changes no output bit.
-    pub fn clamped(self, genes: usize, cols: usize) -> Self {
-        let per_arrangement = cols + 8 * genes + 8;
-        EngineConfig {
-            threads: self.threads.clamp(1, available_threads()),
-            batch: self
-                .batch
-                .clamp(1, (DEFAULT_MINP_BUDGET_BYTES / per_arrangement).max(1)),
-        }
-    }
-
     /// Geometry for a run: start from the options' `threads`/`batch`, apply
     /// the `SPRINT_THREADS` / `SPRINT_BATCH` environment overrides when set
     /// to valid numbers, then resolve `0` (auto) as in
-    /// [`EngineConfig::explicit`]. Every driver (serial, SPMD, checkpoint)
-    /// resolves through here, so the environment reaches all of them without
+    /// [`EngineConfig::explicit`]. Admission ([`crate::admit`]) resolves every
+    /// run's geometry, so the environment reaches every driver without
     /// options plumbing.
     pub fn resolve(opts: &PmaxtOptions) -> Self {
         let threads = env_usize("SPRINT_THREADS").unwrap_or(opts.threads);
@@ -127,7 +111,7 @@ fn env_usize(name: &'static str) -> Option<usize> {
     }
 }
 
-fn available_threads() -> usize {
+pub(crate) fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -389,31 +373,44 @@ pub fn accumulate_chunk_hooked(
 /// Full maxT run on the calling process with an explicit engine geometry —
 /// the thread-pool analogue of `pmaxt` (and the promoted form of the bench
 /// crate's former `maxt_rayon`). Environment overrides are not consulted;
-/// use [`maxt_threaded`] for the resolving entry point.
+/// use [`maxt_threaded`] for the resolving entry point. Admission keeps the
+/// threads and clamps the batch to the memory budget.
 pub fn maxt_with_config(
     data: &Matrix,
     classlabel: &[u8],
     opts: &PmaxtOptions,
     cfg: EngineConfig,
 ) -> Result<MaxTResult> {
-    let (labels, b, prepared) = prepare_run(data, classlabel, opts)?;
-    let ctx = MaxTContext::with_scorer(
-        &prepared,
-        &labels,
-        opts.test,
-        opts.side,
-        opts.kernel,
-        opts.precision,
-    );
-    let run = accumulate_chunk(&ctx, &labels, opts, b, 0, b, cfg)?;
-    debug_assert_eq!(run.counts.n_perm, b);
-    Ok(ctx.finalize(&run.counts))
+    maxt_on(data, classlabel, opts, Some(cfg))
 }
 
 /// Full maxT run with the geometry resolved from the options and the
 /// `SPRINT_THREADS` / `SPRINT_BATCH` environment.
 pub fn maxt_threaded(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result<MaxTResult> {
-    maxt_with_config(data, classlabel, opts, EngineConfig::resolve(opts))
+    maxt_on(data, classlabel, opts, None)
+}
+
+/// The in-process maxT run: admit, rank-transform, run every permutation
+/// through the engine on the admitted geometry, finalize.
+pub(crate) fn maxt_on(
+    data: &Matrix,
+    classlabel: &[u8],
+    opts: &PmaxtOptions,
+    engine: Option<EngineConfig>,
+) -> Result<MaxTResult> {
+    let run = admit(data, classlabel, opts, Entry::MaxT { engine })?;
+    let prepared = prepare_matrix(&run.data, opts.test, opts.nonpara);
+    let ctx = MaxTContext::with_scorer(
+        &prepared,
+        &run.labels,
+        opts.test,
+        opts.side,
+        opts.kernel,
+        opts.precision,
+    );
+    let counts = accumulate_chunk(&ctx, &run.labels, opts, run.b, 0, run.b, run.engine)?.counts;
+    debug_assert_eq!(counts.n_perm, run.b);
+    Ok(ctx.finalize(&counts))
 }
 
 /// Reusable per-worker buffers for the batched accumulation loop: the label
@@ -617,7 +614,7 @@ impl Kernel for CountBatch<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maxt::serial::mt_maxt;
+    use crate::maxt::serial::{mt_maxt, prepare_run};
     use crate::options::{KernelChoice, Precision, SamplingMode, TestMethod};
     use crate::side::Side;
     use crate::stats::prepare_matrix;
@@ -730,15 +727,6 @@ mod tests {
             assert_eq!(tree_merge(parts).unwrap(), sequential, "n={n}");
         }
         assert!(tree_merge(Vec::new()).is_none());
-    }
-
-    #[test]
-    fn clamped_config_keeps_fitting_geometry_and_one_arrangement() {
-        // Oversized requests are checked through jobd's `JobWork::new`.
-        let small = EngineConfig::explicit(1, 32);
-        assert_eq!(small.clamped(6102, 76), small);
-        // A matrix too large for even one arrangement still gets one.
-        assert_eq!(small.clamped(usize::MAX / 16, 1).batch, 1);
     }
 
     #[test]

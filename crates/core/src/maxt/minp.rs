@@ -9,8 +9,8 @@
 //!
 //! minP is *balanced* across genes with different null distributions —
 //! p-value scale instead of statistic scale — at the cost of materializing
-//! the full genes × B score matrix (the same trade-off `mt.minP` makes). The
-//! implementation refuses workloads above a configurable memory budget
+//! the full genes × B score matrix (the same trade-off `mt.minP` makes).
+//! Admission ([`crate::admit`]) refuses a matrix over the 512 MiB budget
 //! rather than thrashing.
 //!
 //! Algorithm (complete or sampled permutation set, identity at index 0):
@@ -24,62 +24,24 @@
 //!    significant ordered gene upwards and count `q_i,b ≤ p_obs(i)`;
 //! 5. divide by B and enforce step-down monotonicity.
 
+use crate::admit::{admit, Entry};
 use crate::error::{Error, Result};
-use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
-use crate::maxt::engine::DEFAULT_BATCH;
+use crate::maxt::engine::{split_evenly, DEFAULT_BATCH};
 use crate::maxt::result::MaxTResult;
 use crate::maxt::EPSILON;
 use crate::options::PmaxtOptions;
-use crate::perm::{build_generator, resolve_permutation_count};
+use crate::perm::build_generator;
 use crate::stats::prepare_matrix;
 use crate::stats::scorer::build_scorer;
-
-/// Default budget for the score matrix: 512 MiB.
-pub const DEFAULT_MINP_BUDGET_BYTES: usize = 512 << 20;
 
 /// Run the step-down minP procedure. The result reuses [`MaxTResult`]
 /// (`teststat`, `rawp`, `adjp`, significance `order`); `rawp` is the
 /// permutation raw p-value of each gene, identical in definition to maxT's.
-///
-/// `budget_bytes` caps the genes × B score matrix (`None` = 512 MiB).
-pub fn mt_minp(
-    data: &Matrix,
-    classlabel: &[u8],
-    opts: &PmaxtOptions,
-    budget_bytes: Option<usize>,
-) -> Result<MaxTResult> {
-    let labels = ClassLabels::new(classlabel.to_vec(), opts.test)?;
-    if labels.len() != data.cols() {
-        return Err(Error::BadLabels(format!(
-            "classlabel length {} does not match {} data columns",
-            labels.len(),
-            data.cols()
-        )));
-    }
-    let owned_na;
-    let data = match opts.na {
-        Some(code) => {
-            owned_na =
-                Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)?;
-            &owned_na
-        }
-        None => data,
-    };
-    let b = resolve_permutation_count(&labels, opts)?;
+pub fn mt_minp(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result<MaxTResult> {
+    let run = admit(data, classlabel, opts, Entry::MinP { ranks: 1 })?;
+    let (labels, b, data) = (run.labels, run.b, &*run.data);
     let genes = data.rows();
-    let need = genes
-        .checked_mul(b as usize)
-        .and_then(|n| n.checked_mul(std::mem::size_of::<f64>()))
-        .ok_or_else(|| Error::BadMatrix("minP score matrix size overflows".into()))?;
-    let budget = budget_bytes.unwrap_or(DEFAULT_MINP_BUDGET_BYTES);
-    if need > budget {
-        return Err(Error::TooManyPermutations {
-            total: Some(b as u128),
-            max: (budget / (genes * std::mem::size_of::<f64>())) as u64,
-        });
-    }
-
     let prepared = prepare_matrix(data, opts.test, opts.nonpara);
     let scorer = build_scorer(&prepared, &labels, opts.test, opts.kernel, opts.precision);
     let side = opts.side;
@@ -226,7 +188,6 @@ pub fn pminp(
     data: &Matrix,
     classlabel: &[u8],
     opts: &PmaxtOptions,
-    budget_bytes: Option<usize>,
     n_ranks: usize,
 ) -> Result<MaxTResult> {
     use mpi_sim::{Universe, MASTER};
@@ -234,40 +195,8 @@ pub fn pminp(
     if n_ranks == 0 {
         return Err(Error::Comm("at least one rank required".into()));
     }
-    // Validate and resolve exactly as the serial path does (shares its
-    // memory budget check by construction).
-    let labels = ClassLabels::new(classlabel.to_vec(), opts.test)?;
-    if labels.len() != data.cols() {
-        return Err(Error::BadLabels(format!(
-            "classlabel length {} does not match {} data columns",
-            labels.len(),
-            data.cols()
-        )));
-    }
-    let owned_na;
-    let data = match opts.na {
-        Some(code) => {
-            owned_na =
-                Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)?;
-            &owned_na
-        }
-        None => data,
-    };
-    let b = resolve_permutation_count(&labels, opts)?;
-    let genes = data.rows();
-    let need = genes
-        .checked_mul(b as usize)
-        .and_then(|n| n.checked_mul(std::mem::size_of::<f64>()))
-        .ok_or_else(|| Error::BadMatrix("minP score matrix size overflows".into()))?;
-    let budget = budget_bytes.unwrap_or(DEFAULT_MINP_BUDGET_BYTES);
-    if need > budget {
-        return Err(Error::TooManyPermutations {
-            total: Some(b as u128),
-            max: (budget / (genes * std::mem::size_of::<f64>())) as u64,
-        });
-    }
-
-    let input = std::sync::Arc::new((data.clone(), labels, opts.clone(), b));
+    let run = admit(data, classlabel, opts, Entry::MinP { ranks: n_ranks })?;
+    let input = std::sync::Arc::new((run.data.into_owned(), run.labels, opts.clone(), run.b));
     let outputs = Universe::run(n_ranks, move |comm| {
         let (data, labels, opts, b) = &*input;
         let prepared = prepare_matrix(data, opts.test, opts.nonpara);
@@ -275,12 +204,7 @@ pub fn pminp(
         let genes = data.rows();
         // Contiguous permutation chunk for this rank (no identity special
         // case here: minP needs every column of the score matrix anyway).
-        let size = comm.size() as u64;
-        let rank = comm.rank() as u64;
-        let base = b / size;
-        let extra = b % size;
-        let take = base + u64::from(rank < extra);
-        let start = rank * base + rank.min(extra);
+        let (start, take) = split_evenly(*b, comm.size() as u64, comm.rank() as u64);
         let mut gen = build_generator(labels, opts, *b).expect("validated generator");
         gen.skip(start);
         // Permutation-major chunk: chunk[j_local * genes + g].
@@ -354,7 +278,7 @@ mod tests {
         // The raw (unadjusted) p-values are defined identically.
         let (data, labels) = two_class_data();
         let opts = PmaxtOptions::default().permutations(0);
-        let minp = mt_minp(&data, &labels, &opts, None).unwrap();
+        let minp = mt_minp(&data, &labels, &opts).unwrap();
         let maxt = mt_maxt(&data, &labels, &opts).unwrap();
         for g in 0..3 {
             assert!(
@@ -371,7 +295,7 @@ mod tests {
     fn minp_adjusted_at_least_raw_and_monotone() {
         let (data, labels) = two_class_data();
         let opts = PmaxtOptions::default().permutations(60);
-        let r = mt_minp(&data, &labels, &opts, None).unwrap();
+        let r = mt_minp(&data, &labels, &opts).unwrap();
         for g in 0..3 {
             assert!(r.adjp[g] >= r.rawp[g] - 1e-12);
             assert!(r.adjp[g] <= 1.0 + 1e-12);
@@ -387,7 +311,7 @@ mod tests {
         let data = Matrix::from_vec(1, 6, vec![1.0, 2.0, 3.0, 10.0, 11.0, 12.0]).unwrap();
         let labels = vec![0, 0, 0, 1, 1, 1];
         let opts = PmaxtOptions::default().permutations(0);
-        let r = mt_minp(&data, &labels, &opts, None).unwrap();
+        let r = mt_minp(&data, &labels, &opts).unwrap();
         assert!((r.adjp[0] - r.rawp[0]).abs() < 1e-12);
         assert!((r.rawp[0] - 0.1).abs() < 1e-12); // 2/20 two-sided
     }
@@ -396,7 +320,7 @@ mod tests {
     fn minp_orders_by_raw_p() {
         let (data, labels) = two_class_data();
         let opts = PmaxtOptions::default().permutations(0);
-        let r = mt_minp(&data, &labels, &opts, None).unwrap();
+        let r = mt_minp(&data, &labels, &opts).unwrap();
         let ps: Vec<f64> = r.order.iter().map(|&g| r.rawp[g]).collect();
         for w in ps.windows(2) {
             assert!(w[0] <= w[1] + 1e-12, "order not by raw p: {ps:?}");
@@ -407,10 +331,15 @@ mod tests {
 
     #[test]
     fn memory_budget_is_enforced() {
+        // 3 genes x 30 million permutations need 720 MB of scores, over the
+        // 512 MiB budget: admission refuses the run before any score exists.
         let (data, labels) = two_class_data();
-        let opts = PmaxtOptions::default().permutations(10_000);
-        let err = mt_minp(&data, &labels, &opts, Some(1024)).unwrap_err();
-        assert!(matches!(err, Error::TooManyPermutations { .. }));
+        let opts = PmaxtOptions::default().permutations(30_000_000);
+        let err = mt_minp(&data, &labels, &opts).unwrap_err();
+        assert!(
+            matches!(&err, Error::BadOption { param: "b", value } if value.contains("largest B accepted")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -423,7 +352,7 @@ mod tests {
         .unwrap();
         let labels = vec![0, 0, 0, 1, 1, 1];
         let opts = PmaxtOptions::default().permutations(0);
-        let r = mt_minp(&data, &labels, &opts, None).unwrap();
+        let r = mt_minp(&data, &labels, &opts).unwrap();
         assert!(r.rawp[1].is_nan());
         assert!(r.adjp[1].is_nan());
         assert!(r.rawp[0].is_finite());
@@ -436,7 +365,7 @@ mod tests {
         // single gene they are identical (both equal the raw p).
         let (data, labels) = two_class_data();
         let opts = PmaxtOptions::default().permutations(200);
-        let minp = mt_minp(&data, &labels, &opts, None).unwrap();
+        let minp = mt_minp(&data, &labels, &opts).unwrap();
         let maxt = mt_maxt(&data, &labels, &opts).unwrap();
         for g in 0..3 {
             assert!(
@@ -466,7 +395,7 @@ mod tests {
                     b: 40,
                     ..PmaxtOptions::default()
                 };
-                let r = mt_minp(&data, &labels, &opts, None)
+                let r = mt_minp(&data, &labels, &opts)
                     .unwrap_or_else(|e| panic!("{method:?}/{side:?}: {e}"));
                 assert_eq!(r.b_used, 40);
             }
@@ -502,9 +431,9 @@ mod parallel_tests {
                 .fixed_seed_sampling("n")
                 .unwrap(),
         ] {
-            let serial = mt_minp(&data, &labels, &opts, None).unwrap();
+            let serial = mt_minp(&data, &labels, &opts).unwrap();
             for ranks in [1usize, 2, 3, 5, 8] {
-                let par = pminp(&data, &labels, &opts, None, ranks).unwrap();
+                let par = pminp(&data, &labels, &opts, ranks).unwrap();
                 assert_eq!(par, serial, "b={} ranks={ranks}", opts.b);
             }
         }
@@ -512,21 +441,23 @@ mod parallel_tests {
 
     #[test]
     fn pminp_respects_budget_and_rank_validation() {
+        // 4 genes x 30 million permutations: 960 MB of scores, refused at
+        // admission on the caller, before any rank starts.
         let (data, labels) = two_class_data();
-        let opts = PmaxtOptions::default().permutations(10_000);
+        let opts = PmaxtOptions::default().permutations(30_000_000);
         assert!(matches!(
-            pminp(&data, &labels, &opts, Some(64), 2),
-            Err(Error::TooManyPermutations { .. })
+            pminp(&data, &labels, &opts, 2),
+            Err(Error::BadOption { param: "b", .. })
         ));
-        assert!(pminp(&data, &labels, &opts, None, 0).is_err());
+        assert!(pminp(&data, &labels, &opts, 0).is_err());
     }
 
     #[test]
     fn pminp_more_ranks_than_permutations() {
         let (data, labels) = two_class_data();
         let opts = PmaxtOptions::default().permutations(3);
-        let serial = mt_minp(&data, &labels, &opts, None).unwrap();
-        let par = pminp(&data, &labels, &opts, None, 7).unwrap();
+        let serial = mt_minp(&data, &labels, &opts).unwrap();
+        let par = pminp(&data, &labels, &opts, 7).unwrap();
         assert_eq!(par, serial);
     }
 }

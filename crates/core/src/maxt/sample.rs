@@ -3,11 +3,11 @@
 //! distribution itself for diagnostics, QQ plots and downstream method
 //! development.
 
+use crate::admit::{admit, Entry};
 use crate::error::{Error, Result};
-use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::options::PmaxtOptions;
-use crate::perm::{build_generator, resolve_permutation_count};
+use crate::perm::build_generator;
 use crate::stats::{prepare_matrix, StatComputer};
 
 /// The permutation distribution of one gene's statistic: `stats[b]` is the
@@ -25,29 +25,13 @@ pub fn sample_teststats(
             data.rows()
         )));
     }
-    let labels = ClassLabels::new(classlabel.to_vec(), opts.test)?;
-    if labels.len() != data.cols() {
-        return Err(Error::BadLabels(format!(
-            "classlabel length {} does not match {} data columns",
-            labels.len(),
-            data.cols()
-        )));
-    }
-    let owned_na;
-    let data = match opts.na {
-        Some(code) => {
-            owned_na =
-                Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)?;
-            &owned_na
-        }
-        None => data,
-    };
-    let b = resolve_permutation_count(&labels, opts)?;
-    let prepared = prepare_matrix(data, opts.test, opts.nonpara);
+    let run = admit(data, classlabel, opts, Entry::Sample)?;
+    let (labels, b) = (run.labels, run.b);
+    let prepared = prepare_matrix(&run.data, opts.test, opts.nonpara);
     let computer = StatComputer::new(opts.test, &labels);
     let row = prepared.row(gene);
     let mut gen = build_generator(&labels, opts, b)?;
-    let mut buf = vec![0u8; data.cols()];
+    let mut buf = vec![0u8; labels.len()];
     let mut out = Vec::with_capacity(b as usize);
     while gen.next_into(&mut buf) {
         out.push(computer.compute(row, &buf));
@@ -118,6 +102,23 @@ mod tests {
                 stats[n - 1 - i]
             );
         }
+    }
+
+    #[test]
+    fn bootstrap_workload_is_refused() {
+        // The stream of a permutation statistic: bootstrap draws are column
+        // indices, not label arrangements.
+        let (m, l) = data();
+        let opts = PmaxtOptions::default()
+            .permutations(5)
+            .workload(crate::options::Workload::Bootstrap);
+        assert!(matches!(
+            sample_teststats(&m, &l, &opts, 0),
+            Err(Error::BadOption {
+                param: "workload",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -2,16 +2,13 @@
 //! `mt.maxT` function that `pmaxT` parallelizes. The parallel driver is
 //! tested for bit-identical agreement with this function.
 
-use std::borrow::Cow;
-
-use crate::error::{Error, Result};
-use crate::labels::{ClassLabels, Design};
+use crate::admit::{admit, Entry};
+use crate::error::Result;
+use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
-use crate::maxt::engine::{self, EngineConfig};
-use crate::maxt::minp::DEFAULT_MINP_BUDGET_BYTES;
-use crate::maxt::{MaxTContext, MaxTResult};
-use crate::options::{PmaxtOptions, SamplingMode};
-use crate::perm::resolve_permutation_count;
+use crate::maxt::engine::maxt_on;
+use crate::maxt::MaxTResult;
+use crate::options::PmaxtOptions;
 use crate::stats::prepare_matrix;
 
 /// Run the full serial permutation test.
@@ -35,111 +32,27 @@ pub fn mt_maxt(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result<
     // resolved from the options and environment. Any geometry produces
     // bit-identical results (see `crate::maxt::engine`), so this stays the
     // serial *reference* in the semantic sense while using the hardware.
-    let (labels, b, prepared) = prepare_run(data, classlabel, opts)?;
-    let ctx = MaxTContext::with_scorer(
-        &prepared,
-        &labels,
-        opts.test,
-        opts.side,
-        opts.kernel,
-        opts.precision,
-    );
-    let run = engine::accumulate_chunk(&ctx, &labels, opts, b, 0, b, EngineConfig::resolve(opts))?;
-    debug_assert_eq!(run.counts.n_perm, b);
-    Ok(ctx.finalize(&run.counts))
+    maxt_on(data, classlabel, opts, None)
 }
 
-/// The shared front half of every maxT driver: validate the labels against
-/// the matrix, canonicalize the NA code, resolve the permutation count and
-/// prepare (rank-transform) the data. Returns an owned prepared matrix so
-/// alternative backends (e.g. the bench crate's rayon driver) can run the
-/// same pipeline without re-implementing any of it.
+/// Admission for the in-process maxT entry ([`crate::admit`]) plus the rank
+/// transform, as owned parts: the labels, the resolved permutation count and
+/// the prepared matrix. Alternative backends (e.g. the bench crates) run the
+/// same pipeline through it without re-implementing any of it.
 pub fn prepare_run(
     data: &Matrix,
     classlabel: &[u8],
     opts: &PmaxtOptions,
 ) -> Result<(ClassLabels, u64, Matrix)> {
-    let (labels, b, data) = validate_run(data, classlabel, opts)?;
-    let prepared = prepare_matrix(&data, opts.test, opts.nonpara).into_owned();
-    Ok((labels, b, prepared))
-}
-
-/// [`prepare_run`] up to the rank transform: the validated labels, the
-/// resolved permutation count and the NA-canonical matrix (borrowed when no
-/// NA code rewrote it). The job service keys its cache on that matrix.
-pub fn validate_run<'a>(
-    data: &'a Matrix,
-    classlabel: &[u8],
-    opts: &PmaxtOptions,
-) -> Result<(ClassLabels, u64, Cow<'a, Matrix>)> {
-    // The maxT pipeline interprets draws as label vectors; bootstrap draws
-    // are index vectors and run through `crate::boot` instead. Refusing here
-    // covers every consumer that funnels through this front half: the serial
-    // path, the threaded engine, the adaptive runner, and jobd spans/ranks.
-    if opts.workload == crate::options::Workload::Bootstrap {
-        return Err(Error::BadOption {
-            param: "workload",
-            value: "bootstrap (maxT permutation entry points only run the pmaxt \
-                    workload; submit bootstrap runs through the bootstrap driver)"
-                .into(),
-        });
-    }
-    let labels = ClassLabels::new(classlabel.to_vec(), opts.test)?;
-    if labels.len() != data.cols() {
-        return Err(Error::BadLabels(format!(
-            "classlabel length {} does not match {} data columns",
-            labels.len(),
-            data.cols()
-        )));
-    }
-    // Canonicalize the NA code if one was supplied.
-    let data = match opts.na {
-        Some(code) => Cow::Owned(Matrix::from_vec_with_na(
-            data.rows(),
-            data.cols(),
-            data.as_slice().to_vec(),
-            code,
-        )?),
-        None => Cow::Borrowed(data),
-    };
-    let b = resolve_permutation_count(&labels, opts)?;
-    check_stored_budget(&labels, b, opts)?;
-    Ok((labels, b, data))
-}
-
-/// Refuse a stored-sampling run (`fixed.seed.sampling = "n"`) whose
-/// arrangements cannot fit [`DEFAULT_MINP_BUDGET_BYTES`]: every engine
-/// worker materializes all `B × n` label bytes in its own generator, so the
-/// run holds `workers × B × n` bytes. Complete enumeration and block designs
-/// never materialize. The refusal names the largest `B` that fits.
-fn check_stored_budget(labels: &ClassLabels, b: u64, opts: &PmaxtOptions) -> Result<()> {
-    let block = matches!(labels.design(), Design::Block { .. });
-    if opts.sampling != SamplingMode::Stored || opts.b == 0 || block {
-        return Ok(());
-    }
-    let workers = EngineConfig::resolve(opts).threads;
-    let per_arrangement = (workers * labels.len()) as u128;
-    let budget = DEFAULT_MINP_BUDGET_BYTES as u128;
-    let need = u128::from(b) * per_arrangement;
-    if need <= budget {
-        return Ok(());
-    }
-    Err(Error::BadOption {
-        param: "b",
-        value: format!(
-            "{b} (stored sampling keeps every arrangement in memory, {workers} worker(s) x \
-             B arrangements x {} label bytes, needs {need} bytes, over the {} MiB budget; \
-             the largest B accepted is {}; --fixed-seed y samples on the fly)",
-            labels.len(),
-            budget >> 20,
-            budget / per_arrangement
-        ),
-    })
+    let run = admit(data, classlabel, opts, Entry::MaxT { engine: None })?;
+    let prepared = prepare_matrix(&run.data, opts.test, opts.nonpara).into_owned();
+    Ok((run.labels, run.b, prepared))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::options::TestMethod;
     use crate::side::Side;
 

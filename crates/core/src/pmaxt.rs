@@ -4,7 +4,8 @@
 //! parallelism distributes the *permutation count* (not the data) over the
 //! ranks of an SPMD universe. The run follows the paper's six steps:
 //!
-//! 1. the master pre-processes and validates the inputs;
+//! 1. the master pre-processes and validates the inputs ([`crate::admit`],
+//!    which also fixes the engine geometry every rank runs on);
 //! 2. parameters are broadcast (lengths first in the C code; here a single
 //!    typed broadcast of one parameter struct), then the dataset (one typed
 //!    broadcast of the NA-canonicalized `Matrix`);
@@ -25,14 +26,13 @@ use std::sync::Arc;
 
 use mpi_sim::{Communicator, SectionProfile, SectionTimer, Universe, MASTER};
 
+use crate::admit::{admit, Entry};
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::maxt::engine::{self, EngineConfig};
-use crate::maxt::serial::validate_run;
 use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult};
 use crate::options::PmaxtOptions;
-use crate::perm::resolve_permutation_count;
 use crate::stats::prepare_matrix;
 
 /// Section names as they appear in the paper's Tables I–V.
@@ -136,9 +136,11 @@ pub fn span_plan(b: u64, participants: usize) -> Result<Vec<(u64, u64)>> {
 #[derive(Debug, Clone)]
 struct Params {
     rows: usize,
-    labels: Vec<u8>,
+    labels: ClassLabels,
     opts: PmaxtOptions,
     b: u64,
+    /// The admitted engine geometry, the same on every rank.
+    engine: EngineConfig,
 }
 
 /// Run the parallel permutation test on `n_ranks` SPMD ranks.
@@ -168,9 +170,9 @@ pub fn pmaxt(
     if n_ranks == 0 {
         return Err(Error::Comm("at least one rank required".into()));
     }
-    // Validate up front so common errors surface as typed errors rather than
-    // rank panics.
-    validate_run(data, classlabel, opts)?;
+    // Admit up front so a refusal is a typed error before any rank starts;
+    // the master's pre-processing admits the same run again.
+    admit(data, classlabel, opts, Entry::Spmd { ranks: n_ranks })?;
 
     let master_input = Arc::new((data.clone(), classlabel.to_vec(), opts.clone()));
     let outputs = Universe::run(n_ranks, move |comm| pmaxt_rank(comm, Some(&master_input)))
@@ -194,7 +196,9 @@ pub fn pmaxt(
 /// `Some` on the master rank; workers may pass `None` — they receive
 /// everything through the broadcasts. Exposed so alternative harnesses (the
 /// `sprint` framework layer) can dispatch the same body over their own
-/// communicator.
+/// communicator. The triple must pass [`admit`] at
+/// `Entry::Spmd { ranks: comm.size() }`: a caller admits it before the ranks
+/// start, so no rank waits on a body that cannot run.
 ///
 /// The body uses five typed collectives of [`Communicator`]: it broadcasts
 /// the parameter struct and the NA-canonicalized [`Matrix`] as values (every
@@ -210,54 +214,43 @@ pub fn pmaxt_rank(
 ) -> Option<(MaxTResult, SectionProfile, Vec<SectionProfile>)> {
     let mut timer = SectionTimer::new();
 
-    // Step 1 — pre-processing (master only): canonicalize NA, validate, and
-    // resolve the permutation count.
-    let master_params = timer.time(sections::PRE_PROCESSING, || {
-        if !comm.is_master() {
-            return None;
-        }
-        let (data, classlabel, opts) =
-            &**master_input.expect("master rank must receive the input triple");
-        let labels = ClassLabels::new(classlabel.clone(), opts.test).expect("validated by caller");
-        let b = resolve_permutation_count(&labels, opts).expect("validated by caller");
-        Some(Params {
-            rows: data.rows(),
-            labels: classlabel.clone(),
-            opts: opts.clone(),
-            b,
+    // Step 1 — pre-processing (master only): admission validates the
+    // labels, canonicalizes NA, resolves the permutation count and the
+    // engine geometry.
+    let (master_params, canonical) = timer
+        .time(sections::PRE_PROCESSING, || {
+            if !comm.is_master() {
+                return None;
+            }
+            let (data, classlabel, opts) =
+                &**master_input.expect("master rank must receive the input triple");
+            let run = admit(data, classlabel, opts, Entry::Spmd { ranks: comm.size() })
+                .expect("admitted before the ranks started");
+            let params = Params {
+                rows: data.rows(),
+                labels: run.labels,
+                opts: opts.clone(),
+                b: run.b,
+                engine: run.engine,
+            };
+            Some((params, run.data))
         })
-    });
+        .unzip();
 
     // Step 2 — broadcast parameters.
     let params = timer.time(sections::BROADCAST_PARAMETERS, || {
         comm.bcast(MASTER, master_params).expect("param broadcast")
     });
 
-    // Step 2/3 — create data: broadcast the (NA-canonicalized) matrix and
-    // build the local prepared copy.
-    let (prepared, labels) = timer.time(sections::CREATE_DATA, || {
-        let canonical = if comm.is_master() {
-            let (data, _, opts) =
-                &**master_input.expect("master rank must receive the input triple");
-            Some(match opts.na {
-                Some(code) => Matrix::from_vec_with_na(
-                    data.rows(),
-                    data.cols(),
-                    data.as_slice().to_vec(),
-                    code,
-                )
-                .expect("validated dimensions"),
-                None => data.clone(),
-            })
-        } else {
-            None
-        };
-        let local = comm.bcast(MASTER, canonical).expect("data broadcast");
-        let labels =
-            ClassLabels::new(params.labels.clone(), params.opts.test).expect("validated by master");
-        let prepared = prepare_matrix(&local, params.opts.test, params.opts.nonpara).into_owned();
-        (prepared, labels)
+    // Step 2/3 — create data: broadcast the NA-canonical matrix and build the
+    // local prepared copy.
+    let prepared = timer.time(sections::CREATE_DATA, || {
+        let local = comm
+            .bcast(MASTER, canonical.map(|m| m.into_owned()))
+            .expect("data broadcast");
+        prepare_matrix(&local, params.opts.test, params.opts.nonpara).into_owned()
     });
+    let labels = &params.labels;
 
     // Step 3 — global synchronization after allocation. The C code uses a
     // trivial allreduce; a dissemination barrier gives the same guarantee
@@ -270,7 +263,7 @@ pub fn pmaxt_rank(
     // `chunk_for_rank` is only consulted for active ranks.
     let ctx = MaxTContext::with_scorer(
         &prepared,
-        &labels,
+        labels,
         params.opts.test,
         params.opts.side,
         params.opts.kernel,
@@ -284,8 +277,8 @@ pub fn pmaxt_rank(
         }
         let (start, take) =
             chunk_for_rank(params.b, active, rank).expect("active ranks have chunks");
-        let cfg = EngineConfig::resolve(&params.opts);
-        let run = engine::accumulate_chunk(&ctx, &labels, &params.opts, params.b, start, take, cfg)
+        let (opts, b, cfg) = (&params.opts, params.b, params.engine);
+        let run = engine::accumulate_chunk(&ctx, labels, opts, b, start, take, cfg)
             .expect("engine chunk");
         run.counts
     });

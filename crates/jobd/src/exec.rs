@@ -58,14 +58,14 @@ use std::time::{Duration, Instant};
 
 use sprint::checkpoint::CheckpointState;
 use sprint_core::adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptiveReport, AdaptiveRunner};
+use sprint_core::admit as core_admit;
 use sprint_core::boot::{self, BootstrapResult};
 use sprint_core::error::Error as CoreError;
 use sprint_core::labels::ClassLabels;
 use sprint_core::matrix::Matrix;
 use sprint_core::maxt::engine::{accumulate_chunk_hooked, ChunkHooks, EngineConfig};
-use sprint_core::maxt::serial::validate_run;
 use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
-use sprint_core::options::{Mode, PmaxtOptions, Precision, Workload};
+use sprint_core::options::{Mode, PmaxtOptions, Workload};
 use sprint_core::pmaxt::span_plan;
 use sprint_core::stats::prepare_matrix;
 
@@ -253,15 +253,18 @@ pub(crate) struct Admission {
     pub(crate) labels: ClassLabels,
     pub(crate) b: u64,
     pub(crate) mode: Mode,
+    /// The engine geometry the job's units run on.
+    pub(crate) engine: EngineConfig,
     /// Split across the peer roster instead of run on this daemon alone.
     pub(crate) sharded: bool,
 }
 
-/// The one admission table: every refusal jobd itself makes, for client
-/// submissions and peer units alike. Core's own tables stay where they are
-/// and run first — `validate_boot` for bootstrap (which refuses adaptive
-/// mode before f32), `prepare_run`'s label, NA and B checks
-/// ([`validate_run`]) for maxT.
+/// Admit a client submission or a peer unit. Core admission
+/// ([`sprint_core::admit`]) decides the run itself — labels, NA, B, the
+/// option cell, geometry and memory; this adds only what is jobd's own: a
+/// draining daemon takes nothing, a submission with a dataset path shards
+/// across a peer roster, and a peer unit must reproduce its coordinator's
+/// B and fall inside its range.
 pub(crate) fn admit(
     inner: &Inner,
     data: Arc<Matrix>,
@@ -276,43 +279,19 @@ pub(crate) fn admit(
     let refuse = |param: &'static str, value: String| {
         Err(JobError::Invalid(CoreError::BadOption { param, value }))
     };
-    let boot = opts.workload == Workload::Bootstrap;
-    let (labels, b, canonical) = if boot {
-        boot::validate_boot(&data, classlabel, opts)
-    } else {
-        validate_run(&data, classlabel, opts)
-    }
-    .map_err(JobError::Invalid)?;
-    // Keep the submitted matrix unless the NA code rewrote it.
-    let data = owned(canonical).map_or(data, Arc::new);
-    // The cache extends a B-permutation result to B′ > B by reusing its
-    // counts verbatim, and a sharded run merges counts from several daemons:
-    // both are only sound when counts are bitwise reproducible, so the f32
-    // accumulation mode is refused at the door (env override included, so
-    // SPRINT_PRECISION can't smuggle it in).
-    if opts.precision.env_override() == Precision::F32 {
-        return refuse(
-            "precision",
-            "f32 (the job service requires bitwise-reproducible f64)".into(),
-        );
-    }
-    // Resolved once (SPRINT_MODE folded in) so dedup, the job kind and the
-    // cache story all agree for the job's life.
-    let mode = if boot {
-        Mode::Exact
-    } else {
-        opts.mode.env_override()
+    let job_threads = inner.cfg.job_threads;
+    let at = match entry {
+        Entry::Submit => core_admit::Entry::Submit { job_threads },
+        Entry::Peer(..) => core_admit::Entry::Span { job_threads },
     };
+    let run = core_admit::admit(&data, classlabel, opts, at).map_err(JobError::Invalid)?;
+    let (labels, b, mode, engine) = (run.labels, run.b, run.mode, run.engine);
+    // Keep the submitted matrix unless the NA code rewrote it.
+    let data = owned(run.data).map_or(data, Arc::new);
     let sharded = match entry {
         // Adaptive runs stay on this daemon (see the module docs).
         Entry::Submit => has_source && mode == Mode::Exact && !inner.cfg.peers.is_empty(),
         Entry::Peer(b_resolved, (start, take)) => {
-            if mode == Mode::Adaptive {
-                return refuse(
-                    "mode",
-                    "adaptive (span execution serves bitwise-exact sharded runs only)".into(),
-                );
-            }
             // A peer with a stale or divergent file must never contribute.
             if b_resolved != b {
                 return refuse(
@@ -323,7 +302,7 @@ pub(crate) fn admit(
                     ),
                 );
             }
-            let (end, what) = if boot {
+            let (end, what) = if opts.workload == Workload::Bootstrap {
                 (data.rows() as u64, "gene rows")
             } else {
                 (b, "permutations")
@@ -342,6 +321,7 @@ pub(crate) fn admit(
         labels,
         b,
         mode,
+        engine,
         sharded,
     })
 }
@@ -356,31 +336,16 @@ fn owned(m: Cow<'_, Matrix>) -> Option<Matrix> {
 }
 
 impl JobWork {
-    /// Ready an admitted request for its units: this daemon's per-job engine
-    /// thread budget where the options leave it to auto, and the matrix the
-    /// units run on — scorer-prepared for the maxT kinds.
-    ///
-    /// A request's `threads` and `batch` are engine geometry: results are
-    /// bitwise identical for any values and neither enters a digest, so they
-    /// are clamped ([`EngineConfig::clamped`]), never refused.
+    /// Ready an admitted request for its units: the admitted engine
+    /// geometry, and the matrix the units run on — scorer-prepared for the
+    /// maxT kinds.
     pub(crate) fn new(
         adm: Admission,
-        mut opts: PmaxtOptions,
-        job_threads: usize,
+        opts: PmaxtOptions,
         source: Option<PathBuf>,
         check_digest: u64,
     ) -> (JobWork, Arc<Matrix>) {
-        let threads = if opts.threads == 0 {
-            job_threads
-        } else {
-            opts.threads
-        };
-        let cfg =
-            EngineConfig::explicit(threads, opts.batch).clamped(adm.data.rows(), adm.data.cols());
         let prepared = if opts.workload == Workload::Bootstrap {
-            // `boot_run_slice` resolves its own engine config from the
-            // options, so the budget is folded into them.
-            opts.threads = cfg.threads;
             adm.data
         } else {
             // Shared unless the scorer ranks it.
@@ -389,7 +354,7 @@ impl JobWork {
         let work = JobWork {
             genes: prepared.rows(),
             labels: adm.labels,
-            cfg,
+            cfg: adm.engine,
             opts,
             b: adm.b,
             check_digest,
@@ -566,10 +531,12 @@ impl JobKind for Bands {
     ) -> Result<(BootstrapResult, f64), CoreError> {
         let cpu0 = shard::thread_cpu_secs();
         let t0 = Instant::now();
-        let band = boot::boot_run_slice(
+        let band = boot::boot_run_on(
             data,
-            work.labels.as_slice(),
+            &work.labels,
             &work.opts,
+            work.b,
+            work.cfg,
             start as usize..(start + take) as usize,
         )?;
         let secs = kernel_secs(cpu0, work.cfg.threads <= 1, t0.elapsed().as_secs_f64());
@@ -1365,37 +1332,98 @@ mod tests {
     use crate::manager::tests::{manager, null_heavy_dataset, small_dataset};
     use crate::manager::{JobManager, JobSpec, ManagerConfig};
     use sprint_core::maxt::serial::mt_maxt;
+    use sprint_core::options::Precision;
 
     #[test]
-    fn request_geometry_is_clamped_to_host_and_budget() {
-        // Resolves the engine config only; never runs these values.
+    fn request_geometry_is_capped_at_the_host_and_fit_to_the_budget() {
+        // Admits and resolves the engine geometry only; never runs these values.
         let (data, raw) = small_dataset();
+        let data = Arc::new(data);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mgr = manager(16);
         for workload in [Workload::Pmaxt, Workload::Bootstrap] {
             let opts = PmaxtOptions::default()
                 .workload(workload)
                 .permutations(97)
                 .threads(1_000_000)
                 .batch(1 << 40);
-            let adm = Admission {
-                data: Arc::new(data.clone()),
-                labels: ClassLabels::new(raw.clone(), opts.test).unwrap(),
-                b: 97,
-                mode: Mode::Exact,
-                sharded: false,
-            };
-            let (work, _) = JobWork::new(adm, opts, 1, None, 0);
-            assert_eq!(work.cfg.threads, cores, "{workload:?}");
-            let per_arrangement = data.cols() + 8 * data.rows() + 8;
-            assert_eq!(
-                work.cfg.batch,
-                sprint_core::maxt::minp::DEFAULT_MINP_BUDGET_BYTES / per_arrangement
-            );
-            if workload == Workload::Bootstrap {
-                // `boot_run_slice` reads its thread count from the options.
-                assert_eq!(work.opts.threads, cores);
+            for entry in [Entry::Submit, Entry::Peer(97, (0, 1))] {
+                let adm = admit(&mgr.inner, Arc::clone(&data), &raw, &opts, false, entry).unwrap();
+                let (work, _) = JobWork::new(adm, opts.clone(), None, 0);
+                assert_eq!(work.cfg.threads, cores, "{workload:?}");
+                if workload == Workload::Pmaxt {
+                    // Every worker's batch buffers together fit the budget;
+                    // bootstrap bands hold no engine batch.
+                    let per_arrangement = cores * (data.cols() + 8 * data.rows() + 8);
+                    assert_eq!(
+                        work.cfg.batch,
+                        sprint_core::admit::BUDGET_BYTES / per_arrangement
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn budgets_count_the_threads_the_job_runs_on() {
+        // A request for a million threads runs on the host's cores, and the
+        // stored-sampling budget counts those: cores x 100 arrangements x 6
+        // label bytes fit easily, where a million streams would not.
+        let (data, raw) = small_dataset();
+        let mgr = manager(16);
+        let opts = PmaxtOptions::default()
+            .permutations(100)
+            .fixed_seed_sampling("n")
+            .unwrap()
+            .threads(1_000_000);
+        let info = mgr
+            .submit(JobSpec {
+                data: data.clone(),
+                classlabel: raw.clone(),
+                opts: opts.clone(),
+                source_path: None,
+            })
+            .unwrap();
+        let served = mgr
+            .wait_result(info.id, Some(Duration::from_secs(30)))
+            .unwrap();
+        assert_eq!(served, mt_maxt(&data, &raw, &opts.threads(1)).unwrap());
+        // Bootstrap: one more gene tile than the host has cores. The largest
+        // B whose replicate tiles fit one worker per core is accepted (only
+        // admitted here, never run), one more is refused.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let genes = (cores + 1) * sprint_core::stats::soa::SOA_TILE;
+        let wide = Arc::new(Matrix::from_vec(genes, 6, vec![1.0; genes * 6]).unwrap());
+        let per_replicate = cores * sprint_core::stats::soa::SOA_TILE * 8 + 6;
+        let largest = (sprint_core::admit::BUDGET_BYTES / per_replicate + 1) as u64;
+        let boot = |b: u64| {
+            PmaxtOptions::default()
+                .workload(Workload::Bootstrap)
+                .permutations(b)
+                .threads(1_000_000)
+        };
+        for entry in [Entry::Submit, Entry::Peer(largest, (0, 1))] {
+            let adm = admit(
+                &mgr.inner,
+                Arc::clone(&wide),
+                &raw,
+                &boot(largest),
+                false,
+                entry,
+            );
+            assert_eq!(adm.map(|a| a.engine.threads).ok(), Some(cores));
+        }
+        assert!(matches!(
+            admit(
+                &mgr.inner,
+                wide,
+                &raw,
+                &boot(largest + 1),
+                false,
+                Entry::Submit
+            ),
+            Err(JobError::Invalid(CoreError::BadOption { param: "b", .. }))
+        ));
     }
 
     #[test]

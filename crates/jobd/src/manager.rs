@@ -1,8 +1,8 @@
 //! The job manager: the public job API over one bounded queue, a worker
 //! pool, the result cache and the write-ahead journal.
 //!
-//! A submission passes the executor's one admission table (the private
-//! `exec` module), collapses onto an identical live job if there is one,
+//! A submission passes admission (`sprint_core::admit`, then the private
+//! `exec` module's own checks), collapses onto an identical live job if there is one,
 //! and consults the cache: a full entry finalizes it on the spot, a partial
 //! one becomes its resume point. Whatever remains to compute enters the
 //! bounded queue, whose workers run it through the executor — see `exec`
@@ -588,13 +588,7 @@ impl JobManager {
             return Ok(twin);
         }
         let sharded = adm.sharded;
-        let (mut work, data) = JobWork::new(
-            adm,
-            opts,
-            self.inner.cfg.job_threads,
-            source_path,
-            key.check_digest(),
-        );
+        let (mut work, data) = JobWork::new(adm, opts, source_path, key.check_digest());
         let mut prog = JobProgress::new(data);
         let finished = exec::seed(self.inner.cache.as_ref(), &key, &mut work, &mut prog);
         let (state, cache) = (prog.state, prog.cache);
@@ -675,7 +669,7 @@ impl JobManager {
     ) -> Result<Json, JobError> {
         let entry = Entry::Peer(b, (start, take));
         let adm = exec::admit(&self.inner, data, classlabel, &opts, false, entry)?;
-        let (work, data) = JobWork::new(adm, opts, self.inner.cfg.job_threads, None, 0);
+        let (work, data) = JobWork::new(adm, opts, None, 0);
         exec::serve_unit(&work, &data, (start, take)).map_err(JobError::Invalid)
     }
 

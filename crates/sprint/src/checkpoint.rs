@@ -14,14 +14,13 @@
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 
+use sprint_core::admit::{admit, Entry};
 use sprint_core::digest;
 use sprint_core::error::{Error, Result};
-use sprint_core::labels::ClassLabels;
 use sprint_core::matrix::Matrix;
-use sprint_core::maxt::engine::{self, EngineConfig};
+use sprint_core::maxt::engine;
 use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
-use sprint_core::options::{Mode, PmaxtOptions, Precision};
-use sprint_core::perm::resolve_permutation_count;
+use sprint_core::options::PmaxtOptions;
 use sprint_core::stats::prepare_matrix;
 
 /// A saved checkpoint.
@@ -193,6 +192,11 @@ pub struct SessionInfo {
 /// `path` every `every` permutations. Returns `(None, info)` when the run is
 /// incomplete (resume later with the same arguments) or `(Some(result),
 /// info)` when finished — in which case the checkpoint file is removed.
+///
+/// Admission ([`sprint_core::admit`]) refuses what a resume could not
+/// continue bit for bit — f32 accumulation, adaptive mode (either through
+/// `SPRINT_PRECISION` / `SPRINT_MODE` too) and the bootstrap workload — and
+/// stored arrangements beyond the memory budget.
 pub fn run_with_checkpoints(
     data: &Matrix,
     classlabel: &[u8],
@@ -202,47 +206,13 @@ pub fn run_with_checkpoints(
     session_limit: Option<u64>,
 ) -> Result<(Option<MaxTResult>, SessionInfo)> {
     assert!(every > 0, "checkpoint interval must be positive");
-    let labels = ClassLabels::new(classlabel.to_vec(), opts.test)?;
-    if labels.len() != data.cols() {
-        return Err(Error::BadLabels(format!(
-            "classlabel length {} does not match {} data columns",
-            labels.len(),
-            data.cols()
-        )));
-    }
-    // Checkpoint resume depends on bitwise-reproducible counts across
-    // sessions; the f32 accumulation mode trades that away, so refuse it
-    // here (env override included — SPRINT_PRECISION must not smuggle it in).
-    if opts.precision.env_override() == Precision::F32 {
-        return Err(Error::BadOption {
-            param: "precision",
-            value: "f32 (checkpointed runs require bitwise-reproducible f64)".into(),
-        });
-    }
-    // Adaptive mode stops scoring genes early, so its counts are not a prefix
-    // of the exact stream for every gene — a later resume could not continue
-    // them. Refused for the same reason as f32 (SPRINT_MODE included).
-    if opts.mode.env_override() == Mode::Adaptive {
-        return Err(Error::BadOption {
-            param: "mode",
-            value: "adaptive (checkpointed runs require bitwise-reproducible exact mode)".into(),
-        });
-    }
-    let owned_na;
-    let data = match opts.na {
-        Some(code) => {
-            owned_na =
-                Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)?;
-            &owned_na
-        }
-        None => data,
-    };
+    let run = admit(data, classlabel, opts, Entry::Checkpoint)?;
+    let (labels, b, data) = (&run.labels, run.b, &*run.data);
     let digest = digest_run(data, classlabel, opts);
-    let b = resolve_permutation_count(&labels, opts)?;
     let prepared = prepare_matrix(data, opts.test, opts.nonpara);
     let ctx = MaxTContext::with_scorer(
         &prepared,
-        &labels,
+        labels,
         opts.test,
         opts.side,
         opts.kernel,
@@ -267,14 +237,13 @@ pub fn run_with_checkpoints(
     // Each inter-checkpoint span is one engine chunk: the engine's workers
     // build their own skip-forwarded generators, so a plain cursor is the
     // whole resumable state — exactly what the checkpoint stores.
-    let cfg = EngineConfig::resolve(opts);
     let mut remaining_session = session_limit.unwrap_or(u64::MAX);
     let mut checkpoints_written = 0u64;
     while cursor < b && remaining_session > 0 {
         let take = every.min(b - cursor).min(remaining_session);
-        let run = engine::accumulate_chunk(&ctx, &labels, opts, b, cursor, take, cfg)?;
-        debug_assert_eq!(run.counts.n_perm, take, "chunk shorter than assigned");
-        acc.merge(&run.counts);
+        let chunk = engine::accumulate_chunk(&ctx, labels, opts, b, cursor, take, run.engine)?;
+        debug_assert_eq!(chunk.counts.n_perm, take, "chunk shorter than assigned");
+        acc.merge(&chunk.counts);
         cursor += take;
         remaining_session -= take;
         let state = CheckpointState {
@@ -303,6 +272,7 @@ pub fn run_with_checkpoints(
 mod tests {
     use super::*;
     use sprint_core::maxt::serial::mt_maxt;
+    use sprint_core::options::{Mode, Precision, Workload};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -362,6 +332,41 @@ mod tests {
         match err {
             Error::BadOption { param, .. } => assert_eq!(param, "mode"),
             other => panic!("expected BadOption, got {other:?}"),
+        }
+        assert!(!path.exists(), "rejected run must not create a checkpoint");
+    }
+
+    #[test]
+    fn bootstrap_workload_is_rejected_with_a_typed_usage_error() {
+        // A checkpoint resumes permutation counts; a bootstrap run has none.
+        let (data, labels) = data_and_labels();
+        let opts = PmaxtOptions::default()
+            .permutations(50)
+            .workload(Workload::Bootstrap);
+        let path = tmp("bootstrap-rejected");
+        match run_with_checkpoints(&data, &labels, &opts, &path, 7, None) {
+            Err(Error::BadOption { param, .. }) => assert_eq!(param, "workload"),
+            other => panic!("expected BadOption, got {other:?}"),
+        }
+        assert!(!path.exists(), "rejected run must not create a checkpoint");
+    }
+
+    #[test]
+    fn stored_sampling_beyond_the_memory_budget_is_refused_before_any_draw() {
+        // Every engine worker would hold all B arrangements of 6 labels: far
+        // over the 512 MiB budget, so the run is refused with the largest B
+        // that fits, and no checkpoint is written.
+        let (data, labels) = data_and_labels();
+        let opts = PmaxtOptions::default()
+            .permutations(1 << 40)
+            .fixed_seed_sampling("n")
+            .unwrap();
+        let path = tmp("stored-budget");
+        match run_with_checkpoints(&data, &labels, &opts, &path, 7, None) {
+            Err(Error::BadOption { param: "b", value }) => {
+                assert!(value.contains("largest B accepted"), "{value}")
+            }
+            other => panic!("expected a b refusal, got {other:?}"),
         }
         assert!(!path.exists(), "rejected run must not create a checkpoint");
     }

@@ -6,6 +6,8 @@
 use std::any::Any;
 use std::sync::Arc;
 
+use sprint_core::admit::{admit, Entry};
+use sprint_core::error::Result;
 use sprint_core::matrix::Matrix;
 use sprint_core::maxt::MaxTResult;
 use sprint_core::options::PmaxtOptions;
@@ -60,18 +62,23 @@ pub fn standard_registry() -> Registry {
 ///
 /// This is the Rust spelling of the R call
 /// `pmaxT(X, classlabel, test=…, side=…, fixed.seed.sampling=…, B=…)`.
+/// The master admits the run ([`sprint_core::admit`]) before the command
+/// broadcast wakes the workers, so a refused run returns its typed error
+/// and no rank starts a body that cannot run.
 pub fn call_pmaxt(
     master: &Master<'_>,
     data: Matrix,
     classlabel: &[u8],
     opts: &PmaxtOptions,
-) -> MaxTResult {
+) -> Result<MaxTResult> {
+    let ranks = master.ranks();
+    admit(&data, classlabel, opts, Entry::Spmd { ranks })?;
     master.stage(PMAXT_INPUT_KEY, data);
     let args = marshal::options_to_args(opts).with("classlabel", Value::Bytes(classlabel.to_vec()));
-    *master
+    Ok(*master
         .call("pmaxt", args)
         .downcast::<MaxTResult>()
-        .expect("pmaxt returns a MaxTResult")
+        .expect("pmaxt returns a MaxTResult"))
 }
 
 #[cfg(test)]
@@ -105,6 +112,7 @@ mod tests {
             let o = opts.clone();
             let result = Sprint::new(standard_registry())
                 .run(ranks, move |master| call_pmaxt(master, d, &l, &o))
+                .unwrap()
                 .unwrap();
             assert_eq!(result, serial, "ranks={ranks}");
         }
@@ -120,7 +128,8 @@ mod tests {
                     data.clone(),
                     &labels,
                     &PmaxtOptions::default().permutations(20),
-                );
+                )
+                .unwrap();
                 let b = call_pmaxt(
                     master,
                     data.clone(),
@@ -128,7 +137,8 @@ mod tests {
                     &PmaxtOptions::default()
                         .test(TestMethod::Wilcoxon)
                         .permutations(20),
-                );
+                )
+                .unwrap();
                 (a, b)
             })
             .unwrap();
@@ -146,6 +156,7 @@ mod tests {
         let l = labels;
         let result = Sprint::new(standard_registry())
             .run(2, move |master| call_pmaxt(master, d, &l, &opts))
+            .unwrap()
             .unwrap();
         assert_eq!(result, serial);
         assert_eq!(result.b_used, 20);

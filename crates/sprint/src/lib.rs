@@ -32,6 +32,7 @@
 //! // "mpiexec -n 3":
 //! let result = Sprint::new(standard_registry())
 //!     .run(3, move |master| call_pmaxt(master, data, &labels, &opts))
+//!     .unwrap()
 //!     .unwrap();
 //! assert_eq!(result.b_used, 20);
 //! ```

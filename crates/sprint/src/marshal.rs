@@ -14,7 +14,9 @@
 //!
 //! The `marshal_ablation` bench quantifies the difference.
 
-use sprint_core::options::{KernelChoice, PmaxtOptions, Precision, SamplingMode, TestMethod};
+use sprint_core::options::{
+    KernelChoice, Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload,
+};
 use sprint_core::side::Side;
 
 use crate::args::{Args, Value};
@@ -56,6 +58,11 @@ const CODED_STRINGS: &[&str] = &[
     "auto",
     "scalar",
     "fast",
+    // Modes and workloads.
+    "exact",
+    "adaptive",
+    "pmaxt",
+    "bootstrap",
 ];
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
@@ -188,6 +195,8 @@ pub fn options_to_args(opts: &PmaxtOptions) -> Args {
         .with("max.complete", Value::Int(opts.max_complete as i64))
         .with("kernel", Value::Str(opts.kernel.as_str().to_string()))
         .with("precision", Value::Str(opts.precision.as_str().to_string()))
+        .with("mode", Value::Str(opts.mode.as_str().to_string()))
+        .with("workload", Value::Str(opts.workload.as_str().to_string()))
         .with("threads", Value::Int(opts.threads as i64))
         .with("batch", Value::Int(opts.batch as i64));
     if let Some(na) = opts.na {
@@ -225,6 +234,12 @@ pub fn args_to_options(args: &Args) -> sprint_core::error::Result<PmaxtOptions> 
     }
     if let Some(v) = args.get("precision") {
         opts.precision = Precision::parse(v.as_str().unwrap_or_default())?;
+    }
+    if let Some(v) = args.get("mode") {
+        opts.mode = Mode::parse(v.as_str().unwrap_or_default())?;
+    }
+    if let Some(v) = args.get("workload") {
+        opts.workload = Workload::parse(v.as_str().unwrap_or_default())?;
     }
     if let Some(v) = args.get("threads") {
         opts.threads = v.as_int().unwrap_or(0) as usize;
@@ -294,16 +309,39 @@ mod tests {
 
     #[test]
     fn options_round_trip_through_args() {
-        let opts = PmaxtOptions::default()
-            .test(TestMethod::BlockF)
-            .side(Side::Upper)
-            .permutations(77)
-            .nonpara(true)
-            .na_code(-1.0)
-            .seed(99)
-            .threads(6)
-            .batch(48)
-            .precision(Precision::F32);
+        // Every field away from its default, so a field either codec drops
+        // comes back as the default and fails the comparison.
+        let opts = PmaxtOptions {
+            test: TestMethod::BlockF,
+            side: Side::Upper,
+            sampling: SamplingMode::Stored,
+            b: 77,
+            na: Some(-1.0),
+            nonpara: true,
+            seed: 99,
+            max_complete: 5_000,
+            kernel: KernelChoice::Scalar,
+            threads: 6,
+            batch: 48,
+            precision: Precision::F32,
+            mode: Mode::Adaptive,
+            workload: Workload::Bootstrap,
+        };
+        let defaults = PmaxtOptions::default();
+        assert_ne!(opts.test, defaults.test);
+        assert_ne!(opts.side, defaults.side);
+        assert_ne!(opts.sampling, defaults.sampling);
+        assert_ne!(opts.b, defaults.b);
+        assert_ne!(opts.na, defaults.na);
+        assert_ne!(opts.nonpara, defaults.nonpara);
+        assert_ne!(opts.seed, defaults.seed);
+        assert_ne!(opts.max_complete, defaults.max_complete);
+        assert_ne!(opts.kernel, defaults.kernel);
+        assert_ne!(opts.threads, defaults.threads);
+        assert_ne!(opts.batch, defaults.batch);
+        assert_ne!(opts.precision, defaults.precision);
+        assert_ne!(opts.mode, defaults.mode);
+        assert_ne!(opts.workload, defaults.workload);
         for codec in [Codec::StringCoded, Codec::IntCoded] {
             let wire = encode(&options_to_args(&opts), codec);
             let back = args_to_options(&decode(&wire)).unwrap();

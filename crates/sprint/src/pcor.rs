@@ -275,7 +275,8 @@ mod tests {
                     m,
                     &labels,
                     &PmaxtOptions::default().permutations(20),
-                );
+                )
+                .unwrap();
                 (c, p)
             })
             .unwrap();

@@ -21,7 +21,7 @@ fn main() {
     // maxT (the paper's procedure) vs minP (extension): same raw p-values,
     // differently balanced adjustments.
     let maxt = mt_maxt(&ds.matrix, &ds.labels, &opts).expect("maxT");
-    let minp = mt_minp(&ds.matrix, &ds.labels, &opts, None).expect("minP");
+    let minp = mt_minp(&ds.matrix, &ds.labels, &opts).expect("minP");
     println!(
         "maxT vs minP on {} genes (B = {}):",
         ds.matrix.rows(),

@@ -97,7 +97,8 @@ fn multi_class_f() {
     let (matrix, labels, truth) = (ds.matrix.clone(), ds.labels.clone(), ds.truth.clone());
     let result = Sprint::new(standard_registry())
         .run(4, move |master| call_pmaxt(master, matrix, &labels, &opts))
-        .expect("framework run");
+        .expect("framework run")
+        .expect("admitted run");
     summarize("f-test(4 ranks)", &result, Some(&truth));
 }
 

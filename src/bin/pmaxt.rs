@@ -35,16 +35,16 @@ use std::time::Duration;
 use microarray::io::{read_dataset, write_dataset};
 use microarray::prelude::*;
 use sprint_core::adaptive::{adaptive_maxt, AdaptiveConfig, AdaptiveReport};
+use sprint_core::admit::{admit, Admitted, Entry};
 use sprint_core::boot::{boot_run, BootstrapResult};
 use sprint_core::error::Error as CoreError;
 use sprint_core::maxt::minp::pminp;
-use sprint_core::maxt::serial::validate_run;
 use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
 use sprint_core::options::{
     KernelChoice, Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload,
 };
 use sprint_core::perm::stored::StoredMatrix;
-use sprint_core::pmaxt::{chunk_for_rank, pmaxt};
+use sprint_core::pmaxt::pmaxt;
 use sprint_core::side::Side;
 use sprint_jobd::client::{expect_ok, request_retried, Client, RetryPolicy};
 use sprint_jobd::json::Json;
@@ -513,22 +513,16 @@ fn print_result(result: &MaxTResult, top: usize, out: Option<&PathBuf>) -> Resul
 fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
     let (data, labels) =
         read_dataset(&cfg.input).map_err(|e| runtime(format!("reading {:?}: {e}", cfg.input)))?;
+    // Admission decides every option and flag combination, and the rank
+    // allocation (exit 3 when a rank would get no permutation), before any
+    // work starts.
+    let entry = Entry::Cli {
+        ranks: cfg.ranks,
+        minp: cfg.minp,
+        replay: cfg.perm_file.is_some(),
+    };
+    let run = admit(&data, &labels, &cfg.opts, entry).map_err(CliError::from_core)?;
     if cfg.opts.workload == Workload::Bootstrap {
-        if cfg.minp {
-            return Err(usage(
-                "--minp is a permutation procedure; drop it for --workload bootstrap",
-            ));
-        }
-        if cfg.ranks > 1 {
-            return Err(usage(
-                "bootstrap runs shard by gene through the job service; drop --ranks",
-            ));
-        }
-        if cfg.perm_file.is_some() {
-            return Err(usage(
-                "--perm-file replays label arrangements, not bootstrap draws",
-            ));
-        }
         eprintln!(
             "loaded {} genes x {} samples; workload=bootstrap B={} level={:.0}%",
             data.rows(),
@@ -546,25 +540,9 @@ fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
         return print_boot(&result, cfg.top, cfg.out.as_ref());
     }
     if let Some(perm_file) = &cfg.perm_file {
-        if cfg.minp {
-            return Err(usage("--perm-file replay is maxT-only; drop --minp"));
-        }
-        if cfg.ranks > 1 {
-            return Err(usage("--perm-file replays one stored stream; drop --ranks"));
-        }
-        if cfg.opts.mode.env_override() == Mode::Adaptive {
-            return Err(usage(
-                "--perm-file replay is exact-only; drop --mode adaptive",
-            ));
-        }
-        return run_replay(cfg, &data, &labels, perm_file);
+        return run_replay(cfg, run, &labels, perm_file);
     }
-    // Validate the rank allocation up front: handing a rank zero permutations
-    // is a resource-allocation mistake with its own exit code (3), distinct
-    // from usage and runtime failures.
-    let (_, b, _) = validate_run(&data, &labels, &cfg.opts).map_err(CliError::from_core)?;
-    chunk_for_rank(b, cfg.ranks as u64, 0).map_err(CliError::from_core)?;
-    let mode = cfg.opts.mode.env_override();
+    let mode = run.mode;
     eprintln!(
         "loaded {} genes x {} samples; test={} side={} B={} ranks={}{}{}",
         data.rows(),
@@ -581,16 +559,6 @@ fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
         }
     );
     if mode == Mode::Adaptive {
-        if cfg.minp {
-            return Err(usage(
-                "--minp is exact-only; adaptive mode bounds maxT p-values",
-            ));
-        }
-        if cfg.ranks > 1 {
-            return Err(usage(
-                "adaptive mode shrinks the live gene set in-process; drop --ranks",
-            ));
-        }
         let t0 = std::time::Instant::now();
         let out = adaptive_maxt(&data, &labels, &cfg.opts, &AdaptiveConfig::default())
             .map_err(CliError::from_core)?;
@@ -605,7 +573,7 @@ fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
     }
     let t0 = std::time::Instant::now();
     let result = if cfg.minp {
-        pminp(&data, &labels, &cfg.opts, None, cfg.ranks).map_err(CliError::from_core)?
+        pminp(&data, &labels, &cfg.opts, cfg.ranks).map_err(CliError::from_core)?
     } else {
         pmaxt(&data, &labels, &cfg.opts, cfg.ranks)
             .map_err(CliError::from_core)?
@@ -731,20 +699,21 @@ fn read_perm_file(path: &std::path::Path) -> Result<Vec<Vec<u8>>, CliError> {
 }
 
 /// `pmaxt run --perm-file`: replay an explicit arrangement set through the
-/// maxT kernel via [`StoredMatrix`]. The observed labelling is scored first
-/// (every stream's index 0 is the identity draw), then the file's rows.
+/// maxT kernel via [`StoredMatrix`], over the admitted run's labels and
+/// NA-canonical matrix. The observed labelling is scored first (every
+/// stream's index 0 is the identity draw), then the file's rows.
 fn run_replay(
     cfg: &RunConfig,
-    data: &sprint_core::matrix::Matrix,
+    run: Admitted<'_>,
     labels: &[u8],
     path: &std::path::Path,
 ) -> Result<(), CliError> {
     let rows = read_perm_file(path)?;
+    let cols = run.data.cols();
     // Width mismatches surface as the typed `ArrangementWidth` error → exit 2,
     // with the row index matching the file's arrangement ordinal.
-    StoredMatrix::try_from_rows(&rows, data.cols()).map_err(CliError::from_core)?;
-    let (class, _b, prepared) = sprint_core::maxt::serial::prepare_run(data, labels, &cfg.opts)
-        .map_err(CliError::from_core)?;
+    StoredMatrix::try_from_rows(&rows, cols).map_err(CliError::from_core)?;
+    let prepared = sprint_core::stats::prepare_matrix(&run.data, cfg.opts.test, cfg.opts.nonpara);
     let mut want = labels.to_vec();
     want.sort_unstable();
     for (i, row) in rows.iter().enumerate() {
@@ -760,10 +729,10 @@ fn run_replay(
     all.push(labels.to_vec());
     all.extend(rows);
     let b = all.len() as u64;
-    let mut stream = StoredMatrix::try_from_rows(&all, data.cols()).map_err(CliError::from_core)?;
+    let mut stream = StoredMatrix::try_from_rows(&all, cols).map_err(CliError::from_core)?;
     let ctx = MaxTContext::with_scorer(
         &prepared,
-        &class,
+        &run.labels,
         cfg.opts.test,
         cfg.opts.side,
         cfg.opts.kernel,

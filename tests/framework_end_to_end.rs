@@ -40,6 +40,7 @@ fn pipeline_from_disk_through_framework() {
     let (m2, l2, o2) = (matrix.clone(), labels.clone(), opts.clone());
     let framework_result = Sprint::new(standard_registry())
         .run(3, move |master| call_pmaxt(master, m2, &l2, &o2))
+        .unwrap()
         .unwrap();
     assert_eq!(framework_result, serial);
 
@@ -80,6 +81,7 @@ fn checkpointed_run_agrees_with_framework_run() {
     let (m, l, o) = (ds.matrix.clone(), ds.labels.clone(), opts.clone());
     let fw = Sprint::new(standard_registry())
         .run(2, move |master| call_pmaxt(master, m, &l, &o))
+        .unwrap()
         .unwrap();
     assert_eq!(fw, serial);
 }
@@ -119,6 +121,40 @@ fn ten_rank_framework_stress() {
     let (m, l, o) = (ds.matrix.clone(), ds.labels.clone(), opts.clone());
     let fw = Sprint::new(standard_registry())
         .run(10, move |master| call_pmaxt(master, m, &l, &o))
+        .unwrap()
         .unwrap();
     assert_eq!(fw, serial);
+}
+
+#[test]
+fn framework_refuses_bad_input_with_a_typed_error_and_no_rank_panics() {
+    // Five labels for six columns, and a bootstrap workload pmaxT does not
+    // run: the master admits each call before the command broadcast, so no
+    // worker starts a body that cannot run, and the script goes on calling.
+    let ds = SynthConfig::two_class(20, 3, 3).seed(5).generate();
+    let opts = PmaxtOptions::default().permutations(50);
+    let serial = mt_maxt(&ds.matrix, &ds.labels, &opts).unwrap();
+    let (m, l, o) = (ds.matrix.clone(), ds.labels.clone(), opts.clone());
+    let (short, boot, after) = Sprint::new(standard_registry())
+        .run(3, move |master| {
+            let short = call_pmaxt(master, m.clone(), &l[..5], &o);
+            let boot_opts = o
+                .clone()
+                .workload(sprint_core::options::Workload::Bootstrap);
+            let boot = call_pmaxt(master, m.clone(), &l, &boot_opts);
+            (short, boot, call_pmaxt(master, m, &l, &o))
+        })
+        .expect("no rank panics");
+    assert!(matches!(short, Err(Error::BadLabels(_))), "{short:?}");
+    assert!(
+        matches!(
+            boot,
+            Err(Error::BadOption {
+                param: "workload",
+                ..
+            })
+        ),
+        "{boot:?}"
+    );
+    assert_eq!(after.unwrap(), serial);
 }
