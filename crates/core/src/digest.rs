@@ -538,6 +538,56 @@ mod tests {
     }
 
     #[test]
+    fn every_option_row_moves_the_digests_its_scope_names() {
+        use crate::options::{DigestScope, Mode, Precision, SamplingMode, Workload, OPTIONS};
+        // Every field off its default. The literal names every field, so a
+        // field added to `PmaxtOptions` fails to compile here until it has a
+        // value, and then fails below until it has a row.
+        let moved = PmaxtOptions {
+            test: TestMethod::Wilcoxon,
+            side: Side::Upper,
+            sampling: SamplingMode::Stored,
+            b: 77,
+            na: Some(-1.0),
+            nonpara: true,
+            seed: 99,
+            max_complete: 5_000,
+            kernel: KernelChoice::Scalar,
+            threads: 6,
+            batch: 48,
+            precision: Precision::F32,
+            mode: Mode::Adaptive,
+            workload: Workload::Bootstrap,
+        };
+        let base = PmaxtOptions::default();
+        let mut every_row = base.clone();
+        for row in &OPTIONS {
+            let text = moved.text(row).expect("a moved field has a value");
+            every_row.set_text(row, &text).unwrap();
+            let mut one = base.clone();
+            one.set_text(row, &text).unwrap();
+            assert_ne!(one, base, "{}: the row moves no field", row.name);
+            let moves = (
+                options_digest(&one) != options_digest(&base),
+                stream_digest(&one) != stream_digest(&base),
+            );
+            let want = match row.digest {
+                DigestScope::Both => (true, true),
+                DigestScope::OptionsOnly | DigestScope::CountClass => (true, false),
+                DigestScope::None => (false, false),
+            };
+            assert_eq!(moves, want, "{}: {:?}", row.name, row.digest);
+            if row.digest == DigestScope::CountClass {
+                // The other count class, complete enumeration, is another
+                // stream.
+                one.set_text(row, "0").unwrap();
+                assert_ne!(stream_digest(&one), stream_digest(&base), "{}", row.name);
+            }
+        }
+        assert_eq!(every_row, moved, "a field no row reaches");
+    }
+
+    #[test]
     fn stream_digest_collapses_b_but_separates_complete() {
         let o = PmaxtOptions::default();
         assert_eq!(

@@ -38,7 +38,7 @@ use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult, EPSILON};
-use crate::options::PmaxtOptions;
+use crate::options::{env_override, PmaxtOptions};
 use crate::perm::{build_generator, ResamplingStream};
 use crate::stats::prepare_matrix;
 use crate::stats::scorer::ScorerScratch;
@@ -88,26 +88,14 @@ impl EngineConfig {
     }
 
     /// Geometry for a run: start from the options' `threads`/`batch`, apply
-    /// the `SPRINT_THREADS` / `SPRINT_BATCH` environment overrides when set
-    /// to valid numbers, then resolve `0` (auto) as in
-    /// [`EngineConfig::explicit`]. Admission ([`crate::admit`]) resolves every
-    /// run's geometry, so the environment reaches every driver without
-    /// options plumbing.
+    /// their environment overrides when set to valid numbers, then resolve
+    /// `0` (auto) as in [`EngineConfig::explicit`]. Admission
+    /// ([`crate::admit`]) resolves every run's geometry, so the environment
+    /// reaches every driver without options plumbing.
     pub fn resolve(opts: &PmaxtOptions) -> Self {
-        let threads = env_usize("SPRINT_THREADS").unwrap_or(opts.threads);
-        let batch = env_usize("SPRINT_BATCH").unwrap_or(opts.batch);
+        let threads = env_override("threads", |o| o.threads).unwrap_or(opts.threads);
+        let batch = env_override("batch", |o| o.batch).unwrap_or(opts.batch);
         Self::explicit(threads, batch)
-    }
-}
-
-fn env_usize(name: &'static str) -> Option<usize> {
-    let v = std::env::var(name).ok()?;
-    match v.parse() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            crate::options::warn_bad_env(name, &v, "a non-negative integer (0 = auto)");
-            None
-        }
     }
 }
 

@@ -7,82 +7,104 @@
 //!
 //! The interface of `pmaxT` is identical to `mt.maxT` (paper §3.2); this
 //! module preserves the parameter names, string forms and defaults.
+//!
+//! ## The option table
+//!
+//! [`OPTIONS`] declares every [`PmaxtOptions`] field once: its R name, its
+//! jobd JSON key, its [`Form`], its `pmaxt` flags, its `SPRINT_*` override
+//! and the digests it enters. Every surface walks the table instead of
+//! naming options: the `pmaxt` flag parser, jobd's JSON codec (which the
+//! journal also writes), `sprint::marshal`, the environment overrides and
+//! the digest-scope test. A field's value crosses every surface as its text
+//! form ([`PmaxtOptions::text`], [`PmaxtOptions::set_text`]); each surface
+//! maps a row's form to its own value type. A new option is one field and
+//! one row.
 
 use crate::error::{Error, Result};
 use crate::side::Side;
 
-/// The supported test statistics: the paper's six (§3.1) plus the
-/// PERMUTOOLS-style correlation and tmax max-statistic variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TestMethod {
-    /// Two-sample Welch t-statistic, unequal variances (`"t"`).
-    T,
-    /// Two-sample t-statistic with pooled variance (`"t.equalvar"`).
-    TEqualVar,
-    /// Standardized rank-sum Wilcoxon statistic (`"wilcoxon"`).
-    Wilcoxon,
-    /// One-way F-statistic over k classes (`"f"`).
-    F,
-    /// Paired t-statistic (`"pairt"`).
-    PairT,
-    /// Block F-statistic adjusting for block differences (`"blockf"`).
-    BlockF,
-    /// Pearson correlation between each gene row and the numeric class
-    /// labels (`"corr"`; point-biserial for two classes). Association test
-    /// in the PERMUTOOLS style.
-    Corr,
-    /// Welch t-statistic with single-step tmax adjustment (`"tmax"`): the
-    /// adjusted counts compare every gene against the *global* permutation
-    /// maximum instead of the step-down successive maxima (PERMUTOOLS'
-    /// max-statistic multiple-comparison correction).
-    TMax,
+/// Declare an option enum with one spelling per variant. The spellings are
+/// one list that `parse`, `as_str`, the option table ([`Form::Word`]) and
+/// `sprint::marshal`'s IntCoded vocabulary all read. `$param` is the
+/// option's row name, which a bad spelling's [`Error::BadOption`] names.
+macro_rules! spelled_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident ($param:literal) {
+            $($(#[$vmeta:meta])* $variant:ident = $word:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every value, in declaration order.
+            pub const ALL: [$name; [$($word),+].len()] = [$($name::$variant),+];
+
+            /// The string forms, aligned with [`Self::ALL`].
+            pub const SPELLINGS: &'static [&'static str] = &[$($word),+];
+
+            /// Parse the string form (case-sensitive, like R).
+            pub fn parse(s: &str) -> $crate::error::Result<Self> {
+                match Self::SPELLINGS.iter().position(|&w| w == s) {
+                    Some(i) => Ok(Self::ALL[i]),
+                    None => Err($crate::error::Error::BadOption {
+                        param: $param,
+                        value: s.to_string(),
+                    }),
+                }
+            }
+
+            /// The string form.
+            pub fn as_str(self) -> &'static str {
+                Self::SPELLINGS[self as usize]
+            }
+        }
+
+        impl $crate::options::Text for $name {
+            fn text(&self) -> Option<String> {
+                Some(self.as_str().to_string())
+            }
+            fn set(&mut self, s: &str) -> bool {
+                Self::parse(s).map(|v| *self = v).is_ok()
+            }
+        }
+    };
+}
+pub(crate) use spelled_enum;
+
+spelled_enum! {
+    /// The supported test statistics: the paper's six (§3.1) plus the
+    /// PERMUTOOLS-style correlation and tmax max-statistic variants.
+    pub enum TestMethod("test") {
+        /// Two-sample Welch t-statistic, unequal variances.
+        T = "t",
+        /// Two-sample t-statistic with pooled variance.
+        TEqualVar = "t.equalvar",
+        /// Standardized rank-sum Wilcoxon statistic.
+        Wilcoxon = "wilcoxon",
+        /// One-way F-statistic over k classes.
+        F = "f",
+        /// Paired t-statistic.
+        PairT = "pairt",
+        /// Block F-statistic adjusting for block differences.
+        BlockF = "blockf",
+        /// Pearson correlation between each gene row and the numeric class
+        /// labels (point-biserial for two classes). Association test in the
+        /// PERMUTOOLS style.
+        Corr = "corr",
+        /// Welch t-statistic with single-step tmax adjustment: the adjusted
+        /// counts compare every gene against the *global* permutation
+        /// maximum instead of the step-down successive maxima (PERMUTOOLS'
+        /// max-statistic multiple-comparison correction).
+        TMax = "tmax",
+    }
 }
 
 impl TestMethod {
-    /// All methods: the paper's six in order, then the PERMUTOOLS additions.
-    pub const ALL: [TestMethod; 8] = [
-        TestMethod::T,
-        TestMethod::TEqualVar,
-        TestMethod::Wilcoxon,
-        TestMethod::F,
-        TestMethod::PairT,
-        TestMethod::BlockF,
-        TestMethod::Corr,
-        TestMethod::TMax,
-    ];
-
-    /// Parse the R string form.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "t" => Ok(TestMethod::T),
-            "t.equalvar" => Ok(TestMethod::TEqualVar),
-            "wilcoxon" => Ok(TestMethod::Wilcoxon),
-            "f" => Ok(TestMethod::F),
-            "pairt" => Ok(TestMethod::PairT),
-            "blockf" => Ok(TestMethod::BlockF),
-            "corr" => Ok(TestMethod::Corr),
-            "tmax" => Ok(TestMethod::TMax),
-            other => Err(Error::BadOption {
-                param: "test",
-                value: other.to_string(),
-            }),
-        }
-    }
-
-    /// The R string form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TestMethod::T => "t",
-            TestMethod::TEqualVar => "t.equalvar",
-            TestMethod::Wilcoxon => "wilcoxon",
-            TestMethod::F => "f",
-            TestMethod::PairT => "pairt",
-            TestMethod::BlockF => "blockf",
-            TestMethod::Corr => "corr",
-            TestMethod::TMax => "tmax",
-        }
-    }
-
     /// True for the methods that share the two-sample/multi-class shuffle
     /// generators (paper §3.1: t, t.equalvar, wilcoxon, f; plus corr and
     /// tmax, whose designs are multi-class and two-sample respectively).
@@ -104,281 +126,352 @@ impl TestMethod {
     }
 }
 
-/// How permutations are produced (paper §3.1 "generator/store").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SamplingMode {
-    /// `fixed.seed.sampling = "y"`: the b-th permutation is derived from a
-    /// seed that is a pure function of b; nothing is stored. Default.
-    #[default]
-    FixedSeedOnTheFly,
-    /// `fixed.seed.sampling = "n"`: all permutations are drawn from one
-    /// sequential stream and stored in memory before the kernel runs.
-    Stored,
-}
-
-impl SamplingMode {
-    /// Parse the R `"y"`/`"n"` form.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "y" => Ok(SamplingMode::FixedSeedOnTheFly),
-            "n" => Ok(SamplingMode::Stored),
-            other => Err(Error::BadOption {
-                param: "fixed.seed.sampling",
-                value: other.to_string(),
-            }),
-        }
-    }
-
-    /// The R string form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SamplingMode::FixedSeedOnTheFly => "y",
-            SamplingMode::Stored => "n",
-        }
+spelled_enum! {
+    /// How permutations are produced (paper §3.1 "generator/store"), the R
+    /// `fixed.seed.sampling` flag.
+    #[derive(Default)]
+    pub enum SamplingMode("fixed.seed.sampling") {
+        /// `"y"`: the b-th permutation is derived from a seed that is a pure
+        /// function of b; nothing is stored. Default.
+        #[default]
+        FixedSeedOnTheFly = "y",
+        /// `"n"`: all permutations are drawn from one sequential stream and
+        /// stored in memory before the kernel runs.
+        Stored = "n",
     }
 }
 
-/// Which [`Scorer`](crate::stats::scorer::Scorer) implementation the
-/// permutation loop uses.
-///
-/// Every statistic has a fast scorer that caches per-gene sufficient
-/// statistics once (class sums, pair differences, per-block partials) and
-/// reduces each permutation to an indexed gather per gene — NA rows
-/// included, via per-permutation group-count adjustment. This knob is a
-/// debug override: `Scalar` forces the reference per-column scalar scorer
-/// everywhere; `Auto`/`Fast` select the per-method fast scorer. The
-/// `SPRINT_KERNEL` environment variable (`auto`/`scalar`/`fast`) overrides
-/// this option — the debugging escape hatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelChoice {
-    /// Use the per-method fast scorer. Default.
-    #[default]
-    Auto,
-    /// Force the reference scalar per-column scorer everywhere.
-    Scalar,
-    /// Synonym of `Auto` kept for compatibility with existing scripts.
-    Fast,
+spelled_enum! {
+    /// Which [`Scorer`](crate::stats::scorer::Scorer) implementation the
+    /// permutation loop uses.
+    ///
+    /// Every statistic has a fast scorer that caches per-gene sufficient
+    /// statistics once (class sums, pair differences, per-block partials)
+    /// and reduces each permutation to an indexed gather per gene — NA rows
+    /// included, via per-permutation group-count adjustment. This knob is a
+    /// debug override: `Scalar` forces the reference per-column scalar
+    /// scorer everywhere; `Auto`/`Fast` select the per-method fast scorer.
+    /// Its environment override (see [`OPTIONS`]) beats this option — the
+    /// debugging escape hatch.
+    #[derive(Default)]
+    pub enum KernelChoice("kernel") {
+        /// Use the per-method fast scorer. Default.
+        #[default]
+        Auto = "auto",
+        /// Force the reference scalar per-column scorer everywhere.
+        Scalar = "scalar",
+        /// Synonym of `Auto` kept for compatibility with existing scripts.
+        Fast = "fast",
+    }
 }
 
 impl KernelChoice {
-    /// Parse the string form (`auto`/`scalar`/`fast`).
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "auto" => Ok(KernelChoice::Auto),
-            "scalar" => Ok(KernelChoice::Scalar),
-            "fast" => Ok(KernelChoice::Fast),
-            other => Err(Error::BadOption {
-                param: "kernel",
-                value: other.to_string(),
-            }),
-        }
-    }
-
-    /// The string form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelChoice::Auto => "auto",
-            KernelChoice::Scalar => "scalar",
-            KernelChoice::Fast => "fast",
-        }
-    }
-
-    /// Apply the `SPRINT_KERNEL` environment override, if set to a valid
-    /// value. Every context construction consults this, so `SPRINT_KERNEL=
-    /// scalar` forces the scalar path through any driver without touching
-    /// options plumbing. An invalid value is ignored with a single stderr
-    /// warning naming the accepted forms — never silently.
+    /// Apply the environment override, if set to a valid value. Every
+    /// context construction consults this, so the override forces the
+    /// scalar path through any driver without touching options plumbing.
     pub fn env_override(self) -> Self {
-        match std::env::var("SPRINT_KERNEL") {
-            Ok(v) => match Self::parse(&v) {
-                Ok(choice) => choice,
-                Err(_) => {
-                    warn_bad_env("SPRINT_KERNEL", &v, "\"auto\", \"scalar\" or \"fast\"");
-                    self
-                }
-            },
-            Err(_) => self,
-        }
+        env_override("kernel", |o| o.kernel).unwrap_or(self)
     }
 }
 
-/// Accumulation precision of the fast scorers' SoA kernels.
-///
-/// `F64` (the default) is the reference precision: fast-scorer sums are
-/// bitwise identical to the scalar path and exceedance counts are exact.
-/// `F32` halves the score-tile footprint and doubles SIMD lane width at the
-/// cost of rounding: statistics drift by a documented bound (see DESIGN.md
-/// §4.10) and counts are no longer guaranteed to match the f64 reference, so
-/// every bitwise-reproducibility surface (checkpoint resume, the jobd result
-/// cache) rejects it with a typed usage error. The scalar reference scorer
-/// always computes in f64 regardless of this knob. The `SPRINT_PRECISION`
-/// environment variable (`f64`/`f32`) overrides this option, mirroring
-/// `SPRINT_KERNEL`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Precision {
-    /// Accumulate in `f64` (bitwise-reproducible). Default.
-    #[default]
-    F64,
-    /// Accumulate in `f32` (opt-in, bounded-error, not reproducible vs f64).
-    F32,
+spelled_enum! {
+    /// Accumulation precision of the fast scorers' SoA kernels.
+    ///
+    /// `F64` (the default) is the reference precision: fast-scorer sums are
+    /// bitwise identical to the scalar path and exceedance counts are exact.
+    /// `F32` halves the score-tile footprint and doubles SIMD lane width at
+    /// the cost of rounding: statistics drift by a documented bound (see
+    /// DESIGN.md §4.10) and counts are no longer guaranteed to match the f64
+    /// reference, so every bitwise-reproducibility surface (checkpoint
+    /// resume, the jobd result cache) rejects it with a typed usage error.
+    /// The scalar reference scorer always computes in f64 regardless of this
+    /// knob. An environment override beats this option, as for
+    /// [`KernelChoice`].
+    #[derive(Default)]
+    pub enum Precision("precision") {
+        /// Accumulate in `f64` (bitwise-reproducible). Default.
+        #[default]
+        F64 = "f64",
+        /// Accumulate in `f32` (opt-in, bounded-error, not reproducible vs
+        /// f64).
+        F32 = "f32",
+    }
 }
 
 impl Precision {
-    /// Parse the string form (`f64`/`f32`).
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "f64" => Ok(Precision::F64),
-            "f32" => Ok(Precision::F32),
-            other => Err(Error::BadOption {
-                param: "precision",
-                value: other.to_string(),
-            }),
-        }
-    }
-
-    /// The string form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Precision::F64 => "f64",
-            Precision::F32 => "f32",
-        }
-    }
-
-    /// Apply the `SPRINT_PRECISION` environment override, if set to a valid
-    /// value. Consulted wherever a fast scorer is built *and* wherever f32
-    /// must be rejected, so the override cannot smuggle reduced precision
-    /// past a reproducibility gate. Invalid values warn once and are ignored.
+    /// Apply the environment override, if set to a valid value. Consulted
+    /// wherever a fast scorer is built *and* wherever f32 must be rejected,
+    /// so the override cannot smuggle reduced precision past a
+    /// reproducibility gate.
     pub fn env_override(self) -> Self {
-        match std::env::var("SPRINT_PRECISION") {
-            Ok(v) => match Self::parse(&v) {
-                Ok(p) => p,
-                Err(_) => {
-                    warn_bad_env("SPRINT_PRECISION", &v, "\"f64\" or \"f32\"");
-                    self
-                }
-            },
-            Err(_) => self,
-        }
+        env_override("precision", |o| o.precision).unwrap_or(self)
     }
 }
 
-/// How the permutation budget is spent.
-///
-/// `Exact` (the default) scores every gene against all `B` permutations —
-/// the paper's semantics, bitwise-reproducible across any engine geometry.
-/// `Adaptive` routes the run through the [`adaptive`](crate::adaptive)
-/// subsystem: genes whose raw p-value is clearly non-significant are
-/// deactivated early under an anytime-valid confidence-sequence bound, and
-/// the smallest p-values get a generalized-Pareto tail fit. Adaptive results
-/// carry deterministic per-gene p-value *bounds* instead of exact counts, so
-/// every surface that contracts bitwise reproducibility (checkpoint resume,
-/// jobd span execution) refuses the mode — an adaptive job can later be
-/// *upgraded* to exact by resubmitting in exact mode, which extends the
-/// cached exact prefix. The `SPRINT_MODE` environment variable
-/// (`exact`/`adaptive`) overrides this option, mirroring `SPRINT_KERNEL`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Mode {
-    /// Score all `B` permutations for every gene. Default.
-    #[default]
-    Exact,
-    /// Early-stop clearly non-significant genes; tail-fit the smallest
-    /// p-values. Reports bounds and diagnostics, not exact counts.
-    Adaptive,
+spelled_enum! {
+    /// How the permutation budget is spent.
+    ///
+    /// `Exact` (the default) scores every gene against all `B` permutations
+    /// — the paper's semantics, bitwise-reproducible across any engine
+    /// geometry. `Adaptive` routes the run through the
+    /// [`adaptive`](crate::adaptive) subsystem: genes whose raw p-value is
+    /// clearly non-significant are deactivated early under an anytime-valid
+    /// confidence-sequence bound, and the smallest p-values get a
+    /// generalized-Pareto tail fit. Adaptive results carry deterministic
+    /// per-gene p-value *bounds* instead of exact counts, so every surface
+    /// that contracts bitwise reproducibility (checkpoint resume, jobd span
+    /// execution) refuses the mode — an adaptive job can later be
+    /// *upgraded* to exact by resubmitting in exact mode, which extends the
+    /// cached exact prefix. An environment override beats this option, as
+    /// for [`KernelChoice`].
+    #[derive(Default)]
+    pub enum Mode("mode") {
+        /// Score all `B` permutations for every gene. Default.
+        #[default]
+        Exact = "exact",
+        /// Early-stop clearly non-significant genes; tail-fit the smallest
+        /// p-values. Reports bounds and diagnostics, not exact counts.
+        Adaptive = "adaptive",
+    }
 }
 
 impl Mode {
-    /// Parse the string form (`exact`/`adaptive`).
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "exact" => Ok(Mode::Exact),
-            "adaptive" => Ok(Mode::Adaptive),
-            other => Err(Error::BadOption {
-                param: "mode",
-                value: other.to_string(),
-            }),
-        }
-    }
-
-    /// The string form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Mode::Exact => "exact",
-            Mode::Adaptive => "adaptive",
-        }
-    }
-
-    /// Apply the `SPRINT_MODE` environment override, if set to a valid
-    /// value. Consulted where a run dispatches on mode *and* wherever
-    /// adaptive must be rejected, so the override cannot smuggle an
-    /// approximate run past a reproducibility gate. Invalid values warn once
-    /// and are ignored.
+    /// Apply the environment override, if set to a valid value. Consulted
+    /// where a run dispatches on mode *and* wherever adaptive must be
+    /// rejected, so the override cannot smuggle an approximate run past a
+    /// reproducibility gate.
     pub fn env_override(self) -> Self {
-        match std::env::var("SPRINT_MODE") {
-            Ok(v) => match Self::parse(&v) {
-                Ok(m) => m,
-                Err(_) => {
-                    warn_bad_env("SPRINT_MODE", &v, "\"exact\" or \"adaptive\"");
-                    self
-                }
-            },
-            Err(_) => self,
+        env_override("mode", |o| o.mode).unwrap_or(self)
+    }
+}
+
+spelled_enum! {
+    /// Which resampling workload a run computes.
+    ///
+    /// `Pmaxt` (the default) is the paper's permutation test: label
+    /// arrangements drive the maxT step-down adjustment. `Bootstrap` draws
+    /// samples *with replacement* over the same resampling-stream seam and
+    /// reports percentile and BCa confidence intervals for each gene's
+    /// group-mean difference instead of p-values. The workload selects the
+    /// [`Arrangement`](crate::perm::arrangement::Arrangement) semantics of
+    /// the stream; digests absorb a marker only for non-default workloads so
+    /// every pre-existing permutation digest (and the caches keyed by them)
+    /// stays valid.
+    #[derive(Default)]
+    pub enum Workload("workload") {
+        /// Westfall–Young maxT permutation testing. Default.
+        #[default]
+        Pmaxt = "pmaxt",
+        /// Case-resampling bootstrap with percentile + BCa confidence
+        /// intervals.
+        Bootstrap = "bootstrap",
+    }
+}
+
+/// The spellings of R's yes/no flags ([`Form::YesNo`]), yes first.
+pub const YES_NO: [&str; 2] = ["y", "n"];
+
+/// How an option's value is written. Each variant names its text form,
+/// which the `pmaxt` flags and the `SPRINT_*` variables read, then what
+/// jobd's JSON and `sprint::marshal` carry it as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Form {
+    /// One of an enum's spellings. JSON string; marshal string, sent as a
+    /// one-byte code by IntCoded.
+    Word(&'static [&'static str]),
+    /// A non-negative decimal integer. JSON number (at most 2^53, the
+    /// integers a JSON number holds exactly); marshal integer.
+    Count,
+    /// A decimal `u64` of any size. JSON decimal string, since JSON numbers
+    /// lose integers past 2^53; marshal integer.
+    Seed,
+    /// One of [`YES_NO`]. JSON boolean; marshal string.
+    YesNo,
+    /// A missing-value code: a float, absent when unset. JSON number
+    /// (finite: JSON has no other); marshal float.
+    NaCode,
+}
+
+impl Form {
+    /// What the text form accepts, for messages.
+    pub fn accepted(self) -> String {
+        let words = match self {
+            Form::Word(words) => words,
+            Form::YesNo => &YES_NO[..],
+            Form::Count => return "a non-negative integer".to_string(),
+            Form::Seed => return "an unsigned 64-bit integer".to_string(),
+            Form::NaCode => return "a number".to_string(),
+        };
+        let quoted: Vec<String> = words.iter().map(|w| format!("{w:?}")).collect();
+        match quoted.split_last() {
+            Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+            _ => quoted.concat(),
         }
     }
 }
 
-/// Which resampling workload a run computes.
-///
-/// `Pmaxt` (the default) is the paper's permutation test: label arrangements
-/// drive the maxT step-down adjustment. `Bootstrap` draws samples *with
-/// replacement* over the same resampling-stream seam and reports percentile
-/// and BCa confidence intervals for each gene's group-mean difference instead
-/// of p-values. The workload selects the [`Arrangement`]
-/// (crate::perm::arrangement::Arrangement) semantics of the stream; digests
-/// absorb a marker only for non-default workloads so every pre-existing
-/// permutation digest (and the caches keyed by them) stays valid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Workload {
-    /// Westfall–Young maxT permutation testing. Default.
-    #[default]
-    Pmaxt,
-    /// Case-resampling bootstrap with percentile + BCa confidence intervals.
-    Bootstrap,
+/// Which content digests an option enters ([`crate::digest`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DigestScope {
+    /// Both digests: the option changes the stream a run draws or the
+    /// numbers it reports.
+    Both,
+    /// `options_digest` only: the option changes what a run reports but
+    /// not the stream it draws (`mode`).
+    OptionsOnly,
+    /// `options_digest` in full, `stream_digest` as its count class,
+    /// complete enumeration or Monte-Carlo (`B`).
+    CountClass,
+    /// Neither: implementation selection and limits, which never change a
+    /// result.
+    None,
 }
 
-impl Workload {
-    /// Parse the string form (`pmaxt`/`bootstrap`).
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "pmaxt" => Ok(Workload::Pmaxt),
-            "bootstrap" => Ok(Workload::Bootstrap),
-            other => Err(Error::BadOption {
-                param: "workload",
-                value: other.to_string(),
-            }),
-        }
-    }
+/// One option: everything a surface needs to read, write or key it.
+#[derive(Debug, Clone, Copy)]
+pub struct OptionRow {
+    /// The R argument name, which is also `sprint::marshal`'s argument name
+    /// and the `param` of a bad value's [`Error::BadOption`].
+    pub name: &'static str,
+    /// jobd's JSON key; `None` for an option requests do not carry.
+    pub json: Option<&'static str>,
+    /// How the value is written.
+    pub form: Form,
+    /// The `pmaxt run`/`submit` flags; the first is the one the usage text
+    /// shows.
+    pub flags: &'static [&'static str],
+    /// The `SPRINT_*` environment variable that overrides the option where
+    /// a run reads it.
+    pub env: Option<&'static str>,
+    /// The digests the option enters.
+    pub digest: DigestScope,
+}
 
-    /// The string form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Workload::Pmaxt => "pmaxt",
-            Workload::Bootstrap => "bootstrap",
-        }
+const fn row(
+    name: &'static str,
+    json: Option<&'static str>,
+    form: Form,
+    flags: &'static [&'static str],
+    env: Option<&'static str>,
+    digest: DigestScope,
+) -> OptionRow {
+    OptionRow {
+        name,
+        json,
+        form,
+        flags,
+        env,
+        digest,
     }
 }
 
-/// Warn (once per variable per process) that an environment override is
-/// being ignored because its value does not parse. Silent swallowing made
-/// `SPRINT_KERNEL=Fast` or `SPRINT_THREADS=4x` run the default configuration
-/// with no indication anything was wrong.
-pub(crate) fn warn_bad_env(name: &'static str, value: &str, accepted: &str) {
+/// Every [`PmaxtOptions`] field, one row each, in the order jobd's JSON
+/// writes them (its bytes are pinned, so rows keep their places).
+#[rustfmt::skip]
+pub const OPTIONS: [OptionRow; 14] = {
+    use DigestScope::{Both, CountClass, OptionsOnly};
+    use Form::{Count, NaCode, Seed, Word, YesNo};
+    [
+        //  name                   JSON key           form                           flags                      environment               digests
+        row("test",                Some("test"),      Word(TestMethod::SPELLINGS),   &["--test"],               None,                     Both),
+        row("side",                Some("side"),      Word(Side::SPELLINGS),         &["--side"],               None,                     Both),
+        row("fixed.seed.sampling", Some("sampling"),  Word(SamplingMode::SPELLINGS), &["--fixed-seed"],         None,                     Both),
+        row("B",                   Some("b"),         Count,                         &["-B", "--permutations"], None,                     CountClass),
+        row("nonpara",             Some("nonpara"),   YesNo,                         &["--nonpara"],            None,                     Both),
+        row("seed",                Some("seed"),      Seed,                          &["--seed"],               None,                     Both),
+        row("kernel",              Some("kernel"),    Word(KernelChoice::SPELLINGS), &["--kernel"],             Some("SPRINT_KERNEL"),    DigestScope::None),
+        row("precision",           Some("precision"), Word(Precision::SPELLINGS),    &["--precision"],          Some("SPRINT_PRECISION"), Both),
+        row("mode",                Some("mode"),      Word(Mode::SPELLINGS),         &["--mode"],               Some("SPRINT_MODE"),      OptionsOnly),
+        row("threads",             Some("threads"),   Count,                         &["--threads"],            Some("SPRINT_THREADS"),   DigestScope::None),
+        row("batch",               Some("batch"),     Count,                         &["--batch"],              Some("SPRINT_BATCH"),     DigestScope::None),
+        row("workload",            Some("workload"),  Word(Workload::SPELLINGS),     &["--workload"],           None,                     Both),
+        row("na",                  Some("na"),        NaCode,                        &["--na"],                 None,                     Both),
+        row("max.complete",        None,              Count,                         &[],                       None,                     DigestScope::None),
+    ]
+};
+
+impl OptionRow {
+    /// The row named `name`.
+    ///
+    /// # Panics
+    /// If no row has that name.
+    pub(crate) fn named(name: &str) -> &'static OptionRow {
+        OPTIONS
+            .iter()
+            .find(|row| row.name == name)
+            .unwrap_or_else(|| panic!("no option row named {name:?}"))
+    }
+}
+
+/// A field's text form: the string form of an enum, a decimal integer,
+/// [`YES_NO`] for a flag, a float for the NA code.
+pub(crate) trait Text {
+    /// The text; `None` when the field is unset (an absent NA code).
+    fn text(&self) -> Option<String>;
+    /// Parse `s` into the field; `false`, leaving it alone, when `s` does
+    /// not parse.
+    fn set(&mut self, s: &str) -> bool;
+}
+
+macro_rules! decimal_text {
+    ($($int:ty),+) => {$(
+        impl Text for $int {
+            fn text(&self) -> Option<String> {
+                Some(self.to_string())
+            }
+            fn set(&mut self, s: &str) -> bool {
+                s.parse().map(|v| *self = v).is_ok()
+            }
+        }
+    )+};
+}
+decimal_text!(u64, usize);
+
+impl Text for bool {
+    fn text(&self) -> Option<String> {
+        Some(YES_NO[usize::from(!*self)].to_string())
+    }
+    fn set(&mut self, s: &str) -> bool {
+        let yes = YES_NO.iter().position(|&w| w == s).map(|i| i == 0);
+        yes.map(|yes| *self = yes).is_some()
+    }
+}
+
+impl Text for Option<f64> {
+    fn text(&self) -> Option<String> {
+        self.map(|v| v.to_string())
+    }
+    fn set(&mut self, s: &str) -> bool {
+        s.parse().map(|v| *self = Some(v)).is_ok()
+    }
+}
+
+/// Row `name`'s `SPRINT_*` override, read through the row's text form and
+/// handed back by `field`. A value that does not parse is ignored with one
+/// stderr warning per variable naming the accepted forms — never silently:
+/// silent swallowing made `SPRINT_KERNEL=Fast` or `SPRINT_THREADS=4x` run
+/// the default configuration with no sign anything was wrong.
+pub(crate) fn env_override<T>(name: &str, field: impl FnOnce(&PmaxtOptions) -> T) -> Option<T> {
     use std::collections::HashSet;
     use std::sync::{Mutex, OnceLock};
     static WARNED: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let warned = WARNED.get_or_init(|| Mutex::new(HashSet::new()));
-    if warned.lock().unwrap().insert(name) {
-        eprintln!("warning: ignoring invalid {name}={value:?}: accepted values are {accepted}");
+    let row = OptionRow::named(name);
+    let var = row.env?;
+    let value = std::env::var(var).ok()?;
+    let mut opts = PmaxtOptions::default();
+    if opts.set_text(row, &value).is_ok() {
+        return Some(field(&opts));
     }
+    let warned = WARNED.get_or_init(|| Mutex::new(HashSet::new()));
+    if warned
+        .lock()
+        .expect("no thread panics holding the set")
+        .insert(var)
+    {
+        let accepted = row.form.accepted();
+        eprintln!("warning: ignoring invalid {var}={value:?}: accepted values are {accepted}");
+    }
+    None
 }
 
 /// The default maximum number of complete permutations accepted when `B = 0`.
@@ -415,24 +508,23 @@ pub struct PmaxtOptions {
     /// the implementation.
     pub kernel: KernelChoice,
     /// Worker threads per rank for the permutation engine; `0` (default)
-    /// means "use available parallelism". The `SPRINT_THREADS` environment
-    /// variable overrides this. Any value produces identical results — the
+    /// means "use available parallelism". An environment override beats it
+    /// (see [`OPTIONS`]). Any value produces identical results — the
     /// engine's count reduction is exact.
     pub threads: usize,
     /// Permutations per engine batch; `0` (default) selects the built-in
-    /// batch size. The `SPRINT_BATCH` environment variable overrides this.
-    /// Any value produces identical results.
+    /// batch size. An environment override beats it. Any value produces
+    /// identical results.
     pub batch: usize,
     /// Accumulation precision of the fast scorers (see [`Precision`]). Not
     /// part of the R signature; `F64` (default) is exact, `F32` trades a
     /// bounded statistic error for speed and is rejected by surfaces that
-    /// require bitwise reproducibility. The `SPRINT_PRECISION` environment
-    /// variable overrides this.
+    /// require bitwise reproducibility. An environment override beats it.
     pub precision: Precision,
     /// Permutation-budget mode (see [`Mode`]). Not part of the R signature;
     /// `Exact` (default) preserves the paper's semantics, `Adaptive` spends
-    /// the budget unevenly and reports per-gene bounds and diagnostics. The
-    /// `SPRINT_MODE` environment variable overrides this.
+    /// the budget unevenly and reports per-gene bounds and diagnostics. An
+    /// environment override beats it.
     pub mode: Mode,
     /// Resampling workload (see [`Workload`]). Not part of the R signature;
     /// `Pmaxt` (default) is the paper's permutation test, `Bootstrap` draws
@@ -533,12 +625,6 @@ impl PmaxtOptions {
         self
     }
 
-    /// Set the scoring kernel from the string form.
-    pub fn kernel_str(mut self, s: &str) -> Result<Self> {
-        self.kernel = KernelChoice::parse(s)?;
-        Ok(self)
-    }
-
     /// Set the per-rank worker-thread count (`0` = available parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -557,22 +643,10 @@ impl PmaxtOptions {
         self
     }
 
-    /// Set the fast-scorer accumulation precision from the string form.
-    pub fn precision_str(mut self, s: &str) -> Result<Self> {
-        self.precision = Precision::parse(s)?;
-        Ok(self)
-    }
-
     /// Set the permutation-budget mode.
     pub fn mode(mut self, m: Mode) -> Self {
         self.mode = m;
         self
-    }
-
-    /// Set the permutation-budget mode from the string form.
-    pub fn mode_str(mut self, s: &str) -> Result<Self> {
-        self.mode = Mode::parse(s)?;
-        Ok(self)
     }
 
     /// Set the resampling workload.
@@ -581,10 +655,46 @@ impl PmaxtOptions {
         self
     }
 
-    /// Set the resampling workload from the string form.
-    pub fn workload_str(mut self, s: &str) -> Result<Self> {
-        self.workload = Workload::parse(s)?;
-        Ok(self)
+    /// The field behind `row`: the one place a row name meets a field.
+    /// Panics for a row that is not one of [`OPTIONS`].
+    fn field(&mut self, row: &OptionRow) -> &mut dyn Text {
+        match row.name {
+            "test" => &mut self.test,
+            "side" => &mut self.side,
+            "fixed.seed.sampling" => &mut self.sampling,
+            "B" => &mut self.b,
+            "na" => &mut self.na,
+            "nonpara" => &mut self.nonpara,
+            "seed" => &mut self.seed,
+            "max.complete" => &mut self.max_complete,
+            "kernel" => &mut self.kernel,
+            "threads" => &mut self.threads,
+            "batch" => &mut self.batch,
+            "precision" => &mut self.precision,
+            "mode" => &mut self.mode,
+            "workload" => &mut self.workload,
+            other => panic!("no options field for row {other:?}"),
+        }
+    }
+
+    /// `row`'s value in its text form; `None` when unset (no NA code).
+    /// `row` is one of [`OPTIONS`].
+    pub fn text(&self, row: &OptionRow) -> Option<String> {
+        // Read through a copy, so that one match serves both directions.
+        self.clone().field(row).text()
+    }
+
+    /// Set `row`'s field (`row` is one of [`OPTIONS`]) from its text form;
+    /// a value that does not parse is a [`Error::BadOption`] naming the row
+    /// and leaves the field alone.
+    pub fn set_text(&mut self, row: &OptionRow, text: &str) -> Result<()> {
+        if self.field(row).set(text) {
+            return Ok(());
+        }
+        Err(Error::BadOption {
+            param: row.name,
+            value: text.to_string(),
+        })
     }
 }
 
@@ -651,7 +761,8 @@ mod tests {
             assert_eq!(KernelChoice::parse(k.as_str()).unwrap(), k);
         }
         assert!(KernelChoice::parse("simd").is_err());
-        let o = PmaxtOptions::new().kernel_str("scalar").unwrap();
+        let mut o = PmaxtOptions::new();
+        o.set_text(OptionRow::named("kernel"), "scalar").unwrap();
         assert_eq!(o.kernel, KernelChoice::Scalar);
         assert_eq!(o.kernel(KernelChoice::Fast).kernel, KernelChoice::Fast);
     }
@@ -674,7 +785,8 @@ mod tests {
         }
         assert!(Precision::parse("f16").is_err());
         assert!(Precision::parse("F32").is_err());
-        let o = PmaxtOptions::new().precision_str("f32").unwrap();
+        let mut o = PmaxtOptions::new();
+        o.set_text(OptionRow::named("precision"), "f32").unwrap();
         assert_eq!(o.precision, Precision::F32);
         assert_eq!(o.precision(Precision::F64).precision, Precision::F64);
     }
@@ -687,7 +799,8 @@ mod tests {
         }
         assert!(Mode::parse("approx").is_err());
         assert!(Mode::parse("Adaptive").is_err());
-        let o = PmaxtOptions::new().mode_str("adaptive").unwrap();
+        let mut o = PmaxtOptions::new();
+        o.set_text(OptionRow::named("mode"), "adaptive").unwrap();
         assert_eq!(o.mode, Mode::Adaptive);
         assert_eq!(o.mode(Mode::Exact).mode, Mode::Exact);
     }
@@ -716,8 +829,92 @@ mod tests {
         }
         assert!(Workload::parse("jackknife").is_err());
         assert!(Workload::parse("Bootstrap").is_err());
-        let o = PmaxtOptions::new().workload_str("bootstrap").unwrap();
+        let mut o = PmaxtOptions::new();
+        o.set_text(OptionRow::named("workload"), "bootstrap")
+            .unwrap();
         assert_eq!(o.workload, Workload::Bootstrap);
         assert_eq!(o.workload(Workload::Pmaxt).workload, Workload::Pmaxt);
+    }
+
+    #[test]
+    fn every_row_reads_and_writes_its_own_field() {
+        let base = PmaxtOptions::default();
+        for row in &OPTIONS {
+            // The default's text sets the default back.
+            let mut o = base.clone();
+            match base.text(row) {
+                Some(text) => o.set_text(row, &text).unwrap(),
+                None => assert_eq!(row.form, Form::NaCode, "{}", row.name),
+            }
+            assert_eq!(o, base, "{}", row.name);
+            // A value outside the form is refused, naming the row, and
+            // leaves the options alone.
+            let err = o.set_text(row, "1x").unwrap_err();
+            assert!(
+                matches!(err, Error::BadOption { param, .. } if param == row.name),
+                "{}: {err}",
+                row.name
+            );
+            assert_eq!(o, base, "{}", row.name);
+        }
+    }
+
+    #[test]
+    fn rows_name_every_surface_at_most_once() {
+        fn distinct<'a>(what: &str, items: impl Iterator<Item = &'a str>) {
+            let mut seen = std::collections::HashSet::new();
+            for item in items {
+                assert!(seen.insert(item), "{what} {item:?} appears twice");
+            }
+        }
+        distinct("name", OPTIONS.iter().map(|r| r.name));
+        distinct("JSON key", OPTIONS.iter().filter_map(|r| r.json));
+        distinct("flag", OPTIONS.iter().flat_map(|r| r.flags.iter().copied()));
+        distinct("variable", OPTIONS.iter().filter_map(|r| r.env));
+        assert_eq!(OptionRow::named("B").json, Some("b"));
+    }
+
+    #[test]
+    fn yes_no_takes_only_y_or_n() {
+        let row = OptionRow::named("nonpara");
+        let mut o = PmaxtOptions::default();
+        o.set_text(row, "y").unwrap();
+        assert!(o.nonpara);
+        assert_eq!(o.text(row).as_deref(), Some("y"));
+        for bad in ["yes", "Y", "true", "1", ""] {
+            assert!(o.set_text(row, bad).is_err(), "{bad:?}");
+            assert!(o.nonpara, "{bad:?} changed the flag");
+        }
+        o.set_text(row, "n").unwrap();
+        assert!(!o.nonpara);
+    }
+
+    #[test]
+    fn na_code_text_keeps_every_bit() {
+        let row = OptionRow::named("na");
+        for na in [-99.5, -0.0, 1e300, 5e-324, f64::INFINITY] {
+            let o = PmaxtOptions::default().na_code(na);
+            let mut back = PmaxtOptions::default();
+            back.set_text(row, &o.text(row).unwrap()).unwrap();
+            assert_eq!(back.na.map(f64::to_bits), Some(na.to_bits()));
+        }
+        assert_eq!(PmaxtOptions::default().text(row), None);
+    }
+
+    #[test]
+    fn accepted_forms_read_as_lists() {
+        assert_eq!(
+            OptionRow::named("kernel").form.accepted(),
+            r#""auto", "scalar" or "fast""#
+        );
+        assert_eq!(
+            OptionRow::named("mode").form.accepted(),
+            r#""exact" or "adaptive""#
+        );
+        assert_eq!(OptionRow::named("nonpara").form.accepted(), r#""y" or "n""#);
+        assert_eq!(
+            OptionRow::named("threads").form.accepted(),
+            "a non-negative integer"
+        );
     }
 }

@@ -1,42 +1,22 @@
 //! Rejection-region side (`side = "abs" | "upper" | "lower"`).
 
-use crate::error::{Error, Result};
+use crate::options::spelled_enum;
 
-/// Which tail of the permutation distribution counts as extreme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Side {
-    /// Absolute difference — two-sided test (R default `"abs"`).
-    #[default]
-    Abs,
-    /// Upper tail — reject for large statistics (`"upper"`).
-    Upper,
-    /// Lower tail — reject for small statistics (`"lower"`).
-    Lower,
+spelled_enum! {
+    /// Which tail of the permutation distribution counts as extreme.
+    #[derive(Default)]
+    pub enum Side("side") {
+        /// Absolute difference — two-sided test (R default).
+        #[default]
+        Abs = "abs",
+        /// Upper tail — reject for large statistics.
+        Upper = "upper",
+        /// Lower tail — reject for small statistics.
+        Lower = "lower",
+    }
 }
 
 impl Side {
-    /// Parse the R string form.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "abs" => Ok(Side::Abs),
-            "upper" => Ok(Side::Upper),
-            "lower" => Ok(Side::Lower),
-            other => Err(Error::BadOption {
-                param: "side",
-                value: other.to_string(),
-            }),
-        }
-    }
-
-    /// The R string form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Side::Abs => "abs",
-            Side::Upper => "upper",
-            Side::Lower => "lower",
-        }
-    }
-
     /// Map a raw statistic to an *extremeness score*: larger score = more
     /// extreme in the chosen rejection direction. `NaN` statistics (not
     /// computable, e.g. all values missing) map to `-inf`, i.e. never extreme,

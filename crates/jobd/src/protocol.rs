@@ -13,10 +13,7 @@
 use sprint_core::adaptive::{AdaptiveReport, TailFit};
 use sprint_core::boot::BootstrapResult;
 use sprint_core::maxt::MaxTResult;
-use sprint_core::options::{
-    KernelChoice, Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload,
-};
-use sprint_core::side::Side;
+use sprint_core::options::{Form, PmaxtOptions, OPTIONS, YES_NO};
 
 use crate::json::Json;
 use crate::manager::{JobError, JobEvent, JobStatus, SubmitInfo};
@@ -32,79 +29,56 @@ pub fn submit_request(path: &str, opts: &PmaxtOptions) -> Json {
     Json::Obj(pairs)
 }
 
-/// Options → wire fields, mirroring the `pmaxt run` flag set. Also reused
-/// by the journal's accept records ([`crate::journal`]), which must carry
-/// enough of the request to resubmit it after a crash.
+/// Options → wire fields: one per option-table row with a JSON key, in
+/// table order, an unset NA code left out. Also the journal's codec for
+/// accept records ([`crate::journal`]), which must carry enough of the
+/// request to resubmit it after a crash.
 pub(crate) fn opts_to_pairs(opts: &PmaxtOptions) -> Vec<(String, Json)> {
-    let mut pairs = vec![
-        ("test".to_string(), Json::str(opts.test.as_str())),
-        ("side".to_string(), Json::str(opts.side.as_str())),
-        ("sampling".to_string(), Json::str(opts.sampling.as_str())),
-        ("b".to_string(), Json::Num(opts.b as f64)),
-        ("nonpara".to_string(), Json::Bool(opts.nonpara)),
-        ("seed".to_string(), Json::u64_str(opts.seed)),
-        ("kernel".to_string(), Json::str(opts.kernel.as_str())),
-        ("precision".to_string(), Json::str(opts.precision.as_str())),
-        ("mode".to_string(), Json::str(opts.mode.as_str())),
-        ("threads".to_string(), Json::Num(opts.threads as f64)),
-        ("batch".to_string(), Json::Num(opts.batch as f64)),
-        ("workload".to_string(), Json::str(opts.workload.as_str())),
-    ];
-    if let Some(na) = opts.na {
-        pairs.push(("na".to_string(), Json::Num(na)));
-    }
-    pairs
+    let pairs = OPTIONS.iter().filter_map(|row| {
+        let (key, text) = (row.json?, opts.text(row)?);
+        let value = match row.form {
+            Form::Word(_) | Form::Seed => Json::Str(text),
+            Form::Count => {
+                Json::Num(text.parse::<u64>().expect("a count reads as a decimal u64") as f64)
+            }
+            Form::YesNo => Json::Bool(text == YES_NO[0]),
+            Form::NaCode => Json::Num(text.parse().expect("an NA code reads as a float")),
+        };
+        Some((key.to_string(), value))
+    });
+    pairs.collect()
 }
 
+/// The largest count a JSON number carries exactly (2^53).
+const JSON_EXACT: u64 = 1 << 53;
+
 /// Wire fields → options. Absent fields keep their defaults; malformed ones
-/// are usage errors.
+/// are usage errors. Whatever decodes encodes back to the same fields.
 pub fn opts_from_request(req: &Json) -> Result<PmaxtOptions, String> {
     let mut opts = PmaxtOptions::default();
-    if let Some(v) = req.get("test") {
-        let s = v.as_str().ok_or("test must be a string")?;
-        opts.test = TestMethod::parse(s).map_err(|e| e.to_string())?;
-    }
-    if let Some(v) = req.get("side") {
-        let s = v.as_str().ok_or("side must be a string")?;
-        opts.side = Side::parse(s).map_err(|e| e.to_string())?;
-    }
-    if let Some(v) = req.get("sampling") {
-        let s = v.as_str().ok_or("sampling must be a string")?;
-        opts.sampling = SamplingMode::parse(s).map_err(|e| e.to_string())?;
-    }
-    if let Some(v) = req.get("b") {
-        opts.b = v.as_u64().ok_or("b must be a non-negative integer")?;
-    }
-    if let Some(v) = req.get("nonpara") {
-        opts.nonpara = v.as_bool().ok_or("nonpara must be a boolean")?;
-    }
-    if let Some(v) = req.get("seed") {
-        opts.seed = v.as_u64().ok_or("seed must be an unsigned integer")?;
-    }
-    if let Some(v) = req.get("kernel") {
-        let s = v.as_str().ok_or("kernel must be a string")?;
-        opts.kernel = KernelChoice::parse(s).map_err(|e| e.to_string())?;
-    }
-    if let Some(v) = req.get("precision") {
-        let s = v.as_str().ok_or("precision must be a string")?;
-        opts.precision = Precision::parse(s).map_err(|e| e.to_string())?;
-    }
-    if let Some(v) = req.get("mode") {
-        let s = v.as_str().ok_or("mode must be a string")?;
-        opts.mode = Mode::parse(s).map_err(|e| e.to_string())?;
-    }
-    if let Some(v) = req.get("threads") {
-        opts.threads = v.as_u64().ok_or("threads must be a non-negative integer")? as usize;
-    }
-    if let Some(v) = req.get("batch") {
-        opts.batch = v.as_u64().ok_or("batch must be a non-negative integer")? as usize;
-    }
-    if let Some(v) = req.get("na") {
-        opts.na = Some(v.as_f64().ok_or("na must be a number")?);
-    }
-    if let Some(v) = req.get("workload") {
-        let s = v.as_str().ok_or("workload must be a string")?;
-        opts.workload = Workload::parse(s).map_err(|e| e.to_string())?;
+    for row in &OPTIONS {
+        let Some(key) = row.json else { continue };
+        let Some(v) = req.get(key) else { continue };
+        let (text, want) = match row.form {
+            Form::Word(_) => (v.as_str().map(str::to_string), "a string"),
+            Form::Count => (
+                v.as_u64()
+                    .filter(|&n| n <= JSON_EXACT)
+                    .map(|n| n.to_string()),
+                "an integer in 0..=2^53",
+            ),
+            Form::Seed => (v.as_u64().map(|n| n.to_string()), "an unsigned integer"),
+            Form::YesNo => (
+                v.as_bool().map(|y| YES_NO[usize::from(!y)].to_string()),
+                "a boolean",
+            ),
+            Form::NaCode => (
+                v.as_f64().filter(|x| x.is_finite()).map(|x| x.to_string()),
+                "a finite number",
+            ),
+        };
+        let text = text.ok_or_else(|| format!("{key} must be {want}"))?;
+        opts.set_text(row, &text).map_err(|e| e.to_string())?;
     }
     Ok(opts)
 }
@@ -592,6 +566,7 @@ pub fn result_from_json(resp: &Json) -> Result<MaxTResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sprint_core::options::{KernelChoice, Mode, Precision, Workload};
 
     #[test]
     fn options_round_trip_through_a_submit_request() {

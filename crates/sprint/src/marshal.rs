@@ -14,10 +14,8 @@
 //!
 //! The `marshal_ablation` bench quantifies the difference.
 
-use sprint_core::options::{
-    KernelChoice, Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload,
-};
-use sprint_core::side::Side;
+use sprint_core::error::{Error, Result};
+use sprint_core::options::{Form, PmaxtOptions, OPTIONS, YES_NO};
 
 use crate::args::{Args, Value};
 
@@ -39,31 +37,21 @@ const TAG_BYTES: u8 = 3;
 const TAG_FLOATS: u8 = 4;
 const TAG_CODE: u8 = 5; // IntCoded replacement of a known string
 
-/// The option strings that IntCoded replaces, in code order. The domain is
-/// closed (it is the R interface's documented vocabulary), so a one-byte
-/// index is a faithful replacement.
-const CODED_STRINGS: &[&str] = &[
-    "t",
-    "t.equalvar",
-    "wilcoxon",
-    "f",
-    "pairt",
-    "blockf",
-    "abs",
-    "upper",
-    "lower",
-    "y",
-    "n",
-    // Kernel choices (appended — existing codes must stay stable on the wire).
-    "auto",
-    "scalar",
-    "fast",
-    // Modes and workloads.
-    "exact",
-    "adaptive",
-    "pmaxt",
-    "bootstrap",
-];
+/// The option strings that IntCoded replaces, in code order: every
+/// spelling of every word-form and yes/no option, in option-table order. The
+/// domain is closed (the R interface's documented vocabulary and its
+/// extensions), so a one-byte index is a faithful replacement; the codes
+/// never leave the process, so a new spelling may move later ones.
+fn coded_strings() -> impl Iterator<Item = &'static str> {
+    OPTIONS
+        .iter()
+        .flat_map(|row| match row.form {
+            Form::Word(words) => words,
+            Form::YesNo => &YES_NO[..],
+            Form::Count | Form::Seed | Form::NaCode => &[],
+        })
+        .copied()
+}
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -93,7 +81,7 @@ pub fn encode(args: &Args, codec: Codec) -> Vec<u8> {
             }
             Value::Str(s) => {
                 let code = if codec == Codec::IntCoded {
-                    CODED_STRINGS.iter().position(|&c| c == s)
+                    coded_strings().position(|c| c == s)
                 } else {
                     None
                 };
@@ -154,7 +142,12 @@ pub fn decode(buf: &[u8]) -> Args {
             TAG_CODE => {
                 let c = buf[pos] as usize;
                 pos += 1;
-                Value::Str(CODED_STRINGS[c].to_string())
+                Value::Str(
+                    coded_strings()
+                        .nth(c)
+                        .expect("IntCoded writes only vocabulary codes")
+                        .to_string(),
+                )
             }
             TAG_BYTES => {
                 let len = read_u64(buf, &mut pos) as usize;
@@ -177,78 +170,48 @@ pub fn decode(buf: &[u8]) -> Args {
     args
 }
 
-/// Express [`PmaxtOptions`] as R-style string arguments.
+/// Express [`PmaxtOptions`] as R-style arguments, one per option-table row
+/// (an unset NA code left out).
 pub fn options_to_args(opts: &PmaxtOptions) -> Args {
-    let mut args = Args::new()
-        .with("test", Value::Str(opts.test.as_str().to_string()))
-        .with("side", Value::Str(opts.side.as_str().to_string()))
-        .with(
-            "fixed.seed.sampling",
-            Value::Str(opts.sampling.as_str().to_string()),
-        )
-        .with("B", Value::Int(opts.b as i64))
-        .with(
-            "nonpara",
-            Value::Str(if opts.nonpara { "y" } else { "n" }.to_string()),
-        )
-        .with("seed", Value::Int(opts.seed as i64))
-        .with("max.complete", Value::Int(opts.max_complete as i64))
-        .with("kernel", Value::Str(opts.kernel.as_str().to_string()))
-        .with("precision", Value::Str(opts.precision.as_str().to_string()))
-        .with("mode", Value::Str(opts.mode.as_str().to_string()))
-        .with("workload", Value::Str(opts.workload.as_str().to_string()))
-        .with("threads", Value::Int(opts.threads as i64))
-        .with("batch", Value::Int(opts.batch as i64));
-    if let Some(na) = opts.na {
-        args.set("na", Value::Float(na));
+    let mut args = Args::new();
+    for row in &OPTIONS {
+        let Some(text) = opts.text(row) else { continue };
+        let value = match row.form {
+            Form::Word(_) | Form::YesNo => Value::Str(text),
+            // Integers travel as their 64-bit pattern, so a seed above
+            // `i64::MAX` survives.
+            Form::Count | Form::Seed => Value::Int(
+                text.parse::<u64>()
+                    .expect("a count or seed reads as a decimal u64") as i64,
+            ),
+            Form::NaCode => Value::Float(text.parse().expect("an NA code reads as a float")),
+        };
+        args.set(row.name, value);
     }
     args
 }
 
-/// Rebuild [`PmaxtOptions`] from R-style string arguments.
-pub fn args_to_options(args: &Args) -> sprint_core::error::Result<PmaxtOptions> {
+/// Rebuild [`PmaxtOptions`] from R-style arguments. A value of the wrong
+/// type or outside its option's form is a [`Error::BadOption`] naming the
+/// option, never a quiet default.
+pub fn args_to_options(args: &Args) -> Result<PmaxtOptions> {
     let mut opts = PmaxtOptions::default();
-    if let Some(v) = args.get("test") {
-        opts.test = TestMethod::parse(v.as_str().unwrap_or_default())?;
-    }
-    if let Some(v) = args.get("side") {
-        opts.side = Side::parse(v.as_str().unwrap_or_default())?;
-    }
-    if let Some(v) = args.get("fixed.seed.sampling") {
-        opts.sampling = SamplingMode::parse(v.as_str().unwrap_or_default())?;
-    }
-    if let Some(v) = args.get("B") {
-        opts.b = v.as_int().unwrap_or(10_000) as u64;
-    }
-    if let Some(v) = args.get("nonpara") {
-        opts.nonpara = v.as_str() == Some("y");
-    }
-    if let Some(v) = args.get("seed") {
-        opts.seed = v.as_int().unwrap_or(0) as u64;
-    }
-    if let Some(v) = args.get("max.complete") {
-        opts.max_complete = v.as_int().unwrap_or(0) as u64;
-    }
-    if let Some(v) = args.get("kernel") {
-        opts.kernel = KernelChoice::parse(v.as_str().unwrap_or_default())?;
-    }
-    if let Some(v) = args.get("precision") {
-        opts.precision = Precision::parse(v.as_str().unwrap_or_default())?;
-    }
-    if let Some(v) = args.get("mode") {
-        opts.mode = Mode::parse(v.as_str().unwrap_or_default())?;
-    }
-    if let Some(v) = args.get("workload") {
-        opts.workload = Workload::parse(v.as_str().unwrap_or_default())?;
-    }
-    if let Some(v) = args.get("threads") {
-        opts.threads = v.as_int().unwrap_or(0) as usize;
-    }
-    if let Some(v) = args.get("batch") {
-        opts.batch = v.as_int().unwrap_or(0) as usize;
-    }
-    if let Some(v) = args.get("na") {
-        opts.na = v.as_float();
+    for row in &OPTIONS {
+        let Some(value) = args.get(row.name) else {
+            continue;
+        };
+        let text = match (row.form, value) {
+            (Form::Word(_) | Form::YesNo, Value::Str(s)) => s.clone(),
+            (Form::Count | Form::Seed, Value::Int(n)) => (*n as u64).to_string(),
+            (Form::NaCode, Value::Float(x)) => x.to_string(),
+            _ => {
+                return Err(Error::BadOption {
+                    param: row.name,
+                    value: format!("{value:?}"),
+                })
+            }
+        };
+        opts.set_text(row, &text)?;
     }
     Ok(opts)
 }
@@ -256,6 +219,8 @@ pub fn args_to_options(args: &Args) -> sprint_core::error::Result<PmaxtOptions> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sprint_core::options::{KernelChoice, Mode, Precision, SamplingMode, TestMethod, Workload};
+    use sprint_core::side::Side;
 
     fn rich_args() -> Args {
         Args::new()
@@ -357,12 +322,46 @@ mod tests {
 
     #[test]
     fn every_known_option_string_is_coded() {
-        for s in CODED_STRINGS {
+        // The enums' own spelling lists, not the vocabulary: a spelling the
+        // vocabulary misses travels verbatim and fails the length check.
+        let spellings = [
+            TestMethod::SPELLINGS,
+            Side::SPELLINGS,
+            SamplingMode::SPELLINGS,
+            KernelChoice::SPELLINGS,
+            Precision::SPELLINGS,
+            Mode::SPELLINGS,
+            Workload::SPELLINGS,
+            &YES_NO,
+        ];
+        for s in spellings.concat() {
             let args = Args::new().with("x", Value::Str(s.to_string()));
             let enc = encode(&args, Codec::IntCoded);
             // name "x" (1) + its length (8) + count (8) + tag + code byte
             assert_eq!(enc.len(), 8 + 8 + 1 + 1 + 1, "string {s:?} not coded");
-            assert_eq!(decode(&enc).get("x").unwrap().as_str(), Some(*s));
+            assert_eq!(decode(&enc).get("x").unwrap().as_str(), Some(s));
+        }
+    }
+
+    #[test]
+    fn wrongly_typed_values_are_refused_not_defaulted() {
+        let cases = [
+            ("B", Value::Str("500".into())),
+            ("seed", Value::Float(7.0)),
+            ("max.complete", Value::Str("all".into())),
+            ("threads", Value::Float(2.0)),
+            ("batch", Value::Bytes(vec![8])),
+            ("nonpara", Value::Str("yes".into())),
+            ("nonpara", Value::Int(1)),
+            ("na", Value::Str("-99".into())),
+            ("test", Value::Int(0)),
+        ];
+        for (name, value) in cases {
+            let args = Args::new().with(name, value.clone());
+            match args_to_options(&args) {
+                Err(Error::BadOption { param, .. }) => assert_eq!(param, name, "{value:?}"),
+                other => panic!("{name} = {value:?} gave {other:?}"),
+            }
         }
     }
 }

@@ -40,12 +40,9 @@ use sprint_core::boot::{boot_run, BootstrapResult};
 use sprint_core::error::Error as CoreError;
 use sprint_core::maxt::minp::pminp;
 use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
-use sprint_core::options::{
-    KernelChoice, Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload,
-};
+use sprint_core::options::{Mode, PmaxtOptions, Workload, OPTIONS};
 use sprint_core::perm::stored::StoredMatrix;
 use sprint_core::pmaxt::pmaxt;
-use sprint_core::side::Side;
 use sprint_jobd::client::{expect_ok, request_retried, Client, RetryPolicy};
 use sprint_jobd::json::Json;
 use sprint_jobd::{protocol, Durability, Faults, JobManager, ManagerConfig, Server, ServerConfig};
@@ -161,63 +158,23 @@ struct ClientConfig {
 }
 
 fn usage_text() -> &'static str {
-    "usage:\n  pmaxt run <data.tsv> [--test t|t.equalvar|wilcoxon|f|pairt|blockf|corr|tmax]\n            [--side abs|upper|lower] [--fixed-seed y|n] [-B N (0=complete)]\n            [--nonpara y|n] [--na CODE] [--seed N] [--ranks N] [--minp]\n            [--workload pmaxt|bootstrap (bootstrap = resample with replacement,\n             report percentile + BCa confidence intervals)]\n            [--perm-file FILE (replay stored label arrangements, one per line)]\n            [--kernel auto|scalar|fast (scalar = reference-scorer debug override)]\n            [--precision f64|f32 (f32 = faster, not bitwise reproducible)]\n            [--mode exact|adaptive (adaptive = early-stop null genes with\n             anytime-valid p-value bounds; SPRINT_MODE overrides)]\n            [--threads N (0=auto)] [--batch N (0=auto)]\n            [--out result.tsv] [--top N]\n  pmaxt generate <out.tsv> [--genes N] [--n0 N] [--n1 N] [--diff F]\n            [--effect F] [--na-rate F] [--seed N]\n  pmaxt serve <addr> [--workers N] [--span N] [--queue N] [--job-threads N]\n            [--cache DIR | --no-cache] [--peer ADDR]... \n            [--idle-timeout SECS] [--write-timeout SECS]\n            [--durability full|batch|off (write-ahead job journal: full =\n             fsync per accept, batch = group commit, off = no journal;\n             default batch, degrades to off under --no-cache)]\n  pmaxt submit <addr> <data.tsv> [run options] [--wait] [--out f] [--top N]\n  pmaxt status <addr> <job>\n  pmaxt result <addr> <job> [--no-wait] [--out f] [--top N]\n  pmaxt cancel <addr> <job>\n  pmaxt watch  <addr> <job>\n  pmaxt shutdown <addr> [--drain]\n\n  client commands also take [--retries N] [--retry-base-ms N] [--timeout SECS]\n  (idempotent retry on torn connections; resubmits dedup onto the live job).\n  <addr> is unix:/path/to.sock or host:port; exit codes: 0 ok, 1 runtime,\n  2 usage, 3 ranks > permutations.\n  SPRINT_FAULTS=class:prob,... arms deterministic fault injection in serve."
+    "usage:\n  pmaxt run <data.tsv> [--test t|t.equalvar|wilcoxon|f|pairt|blockf|corr|tmax]\n            [--side abs|upper|lower] [--fixed-seed y|n] [-B N (0=complete)]\n            [--nonpara y|n] [--na CODE] [--seed N] [--ranks N] [--minp]\n            [--workload pmaxt|bootstrap (bootstrap = resample with replacement,\n             report percentile + BCa confidence intervals)]\n            [--perm-file FILE (replay stored label arrangements, one per line)]\n            [--kernel auto|scalar|fast (scalar = reference-scorer debug override)]\n            [--precision f64|f32 (f32 = faster, not bitwise reproducible)]\n            [--mode exact|adaptive (adaptive = early-stop null genes with\n             anytime-valid p-value bounds)]\n            [--threads N (0=auto)] [--batch N (0=auto)]\n            [--out result.tsv] [--top N]\n  pmaxt generate <out.tsv> [--genes N] [--n0 N] [--n1 N] [--diff F]\n            [--effect F] [--na-rate F] [--seed N]\n  pmaxt serve <addr> [--workers N] [--span N] [--queue N] [--job-threads N]\n            [--cache DIR | --no-cache] [--peer ADDR]... \n            [--idle-timeout SECS] [--write-timeout SECS]\n            [--durability full|batch|off (write-ahead job journal: full =\n             fsync per accept, batch = group commit, off = no journal;\n             default batch, degrades to off under --no-cache)]\n  pmaxt submit <addr> <data.tsv> [run options] [--wait] [--out f] [--top N]\n  pmaxt status <addr> <job>\n  pmaxt result <addr> <job> [--no-wait] [--out f] [--top N]\n  pmaxt cancel <addr> <job>\n  pmaxt watch  <addr> <job>\n  pmaxt shutdown <addr> [--drain]\n\n  client commands also take [--retries N] [--retry-base-ms N] [--timeout SECS]\n  (idempotent retry on torn connections; resubmits dedup onto the live job).\n  <addr> is unix:/path/to.sock or host:port; exit codes: 0 ok, 1 runtime,\n  2 usage, 3 ranks > permutations.\n  --kernel, --precision, --mode, --threads and --batch yield to SPRINT_<NAME>\n  (the flag's name in capitals) where the environment sets it.\n  SPRINT_FAULTS=class:prob,... arms deterministic fault injection in serve."
 }
 
-/// Consume one shared `PmaxtOptions` flag from the argument stream. Returns
-/// `Ok(false)` when `a` is not an options flag (caller handles it).
+/// Consume one option flag (a flag of an option-table row) and its value
+/// from the argument stream. Returns `Ok(false)` when `a` is no option flag
+/// (the caller handles it).
 fn parse_opts_flag(
     opts: &mut PmaxtOptions,
     a: &str,
     it: &mut std::slice::Iter<'_, String>,
 ) -> Result<bool, String> {
-    let mut take = |name: &str| -> Result<&String, String> {
-        it.next().ok_or_else(|| format!("{name} needs a value"))
+    let Some(row) = OPTIONS.iter().find(|row| row.flags.contains(&a)) else {
+        return Ok(false);
     };
-    match a {
-        "--test" => opts.test = TestMethod::parse(take("--test")?).map_err(|e| e.to_string())?,
-        "--side" => opts.side = Side::parse(take("--side")?).map_err(|e| e.to_string())?,
-        "--fixed-seed" => {
-            opts.sampling = SamplingMode::parse(take("--fixed-seed")?).map_err(|e| e.to_string())?
-        }
-        "-B" | "--permutations" => {
-            opts.b = take("-B")?.parse().map_err(|e| format!("bad -B: {e}"))?
-        }
-        "--nonpara" => opts.nonpara = take("--nonpara")? == "y",
-        "--na" => {
-            opts.na = Some(
-                take("--na")?
-                    .parse()
-                    .map_err(|e| format!("bad --na: {e}"))?,
-            )
-        }
-        "--seed" => {
-            opts.seed = take("--seed")?
-                .parse()
-                .map_err(|e| format!("bad --seed: {e}"))?
-        }
-        "--kernel" => {
-            opts.kernel = KernelChoice::parse(take("--kernel")?).map_err(|e| e.to_string())?
-        }
-        "--precision" => {
-            opts.precision = Precision::parse(take("--precision")?).map_err(|e| e.to_string())?
-        }
-        "--mode" => opts.mode = Mode::parse(take("--mode")?).map_err(|e| e.to_string())?,
-        "--threads" => {
-            opts.threads = take("--threads")?
-                .parse()
-                .map_err(|e| format!("bad --threads: {e}"))?
-        }
-        "--batch" => {
-            opts.batch = take("--batch")?
-                .parse()
-                .map_err(|e| format!("bad --batch: {e}"))?
-        }
-        "--workload" => {
-            opts.workload = Workload::parse(take("--workload")?).map_err(|e| e.to_string())?
-        }
-        _ => return Ok(false),
-    }
+    let value = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+    opts.set_text(row, value)
+        .map_err(|e| format!("{a}: {e} (want {})", row.form.accepted()))?;
     Ok(true)
 }
 
@@ -1200,6 +1157,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sprint_core::options::{Form, KernelChoice, Precision, SamplingMode, TestMethod, YES_NO};
+    use sprint_core::side::Side;
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -1273,6 +1232,23 @@ mod tests {
         assert!(parse_run(&strs(&["d.tsv", "--bogus"])).is_err());
         assert!(parse_run(&strs(&["d.tsv", "--test", "zzz"])).is_err());
         assert!(parse_run(&strs(&[])).is_err());
+        assert!(parse_run(&strs(&["d.tsv", "--nonpara", "yes"])).is_err());
+    }
+
+    #[test]
+    fn usage_text_shows_every_option_flag_and_spelling() {
+        let usage = usage_text();
+        for row in &OPTIONS {
+            let Some(flag) = row.flags.first() else {
+                continue;
+            };
+            let shown = match row.form {
+                Form::Word(words) => format!("[{flag} {}", words.join("|")),
+                Form::YesNo => format!("[{flag} {}", YES_NO.join("|")),
+                Form::Count | Form::Seed | Form::NaCode => format!("[{flag} "),
+            };
+            assert!(usage.contains(&shown), "usage text lacks {shown:?}");
+        }
     }
 
     #[test]
