@@ -38,13 +38,12 @@ pub use confseq::{cs_lower_bound, cs_upper_bound, envelope};
 pub use runner::AdaptiveRunner;
 pub use tail::TailFit;
 
-use crate::admit::{admit, Entry};
+use crate::admit::{admit, Entry, Run};
 use crate::error::Result;
 use crate::matrix::Matrix;
 use crate::maxt::engine::ChunkHooks;
-use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult};
+use crate::maxt::{CountAccumulator, MaxTResult};
 use crate::options::PmaxtOptions;
-use crate::stats::prepare_matrix;
 
 /// Tuning knobs of the adaptive runner. The defaults are conservative: stop
 /// a gene only when it is certifiably non-significant at any practical
@@ -172,26 +171,20 @@ pub fn adaptive_maxt(
     opts: &PmaxtOptions,
     config: &AdaptiveConfig,
 ) -> Result<AdaptiveOutcome> {
-    let run = admit(data, classlabel, opts, Entry::Adaptive)?;
-    let prepared = prepare_matrix(&run.data, opts.test, opts.nonpara);
-    let ctx = MaxTContext::with_scorer(
-        &prepared,
-        &run.labels,
-        opts.test,
-        opts.side,
-        opts.kernel,
-        opts.precision,
-    );
-    let runner = AdaptiveRunner::new(
-        &ctx,
-        &prepared,
-        &run.labels,
-        opts,
-        run.b,
-        run.engine,
-        config.clone(),
-    );
-    runner.run(ChunkHooks::default())
+    let adm = admit(data, classlabel, opts, Entry::Adaptive)?;
+    adaptive_maxt_on(&adm.run, &adm.data, config)
+}
+
+/// [`adaptive_maxt`] for a run admitted at its entry, over its NA-canonical
+/// matrix.
+pub fn adaptive_maxt_on(
+    run: &Run,
+    data: &Matrix,
+    config: &AdaptiveConfig,
+) -> Result<AdaptiveOutcome> {
+    let prepared = run.prepare(data);
+    let ctx = run.context(&prepared);
+    AdaptiveRunner::new(run, &ctx, &prepared, config.clone()).run(ChunkHooks::default())
 }
 
 #[cfg(test)]
@@ -199,6 +192,7 @@ mod tests {
     use super::*;
     use crate::maxt::engine::{self, EngineConfig};
     use crate::maxt::serial::{mt_maxt, prepare_run};
+    use crate::maxt::MaxTContext;
     use crate::options::TestMethod;
 
     fn null_data(genes: usize, cols: usize, shift: f64) -> (Matrix, Vec<u8>) {
@@ -319,23 +313,18 @@ mod tests {
     fn resume_from_prefix_reuses_paid_work() {
         let (data, labels) = mixed_data();
         let opts = PmaxtOptions::default().permutations(1000);
-        let (lab, b, prepared) = prepare_run(&data, &labels, &opts).unwrap();
-        let ctx = MaxTContext::with_scorer(
-            &prepared,
-            &lab,
-            opts.test,
-            opts.side,
-            opts.kernel,
-            opts.precision,
-        );
-        let prefix =
-            engine::accumulate_chunk(&ctx, &lab, &opts, b, 0, 300, EngineConfig::serial()).unwrap();
+        let serial = Entry::MaxT {
+            engine: Some(EngineConfig::serial()),
+        };
+        let adm = admit(&data, &labels, &opts, serial).unwrap();
+        let prepared = adm.run.prepare(&adm.data);
+        let ctx = adm.run.context(&prepared);
+        let prefix = adm.run.chunk(&ctx, 0, 300, ChunkHooks::default()).unwrap();
         let cfg = AdaptiveConfig {
             tail_top: 0,
             ..AdaptiveConfig::default()
         };
-        let mut runner =
-            AdaptiveRunner::new(&ctx, &prepared, &lab, &opts, b, EngineConfig::serial(), cfg);
+        let mut runner = AdaptiveRunner::new(&adm.run, &ctx, &prepared, cfg);
         runner.resume_from(&prefix.counts);
         let out = runner.run(ChunkHooks::default()).unwrap();
         // The prefix was free; only the remainder counts against the budget.

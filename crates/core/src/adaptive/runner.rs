@@ -24,14 +24,11 @@
 //! at any practical level (raw p > threshold implies adjusted p > threshold;
 //! step-down adjustment only increases p-values).
 
-use std::sync::atomic::AtomicBool;
-
+use crate::admit::Run;
 use crate::error::Result;
-use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
-use crate::maxt::engine::{self, ChunkHooks, EngineConfig};
+use crate::maxt::engine::ChunkHooks;
 use crate::maxt::{CountAccumulator, MaxTContext};
-use crate::options::PmaxtOptions;
 
 use super::confseq::{cs_lower_bound, envelope};
 use super::tail::tail_pass;
@@ -53,18 +50,15 @@ pub(crate) fn sub_matrix(prepared: &Matrix, genes: &[usize]) -> Matrix {
 /// Drives one adaptive run over borrowed, already-prepared inputs.
 ///
 /// Construction mirrors the exact drivers: callers admit the run
-/// ([`crate::admit`]), rank-transform its matrix, build the full
-/// [`MaxTContext`], then hand both here with the admitted geometry. [`AdaptiveRunner::resume_from`]
+/// ([`crate::admit`]), prepare its matrix and build the full [`MaxTContext`]
+/// through the [`Run`], then hand all three here. [`AdaptiveRunner::resume_from`]
 /// seeds the runner with a cached exact prefix (the jobd cache's
 /// `Partial` state) so an adaptive job re-uses whatever exact work any
 /// earlier job — adaptive or exact — already paid for.
 pub struct AdaptiveRunner<'a> {
+    run: &'a Run,
     ctx: &'a MaxTContext<'a>,
     prepared: &'a Matrix,
-    labels: &'a ClassLabels,
-    opts: &'a PmaxtOptions,
-    b: u64,
-    cfg: EngineConfig,
     config: AdaptiveConfig,
     cursor: u64,
     /// Per-gene: still being scored? Non-computable genes start inactive.
@@ -87,15 +81,12 @@ pub struct AdaptiveRunner<'a> {
 }
 
 impl<'a> AdaptiveRunner<'a> {
-    /// Borrow the run inputs. `b` is the resolved permutation count and
-    /// `ctx` must have been built over `prepared` and `labels`.
+    /// Borrow the run inputs: `ctx` must be the run's context over
+    /// `prepared`, the run's prepared matrix.
     pub fn new(
+        run: &'a Run,
         ctx: &'a MaxTContext<'a>,
         prepared: &'a Matrix,
-        labels: &'a ClassLabels,
-        opts: &'a PmaxtOptions,
-        b: u64,
-        cfg: EngineConfig,
         config: AdaptiveConfig,
     ) -> Self {
         let genes = ctx.genes();
@@ -106,12 +97,9 @@ impl<'a> AdaptiveRunner<'a> {
             .collect();
         let candidates = active.iter().filter(|&&a| a).count();
         AdaptiveRunner {
+            run,
             ctx,
             prepared,
-            labels,
-            opts,
-            b,
-            cfg,
             config,
             cursor: 0,
             active,
@@ -133,7 +121,7 @@ impl<'a> AdaptiveRunner<'a> {
     /// gene-permutation budget.
     pub fn resume_from(&mut self, counts: &CountAccumulator) {
         assert_eq!(counts.genes(), self.ctx.genes(), "prefix gene count");
-        assert!(counts.n_perm <= self.b, "prefix longer than the run");
+        assert!(counts.n_perm <= self.run.b, "prefix longer than the run");
         assert_eq!(self.cursor, 0, "resume before running");
         self.cursor = counts.n_perm;
         self.full_acc = counts.clone();
@@ -148,7 +136,7 @@ impl<'a> AdaptiveRunner<'a> {
         if self.config.check_every > 0 {
             self.config.check_every
         } else {
-            (self.b / 64).max(128)
+            (self.run.b / 64).max(128)
         }
     }
 
@@ -174,14 +162,14 @@ impl<'a> AdaptiveRunner<'a> {
         if !self.mass_deactivation
             && self.candidates > 0
             && 10 * self.stopped > 9 * self.candidates
-            && 10 * self.cursor < self.b
+            && 10 * self.cursor < self.run.b
         {
             self.mass_deactivation = true;
             eprintln!(
                 "note: adaptive mode deactivated {}/{} genes within the first {} of {} \
                  permutations; per-gene diagnostics are in the adaptive report \
                  (stopped_at, p_lower/p_upper bounds, tail_fitted)",
-                self.stopped, self.candidates, self.cursor, self.b
+                self.stopped, self.candidates, self.cursor, self.run.b
             );
         }
     }
@@ -198,7 +186,7 @@ impl<'a> AdaptiveRunner<'a> {
             }
         }
         loop {
-            if self.cursor >= self.b {
+            if self.cursor >= self.run.b {
                 break;
             }
             let live: Vec<usize> = (0..self.ctx.genes()).filter(|&g| self.active[g]).collect();
@@ -206,20 +194,11 @@ impl<'a> AdaptiveRunner<'a> {
                 // Every gene resolved; the rest of the stream stays unscored.
                 break;
             }
-            let take = self.chunk_len().min(self.b - self.cursor);
+            let take = self.chunk_len().min(self.run.b - self.cursor);
             if self.watermark.is_none() {
                 // Exact-prefix phase: full-gene counts, including the
                 // step-down adjusted counts — a valid exact checkpoint.
-                let run = engine::accumulate_chunk_hooked(
-                    self.ctx,
-                    self.labels,
-                    self.opts,
-                    self.b,
-                    self.cursor,
-                    take,
-                    self.cfg,
-                    hooks,
-                )?;
+                let run = self.run.chunk(self.ctx, self.cursor, take, hooks)?;
                 self.full_acc.merge(&run.counts);
                 self.gene_perms += self.ctx.genes() as u64 * take;
                 for g in 0..self.ctx.genes() {
@@ -239,24 +218,8 @@ impl<'a> AdaptiveRunner<'a> {
                 // in an exact run. The sub-context's adjusted counts are
                 // step-down maxima over a subset and are discarded.
                 let sub = sub_matrix(self.prepared, &live);
-                let sub_ctx = MaxTContext::with_scorer(
-                    &sub,
-                    self.labels,
-                    self.opts.test,
-                    self.opts.side,
-                    self.opts.kernel,
-                    self.opts.precision,
-                );
-                let run = engine::accumulate_chunk_hooked(
-                    &sub_ctx,
-                    self.labels,
-                    self.opts,
-                    self.b,
-                    self.cursor,
-                    take,
-                    self.cfg,
-                    hooks,
-                )?;
+                let sub_ctx = self.run.context(&sub);
+                let run = self.run.chunk(&sub_ctx, self.cursor, take, hooks)?;
                 self.gene_perms += live.len() as u64 * take;
                 for (j, &g) in live.iter().enumerate() {
                     self.counts[g] += run.counts.count_raw[j];
@@ -278,14 +241,7 @@ impl<'a> AdaptiveRunner<'a> {
             .take()
             .unwrap_or_else(|| self.full_acc.clone());
         let result = self.ctx.finalize(&watermark);
-        let (tail_fits, tail_perms) = tail_pass(
-            self.prepared,
-            self.labels,
-            self.opts,
-            self.b,
-            self.ctx,
-            &self.config,
-        )?;
+        let (tail_fits, tail_perms) = tail_pass(self.run, self.prepared, self.ctx, &self.config)?;
         self.gene_perms += tail_perms;
         let mut tail: Vec<Option<super::TailFit>> = vec![None; genes];
         for (g, fit) in tail_fits {
@@ -296,14 +252,14 @@ impl<'a> AdaptiveRunner<'a> {
         let mut p_point = vec![f64::NAN; genes];
         for g in 0..genes {
             if self.ctx.observed_scores()[g] > f64::NEG_INFINITY && self.scored[g] > 0 {
-                let (lo, hi) = envelope(self.counts[g], self.scored[g], self.b);
+                let (lo, hi) = envelope(self.counts[g], self.scored[g], self.run.b);
                 p_lower[g] = lo;
                 p_upper[g] = hi;
                 p_point[g] = self.counts[g] as f64 / self.scored[g] as f64;
             }
         }
         let report = AdaptiveReport {
-            b: self.b,
+            b: self.run.b,
             scored: self.scored,
             counts: self.counts,
             stopped_at: self.stopped_at,
@@ -312,7 +268,7 @@ impl<'a> AdaptiveRunner<'a> {
             p_point,
             tail,
             gene_perms_scored: self.gene_perms,
-            gene_perms_exact: genes as u64 * self.b,
+            gene_perms_exact: genes as u64 * self.run.b,
             watermark: watermark.n_perm,
             mass_deactivation: self.mass_deactivation,
         };
@@ -322,13 +278,4 @@ impl<'a> AdaptiveRunner<'a> {
             watermark,
         })
     }
-}
-
-/// Convenience alias so jobd can build hooks without importing the engine
-/// module directly.
-pub fn cancel_hooks<'a>(
-    cancel: Option<&'a AtomicBool>,
-    progress: Option<&'a (dyn Fn(u64) + Sync)>,
-) -> ChunkHooks<'a> {
-    ChunkHooks { cancel, progress }
 }

@@ -12,13 +12,11 @@
 //! a consumer can see *when the approximation is trustworthy*, not just its
 //! point estimate.
 
+use crate::admit::Run;
 use crate::error::Result;
-use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::maxt::MaxTContext;
-use crate::options::PmaxtOptions;
 use crate::perm::build_generator;
-use crate::stats::scorer::build_scorer;
 
 use super::runner::sub_matrix;
 use super::AdaptiveConfig;
@@ -163,15 +161,13 @@ pub fn fit_tail(scores: &[f64], observed: f64) -> Option<TailFit> {
 /// resolution floor bites. Only their rows are scored (a tiny sub-matrix),
 /// so the pass costs `tail_top × tail_m` gene-permutations, noise next to
 /// the main run.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn tail_pass(
+    run: &Run,
     prepared: &Matrix,
-    labels: &ClassLabels,
-    opts: &PmaxtOptions,
-    b: u64,
     ctx: &MaxTContext<'_>,
     config: &AdaptiveConfig,
 ) -> Result<(Vec<(usize, TailFit)>, u64)> {
+    let (labels, opts, b) = (&run.labels, &run.opts, run.b);
     let take = config.tail_m.min(b);
     let candidates: Vec<usize> = ctx
         .order()
@@ -184,7 +180,7 @@ pub(crate) fn tail_pass(
         return Ok((Vec::new(), 0));
     }
     let sub = sub_matrix(prepared, &candidates);
-    let scorer = build_scorer(&sub, labels, opts.test, opts.kernel, opts.precision);
+    let scorer = run.scorer(&sub);
     let mut scratch = scorer.make_scratch();
     let mut gen = build_generator(labels, opts, b)?;
     let mut labels_buf = vec![0u8; prepared.cols()];

@@ -1,25 +1,33 @@
 //! Admission: the one place a run is checked before it runs.
 //!
 //! The paper's Step 1 has the master validate and pre-process `pmaxT`'s
-//! parameters once, before anything is broadcast. Every entry point does
-//! that through [`admit`], in four steps: it builds the class labels and
-//! checks them against the columns, canonicalizes NA (borrowing the matrix
-//! when no code is given), resolves B, and decides the entry × workload ×
-//! mode × precision cell in one `match`, each refusal naming the contract it
-//! protects. It then resolves the engine geometry once and holds one
-//! working-set formula against one budget, [`BUDGET_BYTES`]. Every driver
-//! runs on the geometry admission returns, so the budget counts the workers
-//! the run uses. DESIGN.md §4.2.1 tabulates the cells.
+//! parameters once, before anything is broadcast. Every run is admitted
+//! exactly once, by [`admit`] at the entry it comes in by, in four steps: it
+//! builds the class labels and checks them against the columns,
+//! canonicalizes NA (in place when the entry hands its matrix over,
+//! borrowing it when no code is given), resolves B, and decides the entry ×
+//! workload × mode × precision cell in one `match`, each refusal naming the
+//! contract it protects. It then resolves the engine geometry once and holds
+//! one working-set formula against one budget, [`BUDGET_BYTES`]. The
+//! admission is a matrix-free [`Run`] plus the NA-canonical matrix; every
+//! driver below the entry runs on those two, so the budget counts the
+//! workers the run uses. DESIGN.md §4.2.1 tabulates the cells.
 
 use std::borrow::Cow;
+use std::ops::Deref;
 
 use crate::error::{Error, Result};
 use crate::labels::{ClassLabels, Design};
 use crate::matrix::Matrix;
-use crate::maxt::engine::{available_threads, EngineConfig};
+use crate::maxt::engine::{
+    accumulate_chunk_hooked, available_threads, ChunkHooks, ChunkRun, EngineConfig,
+};
+use crate::maxt::MaxTContext;
 use crate::options::{Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload};
 use crate::perm::arrangement::resolve_draw_count;
 use crate::perm::bootstrap::MAX_BOOTSTRAP_COLS;
+use crate::stats::prepare_matrix;
+use crate::stats::scorer::{build_scorer, Scorer};
 use crate::stats::soa::SOA_TILE;
 
 /// The memory a run may hold: 512 MiB.
@@ -28,8 +36,8 @@ pub const BUDGET_BYTES: usize = 512 << 20;
 /// Where a run enters, with what the caller fixes beyond the options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Entry {
-    /// `mt_maxt`, `maxt_threaded`, `prepare_run` (`engine: None`, resolved
-    /// from the options and environment) and `maxt_with_config` (pinned).
+    /// `mt_maxt`, `prepare_run` (`engine: None`, resolved from the options
+    /// and environment) and `maxt_with_config` (pinned).
     MaxT { engine: Option<EngineConfig> },
     /// `pmaxt()` and the framework's `call_pmaxt`: the engine on every rank.
     Spmd { ranks: usize },
@@ -55,28 +63,94 @@ pub enum Entry {
     Span { job_threads: usize },
 }
 
-/// An admitted run: what its drivers run on.
-#[derive(Debug)]
-pub struct Admitted<'a> {
+/// An admitted run without its matrix: everything its drivers read but the
+/// data. It is plain owned data, so the `pmaxt` master broadcasts it as its
+/// parameters and the job service keeps it for a job's life.
+#[derive(Debug, Clone)]
+pub struct Run {
     pub labels: ClassLabels,
     /// B, or the complete count for `B = 0`.
     pub b: u64,
-    /// The NA-canonical matrix, borrowed unless an NA code rewrote it.
-    pub data: Cow<'a, Matrix>,
     /// The mode the run is dispatched on, with `SPRINT_MODE` folded in where
     /// the entry reads it; `Exact` for bootstrap.
     pub mode: Mode,
     /// The engine geometry every driver of the run uses.
     pub engine: EngineConfig,
+    /// The options the run was admitted with.
+    pub opts: PmaxtOptions,
 }
 
-/// Admit a run entering at `entry`, or refuse it with a typed error.
+impl Run {
+    /// `data` (the run's NA-canonical matrix, or rows of it) as the run's
+    /// scorer reads it: rank-transformed for `wilcoxon` and `nonpara`,
+    /// borrowed otherwise.
+    pub fn prepare<'m>(&self, data: &'m Matrix) -> Cow<'m, Matrix> {
+        prepare_matrix(data, self.opts.test, self.opts.nonpara)
+    }
+
+    /// The run's statistic scorer over a prepared matrix.
+    pub fn scorer<'m>(&self, prepared: &'m Matrix) -> Box<dyn Scorer + 'm> {
+        let o = &self.opts;
+        build_scorer(prepared, &self.labels, o.test, o.kernel, o.precision)
+    }
+
+    /// The run's maxT context over a prepared matrix.
+    pub fn context<'m>(&self, prepared: &'m Matrix) -> MaxTContext<'m> {
+        let o = &self.opts;
+        MaxTContext::with_scorer(
+            prepared,
+            &self.labels,
+            o.test,
+            o.side,
+            o.kernel,
+            o.precision,
+        )
+    }
+
+    /// Permutations `[start, start + take)` of the run through the engine,
+    /// on the admitted geometry.
+    pub fn chunk(
+        &self,
+        ctx: &MaxTContext<'_>,
+        start: u64,
+        take: u64,
+        hooks: ChunkHooks<'_>,
+    ) -> Result<ChunkRun> {
+        let (labels, opts, b) = (&self.labels, &self.opts, self.b);
+        accumulate_chunk_hooked(ctx, labels, opts, b, start, take, self.engine, hooks)
+    }
+}
+
+/// An admission: the run, and its NA-canonical matrix. It reads as its
+/// [`Run`].
+#[derive(Debug)]
+pub struct Admitted<'a> {
+    pub run: Run,
+    /// The NA-canonical matrix: the entry's own when it handed its matrix
+    /// over (NA rewritten in place), else borrowed unless an NA code
+    /// rewrote a copy.
+    pub data: Cow<'a, Matrix>,
+}
+
+impl Deref for Admitted<'_> {
+    type Target = Run;
+
+    fn deref(&self) -> &Run {
+        &self.run
+    }
+}
+
+/// Admit a run entering at `entry`, or refuse it with a typed error. An
+/// entry that owns its matrix passes it by value, and an NA code is then
+/// rewritten in that matrix; a borrowed matrix is copied only to rewrite
+/// one.
 pub fn admit<'a>(
-    data: &'a Matrix,
+    data: impl Into<Cow<'a, Matrix>>,
     classlabel: &[u8],
     opts: &PmaxtOptions,
     entry: Entry,
 ) -> Result<Admitted<'a>> {
+    let data = data.into();
     let labels = ClassLabels::new(classlabel.to_vec(), opts.test)?;
     if labels.len() != data.cols() {
         return Err(Error::BadLabels(format!(
@@ -86,24 +160,31 @@ pub fn admit<'a>(
         )));
     }
     let data = match opts.na {
-        Some(code) => Cow::Owned(Matrix::from_vec_with_na(
-            data.rows(),
-            data.cols(),
-            data.as_slice().to_vec(),
-            code,
-        )?),
-        None => Cow::Borrowed(data),
+        None => data,
+        // A code no cell can equal (NaN), or one JSON cannot carry.
+        Some(code) if !code.is_finite() => {
+            return Err(Error::BadOption {
+                param: "na",
+                value: format!("{code} (an NA code must be a finite number)"),
+            })
+        }
+        Some(code) => {
+            let (rows, cols) = (data.rows(), data.cols());
+            let cells = data.into_owned().into_vec();
+            Cow::Owned(Matrix::from_vec_with_na(rows, cols, cells, code)?)
+        }
     };
     let b = resolve_draw_count(&labels, opts)?;
     let mode = decide(entry, opts, &labels, b)?;
     let engine = fit(entry, opts, &labels, data.rows(), b)?;
-    Ok(Admitted {
+    let run = Run {
         labels,
         b,
-        data,
         mode,
         engine,
-    })
+        opts: opts.clone(),
+    };
+    Ok(Admitted { run, data })
 }
 
 /// Step 4: the cell. Returns the mode the run is dispatched on.
@@ -209,9 +290,12 @@ fn decide(entry: Entry, opts: &PmaxtOptions, labels: &ClassLabels, b: u64) -> Re
 /// - stored arrangements (`--fixed-seed n`, Monte-Carlo, non-block): n
 ///   bytes in every stream, one per engine worker on every rank, one per
 ///   rank for minP and `sample_teststats`;
-/// - bootstrap: workers × `SOA_TILE` × 8 replicate bytes plus the n-byte
-///   draw, the workers capped at the gene tiles;
-/// - minP's score matrix: genes × 8 bytes.
+/// - bootstrap: per worker, `SOA_TILE` replicates, one sorted value and
+///   one value of the (stable) sort's scratch, 8 bytes each, plus the
+///   n-byte draw, the workers capped at the gene tiles;
+/// - minP: the genes × 8-byte score matrix, as many p-value bytes, and one
+///   8-byte sorted score;
+/// - `sample_teststats`: the 8-byte statistic it returns.
 ///
 /// A B whose draws exceed the budget is refused, naming the largest B
 /// accepted. Every engine worker also holds batch × (n + 8·genes + 8) bytes
@@ -238,15 +322,19 @@ fn fit(
         _ => EngineConfig::resolve(opts),
     };
     let (n, g, threads) = (labels.len() as u128, genes as u128, engine.threads as u128);
-    // Ranks, engine workers per rank, minP score bytes per draw.
-    let (ranks, workers, scores) = match entry {
+    // Ranks, engine workers per rank, and what the driver itself holds per
+    // draw.
+    let minp = (2 * g * 8 + 8, format!("2 x {genes} genes x 8 + 8 minP"));
+    let (ranks, workers, (own, what)) = match entry {
         Entry::MinP { ranks }
         | Entry::Cli {
             ranks, minp: true, ..
-        } => (ranks as u128, 0, g * 8),
-        Entry::Spmd { ranks } | Entry::Cli { ranks, .. } => (ranks as u128, threads, 0),
-        Entry::Sample => (1, 0, 0),
-        _ => (1, threads, 0),
+        } => (ranks as u128, 0, minp),
+        Entry::Spmd { ranks } | Entry::Cli { ranks, .. } => {
+            (ranks as u128, threads, (0, String::new()))
+        }
+        Entry::Sample => (1, 0, (8, "8 statistic".into())),
+        _ => (1, threads, (0, String::new())),
     };
     let boot = opts.workload == Workload::Bootstrap;
     let boot_workers = threads.min(genes.div_ceil(SOA_TILE).max(1) as u128);
@@ -256,17 +344,17 @@ fn fit(
         && !matches!(labels.design(), Design::Block { .. });
     let streams = if stored { ranks * workers.max(1) } else { 0 };
     let (draws, per_draw) = match boot {
-        true => (b - 1, boot_workers * SOA_TILE as u128 * 8 + n),
-        false => (b, streams * n + scores),
+        true => (b - 1, boot_workers * (SOA_TILE as u128 + 2) * 8 + n),
+        false => (b, streams * n + own),
     };
     let budget = BUDGET_BYTES as u128;
     let need = per_draw * u128::from(draws);
     if need > budget {
-        let held = match (boot, stored, scores > 0) {
-            (true, ..) => format!("{boot_workers} worker(s) x {SOA_TILE} genes x 8 + {n} bytes"),
-            (_, true, false) => format!("{streams} stored stream(s) x {n} label bytes"),
-            (_, false, _) => format!("{genes} genes x 8 minP score bytes"),
-            _ => format!("{streams} stream(s) x {n} label + {genes} x 8 minP score bytes"),
+        let held = match (boot, stored, own > 0) {
+            (true, ..) => format!("{boot_workers} worker(s) x ({SOA_TILE} + 2 sort) x 8 + {n}"),
+            (_, true, false) => format!("{streams} stored stream(s) x {n} label"),
+            (_, false, _) => what,
+            _ => format!("{streams} stream(s) x {n} label + {what}"),
         };
         let hint = if stored {
             "; --fixed-seed y samples on the fly"
@@ -276,8 +364,8 @@ fn fit(
         return Err(Error::BadOption {
             param: "b",
             value: format!(
-                "{b} (each draw holds {held} = {per_draw} bytes, {need} bytes in all, over the \
-                 {} MiB budget; the largest B accepted is {}{hint})",
+                "{b} (each draw holds {held} bytes = {per_draw} bytes, {need} bytes in all, over \
+                 the {} MiB budget; the largest B accepted is {}{hint})",
                 budget >> 20,
                 budget / per_draw + u128::from(boot)
             ),
@@ -348,9 +436,10 @@ mod tests {
         let e = admit(&m, &labels, &spmd, Entry::Spmd { ranks: 3 }).unwrap_err();
         let threads = EngineConfig::resolve(&spmd).threads as u128;
         assert_eq!(largest(e), budget / (3 * threads * 8));
-        // minP builds one stream per rank, next to its score matrix.
+        // minP builds one stream per rank, next to its score and p-value
+        // matrices and one sorted score.
         let e = admit(&m, &labels, &opts, Entry::MinP { ranks: 3 }).unwrap_err();
-        assert_eq!(largest(e), budget / (3 * 8 + 3 * 8));
+        assert_eq!(largest(e), budget / (3 * 8 + 2 * 3 * 8 + 8));
         // Complete enumeration and on-the-fly sampling store nothing.
         assert!(admit(&m, &labels, &opts.clone().permutations(0), pinned).is_ok());
         let on_the_fly = opts.clone().fixed_seed_sampling("y").unwrap();
@@ -430,7 +519,7 @@ mod tests {
         let labels = [0u8, 0, 0, 0, 1, 1, 1, 1];
         let opts = PmaxtOptions::default().permutations(u64::MAX);
         let e = admit(&m, &labels, &opts, Entry::MinP { ranks: 1 }).unwrap_err();
-        assert_eq!(largest(e), BUDGET_BYTES as u128 / 24);
+        assert_eq!(largest(e), BUDGET_BYTES as u128 / (2 * 3 * 8 + 8));
         // The maxT engine holds no score matrix.
         let pinned = Entry::MaxT {
             engine: Some(EngineConfig::explicit(1, 8)),
@@ -444,9 +533,37 @@ mod tests {
         let opts = PmaxtOptions::default().permutations(5);
         let run = admit(&m, &[0, 0, 1, 1], &opts, Entry::Sample).unwrap();
         assert!(matches!(run.data, Cow::Borrowed(_)));
-        let run = admit(&m, &[0, 0, 1, 1], &opts.na_code(-9.0), Entry::Sample).unwrap();
+        let coded = opts.na_code(-9.0);
+        let run = admit(&m, &[0, 0, 1, 1], &coded, Entry::Sample).unwrap();
         assert!(matches!(run.data, Cow::Owned(_)));
         assert!(run.data.as_slice()[1].is_nan());
+        // A matrix handed over is rewritten in place: the same cells come back.
+        let cells = m.as_slice().as_ptr();
+        let run = admit(m, &[0, 0, 1, 1], &coded, Entry::Sample).unwrap();
+        assert_eq!(run.data.as_slice().as_ptr(), cells);
+        assert!(run.data.as_slice()[1].is_nan());
+    }
+
+    #[test]
+    fn non_finite_na_codes_are_refused() {
+        let m = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let opts = PmaxtOptions::default().permutations(5);
+        for code in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for entry in [
+                Entry::Sample,
+                Entry::Cli {
+                    ranks: 1,
+                    minp: false,
+                    replay: false,
+                },
+            ] {
+                assert!(matches!(
+                    admit(&m, &[0, 0, 1, 1], &opts.clone().na_code(code), entry),
+                    Err(Error::BadOption { param: "na", .. })
+                ));
+            }
+        }
+        assert!(admit(&m, &[0, 0, 1, 1], &opts.na_code(-1e300), Entry::Sample).is_ok());
     }
 
     #[test]

@@ -37,11 +37,11 @@ pub mod normal;
 
 use std::ops::Range;
 
-use crate::admit::{admit, Entry};
+use crate::admit::{admit, Entry, Run};
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
-use crate::maxt::engine::{run_jobs, split_chunk, EngineConfig};
+use crate::maxt::engine::{run_jobs, split_chunk};
 use crate::options::{PmaxtOptions, SamplingMode};
 use crate::perm::arrangement::build_stream;
 use crate::perm::bootstrap::BootstrapSequential;
@@ -191,28 +191,22 @@ pub fn boot_run_slice(
     opts: &PmaxtOptions,
     genes: Range<usize>,
 ) -> Result<BootstrapResult> {
-    let run = admit(data, classlabel, opts, Entry::Bootstrap)?;
-    boot_run_on(&run.data, &run.labels, opts, run.b, run.engine, genes)
+    let adm = admit(data, classlabel, opts, Entry::Bootstrap)?;
+    boot_run_on(&adm.run, &adm.data, genes)
 }
 
-/// [`boot_run_slice`] for an admitted run: its NA-canonical matrix, labels
-/// and draw count, on its engine geometry.
+/// [`boot_run_slice`] for an admitted run over its NA-canonical matrix, on
+/// the admitted engine geometry.
 ///
 /// The `B − 1` draws are made once and shared. Workers take contiguous runs
 /// of [`SOA_TILE`]-gene tiles ([`split_chunk`] over tiles), score every draw
 /// on their tile's column lanes, finalize the tile's genes from their
 /// replicates, and hand back a partial result; the partials join in worker
 /// order through [`BootstrapResult::extend`].
-pub fn boot_run_on(
-    data: &Matrix,
-    labels: &ClassLabels,
-    opts: &PmaxtOptions,
-    b: u64,
-    engine: EngineConfig,
-    genes: Range<usize>,
-) -> Result<BootstrapResult> {
+pub fn boot_run_on(run: &Run, data: &Matrix, genes: Range<usize>) -> Result<BootstrapResult> {
     assert!(genes.end <= data.rows(), "gene slice out of range");
-    let draws = class_sorted_draws(labels, opts, b)?;
+    let (labels, b, engine) = (&run.labels, run.b, run.engine);
+    let draws = class_sorted_draws(labels, &run.opts, b)?;
     let label = labels.as_slice();
     let tiles = genes.len().div_ceil(SOA_TILE) as u64;
     let jobs = split_chunk(0, tiles, engine.threads);
@@ -504,6 +498,7 @@ fn jackknife_acceleration(row: &[f64], labels: &[u8]) -> f64 {
 mod tests {
     use super::*;
     use crate::admit::BUDGET_BYTES;
+    use crate::maxt::engine::EngineConfig;
     use crate::options::{Mode, Precision, TestMethod, Workload};
     use proptest::prelude::*;
     use std::borrow::Cow;
@@ -514,7 +509,8 @@ mod tests {
         classlabel: &[u8],
         opts: &PmaxtOptions,
     ) -> Result<(ClassLabels, u64, Cow<'a, Matrix>)> {
-        admit(data, classlabel, opts, Entry::Bootstrap).map(|run| (run.labels, run.b, run.data))
+        let adm = admit(data, classlabel, opts, Entry::Bootstrap)?;
+        Ok((adm.run.labels, adm.run.b, adm.data))
     }
 
     fn opts(b: u64) -> PmaxtOptions {
@@ -760,8 +756,9 @@ mod tests {
     fn working_set_beyond_budget_is_refused_with_the_largest_b() {
         let (data, labels) = dataset();
         // 3 genes fit one tile, so one worker whatever the thread count:
-        // each replicate costs SOA_TILE × 8 bytes plus one 8-byte draw.
-        let per_replicate = (SOA_TILE * 8 + 8) as u64;
+        // each replicate costs SOA_TILE replicates, one sorted value and one
+        // value of the sort's scratch, 8 bytes each, plus one 8-byte draw.
+        let per_replicate = ((SOA_TILE + 2) * 8 + 8) as u64;
         let largest = BUDGET_BYTES as u64 / per_replicate + 1;
         let e = boot_run(&data, &labels, &opts(largest + 1).threads(4)).unwrap_err();
         match e {
@@ -783,7 +780,7 @@ mod tests {
         let wide = Matrix::from_vec(300, 8, vec![1.0; 2400]).unwrap();
         let o = opts(2).threads(3);
         let workers = EngineConfig::resolve(&o).threads.min(3) as u64;
-        let per_replicate = workers * SOA_TILE as u64 * 8 + 8;
+        let per_replicate = workers * (SOA_TILE as u64 + 2) * 8 + 8;
         let largest_wide = BUDGET_BYTES as u64 / per_replicate + 1;
         assert!(workers == 1 || largest_wide < largest);
         assert!(admit_boot(&wide, &labels, &o.clone().permutations(largest_wide)).is_ok());
@@ -799,7 +796,7 @@ mod tests {
         // and matches the scalar oracle.
         let data = Matrix::from_vec(1, 4, vec![1.0, 2.5, 4.0, 7.5]).unwrap();
         let labels = [0u8, 0, 1, 1];
-        let per_replicate = (SOA_TILE * 8 + 4) as u64;
+        let per_replicate = ((SOA_TILE + 2) * 8 + 4) as u64;
         let largest = BUDGET_BYTES as u64 / per_replicate + 1;
         let o = opts(largest).threads(1);
         let r = boot_run(&data, &labels, &o).unwrap();

@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::labels::{ClassLabels, Design};
     pub use crate::matrix::Matrix;
     pub use crate::maxt::serial::mt_maxt;
-    pub use crate::maxt::{maxt_threaded, maxt_with_config, EngineConfig};
+    pub use crate::maxt::{maxt_with_config, EngineConfig};
     pub use crate::maxt::{MaxTResult, MaxTRow};
     pub use crate::options::{
         KernelChoice, Mode, PmaxtOptions, Precision, SamplingMode, TestMethod,

@@ -6,6 +6,8 @@
 //! paper's "create data" step — so every downstream statistic only has to test
 //! `is_nan()`.
 
+use std::borrow::Cow;
+
 use crate::error::{Error, Result};
 
 /// A dense, row-major genes × samples matrix. Missing values are `NaN`.
@@ -99,6 +101,20 @@ impl Matrix {
         for r in 0..self.rows {
             f(self.row_mut(r));
         }
+    }
+}
+
+/// A borrowed matrix, as [`crate::admit::admit`] takes one.
+impl<'a> From<&'a Matrix> for Cow<'a, Matrix> {
+    fn from(m: &'a Matrix) -> Self {
+        Cow::Borrowed(m)
+    }
+}
+
+/// A matrix handed over, as [`crate::admit::admit`] takes one.
+impl From<Matrix> for Cow<'_, Matrix> {
+    fn from(m: Matrix) -> Self {
+        Cow::Owned(m)
     }
 }
 

@@ -33,14 +33,13 @@
 
 use std::time::{Duration, Instant};
 
-use crate::admit::{admit, Entry};
+use crate::admit::{admit, Entry, Run};
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult, EPSILON};
 use crate::options::{env_override, PmaxtOptions};
 use crate::perm::{build_generator, ResamplingStream};
-use crate::stats::prepare_matrix;
 use crate::stats::scorer::ScorerScratch;
 use crate::stats::soa::Kernel;
 
@@ -361,42 +360,26 @@ pub fn accumulate_chunk_hooked(
 /// Full maxT run on the calling process with an explicit engine geometry —
 /// the thread-pool analogue of `pmaxt` (and the promoted form of the bench
 /// crate's former `maxt_rayon`). Environment overrides are not consulted;
-/// use [`maxt_threaded`] for the resolving entry point. Admission keeps the
-/// threads and clamps the batch to the memory budget.
+/// [`crate::maxt::serial::mt_maxt`] resolves the geometry from the options
+/// and environment. Admission keeps the threads and clamps the batch to the
+/// memory budget.
 pub fn maxt_with_config(
     data: &Matrix,
     classlabel: &[u8],
     opts: &PmaxtOptions,
     cfg: EngineConfig,
 ) -> Result<MaxTResult> {
-    maxt_on(data, classlabel, opts, Some(cfg))
+    let adm = admit(data, classlabel, opts, Entry::MaxT { engine: Some(cfg) })?;
+    maxt_on(&adm.run, &adm.data)
 }
 
-/// Full maxT run with the geometry resolved from the options and the
-/// `SPRINT_THREADS` / `SPRINT_BATCH` environment.
-pub fn maxt_threaded(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result<MaxTResult> {
-    maxt_on(data, classlabel, opts, None)
-}
-
-/// The in-process maxT run: admit, rank-transform, run every permutation
-/// through the engine on the admitted geometry, finalize.
-pub(crate) fn maxt_on(
-    data: &Matrix,
-    classlabel: &[u8],
-    opts: &PmaxtOptions,
-    engine: Option<EngineConfig>,
-) -> Result<MaxTResult> {
-    let run = admit(data, classlabel, opts, Entry::MaxT { engine })?;
-    let prepared = prepare_matrix(&run.data, opts.test, opts.nonpara);
-    let ctx = MaxTContext::with_scorer(
-        &prepared,
-        &run.labels,
-        opts.test,
-        opts.side,
-        opts.kernel,
-        opts.precision,
-    );
-    let counts = accumulate_chunk(&ctx, &run.labels, opts, run.b, 0, run.b, run.engine)?.counts;
+/// The in-process maxT body of an admitted run over its NA-canonical
+/// matrix: rank-transform, run every permutation through the engine on the
+/// admitted geometry, finalize.
+pub(crate) fn maxt_on(run: &Run, data: &Matrix) -> Result<MaxTResult> {
+    let prepared = run.prepare(data);
+    let ctx = run.context(&prepared);
+    let counts = run.chunk(&ctx, 0, run.b, ChunkHooks::default())?.counts;
     debug_assert_eq!(counts.n_perm, run.b);
     Ok(ctx.finalize(&counts))
 }

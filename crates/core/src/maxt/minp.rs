@@ -24,7 +24,7 @@
 //!    significant ordered gene upwards and count `q_i,b ≤ p_obs(i)`;
 //! 5. divide by B and enforce step-down monotonicity.
 
-use crate::admit::{admit, Entry};
+use crate::admit::{admit, Entry, Run};
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::maxt::engine::{split_evenly, DEFAULT_BATCH};
@@ -32,25 +32,24 @@ use crate::maxt::result::MaxTResult;
 use crate::maxt::EPSILON;
 use crate::options::PmaxtOptions;
 use crate::perm::build_generator;
-use crate::stats::prepare_matrix;
-use crate::stats::scorer::build_scorer;
 
 /// Run the step-down minP procedure. The result reuses [`MaxTResult`]
 /// (`teststat`, `rawp`, `adjp`, significance `order`); `rawp` is the
 /// permutation raw p-value of each gene, identical in definition to maxT's.
 pub fn mt_minp(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result<MaxTResult> {
-    let run = admit(data, classlabel, opts, Entry::MinP { ranks: 1 })?;
-    let (labels, b, data) = (run.labels, run.b, &*run.data);
+    let adm = admit(data, classlabel, opts, Entry::MinP { ranks: 1 })?;
+    let (run, data) = (&adm.run, &*adm.data);
+    let (labels, opts, b) = (&run.labels, &run.opts, run.b);
     let genes = data.rows();
-    let prepared = prepare_matrix(data, opts.test, opts.nonpara);
-    let scorer = build_scorer(&prepared, &labels, opts.test, opts.kernel, opts.precision);
+    let prepared = run.prepare(data);
+    let scorer = run.scorer(&prepared);
     let side = opts.side;
 
     // 1. Score matrix, gene-major: scores[g * b + j], filled batch by batch
     // through the run's scorer. Statistics are written at a column offset via
     // an `&mut scores[j..]` window with stride `b`, so `score_tile`'s
     // `g·stride + j_local` lands on the global `g·b + j + j_local` cell.
-    let mut gen = build_generator(&labels, opts, b)?;
+    let mut gen = build_generator(labels, opts, b)?;
     let bu = b as usize;
     let mut scores = vec![f64::NEG_INFINITY; genes * bu];
     let batch = DEFAULT_BATCH.min(bu).max(1);
@@ -114,7 +113,10 @@ pub(crate) fn minp_from_scores(
     for g in 0..genes {
         let row = &scores[g * bu..(g + 1) * bu];
         sorted.copy_from_slice(row);
-        sorted.sort_by(|a, c| a.partial_cmp(c).expect("scores are never NaN"));
+        // In place: a stable sort would borrow another B-long buffer, and
+        // the counts below read only comparisons, which equal values pass
+        // alike in any order.
+        sorted.sort_unstable_by(|a, c| a.partial_cmp(c).expect("scores are never NaN"));
         for (j, &z) in row.iter().enumerate() {
             // count of scores >= z - EPSILON == bu - lower_bound(z - EPSILON)
             let t = z - EPSILON;
@@ -190,22 +192,27 @@ pub fn pminp(
     opts: &PmaxtOptions,
     n_ranks: usize,
 ) -> Result<MaxTResult> {
+    let adm = admit(data, classlabel, opts, Entry::MinP { ranks: n_ranks })?;
+    pminp_on(adm.run, adm.data.into_owned(), n_ranks)
+}
+
+/// [`pminp`] for a run admitted at its entry, over its NA-canonical matrix,
+/// which every rank reads in place.
+pub fn pminp_on(run: Run, data: Matrix, n_ranks: usize) -> Result<MaxTResult> {
     use mpi_sim::{Universe, MASTER};
 
     if n_ranks == 0 {
         return Err(Error::Comm("at least one rank required".into()));
     }
-    let run = admit(data, classlabel, opts, Entry::MinP { ranks: n_ranks })?;
-    let input = std::sync::Arc::new((run.data.into_owned(), run.labels, opts.clone(), run.b));
     let outputs = Universe::run(n_ranks, move |comm| {
-        let (data, labels, opts, b) = &*input;
-        let prepared = prepare_matrix(data, opts.test, opts.nonpara);
-        let scorer = build_scorer(&prepared, labels, opts.test, opts.kernel, opts.precision);
+        let (labels, opts, b) = (&run.labels, &run.opts, run.b);
+        let prepared = run.prepare(&data);
+        let scorer = run.scorer(&prepared);
         let genes = data.rows();
         // Contiguous permutation chunk for this rank (no identity special
         // case here: minP needs every column of the score matrix anyway).
-        let (start, take) = split_evenly(*b, comm.size() as u64, comm.rank() as u64);
-        let mut gen = build_generator(labels, opts, *b).expect("validated generator");
+        let (start, take) = split_evenly(b, comm.size() as u64, comm.rank() as u64);
+        let mut gen = build_generator(labels, opts, b).expect("validated generator");
         gen.skip(start);
         // Permutation-major chunk: chunk[j_local * genes + g].
         let mut chunk = vec![0.0f64; take as usize * genes];
@@ -228,7 +235,7 @@ pub fn pminp(
             .gather(MASTER, (start, chunk, obs_stats))
             .expect("score gather");
         gathered.map(|parts| {
-            let bu = *b as usize;
+            let bu = b as usize;
             let mut scores = vec![f64::NEG_INFINITY; genes * bu];
             let mut obs = vec![f64::NAN; genes];
             for (part_start, part_chunk, part_obs) in parts {
@@ -243,7 +250,7 @@ pub fn pminp(
                     obs = part_obs;
                 }
             }
-            minp_from_scores(scores, obs, opts.side, *b)
+            minp_from_scores(scores, obs, opts.side, b)
         })
     })
     .map_err(|e| Error::Comm(e.to_string()))?;

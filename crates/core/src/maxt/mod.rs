@@ -17,7 +17,7 @@ pub mod sample;
 pub mod serial;
 
 pub use counts::CountAccumulator;
-pub use engine::{maxt_threaded, maxt_with_config, EngineConfig};
+pub use engine::{maxt_with_config, EngineConfig};
 pub use result::{MaxTResult, MaxTRow};
 
 use crate::labels::ClassLabels;

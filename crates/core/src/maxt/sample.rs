@@ -8,7 +8,7 @@ use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::options::PmaxtOptions;
 use crate::perm::build_generator;
-use crate::stats::{prepare_matrix, StatComputer};
+use crate::stats::StatComputer;
 
 /// The permutation distribution of one gene's statistic: `stats[b]` is the
 /// raw statistic under the `b`-th label arrangement (`b = 0` is the observed
@@ -25,12 +25,12 @@ pub fn sample_teststats(
             data.rows()
         )));
     }
-    let run = admit(data, classlabel, opts, Entry::Sample)?;
-    let (labels, b) = (run.labels, run.b);
-    let prepared = prepare_matrix(&run.data, opts.test, opts.nonpara);
-    let computer = StatComputer::new(opts.test, &labels);
+    let adm = admit(data, classlabel, opts, Entry::Sample)?;
+    let (labels, b) = (&adm.run.labels, adm.run.b);
+    let prepared = adm.run.prepare(&adm.data);
+    let computer = StatComputer::new(opts.test, labels);
     let row = prepared.row(gene);
-    let mut gen = build_generator(&labels, opts, b)?;
+    let mut gen = build_generator(labels, opts, b)?;
     let mut buf = vec![0u8; labels.len()];
     let mut out = Vec::with_capacity(b as usize);
     while gen.next_into(&mut buf) {

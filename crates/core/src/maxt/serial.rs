@@ -9,7 +9,6 @@ use crate::matrix::Matrix;
 use crate::maxt::engine::maxt_on;
 use crate::maxt::MaxTResult;
 use crate::options::PmaxtOptions;
-use crate::stats::prepare_matrix;
 
 /// Run the full serial permutation test.
 ///
@@ -32,7 +31,8 @@ pub fn mt_maxt(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result<
     // resolved from the options and environment. Any geometry produces
     // bit-identical results (see `crate::maxt::engine`), so this stays the
     // serial *reference* in the semantic sense while using the hardware.
-    maxt_on(data, classlabel, opts, None)
+    let adm = admit(data, classlabel, opts, Entry::MaxT { engine: None })?;
+    maxt_on(&adm.run, &adm.data)
 }
 
 /// Admission for the in-process maxT entry ([`crate::admit`]) plus the rank
@@ -44,9 +44,9 @@ pub fn prepare_run(
     classlabel: &[u8],
     opts: &PmaxtOptions,
 ) -> Result<(ClassLabels, u64, Matrix)> {
-    let run = admit(data, classlabel, opts, Entry::MaxT { engine: None })?;
-    let prepared = prepare_matrix(&run.data, opts.test, opts.nonpara).into_owned();
-    Ok((run.labels, run.b, prepared))
+    let adm = admit(data, classlabel, opts, Entry::MaxT { engine: None })?;
+    let prepared = adm.run.prepare(&adm.data).into_owned();
+    Ok((adm.run.labels, adm.run.b, prepared))
 }
 
 #[cfg(test)]

@@ -4,11 +4,13 @@
 //! parallelism distributes the *permutation count* (not the data) over the
 //! ranks of an SPMD universe. The run follows the paper's six steps:
 //!
-//! 1. the master pre-processes and validates the inputs ([`crate::admit`],
-//!    which also fixes the engine geometry every rank runs on);
+//! 1. the master pre-processes and validates the inputs once, before any
+//!    rank starts ([`crate::admit`], which also fixes the engine geometry
+//!    every rank runs on);
 //! 2. parameters are broadcast (lengths first in the C code; here a single
-//!    typed broadcast of one parameter struct), then the dataset (one typed
-//!    broadcast of the NA-canonicalized `Matrix`);
+//!    typed broadcast of the admitted [`Run`]), then the dataset (one typed
+//!    broadcast of the NA-canonicalized `Matrix`, which the master moves
+//!    in);
 //! 3. a global synchronization after allocation (a barrier here, where the
 //!    C code uses a trivial allreduce);
 //! 4. each rank computes its share of the permutations through the batched
@@ -22,18 +24,16 @@
 //! Each of the paper's five profiled sections is timed and reported in
 //! [`PmaxtRun::profile`] with the paper's section names.
 
-use std::sync::Arc;
+use std::sync::Mutex;
 
 use mpi_sim::{Communicator, SectionProfile, SectionTimer, Universe, MASTER};
 
-use crate::admit::{admit, Entry};
+use crate::admit::{admit, Admitted, Entry, Run};
 use crate::error::{Error, Result};
-use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
-use crate::maxt::engine::{self, EngineConfig};
-use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult};
+use crate::maxt::engine::ChunkHooks;
+use crate::maxt::{CountAccumulator, MaxTResult};
 use crate::options::PmaxtOptions;
-use crate::stats::prepare_matrix;
 
 /// Section names as they appear in the paper's Tables I–V.
 pub mod sections {
@@ -132,15 +132,26 @@ pub fn span_plan(b: u64, participants: usize) -> Result<Vec<(u64, u64)>> {
         .collect()
 }
 
-/// Everything the master broadcasts in the "broadcast parameters" section.
-#[derive(Debug, Clone)]
-struct Params {
-    rows: usize,
-    labels: ClassLabels,
-    opts: PmaxtOptions,
-    b: u64,
-    /// The admitted engine geometry, the same on every rank.
-    engine: EngineConfig,
+/// What the master rank starts the SPMD body with: the run it admitted,
+/// the run's NA-canonical matrix, and the section timer whose
+/// pre-processing section timed that admission (Step 1).
+#[derive(Debug)]
+pub struct MasterInput {
+    pub timer: SectionTimer,
+    pub run: Run,
+    pub data: Matrix,
+}
+
+impl MasterInput {
+    /// The master's input from an admission and the timer that timed it.
+    /// The matrix is moved out when the entry handed its own over.
+    pub fn new(timer: SectionTimer, admitted: Admitted<'_>) -> MasterInput {
+        MasterInput {
+            timer,
+            run: admitted.run,
+            data: admitted.data.into_owned(),
+        }
+    }
 }
 
 /// Run the parallel permutation test on `n_ranks` SPMD ranks.
@@ -167,16 +178,33 @@ pub fn pmaxt(
     opts: &PmaxtOptions,
     n_ranks: usize,
 ) -> Result<PmaxtRun> {
+    // Step 1 — pre-processing, before any rank starts, so a refusal is a
+    // typed error: admission validates the labels, canonicalizes NA and
+    // resolves the permutation count and the engine geometry.
+    let mut timer = SectionTimer::new();
+    let entry = Entry::Spmd { ranks: n_ranks };
+    let admitted = timer.time(sections::PRE_PROCESSING, || {
+        admit(data, classlabel, opts, entry)
+    })?;
+    pmaxt_on(MasterInput::new(timer, admitted), n_ranks)
+}
+
+/// [`pmaxt`] for a run admitted at its entry: `input` starts the master
+/// rank, and the workers receive the run and its matrix through the
+/// broadcasts.
+pub fn pmaxt_on(input: MasterInput, n_ranks: usize) -> Result<PmaxtRun> {
     if n_ranks == 0 {
         return Err(Error::Comm("at least one rank required".into()));
     }
-    // Admit up front so a refusal is a typed error before any rank starts;
-    // the master's pre-processing admits the same run again.
-    admit(data, classlabel, opts, Entry::Spmd { ranks: n_ranks })?;
-
-    let master_input = Arc::new((data.clone(), classlabel.to_vec(), opts.clone()));
-    let outputs = Universe::run(n_ranks, move |comm| pmaxt_rank(comm, Some(&master_input)))
-        .map_err(|e| Error::Comm(e.to_string()))?;
+    let slot = Mutex::new(Some(input));
+    let outputs = Universe::run(n_ranks, move |comm| {
+        let input = match comm.is_master() {
+            true => slot.lock().ok().and_then(|mut input| input.take()),
+            false => None,
+        };
+        pmaxt_rank(comm, input)
+    })
+    .map_err(|e| Error::Comm(e.to_string()))?;
     let (result, profile, rank_profiles) = outputs
         .into_iter()
         .next()
@@ -190,67 +218,43 @@ pub fn pmaxt(
     })
 }
 
-/// The SPMD body executed by every rank (paper §3.2, Steps 1–6).
+/// The SPMD body executed by every rank (paper §3.2, Steps 2–6).
 ///
-/// `master_input` is the `(data, classlabel, options)` triple and must be
-/// `Some` on the master rank; workers may pass `None` — they receive
-/// everything through the broadcasts. Exposed so alternative harnesses (the
-/// `sprint` framework layer) can dispatch the same body over their own
-/// communicator. The triple must pass [`admit`] at
-/// `Entry::Spmd { ranks: comm.size() }`: a caller admits it before the ranks
-/// start, so no rank waits on a body that cannot run.
+/// `master` must be `Some` on the master rank, holding the run admitted
+/// before the ranks started (Step 1), so no rank waits on a body that
+/// cannot run; workers pass `None` — they receive everything through the
+/// broadcasts. Exposed so alternative harnesses (the `sprint` framework
+/// layer) can dispatch the same body over their own communicator.
 ///
 /// The body uses five typed collectives of [`Communicator`]: it broadcasts
-/// the parameter struct and the NA-canonicalized [`Matrix`] as values (every
-/// rank receives the master's exact bits, with no byte codec in between),
-/// passes a barrier, sum-reduces the `u64` counts and gathers the section
-/// profiles. On `p` ranks that is `4(p − 1) + p⌈log₂ p⌉` messages.
+/// the admitted [`Run`] and the NA-canonical [`Matrix`] as values (every
+/// rank receives the master's exact bits, with no byte codec in between;
+/// the master moves its matrix into the broadcast), passes a barrier,
+/// sum-reduces the `u64` counts and gathers the section profiles. On `p`
+/// ranks that is `4(p − 1) + p⌈log₂ p⌉` messages.
 ///
 /// Returns `Some((result, master profile, all rank profiles))` on the
 /// master, `None` on workers.
 pub fn pmaxt_rank(
     comm: &Communicator,
-    master_input: Option<&Arc<(Matrix, Vec<u8>, PmaxtOptions)>>,
+    master: Option<MasterInput>,
 ) -> Option<(MaxTResult, SectionProfile, Vec<SectionProfile>)> {
-    let mut timer = SectionTimer::new();
+    let (mut timer, run, data) = match master {
+        Some(MasterInput { timer, run, data }) => (timer, Some(run), Some(data)),
+        None => (SectionTimer::new(), None, None),
+    };
 
-    // Step 1 — pre-processing (master only): admission validates the
-    // labels, canonicalizes NA, resolves the permutation count and the
-    // engine geometry.
-    let (master_params, canonical) = timer
-        .time(sections::PRE_PROCESSING, || {
-            if !comm.is_master() {
-                return None;
-            }
-            let (data, classlabel, opts) =
-                &**master_input.expect("master rank must receive the input triple");
-            let run = admit(data, classlabel, opts, Entry::Spmd { ranks: comm.size() })
-                .expect("admitted before the ranks started");
-            let params = Params {
-                rows: data.rows(),
-                labels: run.labels,
-                opts: opts.clone(),
-                b: run.b,
-                engine: run.engine,
-            };
-            Some((params, run.data))
-        })
-        .unzip();
-
-    // Step 2 — broadcast parameters.
-    let params = timer.time(sections::BROADCAST_PARAMETERS, || {
-        comm.bcast(MASTER, master_params).expect("param broadcast")
+    // Step 2 — broadcast parameters: the admitted run.
+    let run = timer.time(sections::BROADCAST_PARAMETERS, || {
+        comm.bcast(MASTER, run).expect("param broadcast")
     });
 
-    // Step 2/3 — create data: broadcast the NA-canonical matrix and build the
-    // local prepared copy.
-    let prepared = timer.time(sections::CREATE_DATA, || {
-        let local = comm
-            .bcast(MASTER, canonical.map(|m| m.into_owned()))
-            .expect("data broadcast");
-        prepare_matrix(&local, params.opts.test, params.opts.nonpara).into_owned()
-    });
-    let labels = &params.labels;
+    // Step 2/3 — create data: broadcast the NA-canonical matrix and prepare
+    // the local copy, borrowing it unless the test ranks it.
+    timer.start(sections::CREATE_DATA);
+    let local = comm.bcast(MASTER, data).expect("data broadcast");
+    let prepared = run.prepare(&local);
+    timer.stop();
 
     // Step 3 — global synchronization after allocation. The C code uses a
     // trivial allreduce; a dissemination barrier gives the same guarantee
@@ -261,26 +265,16 @@ pub fn pmaxt_rank(
     // through the batched multi-threaded engine. Ranks beyond the number of
     // permutations contribute an (explicitly) empty accumulator — the strict
     // `chunk_for_rank` is only consulted for active ranks.
-    let ctx = MaxTContext::with_scorer(
-        &prepared,
-        labels,
-        params.opts.test,
-        params.opts.side,
-        params.opts.kernel,
-        params.opts.precision,
-    );
+    let ctx = run.context(&prepared);
     let local_counts = timer.time(sections::MAIN_KERNEL, || {
-        let active = (comm.size() as u64).min(params.b);
+        let active = (comm.size() as u64).min(run.b);
         let rank = comm.rank() as u64;
         if rank >= active {
-            return CountAccumulator::new(params.rows);
+            return CountAccumulator::new(ctx.genes());
         }
-        let (start, take) =
-            chunk_for_rank(params.b, active, rank).expect("active ranks have chunks");
-        let (opts, b, cfg) = (&params.opts, params.b, params.engine);
-        let run = engine::accumulate_chunk(&ctx, labels, opts, b, start, take, cfg)
-            .expect("engine chunk");
-        run.counts
+        let (start, take) = chunk_for_rank(run.b, active, rank).expect("active ranks have chunks");
+        let chunk = run.chunk(&ctx, start, take, ChunkHooks::default());
+        chunk.expect("engine chunk").counts
     });
 
     // Step 5 — gather the partial observations and compute the p-values.
@@ -289,8 +283,8 @@ pub fn pmaxt_rank(
             .reduce_sum_u64(MASTER, local_counts.to_flat())
             .expect("count reduction");
         reduced.map(|flat| {
-            let total = CountAccumulator::from_flat(&flat, params.rows);
-            debug_assert_eq!(total.n_perm, params.b);
+            let total = CountAccumulator::from_flat(&flat, ctx.genes());
+            debug_assert_eq!(total.n_perm, run.b);
             ctx.finalize(&total)
         })
     });
@@ -486,11 +480,13 @@ mod tests {
         // and the profile gather each cost p − 1 messages over their trees;
         // the dissemination barrier costs p⌈log₂ p⌉.
         let (data, labels) = test_data();
-        let input = Arc::new((data, labels, PmaxtOptions::default().permutations(40)));
+        let opts = PmaxtOptions::default().permutations(40);
         for p in 1..=8usize {
-            let input = Arc::clone(&input);
+            let admitted = admit(&data, &labels, &opts, Entry::Spmd { ranks: p }).unwrap();
+            let input = Mutex::new(Some(MasterInput::new(SectionTimer::new(), admitted)));
             let stats = Universe::run(p, move |comm| {
-                pmaxt_rank(comm, Some(&input));
+                let input = comm.is_master().then(|| input.lock().unwrap().take());
+                pmaxt_rank(comm, input.flatten());
                 comm.message_stats()
             })
             .unwrap();

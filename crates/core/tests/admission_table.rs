@@ -19,7 +19,7 @@ use sprint_core::matrix::Matrix;
 use sprint_core::maxt::minp::{mt_minp, pminp};
 use sprint_core::maxt::sample::sample_teststats;
 use sprint_core::maxt::serial::{mt_maxt, prepare_run};
-use sprint_core::maxt::{maxt_threaded, maxt_with_config, EngineConfig};
+use sprint_core::maxt::{maxt_with_config, EngineConfig};
 use sprint_core::options::{Mode, PmaxtOptions, Precision, SamplingMode, Workload};
 use sprint_core::pmaxt::pmaxt;
 
@@ -197,7 +197,6 @@ fn entry_points(data: &Matrix, labels: &[u8], opts: &PmaxtOptions) -> Vec<(Entry
     let maxt = Entry::MaxT { engine: None };
     vec![
         (maxt, decision(mt_maxt(data, labels, opts))),
-        (maxt, decision(maxt_threaded(data, labels, opts))),
         (maxt, decision(prepare_run(data, labels, opts))),
         (
             Entry::MaxT {

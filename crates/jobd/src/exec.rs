@@ -58,16 +58,14 @@ use std::time::{Duration, Instant};
 
 use sprint::checkpoint::CheckpointState;
 use sprint_core::adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptiveReport, AdaptiveRunner};
-use sprint_core::admit as core_admit;
+use sprint_core::admit::{self as core_admit, Run};
 use sprint_core::boot::{self, BootstrapResult};
 use sprint_core::error::Error as CoreError;
-use sprint_core::labels::ClassLabels;
 use sprint_core::matrix::Matrix;
-use sprint_core::maxt::engine::{accumulate_chunk_hooked, ChunkHooks, EngineConfig};
-use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
+use sprint_core::maxt::engine::ChunkHooks;
+use sprint_core::maxt::{CountAccumulator, MaxTResult};
 use sprint_core::options::{Mode, PmaxtOptions, Workload};
 use sprint_core::pmaxt::span_plan;
-use sprint_core::stats::prepare_matrix;
 
 use crate::cache::{CacheKey, CacheProbe, ResultCache};
 use crate::client::RetryPolicy;
@@ -83,16 +81,13 @@ use crate::shard::{self, slice_spans, PeerError, PeerLink, ShardStats, SpanQueue
 /// Everything a unit needs of its job but its matrix, which the job's
 /// progress holds until the job is terminal. Immutable after admission.
 pub(crate) struct JobWork {
+    /// The admitted run: labels, B, mode (env override folded in), engine
+    /// geometry and options.
+    pub(crate) run: Run,
     /// Gene rows of the job's matrix.
     pub(crate) genes: usize,
-    pub(crate) labels: ClassLabels,
-    pub(crate) opts: PmaxtOptions,
-    pub(crate) b: u64,
-    pub(crate) cfg: EngineConfig,
     pub(crate) check_digest: u64,
     pub(crate) cached: bool,
-    /// Resolved run mode (env override folded in at admission).
-    pub(crate) mode: Mode,
     /// Dataset path for sharded dispatch (peers read it themselves).
     pub(crate) source: Option<PathBuf>,
 }
@@ -193,14 +188,14 @@ impl Job {
         let eta_secs = match prog.state {
             JobState::Queued | JobState::Running => prog
                 .secs_per_perm
-                .map(|per| (self.work.b.saturating_sub(done)) as f64 * per),
+                .map(|per| (self.work.run.b.saturating_sub(done)) as f64 * per),
             _ => None,
         };
         JobStatus {
             id: self.id,
             state: prog.state,
             done,
-            total: self.work.b,
+            total: self.work.run.b,
             computed: prog.computed,
             cache: prog.cache,
             eta_secs,
@@ -245,16 +240,12 @@ pub(crate) enum Entry {
     Peer(u64, Unit),
 }
 
-/// An admitted request: validated inputs, and where it runs.
+/// An admitted request: the run, its matrix, and where it runs.
 pub(crate) struct Admission {
+    pub(crate) run: Run,
     /// The NA-canonical matrix (also the cache-key input): the submitted
     /// one, shared, unless an NA code rewrote it.
     pub(crate) data: Arc<Matrix>,
-    pub(crate) labels: ClassLabels,
-    pub(crate) b: u64,
-    pub(crate) mode: Mode,
-    /// The engine geometry the job's units run on.
-    pub(crate) engine: EngineConfig,
     /// Split across the peer roster instead of run on this daemon alone.
     pub(crate) sharded: bool,
 }
@@ -284,13 +275,13 @@ pub(crate) fn admit(
         Entry::Submit => core_admit::Entry::Submit { job_threads },
         Entry::Peer(..) => core_admit::Entry::Span { job_threads },
     };
-    let run = core_admit::admit(&data, classlabel, opts, at).map_err(JobError::Invalid)?;
-    let (labels, b, mode, engine) = (run.labels, run.b, run.mode, run.engine);
+    let adm = core_admit::admit(&*data, classlabel, opts, at).map_err(JobError::Invalid)?;
+    let (b, run) = (adm.run.b, adm.run);
     // Keep the submitted matrix unless the NA code rewrote it.
-    let data = owned(run.data).map_or(data, Arc::new);
+    let data = owned(adm.data).map_or(data, Arc::new);
     let sharded = match entry {
         // Adaptive runs stay on this daemon (see the module docs).
-        Entry::Submit => has_source && mode == Mode::Exact && !inner.cfg.peers.is_empty(),
+        Entry::Submit => has_source && run.mode == Mode::Exact && !inner.cfg.peers.is_empty(),
         Entry::Peer(b_resolved, (start, take)) => {
             // A peer with a stale or divergent file must never contribute.
             if b_resolved != b {
@@ -316,14 +307,7 @@ pub(crate) fn admit(
             false
         }
     };
-    Ok(Admission {
-        data,
-        labels,
-        b,
-        mode,
-        engine,
-        sharded,
-    })
+    Ok(Admission { run, data, sharded })
 }
 
 /// The matrix a validation or preparation step made, when it made one
@@ -336,44 +320,28 @@ fn owned(m: Cow<'_, Matrix>) -> Option<Matrix> {
 }
 
 impl JobWork {
-    /// Ready an admitted request for its units: the admitted engine
-    /// geometry, and the matrix the units run on — scorer-prepared for the
-    /// maxT kinds.
+    /// Ready an admitted request for its units: the admitted run, and the
+    /// matrix the units run on — scorer-prepared for the maxT kinds.
     pub(crate) fn new(
         adm: Admission,
-        opts: PmaxtOptions,
         source: Option<PathBuf>,
         check_digest: u64,
     ) -> (JobWork, Arc<Matrix>) {
-        let prepared = if opts.workload == Workload::Bootstrap {
-            adm.data
+        let Admission { run, data, .. } = adm;
+        let prepared = if run.opts.workload == Workload::Bootstrap {
+            data
         } else {
             // Shared unless the scorer ranks it.
-            owned(prepare_matrix(&adm.data, opts.test, opts.nonpara)).map_or(adm.data, Arc::new)
+            owned(run.prepare(&data)).map_or(data, Arc::new)
         };
         let work = JobWork {
+            run,
             genes: prepared.rows(),
-            labels: adm.labels,
-            cfg: adm.engine,
-            opts,
-            b: adm.b,
             check_digest,
             cached: false,
-            mode: adm.mode,
             source,
         };
         (work, prepared)
-    }
-
-    fn context<'a>(&self, data: &'a Matrix) -> MaxTContext<'a> {
-        MaxTContext::with_scorer(
-            data,
-            &self.labels,
-            self.opts.test,
-            self.opts.side,
-            self.opts.kernel,
-            self.opts.precision,
-        )
     }
 }
 
@@ -392,7 +360,7 @@ trait JobKind: Sync {
     /// `(frontier, end)`: where the next unit starts, and where the job is
     /// complete — by default the permutation cursor and `B`.
     fn extent(&self, work: &JobWork, prog: &JobProgress) -> (u64, u64) {
-        (prog.cursor, work.b)
+        (prog.cursor, work.run.b)
     }
 
     /// Largest unit one participant takes at a time, given the configured
@@ -456,18 +424,9 @@ impl JobKind for Counts {
         (start, take): Unit,
         hooks: ChunkHooks<'_>,
     ) -> Result<(CountAccumulator, f64), CoreError> {
-        let ctx = work.context(data);
+        let ctx = work.run.context(data);
         let cpu0 = shard::thread_cpu_secs();
-        let run = accumulate_chunk_hooked(
-            &ctx,
-            &work.labels,
-            &work.opts,
-            work.b,
-            start,
-            take,
-            work.cfg,
-            hooks,
-        )?;
+        let run = work.run.chunk(&ctx, start, take, hooks)?;
         let busy = run.workers.iter().map(|w| w.busy.as_secs_f64()).sum();
         let secs = kernel_secs(cpu0, run.workers.len() <= 1, busy);
         Ok((run.counts, secs))
@@ -489,7 +448,7 @@ impl JobKind for Counts {
     }
 
     fn finalize(&self, work: &JobWork, data: &Matrix, prog: &mut JobProgress) {
-        prog.result = Some(work.context(data).finalize(&prog.counts));
+        prog.result = Some(work.run.context(data).finalize(&prog.counts));
     }
 
     fn reply(&self, (start, take): Unit, counts: &CountAccumulator, kernel_secs: f64) -> Json {
@@ -531,15 +490,10 @@ impl JobKind for Bands {
     ) -> Result<(BootstrapResult, f64), CoreError> {
         let cpu0 = shard::thread_cpu_secs();
         let t0 = Instant::now();
-        let band = boot::boot_run_on(
-            data,
-            &work.labels,
-            &work.opts,
-            work.b,
-            work.cfg,
-            start as usize..(start + take) as usize,
-        )?;
-        let secs = kernel_secs(cpu0, work.cfg.threads <= 1, t0.elapsed().as_secs_f64());
+        let genes = start as usize..(start + take) as usize;
+        let band = boot::boot_run_on(&work.run, data, genes)?;
+        let inline = work.run.engine.threads <= 1;
+        let secs = kernel_secs(cpu0, inline, t0.elapsed().as_secs_f64());
         Ok((band, secs))
     }
 
@@ -558,10 +512,10 @@ impl JobKind for Bands {
         let work = &job.work;
         let (merged, genes) = self.extent(work, prog);
         if merged == genes {
-            prog.cursor = work.b;
-            prog.computed = work.b;
+            prog.cursor = work.run.b;
+            prog.computed = work.run.b;
             if let (Some(cache), Some(result)) = (cache.filter(|_| work.cached), &prog.boot) {
-                if let Err(e) = cache.store_boot(&job.key, work.b, result) {
+                if let Err(e) = cache.store_boot(&job.key, work.run.b, result) {
                     warn_store(job, &e);
                 }
             }
@@ -575,7 +529,7 @@ impl JobKind for Bands {
 
     fn decode(&self, work: &JobWork, unit: Unit, resp: &Json) -> Result<BootstrapResult, String> {
         let band = protocol::boot_from_json(resp)?;
-        if (band.offset as u64, band.genes() as u64) != unit || band.replicates != work.b - 1 {
+        if (band.offset as u64, band.genes() as u64) != unit || band.replicates != work.run.b - 1 {
             return Err("band shape mismatch in response".into());
         }
         Ok(band)
@@ -600,16 +554,8 @@ impl JobKind for Adaptive {
         _unit: Unit,
         hooks: ChunkHooks<'_>,
     ) -> Result<(AdaptiveOutcome, f64), CoreError> {
-        let ctx = work.context(data);
-        let mut runner = AdaptiveRunner::new(
-            &ctx,
-            data,
-            &work.labels,
-            &work.opts,
-            work.b,
-            work.cfg,
-            AdaptiveConfig::default(),
-        );
+        let ctx = work.run.context(data);
+        let mut runner = AdaptiveRunner::new(&work.run, &ctx, data, AdaptiveConfig::default());
         if let Some(seed) = &self.seed {
             runner.resume_from(seed);
         }
@@ -631,7 +577,7 @@ impl JobKind for Adaptive {
     ) -> Result<(), CoreError> {
         let work = &job.work;
         if let Some(c) = cache.filter(|_| work.cached) {
-            let improves = match c.probe(&job.key, work.b) {
+            let improves = match c.probe(&job.key, work.run.b) {
                 CacheProbe::Miss => true,
                 CacheProbe::Partial(s) => s.cursor < out.watermark.n_perm,
                 CacheProbe::Hit(_) | CacheProbe::Beyond => false,
@@ -644,7 +590,7 @@ impl JobKind for Adaptive {
         // scored through it (all-stopped runs halt earlier).
         let reached = out.report.scored.iter().copied().max().unwrap_or(0);
         prog.computed = reached.saturating_sub(prog.cursor);
-        prog.cursor = work.b;
+        prog.cursor = work.run.b;
         prog.counts = out.watermark;
         prog.result = Some(out.result);
         prog.adaptive = Some(out.report);
@@ -658,8 +604,8 @@ impl JobKind for Adaptive {
         if prog.adaptive.is_some() {
             return;
         }
-        let result = work.context(data).finalize(&prog.counts);
-        let (genes, b) = (result.rawp.len(), work.b);
+        let result = work.run.context(data).finalize(&prog.counts);
+        let (genes, b) = (result.rawp.len(), work.run.b);
         prog.adaptive = Some(AdaptiveReport {
             b,
             scored: vec![b; genes],
@@ -692,7 +638,7 @@ fn store_checkpoint(
     let state = CheckpointState {
         digest: job.work.check_digest,
         cursor,
-        b: job.work.b,
+        b: job.work.run.b,
         counts: counts.clone(),
     };
     if let Err(e) = cache.store(&job.key, &state) {
@@ -744,7 +690,7 @@ pub(crate) fn seed(
         work.cached = true;
         prog.cache = probe(cache, key, work, prog);
     }
-    match (work.opts.workload, work.mode) {
+    match (work.run.opts.workload, work.run.mode) {
         (Workload::Bootstrap, _) => finish(&Bands, work, prog),
         (_, Mode::Adaptive) => finish(&Adaptive::default(), work, prog),
         _ => finish(&Counts, work, prog),
@@ -758,26 +704,26 @@ fn probe(
     work: &mut JobWork,
     prog: &mut JobProgress,
 ) -> CacheDisposition {
-    if work.opts.workload == Workload::Bootstrap {
+    if work.run.opts.workload == Workload::Bootstrap {
         // Interval estimates are order statistics: there is no prefix state
         // to resume, only a finished `.boot` entry of exactly this B.
-        return match cache.probe_boot(key, work.b) {
+        return match cache.probe_boot(key, work.run.b) {
             Some(r) if r.offset == 0 && r.genes() == work.genes => {
                 prog.boot = Some(r);
-                prog.cursor = work.b;
+                prog.cursor = work.run.b;
                 CacheDisposition::Hit
             }
             _ => CacheDisposition::Miss,
         };
     }
-    match cache.probe(key, work.b) {
+    match cache.probe(key, work.run.b) {
         CacheProbe::Hit(state) | CacheProbe::Partial(state) => {
             let from = state.cursor;
             prog.cursor = from;
             prog.counts = state.counts;
-            if from == work.b {
+            if from == work.run.b {
                 CacheDisposition::Hit
-            } else if state.b == work.b {
+            } else if state.b == work.run.b {
                 CacheDisposition::Resume { from }
             } else {
                 CacheDisposition::Extend { from }
@@ -806,7 +752,7 @@ pub(crate) fn serve_unit(work: &JobWork, data: &Matrix, unit: Unit) -> Result<Js
         let (part, secs) = kind.run(work, data, unit, ChunkHooks::default())?;
         Ok(kind.reply(unit, &part, secs))
     }
-    match work.opts.workload {
+    match work.run.opts.workload {
         Workload::Bootstrap => go(&Bands, work, data, unit),
         Workload::Pmaxt => go(&Counts, work, data, unit),
     }
@@ -867,7 +813,7 @@ fn step(inner: &Inner, job: &Job) -> bool {
         prog.data.clone().expect("a queued job holds its matrix")
     };
     journal_transition(inner, job);
-    match (job.work.opts.workload, job.work.mode) {
+    match (job.work.run.opts.workload, job.work.run.mode) {
         (Workload::Bootstrap, _) => drive(&Bands, inner, job, &data),
         (_, Mode::Adaptive) => {
             let counts = plock(&job.prog).counts.clone();
@@ -1098,7 +1044,8 @@ fn shard<K: JobKind>(
                             panic!("injected peer dispatcher panic (SPRINT_FAULTS peer_panic)");
                         }
                         let (s, t) = unit;
-                        let req = protocol::span_exec_request(path, &work.opts, work.b, s, t);
+                        let req =
+                            protocol::span_exec_request(path, &work.run.opts, work.run.b, s, t);
                         let resp = match link.exec(&req) {
                             Ok(resp) => resp,
                             Err(PeerError::Dead(why)) => return die(&mut own, unit, &why),
@@ -1306,8 +1253,12 @@ fn journal_transition(inner: &Inner, job: &Job) {
         // disk. Replay must re-serve the job from the cache, not recompute.
         crash_point("manager.finish");
     }
-    let mut rec =
-        JournalRecord::transition(kind, &job.key.hex(), job.work.b, job.work.mode.as_str());
+    let mut rec = JournalRecord::transition(
+        kind,
+        &job.key.hex(),
+        job.work.run.b,
+        job.work.run.mode.as_str(),
+    );
     if kind == RecordKind::Failed {
         rec.error = error;
     }
@@ -1349,14 +1300,14 @@ mod tests {
                 .batch(1 << 40);
             for entry in [Entry::Submit, Entry::Peer(97, (0, 1))] {
                 let adm = admit(&mgr.inner, Arc::clone(&data), &raw, &opts, false, entry).unwrap();
-                let (work, _) = JobWork::new(adm, opts.clone(), None, 0);
-                assert_eq!(work.cfg.threads, cores, "{workload:?}");
+                let (work, _) = JobWork::new(adm, None, 0);
+                assert_eq!(work.run.engine.threads, cores, "{workload:?}");
                 if workload == Workload::Pmaxt {
                     // Every worker's batch buffers together fit the budget;
                     // bootstrap bands hold no engine batch.
                     let per_arrangement = cores * (data.cols() + 8 * data.rows() + 8);
                     assert_eq!(
-                        work.cfg.batch,
+                        work.run.engine.batch,
                         sprint_core::admit::BUDGET_BYTES / per_arrangement
                     );
                 }
@@ -1394,7 +1345,7 @@ mod tests {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let genes = (cores + 1) * sprint_core::stats::soa::SOA_TILE;
         let wide = Arc::new(Matrix::from_vec(genes, 6, vec![1.0; genes * 6]).unwrap());
-        let per_replicate = cores * sprint_core::stats::soa::SOA_TILE * 8 + 6;
+        let per_replicate = cores * (sprint_core::stats::soa::SOA_TILE + 2) * 8 + 6;
         let largest = (sprint_core::admit::BUDGET_BYTES / per_replicate + 1) as u64;
         let boot = |b: u64| {
             PmaxtOptions::default()
@@ -1411,7 +1362,7 @@ mod tests {
                 false,
                 entry,
             );
-            assert_eq!(adm.map(|a| a.engine.threads).ok(), Some(cores));
+            assert_eq!(adm.map(|a| a.run.engine.threads).ok(), Some(cores));
         }
         assert!(matches!(
             admit(
@@ -1959,6 +1910,7 @@ mod tests {
                 Entry::Submit,
             )
             .unwrap()
+            .run
             .b;
             let (source, entry) = match via {
                 Submit => (false, Entry::Submit),

@@ -580,7 +580,7 @@ impl JobManager {
             Some(dataset) if opts.na.is_none() => CacheKey::from_digest(dataset, &opts),
             _ => CacheKey::new(&adm.data, &classlabel, &opts),
         };
-        let slot: Slot = (key.hex(), adm.b, adm.mode);
+        let slot: Slot = (key.hex(), adm.run.b, adm.run.mode);
         // Dedup: an identical live submission is the same job. This early
         // look only saves the work below; the check that counts is repeated
         // under the lock at registration.
@@ -588,7 +588,7 @@ impl JobManager {
             return Ok(twin);
         }
         let sharded = adm.sharded;
-        let (mut work, data) = JobWork::new(adm, opts, source_path, key.check_digest());
+        let (mut work, data) = JobWork::new(adm, source_path, key.check_digest());
         let mut prog = JobProgress::new(data);
         let finished = exec::seed(self.inner.cache.as_ref(), &key, &mut work, &mut prog);
         let (state, cache) = (prog.state, prog.cache);
@@ -669,7 +669,7 @@ impl JobManager {
     ) -> Result<Json, JobError> {
         let entry = Entry::Peer(b, (start, take));
         let adm = exec::admit(&self.inner, data, classlabel, &opts, false, entry)?;
-        let (work, data) = JobWork::new(adm, opts, None, 0);
+        let (work, data) = JobWork::new(adm, None, 0);
         exec::serve_unit(&work, &data, (start, take)).map_err(JobError::Invalid)
     }
 
@@ -735,7 +735,7 @@ impl JobManager {
     /// True when `id` is a bootstrap-workload job (its result travels as
     /// interval estimates, not maxT p-values).
     pub fn is_boot(&self, id: u64) -> Result<bool, JobError> {
-        Ok(self.get(id)?.work.opts.workload == Workload::Bootstrap)
+        Ok(self.get(id)?.work.run.opts.workload == Workload::Bootstrap)
     }
 
     /// The finished bootstrap estimates, or [`JobError::NotFinished`]. Same
@@ -748,7 +748,7 @@ impl JobManager {
                     param: "workload",
                     value: format!(
                         "{} (job {id} is a permutation run; fetch its maxT result instead)",
-                        job.work.opts.workload.as_str()
+                        job.work.run.opts.workload.as_str()
                     ),
                 })
             })
@@ -1043,10 +1043,10 @@ fn accept_record_for(job: &Job) -> JournalRecord {
     JournalRecord {
         kind: RecordKind::Accepted,
         key: job.key.hex(),
-        b: job.work.b,
-        mode: job.work.mode.as_str().to_string(),
+        b: job.work.run.b,
+        mode: job.work.run.mode.as_str().to_string(),
         source: job.work.source.as_ref().map(|p| p.display().to_string()),
-        opts: Some(job.work.opts.clone()),
+        opts: Some(job.work.run.opts.clone()),
         error: None,
     }
 }

@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use sprint_core::options::PmaxtOptions;
+use sprint_core::options::{PmaxtOptions, OPTIONS};
 
 use crate::datasets::SharedDataset;
 use crate::faults::{FaultKind, Faults};
@@ -434,13 +434,30 @@ fn handle_connection(
 }
 
 /// The request's options and the dataset a `submit` or `span_exec` request
-/// names, loaded from this daemon's filesystem through its dataset table.
+/// names, loaded from this daemon's filesystem through its dataset table. A
+/// field that is neither `cmd`, `path`, an option row's key nor one of
+/// `span_exec`'s unit fields is refused, so a misspelled or R-named option
+/// (`"B"`) is never run as its default.
 fn dataset_request(
     request: &Json,
     cmd: &str,
     manager: &JobManager,
 ) -> Result<(PmaxtOptions, SharedDataset), Json> {
     let usage = |msg: &str| protocol::err_response(msg, "usage");
+    let unit: &[&str] = match cmd {
+        "span_exec" => &["b_resolved", "start", "take"],
+        _ => &[],
+    };
+    let known = |key: &str| {
+        ["cmd", "path"].contains(&key)
+            || unit.contains(&key)
+            || OPTIONS.iter().any(|row| row.json == Some(key))
+    };
+    if let Json::Obj(fields) = request {
+        if let Some((key, _)) = fields.iter().find(|(key, _)| !known(key)) {
+            return Err(usage(&format!("{cmd} takes no {key:?} field")));
+        }
+    }
     let path = request.get("path").and_then(Json::as_str);
     let path = PathBuf::from(path.ok_or_else(|| usage(&format!("{cmd} requires a path field")))?);
     let opts = protocol::opts_from_request(request).map_err(|e| usage(&e))?;
@@ -682,6 +699,47 @@ mod tests {
         let resp = Json::parse(std::str::from_utf8(&out).unwrap().trim_end()).unwrap();
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(lines.kept.keys(), vec![ids[0], ids[2]]);
+    }
+
+    #[test]
+    fn submit_and_span_exec_refuse_fields_they_do_not_take() {
+        let (data, labels) = small_dataset();
+        let path = std::env::temp_dir().join(format!("jobd-fields-{}.tsv", std::process::id()));
+        microarray::io::write_dataset(&path, &data, &labels).unwrap();
+        let mgr = manager(16);
+        let opts = PmaxtOptions::default().permutations(50).seed(7);
+        let text = path.display().to_string();
+        let with = |request: Json, key: &str| match request {
+            Json::Obj(mut fields) => {
+                fields.push((key.to_string(), Json::Num(500.0)));
+                Json::Obj(fields)
+            }
+            other => other,
+        };
+        let refused = |resp: Json, key: &str| {
+            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+            assert_eq!(resp.get("code").and_then(Json::as_str), Some("usage"));
+            let msg = resp
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string();
+            assert!(msg.contains(&format!("{key:?}")), "{msg}");
+        };
+        // R's name for B, and a misspelling: refused, never run as defaults.
+        let submit = protocol::submit_request(&text, &opts);
+        for key in ["B", "sed"] {
+            refused(handle_submit(&with(submit.clone(), key), &mgr), key);
+        }
+        let span = protocol::span_exec_request(&text, &opts, 50, 0, 10);
+        refused(handle_span_exec(&with(span.clone(), "B"), &mgr), "B");
+        // The unit fields belong to span_exec alone.
+        refused(handle_submit(&with(submit.clone(), "take"), &mgr), "take");
+        // Every field the clients send is taken.
+        let ok = |resp: Json| assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+        ok(handle_submit(&submit, &mgr));
+        ok(handle_span_exec(&span, &mgr));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

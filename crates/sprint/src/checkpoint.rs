@@ -18,10 +18,9 @@ use sprint_core::admit::{admit, Entry};
 use sprint_core::digest;
 use sprint_core::error::{Error, Result};
 use sprint_core::matrix::Matrix;
-use sprint_core::maxt::engine;
-use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
+use sprint_core::maxt::engine::ChunkHooks;
+use sprint_core::maxt::{CountAccumulator, MaxTResult};
 use sprint_core::options::PmaxtOptions;
-use sprint_core::stats::prepare_matrix;
 
 /// A saved checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,18 +205,12 @@ pub fn run_with_checkpoints(
     session_limit: Option<u64>,
 ) -> Result<(Option<MaxTResult>, SessionInfo)> {
     assert!(every > 0, "checkpoint interval must be positive");
-    let run = admit(data, classlabel, opts, Entry::Checkpoint)?;
-    let (labels, b, data) = (&run.labels, run.b, &*run.data);
+    let adm = admit(data, classlabel, opts, Entry::Checkpoint)?;
+    let (run, data) = (&adm.run, &*adm.data);
+    let b = run.b;
     let digest = digest_run(data, classlabel, opts);
-    let prepared = prepare_matrix(data, opts.test, opts.nonpara);
-    let ctx = MaxTContext::with_scorer(
-        &prepared,
-        labels,
-        opts.test,
-        opts.side,
-        opts.kernel,
-        opts.precision,
-    );
+    let prepared = run.prepare(data);
+    let ctx = run.context(&prepared);
     let mut acc = CountAccumulator::new(data.rows());
     let mut cursor = 0u64;
 
@@ -241,7 +234,7 @@ pub fn run_with_checkpoints(
     let mut checkpoints_written = 0u64;
     while cursor < b && remaining_session > 0 {
         let take = every.min(b - cursor).min(remaining_session);
-        let chunk = engine::accumulate_chunk(&ctx, labels, opts, b, cursor, take, run.engine)?;
+        let chunk = run.chunk(&ctx, cursor, take, ChunkHooks::default())?;
         debug_assert_eq!(chunk.counts.n_perm, take, "chunk shorter than assigned");
         acc.merge(&chunk.counts);
         cursor += take;

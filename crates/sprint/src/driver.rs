@@ -4,46 +4,37 @@
 //! then collectively evaluate the C-level implementation.
 
 use std::any::Any;
-use std::sync::Arc;
 
+use mpi_sim::SectionTimer;
 use sprint_core::admit::{admit, Entry};
 use sprint_core::error::Result;
 use sprint_core::matrix::Matrix;
 use sprint_core::maxt::MaxTResult;
 use sprint_core::options::PmaxtOptions;
-use sprint_core::pmaxt::pmaxt_rank;
+use sprint_core::pmaxt::{pmaxt_rank, sections, MasterInput};
 
 use crate::args::Value;
 use crate::framework::Master;
 use crate::marshal;
 use crate::registry::Registry;
 
-/// Payload key under which the master's script stages the dataset.
+/// Payload key under which the master's script stages the admitted run.
 pub const PMAXT_INPUT_KEY: &str = "pmaxt:input";
 
 /// Register the `pmaxt` parallel function. Returns its function code.
 ///
-/// The command broadcast carries only the (integer-codable) options and the
-/// class labels; the expression matrix is staged master-side and distributed
-/// by `pmaxt`'s own "create data" broadcast, exactly as in the paper.
+/// The command broadcast carries the R call's (integer-codable) options and
+/// class labels. The master's script stages the run it admitted, matrix
+/// included, and `pmaxt`'s own "broadcast parameters" and "create data"
+/// broadcasts hand both to the workers, exactly as in the paper.
 pub fn register_pmaxt(registry: &mut Registry) -> u32 {
-    registry.register("pmaxt", |ctx, args| {
-        let input: Option<Arc<(Matrix, Vec<u8>, PmaxtOptions)>> = if ctx.comm.is_master() {
-            let matrix: Matrix = ctx
-                .payload
+    registry.register("pmaxt", |ctx, _args| {
+        let input: Option<MasterInput> = ctx.comm.is_master().then(|| {
+            ctx.payload
                 .take(PMAXT_INPUT_KEY)
-                .expect("script must stage the dataset before calling pmaxt");
-            let labels = args
-                .get("classlabel")
-                .and_then(Value::as_bytes)
-                .expect("classlabel argument")
-                .to_vec();
-            let opts = marshal::args_to_options(args).expect("validated options");
-            Some(Arc::new((matrix, labels, opts)))
-        } else {
-            None
-        };
-        pmaxt_rank(ctx.comm, input.as_ref())
+                .expect("script must stage the admitted run before calling pmaxt")
+        });
+        pmaxt_rank(ctx.comm, input)
             .map(|(result, _profile, _ranks)| Box::new(result) as Box<dyn Any + Send>)
     })
 }
@@ -62,18 +53,24 @@ pub fn standard_registry() -> Registry {
 ///
 /// This is the Rust spelling of the R call
 /// `pmaxT(X, classlabel, test=…, side=…, fixed.seed.sampling=…, B=…)`.
-/// The master admits the run ([`sprint_core::admit`]) before the command
-/// broadcast wakes the workers, so a refused run returns its typed error
-/// and no rank starts a body that cannot run.
+/// The master admits the run once ([`sprint_core::admit`], its
+/// pre-processing) before the command broadcast wakes the workers, so a
+/// refused run returns its typed error and no rank starts a body that
+/// cannot run. The matrix is handed over, not copied.
 pub fn call_pmaxt(
     master: &Master<'_>,
     data: Matrix,
     classlabel: &[u8],
     opts: &PmaxtOptions,
 ) -> Result<MaxTResult> {
-    let ranks = master.ranks();
-    admit(&data, classlabel, opts, Entry::Spmd { ranks })?;
-    master.stage(PMAXT_INPUT_KEY, data);
+    let mut timer = SectionTimer::new();
+    let entry = Entry::Spmd {
+        ranks: master.ranks(),
+    };
+    let admitted = timer.time(sections::PRE_PROCESSING, || {
+        admit(data, classlabel, opts, entry)
+    })?;
+    master.stage(PMAXT_INPUT_KEY, MasterInput::new(timer, admitted));
     let args = marshal::options_to_args(opts).with("classlabel", Value::Bytes(classlabel.to_vec()));
     Ok(*master
         .call("pmaxt", args)

@@ -34,15 +34,17 @@ use std::time::Duration;
 
 use microarray::io::{read_dataset, write_dataset};
 use microarray::prelude::*;
-use sprint_core::adaptive::{adaptive_maxt, AdaptiveConfig, AdaptiveReport};
-use sprint_core::admit::{admit, Admitted, Entry};
-use sprint_core::boot::{boot_run, BootstrapResult};
+use mpi_sim::SectionTimer;
+use sprint_core::adaptive::{adaptive_maxt_on, AdaptiveConfig, AdaptiveReport};
+use sprint_core::admit::{admit, Entry, Run};
+use sprint_core::boot::{boot_run_on, BootstrapResult};
 use sprint_core::error::Error as CoreError;
-use sprint_core::maxt::minp::pminp;
-use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
+use sprint_core::matrix::Matrix;
+use sprint_core::maxt::minp::pminp_on;
+use sprint_core::maxt::{CountAccumulator, MaxTResult};
 use sprint_core::options::{Mode, PmaxtOptions, Workload, OPTIONS};
 use sprint_core::perm::stored::StoredMatrix;
-use sprint_core::pmaxt::pmaxt;
+use sprint_core::pmaxt::{pmaxt_on, sections, MasterInput};
 use sprint_jobd::client::{expect_ok, request_retried, Client, RetryPolicy};
 use sprint_jobd::json::Json;
 use sprint_jobd::{protocol, Durability, Faults, JobManager, ManagerConfig, Server, ServerConfig};
@@ -470,25 +472,32 @@ fn print_result(result: &MaxTResult, top: usize, out: Option<&PathBuf>) -> Resul
 fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
     let (data, labels) =
         read_dataset(&cfg.input).map_err(|e| runtime(format!("reading {:?}: {e}", cfg.input)))?;
-    // Admission decides every option and flag combination, and the rank
-    // allocation (exit 3 when a rank would get no permutation), before any
-    // work starts.
+    let (genes, samples) = (data.rows(), data.cols());
+    // The run's one admission, its pre-processing: it decides every option
+    // and flag combination, and the rank allocation (exit 3 when a rank
+    // would get no permutation), before any work starts. Every body below
+    // runs on the run it returns, and the matrix is handed down, not copied.
     let entry = Entry::Cli {
         ranks: cfg.ranks,
         minp: cfg.minp,
         replay: cfg.perm_file.is_some(),
     };
-    let run = admit(&data, &labels, &cfg.opts, entry).map_err(CliError::from_core)?;
+    let mut timer = SectionTimer::new();
+    let admitted = timer
+        .time(sections::PRE_PROCESSING, || {
+            admit(data, &labels, &cfg.opts, entry)
+        })
+        .map_err(CliError::from_core)?;
+    let input = MasterInput::new(timer, admitted);
+    let (run, data) = (&input.run, &input.data);
     if cfg.opts.workload == Workload::Bootstrap {
         eprintln!(
-            "loaded {} genes x {} samples; workload=bootstrap B={} level={:.0}%",
-            data.rows(),
-            data.cols(),
+            "loaded {genes} genes x {samples} samples; workload=bootstrap B={} level={:.0}%",
             cfg.opts.b,
             100.0 * sprint_core::boot::CI_LEVEL,
         );
         let t0 = std::time::Instant::now();
-        let result = boot_run(&data, &labels, &cfg.opts).map_err(CliError::from_core)?;
+        let result = boot_run_on(run, data, 0..genes).map_err(CliError::from_core)?;
         eprintln!(
             "done: {} bootstrap replicates in {:.2?}",
             result.replicates,
@@ -497,13 +506,11 @@ fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
         return print_boot(&result, cfg.top, cfg.out.as_ref());
     }
     if let Some(perm_file) = &cfg.perm_file {
-        return run_replay(cfg, run, &labels, perm_file);
+        return run_replay(cfg, run, data, perm_file);
     }
     let mode = run.mode;
     eprintln!(
-        "loaded {} genes x {} samples; test={} side={} B={} ranks={}{}{}",
-        data.rows(),
-        data.cols(),
+        "loaded {genes} genes x {samples} samples; test={} side={} B={} ranks={}{}{}",
         cfg.opts.test.as_str(),
         cfg.opts.side.as_str(),
         cfg.opts.b,
@@ -517,8 +524,8 @@ fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
     );
     if mode == Mode::Adaptive {
         let t0 = std::time::Instant::now();
-        let out = adaptive_maxt(&data, &labels, &cfg.opts, &AdaptiveConfig::default())
-            .map_err(CliError::from_core)?;
+        let out =
+            adaptive_maxt_on(run, data, &AdaptiveConfig::default()).map_err(CliError::from_core)?;
         eprintln!(
             "done: scored {} of {} gene-permutations ({:.1}%) in {:.2?}",
             out.report.gene_perms_scored,
@@ -530,9 +537,9 @@ fn cmd_run(cfg: &RunConfig) -> Result<(), CliError> {
     }
     let t0 = std::time::Instant::now();
     let result = if cfg.minp {
-        pminp(&data, &labels, &cfg.opts, cfg.ranks).map_err(CliError::from_core)?
+        pminp_on(input.run, input.data, cfg.ranks).map_err(CliError::from_core)?
     } else {
-        pmaxt(&data, &labels, &cfg.opts, cfg.ranks)
+        pmaxt_on(input, cfg.ranks)
             .map_err(CliError::from_core)?
             .result
     };
@@ -656,21 +663,22 @@ fn read_perm_file(path: &std::path::Path) -> Result<Vec<Vec<u8>>, CliError> {
 }
 
 /// `pmaxt run --perm-file`: replay an explicit arrangement set through the
-/// maxT kernel via [`StoredMatrix`], over the admitted run's labels and
+/// maxT kernel via [`StoredMatrix`], on the admitted run over its
 /// NA-canonical matrix. The observed labelling is scored first (every
 /// stream's index 0 is the identity draw), then the file's rows.
 fn run_replay(
     cfg: &RunConfig,
-    run: Admitted<'_>,
-    labels: &[u8],
+    run: &Run,
+    data: &Matrix,
     path: &std::path::Path,
 ) -> Result<(), CliError> {
+    let labels = run.labels.as_slice();
     let rows = read_perm_file(path)?;
-    let cols = run.data.cols();
+    let cols = data.cols();
     // Width mismatches surface as the typed `ArrangementWidth` error → exit 2,
     // with the row index matching the file's arrangement ordinal.
     StoredMatrix::try_from_rows(&rows, cols).map_err(CliError::from_core)?;
-    let prepared = sprint_core::stats::prepare_matrix(&run.data, cfg.opts.test, cfg.opts.nonpara);
+    let prepared = run.prepare(data);
     let mut want = labels.to_vec();
     want.sort_unstable();
     for (i, row) in rows.iter().enumerate() {
@@ -687,14 +695,7 @@ fn run_replay(
     all.extend(rows);
     let b = all.len() as u64;
     let mut stream = StoredMatrix::try_from_rows(&all, cols).map_err(CliError::from_core)?;
-    let ctx = MaxTContext::with_scorer(
-        &prepared,
-        &run.labels,
-        cfg.opts.test,
-        cfg.opts.side,
-        cfg.opts.kernel,
-        cfg.opts.precision,
-    );
+    let ctx = run.context(&prepared);
     let mut acc = CountAccumulator::new(ctx.genes());
     let t0 = std::time::Instant::now();
     let done = ctx.accumulate(&mut stream, b, &mut acc);

@@ -10,10 +10,13 @@
 //! or on peers) and sums `u64` counts, so these properties are exactly what
 //! make a sharded job bitwise-identical to a serial one.
 
-use std::sync::Arc;
+use std::sync::Mutex;
+
+use mpi_sim::SectionTimer;
 
 use proptest::prelude::*;
 
+use sprint_core::admit::{admit, Entry};
 use sprint_core::error::Error as CoreError;
 use sprint_core::labels::ClassLabels;
 use sprint_core::matrix::Matrix;
@@ -22,7 +25,7 @@ use sprint_core::maxt::serial::mt_maxt;
 use sprint_core::maxt::{CountAccumulator, MaxTContext};
 use sprint_core::options::{PmaxtOptions, TestMethod};
 use sprint_core::perm::resolve_permutation_count;
-use sprint_core::pmaxt::{chunk_for_rank, pmaxt_rank, span_plan};
+use sprint_core::pmaxt::{chunk_for_rank, pmaxt_rank, span_plan, MasterInput};
 use sprint_core::side::Side;
 use sprint_core::stats::prepare_matrix;
 use sprint_jobd::shard::slice_spans;
@@ -234,15 +237,19 @@ fn spmd_body_bitwise_identical_to_serial() {
                 ..PmaxtOptions::default()
             };
             let serial = mt_maxt(&matrix, &classlabel, &opts).unwrap();
-            let input = Arc::new((matrix, classlabel, opts));
+            let admitted = admit(matrix, &classlabel, &opts, Entry::Spmd { ranks: 3 }).unwrap();
+            let input = Mutex::new(Some(MasterInput::new(SectionTimer::new(), admitted)));
 
-            let spmd = mpi_sim::Universe::run(3, move |comm| pmaxt_rank(comm, Some(&input)))
-                .unwrap()
-                .into_iter()
-                .next()
-                .flatten()
-                .expect("master rank produces the result")
-                .0;
+            let spmd = mpi_sim::Universe::run(3, move |comm| {
+                let input = comm.is_master().then(|| input.lock().unwrap().take());
+                pmaxt_rank(comm, input.flatten())
+            })
+            .unwrap()
+            .into_iter()
+            .next()
+            .flatten()
+            .expect("master rank produces the result")
+            .0;
             assert_eq!(
                 spmd, serial,
                 "{method:?}/{side:?}: SPMD body must match serial"
