@@ -538,6 +538,85 @@ mod tests {
     }
 
     #[test]
+    fn minp_results_are_pinned_across_refactors() {
+        // Literal digests of whole minP results (teststat, rawp and adjp
+        // bits, the order, b_used) recorded before minP moved onto the
+        // engine. Each digest folds every side of one statistic on one data
+        // flavour over gene counts on both sides of BLOCK, SOA_TILE and
+        // GENE_TILE, under Monte-Carlo, stored and (where the design is
+        // small enough) complete sampling. The serial driver at two engine
+        // geometries and the parallel driver at three ranks must each
+        // reproduce it. If this test fails, the change moved minP's output
+        // bits — fix the driver, do not update the constants.
+        use crate::maxt::minp::{mt_minp, pminp};
+        type Driver = fn(&Matrix, &[u8], &PmaxtOptions) -> crate::maxt::MaxTResult;
+        let drivers: [(&str, Driver); 3] = [
+            ("mt_minp threads(1).batch(32)", |m, labels, o| {
+                mt_minp(m, labels, &o.clone().threads(1).batch(32)).unwrap()
+            }),
+            ("mt_minp threads(3).batch(5)", |m, labels, o| {
+                mt_minp(m, labels, &o.clone().threads(3).batch(5)).unwrap()
+            }),
+            ("pminp 3 ranks", |m, labels, o| {
+                pminp(m, labels, &o.clone().threads(2).batch(7), 3).unwrap()
+            }),
+        ];
+        let monte_carlo = PmaxtOptions::default().permutations(120).seed(23);
+        let stored = monte_carlo.clone().fixed_seed_sampling("n").unwrap();
+        let complete = PmaxtOptions::default().permutations(0);
+        // (statistic, NA cells, complete enumeration, digest)
+        let cases: [(TestMethod, bool, bool, u64); 16] = [
+            (TestMethod::T, false, true, 0xe79144cef5183ae3),
+            (TestMethod::T, true, true, 0x91d572c037bb0824),
+            (TestMethod::TEqualVar, false, false, 0x3fb5aef529166e7d),
+            (TestMethod::TEqualVar, true, false, 0xf0c27e2714e4b0c2),
+            (TestMethod::Wilcoxon, false, true, 0x49590d5d16d7d849),
+            (TestMethod::Wilcoxon, true, true, 0x3c53affb51b6221c),
+            (TestMethod::F, false, false, 0x4461615e482d2d),
+            (TestMethod::F, true, false, 0x5d92489324403c07),
+            (TestMethod::PairT, false, true, 0xce2416aaaef84b3),
+            (TestMethod::PairT, true, true, 0xc776c3bcd93dc104),
+            (TestMethod::BlockF, false, false, 0x2fca669ad8128d68),
+            (TestMethod::BlockF, true, false, 0x86c616e1d2239aa1),
+            (TestMethod::Corr, false, false, 0x32e0be4a90350745),
+            (TestMethod::Corr, true, false, 0x12c51ed5ae86da7a),
+            (TestMethod::TMax, false, false, 0x978720c6e0545d1f),
+            (TestMethod::TMax, true, false, 0x48a4c07460ebc9c1),
+        ];
+        let mut got = Vec::new();
+        for &(method, na, enumerate, _) in &cases {
+            let mut samplings = vec![monte_carlo.clone(), stored.clone()];
+            if enumerate {
+                samplings.push(complete.clone());
+            }
+            let mut per_driver = Vec::new();
+            for (_, driver) in &drivers {
+                let mut h = Fnv1a::new();
+                for genes in [1usize, 15, 17, 129, 300] {
+                    let (m, labels) = maxt_dataset(method, genes, na);
+                    for side in [Side::Abs, Side::Upper, Side::Lower] {
+                        for sampling in &samplings {
+                            let opts = sampling.clone().test(method).side(side);
+                            h.write_u64(maxt_result_digest(&driver(&m, &labels, &opts)));
+                        }
+                    }
+                }
+                per_driver.push(h.finish());
+            }
+            for (i, (name, _)) in drivers.iter().enumerate() {
+                assert_eq!(
+                    per_driver[i], per_driver[0],
+                    "{method:?} na={na}: {name} disagrees with {}",
+                    drivers[0].0
+                );
+            }
+            got.push(per_driver[0]);
+        }
+        let want: Vec<u64> = cases.iter().map(|c| c.3).collect();
+        assert_eq!(got, want, "{:#x?}", got);
+    }
+
+    #[test]
     fn every_option_row_moves_the_digests_its_scope_names() {
         use crate::options::{DigestScope, Mode, Precision, SamplingMode, Workload, OPTIONS};
         // Every field off its default. The literal names every field, so a
