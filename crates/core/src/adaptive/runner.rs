@@ -241,7 +241,7 @@ impl<'a> AdaptiveRunner<'a> {
             .take()
             .unwrap_or_else(|| self.full_acc.clone());
         let result = self.ctx.finalize(&watermark);
-        let (tail_fits, tail_perms) = tail_pass(self.run, self.prepared, self.ctx, &self.config)?;
+        let (tail_fits, tail_perms) = tail_pass(self.run, self.prepared, self.ctx, &self.config);
         self.gene_perms += tail_perms;
         let mut tail: Vec<Option<super::TailFit>> = vec![None; genes];
         for (g, fit) in tail_fits {

@@ -13,10 +13,8 @@
 //! point estimate.
 
 use crate::admit::Run;
-use crate::error::Result;
 use crate::matrix::Matrix;
 use crate::maxt::MaxTContext;
-use crate::perm::build_generator;
 
 use super::runner::sub_matrix;
 use super::AdaptiveConfig;
@@ -158,17 +156,16 @@ pub fn fit_tail(scores: &[f64], observed: f64) -> Option<TailFit> {
 ///
 /// Candidates are the most significant `tail_top` computable genes — by
 /// construction the ones whose p-values are smallest and where the `1/B`
-/// resolution floor bites. Only their rows are scored (a tiny sub-matrix),
-/// so the pass costs `tail_top × tail_m` gene-permutations, noise next to
-/// the main run.
+/// resolution floor bites. Only their rows are scored, by the engine on a
+/// tiny sub-matrix, so the pass costs `tail_top × tail_m`
+/// gene-permutations, noise next to the main run.
 pub(crate) fn tail_pass(
     run: &Run,
     prepared: &Matrix,
     ctx: &MaxTContext<'_>,
     config: &AdaptiveConfig,
-) -> Result<(Vec<(usize, TailFit)>, u64)> {
-    let (labels, opts, b) = (&run.labels, &run.opts, run.b);
-    let take = config.tail_m.min(b);
+) -> (Vec<(usize, TailFit)>, u64) {
+    let take = config.tail_m.min(run.b);
     let candidates: Vec<usize> = ctx
         .order()
         .iter()
@@ -177,30 +174,16 @@ pub(crate) fn tail_pass(
         .take(config.tail_top)
         .collect();
     if candidates.is_empty() || take < 32 {
-        return Ok((Vec::new(), 0));
+        return (Vec::new(), 0);
     }
     let sub = sub_matrix(prepared, &candidates);
-    let scorer = run.scorer(&sub);
-    let mut scratch = scorer.make_scratch();
-    let mut gen = build_generator(labels, opts, b)?;
-    let mut labels_buf = vec![0u8; prepared.cols()];
-    let mut stats = vec![0.0f64; candidates.len()];
-    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(take as usize); candidates.len()];
-    let mut done = 0u64;
-    while done < take && gen.next_into(&mut labels_buf) {
-        scorer.stats_into(&labels_buf, &mut scratch, &mut stats);
-        for (j, &s) in stats.iter().enumerate() {
-            samples[j].push(opts.side.score(s));
-        }
-        done += 1;
-    }
-    let mut fits = Vec::new();
-    for (j, &g) in candidates.iter().enumerate() {
-        if let Some(fit) = fit_tail(&samples[j], ctx.observed_scores()[g]) {
-            fits.push((g, fit));
-        }
-    }
-    Ok((fits, done * candidates.len() as u64))
+    let scores = run.scores(&run.context(&sub), 0, take);
+    let fits = candidates
+        .iter()
+        .zip(scores.chunks(take as usize))
+        .filter_map(|(&g, row)| Some((g, fit_tail(row, ctx.observed_scores()[g])?)))
+        .collect();
+    (fits, take * candidates.len() as u64)
 }
 
 #[cfg(test)]

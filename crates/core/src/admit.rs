@@ -20,14 +20,13 @@ use crate::error::{Error, Result};
 use crate::labels::{ClassLabels, Design};
 use crate::matrix::Matrix;
 use crate::maxt::engine::{
-    accumulate_chunk_hooked, available_threads, ChunkHooks, ChunkRun, EngineConfig,
+    accumulate_chunk_hooked, available_threads, ChunkHooks, ChunkRun, EngineConfig, GENE_TILE,
 };
 use crate::maxt::MaxTContext;
 use crate::options::{Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload};
 use crate::perm::arrangement::resolve_draw_count;
 use crate::perm::bootstrap::MAX_BOOTSTRAP_COLS;
 use crate::stats::prepare_matrix;
-use crate::stats::scorer::{build_scorer, Scorer};
 use crate::stats::soa::SOA_TILE;
 
 /// The memory a run may hold: 512 MiB.
@@ -88,12 +87,6 @@ impl Run {
         prepare_matrix(data, self.opts.test, self.opts.nonpara)
     }
 
-    /// The run's statistic scorer over a prepared matrix.
-    pub fn scorer<'m>(&self, prepared: &'m Matrix) -> Box<dyn Scorer + 'm> {
-        let o = &self.opts;
-        build_scorer(prepared, &self.labels, o.test, o.kernel, o.precision)
-    }
-
     /// The run's maxT context over a prepared matrix.
     pub fn context<'m>(&self, prepared: &'m Matrix) -> MaxTContext<'m> {
         let o = &self.opts;
@@ -108,7 +101,8 @@ impl Run {
     }
 
     /// Permutations `[start, start + take)` of the run through the engine,
-    /// on the admitted geometry.
+    /// on the admitted geometry, counted; [`Run::scores`], beside the
+    /// engine, keeps their scores.
     pub fn chunk(
         &self,
         ctx: &MaxTContext<'_>,
@@ -288,13 +282,15 @@ fn decide(entry: Entry, opts: &PmaxtOptions, labels: &ClassLabels, b: u64) -> Re
 /// replicates) a run holds:
 ///
 /// - stored arrangements (`--fixed-seed n`, Monte-Carlo, non-block): n
-///   bytes in every stream, one per engine worker on every rank, one per
-///   rank for minP and `sample_teststats`;
+///   bytes in every stream, one per engine worker on every rank (minP's
+///   included), one for `sample_teststats`;
 /// - bootstrap: per worker, `SOA_TILE` replicates, one sorted value and
 ///   one value of the (stable) sort's scratch, 8 bytes each, plus the
 ///   n-byte draw, the workers capped at the gene tiles;
-/// - minP: the genes × 8-byte score matrix, as many p-value bytes, and one
-///   8-byte sorted score;
+/// - minP: one block of `min(genes, GENE_TILE)` 8-byte scores (p-values
+///   once the block is folded), an 8-byte running minimum, and an 8-byte
+///   sorted score for each of the master's sorting workers (one per engine
+///   thread, at most one per block row);
 /// - `sample_teststats`: the 8-byte statistic it returns.
 ///
 /// A B whose draws exceed the budget is refused, naming the largest B
@@ -324,12 +320,17 @@ fn fit(
     let (n, g, threads) = (labels.len() as u128, genes as u128, engine.threads as u128);
     // Ranks, engine workers per rank, and what the driver itself holds per
     // draw.
-    let minp = (2 * g * 8 + 8, format!("2 x {genes} genes x 8 + 8 minP"));
+    let block = g.min(GENE_TILE as u128);
+    let sorters = threads.min(block).max(1);
+    let minp = (
+        8 * block + 8 + 8 * sorters,
+        format!("{block} x 8 block score + 8 running minimum + {sorters} x 8 sorted minP"),
+    );
     let (ranks, workers, (own, what)) = match entry {
         Entry::MinP { ranks }
         | Entry::Cli {
             ranks, minp: true, ..
-        } => (ranks as u128, 0, minp),
+        } => (ranks as u128, threads, minp),
         Entry::Spmd { ranks } | Entry::Cli { ranks, .. } => {
             (ranks as u128, threads, (0, String::new()))
         }
@@ -436,10 +437,13 @@ mod tests {
         let e = admit(&m, &labels, &spmd, Entry::Spmd { ranks: 3 }).unwrap_err();
         let threads = EngineConfig::resolve(&spmd).threads as u128;
         assert_eq!(largest(e), budget / (3 * threads * 8));
-        // minP builds one stream per rank, next to its score and p-value
-        // matrices and one sorted score.
+        // minP's ranks run engine workers as pmaxt's do, next to the
+        // master's block of 3 genes' scores, its running minimum and a
+        // sorted score per sorting worker.
+        let threads = EngineConfig::resolve(&opts).threads as u128;
         let e = admit(&m, &labels, &opts, Entry::MinP { ranks: 3 }).unwrap_err();
-        assert_eq!(largest(e), budget / (3 * 8 + 2 * 3 * 8 + 8));
+        let minp = 3 * 8 + 8 + threads.min(3) * 8;
+        assert_eq!(largest(e), budget / (3 * threads * 8 + minp));
         // Complete enumeration and on-the-fly sampling store nothing.
         assert!(admit(&m, &labels, &opts.clone().permutations(0), pinned).is_ok());
         let on_the_fly = opts.clone().fixed_seed_sampling("y").unwrap();
@@ -518,13 +522,29 @@ mod tests {
         let m = data(3, 8);
         let labels = [0u8, 0, 0, 0, 1, 1, 1, 1];
         let opts = PmaxtOptions::default().permutations(u64::MAX);
+        let threads = EngineConfig::resolve(&opts).threads as u128;
         let e = admit(&m, &labels, &opts, Entry::MinP { ranks: 1 }).unwrap_err();
-        assert_eq!(largest(e), BUDGET_BYTES as u128 / (2 * 3 * 8 + 8));
+        let per_draw = 3 * 8 + 8 + threads.min(3) * 8;
+        assert_eq!(largest(e), BUDGET_BYTES as u128 / per_draw);
         // The maxT engine holds no score matrix.
         let pinned = Entry::MaxT {
             engine: Some(EngineConfig::explicit(1, 8)),
         };
         assert!(admit(&m, &labels, &opts, pinned).is_ok());
+    }
+
+    #[test]
+    fn minp_holds_one_block_whatever_the_gene_count() {
+        let labels = [0u8, 0, 0, 0, 1, 1, 1, 1];
+        let opts = PmaxtOptions::default().permutations(u64::MAX);
+        let threads = EngineConfig::resolve(&opts).threads as u128;
+        let per_draw = GENE_TILE as u128 * 8 + 8 + threads.min(GENE_TILE as u128) * 8;
+        for genes in [300, 3_000] {
+            for entry in [Entry::MinP { ranks: 1 }, Entry::MinP { ranks: 3 }] {
+                let e = admit(data(genes, 8), &labels, &opts, entry).unwrap_err();
+                assert_eq!(largest(e), BUDGET_BYTES as u128 / per_draw, "{genes} genes");
+            }
+        }
     }
 
     #[test]

@@ -211,7 +211,7 @@ pub fn boot_run_on(run: &Run, data: &Matrix, genes: Range<usize>) -> Result<Boot
     let tiles = genes.len().div_ceil(SOA_TILE) as u64;
     let jobs = split_chunk(0, tiles, engine.threads);
     let isa = Isa::host();
-    let parts = run_jobs(&jobs, |_, first, count| {
+    let parts = run_jobs(jobs, |_, (first, count)| {
         let lo = genes.start + first as usize * SOA_TILE;
         let hi = (lo + count as usize * SOA_TILE).min(genes.end);
         isa.run(BootGenes {

@@ -7,7 +7,7 @@
 //! `run_jobs`); each worker forwards its own generator with `skip` (exactly
 //! like a rank does), and evaluates its sub-chunk in **batches of K
 //! permutations** with **gene-tiled** inner loops
-//! ([`MaxTContext::accumulate_batched`]) so each matrix row streams through
+//! ([`MaxTContext::accumulate_batched_with`]) so each matrix row streams through
 //! L1 once per batch instead of once per permutation.
 //!
 //! ## Determinism
@@ -133,23 +133,23 @@ pub fn split_chunk(start: u64, take: u64, threads: usize) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Run `work(worker, start, count)` for every job of a [`split_chunk`] plan,
-/// one scoped thread per job (inline when there is only one), and return the
-/// results in worker order. A worker's panic resumes on the caller once
-/// every worker has finished.
-pub(crate) fn run_jobs<T: Send>(
-    jobs: &[(u64, u64)],
-    work: impl Fn(usize, u64, u64) -> T + Sync,
+/// Run `work(worker, job)` for every job (typically a [`split_chunk`] span
+/// with what the worker owns for it), one scoped thread per job (inline when
+/// there is only one), and return the results in worker order. A worker's
+/// panic resumes on the caller once every worker has finished.
+pub(crate) fn run_jobs<J: Send, T: Send>(
+    jobs: Vec<J>,
+    work: impl Fn(usize, J) -> T + Sync,
 ) -> Vec<T> {
     if jobs.len() <= 1 {
-        return jobs.iter().map(|&(s, t)| work(0, s, t)).collect();
+        return jobs.into_iter().map(|job| work(0, job)).collect();
     }
     let work = &work;
     std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(w, &(s, t))| scope.spawn(move || work(w, s, t)))
+            .map(|(w, job)| scope.spawn(move || work(w, job)))
             .collect();
         handles
             .into_iter()
@@ -285,30 +285,15 @@ pub fn accumulate_chunk_hooked(
     let cancelled = || -> bool {
         matches!(hooks.cancel, Some(f) if f.load(std::sync::atomic::Ordering::Relaxed))
     };
-    let run_worker = |worker: usize, sub_start: u64, sub_take: u64| -> Result<_> {
+    let run_worker = |worker: usize, (sub_start, sub_take): (u64, u64)| -> Result<_> {
         let begin = Instant::now();
         let mut gen = build_generator(labels, opts, b).expect("validated generator");
         gen.skip(sub_start);
         let mut acc = CountAccumulator::new(genes);
         // Batch buffers (labels, gene-major scores, scorer scratch) are
         // allocated once per worker, for at most its own sub-chunk, and
-        // reused across every batch of the sub-chunk — the hooked path below
-        // included.
+        // reused across every batch of the sub-chunk.
         let mut bufs = ctx.batch_buffers(cfg.batch.min(sub_take.try_into().unwrap_or(usize::MAX)));
-        if hooks.cancel.is_none() && hooks.progress.is_none() {
-            // Hook-free fast path: one call over the whole sub-chunk.
-            let done = ctx.accumulate_batched_with(&mut *gen, sub_take, &mut acc, &mut bufs);
-            debug_assert_eq!(done, sub_take, "sub-chunk shorter than assigned");
-            return Ok((
-                acc,
-                WorkerStat {
-                    worker,
-                    start: sub_start,
-                    take: sub_take,
-                    busy: begin.elapsed(),
-                },
-            ));
-        }
         // Batch-at-a-time outer loop so the hooks run between batches; each
         // call scores exactly one batch with the same reused buffers, so the
         // inner arithmetic is the same sequence as one whole-sub-chunk call.
@@ -319,7 +304,7 @@ pub fn accumulate_chunk_hooked(
             }
             let step = (sub_take - done).min(cfg.batch.max(1) as u64);
             let did = ctx.accumulate_batched_with(&mut *gen, step, &mut acc, &mut bufs);
-            debug_assert_eq!(did, step, "sub-chunk shorter than assigned");
+            assert_eq!(did, step, "sub-chunk shorter than assigned");
             done += did;
             if let Some(progress) = hooks.progress {
                 // The hook is caller code running inside every engine worker.
@@ -345,7 +330,7 @@ pub fn accumulate_chunk_hooked(
             },
         ))
     };
-    let parts = run_jobs(&jobs, run_worker);
+    let parts = run_jobs(jobs, run_worker);
     let mut workers = Vec::with_capacity(parts.len());
     let mut counts = Vec::with_capacity(parts.len());
     for part in parts {
@@ -355,6 +340,47 @@ pub fn accumulate_chunk_hooked(
     }
     let counts = tree_merge(counts).expect("at least one worker ran");
     Ok(ChunkRun { counts, workers })
+}
+
+impl Run {
+    /// The extremeness scores of `ctx`'s genes under permutations
+    /// `[start, start + take)` of the run, gene-major (`scores[g * take + j]`),
+    /// on the admitted geometry. Where [`accumulate_chunk`] counts the
+    /// scores, this keeps them: the chunk is split over the same workers,
+    /// each forwarding its own stream with `skip` and scoring its sub-chunk
+    /// in batches, so a gene's row is its workers' parts in worker order and
+    /// every score has the bits the count pass compares.
+    pub fn scores(&self, ctx: &MaxTContext<'_>, start: u64, take: u64) -> Vec<f64> {
+        let t = usize::try_from(take).expect("a chunk that fits in memory");
+        let mut scores = vec![0.0f64; ctx.genes() * t];
+        let jobs = split_chunk(start, take, self.engine.threads);
+        // Each worker's part of every gene's row.
+        let mut parts: Vec<Vec<&mut [f64]>> = jobs.iter().map(|_| Vec::new()).collect();
+        for mut row in scores.chunks_mut(t.max(1)) {
+            for (part, &(_, count)) in parts.iter_mut().zip(&jobs) {
+                let (head, rest) = row.split_at_mut(count as usize);
+                part.push(head);
+                row = rest;
+            }
+        }
+        let jobs = jobs.into_iter().zip(parts).collect();
+        run_jobs(jobs, |_, ((sub_start, sub_take), mut rows)| {
+            let mut gen = build_generator(&self.labels, &self.opts, self.b).expect("validated");
+            gen.skip(sub_start);
+            let mut bufs = ctx.batch_buffers(self.engine.batch.min(sub_take as usize));
+            let batch = bufs.labels_bufs.len();
+            let mut done = 0usize;
+            while done < sub_take as usize {
+                let k = ctx.score_next(&mut *gen, sub_take - done as u64, &mut bufs);
+                assert!(k > 0, "sub-chunk shorter than assigned");
+                for (g, row) in rows.iter_mut().enumerate() {
+                    row[done..done + k].copy_from_slice(&bufs.scores[g * batch..g * batch + k]);
+                }
+                done += k;
+            }
+        });
+        scores
+    }
 }
 
 /// Full maxT run on the calling process with an explicit engine geometry —
@@ -414,23 +440,10 @@ impl MaxTContext<'_> {
     }
 
     /// Batched, gene-tiled variant of [`MaxTContext::accumulate`]: consume up
-    /// to `take` permutations from `gen` in batches of `batch`, accumulating
-    /// exceedance counts into `acc`. Returns the number of permutations
-    /// processed. Allocating convenience over
-    /// [`MaxTContext::accumulate_batched_with`].
-    pub fn accumulate_batched(
-        &self,
-        gen: &mut dyn ResamplingStream,
-        take: u64,
-        batch: usize,
-        acc: &mut CountAccumulator,
-    ) -> u64 {
-        let mut bufs = self.batch_buffers(batch);
-        self.accumulate_batched_with(gen, take, acc, &mut bufs)
-    }
-
-    /// Core of the batched path, reusing caller-owned [`BatchBuffers`] (the
-    /// buffers' capacity is the batch size).
+    /// to `take` permutations from `gen` in batches, accumulating exceedance
+    /// counts into `acc`, and return the number of permutations processed.
+    /// The caller-owned [`BatchBuffers`] are reused; their capacity is the
+    /// batch size.
     ///
     /// Per batch, the scorer derives its per-arrangement structures once
     /// ([`crate::stats::scorer::Scorer::begin_batch`]); the matrix is then
@@ -450,23 +463,12 @@ impl MaxTContext<'_> {
     ) -> u64 {
         assert_eq!(acc.genes(), self.genes(), "accumulator size mismatch");
         let batch = bufs.labels_bufs.len();
-        debug_assert_eq!(bufs.scores.len(), self.genes * batch, "buffer mismatch");
         let mut done = 0u64;
         while done < take {
-            let want = (take - done).min(batch as u64) as usize;
-            let mut k = 0usize;
-            while k < want && gen.next_into(&mut bufs.labels_bufs[k]) {
-                k += 1;
-            }
+            let k = self.score_next(gen, take - done, bufs);
             if k == 0 {
                 break;
             }
-            self.score_batch(
-                &bufs.labels_bufs[..k],
-                &mut bufs.scratch,
-                &mut bufs.scores,
-                batch,
-            );
             self.count_isa.run(CountBatch {
                 ctx: self,
                 scores: &bufs.scores,
@@ -477,6 +479,29 @@ impl MaxTContext<'_> {
             done += k as u64;
         }
         done
+    }
+
+    /// Draw up to `want` arrangements (at most a batch) from `gen` into
+    /// `bufs` and score them gene-major into `bufs.scores` with the batch
+    /// as stride. Returns how many were drawn.
+    fn score_next(
+        &self,
+        gen: &mut dyn ResamplingStream,
+        want: u64,
+        bufs: &mut BatchBuffers,
+    ) -> usize {
+        let batch = bufs.labels_bufs.len();
+        debug_assert_eq!(bufs.scores.len(), self.genes * batch, "buffer mismatch");
+        let want = want.min(batch as u64) as usize;
+        let mut k = 0usize;
+        while k < want && gen.next_into(&mut bufs.labels_bufs[k]) {
+            k += 1;
+        }
+        if k > 0 {
+            let labels_bufs = &bufs.labels_bufs[..k];
+            self.score_batch(labels_bufs, &mut bufs.scratch, &mut bufs.scores, batch);
+        }
+        k
     }
 
     /// Fill `scores[g * stride + j]` with the extremeness score of gene `g`
@@ -738,7 +763,9 @@ mod tests {
                 for batch in [1usize, 2, 3, 7, 32, 64] {
                     let mut acc = CountAccumulator::new(5);
                     let mut gen = build_generator(&labels, &opts, 40).unwrap();
-                    let done = ctx.accumulate_batched(&mut *gen, u64::MAX, batch, &mut acc);
+                    let mut bufs = ctx.batch_buffers(batch);
+                    let done =
+                        ctx.accumulate_batched_with(&mut *gen, u64::MAX, &mut acc, &mut bufs);
                     assert_eq!(done, 40);
                     assert_eq!(acc, reference, "{method:?} {choice:?} batch={batch}");
                 }
@@ -755,9 +782,16 @@ mod tests {
         let ctx = MaxTContext::new(&prepared, &labels, TestMethod::T, Side::Abs);
         let mut gen = build_generator(&labels, &opts, 10).unwrap();
         let mut acc = CountAccumulator::new(5);
-        assert_eq!(ctx.accumulate_batched(&mut *gen, 4, 3, &mut acc), 4);
+        let mut bufs = ctx.batch_buffers(3);
+        assert_eq!(
+            ctx.accumulate_batched_with(&mut *gen, 4, &mut acc, &mut bufs),
+            4
+        );
         assert_eq!(acc.n_perm, 4);
-        assert_eq!(ctx.accumulate_batched(&mut *gen, 100, 3, &mut acc), 6);
+        assert_eq!(
+            ctx.accumulate_batched_with(&mut *gen, 100, &mut acc, &mut bufs),
+            6
+        );
         assert_eq!(acc.n_perm, 10);
     }
 

@@ -1,191 +1,67 @@
 //! Step-down **minP** adjusted p-values — extension beyond the paper.
 //!
-//! `mt.maxT`'s sibling in `multtest` is `mt.minP` (Ge, Dudoit & Speed 2003,
-//! procedure based on successive *minima of raw p-values* instead of maxima
-//! of statistics). The paper's future work opens with "the addition of more
-//! parallelized functions"; minP is the most natural next one, and the
-//! permutation-distribution machinery (generators with skip-ahead, identity
-//! handled once) is reused unchanged.
+//! `mt.maxT`'s sibling in `multtest` is `mt.minP` (Ge, Dudoit & Speed 2003):
+//! successive *minima of raw p-values* instead of maxima of statistics, so
+//! genes with different null distributions are balanced. The paper's future
+//! work opens with "the addition of more parallelized functions"; minP is
+//! the most natural next one. Like the fast minP of Ge, Dudoit and Speed it
+//! makes two passes and holds one block of genes × B at a time, both on
+//! maxT's engine:
 //!
-//! minP is *balanced* across genes with different null distributions —
-//! p-value scale instead of statistic scale — at the cost of materializing
-//! the full genes × B score matrix (the same trade-off `mt.minP` makes).
-//! Admission ([`crate::admit`]) refuses a matrix over the 512 MiB budget
-//! rather than thrashing.
-//!
-//! Algorithm (complete or sampled permutation set, identity at index 0):
-//!
-//! 1. compute the score matrix `z[g][b]`;
-//! 2. per gene, the permutation raw p-value `p[g][b] = #{b': z[g][b'] ≥
-//!    z[g][b]} / B` via a sorted copy of the gene's scores;
-//! 3. order genes by increasing observed raw p (ties: larger observed score
-//!    first);
-//! 4. per permutation, form successive minima of `p[·][b]` from the least
-//!    significant ordered gene upwards and count `q_i,b ≤ p_obs(i)`;
-//! 5. divide by B and enforce step-down monotonicity.
+//! 1. **Pass 1** is the maxT engine run. Its raw counts,
+//!    `#{b: z[g][b] ≥ z[g][0] − ε}` with the identity at index 0, are
+//!    minP's raw p-values times B, and they fix the step-down order: raw p
+//!    ascending, then observed score descending, then index.
+//! 2. **Pass 2** walks the ordered genes in blocks of [`GENE_TILE`], the
+//!    last block first. The engine scores a block under all B
+//!    arrangements; each row becomes p-values
+//!    `p[g][b] = #{b': z[g][b'] ≥ z[g][b] − ε} / B` through a sorted copy,
+//!    rows in parallel; the rows fold, from the block's last gene up, into
+//!    one B-long vector of successive minima that counts
+//!    `q[i][b] ≤ p_obs(i) + ε`.
+//! 3. maxT's finalize divides by B and enforces monotonicity.
 
+use mpi_sim::{Universe, MASTER};
+
+use crate::adaptive::runner::sub_matrix;
 use crate::admit::{admit, Entry, Run};
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
-use crate::maxt::engine::{split_evenly, DEFAULT_BATCH};
+use crate::maxt::engine::{run_jobs, split_chunk, ChunkHooks, GENE_TILE};
 use crate::maxt::result::MaxTResult;
-use crate::maxt::EPSILON;
+use crate::maxt::{CountAccumulator, MaxTContext, EPSILON};
 use crate::options::PmaxtOptions;
-use crate::perm::build_generator;
+use crate::pmaxt::span_plan;
 
-/// Run the step-down minP procedure. The result reuses [`MaxTResult`]
-/// (`teststat`, `rawp`, `adjp`, significance `order`); `rawp` is the
-/// permutation raw p-value of each gene, identical in definition to maxT's.
+/// Point-to-point tag of a block's scores returning to the rank that
+/// scored them.
+const PART_BACK: u64 = 1;
+
+/// Run the step-down minP procedure in the calling process, on the admitted
+/// engine geometry. The result reuses [`MaxTResult`] (`teststat`, `rawp`,
+/// `adjp`, significance `order`); `rawp` is the permutation raw p-value of
+/// each gene, identical in definition to maxT's.
 pub fn mt_minp(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result<MaxTResult> {
     let adm = admit(data, classlabel, opts, Entry::MinP { ranks: 1 })?;
-    let (run, data) = (&adm.run, &*adm.data);
-    let (labels, opts, b) = (&run.labels, &run.opts, run.b);
-    let genes = data.rows();
-    let prepared = run.prepare(data);
-    let scorer = run.scorer(&prepared);
-    let side = opts.side;
-
-    // 1. Score matrix, gene-major: scores[g * b + j], filled batch by batch
-    // through the run's scorer. Statistics are written at a column offset via
-    // an `&mut scores[j..]` window with stride `b`, so `score_tile`'s
-    // `g·stride + j_local` lands on the global `g·b + j + j_local` cell.
-    let mut gen = build_generator(labels, opts, b)?;
-    let bu = b as usize;
-    let mut scores = vec![f64::NEG_INFINITY; genes * bu];
-    let batch = DEFAULT_BATCH.min(bu).max(1);
-    let mut labels_bufs: Vec<Vec<u8>> = vec![vec![0u8; data.cols()]; batch];
-    let mut scratch = scorer.make_scratch();
-    let mut obs_stats = vec![f64::NAN; genes];
-    let mut j = 0usize;
-    while j < bu {
-        let want = (bu - j).min(batch);
-        let mut k = 0usize;
-        while k < want && gen.next_into(&mut labels_bufs[k]) {
-            k += 1;
-        }
-        if k == 0 {
-            break;
-        }
-        scorer.begin_batch(&labels_bufs[..k], &mut scratch);
-        scorer.score_tile(
-            &labels_bufs[..k],
-            0..genes,
-            &mut scratch,
-            &mut scores[j..],
-            bu,
-        );
-        if j == 0 {
-            // Raw observed statistics: the identity permutation's column,
-            // before the in-place extremeness transform below.
-            for g in 0..genes {
-                obs_stats[g] = scores[g * bu];
-            }
-        }
-        for g in 0..genes {
-            for slot in &mut scores[g * bu + j..g * bu + j + k] {
-                *slot = side.score(*slot);
-            }
-        }
-        j += k;
+    let run = &adm.run;
+    let prepared = run.prepare(&adm.data);
+    let ctx = run.context(&prepared);
+    let counts = run.chunk(&ctx, 0, run.b, ChunkHooks::default())?.counts;
+    let order = step_down_order(&ctx, &counts);
+    let mut fold = Fold::new(run, counts);
+    for (block, rows) in order.chunks(GENE_TILE).enumerate().rev() {
+        let mut parts = [block_scores(run, &prepared, rows, 0, run.b)];
+        fold.block(block * GENE_TILE, rows, &mut parts);
     }
-    debug_assert_eq!(j, bu);
-
-    Ok(minp_from_scores(scores, obs_stats, side, b))
+    Ok(ctx.finalize_in(&fold.counts, order))
 }
 
-/// Steps 2–5 of the minP procedure, given the full gene-major score matrix
-/// (`scores[g * B + j]`) and the observed statistics. Shared by the serial
-/// [`mt_minp`] and the parallel [`pminp`].
-pub(crate) fn minp_from_scores(
-    scores: Vec<f64>,
-    obs_stats: Vec<f64>,
-    side: crate::side::Side,
-    b: u64,
-) -> MaxTResult {
-    let bu = b as usize;
-    let genes = obs_stats.len();
-    debug_assert_eq!(scores.len(), genes * bu);
-
-    // 2. Permutation raw p-values per gene, via a sorted copy.
-    let bf = b as f64;
-    let mut pmat = vec![1.0f64; genes * bu];
-    let mut sorted = vec![0.0f64; bu];
-    for g in 0..genes {
-        let row = &scores[g * bu..(g + 1) * bu];
-        sorted.copy_from_slice(row);
-        // In place: a stable sort would borrow another B-long buffer, and
-        // the counts below read only comparisons, which equal values pass
-        // alike in any order.
-        sorted.sort_unstable_by(|a, c| a.partial_cmp(c).expect("scores are never NaN"));
-        for (j, &z) in row.iter().enumerate() {
-            // count of scores >= z - EPSILON == bu - lower_bound(z - EPSILON)
-            let t = z - EPSILON;
-            let idx = sorted.partition_point(|&s| s < t);
-            pmat[g * bu + j] = (bu - idx) as f64 / bf;
-        }
-    }
-
-    // 3. Order genes by increasing observed raw p, ties by decreasing
-    // observed score, then by index (stable).
-    let obs_scores: Vec<f64> = (0..genes).map(|g| side.score(obs_stats[g])).collect();
-    let obs_rawp: Vec<f64> = (0..genes).map(|g| pmat[g * bu]).collect();
-    let mut order: Vec<usize> = (0..genes).collect();
-    order.sort_by(|&a, &c| {
-        obs_rawp[a]
-            .partial_cmp(&obs_rawp[c])
-            .expect("raw p-values are finite")
-            .then(
-                obs_scores[c]
-                    .partial_cmp(&obs_scores[a])
-                    .expect("scores are never NaN"),
-            )
-    });
-
-    // 4. Successive minima per permutation; count exceedances.
-    let mut count_adj = vec![0u64; genes];
-    for j in 0..bu {
-        let mut running_min = f64::INFINITY;
-        for i in (0..genes).rev() {
-            let g = order[i];
-            let p = pmat[g * bu + j];
-            if p < running_min {
-                running_min = p;
-            }
-            if running_min <= obs_rawp[g] + EPSILON {
-                count_adj[i] += 1;
-            }
-        }
-    }
-
-    // 5. Adjusted p-values with monotonic enforcement, mapped to gene order.
-    let mut adj_ordered: Vec<f64> = count_adj.iter().map(|&c| c as f64 / bf).collect();
-    for i in 1..genes {
-        if adj_ordered[i] < adj_ordered[i - 1] {
-            adj_ordered[i] = adj_ordered[i - 1];
-        }
-    }
-    let mut rawp = vec![f64::NAN; genes];
-    let mut adjp = vec![f64::NAN; genes];
-    for (i, &g) in order.iter().enumerate() {
-        if obs_scores[g] > f64::NEG_INFINITY {
-            rawp[g] = obs_rawp[g];
-            adjp[g] = adj_ordered[i];
-        }
-    }
-    MaxTResult {
-        teststat: obs_stats,
-        rawp,
-        adjp,
-        order,
-        b_used: b,
-    }
-}
-
-/// Parallel minP: the score-matrix computation (the compute-bound stage) is
-/// distributed over SPMD ranks exactly like `pmaxT` distributes its kernel —
-/// contiguous permutation chunks reached by generator skip-ahead — and the
-/// chunks are gathered on the master, which finishes steps 2–5 serially.
-/// Results are bit-identical to [`mt_minp`].
+/// Parallel minP: both passes split the arrangements over SPMD ranks in
+/// contiguous chunks, as `pmaxT` splits its kernel, and each rank scores its
+/// chunk through the engine. Pass 1's counts are sum-reduced onto the
+/// master, which broadcasts the step-down order; in pass 2 the master
+/// gathers each block and folds it. Results are bit-identical to
+/// [`mt_minp`].
 pub fn pminp(
     data: &Matrix,
     classlabel: &[u8],
@@ -199,59 +75,43 @@ pub fn pminp(
 /// [`pminp`] for a run admitted at its entry, over its NA-canonical matrix,
 /// which every rank reads in place.
 pub fn pminp_on(run: Run, data: Matrix, n_ranks: usize) -> Result<MaxTResult> {
-    use mpi_sim::{Universe, MASTER};
-
     if n_ranks == 0 {
         return Err(Error::Comm("at least one rank required".into()));
     }
     let outputs = Universe::run(n_ranks, move |comm| {
-        let (labels, opts, b) = (&run.labels, &run.opts, run.b);
+        let run = &run;
         let prepared = run.prepare(&data);
-        let scorer = run.scorer(&prepared);
-        let genes = data.rows();
-        // Contiguous permutation chunk for this rank (no identity special
-        // case here: minP needs every column of the score matrix anyway).
-        let (start, take) = split_evenly(b, comm.size() as u64, comm.rank() as u64);
-        let mut gen = build_generator(labels, opts, b).expect("validated generator");
-        gen.skip(start);
-        // Permutation-major chunk: chunk[j_local * genes + g].
-        let mut chunk = vec![0.0f64; take as usize * genes];
-        let mut labels_buf = vec![0u8; data.cols()];
-        let mut stats = vec![f64::NAN; genes];
-        let mut scratch = scorer.make_scratch();
-        let mut obs_stats = vec![f64::NAN; genes];
-        for j_local in 0..take as usize {
-            assert!(gen.next_into(&mut labels_buf), "chunk within bounds");
-            scorer.stats_into(&labels_buf, &mut scratch, &mut stats);
-            for g in 0..genes {
-                let stat = stats[g];
-                if start == 0 && j_local == 0 {
-                    obs_stats[g] = stat;
-                }
-                chunk[j_local * genes + g] = opts.side.score(stat);
-            }
-        }
-        let gathered = comm
-            .gather(MASTER, (start, chunk, obs_stats))
-            .expect("score gather");
-        gathered.map(|parts| {
-            let bu = b as usize;
-            let mut scores = vec![f64::NEG_INFINITY; genes * bu];
-            let mut obs = vec![f64::NAN; genes];
-            for (part_start, part_chunk, part_obs) in parts {
-                let part_take = part_chunk.len() / genes;
-                for j_local in 0..part_take {
-                    let j = part_start as usize + j_local;
-                    for g in 0..genes {
-                        scores[g * bu + j] = part_chunk[j_local * genes + g];
+        let ctx = run.context(&prepared);
+        // Contiguous chunks as `pmaxt`'s ranks take them; surplus ranks idle.
+        let (start, take) = span_plan(run.b, comm.size()).expect("ranks checked")[comm.rank()];
+        let chunk = run.chunk(&ctx, start, take, ChunkHooks::default());
+        let counts = chunk.expect("engine chunk").counts;
+        let reduced = comm
+            .reduce_sum_u64(MASTER, counts.to_flat())
+            .expect("count reduction");
+        let counts = reduced.map(|flat| CountAccumulator::from_flat(&flat, ctx.genes()));
+        let order = counts.as_ref().map(|c| step_down_order(&ctx, c));
+        let order = comm.bcast(MASTER, order).expect("order broadcast");
+        let mut fold = counts.map(|c| Fold::new(run, c));
+        for (block, rows) in order.chunks(GENE_TILE).enumerate().rev() {
+            let part = block_scores(run, &prepared, rows, start, take);
+            let gathered = comm.gather(MASTER, part).expect("score gather");
+            // Each part returns to its rank once folded: no rank scores a
+            // block ahead of the fold, and each frees what it allocated.
+            match (&mut fold, gathered) {
+                (Some(fold), Some(mut parts)) => {
+                    fold.block(block * GENE_TILE, rows, &mut parts);
+                    for (rank, part) in parts.into_iter().enumerate().skip(1) {
+                        comm.send(rank, PART_BACK, part).expect("part return");
                     }
                 }
-                if part_start == 0 {
-                    obs = part_obs;
-                }
+                _ => drop(
+                    comm.recv::<Vec<f64>>(MASTER, PART_BACK)
+                        .expect("part return"),
+                ),
             }
-            minp_from_scores(scores, obs, opts.side, b)
-        })
+        }
+        fold.map(|fold| ctx.finalize_in(&fold.counts, order))
     })
     .map_err(|e| Error::Comm(e.to_string()))?;
     Ok(outputs
@@ -259,6 +119,118 @@ pub fn pminp_on(run: Run, data: Matrix, n_ranks: usize) -> Result<MaxTResult> {
         .next()
         .flatten()
         .expect("master produces the result"))
+}
+
+/// minP's step-down order: raw p-value ascending (raw count ascending, the
+/// same order), then observed score descending, then index.
+fn step_down_order(ctx: &MaxTContext<'_>, counts: &CountAccumulator) -> Vec<usize> {
+    let (raw, obs) = (&counts.count_raw, ctx.observed_scores());
+    let mut order: Vec<usize> = (0..ctx.genes()).collect();
+    order.sort_by(|&a, &c| {
+        let by_score = obs[c].partial_cmp(&obs[a]);
+        raw[a]
+            .cmp(&raw[c])
+            .then(by_score.expect("scores are never NaN"))
+    });
+    order
+}
+
+/// The engine's scores of the prepared matrix's `rows` under arrangements
+/// `[start, start + take)`, gene-major.
+fn block_scores(run: &Run, prepared: &Matrix, rows: &[usize], start: u64, take: u64) -> Vec<f64> {
+    let block = sub_matrix(prepared, rows);
+    let ctx = run.context(&block);
+    run.scores(&ctx, start, take)
+}
+
+/// Pass 2 on the master: minP's counts (pass 1's raw counts, the adjusted
+/// counts filled block by block), the successive minima of every
+/// arrangement, and one sorted row per sorting worker.
+struct Fold {
+    counts: CountAccumulator,
+    running_min: Vec<f64>,
+    sorted: Vec<Vec<f64>>,
+}
+
+impl Fold {
+    fn new(run: &Run, mut counts: CountAccumulator) -> Fold {
+        debug_assert_eq!(counts.n_perm, run.b);
+        counts.count_adj.fill(0);
+        let b = run.b as usize;
+        let sorters = run.engine.threads.min(counts.genes().min(GENE_TILE)).max(1);
+        Fold {
+            counts,
+            running_min: vec![f64::INFINITY; b],
+            sorted: (0..sorters).map(|_| Vec::with_capacity(b)).collect(),
+        }
+    }
+
+    /// Fold the block of ordered genes `rows`, which starts at ordered
+    /// position `first`. `parts` hold its scores in arrangement order, each
+    /// gene-major over its own span of arrangements; they come back holding
+    /// the rows' p-values.
+    fn block(&mut self, first: usize, rows: &[usize], parts: &mut [Vec<f64>]) {
+        self.p_values(rows.len(), parts);
+        let b = self.counts.n_perm as f64;
+        for (r, &g) in rows.iter().enumerate().rev() {
+            let limit = self.counts.count_raw[g] as f64 / b + EPSILON;
+            let mut mins = self.running_min.iter_mut();
+            let mut count = 0u64;
+            for part in parts.iter() {
+                let t = part.len() / rows.len();
+                for (&p, min) in part[r * t..(r + 1) * t].iter().zip(&mut mins) {
+                    if p < *min {
+                        *min = p;
+                    }
+                    count += u64::from(*min <= limit);
+                }
+            }
+            self.counts.count_adj[first + r] = count;
+        }
+    }
+
+    /// Replace every score of the block's `rows` rows with its gene's
+    /// permutation p-value, the rows split over the sorting workers.
+    fn p_values(&mut self, rows: usize, parts: &mut [Vec<f64>]) {
+        let b = self.counts.n_perm;
+        let jobs = split_chunk(0, rows as u64, self.sorted.len());
+        // Each job's rows, in every part.
+        let mut segments: Vec<Vec<&mut [f64]>> = jobs.iter().map(|_| Vec::new()).collect();
+        for part in parts.iter_mut() {
+            let t = part.len() / rows;
+            let mut rest = part.as_mut_slice();
+            for (job, &(_, n)) in segments.iter_mut().zip(&jobs) {
+                let (head, tail) = rest.split_at_mut(n as usize * t);
+                job.push(head);
+                rest = tail;
+            }
+        }
+        let work = jobs.iter().zip(segments).zip(self.sorted.iter_mut());
+        let work = work.map(|((&(_, n), job), sorted)| (n as usize, job, sorted));
+        run_jobs(work.collect(), |_, (n, mut job, sorted)| {
+            for r in 0..n {
+                sorted.clear();
+                for part in &job {
+                    let t = part.len() / n;
+                    sorted.extend_from_slice(&part[r * t..(r + 1) * t]);
+                }
+                // In place: a stable sort would borrow another B-long
+                // buffer, and the counts below read only `<` comparisons,
+                // which equal values (-0 and +0 among them; scores are never
+                // NaN) pass alike in any order.
+                sorted.sort_unstable_by(f64::total_cmp);
+                for part in job.iter_mut() {
+                    let t = part.len() / n;
+                    for z in &mut part[r * t..(r + 1) * t] {
+                        // #{scores >= z - EPSILON} = B - lower_bound(z - EPSILON)
+                        let bound = *z - EPSILON;
+                        let below = sorted.partition_point(|&s| s < bound);
+                        *z = (b - below as u64) as f64 / b as f64;
+                    }
+                }
+            }
+        });
+    }
 }
 
 #[cfg(test)]

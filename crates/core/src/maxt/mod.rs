@@ -233,6 +233,12 @@ impl<'a> MaxTContext<'a> {
     /// enforce step-down monotonicity; genes whose observed statistic was not
     /// computable get `NaN` p-values (the `mt.maxT` NA behaviour).
     pub fn finalize(&self, acc: &CountAccumulator) -> MaxTResult {
+        self.finalize_in(acc, self.order.clone())
+    }
+
+    /// [`MaxTContext::finalize`] with the adjusted counts in `order`, a
+    /// step-down order of this context's genes (minP's, by raw p-value).
+    pub(crate) fn finalize_in(&self, acc: &CountAccumulator, order: Vec<usize>) -> MaxTResult {
         assert!(acc.n_perm > 0, "no permutations accumulated");
         let b = acc.n_perm as f64;
         let genes = self.genes();
@@ -250,7 +256,7 @@ impl<'a> MaxTContext<'a> {
             }
         }
         let mut adjp = vec![f64::NAN; genes];
-        for (i, &g) in self.order.iter().enumerate() {
+        for (i, &g) in order.iter().enumerate() {
             if self.obs_scores[g] > f64::NEG_INFINITY {
                 adjp[g] = adj_ordered[i];
             }
@@ -259,7 +265,7 @@ impl<'a> MaxTContext<'a> {
             teststat: self.obs_stats.clone(),
             rawp,
             adjp,
-            order: self.order.clone(),
+            order,
             b_used: acc.n_perm,
         }
     }

@@ -263,16 +263,10 @@ pub fn pmaxt_rank(
 
     // Step 4 — main kernel: each rank processes its chunk of permutations
     // through the batched multi-threaded engine. Ranks beyond the number of
-    // permutations contribute an (explicitly) empty accumulator — the strict
-    // `chunk_for_rank` is only consulted for active ranks.
+    // permutations get an empty span and contribute an empty accumulator.
     let ctx = run.context(&prepared);
     let local_counts = timer.time(sections::MAIN_KERNEL, || {
-        let active = (comm.size() as u64).min(run.b);
-        let rank = comm.rank() as u64;
-        if rank >= active {
-            return CountAccumulator::new(ctx.genes());
-        }
-        let (start, take) = chunk_for_rank(run.b, active, rank).expect("active ranks have chunks");
+        let (start, take) = span_plan(run.b, comm.size()).expect("ranks checked")[comm.rank()];
         let chunk = run.chunk(&ctx, start, take, ChunkHooks::default());
         chunk.expect("engine chunk").counts
     });

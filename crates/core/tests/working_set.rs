@@ -129,6 +129,8 @@ type Driver<'a> = Box<dyn Fn(u64) -> Result<(), Error> + 'a>;
 #[test]
 fn drivers_hold_what_admission_charges() {
     let (data, labels) = dataset(40, 12);
+    // More genes than one minP block.
+    let (wide, wide_labels) = dataset(300, 12);
     let opts = PmaxtOptions::default().seed(5);
     let stored = opts.clone().fixed_seed_sampling("n").unwrap();
     let with_b = |o: &PmaxtOptions, b: u64| o.clone().permutations(b);
@@ -154,7 +156,15 @@ fn drivers_hold_what_admission_charges() {
         ),
         (
             "pminp, 3 ranks",
-            Box::new(|b| pminp(&data, &labels, &with_b(&opts, b), 3).map(drop)),
+            Box::new(|b| pminp(&data, &labels, &with_b(&opts, b).threads(1), 3).map(drop)),
+        ),
+        (
+            "mt_minp, 300 genes",
+            Box::new(|b| mt_minp(&wide, &wide_labels, &with_b(&opts, b)).map(drop)),
+        ),
+        (
+            "pminp, 300 genes, 3 ranks",
+            Box::new(|b| pminp(&wide, &wide_labels, &with_b(&opts, b).threads(1), 3).map(drop)),
         ),
         (
             "sample_teststats",

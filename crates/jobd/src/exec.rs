@@ -461,7 +461,14 @@ impl JobKind for Counts {
         if (start, take) != unit || flat.len() != CountAccumulator::new(genes).to_flat().len() {
             return Err("span/shape mismatch in response".into());
         }
-        Ok(CountAccumulator::from_flat(&flat, genes))
+        // A span of `take` permutations counts each of them once: a reply
+        // claiming more would corrupt the merged counts and the checkpoint.
+        let counts = CountAccumulator::from_flat(&flat, genes);
+        let mut all = counts.count_raw.iter().chain(&counts.count_adj);
+        if counts.n_perm != take || all.any(|&c| c > take) {
+            return Err("counts overrun their span in response".into());
+        }
+        Ok(counts)
     }
 }
 
@@ -1284,6 +1291,41 @@ mod tests {
     use crate::manager::{JobManager, JobSpec, ManagerConfig};
     use sprint_core::maxt::serial::mt_maxt;
     use sprint_core::options::Precision;
+
+    #[test]
+    fn span_replies_whose_counts_overrun_their_span_are_malformed() {
+        let (data, raw) = small_dataset();
+        let opts = PmaxtOptions::default().permutations(100);
+        let entry = sprint_core::admit::Entry::MaxT { engine: None };
+        let adm = sprint_core::admit::admit(&data, &raw, &opts, entry).unwrap();
+        let genes = data.rows();
+        let work = JobWork {
+            run: adm.run,
+            genes,
+            check_digest: 0,
+            cached: false,
+            source: None,
+        };
+        let (start, take) = (20, 30);
+        let reply = |counts: &CountAccumulator| {
+            let json = protocol::span_counts_to_json(start, take, &counts.to_flat(), 0.0);
+            Counts.decode(&work, (start, take), &json)
+        };
+        let mut full = CountAccumulator::new(genes);
+        full.count_raw.fill(take);
+        full.count_adj.fill(take);
+        full.n_perm = take;
+        assert_eq!(reply(&full), Ok(full.clone()));
+        let mut long = full.clone();
+        long.n_perm = take + 1;
+        let mut over = full.clone();
+        over.count_raw[0] = take + 1;
+        let mut huge = full.clone();
+        huge.count_adj[genes - 1] = u64::MAX;
+        for bad in [long, over, huge] {
+            assert!(reply(&bad).is_err(), "{bad:?}");
+        }
+    }
 
     #[test]
     fn request_geometry_is_capped_at_the_host_and_fit_to_the_budget() {

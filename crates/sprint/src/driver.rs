@@ -13,9 +13,8 @@ use sprint_core::maxt::MaxTResult;
 use sprint_core::options::PmaxtOptions;
 use sprint_core::pmaxt::{pmaxt_rank, sections, MasterInput};
 
-use crate::args::Value;
+use crate::args::Args;
 use crate::framework::Master;
-use crate::marshal;
 use crate::registry::Registry;
 
 /// Payload key under which the master's script stages the admitted run.
@@ -23,10 +22,10 @@ pub const PMAXT_INPUT_KEY: &str = "pmaxt:input";
 
 /// Register the `pmaxt` parallel function. Returns its function code.
 ///
-/// The command broadcast carries the R call's (integer-codable) options and
-/// class labels. The master's script stages the run it admitted, matrix
-/// included, and `pmaxt`'s own "broadcast parameters" and "create data"
-/// broadcasts hand both to the workers, exactly as in the paper.
+/// The command broadcast carries only the function code, as in Figure 1:
+/// it wakes the workers. The master's script stages the run it admitted,
+/// matrix included, and `pmaxt`'s own "broadcast parameters" and "create
+/// data" broadcasts hand both to the workers, exactly as in the paper.
 pub fn register_pmaxt(registry: &mut Registry) -> u32 {
     registry.register("pmaxt", |ctx, _args| {
         let input: Option<MasterInput> = ctx.comm.is_master().then(|| {
@@ -56,7 +55,9 @@ pub fn standard_registry() -> Registry {
 /// The master admits the run once ([`sprint_core::admit`], its
 /// pre-processing) before the command broadcast wakes the workers, so a
 /// refused run returns its typed error and no rank starts a body that
-/// cannot run. The matrix is handed over, not copied.
+/// cannot run. The matrix is handed over, not copied, and the command
+/// carries no arguments: every rank takes the run from `pmaxt`'s parameter
+/// broadcast.
 pub fn call_pmaxt(
     master: &Master<'_>,
     data: Matrix,
@@ -71,9 +72,8 @@ pub fn call_pmaxt(
         admit(data, classlabel, opts, entry)
     })?;
     master.stage(PMAXT_INPUT_KEY, MasterInput::new(timer, admitted));
-    let args = marshal::options_to_args(opts).with("classlabel", Value::Bytes(classlabel.to_vec()));
     Ok(*master
-        .call("pmaxt", args)
+        .call("pmaxt", Args::new())
         .downcast::<MaxTResult>()
         .expect("pmaxt returns a MaxTResult"))
 }
