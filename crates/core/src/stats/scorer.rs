@@ -104,7 +104,9 @@ use crate::stats::soa::{
     block_add, block_add_sq, lane_add, lane_add_scaled, lane_add_sq, push_sel_mask, AlignedBuf,
     Isa, Kernel, MissMask, Real, SoaColumns, BLOCK, SOA_TILE,
 };
-use crate::stats::two_sample::{equalvar_from_moments, welch_from_moments};
+use crate::stats::two_sample::{
+    equalvar_from_moments, recip_safe, welch_from_moments, Count, Split,
+};
 use crate::stats::wilcoxon::wilcoxon_from_counts;
 use crate::stats::StatComputer;
 
@@ -272,8 +274,8 @@ fn fast_scorer<R: Real>(isa: Isa, data: &Matrix, method: TestMethod, k: usize) -
         Box::new(OnIsa { isa, lanes })
     }
     match method {
-        TestMethod::T => on(isa, TwoSampleScorer::<R>::new(data, true)),
-        TestMethod::TEqualVar => on(isa, TwoSampleScorer::<R>::new(data, false)),
+        TestMethod::T => on(isa, TwoSampleScorer::<R>::new(data, true, isa)),
+        TestMethod::TEqualVar => on(isa, TwoSampleScorer::<R>::new(data, false, isa)),
         TestMethod::Wilcoxon => on(isa, WilcoxonScorer::<R>::new(data)),
         TestMethod::F => on(isa, FScorer::<R>::new(data, k)),
         TestMethod::PairT => on(isa, PairTScorer::<R>::new(data)),
@@ -281,7 +283,7 @@ fn fast_scorer<R: Real>(isa: Isa, data: &Matrix, method: TestMethod, k: usize) -
         TestMethod::Corr => on(isa, CorrScorer::<R>::new(data, k)),
         // tmax scores per-gene Welch t; only the maxT counting layer differs
         // (single-step global max), which is not the scorer's concern.
-        TestMethod::TMax => on(isa, TwoSampleScorer::<R>::new(data, true)),
+        TestMethod::TMax => on(isa, TwoSampleScorer::<R>::new(data, true, isa)),
     }
 }
 
@@ -580,7 +582,9 @@ impl Scorer for ScalarScorer<'_> {
 /// column-major lanes with per-gene totals S, Q. Per arrangement, each
 /// [`BLOCK`] of genes sums its group-1 columns into register accumulators
 /// s₁, q₁, and a branch-free lane loop turns the four moments into the
-/// statistic.
+/// statistic. Blocks whose inputs the reciprocal-division proof covers
+/// divide by the group counts without a divide instruction (DESIGN.md
+/// §4.10).
 #[derive(Debug)]
 pub struct TwoSampleScorer<R: Real> {
     welch: bool,
@@ -592,38 +596,91 @@ pub struct TwoSampleScorer<R: Real> {
     /// Per gene, padded like a column: Q = Σ shifted² non-missing values.
     total_sumsq: Vec<R>,
     present: Presence,
+    /// Per [`BLOCK`] of genes: divide by the counts through their
+    /// reciprocals. Set when the block is clean, every shifted value and
+    /// total in it passes [`recip_safe`], `R` is `f64` and the tile body has
+    /// FMA.
+    recip_blocks: Vec<bool>,
 }
 
 impl<R: Real> TwoSampleScorer<R> {
-    /// Cache sufficient statistics for a prepared matrix.
-    pub fn new(data: &Matrix, welch: bool) -> Self {
+    /// Cache sufficient statistics for a prepared matrix, for the tile body
+    /// compiled for `isa`.
+    pub fn new(data: &Matrix, welch: bool, isa: Isa) -> Self {
         let rows = data.rows();
+        let present = Presence::of(data);
         let mut vals = SoaColumns::new(rows, data.cols());
         let mut total_sum = vec![R::ZERO; vals.lanes()];
         let mut total_sumsq = vec![R::ZERO; vals.lanes()];
+        // f32's range would need its own argument, so it keeps dividing.
+        let fused = isa.has_fma() && !R::IS_F32;
+        let mut recip_blocks: Vec<bool> =
+            present.clean_blocks.iter().map(|&c| c && fused).collect();
         for g in 0..rows {
             let row = data.row(g);
             let pivot = pivot_of(row);
             let (mut s, mut q) = (R::ZERO, R::ZERO);
+            // Only a block that can still take the reciprocal path pays for
+            // the range check.
+            let check = recip_blocks[g / BLOCK];
+            let mut safe = true;
             for (c, &v) in row.iter().enumerate() {
                 // Missing cells stay +0.0 in the lane.
                 if !v.is_nan() {
                     let x = R::from_f64(v - pivot);
                     vals.set(c, g, x);
+                    if check {
+                        safe &= recip_safe(x.to_f64());
+                    }
                     s += x;
                     q += x * x;
                 }
             }
             total_sum[g] = s;
             total_sumsq[g] = q;
+            if check {
+                recip_blocks[g / BLOCK] = safe && recip_safe(s.to_f64()) && recip_safe(q.to_f64());
+            }
         }
         TwoSampleScorer {
             welch,
             vals,
             total_sum,
             total_sumsq,
-            present: Presence::of(data),
+            present,
+            recip_blocks,
         }
+    }
+
+    /// The statistic of every lane of the block at `base` from its group-1
+    /// sums, dividing by lane `i`'s counts as `split(i)` does; NaN where
+    /// `too_few(i)`.
+    #[inline(always)]
+    fn finish<C: Count<R>>(
+        &self,
+        base: usize,
+        s1: &[R; BLOCK],
+        q1: &[R; BLOCK],
+        split: impl Fn(usize) -> Split<C>,
+        too_few: impl Fn(usize) -> bool,
+    ) -> [R; BLOCK] {
+        let tot_s = &self.total_sum[base..base + BLOCK];
+        let tot_q = &self.total_sumsq[base..base + BLOCK];
+        let mut t = [R::ZERO; BLOCK];
+        if self.welch {
+            for i in 0..BLOCK {
+                let (s0, q0) = (tot_s[i] - s1[i], tot_q[i] - q1[i]);
+                let v = welch_from_moments(split(i), s0, q0, s1[i], q1[i]);
+                t[i] = if too_few(i) { R::nan() } else { v };
+            }
+        } else {
+            for i in 0..BLOCK {
+                let (s0, q0) = (tot_s[i] - s1[i], tot_q[i] - q1[i]);
+                let v = equalvar_from_moments(split(i), s0, q0, s1[i], q1[i]);
+                t[i] = if too_few(i) { R::nan() } else { v };
+            }
+        }
+        t
     }
 }
 
@@ -651,10 +708,11 @@ impl<R: Real> LaneScorer for TwoSampleScorer<R> {
     ) {
         let parts = R::parts(scratch);
         let two = R::from_f64(2.0);
+        // The reciprocal divisors of the last arrangement size seen.
+        let mut recips = (usize::MAX, None);
         for base in blocks(&genes) {
             let live = base.max(genes.start)..(base + BLOCK).min(genes.end);
-            let tot_s = &self.total_sum[base..base + BLOCK];
-            let tot_q = &self.total_sumsq[base..base + BLOCK];
+            let recip_block = self.recip_blocks[base / BLOCK];
             for j in 0..labels_bufs.len() {
                 let idx = &parts.idx[parts.offsets[j]..parts.offsets[j + 1]];
                 // Group-1 columns ascending (the scalar push order), one
@@ -663,34 +721,34 @@ impl<R: Real> LaneScorer for TwoSampleScorer<R> {
                 for &c in idx {
                     block_add_sq(&mut s1, &mut q1, self.vals.block(c, base));
                 }
-                let sel = self.present.sel(parts.sel, j);
-                let (n0, n1) = self
-                    .present
-                    .block_counts::<R>(base, live.clone(), idx.len(), sel);
-                // The scalar guard `g0.n < 2 || g1.n < 2` on the post-NA
-                // counts, as a select: every lane computes its statistic.
-                let mut t = [R::ZERO; BLOCK];
-                if self.welch {
-                    for i in 0..BLOCK {
-                        let (s0, q0) = (tot_s[i] - s1[i], tot_q[i] - q1[i]);
-                        let v = welch_from_moments(n0[i], s0, q0, n1[i], s1[i], q1[i]);
-                        t[i] = if n0[i] < two || n1[i] < two {
-                            R::nan()
-                        } else {
-                            v
-                        };
+                let split = if recip_block {
+                    if recips.0 != idx.len() {
+                        let n1 = idx.len();
+                        recips = (n1, Split::recip(self.present.cols - n1, n1));
                     }
+                    recips.1
                 } else {
-                    for i in 0..BLOCK {
-                        let (s0, q0) = (tot_s[i] - s1[i], tot_q[i] - q1[i]);
-                        let v = equalvar_from_moments(n0[i], s0, q0, n1[i], s1[i], q1[i]);
-                        t[i] = if n0[i] < two || n1[i] < two {
-                            R::nan()
-                        } else {
-                            v
-                        };
+                    None
+                };
+                let t = match split {
+                    Some(split) => self.finish(base, &s1, &q1, |_| split, |_| false),
+                    None => {
+                        let sel = self.present.sel(parts.sel, j);
+                        let (n0, n1) =
+                            self.present
+                                .block_counts::<R>(base, live.clone(), idx.len(), sel);
+                        // The scalar guard `g0.n < 2 || g1.n < 2` on the
+                        // post-NA counts, as a select: every lane computes
+                        // its statistic.
+                        self.finish(
+                            base,
+                            &s1,
+                            &q1,
+                            |i| Split::exact(n0[i], n1[i]),
+                            |i| n0[i] < two || n1[i] < two,
+                        )
                     }
-                }
+                };
                 for g in live.clone() {
                     out[g * stride + j] = t[g - base].to_f64();
                 }
@@ -1451,7 +1509,7 @@ mod tests {
         let row = vec![3.5, -1.25, 7.0, 0.5, 2.25, -4.0, 9.5, 1.0];
         let m = Matrix::from_vec(1, 8, row.clone()).unwrap();
         for welch in [true, false] {
-            let scorer = fast(TwoSampleScorer::<f64>::new(&m, welch));
+            let scorer = fast(TwoSampleScorer::<f64>::new(&m, welch, Isa::host()));
             for labels in [
                 [0u8, 0, 0, 0, 1, 1, 1, 1],
                 [1, 0, 1, 0, 1, 0, 1, 0],
@@ -1473,7 +1531,7 @@ mod tests {
         let row = vec![3.5, f64::NAN, 7.0, 0.5, f64::NAN, -4.0, 9.5, 1.0];
         let m = Matrix::from_vec(1, 8, row.clone()).unwrap();
         for welch in [true, false] {
-            let scorer = fast(TwoSampleScorer::<f64>::new(&m, welch));
+            let scorer = fast(TwoSampleScorer::<f64>::new(&m, welch, Isa::host()));
             for labels in [
                 [0u8, 0, 0, 0, 1, 1, 1, 1],
                 [1, 0, 1, 0, 1, 0, 1, 0],
@@ -1617,8 +1675,8 @@ mod tests {
             [0, 1, 1, 0, 1, 0, 0, 1],
         ];
         let scorers: Vec<Box<dyn Scorer>> = vec![
-            Box::new(fast(TwoSampleScorer::<f64>::new(&m, true))),
-            Box::new(fast(TwoSampleScorer::<f64>::new(&m, false))),
+            Box::new(fast(TwoSampleScorer::<f64>::new(&m, true, Isa::host()))),
+            Box::new(fast(TwoSampleScorer::<f64>::new(&m, false, Isa::host()))),
             Box::new(fast(WilcoxonScorer::<f64>::new(&m))),
             Box::new(fast(FScorer::<f64>::new(&m, 2))),
             Box::new(fast(PairTScorer::<f64>::new(&m))),
@@ -1649,10 +1707,58 @@ mod tests {
     }
 
     #[test]
+    fn reciprocal_blocks_need_clean_in_range_f64_data_and_an_fma_body() {
+        let p = |e: i32| 2f64.powi(e);
+        // The flags of a 32-gene matrix whose gene 20 (block 1) holds `row`;
+        // the other genes are ordinary data.
+        fn flags<R: Real>(row: [f64; 6], isa: Isa) -> Vec<bool> {
+            let mut data = Vec::new();
+            for g in 0..32 {
+                if g == 20 {
+                    data.extend(row);
+                } else {
+                    data.extend((0..6).map(|c| ((g * 7 + c * 3) % 11) as f64 - 4.5));
+                }
+            }
+            let m = Matrix::from_vec(32, 6, data).unwrap();
+            TwoSampleScorer::<R>::new(&m, true, isa).recip_blocks
+        }
+        let keeps = |row| flags::<f64>(row, Isa::Avx2) == [true, true];
+        let drops = |row| flags::<f64>(row, Isa::Avx2) == [true, false];
+        // The pivot is the first cell, so the shifted values are the cells.
+        for x in [p(-200), -p(-200), 0.0, -0.0] {
+            assert!(keeps([0.0, 1.0, x, 2.0, 3.0, 4.0]), "{x:e}");
+        }
+        for x in [
+            p(-201),
+            -p(-201),
+            1e-310,
+            p(201),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert!(drops([0.0, 1.0, x, 2.0, 3.0, 4.0]), "{x:e}");
+        }
+        // A cell above 2^100 fails through Q: Q = 2^200 keeps the block,
+        // the next float up drops it.
+        assert!(keeps([0.0, p(100), 0.0, 0.0, 0.0, 0.0]));
+        let above = f64::from_bits(p(100).to_bits() + 1);
+        assert!(drops([0.0, above, 0.0, 0.0, 0.0, 0.0]));
+        // An infinite pivot makes the shifted first cell NaN.
+        assert!(drops([f64::INFINITY, 1.0, 2.0, 3.0, 4.0, 5.0]));
+        // f32 and the baseline body keep `/` everywhere.
+        let row = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(flags::<f32>(row, Isa::Avx512), [false, false]);
+        assert_eq!(flags::<f64>(row, Isa::Baseline), [false, false]);
+        assert_eq!(flags::<f64>(row, Isa::Avx512), [true, true]);
+    }
+
+    #[test]
     fn constant_row_gives_nan_like_scalar() {
         let row = vec![5.0; 6];
         let m = Matrix::from_vec(1, 6, row.clone()).unwrap();
-        let scorer = fast(TwoSampleScorer::<f64>::new(&m, true));
+        let scorer = fast(TwoSampleScorer::<f64>::new(&m, true, Isa::host()));
         let labels = [0u8, 0, 0, 1, 1, 1];
         assert!(stats_for(&scorer, &labels, 1)[0].is_nan());
         assert!(welch_t(&row, &labels).is_nan());
@@ -1661,7 +1767,7 @@ mod tests {
     #[test]
     fn degenerate_group_sizes_give_nan() {
         let m = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let t = fast(TwoSampleScorer::<f64>::new(&m, true));
+        let t = fast(TwoSampleScorer::<f64>::new(&m, true, Isa::host()));
         // One group-1 column: t undefined.
         assert!(stats_for(&t, &[0, 0, 0, 1], 1)[0].is_nan());
         // Wilcoxon allows 1 but not 0.
@@ -1675,7 +1781,7 @@ mod tests {
         let m = Matrix::from_vec(1, 4, vec![f64::NAN; 4]).unwrap();
         let labels = [0u8, 0, 1, 1];
         for scorer in [
-            Box::new(fast(TwoSampleScorer::<f64>::new(&m, true))) as Box<dyn Scorer>,
+            Box::new(fast(TwoSampleScorer::<f64>::new(&m, true, Isa::host()))) as Box<dyn Scorer>,
             Box::new(fast(WilcoxonScorer::<f64>::new(&m))),
             Box::new(fast(FScorer::<f64>::new(&m, 2))),
             Box::new(fast(PairTScorer::<f64>::new(&m))),
@@ -1698,7 +1804,7 @@ mod tests {
             .collect();
         let centered: Vec<f64> = row.iter().map(|v| v - base).collect();
         let m = Matrix::from_vec(1, 6, row).unwrap();
-        let scorer = fast(TwoSampleScorer::<f64>::new(&m, true));
+        let scorer = fast(TwoSampleScorer::<f64>::new(&m, true, Isa::host()));
         let labels = [0u8, 0, 0, 1, 1, 1];
         let fast = stats_for(&scorer, &labels, 1)[0];
         let reference = welch_t(&centered, &labels);
@@ -1720,7 +1826,7 @@ mod tests {
         }
         let m = Matrix::from_vec(genes, cols, data).unwrap();
         let labels = vec![0u8, 1, 0, 1, 0, 1];
-        let scorer = fast(TwoSampleScorer::<f64>::new(&m, true));
+        let scorer = fast(TwoSampleScorer::<f64>::new(&m, true, Isa::host()));
         let bufs = [labels.clone()];
         let mut scratch = scorer.make_scratch();
         scorer.begin_batch(&bufs, &mut scratch);

@@ -22,10 +22,14 @@
 //! the bitwise-exact default and the opt-in `SPRINT_PRECISION=f32` mode.
 //!
 //! Every kernel body is compiled three times, for the target's baseline ISA
-//! and, on x86-64, with AVX2 and with AVX-512F enabled; `Isa::run` picks the
-//! body. The wider ISAs only widen the vectors: each lane still performs the
-//! same IEEE operations in the same order (FMA is never requested, and Rust
-//! never contracts `a * b + c`), so all three bodies produce the same bits.
+//! and, on x86-64, with AVX2 + FMA and with AVX-512F enabled; `Isa::run`
+//! picks the body. The wider ISAs widen the vectors, and each lane still
+//! performs the same IEEE operations in the same order (Rust never contracts
+//! `a * b + c`). The one fused operation is the explicit [`Real::mul_add`] of
+//! the two-sample combine's reciprocal division, which the wider bodies take
+//! only in blocks where DESIGN.md §4.10 proves it returns the quotient `/`
+//! returns; the baseline body keeps `/`. So all three bodies produce the same
+//! bits.
 
 use crate::stats::scorer::{ScorerScratch, ScratchParts};
 
@@ -53,20 +57,23 @@ pub const SOA_TILE: usize = 128;
 pub enum Isa {
     /// The compilation target's baseline (SSE2 on x86-64).
     Baseline,
-    /// x86-64 with AVX2 (and without FMA).
+    /// x86-64 with AVX2 and FMA. Rust never contracts `a * b + c`, so the
+    /// only fused operations are the explicit [`Real::mul_add`] calls of the
+    /// two-sample reciprocal division (DESIGN.md §4.10).
     Avx2,
-    /// x86-64 with AVX2 and AVX-512F. rustc's feature table implies FMA
-    /// from AVX-512F, but Rust never contracts `a * b + c` and no kernel
-    /// calls `mul_add`, so this body contains no fused operation either.
+    /// x86-64 with AVX2, FMA and AVX-512F; fused operations as for
+    /// [`Isa::Avx2`].
     Avx512,
 }
 
 impl Isa {
     /// The widest ISA this host runs. The probes are the standard library's
-    /// `is_x86_feature_detected!`, which caches its answers.
+    /// `is_x86_feature_detected!`, which caches its answers. A host without
+    /// FMA runs the baseline body, whatever its vector width.
     pub fn host() -> Isa {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return Isa::Avx512;
             }
@@ -78,6 +85,12 @@ impl Isa {
     /// Whether this host can run kernels compiled for `self`.
     pub(crate) fn supported(self) -> bool {
         self <= Isa::host()
+    }
+
+    /// Whether `Real::mul_add` is one instruction in this ISA's body. In the
+    /// baseline body it is a libm call, so the kernels there keep `/`.
+    pub(crate) fn has_fma(self) -> bool {
+        self > Isa::Baseline
     }
 
     /// Lower-case name, as the scorer note prints it.
@@ -96,9 +109,10 @@ impl Isa {
         #[cfg(target_arch = "x86_64")]
         if self.supported() {
             match self {
-                // SAFETY: the host supports AVX-512F and AVX2, checked above.
+                // SAFETY: the host supports AVX-512F, AVX2 and FMA, checked
+                // above.
                 Isa::Avx512 => return unsafe { run_avx512(kernel) },
-                // SAFETY: the host supports AVX2, checked above.
+                // SAFETY: the host supports AVX2 and FMA, checked above.
                 Isa::Avx2 => return unsafe { run_avx2(kernel) },
                 Isa::Baseline => {}
             }
@@ -115,24 +129,24 @@ pub(crate) trait Kernel {
     fn run(self) -> Self::Out;
 }
 
-/// `kernel`'s body compiled with AVX2 enabled.
+/// `kernel`'s body compiled with AVX2 and FMA enabled.
 ///
 /// # Safety
 ///
-/// The host must support AVX2.
+/// The host must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
     kernel.run()
 }
 
-/// `kernel`'s body compiled with AVX2 and AVX-512F enabled.
+/// `kernel`'s body compiled with AVX2, FMA and AVX-512F enabled.
 ///
 /// # Safety
 ///
-/// The host must support AVX2 and AVX-512F.
+/// The host must support AVX2, FMA and AVX-512F.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f")]
+#[target_feature(enable = "avx2,fma,avx512f")]
 unsafe fn run_avx512<K: Kernel>(kernel: K) -> K::Out {
     kernel.run()
 }
@@ -151,6 +165,7 @@ pub trait Real:
     + std::ops::Sub<Output = Self>
     + std::ops::Mul<Output = Self>
     + std::ops::Div<Output = Self>
+    + std::ops::Neg<Output = Self>
     + std::ops::AddAssign
     + 'static
 {
@@ -173,6 +188,8 @@ pub trait Real:
     fn sqrt(self) -> Self;
     /// IEEE max (NaN-discarding, like `f64::max`).
     fn max(self, other: Self) -> Self;
+    /// `self · a + b` with one rounding.
+    fn mul_add(self, a: Self, b: Self) -> Self;
 
     /// Split the shared scratch into the per-arrangement views plus this
     /// precision's lane buffer. A single borrow-splitting accessor, so the
@@ -214,6 +231,10 @@ impl Real for f64 {
     fn max(self, other: Self) -> Self {
         f64::max(self, other)
     }
+    #[inline]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        f64::mul_add(self, a, b)
+    }
 
     fn parts(scratch: &mut ScorerScratch) -> ScratchParts<'_, Self> {
         scratch.parts_f64()
@@ -251,6 +272,10 @@ impl Real for f32 {
     #[inline]
     fn max(self, other: Self) -> Self {
         f32::max(self, other)
+    }
+    #[inline]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        f32::mul_add(self, a, b)
     }
 
     fn parts(scratch: &mut ScorerScratch) -> ScratchParts<'_, Self> {

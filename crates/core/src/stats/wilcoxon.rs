@@ -12,23 +12,19 @@
 
 use super::soa::Real;
 
-/// Standardized rank sum from the group counts and the group-1 rank sum,
-/// mirroring the combine of [`wilcoxon_from_ranks`] operation for operation
-/// (the counts are whole numbers, so `n0 + n1` is exact in either
-/// precision). The `var <= 0` guard is a select, so lane loops vectorize;
-/// the caller handles the `n0 == 0 || n1 == 0` guard the same way.
+/// Standardized rank sum from the group counts and the group-1 rank sum.
+/// [`wilcoxon_from_ranks`] and the lane loops both call it, so they compute
+/// the same bits (the counts are whole numbers, so `n0 + n1` is exact in
+/// either precision). Var[W] > 0 whenever both groups are non-empty, which
+/// every caller checks first: the scalar path with an early return, the
+/// lane loops with a select (so they vectorize).
 #[inline(always)]
 pub(crate) fn wilcoxon_from_counts<R: Real>(n0: R, n1: R, w: R) -> R {
     let one = R::from_f64(1.0);
     let n = n0 + n1;
     let expect = n1 * (n + one) / R::from_f64(2.0);
     let var = n0 * n1 * (n + one) / R::from_f64(12.0);
-    let z = (w - expect) / var.sqrt();
-    if var <= R::ZERO {
-        R::nan()
-    } else {
-        z
-    }
+    (w - expect) / var.sqrt()
 }
 
 /// Compute the standardized rank sum from a rank-transformed row.
@@ -51,13 +47,7 @@ pub fn wilcoxon_from_ranks(ranks: &[f64], labels: &[u8]) -> f64 {
     if n0 == 0 || n1 == 0 {
         return f64::NAN;
     }
-    let n = (n0 + n1) as f64;
-    let expect = n1 as f64 * (n + 1.0) / 2.0;
-    let var = n0 as f64 * n1 as f64 * (n + 1.0) / 12.0;
-    if var <= 0.0 {
-        return f64::NAN;
-    }
-    (w - expect) / var.sqrt()
+    wilcoxon_from_counts(n0 as f64, n1 as f64, w)
 }
 
 #[cfg(test)]
