@@ -1,11 +1,12 @@
 //! Backend ablation: the SPMD message-passing driver (mpi-sim, as in the
-//! paper) vs a rayon work-stealing pool computing identical counts.
+//! paper) vs the engine's worker threads in one process, computing
+//! identical counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use microarray::prelude::*;
-use sprint_bench::maxt_rayon;
+use sprint_core::maxt::{maxt_with_config, EngineConfig};
 use sprint_core::options::PmaxtOptions;
 use sprint_core::pmaxt::pmaxt;
 
@@ -24,8 +25,12 @@ fn bench_backends(c: &mut Criterion) {
                 )
             })
         });
-        group.bench_with_input(BenchmarkId::new("rayon", workers), &workers, |b, &w| {
-            b.iter(|| black_box(maxt_rayon(&ds.matrix, &ds.labels, &opts, w).unwrap().b_used))
+        group.bench_with_input(BenchmarkId::new("threads", workers), &workers, |b, &w| {
+            let cfg = EngineConfig::explicit(w, 0);
+            b.iter(|| {
+                let run = maxt_with_config(&ds.matrix, &ds.labels, &opts, cfg).unwrap();
+                black_box(run.b_used)
+            })
         });
     }
     group.finish();

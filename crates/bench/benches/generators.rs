@@ -1,6 +1,7 @@
-//! Permutation generator throughput and skip-ahead cost: the fixed-seed
-//! on-the-fly generator (O(1) skip) vs the sequential stream (replaying skip)
-//! vs complete enumeration (unranking skip), plus stored-matrix replay.
+//! Permutation generator throughput and skip-ahead cost: the random stream
+//! under fixed-seed sampling (O(1) skip) vs the sequential seeding that
+//! `fixed.seed.sampling = "n"` draws (replaying skip) vs complete enumeration
+//! (unranking skip).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -20,7 +21,7 @@ fn bench_generation(c: &mut Criterion) {
     let cases = [
         ("fixed_seed", PmaxtOptions::default().permutations(1_000)),
         (
-            "sequential_stored",
+            "sequential",
             PmaxtOptions::default()
                 .permutations(1_000)
                 .fixed_seed_sampling("n")

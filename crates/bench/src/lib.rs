@@ -8,14 +8,14 @@
 //! - **Real local measurements**: the `pmaxt` implementation profiled on this
 //!   machine's cores through `mpi-sim` ([`local_profile_table`]), plus
 //!   criterion microbenches (statistics, generators, kernel scaling, and the
-//!   three ablations: marshalling codec, transpose strategy, SPMD-vs-rayon
-//!   backend).
+//!   three ablations: marshalling codec, transpose strategy, SPMD ranks vs
+//!   the engine's threads in one process).
 
 use microarray::prelude::SynthConfig;
 use sprint_core::matrix::Matrix;
 use sprint_core::maxt::engine::{self, EngineConfig};
 use sprint_core::maxt::serial::prepare_run;
-use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
+use sprint_core::maxt::{CountAccumulator, MaxTContext};
 use sprint_core::options::{PmaxtOptions, TestMethod};
 use sprint_core::pmaxt::{chunk_for_rank, pmaxt, sections};
 
@@ -277,22 +277,6 @@ pub fn kernel_cells_to_json(results: &[(TestMethod, Vec<KernelCell>)]) -> String
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-/// Alternative data-parallel backend: the same maxT counts computed with a
-/// rayon thread pool instead of SPMD message passing. Used by the
-/// `backend_ablation` bench; results are bit-identical to `mt_maxt`.
-///
-/// Since the engine moved into core ([`sprint_core::maxt::engine`]) this is
-/// a thin wrapper pinning an explicit thread count; the chunking and merge
-/// logic lives in one place.
-pub fn maxt_rayon(
-    data: &Matrix,
-    classlabel: &[u8],
-    opts: &PmaxtOptions,
-    n_threads: usize,
-) -> sprint_core::error::Result<MaxTResult> {
-    engine::maxt_with_config(data, classlabel, opts, EngineConfig::explicit(n_threads, 0))
 }
 
 /// One cell of the hybrid (ranks × threads) scaling grid.
@@ -1716,12 +1700,13 @@ mod tests {
     use sprint_core::maxt::serial::mt_maxt;
 
     #[test]
-    fn rayon_backend_equals_serial() {
+    fn engine_threads_equal_serial() {
         let ds = SynthConfig::two_class(30, 5, 5).seed(1).generate();
         let opts = PmaxtOptions::default().permutations(50);
         let serial = mt_maxt(&ds.matrix, &ds.labels, &opts).unwrap();
         for threads in [1, 2, 4] {
-            let par = maxt_rayon(&ds.matrix, &ds.labels, &opts, threads).unwrap();
+            let cfg = EngineConfig::explicit(threads, 0);
+            let par = engine::maxt_with_config(&ds.matrix, &ds.labels, &opts, cfg).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }

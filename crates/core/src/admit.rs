@@ -17,13 +17,13 @@ use std::borrow::Cow;
 use std::ops::Deref;
 
 use crate::error::{Error, Result};
-use crate::labels::{ClassLabels, Design};
+use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::maxt::engine::{
     accumulate_chunk_hooked, available_threads, ChunkHooks, ChunkRun, EngineConfig, GENE_TILE,
 };
 use crate::maxt::MaxTContext;
-use crate::options::{Mode, PmaxtOptions, Precision, SamplingMode, TestMethod, Workload};
+use crate::options::{Mode, PmaxtOptions, Precision, TestMethod, Workload};
 use crate::perm::arrangement::resolve_draw_count;
 use crate::perm::bootstrap::MAX_BOOTSTRAP_COLS;
 use crate::stats::prepare_matrix;
@@ -281,9 +281,6 @@ fn decide(entry: Entry, opts: &PmaxtOptions, labels: &ClassLabels, b: u64) -> Re
 /// formula held against [`BUDGET_BYTES`]. Per draw (B, or B − 1 bootstrap
 /// replicates) a run holds:
 ///
-/// - stored arrangements (`--fixed-seed n`, Monte-Carlo, non-block): n
-///   bytes in every stream, one per engine worker on every rank (minP's
-///   included), one for `sample_teststats`;
 /// - bootstrap: per worker, `SOA_TILE` replicates, one sorted value and
 ///   one value of the (stable) sort's scratch, 8 bytes each, plus the
 ///   n-byte draw, the workers capped at the gene tiles;
@@ -339,34 +336,22 @@ fn fit(
     };
     let boot = opts.workload == Workload::Bootstrap;
     let boot_workers = threads.min(genes.div_ceil(SOA_TILE).max(1) as u128);
-    let stored = !boot
-        && opts.sampling == SamplingMode::Stored
-        && opts.b > 0
-        && !matches!(labels.design(), Design::Block { .. });
-    let streams = if stored { ranks * workers.max(1) } else { 0 };
     let (draws, per_draw) = match boot {
         true => (b - 1, boot_workers * (SOA_TILE as u128 + 2) * 8 + n),
-        false => (b, streams * n + own),
+        false => (b, own),
     };
     let budget = BUDGET_BYTES as u128;
     let need = per_draw * u128::from(draws);
     if need > budget {
-        let held = match (boot, stored, own > 0) {
-            (true, ..) => format!("{boot_workers} worker(s) x ({SOA_TILE} + 2 sort) x 8 + {n}"),
-            (_, true, false) => format!("{streams} stored stream(s) x {n} label"),
-            (_, false, _) => what,
-            _ => format!("{streams} stream(s) x {n} label + {what}"),
-        };
-        let hint = if stored {
-            "; --fixed-seed y samples on the fly"
-        } else {
-            ""
+        let held = match boot {
+            true => format!("{boot_workers} worker(s) x ({SOA_TILE} + 2 sort) x 8 + {n}"),
+            false => what,
         };
         return Err(Error::BadOption {
             param: "b",
             value: format!(
                 "{b} (each draw holds {held} bytes = {per_draw} bytes, {need} bytes in all, over \
-                 the {} MiB budget; the largest B accepted is {}{hint})",
+                 the {} MiB budget; the largest B accepted is {})",
                 budget >> 20,
                 budget / per_draw + u128::from(boot)
             ),
@@ -410,58 +395,34 @@ mod tests {
     }
 
     #[test]
-    fn stored_budget_counts_every_stream_the_run_builds() {
+    fn stored_sampling_is_admitted_at_any_b() {
+        // `--fixed-seed n` draws its sequential stream on the fly, so B costs
+        // it no memory. Each of these entries was refused at B = 2^40 while
+        // every engine worker stored all B label vectors.
         let m = data(3, 8);
         let labels = [0u8, 0, 0, 0, 1, 1, 1, 1];
-        let opts = PmaxtOptions::default()
+        let stored = PmaxtOptions::default()
             .fixed_seed_sampling("n")
             .unwrap()
             .threads(2)
             .batch(4)
             .permutations(1 << 40);
-        let budget = BUDGET_BYTES as u128;
         let pinned = Entry::MaxT {
             engine: Some(EngineConfig::explicit(2, 4)),
         };
-        // Two engine workers, each with all B arrangements of 8 labels.
-        let e = admit(&m, &labels, &opts, pinned).unwrap_err();
-        assert_eq!(largest(e), budget / 16);
-        let fits = opts.clone().permutations((budget / 16) as u64);
-        assert!(admit(&m, &labels, &fits, pinned).is_ok());
-        // SPMD: every rank runs its own engine workers.
-        let e = admit(&m, &labels, &opts, Entry::Submit { job_threads: 1 }).unwrap_err();
-        let threads = 2.min(available_threads()) as u128;
-        assert_eq!(largest(e), budget / (threads * 8));
-        let cores = available_threads();
-        let spmd = opts.clone().threads(cores);
-        let e = admit(&m, &labels, &spmd, Entry::Spmd { ranks: 3 }).unwrap_err();
-        let threads = EngineConfig::resolve(&spmd).threads as u128;
-        assert_eq!(largest(e), budget / (3 * threads * 8));
-        // minP's ranks run engine workers as pmaxt's do, next to the
-        // master's block of 3 genes' scores, its running minimum and a
-        // sorted score per sorting worker.
-        let threads = EngineConfig::resolve(&opts).threads as u128;
-        let e = admit(&m, &labels, &opts, Entry::MinP { ranks: 3 }).unwrap_err();
-        let minp = 3 * 8 + 8 + threads.min(3) * 8;
-        assert_eq!(largest(e), budget / (3 * threads * 8 + minp));
-        // Complete enumeration and on-the-fly sampling store nothing.
-        assert!(admit(&m, &labels, &opts.clone().permutations(0), pinned).is_ok());
-        let on_the_fly = opts.clone().fixed_seed_sampling("y").unwrap();
-        assert!(admit(&m, &labels, &on_the_fly, pinned).is_ok());
-    }
-
-    #[test]
-    fn block_designs_never_store() {
-        let m = data(2, 6);
-        let opts = PmaxtOptions::default()
-            .test(TestMethod::BlockF)
-            .fixed_seed_sampling("n")
-            .unwrap()
-            .permutations(1 << 40);
-        let entry = Entry::MaxT {
-            engine: Some(EngineConfig::explicit(1, 4)),
+        let cli = Entry::Cli {
+            ranks: 1,
+            minp: false,
+            replay: false,
         };
-        assert!(admit(&m, &[0, 1, 0, 1, 0, 1], &opts, entry).is_ok());
+        for entry in [
+            pinned,
+            cli,
+            Entry::Spmd { ranks: 3 },
+            Entry::Submit { job_threads: 1 },
+        ] {
+            assert_eq!(admit(&m, &labels, &stored, entry).unwrap().b, 1 << 40);
+        }
     }
 
     #[test]
@@ -484,15 +445,25 @@ mod tests {
             engine: Some(EngineConfig::explicit(2, 32)),
         };
         assert_eq!(admit(&m, &labels, &opts, small).unwrap().engine.batch, 32);
-        // Stored draws take their share first; the batch gets what is left,
-        // and never less than one arrangement.
-        let stored = opts.fixed_seed_sampling("n").unwrap();
-        let b = (BUDGET_BYTES as u128 / (2 * cols as u128)) as u64;
-        let run = admit(&m, &labels, &stored.clone().permutations(b), entry).unwrap();
-        assert_eq!(run.engine.batch, 1);
-        let half = admit(&m, &labels, &stored.permutations(b / 2), entry).unwrap();
-        let left = BUDGET_BYTES as u128 - u128::from(b / 2) * 2 * cols as u128;
-        assert_eq!(half.engine.batch as u128, left / (2 * per_arrangement));
+        // minP's draws take their share first, on every rank; the batch gets
+        // what is left, and never less than one arrangement.
+        let minp = opts.threads(2).batch(1_000_000);
+        let engine = EngineConfig::resolve(&minp);
+        let threads = engine.threads as u128;
+        let per_draw = GENE_TILE as u128 * 8 + 8 + threads.min(GENE_TILE as u128) * 8;
+        for ranks in [1usize, 3] {
+            let entry = Entry::MinP { ranks };
+            let e = admit(&m, &labels, &minp.clone().permutations(u64::MAX), entry).unwrap_err();
+            let b = largest(e);
+            assert_eq!(b, BUDGET_BYTES as u128 / per_draw);
+            let full = admit(&m, &labels, &minp.clone().permutations(b as u64), entry).unwrap();
+            assert_eq!(full.engine.batch, 1);
+            let half = admit(&m, &labels, &minp.clone().permutations(b as u64 / 2), entry);
+            let left = BUDGET_BYTES as u128 - b / 2 * per_draw;
+            let room = left / (ranks as u128 * threads * per_arrangement);
+            let want = room.min(engine.batch as u128);
+            assert_eq!(half.unwrap().engine.batch as u128, want, "{ranks} ranks");
+        }
     }
 
     #[test]

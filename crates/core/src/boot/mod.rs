@@ -42,10 +42,8 @@ use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
 use crate::maxt::engine::{run_jobs, split_chunk};
-use crate::options::{PmaxtOptions, SamplingMode};
-use crate::perm::arrangement::build_stream;
-use crate::perm::bootstrap::BootstrapSequential;
-use crate::perm::ResamplingStream;
+use crate::options::PmaxtOptions;
+use crate::perm::build_generator;
 use crate::stats::soa::{block_add, Isa, Kernel, MissMask, SoaColumns, BLOCK, SOA_TILE};
 use normal::{inv_phi, phi};
 
@@ -231,17 +229,10 @@ pub fn boot_run_on(run: &Run, data: &Matrix, genes: Range<usize>) -> Result<Boot
 /// Draws 1 to B − 1 of the run's stream, back to back, each stored with its
 /// class-1 slots first and its class-0 slots after, both in draw order: the
 /// order in which each class accumulator receives its adds.
-///
-/// Stored sampling reads the sequential stream that `build_stream` would
-/// materialize whole. Every run and band reads it once, in order, from the
-/// start, so the draws are drawn straight into this buffer and held once.
 fn class_sorted_draws(labels: &ClassLabels, opts: &PmaxtOptions, b: u64) -> Result<Vec<u8>> {
     let n = labels.len();
     let mut draws = vec![0u8; (b - 1) as usize * n];
-    let mut stream: Box<dyn ResamplingStream> = match opts.sampling {
-        SamplingMode::Stored => Box::new(BootstrapSequential::new(n, b, opts.seed)),
-        SamplingMode::FixedSeedOnTheFly => build_stream(labels, opts, b)?.stream,
-    };
+    let mut stream = build_generator(labels, opts, b)?;
     stream.skip(1);
     let mut raw = vec![0u8; n];
     let label = labels.as_slice();
@@ -643,7 +634,7 @@ mod tests {
         genes: Range<usize>,
     ) -> BootstrapResult {
         let (class_labels, b, data) = admit_boot(data, classlabel, opts).unwrap();
-        let mut stream = build_stream(&class_labels, opts, b).unwrap().stream;
+        let mut stream = build_generator(&class_labels, opts, b).unwrap();
         let labels = class_labels.as_slice();
         let mut draws = vec![vec![0u8; labels.len()]; b as usize];
         for draw in &mut draws {

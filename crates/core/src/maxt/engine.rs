@@ -384,8 +384,7 @@ impl Run {
 }
 
 /// Full maxT run on the calling process with an explicit engine geometry —
-/// the thread-pool analogue of `pmaxt` (and the promoted form of the bench
-/// crate's former `maxt_rayon`). Environment overrides are not consulted;
+/// the thread-pool analogue of `pmaxt`. Environment overrides are not consulted;
 /// [`crate::maxt::serial::mt_maxt`] resolves the geometry from the options
 /// and environment. Admission keeps the threads and clamps the batch to the
 /// memory budget.

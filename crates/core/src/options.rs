@@ -117,13 +117,6 @@ impl TestMethod {
     pub fn single_step_max(self) -> bool {
         matches!(self, TestMethod::TMax)
     }
-
-    /// True for methods whose permutations are never stored in memory even if
-    /// requested (paper §3.1: block-f always on-the-fly; complete generators
-    /// likewise).
-    pub fn storage_forced_on_the_fly(self) -> bool {
-        matches!(self, TestMethod::BlockF)
-    }
 }
 
 spelled_enum! {
@@ -132,11 +125,14 @@ spelled_enum! {
     #[derive(Default)]
     pub enum SamplingMode("fixed.seed.sampling") {
         /// `"y"`: the b-th permutation is derived from a seed that is a pure
-        /// function of b; nothing is stored. Default.
+        /// function of b, so a rank or worker jumps to its chunk in O(1).
+        /// Default.
         #[default]
         FixedSeedOnTheFly = "y",
-        /// `"n"`: all permutations are drawn from one sequential stream and
-        /// stored in memory before the kernel runs.
+        /// `"n"`: all permutations are drawn from one sequential stream, the
+        /// stream R stores. It is drawn on the fly, as the paper serves
+        /// `blockf`'s stored request: a worker replays the draws before its
+        /// chunk and holds one label vector, never the B × n matrix.
         Stored = "n",
     }
 }
@@ -252,11 +248,11 @@ spelled_enum! {
     /// arrangements drive the maxT step-down adjustment. `Bootstrap` draws
     /// samples *with replacement* over the same resampling-stream seam and
     /// reports percentile and BCa confidence intervals for each gene's
-    /// group-mean difference instead of p-values. The workload selects the
-    /// [`Arrangement`](crate::perm::arrangement::Arrangement) semantics of
-    /// the stream; digests absorb a marker only for non-default workloads so
-    /// every pre-existing permutation digest (and the caches keyed by them)
-    /// stays valid.
+    /// group-mean difference instead of p-values. The workload selects what
+    /// a draw means: a label arrangement, or a vector of resampled column
+    /// indices ([`Rule::Bootstrap`](crate::perm::random::Rule)). Digests
+    /// absorb a marker only for non-default workloads so every pre-existing
+    /// permutation digest (and the caches keyed by them) stays valid.
     #[derive(Default)]
     pub enum Workload("workload") {
         /// Westfall–Young maxT permutation testing. Default.
@@ -815,8 +811,6 @@ mod tests {
         assert!(TestMethod::TMax.uses_shuffle_generator());
         assert!(!TestMethod::PairT.uses_shuffle_generator());
         assert!(!TestMethod::BlockF.uses_shuffle_generator());
-        assert!(TestMethod::BlockF.storage_forced_on_the_fly());
-        assert!(!TestMethod::T.storage_forced_on_the_fly());
         assert!(TestMethod::TMax.single_step_max());
         assert!(!TestMethod::T.single_step_max());
     }

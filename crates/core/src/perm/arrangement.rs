@@ -1,96 +1,20 @@
-//! The semantics layer over [`ResamplingStream`]: what a draw *means* and
-//! how to build the right stream for a validated run.
+//! A run's draw count under its workload, and its stream.
 //!
-//! The resampling machinery splits into two layers:
-//!
-//! ```text
-//!   consumers (engine, serial path, jobd spans, checkpoint digests)
-//!        │ interpret draws via
-//!        ▼
-//!   Arrangement           — LabelShuffle | PairSignFlip | BlockShuffle
-//!                           | BootstrapDraw  (semantics: what the bytes mean)
-//!        │ carried by
-//!        ▼
-//!   StreamPlan { stream, arrangement }
-//!        │ wraps
-//!        ▼
-//!   ResamplingStream      — deterministic, skip-ahead draw stream
-//!                           (shuffle/paired/block/bootstrap families)
-//! ```
-//!
-//! The three permutation arrangements all emit *label vectors* (byte `i` is
-//! the class of sample column `i`); [`Arrangement::BootstrapDraw`] emits
-//! *index vectors* (byte `i` is the source column resampled into slot `i`).
-//! Consumers branch on [`Arrangement::is_index_vector`] — never on the
-//! concrete stream type — which is what keeps the engine, the checkpoint
-//! digests and the cross-daemon span splitting agnostic to how draws are
-//! produced.
+//! Permutation and bootstrap runs draw from the same
+//! [`ResamplingStream`] seam; only the draw count differs: bootstrap has no
+//! complete enumeration to fall back to for `B = 0`. What a draw means, a
+//! label vector or a column-index vector, follows from the workload
+//! (see [`Rule`](super::random::Rule)).
 
-use super::bootstrap::{BootstrapFixedSeed, BootstrapSequential, MAX_BOOTSTRAP_COLS};
-use super::{build_generator, stored, ResamplingStream};
+use super::{build_generator, ResamplingStream};
 use crate::error::{Error, Result};
-use crate::labels::{ClassLabels, Design};
-use crate::options::{PmaxtOptions, SamplingMode, Workload};
+use crate::labels::ClassLabels;
+use crate::options::{PmaxtOptions, Workload};
 
-/// What the bytes of a draw mean to a consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arrangement {
-    /// Multiset permutation of the observed class labels (t, t.equalvar,
-    /// wilcoxon, f, corr, tmax). Byte `i` is the class of sample column `i`.
-    LabelShuffle,
-    /// Within-pair orientation flips (pairt). Still a label vector; the
-    /// stream only ever swaps the two labels inside each pair.
-    PairSignFlip,
-    /// Within-block permutation of treatments (blockf). Still a label
-    /// vector; classes move only inside their block.
-    BlockShuffle,
-    /// Sample-with-replacement bootstrap draw. Byte `i` is the *index* of
-    /// the source column resampled into slot `i`; labels ride along with
-    /// their columns.
-    BootstrapDraw,
-}
-
-impl Arrangement {
-    /// True when draws are label vectors (byte `i` = class of column `i`).
-    pub fn is_label_vector(self) -> bool {
-        !self.is_index_vector()
-    }
-
-    /// True when draws are index vectors (byte `i` = source column of
-    /// slot `i`).
-    pub fn is_index_vector(self) -> bool {
-        matches!(self, Arrangement::BootstrapDraw)
-    }
-
-    /// Stable wire/debug name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Arrangement::LabelShuffle => "label-shuffle",
-            Arrangement::PairSignFlip => "pair-sign-flip",
-            Arrangement::BlockShuffle => "block-shuffle",
-            Arrangement::BootstrapDraw => "bootstrap-draw",
-        }
-    }
-}
-
-/// A stream paired with the semantics its draws carry.
+/// A run's stream, as [`build_stream`] returns it.
 pub struct StreamPlan {
     /// The deterministic draw stream.
     pub stream: Box<dyn ResamplingStream>,
-    /// How consumers must interpret each draw.
-    pub arrangement: Arrangement,
-}
-
-/// The arrangement a validated run's draws carry, before building a stream.
-pub fn arrangement_for(labels: &ClassLabels, opts: &PmaxtOptions) -> Arrangement {
-    if opts.workload == Workload::Bootstrap {
-        return Arrangement::BootstrapDraw;
-    }
-    match labels.design() {
-        Design::TwoSample { .. } | Design::MultiClass { .. } => Arrangement::LabelShuffle,
-        Design::Paired { .. } => Arrangement::PairSignFlip,
-        Design::Block { .. } => Arrangement::BlockShuffle,
-    }
 }
 
 /// Resolve the effective draw count for a run under its workload: permutation
@@ -116,38 +40,15 @@ pub fn resolve_draw_count(labels: &ClassLabels, opts: &PmaxtOptions) -> Result<u
     }
 }
 
-/// Build the stream + semantics for a validated run. `b_resolved` must come
-/// from [`resolve_draw_count`].
+/// [`build_generator`]'s stream, for callers that read
+/// `build_stream(..)?.stream`.
 pub fn build_stream(
     labels: &ClassLabels,
     opts: &PmaxtOptions,
     b_resolved: u64,
 ) -> Result<StreamPlan> {
-    let arrangement = arrangement_for(labels, opts);
-    let stream: Box<dyn ResamplingStream> = match opts.workload {
-        Workload::Pmaxt => build_generator(labels, opts, b_resolved)?,
-        Workload::Bootstrap => {
-            let n = labels.len();
-            if n > MAX_BOOTSTRAP_COLS {
-                return Err(Error::BadLabels(format!(
-                    "bootstrap draws index columns as bytes, which caps the \
-                     sample count at {MAX_BOOTSTRAP_COLS}; dataset has {n} columns"
-                )));
-            }
-            match opts.sampling {
-                SamplingMode::FixedSeedOnTheFly => {
-                    Box::new(BootstrapFixedSeed::new(n, b_resolved, opts.seed))
-                }
-                SamplingMode::Stored => {
-                    let mut seq = BootstrapSequential::new(n, b_resolved, opts.seed);
-                    Box::new(stored::StoredMatrix::materialize(&mut seq, n))
-                }
-            }
-        }
-    };
     Ok(StreamPlan {
-        stream,
-        arrangement,
+        stream: build_generator(labels, opts, b_resolved)?,
     })
 }
 
@@ -155,101 +56,20 @@ pub fn build_stream(
 mod tests {
     use super::*;
     use crate::options::TestMethod;
-    use crate::perm::test_support::collect_all;
-
-    fn opts() -> PmaxtOptions {
-        PmaxtOptions::default()
-    }
-
-    fn two_sample() -> ClassLabels {
-        ClassLabels::new(vec![0, 0, 1, 1], TestMethod::T).unwrap()
-    }
-
-    #[test]
-    fn arrangement_tracks_design_and_workload() {
-        let o = opts();
-        assert_eq!(
-            arrangement_for(&two_sample(), &o),
-            Arrangement::LabelShuffle
-        );
-        let pl = ClassLabels::new(vec![0, 1, 0, 1], TestMethod::PairT).unwrap();
-        assert_eq!(
-            arrangement_for(&pl, &o.clone().test(TestMethod::PairT)),
-            Arrangement::PairSignFlip
-        );
-        let bl = ClassLabels::new(vec![0, 1, 0, 1], TestMethod::BlockF).unwrap();
-        assert_eq!(
-            arrangement_for(&bl, &o.clone().test(TestMethod::BlockF)),
-            Arrangement::BlockShuffle
-        );
-        let boot = o.clone().workload(Workload::Bootstrap);
-        assert_eq!(
-            arrangement_for(&two_sample(), &boot),
-            Arrangement::BootstrapDraw
-        );
-        assert!(Arrangement::BootstrapDraw.is_index_vector());
-        assert!(Arrangement::LabelShuffle.is_label_vector());
-    }
-
-    #[test]
-    fn permutation_plan_matches_build_generator_stream() {
-        let labels = two_sample();
-        let o = opts().permutations(9);
-        let plan = build_stream(&labels, &o, 9).unwrap();
-        assert_eq!(plan.arrangement, Arrangement::LabelShuffle);
-        let mut legacy = build_generator(&labels, &o, 9).unwrap();
-        let mut via_plan = plan.stream;
-        assert_eq!(
-            collect_all(&mut *via_plan, 4),
-            collect_all(&mut *legacy, 4),
-            "the plan must wrap the exact legacy stream"
-        );
-    }
-
-    #[test]
-    fn bootstrap_plan_builds_fixed_seed_and_stored() {
-        let labels = two_sample();
-        let o = opts().workload(Workload::Bootstrap).permutations(8);
-        let b = resolve_draw_count(&labels, &o).unwrap();
-        assert_eq!(b, 8);
-        let plan = build_stream(&labels, &o, b).unwrap();
-        assert_eq!(plan.arrangement, Arrangement::BootstrapDraw);
-        let mut stream = plan.stream;
-        let rows = collect_all(&mut *stream, 4);
-        assert_eq!(rows.len(), 8);
-        assert_eq!(rows[0], vec![0, 1, 2, 3], "identity draw first");
-
-        // Stored mode materializes the sequential twin.
-        let o_stored = o.clone().fixed_seed_sampling("n").unwrap();
-        let plan = build_stream(&labels, &o_stored, 8).unwrap();
-        let mut seq = BootstrapSequential::new(4, 8, o_stored.seed);
-        assert_eq!(
-            collect_all(&mut *{ plan.stream }, 4),
-            collect_all(&mut seq, 4)
-        );
-    }
 
     #[test]
     fn bootstrap_refuses_complete_and_tiny_b() {
-        let labels = two_sample();
+        let labels = ClassLabels::new(vec![0, 0, 1, 1], TestMethod::T).unwrap();
+        let o = PmaxtOptions::default().workload(Workload::Bootstrap);
+        assert_eq!(
+            resolve_draw_count(&labels, &o.clone().permutations(8)).unwrap(),
+            8
+        );
         for b in [0u64, 1] {
-            let o = opts().workload(Workload::Bootstrap).permutations(b);
-            match resolve_draw_count(&labels, &o) {
+            match resolve_draw_count(&labels, &o.clone().permutations(b)) {
                 Err(Error::BadOption { param: "b", .. }) => {}
                 other => panic!("expected BadOption for b={b}, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn bootstrap_refuses_wide_datasets() {
-        let mut v = vec![0u8; 150];
-        v.extend(vec![1u8; 150]);
-        let labels = ClassLabels::new(v, TestMethod::T).unwrap();
-        let o = opts().workload(Workload::Bootstrap).permutations(10);
-        match build_stream(&labels, &o, 10) {
-            Err(Error::BadLabels(msg)) => assert!(msg.contains("256")),
-            other => panic!("expected BadLabels, got {:?}", other.map(|_| ())),
         }
     }
 }

@@ -1,10 +1,10 @@
-//! Generators for the block design (`blockf`): a permutation independently
-//! rearranges the treatment labels *within* each block. Complete enumeration
-//! has `(k!)^m` arrangements — "a huge amount of permutations" (paper §3.1) —
-//! which is why this method is never stored in memory.
+//! Complete enumeration for the block design (`blockf`): a permutation
+//! independently rearranges the treatment labels *within* each block. There
+//! are `(k!)^m` arrangements — "a huge amount of permutations" (paper §3.1) —
+//! which is why the paper never stores them. Random within-block shuffles
+//! are [`Rule::BlockShuffle`](super::random::Rule).
 
 use super::ResamplingStream;
-use crate::rng::{mix_seed, Xoshiro256};
 
 /// Write the permutation of `0..k` with Lehmer (factoradic) index `idx` into
 /// `perm`. Index 0 is the identity.
@@ -19,131 +19,6 @@ pub(crate) fn lehmer_unrank(mut idx: u64, perm: &mut [u8]) {
         idx %= fact;
         *slot = avail.remove(d);
         fact = fact.checked_div((k - 1 - i) as u64).unwrap_or(1);
-    }
-}
-
-/// Monte-Carlo within-block shuffles with fixed-seed sampling. Index 0 is the
-/// observed labelling; `skip` is O(1).
-#[derive(Debug, Clone)]
-pub struct BlockShuffleFixedSeed {
-    base: Vec<u8>,
-    blocks: usize,
-    k: usize,
-    seed: u64,
-    cursor: u64,
-    len: u64,
-}
-
-impl BlockShuffleFixedSeed {
-    /// `base` is the observed labelling of `blocks` consecutive blocks of `k`.
-    pub fn new(base: Vec<u8>, k: usize, len: u64, seed: u64) -> Self {
-        let blocks = base.len() / k;
-        BlockShuffleFixedSeed {
-            base,
-            blocks,
-            k,
-            seed,
-            cursor: 0,
-            len,
-        }
-    }
-}
-
-impl ResamplingStream for BlockShuffleFixedSeed {
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn position(&self) -> u64 {
-        self.cursor
-    }
-
-    fn next_into(&mut self, out: &mut [u8]) -> bool {
-        if self.cursor >= self.len {
-            return false;
-        }
-        out.copy_from_slice(&self.base);
-        if self.cursor > 0 {
-            let mut rng = Xoshiro256::seed_from(mix_seed(self.seed, self.cursor));
-            for b in 0..self.blocks {
-                rng.shuffle(&mut out[b * self.k..(b + 1) * self.k]);
-            }
-        }
-        self.cursor += 1;
-        true
-    }
-
-    fn skip(&mut self, n: u64) {
-        self.cursor = self.cursor.saturating_add(n).min(self.len);
-    }
-}
-
-/// Monte-Carlo within-block shuffles from one sequential stream (the
-/// `fixed.seed.sampling = "n"` request, which for `blockf` is still served
-/// on-the-fly — the paper: "the option is available, but the code is again
-/// implemented using the on-the-fly generator"). Each non-identity step
-/// consumes exactly `m·(k−1)` draws on a persistent working vector.
-#[derive(Debug, Clone)]
-pub struct BlockShuffleSequential {
-    work: Vec<u8>,
-    blocks: usize,
-    k: usize,
-    rng: Xoshiro256,
-    cursor: u64,
-    len: u64,
-}
-
-impl BlockShuffleSequential {
-    /// `base` is the observed labelling.
-    pub fn new(base: Vec<u8>, k: usize, len: u64, seed: u64) -> Self {
-        let blocks = base.len() / k;
-        BlockShuffleSequential {
-            work: base,
-            blocks,
-            k,
-            rng: Xoshiro256::seed_from(seed),
-            cursor: 0,
-            len,
-        }
-    }
-
-    fn advance_one(&mut self) {
-        if self.cursor > 0 {
-            for b in 0..self.blocks {
-                let block = &mut self.work[b * self.k..(b + 1) * self.k];
-                for i in (1..block.len()).rev() {
-                    let j = self.rng.next_below(i as u64 + 1) as usize;
-                    block.swap(i, j);
-                }
-            }
-        }
-        self.cursor += 1;
-    }
-}
-
-impl ResamplingStream for BlockShuffleSequential {
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn position(&self) -> u64 {
-        self.cursor
-    }
-
-    fn next_into(&mut self, out: &mut [u8]) -> bool {
-        if self.cursor >= self.len {
-            return false;
-        }
-        self.advance_one();
-        out.copy_from_slice(&self.work);
-        true
-    }
-
-    fn skip(&mut self, n: u64) {
-        let target = self.cursor.saturating_add(n).min(self.len);
-        while self.cursor < target {
-            self.advance_one();
-        }
     }
 }
 
@@ -217,6 +92,8 @@ impl ResamplingStream for CompleteBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::SamplingMode;
+    use crate::perm::random::{RandomStream, Rule};
     use crate::perm::test_support::{collect_all, collect_range};
 
     // Two blocks of three treatments; block 2's observed order is not sorted.
@@ -255,43 +132,12 @@ mod tests {
     }
 
     #[test]
-    fn fixed_seed_identity_first_and_blocks_valid() {
-        let mut g = BlockShuffleFixedSeed::new(BASE.to_vec(), 3, 25, 11);
-        let all = collect_all(&mut g, 6);
-        assert_eq!(all[0], BASE.to_vec());
-        for labels in &all {
-            blocks_valid(labels, 3);
-        }
-    }
-
-    #[test]
-    fn fixed_seed_skip_equals_iterate() {
-        let all = collect_all(&mut BlockShuffleFixedSeed::new(BASE.to_vec(), 3, 20, 11), 6);
-        for start in [0u64, 1, 6, 19] {
-            let mut g = BlockShuffleFixedSeed::new(BASE.to_vec(), 3, 20, 11);
-            g.skip(start);
-            assert_eq!(collect_all(&mut g, 6), all[start as usize..]);
-        }
-    }
-
-    #[test]
-    fn sequential_skip_equals_iterate() {
-        let all = collect_all(
-            &mut BlockShuffleSequential::new(BASE.to_vec(), 3, 20, 11),
-            6,
-        );
-        assert_eq!(all[0], BASE.to_vec());
-        for labels in &all {
-            blocks_valid(labels, 3);
-        }
-        for start in [0u64, 1, 9, 19] {
-            let mut g = BlockShuffleSequential::new(BASE.to_vec(), 3, 20, 11);
-            g.skip(start);
-            assert_eq!(
-                collect_all(&mut g, 6),
-                all[start as usize..],
-                "start={start}"
-            );
+    fn random_shuffles_stay_within_blocks() {
+        for sampling in SamplingMode::ALL {
+            let mut g = RandomStream::new(Rule::BlockShuffle(3), BASE.to_vec(), 25, 11, sampling);
+            for labels in &collect_all(&mut g, 6) {
+                blocks_valid(labels, 3);
+            }
         }
     }
 

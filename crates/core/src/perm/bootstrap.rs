@@ -1,5 +1,5 @@
-//! Bootstrap draw streams: sample-with-replacement index vectors with the
-//! same deterministic, skip-ahead contract as the permutation generators.
+//! Bootstrap draws: sample-with-replacement index vectors with the same
+//! deterministic, skip-ahead contract as the permutation streams.
 //!
 //! A draw of width `n` is a vector of *column indices*: slot `i` holds the
 //! index of the source sample column resampled into position `i`. Index 0 of
@@ -8,236 +8,43 @@
 //! the permutation families, so the engine's span arithmetic (master counts
 //! index 0, workers skip into the tail) carries over unchanged.
 //!
-//! Two implementations mirror the shuffle family split:
+//! The draws are [`RandomStream`](super::random::RandomStream)s under
+//! [`Rule::Bootstrap`](super::random::Rule): one `next_below(n)` per slot,
+//! under either seeding. Fixed-seed sampling seeds draw `j` from
+//! `mix_seed(seed, j)`; `fixed.seed.sampling = "n"` draws every replicate
+//! from one sequential generator, on the fly like every other design.
 //!
-//! - [`BootstrapFixedSeed`]: draw `j` is generated from a fresh
-//!   `Xoshiro256::seed_from(mix_seed(seed, j))`, so `skip` is O(1) — the
-//!   sharding/checkpoint workhorse;
-//! - [`BootstrapSequential`]: one persistent RNG advanced draw by draw
-//!   (`skip` replays), the stored-mode source that
-//!   [`StoredMatrix`](super::stored::StoredMatrix) materializes.
-//!
-//! Draw slots are `u8`, which caps the sample count at 256 columns; the
-//! arrangement layer enforces this before construction.
-
-use super::ResamplingStream;
-use crate::rng::{mix_seed, Xoshiro256};
+//! Draw slots are `u8`, which caps the sample count at 256 columns;
+//! [`build_generator`](super::build_generator) and admission enforce this.
 
 /// Hard ceiling on the sample count for bootstrap draws: indices are
 /// transported in the same `u8` arrangement buffers as class labels.
 pub const MAX_BOOTSTRAP_COLS: usize = 256;
 
-fn identity_into(out: &mut [u8]) {
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = i as u8;
-    }
-}
-
-fn draw_into(rng: &mut Xoshiro256, out: &mut [u8]) {
-    let n = out.len() as u64;
-    for slot in out.iter_mut() {
-        *slot = rng.next_below(n) as u8;
-    }
-}
-
-/// Fixed-seed bootstrap stream: replicate `j` depends only on
-/// `(seed, j, n)`, never on the draws before it, giving O(1) `skip`.
-#[derive(Debug, Clone)]
-pub struct BootstrapFixedSeed {
-    n: usize,
-    seed: u64,
-    cursor: u64,
-    len: u64,
-}
-
-impl BootstrapFixedSeed {
-    /// Stream of `len` draws (identity at index 0) over `n` sample columns.
-    ///
-    /// # Panics
-    /// If `n` is zero, exceeds [`MAX_BOOTSTRAP_COLS`], or `len` is zero.
-    pub fn new(n: usize, len: u64, seed: u64) -> Self {
-        assert!(
-            n > 0 && n <= MAX_BOOTSTRAP_COLS,
-            "bootstrap width {n} out of range"
-        );
-        assert!(len > 0, "bootstrap stream must include the identity draw");
-        BootstrapFixedSeed {
-            n,
-            seed,
-            cursor: 0,
-            len,
-        }
-    }
-}
-
-impl ResamplingStream for BootstrapFixedSeed {
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn position(&self) -> u64 {
-        self.cursor
-    }
-
-    fn next_into(&mut self, out: &mut [u8]) -> bool {
-        if self.cursor >= self.len {
-            return false;
-        }
-        debug_assert_eq!(out.len(), self.n);
-        if self.cursor == 0 {
-            identity_into(out);
-        } else {
-            let mut rng = Xoshiro256::seed_from(mix_seed(self.seed, self.cursor));
-            draw_into(&mut rng, out);
-        }
-        self.cursor += 1;
-        true
-    }
-
-    fn skip(&mut self, n: u64) {
-        self.cursor = self.cursor.saturating_add(n).min(self.len);
-    }
-}
-
-/// Sequential bootstrap stream: one persistent RNG advanced draw by draw.
-/// `skip` replays the skipped draws so the RNG state stays aligned — the
-/// same replay contract as [`ShuffleSequential`](super::shuffle::ShuffleSequential).
-#[derive(Debug, Clone)]
-pub struct BootstrapSequential {
-    n: usize,
-    rng: Xoshiro256,
-    cursor: u64,
-    len: u64,
-}
-
-impl BootstrapSequential {
-    /// Stream of `len` draws (identity at index 0) over `n` sample columns.
-    ///
-    /// # Panics
-    /// If `n` is zero, exceeds [`MAX_BOOTSTRAP_COLS`], or `len` is zero.
-    pub fn new(n: usize, len: u64, seed: u64) -> Self {
-        assert!(
-            n > 0 && n <= MAX_BOOTSTRAP_COLS,
-            "bootstrap width {n} out of range"
-        );
-        assert!(len > 0, "bootstrap stream must include the identity draw");
-        BootstrapSequential {
-            n,
-            rng: Xoshiro256::seed_from(seed),
-            cursor: 0,
-            len,
-        }
-    }
-
-    fn advance_one(&mut self, out: &mut [u8]) {
-        if self.cursor == 0 {
-            identity_into(out);
-        } else {
-            draw_into(&mut self.rng, out);
-        }
-        self.cursor += 1;
-    }
-}
-
-impl ResamplingStream for BootstrapSequential {
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn position(&self) -> u64 {
-        self.cursor
-    }
-
-    fn next_into(&mut self, out: &mut [u8]) -> bool {
-        if self.cursor >= self.len {
-            return false;
-        }
-        debug_assert_eq!(out.len(), self.n);
-        self.advance_one(out);
-        true
-    }
-
-    fn skip(&mut self, n: u64) {
-        let mut scratch = vec![0u8; self.n];
-        let target = self.cursor.saturating_add(n).min(self.len);
-        while self.cursor < target {
-            self.advance_one(&mut scratch);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::perm::test_support::{collect_all, collect_range};
-
-    #[test]
-    fn identity_draw_comes_first() {
-        for stream in [true, false] {
-            let mut out = vec![0u8; 5];
-            let ok = if stream {
-                BootstrapFixedSeed::new(5, 4, 42).next_into(&mut out)
-            } else {
-                BootstrapSequential::new(5, 4, 42).next_into(&mut out)
-            };
-            assert!(ok);
-            assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        }
-    }
+    use crate::options::SamplingMode;
+    use crate::perm::random::{RandomStream, Rule};
+    use crate::perm::test_support::collect_all;
 
     #[test]
     fn draws_stay_below_width_and_repeat_indices() {
-        let mut g = BootstrapFixedSeed::new(6, 200, 7);
-        let rows = collect_all(&mut g, 6);
-        assert_eq!(rows.len(), 200);
-        let mut saw_repeat = false;
-        for row in &rows[1..] {
-            assert!(row.iter().all(|&i| (i as usize) < 6));
-            let mut sorted = row.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() < row.len() {
-                saw_repeat = true;
+        for sampling in SamplingMode::ALL {
+            let identity = (0..6).collect();
+            let mut g = RandomStream::new(Rule::Bootstrap, identity, 200, 7, sampling);
+            let rows = collect_all(&mut g, 6);
+            assert_eq!(rows.len(), 200);
+            let mut saw_repeat = false;
+            for row in &rows[1..] {
+                assert!(row.iter().all(|&i| (i as usize) < 6));
+                let mut sorted = row.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                if sorted.len() < row.len() {
+                    saw_repeat = true;
+                }
             }
+            assert!(saw_repeat, "with-replacement draws must repeat indices");
         }
-        assert!(saw_repeat, "with-replacement draws must repeat indices");
-    }
-
-    #[test]
-    fn fixed_seed_skip_is_stateless_jump() {
-        let mut straight = BootstrapFixedSeed::new(8, 50, 99);
-        let all = collect_all(&mut straight, 8);
-        let mut jumped = BootstrapFixedSeed::new(8, 50, 99);
-        jumped.skip(23);
-        assert_eq!(jumped.position(), 23);
-        assert_eq!(collect_all(&mut jumped, 8), all[23..].to_vec());
-    }
-
-    #[test]
-    fn sequential_skip_replays_to_same_stream() {
-        let mut straight = BootstrapSequential::new(7, 40, 5);
-        let all = collect_all(&mut straight, 7);
-        let mut jumped = BootstrapSequential::new(7, 40, 5);
-        jumped.skip(17);
-        assert_eq!(collect_all(&mut jumped, 7), all[17..].to_vec());
-    }
-
-    #[test]
-    fn streams_are_deterministic_per_seed() {
-        let a = collect_all(&mut BootstrapFixedSeed::new(5, 30, 1), 5);
-        let b = collect_all(&mut BootstrapFixedSeed::new(5, 30, 1), 5);
-        let c = collect_all(&mut BootstrapFixedSeed::new(5, 30, 2), 5);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn exhaustion_and_overskip_are_clean() {
-        let mut g = BootstrapFixedSeed::new(4, 3, 0);
-        assert_eq!(collect_range(&mut g, 4, 10).len(), 3);
-        let mut out = vec![0u8; 4];
-        assert!(!g.next_into(&mut out));
-        g.skip(100);
-        assert_eq!(g.position(), 3);
     }
 }

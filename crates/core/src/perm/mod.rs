@@ -1,36 +1,50 @@
-//! Permutation generators: the random (Monte-Carlo) and complete generators
-//! of `mt.maxT`, each with skip-ahead for parallel distribution.
+//! Resampling streams: the random (Monte-Carlo) and complete generators of
+//! `mt.maxT`, and the bootstrap's with-replacement draws, each with
+//! skip-ahead for parallel distribution.
 //!
 //! The paper (§3.1) describes 24 option combinations
 //! (generator × method × store) collapsing to **eight distinct
-//! implementations**; this module contains exactly those eight:
+//! implementations**. Here the random ones are one type,
+//! [`random::RandomStream`]: a draw [`Rule`] applied under one of two
+//! seedings. The complete enumerators stay one per design:
 //!
-//! | family (methods)                | random, fixed seed | random, stored | complete |
-//! |---------------------------------|--------------------|----------------|----------|
-//! | shuffle (t, t.equalvar, wilcoxon, f) | [`shuffle::ShuffleFixedSeed`] | [`shuffle::ShuffleSequential`] → [`stored::StoredMatrix`] | [`shuffle::CompleteShuffle`] |
-//! | paired (pairt)                  | [`paired::PairFlipFixedSeed`] | [`paired::PairFlipSequential`] → [`stored::StoredMatrix`] | [`paired::CompletePaired`] |
-//! | block (blockf)                  | [`block::BlockShuffleFixedSeed`] | [`block::BlockShuffleSequential`] (never stored) | [`block::CompleteBlock`] |
+//! | family (methods)                | random rule | complete |
+//! |---------------------------------|-------------|----------|
+//! | shuffle (t, t.equalvar, wilcoxon, f, corr, tmax) | [`Rule::Shuffle`] | [`shuffle::CompleteShuffle`] |
+//! | paired (pairt)                  | [`Rule::PairFlip`] | [`paired::CompletePaired`] |
+//! | block (blockf)                  | [`Rule::BlockShuffle`] | [`block::CompleteBlock`] |
+//! | bootstrap workload              | [`Rule::Bootstrap`] | — |
 //!
-//! Complete generators are never stored either (paper: the option exists but
-//! is served on-the-fly), and every sequence emits the **observed labelling
-//! at index 0** — the "first permutation" that only the master process counts
+//! | `fixed.seed.sampling` | seeding of the random stream | `skip` |
+//! |-----------------------|------------------------------|--------|
+//! | `"y"` (default)       | draw j from `mix_seed(seed, j)` | O(1) |
+//! | `"n"` (stored in R)   | one sequential generator, drawn on the fly | replays |
+//!
+//! Nothing is stored: the paper already serves the stored request of
+//! `blockf` and of complete enumeration from the on-the-fly generator, and
+//! every design's is served that way here. [`stored::StoredMatrix`] holds
+//! only the arrangements `pmaxt run --perm-file` replays. Every sequence
+//! emits the **observed labelling at index 0** (the identity draw for
+//! bootstrap) — the "first permutation" that only the master process counts
 //! (paper Figure 2).
 
 pub mod arrangement;
 pub mod block;
 pub mod bootstrap;
 pub mod count;
-pub mod iter;
 pub mod multiset;
 pub mod paired;
+pub mod random;
 pub mod shuffle;
 pub mod stored;
 
 use crate::error::{Error, Result};
 use crate::labels::{ClassLabels, Design};
-use crate::options::{PmaxtOptions, SamplingMode};
+use crate::options::{PmaxtOptions, Workload};
+use bootstrap::MAX_BOOTSTRAP_COLS;
+use random::{RandomStream, Rule};
 
-pub use arrangement::{build_stream, Arrangement, StreamPlan};
+pub use arrangement::{build_stream, StreamPlan};
 
 /// A deterministic, skip-ahead-capable stream of resampling draws.
 ///
@@ -44,9 +58,9 @@ pub use arrangement::{build_stream, Arrangement, StreamPlan};
 /// paper §3.2.
 ///
 /// What a draw *means* — a label permutation, a pair-sign flip, a block
-/// shuffle, or a with-replacement bootstrap index draw — is the
-/// [`Arrangement`] semantics layer on top (see [`arrangement`]); the stream
-/// itself only promises deterministic bytes with skip-ahead.
+/// shuffle, or a with-replacement bootstrap index draw — follows from the
+/// run's design and workload ([`Rule`]); the stream itself only promises
+/// deterministic bytes with skip-ahead.
 pub trait ResamplingStream: Send {
     /// Total sequence length, including the observed arrangement at index 0.
     fn len(&self) -> u64;
@@ -88,65 +102,44 @@ pub fn resolve_permutation_count(labels: &ClassLabels, opts: &PmaxtOptions) -> R
     }
 }
 
-/// Build the permutation generator for a validated run. `b_resolved` must
-/// come from [`resolve_permutation_count`].
+/// Build the stream of a validated run: its design's complete enumerator
+/// for `B = 0`, else the random stream of its design's rule, or of
+/// [`Rule::Bootstrap`] for a bootstrap run, seeded as `opts.sampling` says.
+/// `b_resolved` must come from [`arrangement::resolve_draw_count`].
 pub fn build_generator(
     labels: &ClassLabels,
     opts: &PmaxtOptions,
     b_resolved: u64,
 ) -> Result<Box<dyn ResamplingStream>> {
-    let base = labels.as_slice().to_vec();
-    let complete = opts.b == 0;
-    let gen: Box<dyn ResamplingStream> = match labels.design() {
-        Design::TwoSample { .. } | Design::MultiClass { .. } => {
-            if complete {
-                Box::new(shuffle::CompleteShuffle::new(base, b_resolved))
-            } else {
-                match opts.sampling {
-                    SamplingMode::FixedSeedOnTheFly => {
-                        Box::new(shuffle::ShuffleFixedSeed::new(base, b_resolved, opts.seed))
-                    }
-                    SamplingMode::Stored => {
-                        let mut seq = shuffle::ShuffleSequential::new(base, b_resolved, opts.seed);
-                        Box::new(stored::StoredMatrix::materialize(&mut seq, labels.len()))
-                    }
-                }
-            }
-        }
-        Design::Paired { .. } => {
-            if complete {
-                Box::new(paired::CompletePaired::new(base, b_resolved))
-            } else {
-                match opts.sampling {
-                    SamplingMode::FixedSeedOnTheFly => {
-                        Box::new(paired::PairFlipFixedSeed::new(base, b_resolved, opts.seed))
-                    }
-                    SamplingMode::Stored => {
-                        let mut seq = paired::PairFlipSequential::new(base, b_resolved, opts.seed);
-                        Box::new(stored::StoredMatrix::materialize(&mut seq, labels.len()))
-                    }
-                }
-            }
-        }
-        Design::Block { treatments, .. } => {
-            let k = *treatments;
-            if complete {
-                Box::new(block::CompleteBlock::new(base, k, b_resolved))
-            } else {
-                match opts.sampling {
-                    SamplingMode::FixedSeedOnTheFly => Box::new(block::BlockShuffleFixedSeed::new(
-                        base, k, b_resolved, opts.seed,
-                    )),
-                    // blockf is never stored: serve the request on-the-fly
-                    // from the sequential stream (paper §3.1).
-                    SamplingMode::Stored => Box::new(block::BlockShuffleSequential::new(
-                        base, k, b_resolved, opts.seed,
-                    )),
-                }
-            }
-        }
+    let (n, boot) = (labels.len(), opts.workload == Workload::Bootstrap);
+    if boot && n > MAX_BOOTSTRAP_COLS {
+        return Err(Error::BadLabels(format!(
+            "bootstrap draws index columns as bytes, which caps the \
+             sample count at {MAX_BOOTSTRAP_COLS}; dataset has {n} columns"
+        )));
+    }
+    let rule = match labels.design() {
+        _ if boot => Rule::Bootstrap,
+        Design::TwoSample { .. } | Design::MultiClass { .. } => Rule::Shuffle,
+        Design::Paired { .. } => Rule::PairFlip,
+        Design::Block { treatments, .. } => Rule::BlockShuffle(*treatments),
     };
-    Ok(gen)
+    let base = match rule {
+        Rule::Bootstrap => (0..n).map(|c| c as u8).collect(),
+        _ => labels.as_slice().to_vec(),
+    };
+    Ok(match (opts.b, rule) {
+        (0, Rule::Shuffle) => Box::new(shuffle::CompleteShuffle::new(base, b_resolved)),
+        (0, Rule::PairFlip) => Box::new(paired::CompletePaired::new(base, b_resolved)),
+        (0, Rule::BlockShuffle(k)) => Box::new(block::CompleteBlock::new(base, k, b_resolved)),
+        _ => Box::new(RandomStream::new(
+            rule,
+            base,
+            b_resolved,
+            opts.seed,
+            opts.sampling,
+        )),
+    })
 }
 
 #[cfg(test)]
@@ -184,7 +177,7 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::TestMethod;
+    use crate::options::{SamplingMode, TestMethod};
     use test_support::collect_all;
 
     fn opts() -> PmaxtOptions {
@@ -232,82 +225,98 @@ mod tests {
 
     #[test]
     fn every_family_and_mode_builds_and_starts_with_identity() {
-        let cases: Vec<(ClassLabels, PmaxtOptions)> = vec![
-            // shuffle random fixed-seed / stored / complete
-            (
-                ClassLabels::new(vec![0, 0, 1, 1], TestMethod::T).unwrap(),
-                opts().permutations(12),
-            ),
-            (
-                ClassLabels::new(vec![0, 0, 1, 1], TestMethod::T).unwrap(),
-                opts().permutations(12).fixed_seed_sampling("n").unwrap(),
-            ),
-            (
-                ClassLabels::new(vec![0, 0, 1, 1], TestMethod::T).unwrap(),
-                opts().permutations(0),
-            ),
-            // paired
-            (
-                ClassLabels::new(vec![0, 1, 1, 0], TestMethod::PairT).unwrap(),
-                opts().test(TestMethod::PairT).permutations(7),
-            ),
-            (
-                ClassLabels::new(vec![0, 1, 1, 0], TestMethod::PairT).unwrap(),
-                opts()
-                    .test(TestMethod::PairT)
-                    .permutations(7)
-                    .fixed_seed_sampling("n")
-                    .unwrap(),
-            ),
-            (
-                ClassLabels::new(vec![0, 1, 1, 0], TestMethod::PairT).unwrap(),
-                opts().test(TestMethod::PairT).permutations(0),
-            ),
-            // block
-            (
-                ClassLabels::new(vec![0, 1, 1, 0], TestMethod::BlockF).unwrap(),
-                opts().test(TestMethod::BlockF).permutations(9),
-            ),
-            (
-                ClassLabels::new(vec![0, 1, 1, 0], TestMethod::BlockF).unwrap(),
-                opts().test(TestMethod::BlockF).permutations(0),
-            ),
+        let two = || ClassLabels::new(vec![0, 0, 1, 1], TestMethod::T).unwrap();
+        let paired = || ClassLabels::new(vec![0, 1, 1, 0], TestMethod::PairT).unwrap();
+        let block = || ClassLabels::new(vec![0, 1, 1, 0], TestMethod::BlockF).unwrap();
+        let pairt = || opts().test(TestMethod::PairT);
+        let blockf = || opts().test(TestMethod::BlockF);
+        let boot = || opts().workload(Workload::Bootstrap);
+        let stored = |o: PmaxtOptions| o.fixed_seed_sampling("n").unwrap();
+        // Random fixed-seed, random sequential and complete, per family.
+        let cases: Vec<(ClassLabels, PmaxtOptions, Vec<u8>)> = vec![
+            (two(), opts().permutations(12), vec![0, 0, 1, 1]),
+            (two(), stored(opts().permutations(12)), vec![0, 0, 1, 1]),
+            (two(), opts().permutations(0), vec![0, 0, 1, 1]),
+            (paired(), pairt().permutations(7), vec![0, 1, 1, 0]),
+            (paired(), stored(pairt().permutations(7)), vec![0, 1, 1, 0]),
+            (paired(), pairt().permutations(0), vec![0, 1, 1, 0]),
+            (block(), blockf().permutations(9), vec![0, 1, 1, 0]),
+            (block(), stored(blockf().permutations(9)), vec![0, 1, 1, 0]),
+            (block(), blockf().permutations(0), vec![0, 1, 1, 0]),
+            // Bootstrap draws column indices: the identity draw first.
+            (two(), boot().permutations(8), vec![0, 1, 2, 3]),
+            (two(), stored(boot().permutations(8)), vec![0, 1, 2, 3]),
         ];
-        for (labels, o) in cases {
-            let b = resolve_permutation_count(&labels, &o).unwrap();
+        for (labels, o, first) in cases {
+            let b = arrangement::resolve_draw_count(&labels, &o).unwrap();
             let mut g = build_generator(&labels, &o, b).unwrap();
             assert_eq!(g.len(), b);
             assert!(!g.is_empty());
             let mut out = vec![0u8; labels.len()];
             assert!(g.next_into(&mut out));
-            assert_eq!(out, labels.as_slice(), "identity first for {o:?}");
+            assert_eq!(out, first, "identity first for {o:?}");
         }
     }
 
     #[test]
-    fn stored_and_sequential_agree() {
-        // The stored matrix must hold exactly the sequential stream.
-        let labels = ClassLabels::new(vec![0, 0, 1, 1, 1], TestMethod::T).unwrap();
-        let o_stored = opts().permutations(10).fixed_seed_sampling("n").unwrap();
-        let mut g_stored = build_generator(&labels, &o_stored, 10).unwrap();
-        let mut g_seq =
-            shuffle::ShuffleSequential::new(labels.as_slice().to_vec(), 10, o_stored.seed);
-        assert_eq!(collect_all(&mut *g_stored, 5), collect_all(&mut g_seq, 5));
+    fn stored_sampling_is_the_sequential_seeding_for_every_design() {
+        let cases = [
+            (
+                vec![0, 0, 1, 1, 1],
+                TestMethod::T,
+                Workload::Pmaxt,
+                Rule::Shuffle,
+            ),
+            (
+                vec![0, 1, 1, 0, 0, 1],
+                TestMethod::PairT,
+                Workload::Pmaxt,
+                Rule::PairFlip,
+            ),
+            (
+                vec![0, 1, 1, 0, 0, 1],
+                TestMethod::BlockF,
+                Workload::Pmaxt,
+                Rule::BlockShuffle(2),
+            ),
+            (
+                vec![0, 0, 1, 1, 1],
+                TestMethod::T,
+                Workload::Bootstrap,
+                Rule::Bootstrap,
+            ),
+        ];
+        for (raw, test, workload, rule) in cases {
+            let labels = ClassLabels::new(raw.clone(), test).unwrap();
+            let o = opts()
+                .test(test)
+                .workload(workload)
+                .permutations(10)
+                .fixed_seed_sampling("n")
+                .unwrap();
+            let base = match rule {
+                Rule::Bootstrap => (0..raw.len() as u8).collect(),
+                _ => raw.clone(),
+            };
+            let mut seq = RandomStream::new(rule, base, 10, o.seed, SamplingMode::Stored);
+            let mut built = build_generator(&labels, &o, 10).unwrap();
+            assert_eq!(
+                collect_all(&mut *built, raw.len()),
+                collect_all(&mut seq, raw.len()),
+                "{rule:?}"
+            );
+        }
     }
 
     #[test]
-    fn blockf_stored_request_is_served_on_the_fly() {
-        // No StoredMatrix for blockf: equality with the sequential stream and
-        // O(len) skip behaviour is all we can observe from outside; check
-        // stream equality.
-        let labels = ClassLabels::new(vec![0, 1, 1, 0, 0, 1], TestMethod::BlockF).unwrap();
-        let o = opts()
-            .test(TestMethod::BlockF)
-            .permutations(8)
-            .fixed_seed_sampling("n")
-            .unwrap();
-        let mut g = build_generator(&labels, &o, 8).unwrap();
-        let mut seq = block::BlockShuffleSequential::new(labels.as_slice().to_vec(), 2, 8, o.seed);
-        assert_eq!(collect_all(&mut *g, 6), collect_all(&mut seq, 6));
+    fn bootstrap_refuses_wide_datasets() {
+        let mut v = vec![0u8; 150];
+        v.extend(vec![1u8; 150]);
+        let labels = ClassLabels::new(v, TestMethod::T).unwrap();
+        let o = opts().workload(Workload::Bootstrap).permutations(10);
+        match build_generator(&labels, &o, 10) {
+            Err(Error::BadLabels(msg)) => assert!(msg.contains("256")),
+            other => panic!("expected BadLabels, got {:?}", other.map(|_| ())),
+        }
     }
 }

@@ -1,145 +1,12 @@
-//! Generators for the paired design (`pairt`): a permutation is a pattern of
-//! within-pair label swaps (sign flips of the pair differences).
+//! Complete enumeration for the paired design (`pairt`): a permutation is a
+//! pattern of within-pair label swaps (sign flips of the pair differences).
+//! Random flips are [`Rule::PairFlip`](super::random::Rule).
 
 use super::ResamplingStream;
-use crate::rng::{mix_seed, Xoshiro256};
 
 #[inline]
 fn flip_pair(labels: &mut [u8], j: usize) {
     labels.swap(2 * j, 2 * j + 1);
-}
-
-/// Monte-Carlo sign flips with fixed-seed sampling: permutation `b` flips
-/// each pair independently with probability ½ under an RNG seeded from
-/// `mix(seed, b)`. Index 0 is the observed labelling; `skip` is O(1).
-#[derive(Debug, Clone)]
-pub struct PairFlipFixedSeed {
-    base: Vec<u8>,
-    pairs: usize,
-    seed: u64,
-    cursor: u64,
-    len: u64,
-}
-
-impl PairFlipFixedSeed {
-    /// `base` is the observed labelling (pairs at `(2j, 2j+1)`).
-    pub fn new(base: Vec<u8>, len: u64, seed: u64) -> Self {
-        let pairs = base.len() / 2;
-        PairFlipFixedSeed {
-            base,
-            pairs,
-            seed,
-            cursor: 0,
-            len,
-        }
-    }
-}
-
-impl ResamplingStream for PairFlipFixedSeed {
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn position(&self) -> u64 {
-        self.cursor
-    }
-
-    fn next_into(&mut self, out: &mut [u8]) -> bool {
-        if self.cursor >= self.len {
-            return false;
-        }
-        out.copy_from_slice(&self.base);
-        if self.cursor > 0 {
-            let mut rng = Xoshiro256::seed_from(mix_seed(self.seed, self.cursor));
-            for j in 0..self.pairs {
-                if rng.next_bool() {
-                    flip_pair(out, j);
-                }
-            }
-        }
-        self.cursor += 1;
-        true
-    }
-
-    fn skip(&mut self, n: u64) {
-        self.cursor = self.cursor.saturating_add(n).min(self.len);
-    }
-}
-
-/// Monte-Carlo sign flips from one sequential stream (`fixed.seed.sampling =
-/// "n"`). Each non-identity permutation consumes exactly `pairs` draws, so
-/// `skip` replays the draws to stay on-stream.
-#[derive(Debug, Clone)]
-pub struct PairFlipSequential {
-    base: Vec<u8>,
-    pairs: usize,
-    rng: Xoshiro256,
-    cursor: u64,
-    len: u64,
-}
-
-impl PairFlipSequential {
-    /// `base` is the observed labelling.
-    pub fn new(base: Vec<u8>, len: u64, seed: u64) -> Self {
-        let pairs = base.len() / 2;
-        PairFlipSequential {
-            base,
-            pairs,
-            rng: Xoshiro256::seed_from(seed),
-            cursor: 0,
-            len,
-        }
-    }
-
-    fn draw_pattern(&mut self, out: Option<&mut [u8]>) {
-        // Consume exactly `pairs` draws whether or not output is wanted.
-        match out {
-            Some(out) => {
-                for j in 0..self.pairs {
-                    if self.rng.next_bool() {
-                        flip_pair(out, j);
-                    }
-                }
-            }
-            None => {
-                for _ in 0..self.pairs {
-                    self.rng.next_bool();
-                }
-            }
-        }
-    }
-}
-
-impl ResamplingStream for PairFlipSequential {
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn position(&self) -> u64 {
-        self.cursor
-    }
-
-    fn next_into(&mut self, out: &mut [u8]) -> bool {
-        if self.cursor >= self.len {
-            return false;
-        }
-        out.copy_from_slice(&self.base);
-        if self.cursor > 0 {
-            self.draw_pattern(Some(out));
-        }
-        self.cursor += 1;
-        true
-    }
-
-    fn skip(&mut self, n: u64) {
-        let target = self.cursor.saturating_add(n).min(self.len);
-        while self.cursor < target {
-            if self.cursor > 0 {
-                self.draw_pattern(None);
-            }
-            self.cursor += 1;
-        }
-    }
 }
 
 /// Complete enumeration of all `2^pairs` flip patterns. Pattern `b` flips
@@ -198,45 +65,22 @@ impl ResamplingStream for CompletePaired {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::SamplingMode;
+    use crate::perm::random::{RandomStream, Rule};
     use crate::perm::test_support::{collect_all, collect_range};
 
     const BASE: [u8; 6] = [0, 1, 1, 0, 0, 1];
 
     #[test]
-    fn fixed_seed_identity_first_and_pairs_valid() {
-        let mut g = PairFlipFixedSeed::new(BASE.to_vec(), 30, 5);
-        let all = collect_all(&mut g, 6);
-        assert_eq!(all[0], BASE.to_vec());
-        for labels in &all {
-            for j in 0..3 {
-                let (a, b) = (labels[2 * j], labels[2 * j + 1]);
-                assert!(a != b && a <= 1 && b <= 1, "pair {j} of {labels:?}");
+    fn random_flips_stay_within_pairs() {
+        for sampling in SamplingMode::ALL {
+            let stream = &mut RandomStream::new(Rule::PairFlip, BASE.to_vec(), 30, 5, sampling);
+            for labels in &collect_all(stream, 6) {
+                for j in 0..3 {
+                    let (a, b) = (labels[2 * j], labels[2 * j + 1]);
+                    assert!(a != b && a <= 1 && b <= 1, "pair {j} of {labels:?}");
+                }
             }
-        }
-    }
-
-    #[test]
-    fn fixed_seed_skip_equals_iterate() {
-        let all = collect_all(&mut PairFlipFixedSeed::new(BASE.to_vec(), 20, 5), 6);
-        for start in [0u64, 1, 7, 19] {
-            let mut g = PairFlipFixedSeed::new(BASE.to_vec(), 20, 5);
-            g.skip(start);
-            assert_eq!(collect_all(&mut g, 6), all[start as usize..]);
-        }
-    }
-
-    #[test]
-    fn sequential_skip_equals_iterate() {
-        let all = collect_all(&mut PairFlipSequential::new(BASE.to_vec(), 20, 5), 6);
-        assert_eq!(all[0], BASE.to_vec());
-        for start in [0u64, 1, 2, 10, 19] {
-            let mut g = PairFlipSequential::new(BASE.to_vec(), 20, 5);
-            g.skip(start);
-            assert_eq!(
-                collect_all(&mut g, 6),
-                all[start as usize..],
-                "start={start}"
-            );
         }
     }
 
@@ -279,23 +123,25 @@ mod tests {
     }
 
     #[test]
-    fn sequential_distribution_is_balanced() {
+    fn random_flips_are_balanced() {
         // Over many draws each pair should flip about half the time.
         let n = 4000u64;
-        let mut g = PairFlipSequential::new(BASE.to_vec(), n + 1, 99);
-        let mut out = [0u8; 6];
-        let mut flips = [0usize; 3];
-        g.next_into(&mut out); // identity
-        for _ in 0..n {
-            assert!(g.next_into(&mut out));
-            for j in 0..3 {
-                if out[2 * j] != BASE[2 * j] {
-                    flips[j] += 1;
+        for sampling in SamplingMode::ALL {
+            let mut g = RandomStream::new(Rule::PairFlip, BASE.to_vec(), n + 1, 99, sampling);
+            let mut out = [0u8; 6];
+            let mut flips = [0usize; 3];
+            g.next_into(&mut out); // identity
+            for _ in 0..n {
+                assert!(g.next_into(&mut out));
+                for j in 0..3 {
+                    if out[2 * j] != BASE[2 * j] {
+                        flips[j] += 1;
+                    }
                 }
             }
-        }
-        for &f in &flips {
-            assert!((f as f64 - n as f64 / 2.0).abs() < 5.0 * (n as f64 / 4.0).sqrt());
+            for &f in &flips {
+                assert!((f as f64 - n as f64 / 2.0).abs() < 5.0 * (n as f64 / 4.0).sqrt());
+            }
         }
     }
 }

@@ -1,129 +1,13 @@
-//! Generators for the shuffle family (`t`, `t.equalvar`, `wilcoxon`, `f`):
-//! label arrangements are permutations of the label multiset.
+//! Complete enumeration for the shuffle family (`t`, `t.equalvar`,
+//! `wilcoxon`, `f`, `corr`, `tmax`): label arrangements are permutations of
+//! the label multiset. Random shuffles are [`Rule::Shuffle`](super::random::Rule).
 
 use super::multiset;
 use super::ResamplingStream;
-use crate::rng::{mix_seed, Xoshiro256};
 
 /// Beyond this forward gap the complete generator jumps by unranking instead
 /// of stepping `next_permutation`.
 const UNRANK_THRESHOLD: u128 = 64;
-
-/// Monte-Carlo shuffles with *fixed-seed sampling* (`fixed.seed.sampling =
-/// "y"`): permutation `b` is a Fisher–Yates shuffle driven by an RNG seeded
-/// from `mix(seed, b)`. Index 0 is the observed labelling. `skip` is O(1) —
-/// the property that makes the parallel distribution of permutations cheap.
-#[derive(Debug, Clone)]
-pub struct ShuffleFixedSeed {
-    base: Vec<u8>,
-    seed: u64,
-    cursor: u64,
-    len: u64,
-}
-
-impl ShuffleFixedSeed {
-    /// `base` is the observed labelling; `len` the total sequence length
-    /// (identity included); `seed` the run seed.
-    pub fn new(base: Vec<u8>, len: u64, seed: u64) -> Self {
-        ShuffleFixedSeed {
-            base,
-            seed,
-            cursor: 0,
-            len,
-        }
-    }
-}
-
-impl ResamplingStream for ShuffleFixedSeed {
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn position(&self) -> u64 {
-        self.cursor
-    }
-
-    fn next_into(&mut self, out: &mut [u8]) -> bool {
-        if self.cursor >= self.len {
-            return false;
-        }
-        out.copy_from_slice(&self.base);
-        if self.cursor > 0 {
-            let mut rng = Xoshiro256::seed_from(mix_seed(self.seed, self.cursor));
-            rng.shuffle(out);
-        }
-        self.cursor += 1;
-        true
-    }
-
-    fn skip(&mut self, n: u64) {
-        self.cursor = self.cursor.saturating_add(n).min(self.len);
-    }
-}
-
-/// Monte-Carlo shuffles from a single sequential stream
-/// (`fixed.seed.sampling = "n"`). Each non-identity step re-shuffles a
-/// persistent working vector, consuming exactly `n−1` RNG draws, so `skip`
-/// can replay deterministically by performing the same draws.
-#[derive(Debug, Clone)]
-pub struct ShuffleSequential {
-    work: Vec<u8>,
-    rng: Xoshiro256,
-    cursor: u64,
-    len: u64,
-}
-
-impl ShuffleSequential {
-    /// `base` is the observed labelling (emitted at index 0).
-    pub fn new(base: Vec<u8>, len: u64, seed: u64) -> Self {
-        ShuffleSequential {
-            work: base,
-            rng: Xoshiro256::seed_from(seed),
-            cursor: 0,
-            len,
-        }
-    }
-
-    #[inline]
-    fn advance_one(&mut self) {
-        if self.cursor > 0 {
-            let work = &mut self.work;
-            // Fisher–Yates in place; the stream state carries across
-            // permutations.
-            for i in (1..work.len()).rev() {
-                let j = self.rng.next_below(i as u64 + 1) as usize;
-                work.swap(i, j);
-            }
-        }
-        self.cursor += 1;
-    }
-}
-
-impl ResamplingStream for ShuffleSequential {
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn position(&self) -> u64 {
-        self.cursor
-    }
-
-    fn next_into(&mut self, out: &mut [u8]) -> bool {
-        if self.cursor >= self.len {
-            return false;
-        }
-        self.advance_one();
-        out.copy_from_slice(&self.work);
-        true
-    }
-
-    fn skip(&mut self, n: u64) {
-        let target = self.cursor.saturating_add(n).min(self.len);
-        while self.cursor < target {
-            self.advance_one();
-        }
-    }
-}
 
 /// Complete enumeration of all distinct label arrangements, with the observed
 /// labelling first.
@@ -224,63 +108,33 @@ impl ResamplingStream for CompleteShuffle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::SamplingMode;
     use crate::perm::count::multiset_count;
+    use crate::perm::random::{RandomStream, Rule};
     use crate::perm::test_support::{collect_all, collect_range};
 
     #[test]
-    fn fixed_seed_first_is_identity() {
-        let base = vec![0, 0, 1, 1];
-        let mut g = ShuffleFixedSeed::new(base.clone(), 10, 42);
-        let mut out = vec![0u8; 4];
-        assert!(g.next_into(&mut out));
-        assert_eq!(out, base);
-    }
-
-    #[test]
-    fn fixed_seed_skip_equals_iterate() {
-        let base = vec![0u8, 0, 0, 1, 1, 1, 1];
-        let all = collect_all(&mut ShuffleFixedSeed::new(base.clone(), 20, 7), 7);
-        for start in [0u64, 1, 5, 19] {
-            let mut g = ShuffleFixedSeed::new(base.clone(), 20, 7);
-            g.skip(start);
-            let rest = collect_all(&mut g, 7);
-            assert_eq!(rest, all[start as usize..], "start={start}");
-        }
-    }
-
-    #[test]
-    fn fixed_seed_preserves_multiset() {
-        let base = vec![0u8, 0, 1, 1, 1];
-        for labels in collect_all(&mut ShuffleFixedSeed::new(base.clone(), 50, 3), 5) {
-            let mut s = labels.clone();
-            s.sort_unstable();
-            assert_eq!(s, vec![0, 0, 1, 1, 1]);
-        }
-    }
-
-    #[test]
-    fn fixed_seed_different_indices_differ() {
-        // With 76 columns the chance of two equal shuffles is negligible;
-        // equality would indicate seeding reuse.
-        let base: Vec<u8> = (0..76).map(|i| (i % 2) as u8).collect();
-        let perms = collect_all(&mut ShuffleFixedSeed::new(base, 5, 1), 76);
-        for i in 1..perms.len() {
-            for j in (i + 1)..perms.len() {
-                assert_ne!(perms[i], perms[j], "i={i} j={j}");
+    fn random_shuffles_keep_the_multiset_and_differ_by_index() {
+        for sampling in SamplingMode::ALL {
+            let base = vec![0u8, 0, 1, 1, 1];
+            let stream = &mut RandomStream::new(Rule::Shuffle, base, 50, 3, sampling);
+            for labels in collect_all(stream, 5) {
+                let mut s = labels.clone();
+                s.sort_unstable();
+                assert_eq!(s, vec![0, 0, 1, 1, 1]);
             }
-        }
-    }
-
-    #[test]
-    fn sequential_skip_equals_iterate() {
-        let base = vec![0u8, 0, 1, 1, 1];
-        let all = collect_all(&mut ShuffleSequential::new(base.clone(), 15, 9), 5);
-        assert_eq!(all[0], base, "identity first");
-        for start in [0u64, 1, 3, 14] {
-            let mut g = ShuffleSequential::new(base.clone(), 15, 9);
-            g.skip(start);
-            let rest = collect_all(&mut g, 5);
-            assert_eq!(rest, all[start as usize..], "start={start}");
+            // With 76 columns the chance of two equal shuffles is
+            // negligible; equality would indicate seeding reuse.
+            let base: Vec<u8> = (0..76).map(|i| (i % 2) as u8).collect();
+            let perms = collect_all(
+                &mut RandomStream::new(Rule::Shuffle, base, 5, 1, sampling),
+                76,
+            );
+            for i in 1..perms.len() {
+                for j in (i + 1)..perms.len() {
+                    assert_ne!(perms[i], perms[j], "{sampling:?} i={i} j={j}");
+                }
+            }
         }
     }
 
@@ -325,18 +179,5 @@ mod tests {
         let mut g = CompleteShuffle::new(observed.clone(), total);
         g.skip(800);
         assert_eq!(collect_range(&mut g, 12, 2), all[800..802]);
-    }
-
-    #[test]
-    fn generators_report_len_and_position() {
-        let mut g = ShuffleFixedSeed::new(vec![0, 1], 5, 0);
-        assert_eq!(g.len(), 5);
-        assert_eq!(g.position(), 0);
-        let mut out = [0u8; 2];
-        g.next_into(&mut out);
-        assert_eq!(g.position(), 1);
-        g.skip(100);
-        assert_eq!(g.position(), 5);
-        assert!(!g.next_into(&mut out));
     }
 }

@@ -1,13 +1,13 @@
-//! The "store permutations in memory" mode (`fixed.seed.sampling = "n"`):
-//! all label arrangements are materialized into a B×n matrix before the
-//! kernel runs.
+//! A stored arrangement matrix: `pmaxt run --perm-file` replays the label
+//! arrangements a file lists, one row per draw.
+//!
+//! `fixed.seed.sampling = "n"` stores nothing: its sequential stream is drawn
+//! on the fly ([`super::random`]).
 
 use super::ResamplingStream;
 use crate::error::{Error, Result};
 
-/// A fully materialized arrangement sequence. Construction consumes another
-/// stream from its current position to exhaustion; `skip` is O(1)
-/// afterwards.
+/// Label arrangements held in memory, row by row; `skip` is an index jump.
 #[derive(Debug, Clone)]
 pub struct StoredMatrix {
     data: Vec<u8>,
@@ -17,30 +17,6 @@ pub struct StoredMatrix {
 }
 
 impl StoredMatrix {
-    /// Materialize `source` (typically a sequential on-the-fly stream) for
-    /// `cols` label columns.
-    pub fn materialize(source: &mut dyn ResamplingStream, cols: usize) -> Self {
-        let len = source.len() - source.position();
-        let mut data = vec![0u8; len as usize * cols];
-        let mut written = 0u64;
-        {
-            let mut chunks = data.chunks_exact_mut(cols);
-            for chunk in &mut chunks {
-                if !source.next_into(chunk) {
-                    break;
-                }
-                written += 1;
-            }
-        }
-        debug_assert_eq!(written, len, "source ended before its declared length");
-        StoredMatrix {
-            data,
-            cols,
-            cursor: 0,
-            len,
-        }
-    }
-
     /// Build a stored sequence from externally supplied rows (e.g. an
     /// arrangement matrix replayed from a file), validating that every row
     /// covers exactly `expected_cols` sample columns. Mismatched rows report
@@ -65,27 +41,6 @@ impl StoredMatrix {
             cursor: 0,
             len: rows.len() as u64,
         })
-    }
-
-    /// Verify the stored width against a dataset's sample count, reporting
-    /// [`Error::ArrangementWidth`] on mismatch. Callers applying a stored
-    /// matrix to a dataset they did not materialize it from must check this
-    /// before iterating — `next_into` is infallible by contract.
-    pub fn check_width(&self, expected: usize) -> Result<()> {
-        if self.cols != expected {
-            return Err(Error::ArrangementWidth {
-                row: 0,
-                expected,
-                got: self.cols,
-            });
-        }
-        Ok(())
-    }
-
-    /// Bytes held by the stored matrix (the memory the paper's on-the-fly
-    /// mode avoids).
-    pub fn memory_bytes(&self) -> usize {
-        self.data.len()
     }
 }
 
@@ -116,42 +71,25 @@ impl ResamplingStream for StoredMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perm::shuffle::ShuffleSequential;
     use crate::perm::test_support::collect_all;
 
-    #[test]
-    fn materialized_sequence_matches_source() {
-        let base = vec![0u8, 0, 1, 1, 1];
-        let direct = collect_all(&mut ShuffleSequential::new(base.clone(), 12, 3), 5);
-        let mut src = ShuffleSequential::new(base, 12, 3);
-        let mut stored = StoredMatrix::materialize(&mut src, 5);
-        assert_eq!(collect_all(&mut stored, 5), direct);
+    fn rows() -> Vec<Vec<u8>> {
+        (0..9u8).map(|r| vec![r % 2, 1 - r % 2, r % 3, 0]).collect()
     }
 
     #[test]
     fn skip_is_index_jump() {
-        let base = vec![0u8, 1, 0, 1];
-        let mut src = ShuffleSequential::new(base.clone(), 9, 1);
-        let mut stored = StoredMatrix::materialize(&mut src, 4);
-        let all = collect_all(&mut stored.clone(), 4);
+        let rows = rows();
+        let mut stored = StoredMatrix::try_from_rows(&rows, 4).unwrap();
         stored.skip(6);
         assert_eq!(stored.position(), 6);
-        assert_eq!(collect_all(&mut stored, 4), all[6..]);
-    }
-
-    #[test]
-    fn memory_accounting() {
-        let base = vec![0u8; 10];
-        let mut src = ShuffleSequential::new(base, 100, 0);
-        let stored = StoredMatrix::materialize(&mut src, 10);
-        assert_eq!(stored.memory_bytes(), 1000);
+        assert_eq!(collect_all(&mut stored, 4), rows[6..]);
     }
 
     #[test]
     fn try_from_rows_accepts_uniform_widths() {
         let rows = vec![vec![0u8, 0, 1, 1], vec![1u8, 0, 1, 0], vec![1u8, 1, 0, 0]];
         let mut stored = StoredMatrix::try_from_rows(&rows, 4).unwrap();
-        assert!(stored.check_width(4).is_ok());
         assert_eq!(collect_all(&mut stored, 4), rows);
     }
 
@@ -167,26 +105,14 @@ mod tests {
     }
 
     #[test]
-    fn check_width_rejects_dataset_mismatch() {
-        let rows = vec![vec![0u8, 1, 0]];
-        let stored = StoredMatrix::try_from_rows(&rows, 3).unwrap();
-        match stored.check_width(8) {
-            Err(Error::ArrangementWidth { row, expected, got }) => {
-                assert_eq!((row, expected, got), (0, 8, 3));
-            }
-            other => panic!("expected ArrangementWidth, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn exhaustion_returns_false() {
-        let base = vec![0u8, 1];
-        let mut src = ShuffleSequential::new(base, 3, 0);
-        let mut stored = StoredMatrix::materialize(&mut src, 2);
-        let mut out = [0u8; 2];
+        let mut stored = StoredMatrix::try_from_rows(&rows()[..3], 4).unwrap();
+        let mut out = [0u8; 4];
         for _ in 0..3 {
             assert!(stored.next_into(&mut out));
         }
         assert!(!stored.next_into(&mut out));
+        stored.skip(10);
+        assert_eq!(stored.position(), 3);
     }
 }

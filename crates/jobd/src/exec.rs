@@ -1359,9 +1359,8 @@ mod tests {
 
     #[test]
     fn budgets_count_the_threads_the_job_runs_on() {
-        // A request for a million threads runs on the host's cores, and the
-        // stored-sampling budget counts those: cores x 100 arrangements x 6
-        // label bytes fit easily, where a million streams would not.
+        // A request for a million threads runs on the host's cores, stored
+        // sampling included, and serves the serial result.
         let (data, raw) = small_dataset();
         let mgr = manager(16);
         let opts = PmaxtOptions::default()
@@ -1775,28 +1774,6 @@ mod tests {
             err,
             JobError::Invalid(CoreError::BadOption { param: "b", .. })
         ));
-    }
-
-    #[test]
-    fn stored_sampling_beyond_memory_budget_is_refused_at_submit() {
-        let (data, labels) = small_dataset();
-        let opts = PmaxtOptions::default()
-            .fixed_seed_sampling("n")
-            .unwrap()
-            .permutations(1_000_000_000);
-        let err = manager(16)
-            .submit(JobSpec {
-                data,
-                classlabel: labels,
-                opts,
-                source_path: None,
-            })
-            .unwrap_err();
-        assert!(
-            matches!(&err, JobError::Invalid(CoreError::BadOption { param: "b", value })
-                if value.contains("largest B accepted")),
-            "got {err:?}"
-        );
     }
 
     #[test]

@@ -345,23 +345,22 @@ mod tests {
     }
 
     #[test]
-    fn stored_sampling_beyond_the_memory_budget_is_refused_before_any_draw() {
-        // Every engine worker would hold all B arrangements of 6 labels: far
-        // over the 512 MiB budget, so the run is refused with the largest B
-        // that fits, and no checkpoint is written.
+    fn stored_sampling_at_a_huge_b_runs_and_checkpoints() {
+        // Stored sampling draws its sequential stream on the fly, so no B is
+        // too large for memory: a run of 2^40 permutations is admitted, and
+        // two spans of it checkpoint as any run's do.
         let (data, labels) = data_and_labels();
         let opts = PmaxtOptions::default()
             .permutations(1 << 40)
             .fixed_seed_sampling("n")
             .unwrap();
-        let path = tmp("stored-budget");
-        match run_with_checkpoints(&data, &labels, &opts, &path, 7, None) {
-            Err(Error::BadOption { param: "b", value }) => {
-                assert!(value.contains("largest B accepted"), "{value}")
-            }
-            other => panic!("expected a b refusal, got {other:?}"),
-        }
-        assert!(!path.exists(), "rejected run must not create a checkpoint");
+        let path = tmp("stored-huge-b");
+        let (partial, info) =
+            run_with_checkpoints(&data, &labels, &opts, &path, 7, Some(14)).unwrap();
+        assert!(partial.is_none());
+        assert_eq!((info.resumed_from, info.checkpoints_written), (0, 2));
+        assert!(path.exists());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

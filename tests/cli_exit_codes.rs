@@ -231,27 +231,6 @@ fn bootstrap_workload_runs_and_minp_combo_is_usage_error() {
 }
 
 #[test]
-fn stored_sampling_beyond_memory_budget_is_usage_error() {
-    // Stored sampling materializes every label arrangement once per engine
-    // worker; a billion of them cannot fit the 512 MiB budget, so the run is
-    // refused before any arrangement is drawn, naming the largest B.
-    let data = tmp("storedbudget.tsv");
-    generate(&data, "12");
-    let out = pmaxt(&[
-        "run",
-        data.to_str().unwrap(),
-        "--fixed-seed",
-        "n",
-        "-B",
-        "1000000000",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "out: {out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("largest B accepted"), "stderr: {stderr}");
-    std::fs::remove_file(&data).ok();
-}
-
-#[test]
 fn bootstrap_beyond_memory_budget_is_usage_error() {
     // A billion replicates cannot fit the 512 MiB bootstrap working set at
     // any thread count; the refusal comes before any draw is made and names

@@ -9,7 +9,6 @@ use sprint_core::matrix::Matrix;
 use sprint_core::maxt::serial::mt_maxt;
 use sprint_core::maxt::EPSILON;
 use sprint_core::options::{KernelChoice, PmaxtOptions, TestMethod};
-use sprint_core::perm::iter::Permutations;
 use sprint_core::perm::{build_generator, resolve_permutation_count};
 use sprint_core::side::Side;
 use sprint_core::stats::{prepare_matrix, StatComputer};
@@ -27,8 +26,12 @@ fn oracle_maxt(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> (Vec<f6
     let genes = data.rows();
 
     // Full score matrix, the naive way.
-    let perms: Vec<Vec<u8>> =
-        Permutations::new(build_generator(&labels, opts, b).unwrap(), data.cols()).collect();
+    let mut stream = build_generator(&labels, opts, b).unwrap();
+    let mut perms = Vec::new();
+    let mut arrangement = vec![0u8; data.cols()];
+    while stream.next_into(&mut arrangement) {
+        perms.push(arrangement.clone());
+    }
     assert_eq!(perms.len(), b as usize);
     let score = |g: usize, arrangement: &[u8]| -> f64 {
         opts.side
