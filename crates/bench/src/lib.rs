@@ -307,7 +307,8 @@ pub struct ThreadCell {
 /// are uncontended measurements even on a single-core host. The modelled
 /// wall-clock of a configuration is its critical path (the busiest worker) —
 /// ranks are processes and workers are threads, all concurrent in a real
-/// deployment.
+/// deployment. A worker's sub-chunk is an even split of its rank's chunk, a
+/// model of rank chunking, not of the engine's workers, which pull batches.
 ///
 /// Counts are asserted identical to the 1-rank/1-thread reference in every
 /// cell, so a speedup claim can never come from a diverging implementation.
@@ -393,7 +394,9 @@ pub fn thread_cells_to_json(genes: usize, samples: usize, cells: &[ThreadCell]) 
     let mut s = String::from("{\n");
     let _ = writeln!(
         s,
-        "  \"note\": \"per-worker busy times measured in isolation; \
+        "  \"note\": \"per-worker busy times measured in isolation, each \
+         worker taking an even split of its rank's chunk (a model of rank \
+         chunking; the engine's workers pull batches from one stream); \
          critical_path_secs models all ranks x threads running concurrently \
          (busiest worker); speedup = critical path of 1x1 over critical path \
          of the cell; measured_wall_secs is the serialized measurement on \

@@ -12,8 +12,8 @@
 //!   anytime-valid per-gene bounds (peeking after every chunk never inflates
 //!   the error rate), and a deterministic envelope `[k/B, (k + B − c)/B]`
 //!   bounds each early-stopped gene's exact p-value *with certainty*.
-//! - [`runner`] — [`AdaptiveRunner`] wraps the exact engine's
-//!   `accumulate_chunk` loop: full-gene chunks until the first deactivation
+//! - [`runner`] — [`AdaptiveRunner`] drives the exact engine's chunks over
+//!   one stream it keeps: full-gene chunks until the first deactivation
 //!   (the **exact-prefix watermark**, a bitwise-valid exact checkpoint that
 //!   jobd caches so adaptive runs can later be upgraded to exact), then
 //!   masked chunks over the shrinking live gene set.
@@ -319,7 +319,11 @@ mod tests {
         let adm = admit(&data, &labels, &opts, serial).unwrap();
         let prepared = adm.run.prepare(&adm.data);
         let ctx = adm.run.context(&prepared);
-        let prefix = adm.run.chunk(&ctx, 0, 300, ChunkHooks::default()).unwrap();
+        let mut stream = adm.run.stream(0);
+        let prefix = adm
+            .run
+            .chunk(&ctx, &mut *stream, 300, ChunkHooks::default());
+        let prefix = prefix.unwrap();
         let cfg = AdaptiveConfig {
             tail_top: 0,
             ..AdaptiveConfig::default()

@@ -29,6 +29,7 @@ use crate::error::Result;
 use crate::matrix::Matrix;
 use crate::maxt::engine::ChunkHooks;
 use crate::maxt::{CountAccumulator, MaxTContext};
+use crate::perm::ResamplingStream;
 
 use super::confseq::{cs_lower_bound, envelope};
 use super::tail::tail_pass;
@@ -61,6 +62,9 @@ pub struct AdaptiveRunner<'a> {
     prepared: &'a Matrix,
     config: AdaptiveConfig,
     cursor: u64,
+    /// The run's stream, at `cursor`: full and masked chunks draw from it in
+    /// turn, since the draws do not depend on the genes.
+    stream: Box<dyn ResamplingStream>,
     /// Per-gene: still being scored? Non-computable genes start inactive.
     active: Vec<bool>,
     /// Per-gene permutations scored (prefix length covered by `counts`).
@@ -102,6 +106,7 @@ impl<'a> AdaptiveRunner<'a> {
             prepared,
             config,
             cursor: 0,
+            stream: run.stream(0),
             active,
             scored: vec![0; genes],
             counts: vec![0; genes],
@@ -124,6 +129,7 @@ impl<'a> AdaptiveRunner<'a> {
         assert!(counts.n_perm <= self.run.b, "prefix longer than the run");
         assert_eq!(self.cursor, 0, "resume before running");
         self.cursor = counts.n_perm;
+        self.stream.skip(counts.n_perm);
         self.full_acc = counts.clone();
         for g in 0..self.ctx.genes() {
             self.scored[g] = counts.n_perm;
@@ -198,7 +204,7 @@ impl<'a> AdaptiveRunner<'a> {
             if self.watermark.is_none() {
                 // Exact-prefix phase: full-gene counts, including the
                 // step-down adjusted counts — a valid exact checkpoint.
-                let run = self.run.chunk(self.ctx, self.cursor, take, hooks)?;
+                let run = self.run.chunk(self.ctx, &mut *self.stream, take, hooks)?;
                 self.full_acc.merge(&run.counts);
                 self.gene_perms += self.ctx.genes() as u64 * take;
                 for g in 0..self.ctx.genes() {
@@ -219,7 +225,7 @@ impl<'a> AdaptiveRunner<'a> {
                 // step-down maxima over a subset and are discarded.
                 let sub = sub_matrix(self.prepared, &live);
                 let sub_ctx = self.run.context(&sub);
-                let run = self.run.chunk(&sub_ctx, self.cursor, take, hooks)?;
+                let run = self.run.chunk(&sub_ctx, &mut *self.stream, take, hooks)?;
                 self.gene_perms += live.len() as u64 * take;
                 for (j, &g) in live.iter().enumerate() {
                     self.counts[g] += run.counts.count_raw[j];

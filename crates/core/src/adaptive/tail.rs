@@ -177,7 +177,7 @@ pub(crate) fn tail_pass(
         return (Vec::new(), 0);
     }
     let sub = sub_matrix(prepared, &candidates);
-    let scores = run.scores(&run.context(&sub), 0, take);
+    let scores = run.scores(&run.context(&sub), &mut *run.stream(0), take);
     let fits = candidates
         .iter()
         .zip(scores.chunks(take as usize))

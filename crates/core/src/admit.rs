@@ -19,9 +19,7 @@ use std::ops::Deref;
 use crate::error::{Error, Result};
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
-use crate::maxt::engine::{
-    accumulate_chunk_hooked, available_threads, ChunkHooks, ChunkRun, EngineConfig, GENE_TILE,
-};
+use crate::maxt::engine::{available_threads, EngineConfig, GENE_TILE};
 use crate::maxt::MaxTContext;
 use crate::options::{Mode, PmaxtOptions, Precision, TestMethod, Workload};
 use crate::perm::arrangement::resolve_draw_count;
@@ -98,20 +96,6 @@ impl Run {
             o.kernel,
             o.precision,
         )
-    }
-
-    /// Permutations `[start, start + take)` of the run through the engine,
-    /// on the admitted geometry, counted; [`Run::scores`], beside the
-    /// engine, keeps their scores.
-    pub fn chunk(
-        &self,
-        ctx: &MaxTContext<'_>,
-        start: u64,
-        take: u64,
-        hooks: ChunkHooks<'_>,
-    ) -> Result<ChunkRun> {
-        let (labels, opts, b) = (&self.labels, &self.opts, self.b);
-        accumulate_chunk_hooked(ctx, labels, opts, b, start, take, self.engine, hooks)
     }
 }
 

@@ -16,11 +16,12 @@
 //! The driver draws the `B − 1` index vectors once, then splits the genes,
 //! not the replicates: workers take [`SOA_TILE`]-gene tiles, score every draw
 //! on the tile's column lanes with the SoA lane kernels, and finalize the
-//! tile's genes from their replicates before moving on. The working set is
-//! one tile of replicates per worker plus the draws,
-//! `workers × SOA_TILE × (B − 1) × 8 + (B − 1) × n` bytes, never a
-//! genes × B matrix; admission ([`crate::admit`]) refuses runs whose working
-//! set would exceed the 512 MiB budget, and checks the bootstrap contract:
+//! tile's genes from their replicates before moving on. Per replicate the
+//! run holds `workers × (SOA_TILE + 2) × 8 + n` bytes: per worker its
+//! tile's replicate, the sorted row and the sort's scratch, plus the n-byte
+//! draw, never a genes × B matrix. Admission ([`crate::admit`]) charges
+//! that, refuses runs whose `B − 1` replicates would exceed the 512 MiB
+//! budget, and checks the bootstrap contract:
 //! two-group `t` design, explicit `B ≥ 2`, exact mode, `f64` accumulation
 //! and at most 256 sample columns.
 //!

@@ -2,13 +2,16 @@
 //! evaluation of a rank's permutation chunk.
 //!
 //! The paper parallelizes `mt.maxT` across MPI processes only; this module
-//! extends the same Figure-2 chunking one level down the hardware hierarchy.
-//! A chunk is split contiguously over scoped worker threads ([`split_chunk`],
-//! `run_jobs`); each worker forwards its own generator with `skip` (exactly
-//! like a rank does), and evaluates its sub-chunk in **batches of K
-//! permutations** with **gene-tiled** inner loops
-//! ([`MaxTContext::accumulate_batched_with`]) so each matrix row streams through
-//! L1 once per batch instead of once per permutation.
+//! takes the work one level down the hardware hierarchy. Skip-ahead is the
+//! paper's device for *processes*, which share nothing; threads share
+//! memory, so an engine pass has **one stream**, positioned once at the
+//! chunk's first index, and its scoped workers **pull batches** from it: a
+//! worker locks the stream, draws up to K arrangements into its own label
+//! buffers, unlocks, and scores them with **gene-tiled** inner loops, so
+//! each matrix row streams through L1 once per batch instead of once per
+//! permutation. No worker builds, skips or replays a stream, each
+//! arrangement is drawn once per pass, and a worker that runs slow simply
+//! pulls fewer batches.
 //!
 //! ## Determinism
 //!
@@ -19,18 +22,16 @@
 //!   in a batch — batching reorders *which* (g, j) pair is computed when,
 //!   never the operations inside one pair;
 //! - exceedance counts are integers, derived pointwise from those scores, so
-//!   per-worker partial counts are exact;
-//! - partial counts are combined by [`tree_merge`], a fixed pairwise
-//!   reduction over the worker order (worker = chunk position, not OS-thread
-//!   completion order). `u64` addition is associative and commutative, so
-//!   any merge order would give the same sums — fixing the tree shape makes
-//!   the pipeline auditable end to end and keeps the guarantee independent
-//!   of that argument.
+//!   per-worker partial counts are exact, and they add up to the same sums
+//!   in any order, whichever worker scored which batch;
+//! - the scoring pass ([`Run::scores`]) writes each score at its
+//!   arrangement's index in the chunk.
 //!
 //! Thread/batch geometry is configured by [`EngineConfig`], with
 //! `SPRINT_THREADS` / `SPRINT_BATCH` environment overrides mirroring the
 //! `SPRINT_KERNEL` escape hatch.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::admit::{admit, Entry, Run};
@@ -106,8 +107,8 @@ pub(crate) fn available_threads() -> usize {
 
 /// Split `total` items into `parts` contiguous runs differing by at most one
 /// item: the run at `index` is `(offset, count)`. The single even-split rule
-/// shared by rank chunking ([`crate::pmaxt::chunk_for_rank`]) and thread
-/// sub-chunking ([`split_chunk`]).
+/// shared by rank chunking ([`crate::pmaxt::chunk_for_rank`]) and
+/// [`split_chunk`].
 pub fn split_evenly(total: u64, parts: u64, index: u64) -> (u64, u64) {
     debug_assert!(parts > 0 && index < parts);
     let base = total / parts;
@@ -117,9 +118,10 @@ pub fn split_evenly(total: u64, parts: u64, index: u64) -> (u64, u64) {
     (offset, count)
 }
 
-/// Split a rank's chunk `[start, start + take)` over up to `threads` workers:
-/// contiguous sub-chunks in worker order, never more workers than
-/// permutations, empty when `take == 0`.
+/// Split `[start, start + take)` over up to `threads` workers: contiguous
+/// sub-ranges in worker order, never more workers than items, empty when
+/// `take == 0`. Bootstrap's gene tiles and minP's sorted rows are dealt out
+/// this way; an engine pass is not, since its workers pull batches.
 pub fn split_chunk(start: u64, take: u64, threads: usize) -> Vec<(u64, u64)> {
     if take == 0 {
         return Vec::new();
@@ -161,42 +163,24 @@ pub(crate) fn run_jobs<J: Send, T: Send>(
     })
 }
 
-/// Deterministic pairwise reduction of per-worker partial counts, in worker
-/// order: round after round, neighbour pairs merge until one accumulator
-/// remains. Returns `None` for an empty input.
-pub fn tree_merge(mut parts: Vec<CountAccumulator>) -> Option<CountAccumulator> {
-    while parts.len() > 1 {
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut it = parts.into_iter();
-        while let Some(mut left) = it.next() {
-            if let Some(right) = it.next() {
-                left.merge(&right);
-            }
-            next.push(left);
-        }
-        parts = next;
-    }
-    parts.pop()
-}
-
-/// What one worker did: its sub-chunk and the wall-clock time it spent in
-/// the batched kernel. Feeds the `make_tables threads` scaling table.
+/// What one worker did: how many arrangements it scored and the wall-clock
+/// time it spent pulling, scoring and counting them. Feeds the
+/// `make_tables threads` scaling table.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerStat {
-    /// Worker position within the chunk (also the merge-tree leaf order).
+    /// Worker position within the chunk's pool.
     pub worker: usize,
-    /// First permutation index of the sub-chunk.
-    pub start: u64,
-    /// Number of permutations processed.
+    /// Number of arrangements the worker scored.
     pub take: u64,
-    /// Time spent generating and scoring the sub-chunk.
+    /// Time spent drawing, scoring and counting them.
     pub busy: Duration,
 }
 
-/// Result of [`accumulate_chunk`]: the merged counts plus per-worker timing.
+/// Result of [`Run::chunk`] and [`accumulate_chunk`]: the summed counts
+/// plus per-worker timing.
 #[derive(Debug, Clone)]
 pub struct ChunkRun {
-    /// Exceedance counts for the whole chunk (tree-merged).
+    /// Exceedance counts for the whole chunk.
     pub counts: CountAccumulator,
     /// One entry per worker, in worker order.
     pub workers: Vec<WorkerStat>,
@@ -204,13 +188,13 @@ pub struct ChunkRun {
 
 /// Cooperative hooks observed by every engine worker between batches.
 ///
-/// `cancel` is polled before each batch: once set, [`accumulate_chunk_hooked`]
-/// abandons the chunk and returns [`Error::Cancelled`] — partial counts are
-/// discarded, because a chunk interrupted mid-way is not a permutation-index
-/// prefix and could never be resumed from a cursor. Callers that need
-/// resumability (the `jobd` job service) process runs as a sequence of modest
-/// chunks and checkpoint between them; the hook bounds cancellation latency
-/// to one batch rather than one chunk.
+/// `cancel` is polled before each pull: once set, [`Run::chunk`] abandons
+/// the chunk and returns [`Error::Cancelled`] — partial counts are
+/// discarded, and so is the stream, because a chunk interrupted mid-way is
+/// not a permutation-index prefix and could never be resumed from a
+/// cursor. Callers that need resumability (the `jobd` job service) process
+/// runs as a sequence of modest chunks and checkpoint between them; the
+/// hook bounds cancellation latency to one batch rather than one chunk.
 ///
 /// `progress` is called after each batch with the number of permutations just
 /// completed (concurrently from every worker — keep it cheap and atomic).
@@ -232,12 +216,8 @@ impl std::fmt::Debug for ChunkHooks<'_> {
 }
 
 /// Process the permutation chunk `[start, start + take)` of a `b`-permutation
-/// run: fan the chunk over `cfg.threads` workers, each evaluating its
-/// sub-chunk in `cfg.batch`-sized batches, and tree-merge the partial counts.
-///
-/// Every worker builds its own generator from `(labels, opts, b)` and
-/// forwards it with `skip`, exactly as a rank does, so the union of worker
-/// sub-sequences is the chunk's slice of the serial permutation sequence.
+/// run on `cfg`: [`Run::chunk`] over the run's stream at `start`, for
+/// callers that pin the geometry instead of admitting the run.
 pub fn accumulate_chunk(
     ctx: &MaxTContext<'_>,
     labels: &ClassLabels,
@@ -247,65 +227,139 @@ pub fn accumulate_chunk(
     take: u64,
     cfg: EngineConfig,
 ) -> Result<ChunkRun> {
-    accumulate_chunk_hooked(
-        ctx,
+    let (labels, opts) = (labels.clone(), opts.clone());
+    let run = Run {
         labels,
-        opts,
         b,
-        start,
-        take,
-        cfg,
-        ChunkHooks::default(),
-    )
+        mode: opts.mode,
+        engine: cfg,
+        opts,
+    };
+    run.chunk(ctx, &mut *run.stream(start), take, ChunkHooks::default())
 }
 
-/// [`accumulate_chunk`] with cooperative cancellation and progress reporting
-/// (see [`ChunkHooks`]). Counts are bitwise-identical to the hook-free path:
-/// workers evaluate the same batches in the same order, the hooks only
-/// observe the boundaries between them.
-#[allow(clippy::too_many_arguments)]
-pub fn accumulate_chunk_hooked(
+impl Run {
+    /// The run's stream positioned at draw `start`: built and skipped once,
+    /// where a rank, a peer's unit or a resumed run begins. Callers that walk
+    /// the run in order keep it between chunks.
+    pub fn stream(&self, start: u64) -> Box<dyn ResamplingStream> {
+        let stream = build_generator(&self.labels, &self.opts, self.b);
+        let mut stream = stream.expect("an admitted run builds its stream");
+        stream.skip(start);
+        stream
+    }
+
+    /// The next `take` arrangements of `stream` through the engine, on the
+    /// admitted geometry, counted: every worker counts the batches it pulls,
+    /// and the counts, integers, add up in any order. `stream` is left `take`
+    /// draws on.
+    pub fn chunk(
+        &self,
+        ctx: &MaxTContext<'_>,
+        stream: &mut dyn ResamplingStream,
+        take: u64,
+        hooks: ChunkHooks<'_>,
+    ) -> Result<ChunkRun> {
+        let genes = ctx.genes();
+        let count = |acc: &mut CountAccumulator, bufs: &mut BatchBuffers, _, k: usize| {
+            let (scores, stride) = (&bufs.scores, bufs.labels_bufs.len());
+            let run_max = &mut bufs.run_max[..k];
+            ctx.count_isa.run(CountBatch {
+                ctx,
+                scores,
+                stride,
+                run_max,
+                acc,
+            });
+        };
+        let new = || CountAccumulator::new(genes);
+        let parts = pull(ctx, stream, take, self.engine, hooks, new, count)?;
+        let mut counts = new();
+        parts.iter().for_each(|(acc, _)| counts.merge(acc));
+        let workers = parts.into_iter().map(|(_, stat)| stat).collect();
+        Ok(ChunkRun { counts, workers })
+    }
+
+    /// [`Run::chunk`]'s scores kept instead of counted, gene-major
+    /// (`scores[g * take + j]` for the chunk's `j`-th arrangement): each
+    /// batch's columns are written at its arrangements' offsets, so every
+    /// score has the bits the count pass compares.
+    pub fn scores(
+        &self,
+        ctx: &MaxTContext<'_>,
+        stream: &mut dyn ResamplingStream,
+        take: u64,
+    ) -> Vec<f64> {
+        let t = usize::try_from(take).expect("a chunk that fits in memory");
+        let out = Mutex::new(vec![0.0f64; ctx.genes() * t]);
+        let write = |_: &mut (), bufs: &mut BatchBuffers, offset: usize, k: usize| {
+            let batch = bufs.labels_bufs.len();
+            let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+            for (row, scored) in out.chunks_mut(t).zip(bufs.scores.chunks(batch)) {
+                row[offset..offset + k].copy_from_slice(&scored[..k]);
+            }
+        };
+        let hooks = ChunkHooks::default();
+        pull(ctx, stream, take, self.engine, hooks, || (), write).expect("a pass without hooks");
+        out.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The engine's one loop, behind both passes: the next `take` arrangements
+/// of `stream`, pulled by up to `cfg.threads` workers. A worker locks the
+/// stream, draws up to one batch into its own label buffers, unlocks,
+/// scores the batch and hands it to `done` with its own state (made by
+/// `state`) and the batch's offset in the chunk. A short chunk still
+/// spreads over every worker: a batch is at most `⌈take / threads⌉`.
+fn pull<T: Send>(
     ctx: &MaxTContext<'_>,
-    labels: &ClassLabels,
-    opts: &PmaxtOptions,
-    b: u64,
-    start: u64,
+    stream: &mut dyn ResamplingStream,
     take: u64,
     cfg: EngineConfig,
     hooks: ChunkHooks<'_>,
-) -> Result<ChunkRun> {
-    let genes = ctx.genes();
-    let jobs = split_chunk(start, take, cfg.threads);
-    if jobs.is_empty() {
-        return Ok(ChunkRun {
-            counts: CountAccumulator::new(genes),
-            workers: Vec::new(),
-        });
-    }
+    state: impl Fn() -> T + Sync,
+    done: impl Fn(&mut T, &mut BatchBuffers, usize, usize) + Sync,
+) -> Result<Vec<(T, WorkerStat)>> {
+    let threads = cfg.threads.max(1) as u64;
+    let batch = (cfg.batch.max(1) as u64).min(take.div_ceil(threads)).max(1);
+    let workers = threads.min(take.div_ceil(batch)) as usize;
+    let first = stream.position();
+    let end = first + take;
+    let shared = Mutex::new(stream);
     let cancelled = || -> bool {
         matches!(hooks.cancel, Some(f) if f.load(std::sync::atomic::Ordering::Relaxed))
     };
-    let run_worker = |worker: usize, (sub_start, sub_take): (u64, u64)| -> Result<_> {
+    let work = |worker: usize, ()| -> Result<(T, WorkerStat)> {
         let begin = Instant::now();
-        let mut gen = build_generator(labels, opts, b).expect("validated generator");
-        gen.skip(sub_start);
-        let mut acc = CountAccumulator::new(genes);
-        // Batch buffers (labels, gene-major scores, scorer scratch) are
-        // allocated once per worker, for at most its own sub-chunk, and
-        // reused across every batch of the sub-chunk.
-        let mut bufs = ctx.batch_buffers(cfg.batch.min(sub_take.try_into().unwrap_or(usize::MAX)));
-        // Batch-at-a-time outer loop so the hooks run between batches; each
-        // call scores exactly one batch with the same reused buffers, so the
-        // inner arithmetic is the same sequence as one whole-sub-chunk call.
-        let mut done = 0u64;
-        while done < sub_take {
+        let mut own = state();
+        let mut bufs = ctx.batch_buffers(batch as usize);
+        let mut scored = 0u64;
+        loop {
             if cancelled() {
                 return Err(Error::Cancelled);
             }
-            let step = (sub_take - done).min(cfg.batch.max(1) as u64);
-            let did = ctx.accumulate_batched_with(&mut *gen, step, &mut acc, &mut bufs);
-            assert_eq!(did, step, "sub-chunk shorter than assigned");
-            done += did;
+            // A sibling that panicked while drawing poisons the stream; its
+            // panic resumes on the caller once the pool has joined.
+            let Ok(mut stream) = shared.lock() else { break };
+            let at = stream.position();
+            let want = (end - at).min(batch) as usize;
+            if want == 0 {
+                break;
+            }
+            let labels = &mut bufs.labels_bufs;
+            let k = (0..want)
+                .take_while(|&j| stream.next_into(&mut labels[j]))
+                .count();
+            assert_eq!(k, want, "stream shorter than its chunk");
+            drop(stream);
+            ctx.score_batch(
+                &bufs.labels_bufs[..k],
+                &mut bufs.scratch,
+                &mut bufs.scores,
+                batch as usize,
+            );
+            done(&mut own, &mut bufs, (at - first) as usize, k);
+            scored += k as u64;
             if let Some(progress) = hooks.progress {
                 // The hook is caller code running inside every engine worker.
                 // A panic there must not unwind out of the worker (which would
@@ -313,74 +367,21 @@ pub fn accumulate_chunk_hooked(
                 // it at the boundary and surface a typed error — the chunk's
                 // counts are discarded either way.
                 let guarded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    progress(did);
+                    progress(k as u64);
                 }));
                 if guarded.is_err() {
                     return Err(Error::Comm("progress hook panicked".to_string()));
                 }
             }
         }
-        Ok((
-            acc,
-            WorkerStat {
-                worker,
-                start: sub_start,
-                take: sub_take,
-                busy: begin.elapsed(),
-            },
-        ))
+        let stat = WorkerStat {
+            worker,
+            take: scored,
+            busy: begin.elapsed(),
+        };
+        Ok((own, stat))
     };
-    let parts = run_jobs(jobs, run_worker);
-    let mut workers = Vec::with_capacity(parts.len());
-    let mut counts = Vec::with_capacity(parts.len());
-    for part in parts {
-        let (acc, stat) = part?;
-        counts.push(acc);
-        workers.push(stat);
-    }
-    let counts = tree_merge(counts).expect("at least one worker ran");
-    Ok(ChunkRun { counts, workers })
-}
-
-impl Run {
-    /// The extremeness scores of `ctx`'s genes under permutations
-    /// `[start, start + take)` of the run, gene-major (`scores[g * take + j]`),
-    /// on the admitted geometry. Where [`accumulate_chunk`] counts the
-    /// scores, this keeps them: the chunk is split over the same workers,
-    /// each forwarding its own stream with `skip` and scoring its sub-chunk
-    /// in batches, so a gene's row is its workers' parts in worker order and
-    /// every score has the bits the count pass compares.
-    pub fn scores(&self, ctx: &MaxTContext<'_>, start: u64, take: u64) -> Vec<f64> {
-        let t = usize::try_from(take).expect("a chunk that fits in memory");
-        let mut scores = vec![0.0f64; ctx.genes() * t];
-        let jobs = split_chunk(start, take, self.engine.threads);
-        // Each worker's part of every gene's row.
-        let mut parts: Vec<Vec<&mut [f64]>> = jobs.iter().map(|_| Vec::new()).collect();
-        for mut row in scores.chunks_mut(t.max(1)) {
-            for (part, &(_, count)) in parts.iter_mut().zip(&jobs) {
-                let (head, rest) = row.split_at_mut(count as usize);
-                part.push(head);
-                row = rest;
-            }
-        }
-        let jobs = jobs.into_iter().zip(parts).collect();
-        run_jobs(jobs, |_, ((sub_start, sub_take), mut rows)| {
-            let mut gen = build_generator(&self.labels, &self.opts, self.b).expect("validated");
-            gen.skip(sub_start);
-            let mut bufs = ctx.batch_buffers(self.engine.batch.min(sub_take as usize));
-            let batch = bufs.labels_bufs.len();
-            let mut done = 0usize;
-            while done < sub_take as usize {
-                let k = ctx.score_next(&mut *gen, sub_take - done as u64, &mut bufs);
-                assert!(k > 0, "sub-chunk shorter than assigned");
-                for (g, row) in rows.iter_mut().enumerate() {
-                    row[done..done + k].copy_from_slice(&bufs.scores[g * batch..g * batch + k]);
-                }
-                done += k;
-            }
-        });
-        scores
-    }
+    run_jobs(vec![(); workers], work).into_iter().collect()
 }
 
 /// Full maxT run on the calling process with an explicit engine geometry —
@@ -404,7 +405,8 @@ pub fn maxt_with_config(
 pub(crate) fn maxt_on(run: &Run, data: &Matrix) -> Result<MaxTResult> {
     let prepared = run.prepare(data);
     let ctx = run.context(&prepared);
-    let counts = run.chunk(&ctx, 0, run.b, ChunkHooks::default())?.counts;
+    let counts = run.chunk(&ctx, &mut *run.stream(0), run.b, ChunkHooks::default())?;
+    let counts = counts.counts;
     debug_assert_eq!(counts.n_perm, run.b);
     Ok(ctx.finalize(&counts))
 }
@@ -436,71 +438,6 @@ impl MaxTContext<'_> {
             run_max: vec![0.0f64; batch],
             scratch,
         }
-    }
-
-    /// Batched, gene-tiled variant of [`MaxTContext::accumulate`]: consume up
-    /// to `take` permutations from `gen` in batches, accumulating exceedance
-    /// counts into `acc`, and return the number of permutations processed.
-    /// The caller-owned [`BatchBuffers`] are reused; their capacity is the
-    /// batch size.
-    ///
-    /// Per batch, the scorer derives its per-arrangement structures once
-    /// ([`crate::stats::scorer::Scorer::begin_batch`]); the matrix is then
-    /// walked **gene-outer, permutation-inner** in tiles of [`GENE_TILE`]
-    /// rows, so each cached row is loaded once per batch and scored against
-    /// every arrangement while hot. Scores land gene-major in a
-    /// `genes × batch` buffer; the statistic → extremeness transform fuses
-    /// into the tile pass, and the step-down (successive-maxima) pass runs
-    /// per permutation afterwards. Counts are identical to `accumulate` for
-    /// every batch size — see the module docs.
-    pub fn accumulate_batched_with(
-        &self,
-        gen: &mut dyn ResamplingStream,
-        take: u64,
-        acc: &mut CountAccumulator,
-        bufs: &mut BatchBuffers,
-    ) -> u64 {
-        assert_eq!(acc.genes(), self.genes(), "accumulator size mismatch");
-        let batch = bufs.labels_bufs.len();
-        let mut done = 0u64;
-        while done < take {
-            let k = self.score_next(gen, take - done, bufs);
-            if k == 0 {
-                break;
-            }
-            self.count_isa.run(CountBatch {
-                ctx: self,
-                scores: &bufs.scores,
-                stride: batch,
-                run_max: &mut bufs.run_max[..k],
-                acc,
-            });
-            done += k as u64;
-        }
-        done
-    }
-
-    /// Draw up to `want` arrangements (at most a batch) from `gen` into
-    /// `bufs` and score them gene-major into `bufs.scores` with the batch
-    /// as stride. Returns how many were drawn.
-    fn score_next(
-        &self,
-        gen: &mut dyn ResamplingStream,
-        want: u64,
-        bufs: &mut BatchBuffers,
-    ) -> usize {
-        let batch = bufs.labels_bufs.len();
-        debug_assert_eq!(bufs.scores.len(), self.genes * batch, "buffer mismatch");
-        let want = want.min(batch as u64) as usize;
-        let mut k = 0usize;
-        while k < want && gen.next_into(&mut bufs.labels_bufs[k]) {
-            k += 1;
-        }
-        if k > 0 {
-            let labels_bufs = &bufs.labels_bufs[..k];
-            self.score_batch(labels_bufs, &mut bufs.scratch, &mut bufs.scores, batch);
-        }
-        k
     }
 
     /// Fill `scores[g * stride + j]` with the extremeness score of gene `g`
@@ -611,6 +548,7 @@ mod tests {
     use super::*;
     use crate::maxt::serial::{mt_maxt, prepare_run};
     use crate::options::{KernelChoice, Precision, SamplingMode, TestMethod};
+    use crate::perm::build_generator;
     use crate::side::Side;
     use crate::stats::prepare_matrix;
 
@@ -707,24 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_merge_equals_sequential_merge() {
-        let mk = |r: u64| CountAccumulator {
-            count_raw: vec![r, 2 * r],
-            count_adj: vec![3 * r, r],
-            n_perm: r,
-        };
-        for n in 1..=9usize {
-            let parts: Vec<CountAccumulator> = (1..=n as u64).map(mk).collect();
-            let mut sequential = CountAccumulator::new(2);
-            for p in &parts {
-                sequential.merge(p);
-            }
-            assert_eq!(tree_merge(parts).unwrap(), sequential, "n={n}");
-        }
-        assert!(tree_merge(Vec::new()).is_none());
-    }
-
-    #[test]
     fn explicit_config_resolves_auto_values() {
         let cfg = EngineConfig::explicit(0, 0);
         assert!(cfg.threads >= 1);
@@ -760,38 +680,33 @@ mod tests {
                 let mut gen = build_generator(&labels, &opts, 40).unwrap();
                 ctx.accumulate(&mut *gen, u64::MAX, &mut reference);
                 for batch in [1usize, 2, 3, 7, 32, 64] {
-                    let mut acc = CountAccumulator::new(5);
-                    let mut gen = build_generator(&labels, &opts, 40).unwrap();
-                    let mut bufs = ctx.batch_buffers(batch);
-                    let done =
-                        ctx.accumulate_batched_with(&mut *gen, u64::MAX, &mut acc, &mut bufs);
-                    assert_eq!(done, 40);
-                    assert_eq!(acc, reference, "{method:?} {choice:?} batch={batch}");
+                    let cfg = EngineConfig { threads: 1, batch };
+                    let run = accumulate_chunk(&ctx, &labels, &opts, 40, 0, 40, cfg).unwrap();
+                    assert_eq!(run.counts, reference, "{method:?} {choice:?} batch={batch}");
                 }
             }
         }
     }
 
     #[test]
-    fn accumulate_batched_respects_take_limit() {
-        let (data, classlabel) = test_data();
-        let labels = ClassLabels::new(classlabel, TestMethod::T).unwrap();
-        let opts = PmaxtOptions::default().permutations(10);
-        let prepared = prepare_matrix(&data, TestMethod::T, false);
-        let ctx = MaxTContext::new(&prepared, &labels, TestMethod::T, Side::Abs);
-        let mut gen = build_generator(&labels, &opts, 10).unwrap();
-        let mut acc = CountAccumulator::new(5);
-        let mut bufs = ctx.batch_buffers(3);
-        assert_eq!(
-            ctx.accumulate_batched_with(&mut *gen, 4, &mut acc, &mut bufs),
-            4
-        );
-        assert_eq!(acc.n_perm, 4);
-        assert_eq!(
-            ctx.accumulate_batched_with(&mut *gen, 100, &mut acc, &mut bufs),
-            6
-        );
-        assert_eq!(acc.n_perm, 10);
+    fn chunks_on_a_kept_stream_add_up_to_one_chunk() {
+        for sampling in ["y", "n"] {
+            let opts = PmaxtOptions::default()
+                .permutations(30)
+                .fixed_seed_sampling(sampling)
+                .unwrap();
+            let (run, prepared) = pinned(&opts, 2, 3);
+            let ctx = run.context(&prepared);
+            let hooks = ChunkHooks::default();
+            let whole = run.chunk(&ctx, &mut *run.stream(2), 25, hooks).unwrap();
+            let mut stream = run.stream(2);
+            let mut parts = CountAccumulator::new(ctx.genes());
+            for take in [4, 1, 13, 7] {
+                parts.merge(&run.chunk(&ctx, &mut *stream, take, hooks).unwrap().counts);
+            }
+            assert_eq!(stream.position(), 27, "sampling {sampling}");
+            assert_eq!(parts, whole.counts, "sampling {sampling}");
+        }
     }
 
     #[test]
@@ -816,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_stats_cover_the_chunk_in_order() {
+    fn worker_stats_cover_the_chunk() {
         let (data, classlabel) = test_data();
         let opts = PmaxtOptions::default().permutations(30);
         let (labels, b, prepared) = prepare_run(&data, &classlabel, &opts).unwrap();
@@ -827,14 +742,13 @@ mod tests {
         };
         let run = accumulate_chunk(&ctx, &labels, &opts, b, 5, 20, cfg).unwrap();
         assert_eq!(run.counts.n_perm, 20);
+        // Batches of ⌈20 / 4⌉ = 5 arrangements: four of them, one pool of
+        // four workers, which between them score the chunk.
         assert_eq!(run.workers.len(), 4);
-        let mut expect = 5u64;
         for (w, stat) in run.workers.iter().enumerate() {
             assert_eq!(stat.worker, w);
-            assert_eq!(stat.start, expect);
-            expect += stat.take;
         }
-        assert_eq!(expect, 25);
+        assert_eq!(run.workers.iter().map(|w| w.take).sum::<u64>(), 20);
     }
 
     #[test]
@@ -848,18 +762,86 @@ mod tests {
         assert!(run.workers.is_empty());
     }
 
+    /// `test_data` admitted on a pinned geometry, and its prepared matrix.
+    fn pinned(opts: &PmaxtOptions, threads: usize, batch: usize) -> (Run, Matrix) {
+        let (data, classlabel) = test_data();
+        let engine = Some(EngineConfig { threads, batch });
+        let adm = admit(&data, &classlabel, opts, Entry::MaxT { engine }).unwrap();
+        assert_eq!(adm.engine, EngineConfig { threads, batch });
+        let prepared = adm.prepare(&adm.data).into_owned();
+        (adm.run, prepared)
+    }
+
+    /// A stream that counts what the engine asks of it.
+    struct Counting {
+        inner: Box<dyn ResamplingStream>,
+        draws: u64,
+        skips: u64,
+    }
+
+    impl ResamplingStream for Counting {
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+
+        fn position(&self) -> u64 {
+            self.inner.position()
+        }
+
+        fn next_into(&mut self, out: &mut [u8]) -> bool {
+            self.draws += 1;
+            self.inner.next_into(out)
+        }
+
+        fn skip(&mut self, n: u64) {
+            self.skips += 1;
+            self.inner.skip(n);
+        }
+    }
+
+    #[test]
+    fn each_pass_draws_each_arrangement_once_from_its_one_stream() {
+        let (start, take) = (7u64, 23u64);
+        for sampling in ["y", "n"] {
+            let opts = PmaxtOptions::default()
+                .permutations(40)
+                .fixed_seed_sampling(sampling)
+                .unwrap();
+            let (pulled, prepared) = pinned(&opts, 3, 5);
+            let (serial, _) = pinned(&opts, 1, 32);
+            let ctx = pulled.context(&prepared);
+            let counted = || Counting {
+                inner: pulled.stream(start),
+                draws: 0,
+                skips: 0,
+            };
+            let drew_once = |stream: &Counting| {
+                let seen = (stream.draws, stream.skips, stream.position());
+                assert_eq!(seen, (take, 0, start + take), "sampling {sampling}");
+            };
+            let mut stream = counted();
+            let counts = pulled.chunk(&ctx, &mut stream, take, ChunkHooks::default());
+            drew_once(&stream);
+            let mut stream = counted();
+            let scores = pulled.scores(&ctx, &mut stream, take);
+            drew_once(&stream);
+
+            let hooks = ChunkHooks::default();
+            let reference = serial.chunk(&ctx, &mut *serial.stream(start), take, hooks);
+            assert_eq!(counts.unwrap().counts, reference.unwrap().counts);
+            let reference = serial.scores(&ctx, &mut *serial.stream(start), take);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&scores), bits(&reference), "sampling {sampling}");
+        }
+    }
+
     #[test]
     fn hooked_chunk_matches_hookless_and_reports_progress() {
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-        let (data, classlabel) = test_data();
         let opts = PmaxtOptions::default().permutations(40);
-        let (labels, b, prepared) = prepare_run(&data, &classlabel, &opts).unwrap();
-        let ctx = MaxTContext::new(&prepared, &labels, opts.test, opts.side);
-        let cfg = EngineConfig {
-            threads: 3,
-            batch: 7,
-        };
-        let plain = accumulate_chunk(&ctx, &labels, &opts, b, 2, 30, cfg).unwrap();
+        let (run, prepared) = pinned(&opts, 3, 7);
+        let ctx = run.context(&prepared);
+        let plain = run.chunk(&ctx, &mut *run.stream(2), 30, ChunkHooks::default());
         let progressed = AtomicU64::new(0);
         let cancel = AtomicBool::new(false);
         let hooks = ChunkHooks {
@@ -868,21 +850,20 @@ mod tests {
                 progressed.fetch_add(n, Ordering::Relaxed);
             }),
         };
-        let hooked = accumulate_chunk_hooked(&ctx, &labels, &opts, b, 2, 30, cfg, hooks).unwrap();
-        assert_eq!(hooked.counts, plain.counts, "hooks must not change counts");
+        let hooked = run.chunk(&ctx, &mut *run.stream(2), 30, hooks).unwrap();
+        assert_eq!(
+            hooked.counts,
+            plain.unwrap().counts,
+            "hooks must not change counts"
+        );
         assert_eq!(progressed.load(Ordering::Relaxed), 30);
     }
 
     #[test]
     fn panicking_progress_hook_surfaces_typed_error_not_panic() {
-        let (data, classlabel) = test_data();
         let opts = PmaxtOptions::default().permutations(40);
-        let (labels, b, prepared) = prepare_run(&data, &classlabel, &opts).unwrap();
-        let ctx = MaxTContext::new(&prepared, &labels, opts.test, opts.side);
-        let cfg = EngineConfig {
-            threads: 2,
-            batch: 7,
-        };
+        let (run, prepared) = pinned(&opts, 2, 7);
+        let ctx = run.context(&prepared);
         let hooks = ChunkHooks {
             cancel: None,
             progress: Some(&|_| panic!("hook bug")),
@@ -891,7 +872,7 @@ mod tests {
         // per-worker panics; restore it before asserting.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let outcome = accumulate_chunk_hooked(&ctx, &labels, &opts, b, 0, 30, cfg, hooks);
+        let outcome = run.chunk(&ctx, &mut *run.stream(0), 30, hooks);
         std::panic::set_hook(prev);
         let err = outcome.unwrap_err();
         assert!(
@@ -903,18 +884,17 @@ mod tests {
     #[test]
     fn pre_set_cancel_flag_aborts_with_typed_error() {
         use std::sync::atomic::AtomicBool;
-        let (data, classlabel) = test_data();
         let opts = PmaxtOptions::default().permutations(40);
-        let (labels, b, prepared) = prepare_run(&data, &classlabel, &opts).unwrap();
-        let ctx = MaxTContext::new(&prepared, &labels, opts.test, opts.side);
+        let (run, prepared) = pinned(&opts, 1, 32);
+        let ctx = run.context(&prepared);
         let cancel = AtomicBool::new(true);
         let hooks = ChunkHooks {
             cancel: Some(&cancel),
             progress: None,
         };
-        let err =
-            accumulate_chunk_hooked(&ctx, &labels, &opts, b, 0, b, EngineConfig::serial(), hooks)
-                .unwrap_err();
+        let err = run
+            .chunk(&ctx, &mut *run.stream(0), run.b, hooks)
+            .unwrap_err();
         assert!(matches!(err, Error::Cancelled));
     }
 

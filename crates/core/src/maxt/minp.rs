@@ -46,7 +46,9 @@ pub fn mt_minp(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> Result<
     let run = &adm.run;
     let prepared = run.prepare(&adm.data);
     let ctx = run.context(&prepared);
-    let counts = run.chunk(&ctx, 0, run.b, ChunkHooks::default())?.counts;
+    let counts = run
+        .chunk(&ctx, &mut *run.stream(0), run.b, ChunkHooks::default())?
+        .counts;
     let order = step_down_order(&ctx, &counts);
     let mut fold = Fold::new(run, counts);
     for (block, rows) in order.chunks(GENE_TILE).enumerate().rev() {
@@ -84,7 +86,7 @@ pub fn pminp_on(run: Run, data: Matrix, n_ranks: usize) -> Result<MaxTResult> {
         let ctx = run.context(&prepared);
         // Contiguous chunks as `pmaxt`'s ranks take them; surplus ranks idle.
         let (start, take) = span_plan(run.b, comm.size()).expect("ranks checked")[comm.rank()];
-        let chunk = run.chunk(&ctx, start, take, ChunkHooks::default());
+        let chunk = run.chunk(&ctx, &mut *run.stream(start), take, ChunkHooks::default());
         let counts = chunk.expect("engine chunk").counts;
         let reduced = comm
             .reduce_sum_u64(MASTER, counts.to_flat())
@@ -136,11 +138,11 @@ fn step_down_order(ctx: &MaxTContext<'_>, counts: &CountAccumulator) -> Vec<usiz
 }
 
 /// The engine's scores of the prepared matrix's `rows` under arrangements
-/// `[start, start + take)`, gene-major.
+/// `[start, start + take)`, gene-major, from a stream positioned at `start`.
 fn block_scores(run: &Run, prepared: &Matrix, rows: &[usize], start: u64, take: u64) -> Vec<f64> {
     let block = sub_matrix(prepared, rows);
     let ctx = run.context(&block);
-    run.scores(&ctx, start, take)
+    run.scores(&ctx, &mut *run.stream(start), take)
 }
 
 /// Pass 2 on the master: minP's counts (pass 1's raw counts, the adjusted

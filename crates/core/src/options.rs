@@ -125,14 +125,15 @@ spelled_enum! {
     #[derive(Default)]
     pub enum SamplingMode("fixed.seed.sampling") {
         /// `"y"`: the b-th permutation is derived from a seed that is a pure
-        /// function of b, so a rank or worker jumps to its chunk in O(1).
+        /// function of b, so a rank or a peer jumps to its chunk in O(1).
         /// Default.
         #[default]
         FixedSeedOnTheFly = "y",
         /// `"n"`: all permutations are drawn from one sequential stream, the
         /// stream R stores. It is drawn on the fly, as the paper serves
-        /// `blockf`'s stored request: a worker replays the draws before its
-        /// chunk and holds one label vector, never the B × n matrix.
+        /// `blockf`'s stored request, and holds one label vector, never the
+        /// B × n matrix; a rank or a peer that starts mid-run replays the
+        /// draws before its chunk once.
         Stored = "n",
     }
 }

@@ -15,9 +15,10 @@
 //!
 //! Under both, index 0 is the observed labelling, or the identity draw for
 //! bootstrap. The sequential seeding is the stream R stores; it is drawn on
-//! the fly here, as the paper already serves `blockf`'s stored request: a
-//! worker that starts at draw `j` replays `j` draws and holds one n-byte
-//! vector, never the B × n matrix.
+//! the fly here, as the paper already serves `blockf`'s stored request, and
+//! holds one n-byte vector, never the B × n matrix. Skip-ahead is for
+//! ranks, peers' units and resumed runs, which position their stream once;
+//! engine threads share one stream, and in-order callers keep it.
 
 use super::ResamplingStream;
 use crate::options::SamplingMode;

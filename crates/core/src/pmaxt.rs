@@ -267,7 +267,7 @@ pub fn pmaxt_rank(
     let ctx = run.context(&prepared);
     let local_counts = timer.time(sections::MAIN_KERNEL, || {
         let (start, take) = span_plan(run.b, comm.size()).expect("ranks checked")[comm.rank()];
-        let chunk = run.chunk(&ctx, start, take, ChunkHooks::default());
+        let chunk = run.chunk(&ctx, &mut *run.stream(start), take, ChunkHooks::default());
         chunk.expect("engine chunk").counts
     });
 

@@ -65,6 +65,7 @@ use sprint_core::matrix::Matrix;
 use sprint_core::maxt::engine::ChunkHooks;
 use sprint_core::maxt::{CountAccumulator, MaxTResult};
 use sprint_core::options::{Mode, PmaxtOptions, Workload};
+use sprint_core::perm::ResamplingStream;
 use sprint_core::pmaxt::span_plan;
 
 use crate::cache::{CacheKey, CacheProbe, ResultCache};
@@ -79,7 +80,8 @@ use crate::protocol;
 use crate::shard::{self, slice_spans, PeerError, PeerLink, ShardStats, SpanQueue};
 
 /// Everything a unit needs of its job but its matrix, which the job's
-/// progress holds until the job is terminal. Immutable after admission.
+/// progress holds until the job is terminal. Immutable after admission,
+/// but for the stream a local maxT job keeps between its units.
 pub(crate) struct JobWork {
     /// The admitted run: labels, B, mode (env override folded in), engine
     /// geometry and options.
@@ -90,6 +92,9 @@ pub(crate) struct JobWork {
     pub(crate) cached: bool,
     /// Dataset path for sharded dispatch (peers read it themselves).
     pub(crate) source: Option<PathBuf>,
+    /// The stream where the last unit run here left it: the next unit in
+    /// order draws on from it, and any other builds its own and skips once.
+    pub(crate) stream: Mutex<Option<Box<dyn ResamplingStream>>>,
 }
 
 /// Mutable per-job state, guarded by one mutex.
@@ -340,6 +345,7 @@ impl JobWork {
             check_digest,
             cached: false,
             source,
+            stream: Mutex::new(None),
         };
         (work, prepared)
     }
@@ -426,7 +432,11 @@ impl JobKind for Counts {
     ) -> Result<(CountAccumulator, f64), CoreError> {
         let ctx = work.run.context(data);
         let cpu0 = shard::thread_cpu_secs();
-        let run = work.run.chunk(&ctx, start, take, hooks)?;
+        // Taken out while the unit runs: a unit that stops short drops it.
+        let kept = plock(&work.stream).take().filter(|s| s.position() == start);
+        let mut stream = kept.unwrap_or_else(|| work.run.stream(start));
+        let run = work.run.chunk(&ctx, &mut *stream, take, hooks)?;
+        *plock(&work.stream) = Some(stream);
         let busy = run.workers.iter().map(|w| w.busy.as_secs_f64()).sum();
         let secs = kernel_secs(cpu0, run.workers.len() <= 1, busy);
         Ok((run.counts, secs))
@@ -918,8 +928,8 @@ fn run_local<K: JobKind>(kind: &K, inner: &Inner, job: &Job, data: &Matrix, unit
         fail_job(inner, job, e.to_string());
         return false;
     }
-    // ETA model: a unit's wall time is its slowest engine worker (the
-    // critical path), smoothed across units.
+    // ETA model: a unit's wall time per permutation (its work over the
+    // engine workers that pull its batches), smoothed across units.
     if prog.cursor > before {
         let per_perm = secs / (prog.cursor - before) as f64;
         prog.secs_per_perm = Some(
@@ -1305,6 +1315,7 @@ mod tests {
             check_digest: 0,
             cached: false,
             source: None,
+            stream: Mutex::new(None),
         };
         let (start, take) = (20, 30);
         let reply = |counts: &CountAccumulator| {

@@ -238,7 +238,9 @@ fn cache_hit_skips_computation() {
 
 /// Extending a cached B = 40 run to B′ = 70 computes only the new
 /// permutations and lands bitwise-identical to a fresh B′ = 70 run — for
-/// every statistic × side combination.
+/// every statistic × side combination, under both samplings. Under
+/// `--fixed-seed n` the extension skips its stream to the checkpoint once,
+/// then keeps it from one span to the next.
 #[test]
 fn extension_is_bitwise_identical_for_all_statistics_and_sides() {
     let tests: [(TestMethod, Vec<u8>); 6] = [
@@ -251,15 +253,21 @@ fn extension_is_bitwise_identical_for_all_statistics_and_sides() {
     ];
     let sides = [Side::Abs, Side::Upper, Side::Lower];
     for (test, labels) in &tests {
-        for side in sides {
+        for (side, sampling) in sides.into_iter().flat_map(|s| [(s, "y"), (s, "n")]) {
             let data = synth_matrix(30, labels.len(), 1000 + *test as u64);
             let base = PmaxtOptions::default()
                 .test(*test)
                 .side(side)
                 .permutations(40)
-                .seed(5);
+                .seed(5)
+                .fixed_seed_sampling(sampling)
+                .unwrap();
             let extended = base.clone().permutations(70);
-            let cache = tmpdir(&format!("ext-{}-{}", test.as_str(), side.as_str()));
+            let cache = tmpdir(&format!(
+                "ext-{}-{}-{sampling}",
+                test.as_str(),
+                side.as_str()
+            ));
             let cfg = || ManagerConfig {
                 workers: 1,
                 span: 16,
@@ -284,7 +292,7 @@ fn extension_is_bitwise_identical_for_all_statistics_and_sides() {
             assert_eq!(
                 info.cache,
                 CacheDisposition::Extend { from: 40 },
-                "{}/{}: expected an extension",
+                "{}/{}/{sampling}: expected an extension",
                 test.as_str(),
                 side.as_str()
             );
@@ -293,7 +301,7 @@ fn extension_is_bitwise_identical_for_all_statistics_and_sides() {
             assert_eq!(
                 status.computed,
                 30,
-                "{}/{}: extension must compute only B' - B permutations",
+                "{}/{}/{sampling}: extension must compute only B' - B permutations",
                 test.as_str(),
                 side.as_str()
             );
@@ -301,7 +309,7 @@ fn extension_is_bitwise_identical_for_all_statistics_and_sides() {
             assert_eq!(
                 served,
                 fresh,
-                "{}/{}: extension must be bitwise-identical to a fresh run",
+                "{}/{}/{sampling}: extension must be bitwise-identical to a fresh run",
                 test.as_str(),
                 side.as_str()
             );

@@ -88,8 +88,9 @@ impl Xoshiro256 {
         result
     }
 
-    /// Uniform integer in `0..bound` (bound > 0) by Lemire's method with
-    /// rejection, bias-free.
+    /// Uniform integer in `0..bound` (bound > 0) by Lemire's nearly-
+    /// divisionless method, bias-free: the threshold `2^64 mod bound` is
+    /// below `bound`, so it is computed only for a product whose low half is.
     #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
@@ -97,14 +98,14 @@ impl Xoshiro256 {
         if bound.is_power_of_two() {
             return self.next_u64() & (bound - 1);
         }
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (bound as u128);
-            if (m as u64) >= threshold {
-                return (m >> 64) as u64;
+        let mut m = (self.next_u64() as u128) * (bound as u128);
+        if (m as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128) * (bound as u128);
             }
         }
+        (m >> 64) as u64
     }
 
     /// One uniformly random bit.
@@ -183,6 +184,43 @@ mod tests {
         for bound in [1u64, 2, 3, 7, 16, 76, 1000] {
             for _ in 0..500 {
                 assert!(rng.next_below(bound) < bound);
+            }
+        }
+    }
+
+    #[test]
+    fn next_below_takes_the_values_and_draws_of_the_eager_threshold() {
+        // The form that computes the threshold on every call.
+        fn eager(rng: &mut Xoshiro256, bound: u64) -> u64 {
+            if bound.is_power_of_two() {
+                return rng.next_u64() & (bound - 1);
+            }
+            let threshold = bound.wrapping_neg() % bound;
+            loop {
+                let m = (rng.next_u64() as u128) * (bound as u128);
+                if (m as u64) >= threshold {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+        // Small bounds, one just past 2^32, one just past 2^63 (which
+        // rejects almost half the products) and the largest.
+        for bound in [3u64, 76, (1 << 32) + 1, (1 << 63) + 1, u64::MAX] {
+            for seed in 0..200u64 {
+                let mut lazy = Xoshiro256::seed_from(seed);
+                let mut reference = lazy.clone();
+                for _ in 0..50 {
+                    let got = lazy.next_below(bound);
+                    assert_eq!(
+                        got,
+                        eager(&mut reference, bound),
+                        "bound {bound}, seed {seed}"
+                    );
+                }
+                assert_eq!(
+                    lazy.s, reference.s,
+                    "bound {bound}, seed {seed}: generator state"
+                );
             }
         }
     }

@@ -227,14 +227,16 @@ pub fn run_with_checkpoints(
         None => 0,
     };
 
-    // Each inter-checkpoint span is one engine chunk: the engine's workers
-    // build their own skip-forwarded generators, so a plain cursor is the
-    // whole resumable state — exactly what the checkpoint stores.
+    // Each inter-checkpoint span is one engine chunk of one stream, skipped
+    // to the cursor once per session and kept across spans, so a plain
+    // cursor is the whole resumable state — exactly what the checkpoint
+    // stores.
+    let mut stream = run.stream(cursor);
     let mut remaining_session = session_limit.unwrap_or(u64::MAX);
     let mut checkpoints_written = 0u64;
     while cursor < b && remaining_session > 0 {
         let take = every.min(b - cursor).min(remaining_session);
-        let chunk = run.chunk(&ctx, cursor, take, ChunkHooks::default())?;
+        let chunk = run.chunk(&ctx, &mut *stream, take, ChunkHooks::default())?;
         debug_assert_eq!(chunk.counts.n_perm, take, "chunk shorter than assigned");
         acc.merge(&chunk.counts);
         cursor += take;

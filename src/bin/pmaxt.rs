@@ -40,8 +40,9 @@ use sprint_core::admit::{admit, Entry, Run};
 use sprint_core::boot::{boot_run_on, BootstrapResult};
 use sprint_core::error::Error as CoreError;
 use sprint_core::matrix::Matrix;
+use sprint_core::maxt::engine::ChunkHooks;
 use sprint_core::maxt::minp::pminp_on;
-use sprint_core::maxt::{CountAccumulator, MaxTResult};
+use sprint_core::maxt::MaxTResult;
 use sprint_core::options::{Mode, PmaxtOptions, Workload, OPTIONS};
 use sprint_core::perm::stored::StoredMatrix;
 use sprint_core::pmaxt::{pmaxt_on, sections, MasterInput};
@@ -663,8 +664,8 @@ fn read_perm_file(path: &std::path::Path) -> Result<Vec<Vec<u8>>, CliError> {
 }
 
 /// `pmaxt run --perm-file`: replay an explicit arrangement set through the
-/// maxT kernel via [`StoredMatrix`], on the admitted run over its
-/// NA-canonical matrix. The observed labelling is scored first (every
+/// engine, as a [`StoredMatrix`] stream, on the admitted run's geometry over
+/// its NA-canonical matrix. The observed labelling is scored first (every
 /// stream's index 0 is the identity draw), then the file's rows.
 fn run_replay(
     cfg: &RunConfig,
@@ -696,15 +697,16 @@ fn run_replay(
     let b = all.len() as u64;
     let mut stream = StoredMatrix::try_from_rows(&all, cols).map_err(CliError::from_core)?;
     let ctx = run.context(&prepared);
-    let mut acc = CountAccumulator::new(ctx.genes());
     let t0 = std::time::Instant::now();
-    let done = ctx.accumulate(&mut stream, b, &mut acc);
+    let counts = run.chunk(&ctx, &mut stream, b, ChunkHooks::default());
+    let counts = counts.map_err(CliError::from_core)?.counts;
+    let done = counts.n_perm;
     eprintln!(
         "done: replayed {done} stored arrangement(s) (identity + {} from {path:?}) in {:.2?}",
         done.saturating_sub(1),
         t0.elapsed()
     );
-    print_result(&ctx.finalize(&acc), cfg.top, cfg.out.as_ref())
+    print_result(&ctx.finalize(&counts), cfg.top, cfg.out.as_ref())
 }
 
 /// Order genes for the bootstrap table: largest |θ̂/se| first (the

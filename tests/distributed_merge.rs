@@ -20,7 +20,7 @@ use sprint_core::admit::{admit, Entry};
 use sprint_core::error::Error as CoreError;
 use sprint_core::labels::ClassLabels;
 use sprint_core::matrix::Matrix;
-use sprint_core::maxt::engine::{accumulate_chunk_hooked, ChunkHooks, EngineConfig};
+use sprint_core::maxt::engine::{accumulate_chunk, EngineConfig};
 use sprint_core::maxt::serial::mt_maxt;
 use sprint_core::maxt::{CountAccumulator, MaxTContext};
 use sprint_core::options::{PmaxtOptions, TestMethod};
@@ -122,11 +122,7 @@ fn check_split(
     }
     let mut acc = CountAccumulator::new(prepared.rows());
     for &(s, t) in &spans {
-        let hooks = ChunkHooks {
-            cancel: None,
-            progress: None,
-        };
-        let run = accumulate_chunk_hooked(
+        let run = accumulate_chunk(
             &ctx,
             &labels,
             &opts,
@@ -134,7 +130,6 @@ fn check_split(
             s,
             t,
             EngineConfig::serial(),
-            hooks,
         )
         .unwrap();
         acc.merge(&run.counts);
