@@ -616,30 +616,44 @@ impl<R: Real> TwoSampleScorer<R> {
         let fused = isa.has_fma() && !R::IS_F32;
         let mut recip_blocks: Vec<bool> =
             present.clean_blocks.iter().map(|&c| c && fused).collect();
-        for g in 0..rows {
-            let row = data.row(g);
-            let pivot = pivot_of(row);
-            let (mut s, mut q) = (R::ZERO, R::ZERO);
+        // One block of genes at a time: each gene sums its values in
+        // ascending column order into a column-major tile of the block, and
+        // each column's BLOCK cells then go to its lane together.
+        let cols = data.cols();
+        let mut tile = vec![R::ZERO; cols * BLOCK];
+        for base in (0..rows).step_by(BLOCK) {
             // Only a block that can still take the reciprocal path pays for
             // the range check.
-            let check = recip_blocks[g / BLOCK];
+            let check = recip_blocks[base / BLOCK];
             let mut safe = true;
-            for (c, &v) in row.iter().enumerate() {
-                // Missing cells stay +0.0 in the lane.
-                if !v.is_nan() {
-                    let x = R::from_f64(v - pivot);
-                    vals.set(c, g, x);
-                    if check {
-                        safe &= recip_safe(x.to_f64());
+            tile.fill(R::ZERO);
+            for g in base..(base + BLOCK).min(rows) {
+                let row = data.row(g);
+                let pivot = pivot_of(row);
+                let (mut s, mut q) = (R::ZERO, R::ZERO);
+                for (c, &v) in row.iter().enumerate() {
+                    // Missing cells stay +0.0 in the lane.
+                    if !v.is_nan() {
+                        let x = R::from_f64(v - pivot);
+                        tile[c * BLOCK + g - base] = x;
+                        if check {
+                            safe &= recip_safe(x.to_f64());
+                        }
+                        s += x;
+                        q += x * x;
                     }
-                    s += x;
-                    q += x * x;
+                }
+                total_sum[g] = s;
+                total_sumsq[g] = q;
+                if check {
+                    safe &= recip_safe(s.to_f64()) && recip_safe(q.to_f64());
                 }
             }
-            total_sum[g] = s;
-            total_sumsq[g] = q;
             if check {
-                recip_blocks[g / BLOCK] = safe && recip_safe(s.to_f64()) && recip_safe(q.to_f64());
+                recip_blocks[base / BLOCK] = safe;
+            }
+            for (c, cells) in tile.chunks_exact(BLOCK).enumerate() {
+                vals.block_mut(c, base).copy_from_slice(cells);
             }
         }
         TwoSampleScorer {
@@ -772,11 +786,21 @@ impl<R: Real> WilcoxonScorer<R> {
     /// Cache the (already rank-transformed) rows.
     pub fn new(data: &Matrix) -> Self {
         let mut vals = SoaColumns::new(data.rows(), data.cols());
-        for g in 0..data.rows() {
-            for (c, &v) in data.row(g).iter().enumerate() {
-                if !v.is_nan() {
-                    vals.set(c, g, R::from_f64(v));
+        // One block of genes at a time, through a column-major tile of the
+        // block, so each column's BLOCK cells go to its lane together.
+        let (rows, cols) = (data.rows(), data.cols());
+        let mut tile = vec![R::ZERO; cols * BLOCK];
+        for base in (0..rows).step_by(BLOCK) {
+            tile.fill(R::ZERO);
+            for g in base..(base + BLOCK).min(rows) {
+                for (c, &v) in data.row(g).iter().enumerate() {
+                    if !v.is_nan() {
+                        tile[c * BLOCK + g - base] = R::from_f64(v);
+                    }
                 }
+            }
+            for (c, cells) in tile.chunks_exact(BLOCK).enumerate() {
+                vals.block_mut(c, base).copy_from_slice(cells);
             }
         }
         WilcoxonScorer {

@@ -373,6 +373,15 @@ impl<R: Real> SoaColumns<R> {
         self.buf.as_mut_slice()[col * self.lanes + gene] = v;
     }
 
+    /// The [`BLOCK`] cells of one column starting at gene `start`, a
+    /// multiple of `BLOCK`, to fill.
+    pub fn block_mut(&mut self, col: usize, start: usize) -> &mut [R; BLOCK] {
+        let base = col * self.lanes + start;
+        (&mut self.buf.as_mut_slice()[base..base + BLOCK])
+            .try_into()
+            .expect("block inside its column")
+    }
+
     /// The gene lane of one column, restricted to a gene range.
     #[inline]
     pub fn col(&self, col: usize, genes: &std::ops::Range<usize>) -> &[R] {

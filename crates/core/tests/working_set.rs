@@ -183,10 +183,11 @@ fn drivers_hold_what_admission_charges() {
         );
     }
 
-    // Stored sampling draws its sequential stream on the fly, each worker
-    // replaying the draws before its chunk: B costs it no heap, where every
-    // engine worker once stored all B label vectors. Less than a byte per
-    // added draw, over many draws, is a heap that does not grow with B.
+    // Stored sampling draws its sequential stream on the fly, the engine's
+    // workers pulling batches from one stream per pass: B costs it no heap,
+    // where every engine worker once stored all B label vectors. Less than
+    // a byte per added draw, over many draws, is a heap that does not grow
+    // with B.
     let on_the_fly: Vec<(&str, Driver)> = vec![
         (
             "stored maxt_with_config, 2 threads",

@@ -81,7 +81,8 @@ use crate::shard::{self, slice_spans, PeerError, PeerLink, ShardStats, SpanQueue
 
 /// Everything a unit needs of its job but its matrix, which the job's
 /// progress holds until the job is terminal. Immutable after admission,
-/// but for the stream a local maxT job keeps between its units.
+/// but for the stream a local maxT job keeps between its units, which a
+/// terminal job drops.
 pub(crate) struct JobWork {
     /// The admitted run: labels, B, mode (env override folded in), engine
     /// geometry and options.
@@ -107,17 +108,59 @@ pub(crate) struct JobProgress {
     /// Permutations merged (maxT), or `b` once a bootstrap or adaptive run
     /// is complete.
     pub(crate) cursor: u64,
+    /// Counts of the merged prefix (the maxT kinds); dropped, like the
+    /// matrix, when the job turns terminal.
     pub(crate) counts: CountAccumulator,
     pub(crate) computed: u64,
     pub(crate) cache: CacheDisposition,
     pub(crate) secs_per_perm: Option<f64>,
-    pub(crate) result: Option<MaxTResult>,
-    /// Merged bootstrap bands; the whole gene range once a bootstrap-workload
-    /// job finishes (such jobs never set `result`).
-    pub(crate) boot: Option<BootstrapResult>,
-    /// Per-gene adaptive report, set when a Mode::Adaptive job finishes.
-    pub(crate) adaptive: Option<AdaptiveReport>,
+    /// The job's output while it is built — the bootstrap bands merged so
+    /// far, or an adaptive run's outcome — and then the finished payload,
+    /// until the manager moves it to its store of finished payloads.
+    pub(crate) payload: Option<Payload>,
+    /// Summary of a finished adaptive run, kept with the job's record.
+    pub(crate) brief: Option<AdaptiveBrief>,
     pub(crate) error: Option<String>,
+}
+
+/// A finished job's output, as the manager's store of finished payloads
+/// keeps it.
+#[derive(Debug)]
+pub(crate) enum Payload {
+    /// maxT p-values, with an adaptive run's per-gene report.
+    MaxT(MaxTResult, Option<AdaptiveReport>),
+    /// Bootstrap interval estimates.
+    Boot(BootstrapResult),
+}
+
+impl Payload {
+    /// The bytes the store charges for it: its per-gene arrays, 32 per gene
+    /// for a maxT result.
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of_val as size;
+        match self {
+            Payload::MaxT(r, report) => {
+                let result = size(&r.teststat[..])
+                    + size(&r.rawp[..])
+                    + size(&r.adjp[..])
+                    + size(&r.order[..]);
+                result
+                    + report.as_ref().map_or(0, |a| {
+                        size(&a.scored[..])
+                            + size(&a.counts[..])
+                            + size(&a.stopped_at[..])
+                            + size(&a.p_lower[..])
+                            + size(&a.p_upper[..])
+                            + size(&a.p_point[..])
+                            + size(&a.tail[..])
+                    })
+            }
+            Payload::Boot(r) => {
+                let ends = [&r.theta, &r.se, &r.pct_lo, &r.pct_hi, &r.bca_lo, &r.bca_hi];
+                ends.iter().map(|v| size(&v[..])).sum()
+            }
+        }
+    }
 }
 
 impl JobProgress {
@@ -131,12 +174,19 @@ impl JobProgress {
             computed: 0,
             cache: CacheDisposition::Uncached,
             secs_per_perm: None,
-            result: None,
-            boot: None,
-            adaptive: None,
+            payload: None,
+            brief: None,
             error: None,
         }
     }
+}
+
+/// Drop what only a live job needs — its matrix, its counts and its kept
+/// stream — once `job` is terminal (`prog` is its progress, locked).
+pub(crate) fn release(work: &JobWork, prog: &mut JobProgress) {
+    prog.data = None;
+    prog.counts = CountAccumulator::new(0);
+    *plock(&work.stream) = None;
 }
 
 pub(crate) struct Job {
@@ -157,7 +207,11 @@ pub(crate) struct Job {
     pub(crate) jrn_accepted: AtomicBool,
     jrn_started: AtomicBool,
     jrn_closed: AtomicBool,
+    /// Set by the job's first successful `result` fetch; the server keeps
+    /// the encoded line of a job fetched before.
+    pub(crate) fetched: AtomicBool,
     pub(crate) prog: Mutex<JobProgress>,
+    /// Watchers' senders, dropped once the terminal event is sent.
     pub(crate) subs: Mutex<Vec<mpsc::Sender<JobEvent>>>,
 }
 
@@ -181,6 +235,7 @@ impl Job {
             jrn_accepted: AtomicBool::new(false),
             jrn_started: AtomicBool::new(false),
             jrn_closed: AtomicBool::new(false),
+            fetched: AtomicBool::new(false),
             prog: Mutex::new(prog),
             subs: Mutex::new(Vec::new()),
         }
@@ -206,12 +261,7 @@ impl Job {
             eta_secs,
             error: prog.error.clone(),
             comm: self.shard.as_ref().map(|s| s.snapshot()),
-            adaptive: prog.adaptive.as_ref().map(|r| AdaptiveBrief {
-                genes_stopped: r.genes_stopped() as u64,
-                budget_fraction: r.budget_fraction(),
-                watermark: r.watermark,
-                mass_deactivation: r.mass_deactivation,
-            }),
+            adaptive: prog.brief,
             recovered: self.recovered,
         }
     }
@@ -229,9 +279,15 @@ impl Job {
         }
     }
 
+    /// Send the current status to every watcher; a terminal event is the
+    /// last, so the watchers' senders go with it.
     fn emit(&self) {
         let event = self.event();
-        plock(&self.subs).retain(|tx| tx.send(event.clone()).is_ok());
+        let mut subs = plock(&self.subs);
+        subs.retain(|tx| tx.send(event.clone()).is_ok());
+        if event.state.is_terminal() {
+            *subs = Vec::new();
+        }
     }
 }
 
@@ -458,7 +514,8 @@ impl JobKind for Counts {
     }
 
     fn finalize(&self, work: &JobWork, data: &Matrix, prog: &mut JobProgress) {
-        prog.result = Some(work.run.context(data).finalize(&prog.counts));
+        let result = work.run.context(data).finalize(&prog.counts);
+        prog.payload = Some(Payload::MaxT(result, None));
     }
 
     fn reply(&self, (start, take): Unit, counts: &CountAccumulator, kernel_secs: f64) -> Json {
@@ -494,7 +551,10 @@ impl JobKind for Bands {
     type Part = BootstrapResult;
 
     fn extent(&self, work: &JobWork, prog: &JobProgress) -> (u64, u64) {
-        let merged = prog.boot.as_ref().map_or(0, BootstrapResult::genes);
+        let merged = match &prog.payload {
+            Some(Payload::Boot(bands)) => bands.genes(),
+            _ => 0,
+        };
         (merged as u64, work.genes as u64)
     }
 
@@ -522,16 +582,18 @@ impl JobKind for Bands {
         _unit: Unit,
         band: BootstrapResult,
     ) -> Result<(), CoreError> {
-        match &mut prog.boot {
-            Some(merged) => merged.extend(&band)?,
-            None => prog.boot = Some(band),
+        match &mut prog.payload {
+            Some(Payload::Boot(merged)) => merged.extend(&band)?,
+            _ => prog.payload = Some(Payload::Boot(band)),
         }
         let work = &job.work;
         let (merged, genes) = self.extent(work, prog);
         if merged == genes {
             prog.cursor = work.run.b;
             prog.computed = work.run.b;
-            if let (Some(cache), Some(result)) = (cache.filter(|_| work.cached), &prog.boot) {
+            if let (Some(cache), Some(Payload::Boot(result))) =
+                (cache.filter(|_| work.cached), &prog.payload)
+            {
                 if let Err(e) = cache.store_boot(&job.key, work.run.b, result) {
                     warn_store(job, &e);
                 }
@@ -608,9 +670,7 @@ impl JobKind for Adaptive {
         let reached = out.report.scored.iter().copied().max().unwrap_or(0);
         prog.computed = reached.saturating_sub(prog.cursor);
         prog.cursor = work.run.b;
-        prog.counts = out.watermark;
-        prog.result = Some(out.result);
-        prog.adaptive = Some(out.report);
+        prog.payload = Some(Payload::MaxT(out.result, Some(out.report)));
         Ok(())
     }
 
@@ -618,12 +678,12 @@ impl JobKind for Adaptive {
     /// exact stream: every gene was scored over all of it, so the envelope
     /// collapses to the exact p-value and nothing was spent.
     fn finalize(&self, work: &JobWork, data: &Matrix, prog: &mut JobProgress) {
-        if prog.adaptive.is_some() {
+        if prog.payload.is_some() {
             return;
         }
         let result = work.run.context(data).finalize(&prog.counts);
         let (genes, b) = (result.rawp.len(), work.run.b);
-        prog.adaptive = Some(AdaptiveReport {
+        let report = AdaptiveReport {
             b,
             scored: vec![b; genes],
             counts: prog.counts.count_raw.clone(),
@@ -636,8 +696,8 @@ impl JobKind for Adaptive {
             gene_perms_exact: genes as u64 * b,
             watermark: b,
             mass_deactivation: false,
-        });
-        prog.result = Some(result);
+        };
+        prog.payload = Some(Payload::MaxT(result, Some(report)));
     }
 }
 
@@ -681,8 +741,9 @@ fn kernel_secs(cpu0: Option<f64>, inline: bool, elsewhere: f64) -> f64 {
     }
 }
 
-/// Finalize when the frontier has reached the end, releasing the job's
-/// matrix; returns whether it had.
+/// Finalize when the frontier has reached the end, completing the job's
+/// payload and [`release`]-ing the rest; returns whether it had. The caller
+/// moves the payload to the manager's store.
 fn finish<K: JobKind>(kind: &K, work: &JobWork, prog: &mut JobProgress) -> bool {
     let (from, end) = kind.extent(work, prog);
     if from < end {
@@ -691,6 +752,15 @@ fn finish<K: JobKind>(kind: &K, work: &JobWork, prog: &mut JobProgress) -> bool 
     if let Some(data) = prog.data.take() {
         kind.finalize(work, &data, prog);
     }
+    if let Some(Payload::MaxT(_, Some(r))) = &prog.payload {
+        prog.brief = Some(AdaptiveBrief {
+            genes_stopped: r.genes_stopped() as u64,
+            budget_fraction: r.budget_fraction(),
+            watermark: r.watermark,
+            mass_deactivation: r.mass_deactivation,
+        });
+    }
+    release(work, prog);
     prog.state = JobState::Finished;
     true
 }
@@ -726,7 +796,7 @@ fn probe(
         // to resume, only a finished `.boot` entry of exactly this B.
         return match cache.probe_boot(key, work.run.b) {
             Some(r) if r.offset == 0 && r.genes() == work.genes => {
-                prog.boot = Some(r);
+                prog.payload = Some(Payload::Boot(r));
                 prog.cursor = work.run.b;
                 CacheDisposition::Hit
             }
@@ -948,6 +1018,8 @@ fn settle<K: JobKind>(kind: &K, inner: &Inner, job: &Job) -> bool {
     let more = !finish(kind, &job.work, &mut prog);
     if more {
         prog.state = JobState::Queued;
+    } else {
+        inner.keep_payload(job.id, &mut prog);
     }
     job.live_done.store(prog.cursor, Ordering::Relaxed);
     drop(prog);
@@ -1202,8 +1274,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Tell everyone about `job`'s new state: subscribers, waiters, the journal.
+/// Tell everyone about `job`'s new state: the manager's bounded set of
+/// records once it is terminal (first, so a woken waiter sees the records
+/// it evicted gone), subscribers, waiters, the journal.
 pub(crate) fn publish(inner: &Inner, job: &Job) {
+    if plock(&job.prog).state.is_terminal() {
+        inner.retire(job.id);
+    }
     job.emit();
     inner.bump_change();
     journal_transition(inner, job);
@@ -1221,7 +1298,7 @@ fn terminate(inner: &Inner, job: &Job, state: JobState, error: Option<String>) {
         job.live_done.store(prog.cursor, Ordering::Relaxed);
         prog.state = state;
         prog.error = error;
-        prog.data = None;
+        release(&job.work, &mut prog);
     }
     publish(inner, job);
 }
@@ -1488,7 +1565,6 @@ mod tests {
                 ..
             })
         ));
-        assert!(mgr.is_boot(info.id).unwrap());
     }
 
     #[test]

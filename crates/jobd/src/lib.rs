@@ -8,7 +8,9 @@
 //!   bounded queue and worker pool drive every job — exact, adaptive or
 //!   bootstrap — through one plan → run → merge → finalize cycle, unit by
 //!   unit, round-robin across jobs, with per-job thread budgets, cooperative
-//!   cancellation at batch granularity, and progress events with an ETA.
+//!   cancellation at batch granularity, and progress events with an ETA. A
+//!   finished job keeps a small record and its result waits in a bounded
+//!   store, so a long-running daemon's memory levels off.
 //! - **Content-addressed result cache** ([`cache`]): entries are checkpoint
 //!   files keyed by (dataset digest, permutation-stream digest). A repeated
 //!   request finalizes from stored counts without computing; a crashed or

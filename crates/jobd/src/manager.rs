@@ -11,6 +11,23 @@
 //! cancellation and progress events, drain and shutdown, and journal
 //! replay at startup.
 //!
+//! ## What a finished job keeps
+//!
+//! A terminal job keeps a small record: its id, key, state, counters,
+//! error, adaptive summary and fetched flag, but no matrix, counts or
+//! stream. A finished job's payload — its [`MaxTResult`], its
+//! [`BootstrapResult`], or its result with an [`AdaptiveReport`] — moves to
+//! one store bounded at [`PAYLOAD_BYTES`], least recently used first out;
+//! the newest payload is kept even when it alone exceeds the bound. Every
+//! read of a payload, and every resubmission deduplicated onto its job,
+//! marks it used. A finished job whose payload was evicted answers
+//! [`JobError::Expired`] and is no dedup target: resubmitting the request
+//! registers a new job, which the cache serves as a hit (or which
+//! recomputes without a cache). At most [`RECORDS`] terminal records are
+//! kept, the least recently finished or reused evicted first, each with
+//! its dedup slot; queued and running jobs are never evicted. An id this
+//! manager issued whose record is gone answers [`JobError::Expired`] too.
+//!
 //! ## Cancellation and resumability
 //!
 //! Cancellation sets a per-job [`AtomicBool`] polled by every engine worker
@@ -30,14 +47,15 @@ use sprint_core::boot::BootstrapResult;
 use sprint_core::error::Error as CoreError;
 use sprint_core::matrix::Matrix;
 use sprint_core::maxt::MaxTResult;
-use sprint_core::options::{Mode, PmaxtOptions, Workload};
+use sprint_core::options::{Mode, PmaxtOptions};
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::datasets::{DatasetTable, SharedDataset};
-use crate::exec::{self, Entry, Job, JobProgress, JobWork};
+use crate::exec::{self, Entry, Job, JobProgress, JobWork, Payload};
 use crate::faults::{crash_point, FaultKind, Faults};
 use crate::journal::{self, Durability, Journal, JournalRecord, RecordKind};
 use crate::json::Json;
+use crate::lru::Lru;
 use crate::shard::ShardSnapshot;
 
 /// Lock a mutex, recovering from poisoning.
@@ -51,6 +69,14 @@ use crate::shard::ShardSnapshot;
 pub(crate) fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
+
+/// Most bytes of finished jobs' payloads a manager keeps (see the module
+/// docs): 32 per gene for a maxT result, so about twenty answers on the
+/// paper's 6102-gene matrix.
+pub const PAYLOAD_BYTES: usize = 4 << 20;
+
+/// Most terminal job records a manager keeps (see the module docs).
+pub const RECORDS: usize = 1024;
 
 /// Configuration of a [`JobManager`].
 #[derive(Debug, Clone)]
@@ -330,6 +356,9 @@ pub enum JobError {
     },
     /// No job with that id.
     UnknownJob(u64),
+    /// The job's result, or its whole record, was evicted to bound the
+    /// daemon's memory; resubmitting the request fetches the result again.
+    Expired(u64),
     /// The job has not finished yet (non-waiting result fetch).
     NotFinished(u64),
     /// The job was cancelled before finishing.
@@ -351,6 +380,11 @@ impl std::fmt::Display for JobError {
             JobError::Invalid(e) => write!(f, "invalid job: {e}"),
             JobError::QueueFull { cap } => write!(f, "job queue full ({cap} jobs)"),
             JobError::UnknownJob(id) => write!(f, "no such job {id}"),
+            JobError::Expired(id) => write!(
+                f,
+                "job {id} has expired: its result was evicted to bound the daemon's memory; \
+                 resubmit the request to fetch it again"
+            ),
             JobError::NotFinished(id) => write!(f, "job {id} has not finished"),
             JobError::Cancelled(id) => write!(f, "job {id} was cancelled"),
             JobError::Failed(msg) => write!(f, "job failed: {msg}"),
@@ -365,11 +399,12 @@ impl std::error::Error for JobError {}
 
 impl JobError {
     /// Wire error code: `usage` for caller mistakes, `busy` for back-pressure,
-    /// `runtime` for everything else.
+    /// `expired` for an evicted result, `runtime` for everything else.
     pub fn code(&self) -> &'static str {
         match self {
             JobError::Invalid(_) | JobError::UnknownJob(_) | JobError::NotFinished(_) => "usage",
             JobError::QueueFull { .. } => "busy",
+            JobError::Expired(_) => "expired",
             _ => "runtime",
         }
     }
@@ -388,12 +423,18 @@ pub(crate) struct Inner {
     /// Drain mode: reject new submissions but let queued/running jobs reach
     /// a terminal state (see [`JobManager::drain`]).
     pub(crate) draining: AtomicBool,
+    /// Every live job, and the terminal records `records` keeps.
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
     /// (stream key hex, resolved B, mode) → live job id, for submission
     /// dedup. Mode is part of the key: an adaptive and an exact submission
     /// of the same stream are different jobs (they share a cache address —
     /// the watermark — but not a result).
     dedup: Mutex<HashMap<Slot, u64>>,
+    /// Finished jobs' payloads by id, charged [`Payload::bytes`], newest
+    /// always kept.
+    payloads: Lru<u64, Arc<Payload>>,
+    /// Ids of the terminal jobs whose records `jobs` keeps, one unit each.
+    records: Lru<u64, ()>,
     next_id: AtomicU64,
     /// Generation counter bumped on every state change; waiters re-check
     /// after each bump. Never locked while holding a job's `prog` mutex.
@@ -454,12 +495,57 @@ impl Inner {
         *plock(&self.change) += 1;
         self.change_cv.notify_all();
     }
+
+    /// Move job `id`'s finished payload from its progress `prog` (locked,
+    /// so no reader sees the job finished without it) to the store.
+    pub(crate) fn keep_payload(&self, id: u64, prog: &mut JobProgress) {
+        if let Some(payload) = prog.payload.take() {
+            let bytes = payload.bytes();
+            self.payloads.insert(id, Arc::new(payload), bytes);
+        }
+    }
+
+    /// Count terminal job `id` among the kept records, evicting the least
+    /// recently used others past [`RECORDS`].
+    pub(crate) fn retire(&self, id: u64) {
+        for old in self.records.insert(id, (), 1) {
+            self.forget(old);
+        }
+    }
+
+    /// Drop terminal job `id`'s record, its dedup slot and its payload.
+    fn forget(&self, id: u64) {
+        let mut dedup = plock(&self.dedup);
+        let Some(job) = plock(&self.jobs).remove(&id) else {
+            return;
+        };
+        let slot = slot_of(&job);
+        if dedup.get(&slot) == Some(&id) {
+            dedup.remove(&slot);
+        }
+        self.payloads.remove(&id);
+    }
+}
+
+/// The dedup address of `job`.
+fn slot_of(job: &Job) -> Slot {
+    (job.key.hex(), job.work.run.b, job.work.run.mode)
 }
 
 impl JobManager {
     /// Start a manager: open the cache (if configured) and spawn the worker
     /// pool.
-    pub fn new(mut cfg: ManagerConfig) -> std::io::Result<JobManager> {
+    pub fn new(cfg: ManagerConfig) -> std::io::Result<JobManager> {
+        Self::bounded(cfg, PAYLOAD_BYTES, RECORDS)
+    }
+
+    /// [`JobManager::new`], keeping at most `payload_bytes` of finished
+    /// payloads and `records` terminal records.
+    pub(crate) fn bounded(
+        mut cfg: ManagerConfig,
+        payload_bytes: usize,
+        records: usize,
+    ) -> std::io::Result<JobManager> {
         if cfg.workers == 0 {
             cfg.workers = 2;
         }
@@ -504,6 +590,8 @@ impl JobManager {
             draining: AtomicBool::new(false),
             jobs: Mutex::new(HashMap::new()),
             dedup: Mutex::new(HashMap::new()),
+            payloads: Lru::keeping_newest(payload_bytes),
+            records: Lru::new(records),
             next_id: AtomicU64::new(1),
             change: Mutex::new(0),
             change_cv: Condvar::new(),
@@ -601,7 +689,9 @@ impl JobManager {
             }
             let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
             let job = Arc::new(Job::new(id, key, work, prog, sharded, recovered));
-            if !finished {
+            if finished {
+                self.inner.keep_payload(id, &mut plock(&job.prog));
+            } else {
                 let mut queue = plock(&self.inner.queue);
                 if queue.len() >= self.inner.cfg.queue_cap {
                     return Err(JobError::QueueFull {
@@ -616,6 +706,7 @@ impl JobManager {
             job
         };
         if finished {
+            self.inner.retire(job.id);
             self.inner.bump_change();
         } else {
             self.journal_accept(&job)?;
@@ -631,14 +722,24 @@ impl JobManager {
         })
     }
 
-    /// The live job an identical submission collapses onto. Cancelled and
-    /// failed jobs fall through — resubmitting one is the recovery path (it
-    /// resumes from the last checkpoint via the cache probe).
+    /// The job an identical submission collapses onto: a live one, or a
+    /// finished one whose payload is still kept, which this marks used.
+    /// Cancelled, failed and expired jobs fall through — resubmitting one
+    /// is the recovery path (it resumes from the last checkpoint, or is
+    /// served whole, via the cache probe).
     fn twin(&self, dedup: &HashMap<Slot, u64>, slot: &Slot) -> Option<SubmitInfo> {
         let id = *dedup.get(slot)?;
         let job = plock(&self.inner.jobs).get(&id).cloned()?;
         let prog = plock(&job.prog);
-        (!matches!(prog.state, JobState::Cancelled | JobState::Failed)).then(|| SubmitInfo {
+        let twin = match prog.state {
+            JobState::Queued | JobState::Running => true,
+            JobState::Finished => self.inner.payloads.get(&id).is_some(),
+            JobState::Cancelled | JobState::Failed => false,
+        };
+        if twin && prog.state.is_terminal() {
+            self.inner.records.get(&id);
+        }
+        twin.then(|| SubmitInfo {
             id,
             state: prog.state,
             cache: prog.cache,
@@ -673,11 +774,18 @@ impl JobManager {
         exec::serve_unit(&work, &data, (start, take)).map_err(JobError::Invalid)
     }
 
+    /// Job `id`'s record: [`JobError::Expired`] when this manager issued the
+    /// id but no longer keeps its record.
     fn get(&self, id: u64) -> Result<Arc<Job>, JobError> {
-        plock(&self.inner.jobs)
-            .get(&id)
-            .cloned()
-            .ok_or(JobError::UnknownJob(id))
+        if let Some(job) = plock(&self.inner.jobs).get(&id) {
+            return Ok(Arc::clone(job));
+        }
+        let issued = (1..self.inner.next_id.load(Ordering::Relaxed)).contains(&id);
+        Err(if issued {
+            JobError::Expired(id)
+        } else {
+            JobError::UnknownJob(id)
+        })
     }
 
     /// Snapshot a job's status.
@@ -695,17 +803,17 @@ impl JobManager {
         all
     }
 
-    /// A finished job's output, read by `take`; otherwise the error its
-    /// state maps to ([`JobError::NotFinished`] while it is live).
-    fn terminal<T>(
-        &self,
-        id: u64,
-        take: impl FnOnce(&Job, &JobProgress) -> Result<T, JobError>,
-    ) -> Result<T, JobError> {
+    /// A finished job's payload, marked used; otherwise the error its state
+    /// maps to ([`JobError::NotFinished`] while it is live,
+    /// [`JobError::Expired`] once its payload was evicted).
+    pub(crate) fn payload(&self, id: u64) -> Result<Arc<Payload>, JobError> {
         let job = self.get(id)?;
         let prog = plock(&job.prog);
         match prog.state {
-            JobState::Finished => take(&job, &prog),
+            JobState::Finished => {
+                self.inner.records.get(&id);
+                self.inner.payloads.get(&id).ok_or(JobError::Expired(id))
+            }
             JobState::Cancelled => Err(JobError::Cancelled(id)),
             JobState::Failed => Err(JobError::Failed(
                 prog.error.clone().unwrap_or_else(|| "unknown".into()),
@@ -714,45 +822,51 @@ impl JobManager {
         }
     }
 
-    /// The finished result, or [`JobError::NotFinished`] (terminal failure
-    /// states map to their own errors).
-    pub fn result(&self, id: u64) -> Result<MaxTResult, JobError> {
-        self.terminal(id, |_, prog| match (&prog.result, &prog.boot) {
-            (_, Some(_)) => Err(JobError::Invalid(CoreError::BadOption {
-                param: "workload",
-                value: format!(
-                    "bootstrap (job {id} is a bootstrap run; fetch its interval \
-                     estimates with the bootstrap result call)"
-                ),
-            })),
-            (Some(result), None) => Ok(result.clone()),
-            (None, None) => Err(JobError::Internal(format!(
-                "job {id} is finished but has no stored result"
-            ))),
+    /// Block until job `id` is terminal (or `timeout` elapses) and return
+    /// its payload.
+    pub(crate) fn wait_payload(
+        &self,
+        id: u64,
+        timeout: Option<Duration>,
+    ) -> Result<Arc<Payload>, JobError> {
+        self.wait_for(id, timeout, |id| self.payload(id))
+    }
+
+    /// A usage error for asking job `id` for the wrong kind of result.
+    fn wrong_workload(id: u64, payload: &Payload) -> JobError {
+        let value = match payload {
+            Payload::Boot(_) => format!(
+                "bootstrap (job {id} is a bootstrap run; fetch its interval \
+                 estimates with the bootstrap result call)"
+            ),
+            Payload::MaxT(..) => {
+                format!("pmaxt (job {id} is a permutation run; fetch its maxT result instead)")
+            }
+        };
+        JobError::Invalid(CoreError::BadOption {
+            param: "workload",
+            value,
         })
     }
 
-    /// True when `id` is a bootstrap-workload job (its result travels as
-    /// interval estimates, not maxT p-values).
-    pub fn is_boot(&self, id: u64) -> Result<bool, JobError> {
-        Ok(self.get(id)?.work.run.opts.workload == Workload::Bootstrap)
+    /// The finished result, or [`JobError::NotFinished`] (terminal failure
+    /// states map to their own errors, an evicted result to
+    /// [`JobError::Expired`]).
+    pub fn result(&self, id: u64) -> Result<MaxTResult, JobError> {
+        match &*self.payload(id)? {
+            Payload::MaxT(result, _) => Ok(result.clone()),
+            boot => Err(Self::wrong_workload(id, boot)),
+        }
     }
 
     /// The finished bootstrap estimates, or [`JobError::NotFinished`]. Same
     /// terminal-state contract as [`JobManager::result`]; asking a
     /// permutation job for bootstrap estimates is a usage error.
     pub fn boot_result(&self, id: u64) -> Result<BootstrapResult, JobError> {
-        self.terminal(id, |job, prog| {
-            prog.boot.clone().ok_or_else(|| {
-                JobError::Invalid(CoreError::BadOption {
-                    param: "workload",
-                    value: format!(
-                        "{} (job {id} is a permutation run; fetch its maxT result instead)",
-                        job.work.run.opts.workload.as_str()
-                    ),
-                })
-            })
-        })
+        match &*self.payload(id)? {
+            Payload::Boot(result) => Ok(result.clone()),
+            maxt => Err(Self::wrong_workload(id, maxt)),
+        }
     }
 
     /// Block until the bootstrap job reaches a terminal state (or `timeout`
@@ -768,7 +882,17 @@ impl JobManager {
     /// The per-gene adaptive report of a finished adaptive-mode job; `None`
     /// for exact jobs. Same terminal-state contract as [`JobManager::result`].
     pub fn adaptive_report(&self, id: u64) -> Result<Option<AdaptiveReport>, JobError> {
-        self.terminal(id, |_, prog| Ok(prog.adaptive.clone()))
+        match &*self.payload(id)? {
+            Payload::MaxT(_, report) => Ok(report.clone()),
+            Payload::Boot(_) => Ok(None),
+        }
+    }
+
+    /// Note a successful `result` fetch of job `id`: true from its second
+    /// on, false when its record is gone.
+    pub(crate) fn fetched_before(&self, id: u64) -> bool {
+        self.get(id)
+            .is_ok_and(|job| job.fetched.swap(true, Ordering::Relaxed))
     }
 
     /// Block until the job reaches a terminal state (or `timeout` elapses)
@@ -837,7 +961,7 @@ impl JobManager {
             let queued = prog.state == JobState::Queued;
             if queued {
                 prog.state = JobState::Cancelled;
-                prog.data = None;
+                exec::release(&job.work, &mut prog);
             }
             queued
         };
@@ -853,11 +977,19 @@ impl JobManager {
     pub fn subscribe(&self, id: u64) -> Result<mpsc::Receiver<JobEvent>, JobError> {
         let job = self.get(id)?;
         let (tx, rx) = mpsc::channel();
-        let snapshot = job.event();
-        // Register before snapshotting delivery so no transition between the
-        // two is lost; a duplicate event is harmless, a missing terminal one
-        // would wedge watchers.
-        plock(&job.subs).push(tx.clone());
+        // Snapshot under the watchers' lock: a transition before it shows in
+        // the snapshot, one after it reaches the registered sender. A
+        // duplicate event is harmless, a missing terminal one would wedge
+        // watchers. A terminal snapshot is the last event, so its sender is
+        // not kept.
+        let snapshot = {
+            let mut subs = plock(&job.subs);
+            let snapshot = job.event();
+            if !snapshot.state.is_terminal() {
+                subs.push(tx.clone());
+            }
+            snapshot
+        };
         let _ = tx.send(snapshot);
         Ok(rx)
     }
@@ -956,6 +1088,9 @@ impl JobManager {
         plock(&self.inner.queue).retain(|j| j.id != job.id);
         plock(&self.inner.jobs).remove(&job.id);
         plock(&self.inner.dedup).retain(|_, id| *id != job.id);
+        // A worker may have finished it meanwhile.
+        self.inner.payloads.remove(&job.id);
+        self.inner.records.remove(&job.id);
     }
 
     /// Rewrite the journal down to the accept records of still-live jobs.
@@ -1056,7 +1191,8 @@ pub(crate) mod tests {
     use std::sync::Barrier;
 
     use super::*;
-    use sprint_core::options::TestMethod;
+    use sprint_core::maxt::serial::mt_maxt;
+    use sprint_core::options::{TestMethod, Workload};
 
     pub(crate) fn small_dataset() -> (Matrix, Vec<u8>) {
         let data = Matrix::from_vec(
@@ -1431,6 +1567,190 @@ pub(crate) mod tests {
         assert_eq!(mgr.result(hit.id).unwrap(), longer);
         mgr.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `genes` × 8 deterministic values, two classes of four.
+    fn noise(genes: usize) -> (Matrix, Vec<u8>) {
+        let v = (0..genes * 8)
+            .map(|i| ((i * 7919 + 13) % 1009) as f64 / 100.0)
+            .collect();
+        (
+            Matrix::from_vec(genes, 8, v).unwrap(),
+            vec![0, 0, 0, 0, 1, 1, 1, 1],
+        )
+    }
+
+    /// Block until `done` holds. A record is evicted just after the finish
+    /// that pushes it out becomes visible, before waiters are woken.
+    fn until(mgr: &JobManager, done: impl Fn() -> bool) {
+        let wait = Some(Duration::from_secs(30));
+        assert!(mgr.wait_until(wait, || done().then_some(())).is_some());
+    }
+
+    fn unbounded_config() -> ManagerConfig {
+        ManagerConfig {
+            workers: 2,
+            span: 64,
+            cache_dir: None,
+            faults: Faults::disabled(),
+            ..ManagerConfig::default()
+        }
+    }
+
+    #[test]
+    fn the_newest_payload_is_kept_even_when_it_alone_exceeds_the_bound() {
+        let (data, labels) = noise(64);
+        // Room for no whole result: 64 genes charge 2 KiB.
+        let mgr = JobManager::bounded(unbounded_config(), 1000, RECORDS).unwrap();
+        let spec = |seed: u64| JobSpec {
+            data: data.clone(),
+            classlabel: labels.clone(),
+            opts: PmaxtOptions::default().permutations(30).seed(seed),
+            source_path: None,
+        };
+        let wait = Some(Duration::from_secs(30));
+        let first = mgr.submit(spec(1)).unwrap();
+        let served = mgr.wait_result(first.id, wait).unwrap();
+        assert_eq!(served, mt_maxt(&data, &labels, &spec(1).opts).unwrap());
+        assert_eq!(mgr.inner.payloads.keys(), vec![first.id]);
+        assert_eq!(mgr.inner.payloads.retained(), 64 * 32);
+        // Fetchable while it is the newest; the next finish evicts it.
+        assert_eq!(mgr.result(first.id).unwrap(), served);
+        let second = mgr.submit(spec(2)).unwrap();
+        mgr.wait_result(second.id, wait).unwrap();
+        assert_eq!(mgr.inner.payloads.keys(), vec![second.id]);
+        let expired = mgr.result(first.id).unwrap_err();
+        assert_eq!(expired, JobError::Expired(first.id));
+        assert_eq!(expired.code(), "expired");
+        // The record stays: the job is still known, and finished.
+        assert_eq!(mgr.status(first.id).unwrap().state, JobState::Finished);
+    }
+
+    #[test]
+    fn twin_skips_an_expired_job_and_a_resubmission_computes_it_again() {
+        let (data, labels) = noise(64);
+        // Room for one 2 KiB result.
+        let mgr = JobManager::bounded(unbounded_config(), 3000, RECORDS).unwrap();
+        let spec = |seed: u64| JobSpec {
+            data: data.clone(),
+            classlabel: labels.clone(),
+            opts: PmaxtOptions::default().permutations(30).seed(seed),
+            source_path: None,
+        };
+        let wait = Some(Duration::from_secs(30));
+        let a = mgr.submit(spec(1)).unwrap();
+        let first = mgr.wait_result(a.id, wait).unwrap();
+        // Kept: an identical resubmission dedups onto it.
+        let again = mgr.submit(spec(1)).unwrap();
+        assert_eq!((again.id, again.deduped), (a.id, true));
+        let b = mgr.submit(spec(2)).unwrap();
+        mgr.wait_result(b.id, wait).unwrap();
+        assert_eq!(mgr.result(a.id).unwrap_err(), JobError::Expired(a.id));
+        let slot = slot_of(&mgr.get(a.id).unwrap());
+        let dedup = plock(&mgr.inner.dedup);
+        assert_eq!(mgr.twin(&dedup, &slot).map(|t| t.id), None);
+        drop(dedup);
+        // Expired: the resubmission registers a new job and recomputes it.
+        let c = mgr.submit(spec(1)).unwrap();
+        assert!(c.id != a.id && !c.deduped);
+        assert_eq!(mgr.wait_result(c.id, wait).unwrap(), first);
+        assert_eq!(plock(&mgr.inner.dedup).get(&slot), Some(&c.id));
+    }
+
+    #[test]
+    fn record_eviction_drops_the_dedup_slot_and_the_fetched_flag() {
+        let (data, labels) = noise(16);
+        let mgr = JobManager::bounded(unbounded_config(), PAYLOAD_BYTES, 2).unwrap();
+        let spec = |seed: u64| JobSpec {
+            data: data.clone(),
+            classlabel: labels.clone(),
+            opts: PmaxtOptions::default().permutations(30).seed(seed),
+            source_path: None,
+        };
+        let wait = Some(Duration::from_secs(30));
+        let a = mgr.submit(spec(1)).unwrap();
+        let first = mgr.wait_result(a.id, wait).unwrap();
+        assert!(!mgr.fetched_before(a.id));
+        assert!(mgr.fetched_before(a.id));
+        let slot = slot_of(&mgr.get(a.id).unwrap());
+        for seed in [2, 3] {
+            let id = mgr.submit(spec(seed)).unwrap().id;
+            mgr.wait_result(id, wait).unwrap();
+        }
+        // Two records kept, the least recently used one gone with its slot,
+        // its payload and its flag.
+        until(&mgr, || mgr.status(a.id).is_err());
+        assert_eq!(mgr.inner.records.keys().len(), 2);
+        assert_eq!(mgr.status(a.id).unwrap_err(), JobError::Expired(a.id));
+        assert_eq!(mgr.result(a.id).unwrap_err(), JobError::Expired(a.id));
+        assert!(!mgr.fetched_before(a.id));
+        assert_eq!(plock(&mgr.inner.dedup).get(&slot), None);
+        assert!(!mgr.inner.payloads.keys().contains(&a.id));
+        assert_eq!(plock(&mgr.inner.dedup).len(), 2);
+        // An id never issued is still unknown.
+        assert_eq!(mgr.status(999).unwrap_err(), JobError::UnknownJob(999));
+        // The request registers a new job, whose first fetch is its first.
+        let b = mgr.submit(spec(1)).unwrap();
+        assert!(b.id != a.id && !b.deduped);
+        assert_eq!(mgr.wait_result(b.id, wait).unwrap(), first);
+        assert!(!mgr.fetched_before(b.id));
+    }
+
+    #[test]
+    fn thousands_of_distinct_jobs_stay_inside_both_bounds() {
+        let (data, labels) = noise(32);
+        // 32 genes charge 1 KiB: room for 48 payloads and 64 records.
+        let (bytes, records) = (48 << 10, 64);
+        let mgr = JobManager::bounded(unbounded_config(), bytes, records).unwrap();
+        let spec = |seed: u64, b: u64| JobSpec {
+            data: data.clone(),
+            classlabel: labels.clone(),
+            opts: PmaxtOptions::default()
+                .permutations(b)
+                .seed(seed)
+                .threads(1),
+            source_path: None,
+        };
+        let wait = Some(Duration::from_secs(60));
+        // Two jobs that stay live throughout, one span at a time.
+        let live: Vec<u64> = (0..2)
+            .map(|i| mgr.submit(spec(1_000_000 + i, 100_000_000)).unwrap().id)
+            .collect();
+        let hot = mgr.submit(spec(0, 40)).unwrap();
+        let hot_result = mgr.wait_result(hot.id, wait).unwrap();
+        for seed in 1..=2000u64 {
+            let id = mgr.submit(spec(seed, 20)).unwrap().id;
+            let served = mgr.wait_result(id, wait).unwrap();
+            assert_eq!(
+                served,
+                mt_maxt(&data, &labels, &spec(seed, 20).opts).unwrap()
+            );
+            assert!(mgr.inner.payloads.retained() <= bytes, "job {seed}");
+            assert!(mgr.inner.records.keys().len() <= records, "job {seed}");
+            if seed % 7 == 0 {
+                let again = mgr.submit(spec(0, 40)).unwrap();
+                assert_eq!((again.id, again.deduped), (hot.id, true), "job {seed}");
+                assert_eq!(mgr.result(hot.id).unwrap(), hot_result);
+            }
+            if seed % 100 == 0 {
+                for &id in &live {
+                    let state = mgr.status(id).unwrap().state;
+                    assert!(!state.is_terminal(), "live job {id} is {state:?}");
+                }
+            }
+        }
+        // Evicted records and payloads went: far fewer jobs are known than
+        // were served.
+        until(&mgr, || {
+            plock(&mgr.inner.jobs).len() <= records + live.len()
+        });
+        assert!(plock(&mgr.inner.dedup).len() <= records + live.len());
+        for id in live {
+            mgr.cancel(id).unwrap();
+            let cancelled = mgr.wait_result(id, wait).unwrap_err();
+            assert_eq!(cancelled, JobError::Cancelled(id));
+        }
+        mgr.shutdown();
     }
 
     #[test]

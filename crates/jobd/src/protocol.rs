@@ -5,7 +5,9 @@
 //!
 //! - every request is an object with a `cmd` field;
 //! - every response carries `ok: true` or `ok: false` plus `error`/`code`
-//!   (`usage` | `busy` | `runtime`);
+//!   (`usage` | `busy` | `expired` | `runtime`; `expired` answers a job whose
+//!   result the daemon no longer keeps, and resubmitting its request fetches
+//!   the result again);
 //! - `u64` fields that may exceed f64 precision (`seed`) ride as strings;
 //! - non-finite floats (NaN p-values of non-computable genes) ride as
 //!   `null` and decode back to NaN.

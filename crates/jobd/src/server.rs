@@ -24,33 +24,35 @@
 //! ## Kept result lines
 //!
 //! A finished job's answer never changes, and clients fetch it again: every
-//! resubmission of a finished request dedups onto the same job, and its
-//! `result` line on the paper's matrix is about 200 KB that take
-//! milliseconds to encode. From a job's second successful fetch on, the
-//! server keeps the encoded line as an exact-size `Arc<str>` and writes it
-//! without fetching or encoding the result again. A job fetched only once —
-//! most computed jobs — is remembered by its id alone. Kept lines are
-//! bounded by [`RESULT_LINE_BYTES`] with least-recently-used eviction; a
-//! line evicted is encoded again on its next fetch, byte-identical. Every
-//! line goes out through the same framing as any other response, so the
-//! injected framing faults still fire on it.
+//! resubmission of a finished request dedups onto the same job while the
+//! manager keeps its payload, and its `result` line on the paper's matrix is
+//! about 200 KB that take milliseconds to encode. From a job's second
+//! successful fetch on, the server keeps the encoded line as an exact-size
+//! `Arc<str>` and writes it without fetching or encoding the result again.
+//! A job fetched only once — most computed jobs — is marked by a flag on
+//! its record, which goes when the manager evicts the record. Kept lines
+//! are bounded by [`RESULT_LINE_BYTES`] with least-recently-used eviction;
+//! a line evicted is encoded again on its next fetch, byte-identical, or
+//! answered `expired` once the manager has evicted the job's payload too
+//! (see [`crate::manager`]). Every line goes out through the same framing
+//! as any other response, so the injected framing faults still fire on it.
 
-use std::collections::HashSet;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use sprint_core::options::{PmaxtOptions, OPTIONS};
 
 use crate::datasets::SharedDataset;
+use crate::exec::Payload;
 use crate::faults::{FaultKind, Faults};
 use crate::json::Json;
 use crate::lru::Lru;
-use crate::manager::{plock, JobError, JobManager, JobStatus};
+use crate::manager::{JobError, JobManager, JobStatus};
 use crate::protocol;
 
 /// Upper bound on one request line. A well-formed request is well under 1 KiB
@@ -129,7 +131,7 @@ pub struct Server {
     listener: Listener,
     addr: BindAddr,
     manager: Arc<JobManager>,
-    lines: Arc<ResultLines>,
+    lines: Arc<Lru<u64, Arc<str>>>,
     stop: Arc<AtomicBool>,
     cfg: ServerConfig,
 }
@@ -162,7 +164,7 @@ impl Server {
             listener,
             addr,
             manager: Arc::new(manager),
-            lines: Arc::new(ResultLines::new(RESULT_LINE_BYTES)),
+            lines: Arc::new(Lru::new(RESULT_LINE_BYTES)),
             stop: Arc::new(AtomicBool::new(false)),
             cfg,
         })
@@ -331,7 +333,7 @@ fn read_bounded_line(reader: &mut impl BufRead) -> io::Result<ReadLine> {
 fn handle_connection(
     mut conn: Box<dyn Conn>,
     manager: &JobManager,
-    lines: &ResultLines,
+    lines: &Lru<u64, Arc<str>>,
     stop: &AtomicBool,
     addr: &BindAddr,
     faults: &Faults,
@@ -525,36 +527,6 @@ fn job_id(request: &Json) -> Result<u64, Json> {
         .ok_or_else(|| protocol::err_response("request requires a job id", "usage"))
 }
 
-/// Finished jobs' encoded `result` lines (see the module docs).
-struct ResultLines {
-    /// Job id → its newline-terminated `result` line.
-    kept: Lru<u64, Arc<str>>,
-    /// Ids of the finished jobs fetched so far. Jobs stay registered for the
-    /// daemon's life, each with its result, so one id per job adds little.
-    fetched: Mutex<HashSet<u64>>,
-}
-
-impl ResultLines {
-    fn new(bound: usize) -> ResultLines {
-        ResultLines {
-            kept: Lru::new(bound),
-            fetched: Mutex::new(HashSet::new()),
-        }
-    }
-
-    /// Note a successful fetch of job `id`; true from its second on.
-    fn fetched_before(&self, id: u64) -> bool {
-        !plock(&self.fetched).insert(id)
-    }
-
-    /// Keep `line` as job `id`'s, if it fits the bound, and return it.
-    fn keep(&self, id: u64, line: String) -> Arc<str> {
-        let line: Arc<str> = line.into();
-        self.kept.insert(id, Arc::clone(&line), line.len());
-        line
-    }
-}
-
 /// Answer a `result` request for job `id`: with its kept line when there is
 /// one, otherwise by fetching (under `wait`, blocking until the job is
 /// terminal) and encoding the result, keeping the line from the job's second
@@ -562,12 +534,12 @@ impl ResultLines {
 fn send_result(
     conn: &mut impl Write,
     manager: &JobManager,
-    lines: &ResultLines,
+    lines: &Lru<u64, Arc<str>>,
     id: u64,
     wait: bool,
     faults: &Faults,
 ) -> io::Result<()> {
-    if let Some(line) = lines.kept.get(&id) {
+    if let Some(line) = lines.get(&id) {
         return respond_line(conn, &line, faults);
     }
     let resp = match result_response(manager, id, wait) {
@@ -575,34 +547,29 @@ fn send_result(
         Err(e) => return respond(conn, &protocol::err_from(&e), faults),
     };
     let line = encode(&resp);
-    if lines.fetched_before(id) {
-        respond_line(conn, &lines.keep(id, line), faults)
-    } else {
-        respond_line(conn, &line, faults)
+    if !manager.fetched_before(id) {
+        return respond_line(conn, &line, faults);
     }
+    let line: Arc<str> = line.into();
+    lines.insert(id, Arc::clone(&line), line.len());
+    respond_line(conn, &line, faults)
 }
 
 /// A finished job's `result` response. Bootstrap jobs answer with interval
-/// estimates; the job's workload (not a request field) decides the response
-/// shape, so a generic client just gets the right thing.
+/// estimates, adaptive jobs with their per-gene report (bounds, stop
+/// cursors, tail diagnostics) beside the finalized result: the job's
+/// payload (not a request field) decides the response shape, so a generic
+/// client just gets the right thing.
 fn result_response(manager: &JobManager, id: u64, wait: bool) -> Result<Json, JobError> {
-    if manager.is_boot(id)? {
-        let result = if wait {
-            manager.wait_boot_result(id, None)
-        } else {
-            manager.boot_result(id)
-        };
-        return result.map(|r| protocol::boot_result_to_json(id, &r));
-    }
-    let result = if wait {
-        manager.wait_result(id, None)
+    let payload = if wait {
+        manager.wait_payload(id, None)
     } else {
-        manager.result(id)
+        manager.payload(id)
     }?;
-    // Adaptive jobs carry their per-gene report (bounds, stop cursors, tail
-    // diagnostics) alongside the finalized result.
-    let report = manager.adaptive_report(id).ok().flatten();
-    Ok(protocol::result_to_json(id, &result, report.as_ref()))
+    Ok(match &*payload {
+        Payload::MaxT(result, report) => protocol::result_to_json(id, result, report.as_ref()),
+        Payload::Boot(result) => protocol::boot_result_to_json(id, result),
+    })
 }
 
 /// `resp` as one newline-terminated response line.
@@ -666,7 +633,7 @@ mod tests {
             .map(|&id| encode(&result_response(&mgr, id, true).unwrap()))
             .collect();
         // Room for any two of the three lines, not all three.
-        let lines = ResultLines::new(fresh.iter().map(String::len).sum::<usize>() - 1);
+        let lines = Lru::new(fresh.iter().map(String::len).sum::<usize>() - 1);
         let fetch = |at: usize| {
             let mut out = Vec::new();
             send_result(&mut out, &mgr, &lines, ids[at], true, &Faults::disabled()).unwrap();
@@ -678,27 +645,27 @@ mod tests {
             );
         };
         fetch(0);
-        assert!(lines.kept.keys().is_empty(), "a first fetch keeps nothing");
+        assert!(lines.keys().is_empty(), "a first fetch keeps nothing");
         fetch(0);
         fetch(0);
         fetch(1);
         fetch(1);
-        assert_eq!(lines.kept.keys(), vec![ids[0], ids[1]]);
+        assert_eq!(lines.keys(), vec![ids[0], ids[1]]);
         // Job 0 was used last before job 1: job 2's line evicts it.
         fetch(2);
         fetch(2);
-        assert_eq!(lines.kept.keys(), vec![ids[1], ids[2]]);
-        assert_eq!(lines.kept.retained(), fresh[1].len() + fresh[2].len());
+        assert_eq!(lines.keys(), vec![ids[1], ids[2]]);
+        assert_eq!(lines.retained(), fresh[1].len() + fresh[2].len());
         // Fetched before, so encoded again and kept again, evicting job 1.
         fetch(0);
-        assert_eq!(lines.kept.keys(), vec![ids[0], ids[2]]);
+        assert_eq!(lines.keys(), vec![ids[0], ids[2]]);
         fetch(0);
         // A failed fetch answers with an error and keeps nothing.
         let mut out = Vec::new();
         send_result(&mut out, &mgr, &lines, 999, false, &Faults::disabled()).unwrap();
         let resp = Json::parse(std::str::from_utf8(&out).unwrap().trim_end()).unwrap();
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(lines.kept.keys(), vec![ids[0], ids[2]]);
+        assert_eq!(lines.keys(), vec![ids[0], ids[2]]);
     }
 
     #[test]

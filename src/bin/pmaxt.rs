@@ -1362,6 +1362,15 @@ mod tests {
     }
 
     #[test]
+    fn an_expired_answer_is_a_runtime_error() {
+        // The daemon no longer keeps the job's result: resubmitting the
+        // request is the remedy, so this is no usage mistake (exit 1).
+        let msg = "job 1 has expired: its result was evicted";
+        let err = CliError::from_wire((msg.into(), "expired".into()));
+        assert!(matches!(&err, CliError::Runtime(m) if m == msg));
+    }
+
+    #[test]
     fn generate_then_run_end_to_end() {
         let dir = std::env::temp_dir();
         let data = dir.join(format!("pmaxt-cli-{}.tsv", std::process::id()));
