@@ -177,7 +177,8 @@ pub(crate) fn tail_pass(
         return (Vec::new(), 0);
     }
     let sub = sub_matrix(prepared, &candidates);
-    let scores = run.scores(&run.context(&sub), &mut *run.stream(0), take);
+    let mut scores = run.scores(&run.context(&sub), &mut *run.stream(0), take);
+    scores.iter_mut().for_each(|s| *s = run.opts.side.score(*s));
     let fits = candidates
         .iter()
         .zip(scores.chunks(take as usize))

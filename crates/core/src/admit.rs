@@ -25,7 +25,7 @@ use crate::options::{Mode, PmaxtOptions, Precision, TestMethod, Workload};
 use crate::perm::arrangement::resolve_draw_count;
 use crate::perm::bootstrap::MAX_BOOTSTRAP_COLS;
 use crate::stats::prepare_matrix;
-use crate::stats::soa::SOA_TILE;
+use crate::stats::scorer::Statistic;
 
 /// The memory a run may hold: 512 MiB.
 pub const BUDGET_BYTES: usize = 512 << 20;
@@ -85,17 +85,15 @@ impl Run {
         prepare_matrix(data, self.opts.test, self.opts.nonpara)
     }
 
-    /// The run's maxT context over a prepared matrix.
+    /// The run's maxT context over a prepared matrix; for a bootstrap run,
+    /// over rows of its NA-canonical matrix, with the bootstrap's scorer.
     pub fn context<'m>(&self, prepared: &'m Matrix) -> MaxTContext<'m> {
         let o = &self.opts;
-        MaxTContext::with_scorer(
-            prepared,
-            &self.labels,
-            o.test,
-            o.side,
-            o.kernel,
-            o.precision,
-        )
+        let stat = match o.workload {
+            Workload::Pmaxt => Statistic::Test(o.test),
+            Workload::Bootstrap => Statistic::BootMeanDiff,
+        };
+        MaxTContext::with_scorer(prepared, &self.labels, stat, o.side, o.kernel, o.precision)
     }
 }
 
@@ -265,9 +263,10 @@ fn decide(entry: Entry, opts: &PmaxtOptions, labels: &ClassLabels, b: u64) -> Re
 /// formula held against [`BUDGET_BYTES`]. Per draw (B, or B − 1 bootstrap
 /// replicates) a run holds:
 ///
-/// - bootstrap: per worker, `SOA_TILE` replicates, one sorted value and
-///   one value of the (stable) sort's scratch, 8 bytes each, plus the
-///   n-byte draw, the workers capped at the gene tiles;
+/// - bootstrap: one block of `GENE_TILE` 8-byte replicates, charged whole
+///   whatever the gene count, and a sorted value and a value of the
+///   (stable) sort's scratch, 8 bytes each, for each finalizing worker (one
+///   per engine thread, at most one per block row);
 /// - minP: one block of `min(genes, GENE_TILE)` 8-byte scores (p-values
 ///   once the block is folded), an 8-byte running minimum, and an 8-byte
 ///   sorted score for each of the master's sorting workers (one per engine
@@ -276,8 +275,9 @@ fn decide(entry: Entry, opts: &PmaxtOptions, labels: &ClassLabels, b: u64) -> Re
 ///
 /// A B whose draws exceed the budget is refused, naming the largest B
 /// accepted. Every engine worker also holds batch × (n + 8·genes + 8) bytes
-/// of batch buffers; the batch is clamped into the room the draws leave, at
-/// least one arrangement, because any batch gives the same bits.
+/// of batch buffers, the genes of one block for the bootstrap; the batch is
+/// clamped into the room the draws leave, at least one arrangement, because
+/// any batch gives the same bits.
 fn fit(
     entry: Entry,
     opts: &PmaxtOptions,
@@ -319,16 +319,15 @@ fn fit(
         _ => (1, threads, (0, String::new())),
     };
     let boot = opts.workload == Workload::Bootstrap;
-    let boot_workers = threads.min(genes.div_ceil(SOA_TILE).max(1) as u128);
-    let (draws, per_draw) = match boot {
-        true => (b - 1, boot_workers * (SOA_TILE as u128 + 2) * 8 + n),
-        false => (b, own),
+    let (draws, per_draw, scored) = match boot {
+        true => (b - 1, 8 * GENE_TILE as u128 + 16 * sorters, block),
+        false => (b, own, g),
     };
     let budget = BUDGET_BYTES as u128;
     let need = per_draw * u128::from(draws);
     if need > budget {
         let held = match boot {
-            true => format!("{boot_workers} worker(s) x ({SOA_TILE} + 2 sort) x 8 + {n}"),
+            true => format!("{GENE_TILE} x 8 block replicates + {sorters} x (8 sorted + 8 sort)"),
             false => what,
         };
         return Err(Error::BadOption {
@@ -341,11 +340,7 @@ fn fit(
             ),
         });
     }
-    let per_arrangement = if boot {
-        0
-    } else {
-        ranks * workers * (n + 8 * g + 8)
-    };
+    let per_arrangement = ranks * workers * (n + 8 * scored + 8);
     if let Some(room) = (budget - need).checked_div(per_arrangement) {
         let room = usize::try_from(room).unwrap_or(usize::MAX);
         engine.batch = engine.batch.min(room).max(1);
@@ -448,6 +443,28 @@ mod tests {
             let want = room.min(engine.batch as u128);
             assert_eq!(half.unwrap().engine.batch as u128, want, "{ranks} ranks");
         }
+    }
+
+    #[test]
+    fn bootstrap_batch_is_clamped_into_the_room_its_block_leaves() {
+        // The engine scores the bootstrap one block of genes at a time, so a
+        // worker's batch buffers hold one block's statistics per draw.
+        let (genes, cols) = (1000usize, 10usize);
+        let m = data(genes, cols);
+        let labels: Vec<u8> = (0..cols).map(|c| u8::from(c >= cols / 2)).collect();
+        let greedy = PmaxtOptions::default()
+            .workload(Workload::Bootstrap)
+            .threads(2)
+            .batch(1 << 40);
+        let b = 1000u64;
+        let asked = EngineConfig::resolve(&greedy).batch as u128;
+        let run = admit(&m, &labels, &greedy.permutations(b), Entry::Bootstrap).unwrap();
+        let threads = run.engine.threads as u128;
+        let per_draw = GENE_TILE as u128 * 8 + threads.min(GENE_TILE as u128) * 16;
+        let room = BUDGET_BYTES as u128 - u128::from(b - 1) * per_draw;
+        let per_arrangement = threads * (cols + 8 * GENE_TILE + 8) as u128;
+        let want = (room / per_arrangement).min(asked);
+        assert_eq!(run.engine.batch as u128, want);
     }
 
     #[test]

@@ -13,17 +13,18 @@
 //! identical by construction, the same contract the permutation engine
 //! offers.
 //!
-//! The driver draws the `B − 1` index vectors once, then splits the genes,
-//! not the replicates: workers take [`SOA_TILE`]-gene tiles, score every draw
-//! on the tile's column lanes with the SoA lane kernels, and finalize the
-//! tile's genes from their replicates before moving on. Per replicate the
-//! run holds `workers × (SOA_TILE + 2) × 8 + n` bytes: per worker its
-//! tile's replicate, the sorted row and the sort's scratch, plus the n-byte
-//! draw, never a genes × B matrix. Admission ([`crate::admit`]) charges
-//! that, refuses runs whose `B − 1` replicates would exceed the 512 MiB
-//! budget, and checks the bootstrap contract:
-//! two-group `t` design, explicit `B ≥ 2`, exact mode, `f64` accumulation
-//! and at most 256 sample columns.
+//! The driver is minP's second pass with another scorer and finalizer: the
+//! engine scores a block of [`GENE_TILE`] genes under every draw
+//! ([`Run::scores`] with the [`BootScorer`](crate::stats::scorer::BootScorer)),
+//! the block's genes are finalized from their replicates over the engine's
+//! threads, and the next block is scored. Each block draws its own stream
+//! from draw 1, so no draw is kept. Per replicate the run holds
+//! `GENE_TILE × 8 + workers × 16` bytes: the block's replicate, and per
+//! finalizing worker the sorted row and the sort's scratch, never a
+//! genes × B matrix. Admission ([`crate::admit`]) charges that, refuses
+//! runs whose `B − 1` replicates would exceed the 512 MiB budget, and checks
+//! the bootstrap contract: two-group `t` design, explicit `B ≥ 2`, exact
+//! mode, `f64` accumulation and at most 256 sample columns.
 //!
 //! Two interval families per gene:
 //!
@@ -37,15 +38,14 @@
 pub mod normal;
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::adaptive::runner::sub_matrix;
 use crate::admit::{admit, Entry, Run};
 use crate::error::{Error, Result};
-use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
-use crate::maxt::engine::{run_jobs, split_chunk};
+use crate::maxt::engine::{run_jobs, GENE_TILE};
 use crate::options::PmaxtOptions;
-use crate::perm::build_generator;
-use crate::stats::soa::{block_add, Isa, Kernel, MissMask, SoaColumns, BLOCK, SOA_TILE};
 use normal::{inv_phi, phi};
 
 /// Two-sided confidence level of the reported intervals.
@@ -133,32 +133,6 @@ impl BootstrapResult {
     }
 }
 
-/// Group-mean difference of one gene row under an index draw: drawn columns
-/// keep their labels; NaN cells drop out; an empty group yields NaN. Computes
-/// θ̂ (the identity draw) and is the scalar reference the tiled replicate
-/// kernel is tested against.
-fn mean_diff_drawn(row: &[f64], labels: &[u8], draw: &[u8]) -> f64 {
-    let (mut s0, mut s1) = (0.0f64, 0.0f64);
-    let (mut n0, mut n1) = (0u32, 0u32);
-    for &ix in draw {
-        let v = row[ix as usize];
-        if v.is_nan() {
-            continue;
-        }
-        if labels[ix as usize] == 1 {
-            s1 += v;
-            n1 += 1;
-        } else {
-            s0 += v;
-            n0 += 1;
-        }
-    }
-    if n0 == 0 || n1 == 0 {
-        return f64::NAN;
-    }
-    s1 / n1 as f64 - s0 / n0 as f64
-}
-
 /// Type-7 (linear-interpolation) quantile of an ascending-sorted slice.
 fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
     let n = sorted.len();
@@ -197,186 +171,42 @@ pub fn boot_run_slice(
 /// [`boot_run_slice`] for an admitted run over its NA-canonical matrix, on
 /// the admitted engine geometry.
 ///
-/// The `B − 1` draws are made once and shared. Workers take contiguous runs
-/// of [`SOA_TILE`]-gene tiles ([`split_chunk`] over tiles), score every draw
-/// on their tile's column lanes, finalize the tile's genes from their
-/// replicates, and hand back a partial result; the partials join in worker
-/// order through [`BootstrapResult::extend`].
+/// The genes go in blocks of [`GENE_TILE`]. The engine scores a block under
+/// draws 1 to B − 1 ([`Run::scores`] with the run's bootstrap scorer, from a
+/// stream at draw 1), and the context's observed pass, the identity draw,
+/// gives θ̂. The block's rows are then finalized over the engine's threads,
+/// each worker taking the next row with its one sort scratch, and join the
+/// result in gene order before the next block is scored.
 pub fn boot_run_on(run: &Run, data: &Matrix, genes: Range<usize>) -> Result<BootstrapResult> {
     assert!(genes.end <= data.rows(), "gene slice out of range");
-    let (labels, b, engine) = (&run.labels, run.b, run.engine);
-    let draws = class_sorted_draws(labels, &run.opts, b)?;
-    let label = labels.as_slice();
-    let tiles = genes.len().div_ceil(SOA_TILE) as u64;
-    let jobs = split_chunk(0, tiles, engine.threads);
-    let isa = Isa::host();
-    let parts = run_jobs(jobs, |_, (first, count)| {
-        let lo = genes.start + first as usize * SOA_TILE;
-        let hi = (lo + count as usize * SOA_TILE).min(genes.end);
-        isa.run(BootGenes {
-            data,
-            labels: label,
-            draws: &draws,
-            genes: lo..hi,
+    let (labels, reps) = (run.labels.as_slice(), run.b - 1);
+    let t = reps as usize;
+    let mut out = BootstrapResult::empty(genes.start, reps);
+    let genes: Vec<usize> = genes.collect();
+    for rows in genes.chunks(GENE_TILE) {
+        let block = sub_matrix(data, rows);
+        let ctx = run.context(&block);
+        let stats = run.scores(&ctx, &mut *run.stream(1), reps);
+        let theta = ctx.observed_stats();
+        // Each worker takes the next row as it frees up: equal shares of
+        // rows left one worker idle for a quarter of the block's finalize.
+        let next = AtomicUsize::new(0);
+        let workers = vec![(); run.engine.threads.clamp(1, block.rows())];
+        let mut finished = run_jobs(workers, |_, ()| {
+            let mut sorted = Vec::with_capacity(t);
+            let rows = std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed));
+            let reps = |r: usize| &stats[r * t..(r + 1) * t];
+            let mut est = |r| gene_estimates(theta[r], block.row(r), labels, reps(r), &mut sorted);
+            let rows = rows.take_while(|&r| r < block.rows());
+            rows.map(|r| (r, est(r))).collect::<Vec<_>>()
         })
-    });
-    let mut out = BootstrapResult::empty(genes.start, b - 1);
-    for part in &parts {
-        out.extend(part)?;
+        .concat();
+        finished.sort_unstable_by_key(|&(r, _)| r);
+        for (r, est) in finished {
+            out.push_gene(theta[r], est);
+        }
     }
     Ok(out)
-}
-
-/// Draws 1 to B − 1 of the run's stream, back to back, each stored with its
-/// class-1 slots first and its class-0 slots after, both in draw order: the
-/// order in which each class accumulator receives its adds.
-fn class_sorted_draws(labels: &ClassLabels, opts: &PmaxtOptions, b: u64) -> Result<Vec<u8>> {
-    let n = labels.len();
-    let mut draws = vec![0u8; (b - 1) as usize * n];
-    let mut stream = build_generator(labels, opts, b)?;
-    stream.skip(1);
-    let mut raw = vec![0u8; n];
-    let label = labels.as_slice();
-    for draw in draws.chunks_exact_mut(n) {
-        if !stream.next_into(&mut raw) {
-            return Err(Error::Comm("bootstrap stream ended early".into()));
-        }
-        let class = |want: bool| {
-            raw.iter()
-                .filter(move |&&c| (label[c as usize] == 1) == want)
-        };
-        for (slot, &c) in draw.iter_mut().zip(class(true).chain(class(false))) {
-            *slot = c;
-        }
-    }
-    Ok(draws)
-}
-
-/// One worker's share of [`boot_run_slice`], as a lane [`Kernel`]: every
-/// gene of `genes`, tile by tile. Each tile is copied into column lanes (NA
-/// cells as `+0.0`, their columns recorded in a [`MissMask`]). Each draw
-/// then walks its class-1 slots and then its class-0 slots, both in draw
-/// order, and [`block_add`]s the slot's column into that class's
-/// accumulators, one [`BLOCK`] of genes at a time. Per gene that is the add
-/// sequence of [`mean_diff_drawn`] with a `+0.0` wherever a NaN cell was
-/// skipped, which leaves the sum's bits unchanged (DESIGN.md §4.10), so
-/// every replicate is bitwise the scalar one. Group counts start from the
-/// draw's class totals; a gene with NA cells subtracts each missing
-/// column's multiplicity in the draw.
-///
-/// `draws` holds the `B − 1` draws back to back, each with its class-1 slots
-/// first (see [`boot_run_slice`]).
-struct BootGenes<'a> {
-    data: &'a Matrix,
-    labels: &'a [u8],
-    draws: &'a [u8],
-    genes: Range<usize>,
-}
-
-impl Kernel for BootGenes<'_> {
-    type Out = BootstrapResult;
-    #[inline(always)]
-    fn run(self) -> BootstrapResult {
-        let BootGenes {
-            data,
-            labels,
-            draws,
-            genes,
-        } = self;
-        boot_genes(data, labels, draws, genes)
-    }
-}
-
-#[inline(always)]
-fn boot_genes(data: &Matrix, labels: &[u8], draws: &[u8], genes: Range<usize>) -> BootstrapResult {
-    let n = labels.len();
-    let reps = draws.len() / n;
-    let width = genes.len().min(SOA_TILE);
-    let mut out = BootstrapResult::empty(genes.start, reps as u64);
-    let mut soa = SoaColumns::<f64>::new(width, n);
-    // The tile's replicates gene by gene: `stats[g * reps + j]` is draw j + 1.
-    let mut stats = vec![0.0f64; width * reps];
-    let mut mult = vec![0u32; n];
-    let mut sorted = Vec::with_capacity(reps);
-    let identity: Vec<u8> = (0..n).map(|c| c as u8).collect();
-    for lo in genes.clone().step_by(SOA_TILE) {
-        let tile = lo..(lo + SOA_TILE).min(genes.end);
-        let mut miss = MissMask::new(tile.len(), n);
-        let mut dirty = false;
-        for (gl, g) in tile.clone().enumerate() {
-            for (c, &v) in data.row(g).iter().enumerate() {
-                if v.is_nan() {
-                    miss.set(gl, c);
-                    dirty = true;
-                }
-                soa.set(c, gl, if v.is_nan() { 0.0 } else { v });
-            }
-        }
-        for (j, draw) in draws.chunks_exact(n).enumerate() {
-            let split = draw.partition_point(|&c| labels[c as usize] == 1);
-            let (cols1, cols0) = draw.split_at(split);
-            let counts = ((n - split) as u32, split as u32);
-            if dirty {
-                mult.fill(0);
-                for &c in draw {
-                    mult[c as usize] += 1;
-                }
-            }
-            for base in (0..tile.len()).step_by(BLOCK) {
-                let (mut s0, mut s1) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
-                for &c in cols1 {
-                    block_add(&mut s1, soa.block(c as usize, base));
-                }
-                for &c in cols0 {
-                    block_add(&mut s0, soa.block(c as usize, base));
-                }
-                for gl in base..(base + BLOCK).min(tile.len()) {
-                    let (n0, n1) = if dirty {
-                        present_counts(miss.gene(gl), labels, &mult, counts)
-                    } else {
-                        counts
-                    };
-                    stats[gl * reps + j] = if n0 == 0 || n1 == 0 {
-                        f64::NAN
-                    } else {
-                        s1[gl - base] / n1 as f64 - s0[gl - base] / n0 as f64
-                    };
-                }
-            }
-        }
-        for (gl, g) in tile.enumerate() {
-            let row = data.row(g);
-            let theta = mean_diff_drawn(row, labels, &identity);
-            let est = gene_estimates(
-                theta,
-                row,
-                labels,
-                &stats[gl * reps..(gl + 1) * reps],
-                &mut sorted,
-            );
-            out.push_gene(theta, est);
-        }
-    }
-    out
-}
-
-/// Group counts `(n0, n1)` of one gene under a draw: the draw's class totals
-/// less the multiplicity `mult[c]` of every column `c` the gene is missing.
-fn present_counts(miss: &[u64], labels: &[u8], mult: &[u32], counts: (u32, u32)) -> (u32, u32) {
-    let (mut n0, mut n1) = counts;
-    for (w, &word) in miss.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let c = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if labels[c] == 1 {
-                n1 -= mult[c];
-            } else {
-                n0 -= mult[c];
-            }
-        }
-    }
-    (n0, n1)
 }
 
 /// Per-gene finalization from the gene's replicates: bootstrap SE, the
@@ -490,8 +320,12 @@ fn jackknife_acceleration(row: &[f64], labels: &[u8]) -> f64 {
 mod tests {
     use super::*;
     use crate::admit::BUDGET_BYTES;
+    use crate::labels::ClassLabels;
     use crate::maxt::engine::EngineConfig;
     use crate::options::{Mode, Precision, TestMethod, Workload};
+    use crate::perm::build_generator;
+    use crate::stats::scorer::{fast_scorer_on, Scorer, Statistic};
+    use crate::stats::soa::Isa;
     use proptest::prelude::*;
     use std::borrow::Cow;
 
@@ -625,6 +459,41 @@ mod tests {
         assert!(matches!(e, Error::BadLabels(_)));
     }
 
+    /// Group-mean difference of one gene row under an index draw: drawn
+    /// columns keep their labels; NaN cells drop out; an empty group yields
+    /// NaN. The scalar reference the bootstrap scorer is tested against.
+    fn mean_diff_drawn(row: &[f64], labels: &[u8], draw: &[u8]) -> f64 {
+        let (mut s0, mut s1) = (0.0f64, 0.0f64);
+        let (mut n0, mut n1) = (0u32, 0u32);
+        for &ix in draw {
+            let v = row[ix as usize];
+            if v.is_nan() {
+                continue;
+            }
+            if labels[ix as usize] == 1 {
+                s1 += v;
+                n1 += 1;
+            } else {
+                s0 += v;
+                n0 += 1;
+            }
+        }
+        if n0 == 0 || n1 == 0 {
+            return f64::NAN;
+        }
+        s1 / n1 as f64 - s0 / n0 as f64
+    }
+
+    /// All B draws of the run's stream, the identity draw first.
+    fn draws_of(labels: &ClassLabels, opts: &PmaxtOptions, b: u64) -> Vec<Vec<u8>> {
+        let mut stream = build_generator(labels, opts, b).unwrap();
+        let mut draws = vec![vec![0u8; labels.len()]; b as usize];
+        for draw in &mut draws {
+            assert!(stream.next_into(draw));
+        }
+        draws
+    }
+
     /// The scalar replicate oracle: every replicate of every gene by
     /// [`mean_diff_drawn`] over the stream's draws in their original slot
     /// order, then the same per-gene finalization.
@@ -635,12 +504,8 @@ mod tests {
         genes: Range<usize>,
     ) -> BootstrapResult {
         let (class_labels, b, data) = admit_boot(data, classlabel, opts).unwrap();
-        let mut stream = build_generator(&class_labels, opts, b).unwrap();
         let labels = class_labels.as_slice();
-        let mut draws = vec![vec![0u8; labels.len()]; b as usize];
-        for draw in &mut draws {
-            assert!(stream.next_into(draw));
-        }
+        let draws = draws_of(&class_labels, opts, b);
         let mut out = BootstrapResult::empty(genes.start, b - 1);
         let mut sorted = Vec::new();
         for g in genes {
@@ -658,6 +523,28 @@ mod tests {
         out
     }
 
+    /// Every gene through one scorer: all `draws` in one batch, the first,
+    /// the identity, giving θ̂, then the same per-gene finalization.
+    fn scored_by(
+        scorer: &dyn Scorer,
+        data: &Matrix,
+        labels: &[u8],
+        draws: &[Vec<u8>],
+    ) -> BootstrapResult {
+        let (genes, b) = (data.rows(), draws.len());
+        let mut scratch = scorer.make_scratch();
+        scorer.begin_batch(draws, &mut scratch);
+        let mut stats = vec![0.0f64; genes * b];
+        scorer.score_tile(draws, 0..genes, &mut scratch, &mut stats, b);
+        let mut out = BootstrapResult::empty(0, b as u64 - 1);
+        let mut sorted = Vec::new();
+        for (g, row) in stats.chunks(b).enumerate() {
+            let est = gene_estimates(row[0], data.row(g), labels, &row[1..], &mut sorted);
+            out.push_gene(row[0], est);
+        }
+        out
+    }
+
     /// Every bit of a result, NaN payloads included (`PartialEq` on the
     /// struct cannot compare NaN cells).
     fn bits(r: &BootstrapResult) -> Vec<u64> {
@@ -670,10 +557,20 @@ mod tests {
     }
 
     #[allow(clippy::type_complexity)]
-    fn oracle_case(
-    ) -> impl Strategy<Value = (usize, Vec<u8>, Vec<f64>, Vec<bool>, u64, usize, usize, bool)> {
-        // Gene counts straddle LANE, BLOCK and SOA_TILE; split points are
-        // almost never on a tile boundary.
+    fn oracle_case() -> impl Strategy<
+        Value = (
+            usize,
+            Vec<u8>,
+            Vec<f64>,
+            Vec<bool>,
+            u64,
+            (usize, usize),
+            usize,
+            bool,
+        ),
+    > {
+        // Gene counts straddle LANE, BLOCK and GENE_TILE; split points are
+        // almost never on a block boundary.
         (1usize..300, 4usize..15).prop_flat_map(|(genes, cols)| {
             (
                 Just(genes),
@@ -681,7 +578,7 @@ mod tests {
                 proptest::collection::vec(-40.0f64..120.0, genes * cols),
                 proptest::collection::vec(proptest::bool::weighted(0.15), genes * cols),
                 2u64..40,
-                1usize..5,
+                (1usize..5, 1usize..9),
                 0usize..genes,
                 any::<bool>(),
             )
@@ -691,12 +588,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The tiled driver reproduces the scalar oracle bit for bit at any
-        /// thread count, and gene slices cut anywhere merge back into the
-        /// full run through `extend`.
+        /// The driver reproduces the scalar oracle bit for bit at any thread
+        /// count and engine batch, every body of its scorer does, and gene
+        /// slices cut anywhere merge back into the full run through
+        /// `extend`.
         #[test]
         fn tiled_driver_matches_scalar_oracle_bitwise(
-            (genes, mut labels, mut values, na, b, threads, split, stored) in oracle_case()
+            (genes, mut labels, mut values, na, b, (threads, batch), split, stored) in oracle_case()
         ) {
             // At least two samples per group; gene 0 loses its whole
             // class-1 group when the split point is even.
@@ -715,25 +613,22 @@ mod tests {
                 }
             }
             let data = Matrix::from_vec(genes, cols, values).unwrap();
-            let mut o = opts(b).threads(threads).seed(split as u64);
+            let mut o = opts(b).threads(threads).batch(batch).seed(split as u64);
             if stored {
                 o = o.fixed_seed_sampling("n").unwrap();
             }
             let want = bits(&oracle(&data, &labels, &o, 0..genes));
             prop_assert_eq!(bits(&boot_run(&data, &labels, &o).unwrap()), want.clone());
-            // Every compilation of the replicate kernel the host runs,
+            // Every compilation of the scorer's tile body the host runs,
             // whichever it would pick.
             let (class_labels, b, data) = admit_boot(&data, &labels, &o).unwrap();
-            let draws = class_sorted_draws(&class_labels, &o, b).unwrap();
+            let draws = draws_of(&class_labels, &o, b);
             for isa in [Isa::Baseline, Isa::Avx2, Isa::Avx512] {
-                if isa.supported() {
-                    let kernel = BootGenes {
-                        data: &data,
-                        labels: &labels,
-                        draws: &draws,
-                        genes: 0..genes,
-                    };
-                    prop_assert_eq!(bits(&isa.run(kernel)), want.clone(), "{:?}", isa);
+                let stat = Statistic::BootMeanDiff;
+                let body = fast_scorer_on(isa, &data, &class_labels, stat, Precision::F64);
+                if let Some(scorer) = body {
+                    let scored = scored_by(scorer.as_ref(), &data, &labels, &draws);
+                    prop_assert_eq!(bits(&scored), want.clone(), "{:?}", isa);
                 }
             }
             let mut merged = boot_run_slice(&data, &labels, &o, 0..split).unwrap();
@@ -747,12 +642,17 @@ mod tests {
     #[test]
     fn working_set_beyond_budget_is_refused_with_the_largest_b() {
         let (data, labels) = dataset();
-        // 3 genes fit one tile, so one worker whatever the thread count:
-        // each replicate costs SOA_TILE replicates, one sorted value and one
-        // value of the sort's scratch, 8 bytes each, plus one 8-byte draw.
-        let per_replicate = ((SOA_TILE + 2) * 8 + 8) as u64;
+        // Each replicate costs a block of GENE_TILE replicates, and a sorted
+        // value and a value of the sort's scratch for each finalizing
+        // worker, 8 bytes each. 3 genes make at most three workers (the
+        // resolved count honours SPRINT_THREADS).
+        let workers = |o: &PmaxtOptions, rows: usize| {
+            EngineConfig::resolve(o).threads.min(rows).min(GENE_TILE) as u64
+        };
+        let o = opts(2).threads(4);
+        let per_replicate = GENE_TILE as u64 * 8 + workers(&o, 3) * 16;
         let largest = BUDGET_BYTES as u64 / per_replicate + 1;
-        let e = boot_run(&data, &labels, &opts(largest + 1).threads(4)).unwrap_err();
+        let e = boot_run(&data, &labels, &o.permutations(largest + 1)).unwrap_err();
         match e {
             Error::BadOption { param: "b", value } => {
                 assert!(
@@ -767,14 +667,14 @@ mod tests {
             admit_boot(&data, &labels, &opts(1_000_000_000)),
             Err(Error::BadOption { param: "b", .. })
         ));
-        // 300 genes span three tiles, so up to three workers share the
-        // budget (the resolved count honours SPRINT_THREADS).
+        // A block of 300 genes has rows for five workers where 3 genes have
+        // rows for three, so each replicate costs more (unless
+        // SPRINT_THREADS leaves three workers or fewer).
         let wide = Matrix::from_vec(300, 8, vec![1.0; 2400]).unwrap();
-        let o = opts(2).threads(3);
-        let workers = EngineConfig::resolve(&o).threads.min(3) as u64;
-        let per_replicate = workers * (SOA_TILE as u64 + 2) * 8 + 8;
+        let o = opts(2).threads(5);
+        let per_replicate = GENE_TILE as u64 * 8 + workers(&o, 300) * 16;
         let largest_wide = BUDGET_BYTES as u64 / per_replicate + 1;
-        assert!(workers == 1 || largest_wide < largest);
+        assert!(workers(&o, 300) <= 3 || largest_wide < largest);
         assert!(admit_boot(&wide, &labels, &o.clone().permutations(largest_wide)).is_ok());
         assert!(matches!(
             admit_boot(&wide, &labels, &o.permutations(largest_wide + 1)),
@@ -788,7 +688,7 @@ mod tests {
         // and matches the scalar oracle.
         let data = Matrix::from_vec(1, 4, vec![1.0, 2.5, 4.0, 7.5]).unwrap();
         let labels = [0u8, 0, 1, 1];
-        let per_replicate = ((SOA_TILE + 2) * 8 + 4) as u64;
+        let per_replicate = ((GENE_TILE + 2) * 8) as u64;
         let largest = BUDGET_BYTES as u64 / per_replicate + 1;
         let o = opts(largest).threads(1);
         let r = boot_run(&data, &labels, &o).unwrap();

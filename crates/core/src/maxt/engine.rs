@@ -24,8 +24,9 @@
 //! - exceedance counts are integers, derived pointwise from those scores, so
 //!   per-worker partial counts are exact, and they add up to the same sums
 //!   in any order, whichever worker scored which batch;
-//! - the scoring pass ([`Run::scores`]) writes each score at its
-//!   arrangement's index in the chunk.
+//! - the scoring pass ([`Run::scores`]) writes each statistic at its
+//!   draw's index in the chunk; the count pass maps statistics to
+//!   extremeness scores itself.
 //!
 //! Thread/batch geometry is configured by [`EngineConfig`], with
 //! `SPRINT_THREADS` / `SPRINT_BATCH` environment overrides mirroring the
@@ -120,8 +121,9 @@ pub fn split_evenly(total: u64, parts: u64, index: u64) -> (u64, u64) {
 
 /// Split `[start, start + take)` over up to `threads` workers: contiguous
 /// sub-ranges in worker order, never more workers than items, empty when
-/// `take == 0`. Bootstrap's gene tiles and minP's sorted rows are dealt out
-/// this way; an engine pass is not, since its workers pull batches.
+/// `take == 0`. minP's sorted rows are dealt out this way; an engine pass is
+/// not, since its workers pull batches, nor are the bootstrap's rows, which
+/// its finalizing workers pull one at a time.
 pub fn split_chunk(start: u64, take: u64, threads: usize) -> Vec<(u64, u64)> {
     if take == 0 {
         return Vec::new();
@@ -262,7 +264,7 @@ impl Run {
     ) -> Result<ChunkRun> {
         let genes = ctx.genes();
         let count = |acc: &mut CountAccumulator, bufs: &mut BatchBuffers, _, k: usize| {
-            let (scores, stride) = (&bufs.scores, bufs.labels_bufs.len());
+            let (scores, stride) = (&mut bufs.scores, bufs.labels_bufs.len());
             let run_max = &mut bufs.run_max[..k];
             ctx.count_isa.run(CountBatch {
                 ctx,
@@ -280,10 +282,11 @@ impl Run {
         Ok(ChunkRun { counts, workers })
     }
 
-    /// [`Run::chunk`]'s scores kept instead of counted, gene-major
-    /// (`scores[g * take + j]` for the chunk's `j`-th arrangement): each
-    /// batch's columns are written at its arrangements' offsets, so every
-    /// score has the bits the count pass compares.
+    /// [`Run::chunk`]'s statistics kept instead of counted, gene-major
+    /// (`scores[g * take + j]` for the chunk's `j`-th draw): each batch's
+    /// columns are written at its draws' offsets, so every statistic has the
+    /// bits the count pass maps through the side. A reader that compares
+    /// extremeness applies the side itself; the bootstrap reads them raw.
     pub fn scores(
         &self,
         ctx: &MaxTContext<'_>,
@@ -440,9 +443,8 @@ impl MaxTContext<'_> {
         }
     }
 
-    /// Fill `scores[g * stride + j]` with the extremeness score of gene `g`
-    /// under arrangement `j`, walking genes tile by tile through the run's
-    /// scorer.
+    /// Fill `scores[g * stride + j]` with the statistic of gene `g` under
+    /// draw `j`, walking genes tile by tile through the run's scorer.
     fn score_batch(
         &self,
         labels_bufs: &[Vec<u8>],
@@ -451,47 +453,45 @@ impl MaxTContext<'_> {
         stride: usize,
     ) {
         let genes = self.genes;
-        let k = labels_bufs.len();
         self.scorer.begin_batch(labels_bufs, scratch);
         let mut tile_start = 0usize;
         while tile_start < genes {
             let tile_end = (tile_start + GENE_TILE).min(genes);
             self.scorer
                 .score_tile(labels_bufs, tile_start..tile_end, scratch, scores, stride);
-            // Statistic → extremeness score while the tile is hot.
-            for g in tile_start..tile_end {
-                let slots = &mut scores[g * stride..g * stride + k];
-                for slot in slots.iter_mut() {
-                    *slot = self.side.score(*slot);
-                }
-            }
             tile_start = tile_end;
         }
     }
 
     /// Raw and step-down (successive-maxima) exceedance counts over a scored
-    /// batch of `run_max.len()` arrangements. Both passes walk genes in the
-    /// outer loop and a gene's contiguous row of arrangement scores in the
-    /// inner one, counting into a local, so the compare loops vectorize.
-    /// `run_max` holds one running maximum per arrangement; each
-    /// arrangement's maxima and comparisons are the ones the
-    /// one-permutation-at-a-time loop makes, in the same gene order.
-    /// `#[inline(always)]`, so each ISA's entry point compiles its own copy
-    /// (see [`CountBatch`]).
+    /// batch of `run_max.len()` arrangements. The raw-count pass maps each
+    /// gene's row of statistics to extremeness scores in place and counts
+    /// the row while it is hot. Both passes walk genes in the outer loop
+    /// and a gene's contiguous row of arrangement scores in the inner one,
+    /// counting into a local, so the compare loops vectorize. `run_max`
+    /// holds one running maximum per arrangement; each arrangement's maxima
+    /// and comparisons are the ones the one-permutation-at-a-time loop
+    /// makes, in the same gene order. `#[inline(always)]`, so each ISA's
+    /// entry point compiles its own copy (see [`CountBatch`]).
     #[inline(always)]
     fn count_batch(
         &self,
-        scores: &[f64],
+        scores: &mut [f64],
         stride: usize,
         run_max: &mut [f64],
         acc: &mut CountAccumulator,
     ) {
         let k = run_max.len();
-        let row = |g: usize| &scores[g * stride..g * stride + k];
         let exceeding = |vals: &[f64], observed: f64| {
             let observed = observed - EPSILON;
             vals.iter().filter(|&&s| s >= observed).count() as u64
         };
+        for g in 0..self.genes {
+            let row = &mut scores[g * stride..g * stride + k];
+            row.iter_mut().for_each(|s| *s = self.side.score(*s));
+            acc.count_raw[g] += exceeding(row, self.obs_scores[g]);
+        }
+        let row = |g: usize| &scores[g * stride..g * stride + k];
         let fold_max = |run_max: &mut [f64], row: &[f64]| {
             for (m, &s) in run_max.iter_mut().zip(row) {
                 if s > *m {
@@ -499,9 +499,6 @@ impl MaxTContext<'_> {
                 }
             }
         };
-        for g in 0..self.genes {
-            acc.count_raw[g] += exceeding(row(g), self.obs_scores[g]);
-        }
         run_max.fill(f64::NEG_INFINITY);
         if self.single_step() {
             // Single-step (`tmax`): one global max per arrangement, compared
@@ -528,7 +525,7 @@ impl MaxTContext<'_> {
 /// for [`crate::stats::soa::Isa::run`].
 struct CountBatch<'c, 'a> {
     ctx: &'c MaxTContext<'a>,
-    scores: &'c [f64],
+    scores: &'c mut [f64],
     stride: usize,
     run_max: &'c mut [f64],
     acc: &'c mut CountAccumulator,

@@ -137,12 +137,15 @@ fn step_down_order(ctx: &MaxTContext<'_>, counts: &CountAccumulator) -> Vec<usiz
     order
 }
 
-/// The engine's scores of the prepared matrix's `rows` under arrangements
-/// `[start, start + take)`, gene-major, from a stream positioned at `start`.
+/// The extremeness scores of the prepared matrix's `rows` under
+/// arrangements `[start, start + take)`, gene-major: the engine's statistics
+/// from a stream positioned at `start`, through the run's side.
 fn block_scores(run: &Run, prepared: &Matrix, rows: &[usize], start: u64, take: u64) -> Vec<f64> {
     let block = sub_matrix(prepared, rows);
     let ctx = run.context(&block);
-    run.scores(&ctx, &mut *run.stream(start), take)
+    let mut scores = run.scores(&ctx, &mut *run.stream(start), take);
+    scores.iter_mut().for_each(|s| *s = run.opts.side.score(*s));
+    scores
 }
 
 /// Pass 2 on the master: minP's counts (pass 1's raw counts, the adjusted

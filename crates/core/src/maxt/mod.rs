@@ -25,7 +25,7 @@ use crate::matrix::Matrix;
 use crate::options::{KernelChoice, Precision, TestMethod};
 use crate::perm::ResamplingStream;
 use crate::side::Side;
-use crate::stats::scorer::{build_scorer, Scorer};
+use crate::stats::scorer::{build_scorer, Scorer, Statistic};
 use crate::stats::soa::Isa;
 
 /// Comparison slack absorbing floating-point noise between the observed and
@@ -92,23 +92,29 @@ impl<'a> MaxTContext<'a> {
     /// `precision` selects the fast path's accumulation element (`f64` is
     /// the bitwise-reproducible default). The `SPRINT_KERNEL` and
     /// `SPRINT_PRECISION` environment variables, when set to valid choices,
-    /// take precedence over the arguments.
+    /// take precedence over the arguments. For the bootstrap's statistic
+    /// the observed draw is the identity, so the observed statistics are θ̂.
     pub fn with_scorer(
         data: &'a Matrix,
         labels: &ClassLabels,
-        method: TestMethod,
+        stat: impl Into<Statistic>,
         side: Side,
         choice: KernelChoice,
         precision: Precision,
     ) -> Self {
-        let scorer = build_scorer(data, labels, method, choice, precision);
+        let stat = stat.into();
+        let scorer = build_scorer(data, labels, stat, choice, precision);
         let genes = data.rows();
         // Observed statistics go through the same scorer as the permuted
         // ones so the identity permutation always counts exactly once,
         // whichever scorer is active.
+        let observed: Vec<u8> = match stat {
+            Statistic::Test(_) => labels.as_slice().to_vec(),
+            Statistic::BootMeanDiff => (0..data.cols()).map(|c| c as u8).collect(),
+        };
         let mut obs_stats = vec![f64::NAN; genes];
         let mut scratch = scorer.make_scratch();
-        scorer.stats_into(labels.as_slice(), &mut scratch, &mut obs_stats);
+        scorer.stats_into(&observed, &mut scratch, &mut obs_stats);
         let obs_scores: Vec<f64> = obs_stats.iter().map(|&s| side.score(s)).collect();
         let order = significance_order(&obs_scores);
         let obs_scores_ordered = order.iter().map(|&g| obs_scores[g]).collect();
@@ -121,7 +127,7 @@ impl<'a> MaxTContext<'a> {
             obs_scores,
             order,
             obs_scores_ordered,
-            single_step: method.single_step_max(),
+            single_step: matches!(stat, Statistic::Test(m) if m.single_step_max()),
             count_isa: Isa::host(),
         }
     }

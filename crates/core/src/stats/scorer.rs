@@ -43,6 +43,9 @@
 //!   cell feeds, so scoring is one lane add per column into k treatment
 //!   lanes.
 //!
+//! The bootstrap's group-mean difference ([`BootScorer`]) is one more: its
+//! draws are column indices with repeats, summed per class in draw order.
+//!
 //! ## Missing values
 //!
 //! NA rows stay on the fast path — without a scalar gather fallback. Missing
@@ -217,50 +220,78 @@ pub trait Scorer: std::fmt::Debug + Send + Sync {
     }
 }
 
+/// What a scorer computes: a test's statistic under label arrangements, or
+/// the bootstrap's group-mean difference under index draws.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Statistic {
+    /// The test's statistic; each draw is a label arrangement.
+    Test(TestMethod),
+    /// The group-1 mean less the group-0 mean; each draw names the column
+    /// resampled into each slot ([`BootScorer`]).
+    BootMeanDiff,
+}
+
+impl From<TestMethod> for Statistic {
+    fn from(method: TestMethod) -> Self {
+        Statistic::Test(method)
+    }
+}
+
 /// Build the scorer for a run: the method's fast sufficient-statistic
 /// implementation under `Auto`/`Fast`, the reference scalar scorer under
 /// `Scalar` (the `SPRINT_KERNEL` and `SPRINT_PRECISION` debug overrides are
 /// applied first). `precision` selects the accumulation element of the fast
-/// path; the scalar scorer is always `f64`. The fast path's lane kernels run
-/// under [`Isa::host`]. Emits a once-per-process stderr note naming the
-/// chosen path (and ISA) per method, so a forced scalar or `f32` run is
-/// never silent.
+/// path; the scalar scorer is always `f64`. The bootstrap's scorer is built
+/// under every choice and precision. The fast path's lane kernels run under
+/// [`Isa::host`]. Emits a once-per-process stderr note naming the chosen
+/// path (and ISA) per method, so a forced scalar or `f32` run is never
+/// silent.
 pub fn build_scorer<'a>(
     data: &'a Matrix,
     labels: &ClassLabels,
-    method: TestMethod,
+    stat: impl Into<Statistic>,
     choice: KernelChoice,
     precision: Precision,
 ) -> Box<dyn Scorer + 'a> {
-    let (scorer, isa): (Box<dyn Scorer + 'a>, _) = match choice.env_override() {
-        KernelChoice::Scalar => (
+    let stat = stat.into();
+    let (scorer, isa): (Box<dyn Scorer + 'a>, _) = match (stat, choice.env_override()) {
+        (Statistic::Test(method), KernelChoice::Scalar) => (
             Box::new(ScalarScorer::new(data, StatComputer::new(method, labels))),
             None,
         ),
-        KernelChoice::Auto | KernelChoice::Fast => {
+        _ => {
             let isa = Isa::host();
-            let fast = fast_scorer_on(isa, data, labels, method, precision.env_override());
+            let fast = fast_scorer_on(isa, data, labels, stat, precision.env_override());
             (fast.expect("the host runs its own ISA"), Some(isa))
         }
+    };
+    // The bootstrap is admitted for test `t` only.
+    let method = match stat {
+        Statistic::Test(method) => method,
+        Statistic::BootMeanDiff => TestMethod::T,
     };
     note_scorer_path(method, scorer.path(), isa);
     scorer
 }
 
-/// Build the method's fast scorer with its lane kernels compiled for `isa`,
-/// or `None` when this host cannot run `isa`. No environment override
+/// Build the statistic's fast scorer with its lane kernels compiled for
+/// `isa`, or `None` when this host cannot run `isa`. No environment override
 /// applies. [`build_scorer`] passes [`Isa::host`]; the other ISAs exist so
 /// tests can hold every kernel body the host runs to the same bits.
 pub fn fast_scorer_on(
     isa: Isa,
     data: &Matrix,
     labels: &ClassLabels,
-    method: TestMethod,
+    stat: impl Into<Statistic>,
     precision: Precision,
 ) -> Option<Box<dyn Scorer>> {
     if !isa.supported() {
         return None;
     }
+    let Statistic::Test(method) = stat.into() else {
+        let lanes = BootScorer::new(data, labels);
+        return Some(Box::new(OnIsa { isa, lanes }));
+    };
     let k = StatComputer::new(method, labels).classes();
     Some(match precision {
         Precision::F64 => fast_scorer::<f64>(isa, data, method, k),
@@ -782,29 +813,34 @@ pub struct WilcoxonScorer<R: Real> {
     present: Presence,
 }
 
+/// The matrix's cells as column lanes, missing cells `+0.0`: one block of
+/// genes at a time, through a column-major tile of the block, so each
+/// column's BLOCK cells go to its lane together.
+fn lanes_of<R: Real>(data: &Matrix) -> SoaColumns<R> {
+    let (rows, cols) = (data.rows(), data.cols());
+    let mut vals = SoaColumns::new(rows, cols);
+    let mut tile = vec![R::ZERO; cols * BLOCK];
+    for base in (0..rows).step_by(BLOCK) {
+        tile.fill(R::ZERO);
+        for g in base..(base + BLOCK).min(rows) {
+            for (c, &v) in data.row(g).iter().enumerate() {
+                if !v.is_nan() {
+                    tile[c * BLOCK + g - base] = R::from_f64(v);
+                }
+            }
+        }
+        for (c, cells) in tile.chunks_exact(BLOCK).enumerate() {
+            vals.block_mut(c, base).copy_from_slice(cells);
+        }
+    }
+    vals
+}
+
 impl<R: Real> WilcoxonScorer<R> {
     /// Cache the (already rank-transformed) rows.
     pub fn new(data: &Matrix) -> Self {
-        let mut vals = SoaColumns::new(data.rows(), data.cols());
-        // One block of genes at a time, through a column-major tile of the
-        // block, so each column's BLOCK cells go to its lane together.
-        let (rows, cols) = (data.rows(), data.cols());
-        let mut tile = vec![R::ZERO; cols * BLOCK];
-        for base in (0..rows).step_by(BLOCK) {
-            tile.fill(R::ZERO);
-            for g in base..(base + BLOCK).min(rows) {
-                for (c, &v) in data.row(g).iter().enumerate() {
-                    if !v.is_nan() {
-                        tile[c * BLOCK + g - base] = R::from_f64(v);
-                    }
-                }
-            }
-            for (c, cells) in tile.chunks_exact(BLOCK).enumerate() {
-                vals.block_mut(c, base).copy_from_slice(cells);
-            }
-        }
         WilcoxonScorer {
-            vals,
+            vals: lanes_of(data),
             present: Presence::of(data),
         }
     }
@@ -856,6 +892,135 @@ impl<R: Real> LaneScorer for WilcoxonScorer<R> {
                 }
                 for g in live.clone() {
                     out[g * stride + j] = z[g - base].to_f64();
+                }
+            }
+        }
+    }
+}
+
+/// Fast scorer for the bootstrap's group-mean difference (`workload =
+/// "bootstrap"`). A draw names the column resampled into each slot, and the
+/// columns keep their class labels. Per draw, `begin_batch` lists its
+/// class-1 slots and then its class-0 slots, each in draw order, and each
+/// [`BLOCK`] of genes [`block_add`]s those columns into two register blocks:
+/// per gene, the adds of a scalar loop over the draw that skips NaN cells,
+/// with a `+0.0` where it skips, which leaves the sums' bits unchanged
+/// (DESIGN.md §4.10). Each mean divides by its class's slots, less the
+/// draw's multiplicity of every column the gene is missing; an empty class
+/// gives NaN. The identity draw gives θ̂. Always `f64`.
+#[derive(Debug)]
+pub struct BootScorer {
+    /// Values, column-major; missing cells hold `+0.0`.
+    vals: SoaColumns<f64>,
+    /// The class label of each column.
+    labels: Vec<u8>,
+    present: Presence,
+}
+
+impl BootScorer {
+    /// Lay out the matrix's values and missing cells.
+    pub fn new(data: &Matrix, labels: &ClassLabels) -> Self {
+        BootScorer {
+            vals: lanes_of(data),
+            labels: labels.as_slice().to_vec(),
+            present: Presence::of(data),
+        }
+    }
+
+    /// Gene `g`'s group counts `(n0, n1)` under a draw with `slots` class-0
+    /// and class-1 slots, where column `c` appears `mult[c]` times.
+    #[inline]
+    fn counts(&self, g: usize, slots: (usize, usize), mult: &[u64]) -> (u64, u64) {
+        let (mut n0, mut n1) = (slots.0 as u64, slots.1 as u64);
+        for (w, &word) in self.present.miss.gene(g).iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let c = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.labels[c] == 1 {
+                    n1 -= mult[c];
+                } else {
+                    n0 -= mult[c];
+                }
+            }
+        }
+        (n0, n1)
+    }
+}
+
+impl LaneScorer for BootScorer {
+    fn path(&self) -> &'static str {
+        "bootstrap"
+    }
+
+    /// Per draw: its class-1 slots, then its class-0 slots, in
+    /// `idx[offsets[2j]..offsets[2j + 2]]`; and, when any gene is missing a
+    /// cell, each column's multiplicity in `sel[j·n..(j + 1)·n]`.
+    fn begin_batch(&self, draws: &[Vec<u8>], scratch: &mut ScorerScratch) {
+        scratch.idx.clear();
+        scratch.offsets.clear();
+        scratch.offsets.push(0);
+        scratch.sel.clear();
+        for draw in draws {
+            for class in [1, 0] {
+                let slots = draw.iter().filter(|&&c| self.labels[c as usize] == class);
+                scratch.idx.extend(slots.map(|&c| c as usize));
+                scratch.offsets.push(scratch.idx.len());
+            }
+            if self.present.any_dirty {
+                let base = scratch.sel.len();
+                scratch.sel.resize(base + draw.len(), 0);
+                for &c in draw {
+                    scratch.sel[base + c as usize] += 1;
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn tile(
+        &self,
+        draws: &[Vec<u8>],
+        genes: Range<usize>,
+        scratch: &mut ScorerScratch,
+        out: &mut [f64],
+        stride: usize,
+    ) {
+        let n = self.labels.len();
+        let parts = scratch.parts_f64();
+        for base in blocks(&genes) {
+            let live = base.max(genes.start)..(base + BLOCK).min(genes.end);
+            for j in 0..draws.len() {
+                let cols1 = &parts.idx[parts.offsets[2 * j]..parts.offsets[2 * j + 1]];
+                let cols0 = &parts.idx[parts.offsets[2 * j + 1]..parts.offsets[2 * j + 2]];
+                let (mut s0, mut s1) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
+                for &c in cols1 {
+                    block_add(&mut s1, self.vals.block(c, base));
+                }
+                for &c in cols0 {
+                    block_add(&mut s0, self.vals.block(c, base));
+                }
+                let slots = (cols0.len(), cols1.len());
+                let mut d = [f64::NAN; BLOCK];
+                if self.present.clean_blocks[base / BLOCK] {
+                    // One pair of counts for the block: a branch-free loop.
+                    if slots.0 > 0 && slots.1 > 0 {
+                        let (n0, n1) = (slots.0 as f64, slots.1 as f64);
+                        for i in 0..BLOCK {
+                            d[i] = s1[i] / n1 - s0[i] / n0;
+                        }
+                    }
+                } else {
+                    let mult = &parts.sel[j * n..(j + 1) * n];
+                    for g in live.clone() {
+                        let (n0, n1) = self.counts(g, slots, mult);
+                        if n0 > 0 && n1 > 0 {
+                            d[g - base] = s1[g - base] / n1 as f64 - s0[g - base] / n0 as f64;
+                        }
+                    }
+                }
+                for g in live.clone() {
+                    out[g * stride + j] = d[g - base];
                 }
             }
         }

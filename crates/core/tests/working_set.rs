@@ -136,7 +136,7 @@ fn drivers_hold_what_admission_charges() {
     let opts = PmaxtOptions::default().seed(5);
     let stored = opts.clone().fixed_seed_sampling("n").unwrap();
     let with_b = |o: &PmaxtOptions, b: u64| o.clone().permutations(b);
-    // A full SOA_TILE of 128 genes for each of two workers.
+    // A full block of 256 genes, finalized by two workers.
     let (boot_data, boot_labels) = dataset(256, 10);
     let boot = opts.clone().workload(Workload::Bootstrap).threads(2);
 

@@ -1376,6 +1376,7 @@ mod tests {
     use crate::faults::Faults;
     use crate::manager::tests::{manager, null_heavy_dataset, small_dataset};
     use crate::manager::{JobManager, JobSpec, ManagerConfig};
+    use sprint_core::maxt::engine::GENE_TILE;
     use sprint_core::maxt::serial::mt_maxt;
     use sprint_core::options::Precision;
 
@@ -1433,8 +1434,7 @@ mod tests {
                 let (work, _) = JobWork::new(adm, None, 0);
                 assert_eq!(work.run.engine.threads, cores, "{workload:?}");
                 if workload == Workload::Pmaxt {
-                    // Every worker's batch buffers together fit the budget;
-                    // bootstrap bands hold no engine batch.
+                    // Every worker's batch buffers together fit the budget.
                     let per_arrangement = cores * (data.cols() + 8 * data.rows() + 8);
                     assert_eq!(
                         work.run.engine.batch,
@@ -1468,13 +1468,14 @@ mod tests {
             .wait_result(info.id, Some(Duration::from_secs(30)))
             .unwrap();
         assert_eq!(served, mt_maxt(&data, &raw, &opts.threads(1)).unwrap());
-        // Bootstrap: one more gene tile than the host has cores. The largest
-        // B whose replicate tiles fit one worker per core is accepted (only
-        // admitted here, never run), one more is refused.
+        // Bootstrap: a full block of genes, with rows for every core to
+        // finalize. The largest B whose block and one sorted row and sort
+        // scratch per core fit is accepted (only admitted here, never run),
+        // one more is refused.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let genes = (cores + 1) * sprint_core::stats::soa::SOA_TILE;
+        let genes = GENE_TILE;
         let wide = Arc::new(Matrix::from_vec(genes, 6, vec![1.0; genes * 6]).unwrap());
-        let per_replicate = cores * (sprint_core::stats::soa::SOA_TILE + 2) * 8 + 6;
+        let per_replicate = GENE_TILE * 8 + cores.min(GENE_TILE) * 16;
         let largest = (sprint_core::admit::BUDGET_BYTES / per_replicate + 1) as u64;
         let boot = |b: u64| {
             PmaxtOptions::default()
